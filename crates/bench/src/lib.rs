@@ -25,7 +25,7 @@ pub use lazydram_workloads::{
     CachePolicy, CheckpointPolicy, SimBuilder, SimRun, TraceMode, TracePolicy,
     DEFAULT_CHECKPOINT_EVERY,
 };
-pub use runner::{Baseline, Job, JobFailure, JobResult, MeasureSpec, SweepRunner};
+pub use runner::{Baseline, ExactOutput, Job, JobFailure, JobResult, MeasureSpec, SweepRunner};
 pub use store::{CacheStats, EntryInfo, Fidelity, Store};
 
 /// Default work scale for the benchmark harnesses. Chosen so the whole

@@ -19,10 +19,14 @@
 //!   [`std::panic::catch_unwind`]; one panicking simulation becomes a
 //!   [`JobFailure`] (rendered by harnesses as a `FAIL` row) instead of
 //!   killing the whole sweep.
-//! * **Baseline sharing** — `(app, config, scale)` baseline measurements and
-//!   exact functional outputs are computed once in a concurrent cache and
-//!   shared across schemes, instead of once per figure as the sequential
-//!   harnesses used to do.
+//! * **Baseline sharing** — `(app, config, scale)` baseline measurements are
+//!   computed once in a concurrent cache and shared across schemes, instead
+//!   of once per figure as the sequential harnesses used to do. Each
+//!   baseline carries the app's exact functional output (the
+//!   application-error reference) as a lazy, shared [`ExactOutput`]: only a
+//!   cell that simulates forces it, and at most once per runner. A sweep the
+//!   result store serves entirely never runs an app functionally; a cold
+//!   sweep computes each reference exactly once.
 //! * **Observability** — per-job wall-clock timing and `[k/n]` progress
 //!   lines on stderr, plus an optional JSONL results file
 //!   (`LAZYDRAM_RESULTS=path`) with one schema-stable [`Measurement`]
@@ -61,8 +65,9 @@
 //!   [`crate::store`] for the key structure and the lock-free multi-process
 //!   publish protocol.
 //! * **End-of-sweep summary** — dropping the runner prints one stderr line
-//!   (jobs run, failures, elapsed wall clock, cache counters), suppressed
-//!   under `LAZYDRAM_QUIET` or when no jobs ran.
+//!   (jobs run, failures, elapsed wall clock, cache counters, and how many
+//!   exact-output references were computed), suppressed under
+//!   `LAZYDRAM_QUIET` or when no jobs ran.
 
 use crate::store::{Fidelity, Store};
 use crate::{try_measure, try_measure_replay, try_measure_traced, Measurement};
@@ -76,7 +81,7 @@ use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Report for one job that panicked instead of producing a value.
@@ -124,6 +129,56 @@ impl<'a, T> Job<'a, T> {
     }
 }
 
+/// An app's exact functional output at one scale — the application-error
+/// reference — computed on first dereference and shared by every clone.
+///
+/// Clones share one [`OnceLock`], so the reference is computed at most once
+/// however many cells use it; concurrent first uses block on that single
+/// computation. Nothing dereferences it until a cell actually simulates, so
+/// cells served from the result store (or replayed from a trace) never pay
+/// for it.
+#[derive(Clone)]
+pub struct ExactOutput(Arc<LazyExact>);
+
+struct LazyExact {
+    app: AppSpec,
+    scale: f64,
+    output: OnceLock<Vec<f32>>,
+}
+
+impl ExactOutput {
+    /// The (not yet computed) reference of `app` at `scale`.
+    pub(crate) fn new(app: &AppSpec, scale: f64) -> Self {
+        Self(Arc::new(LazyExact { app: app.clone(), scale, output: OnceLock::new() }))
+    }
+
+    /// Whether the reference has been computed (through any clone).
+    pub fn is_computed(&self) -> bool {
+        self.0.output.get().is_some()
+    }
+}
+
+impl std::ops::Deref for ExactOutput {
+    type Target = [f32];
+
+    fn deref(&self) -> &[f32] {
+        let e = &self.0;
+        e.output.get_or_init(|| exact_output(&e.app, e.scale))
+    }
+}
+
+impl std::fmt::Debug for ExactOutput {
+    /// The app, the scale and whether the reference is computed — never
+    /// the vector itself.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ExactOutput")
+            .field("app", &self.0.app.name)
+            .field("scale", &self.0.scale)
+            .field("computed", &self.is_computed())
+            .finish()
+    }
+}
+
 /// A cached `(app, config, scale)` baseline: the measurement under
 /// [`SchedConfig::baseline`] plus the exact functional output shared by
 /// every scheme of that app.
@@ -131,8 +186,11 @@ impl<'a, T> Job<'a, T> {
 pub struct Baseline {
     /// Baseline measurement (scheme label `"baseline"`).
     pub measurement: Measurement,
-    /// Exact functional output (application-error reference).
-    pub exact: Arc<Vec<f32>>,
+    /// Exact functional output (application-error reference). Lazy: a
+    /// baseline simulated here has forced it, but one served from the result
+    /// store leaves it uncomputed until a simulating cell of the app needs
+    /// it.
+    pub exact: ExactOutput,
 }
 
 /// Everything needed to run one `(app, scheme)` measurement job: the fully
@@ -141,13 +199,14 @@ pub struct Baseline {
 pub struct MeasureSpec {
     /// The configured simulation (app, scheme, machine, scale, …).
     pub builder: SimBuilder,
-    /// Exact output shared across the app's schemes.
-    pub exact: Arc<Vec<f32>>,
+    /// Exact output shared across the app's schemes. Only forced when this
+    /// cell simulates; a cache hit or a trace replay never computes it.
+    pub exact: ExactOutput,
 }
 
 impl MeasureSpec {
     /// Pairs a configured builder with its app's exact reference output.
-    pub fn new(builder: SimBuilder, exact: Arc<Vec<f32>>) -> Self {
+    pub fn new(builder: SimBuilder, exact: ExactOutput) -> Self {
         Self { builder, exact }
     }
 }
@@ -176,6 +235,21 @@ pub fn parse_jobs(s: &str) -> Result<usize, String> {
         Ok(n) if n >= 1 => Ok(n),
         _ => Err(format!(
             "LAZYDRAM_JOBS={s:?} is not a positive worker count; expected e.g. 1, 4 or 8"
+        )),
+    }
+}
+
+/// Parses a `LAZYDRAM_QUIET` value: `1`/`true` silence the stderr progress
+/// and summary lines, `0`/`false` keep them.
+///
+/// Kept separate from the env lookup so the validation is unit-testable.
+pub fn parse_quiet(s: &str) -> Result<bool, String> {
+    match s.trim() {
+        "1" | "true" => Ok(true),
+        "0" | "false" => Ok(false),
+        _ => Err(format!(
+            "LAZYDRAM_QUIET={s:?} is not a boolean; expected 1/true to silence the \
+             progress lines or 0/false to keep them"
         )),
     }
 }
@@ -225,10 +299,17 @@ impl SweepRunner {
     }
 
     /// Builds a runner with an explicit worker count (≥ 1).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a malformed `LAZYDRAM_QUIET`.
     pub fn with_workers(workers: usize) -> Self {
         Self {
             workers: workers.max(1),
-            quiet: std::env::var("LAZYDRAM_QUIET").is_ok(),
+            quiet: match std::env::var("LAZYDRAM_QUIET") {
+                Ok(s) => parse_quiet(&s).unwrap_or_else(|e| panic!("{e}")),
+                Err(_) => false,
+            },
             results: None,
             checkpoints: None,
             traces: None,
@@ -301,6 +382,15 @@ impl SweepRunner {
     /// The configured worker count.
     pub fn workers(&self) -> usize {
         self.workers
+    }
+
+    /// `(computed, baselines)`: how many of this runner's finished baselines
+    /// have had their exact-output reference computed, out of all of them.
+    pub fn references_computed(&self) -> (usize, usize) {
+        // A read-only walk: a poisoned map still holds valid entries.
+        let map = self.baselines.lock().unwrap_or_else(PoisonError::into_inner);
+        let ready: Vec<&Arc<Baseline>> = map.values().filter_map(|cell| cell.get()).collect();
+        (ready.iter().filter(|b| b.exact.is_computed()).count(), ready.len())
     }
 
     /// Runs `jobs` on the worker pool and returns their outcomes **in
@@ -382,7 +472,9 @@ impl SweepRunner {
     /// Computes (or returns the cached) baseline for `(app, cfg, scale)`.
     ///
     /// Concurrent callers of the same key block until the single
-    /// computation finishes; different keys compute in parallel.
+    /// computation finishes; different keys compute in parallel. The exact
+    /// output is forced only when the baseline simulates; a store hit leaves
+    /// it to the app's simulating cells, if any.
     pub fn baseline(&self, app: &AppSpec, cfg: &GpuConfig, scale: f64) -> Arc<Baseline> {
         let key: BaselineKey = (app.name.to_string(), scale.to_bits(), format!("{cfg:?}"));
         let cell = self
@@ -393,7 +485,7 @@ impl SweepRunner {
             .or_insert_with(|| Arc::new(OnceLock::new()))
             .clone();
         cell.get_or_init(|| {
-            let exact = Arc::new(exact_output(app, scale));
+            let exact = ExactOutput::new(app, scale);
             // With a trace policy attached, the baseline run doubles as the
             // capture run: it records the request stream and parks it in
             // the trace store for the sweep cells to replay. The baseline
@@ -549,8 +641,10 @@ impl SweepRunner {
     /// match the bytes the cell would actually produce (replay zeroes
     /// `ipc`/`app_error`), and a replay-mode cell whose trace is missing
     /// must fail identically whether or not some earlier sweep published an
-    /// entry — warm and cold runs stay byte-identical.
-    fn measure_one(&self, builder: SimBuilder, exact: &[f32]) -> Result<Measurement, String> {
+    /// entry — warm and cold runs stay byte-identical. `exact` is
+    /// dereferenced (and so computed) only on the execute path, after the
+    /// lookup missed.
+    fn measure_one(&self, builder: SimBuilder, exact: &ExactOutput) -> Result<Measurement, String> {
         let mut replay_path = None;
         if let Some(policy) = &self.traces {
             if policy.mode != TraceMode::Capture {
@@ -657,9 +751,10 @@ impl SweepRunner {
 
 impl Drop for SweepRunner {
     /// Prints the end-of-sweep summary line: jobs run, failures, elapsed
-    /// wall clock, and the cache counters. On stderr (like the progress
-    /// lines, so stdout tables stay byte-identical); suppressed when quiet
-    /// or when the runner never ran a job.
+    /// wall clock, the cache counters and the exact-output references
+    /// computed. On stderr (like the progress lines, so stdout tables stay
+    /// byte-identical); suppressed when quiet or when the runner never ran
+    /// a job.
     fn drop(&mut self) {
         let jobs = self.jobs_run.load(Ordering::Relaxed);
         if self.quiet || jobs == 0 {
@@ -681,8 +776,10 @@ impl Drop for SweepRunner {
             }
             None => "cache: off".to_string(),
         };
+        let (computed, refs) = self.references_computed();
         eprintln!(
-            "sweep summary: {jobs} jobs, {failed} failed, {elapsed:.1}s elapsed; {cache}",
+            "sweep summary: {jobs} jobs, {failed} failed, {elapsed:.1}s elapsed; {cache}; \
+             refs: {computed} of {refs} computed",
             elapsed = self.started.elapsed().as_secs_f64()
         );
     }
@@ -728,5 +825,37 @@ pub fn pct_cell(result: &JobResult<Measurement>, value: impl Fn(&Measurement) ->
     match result {
         Ok(m) => format!("{:.1}%", 100.0 * value(m)),
         Err(_) => "FAIL".to_string(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn parse_quiet_accepts_booleans_and_names_the_variable() {
+        assert_eq!(parse_quiet("1"), Ok(true));
+        assert_eq!(parse_quiet("true"), Ok(true));
+        assert_eq!(parse_quiet(" 0 "), Ok(false));
+        assert_eq!(parse_quiet("false"), Ok(false));
+        for bad in ["", "yes", "2", "quiet"] {
+            let err = parse_quiet(bad).expect_err("only 1|true|0|false are booleans");
+            assert!(err.contains("LAZYDRAM_QUIET"), "{err}");
+        }
+    }
+
+    #[test]
+    fn exact_output_is_lazy_shared_and_never_prints_the_vector() {
+        let app = lazydram_workloads::by_name("SCP").expect("app");
+        let exact = ExactOutput::new(&app, 0.02);
+        let shared = exact.clone();
+        assert!(!shared.is_computed(), "nothing computed before first use");
+        assert_eq!(
+            format!("{exact:?}"),
+            "ExactOutput { app: \"SCP\", scale: 0.02, computed: false }"
+        );
+        assert_eq!(&*exact, exact_output(&app, 0.02).as_slice());
+        assert!(shared.is_computed(), "clones share one reference");
+        assert!(format!("{shared:?}").ends_with("computed: true }"));
     }
 }

@@ -1,12 +1,15 @@
 //! The result cache's sweep-level contract: warm sweeps are byte-identical
 //! to cold ones, cross-harness baseline reuse works through a shared store
 //! directory, `require` mode fails misses with a remediation hint, and
-//! `refresh` mode re-simulates.
+//! `refresh` mode re-simulates. Exact-output references are computed only
+//! by cells that simulate: never on a fully served sweep, once per app when
+//! only the baselines are stored.
 
-use lazydram_bench::{CacheMode, CachePolicy, MeasureSpec, SimBuilder, SweepRunner};
+use lazydram_bench::{Baseline, CacheMode, CachePolicy, MeasureSpec, SimBuilder, SweepRunner};
 use lazydram_common::{DmsMode, GpuConfig, SchedConfig};
 use lazydram_workloads::by_name;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 const SCALE: f64 = 0.05;
 
@@ -24,8 +27,8 @@ fn runner(dir: &Path, mode: CacheMode, results: &Path) -> SweepRunner {
 }
 
 /// One small fig04-like sweep (baselines + two DMS delays per app) through
-/// `runner`; returns `(measurement JSON lines, jobs run)`.
-fn sweep(runner: &SweepRunner) -> Vec<String> {
+/// `runner`; returns the measurement JSON lines and the apps' baselines.
+fn sweep(runner: &SweepRunner) -> (Vec<String>, Vec<Arc<Baseline>>) {
     let apps: Vec<_> = ["SCP", "GEMM"].iter().map(|n| by_name(n).expect("app")).collect();
     let cfg = GpuConfig::default();
     let bases = runner.baselines(&apps, &cfg, SCALE);
@@ -50,7 +53,7 @@ fn sweep(runner: &SweepRunner) -> Vec<String> {
     out.extend(
         runner.measure_all(specs).into_iter().map(|r| r.expect("cell runs").to_json()),
     );
-    out
+    (out, bases.into_iter().map(|b| b.expect("baseline")).collect())
 }
 
 #[test]
@@ -61,7 +64,7 @@ fn warm_sweep_is_byte_identical_and_served_from_disk() {
     std::fs::create_dir_all(&dir).unwrap();
 
     let cold_runner = runner(&dir, CacheMode::Auto, &cold_jsonl);
-    let cold = sweep(&cold_runner);
+    let (cold, _) = sweep(&cold_runner);
     let cold_stats = cold_runner.cache().expect("cache attached").stats();
     assert_eq!(cold_stats.hits(), 0, "empty store cannot hit");
     assert_eq!(cold_stats.published, 6, "2 baselines + 4 cells published");
@@ -70,7 +73,7 @@ fn warm_sweep_is_byte_identical_and_served_from_disk() {
     // A second runner = a second harness process: fresh hot tier, shared
     // disk store. Everything must come back from disk, byte for byte.
     let warm_runner = runner(&dir, CacheMode::Auto, &warm_jsonl);
-    let warm = sweep(&warm_runner);
+    let (warm, _) = sweep(&warm_runner);
     assert_eq!(cold, warm, "warm measurements must match cold ones exactly");
     let warm_stats = warm_runner.cache().expect("cache attached").stats();
     assert_eq!(warm_stats.disk_hits, 6, "every cell served from disk");
@@ -162,5 +165,69 @@ fn refresh_mode_resimulates_and_republishes() {
     let stats = refresh.cache().unwrap().stats();
     assert_eq!(stats.hits(), 0, "refresh never consults the store");
     assert_eq!(stats.published, 1, "refresh overwrites the entry");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn require_mode_sweep_never_computes_a_reference() {
+    let dir = fresh_dir("lazyref");
+    std::fs::create_dir_all(&dir).unwrap();
+    let store = dir.join("store");
+    let (cold_jsonl, warm_jsonl) = (dir.join("cold.jsonl"), dir.join("require.jsonl"));
+
+    let cold = runner(&store, CacheMode::Auto, &cold_jsonl);
+    sweep(&cold);
+    assert_eq!(cold.references_computed(), (2, 2), "a cold sweep computes every reference");
+    drop(cold);
+
+    // A fresh runner over the filled store: every cell is a hit, so no cell
+    // ever needs an app's reference.
+    let warm = runner(&store, CacheMode::Require, &warm_jsonl);
+    let (_, bases) = sweep(&warm);
+    for b in &bases {
+        assert!(!b.exact.is_computed(), "{:?} computed on a served sweep", b.exact);
+    }
+    assert_eq!(warm.references_computed(), (0, 2));
+    drop(warm);
+
+    let cold_bytes = std::fs::read(&cold_jsonl).unwrap();
+    assert!(!cold_bytes.is_empty());
+    assert_eq!(cold_bytes, std::fs::read(&warm_jsonl).unwrap(), "JSONL must be cmp-equal");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn baseline_only_store_forces_each_reference_once() {
+    let dir = fresh_dir("baseonly");
+    std::fs::create_dir_all(&dir).unwrap();
+    let store = dir.join("store");
+    let apps: Vec<_> = ["SCP", "GEMM"].iter().map(|n| by_name(n).expect("app")).collect();
+    SweepRunner::with_workers(2)
+        .quiet()
+        .with_cache(Some(CachePolicy::new(&store, CacheMode::Auto)))
+        .baselines(&apps, &GpuConfig::default(), SCALE);
+
+    let (mixed_jsonl, cold_jsonl) = (dir.join("mixed.jsonl"), dir.join("cold.jsonl"));
+    let mixed = runner(&store, CacheMode::Auto, &mixed_jsonl);
+    let (mixed_lines, bases) = sweep(&mixed);
+    let stats = mixed.cache().expect("cache attached").stats();
+    assert_eq!((stats.disk_hits, stats.misses), (2, 4), "baselines hit, scheme cells simulate");
+    // Every cell of an app shares the baseline's one `OnceLock`: the first
+    // simulating cell forces it and the others reuse it.
+    for b in &bases {
+        assert!(b.exact.is_computed(), "{:?} was never forced", b.exact);
+    }
+    assert_eq!(mixed.references_computed(), (2, 2));
+    drop(mixed);
+
+    let cold = runner(&dir.join("cold_store"), CacheMode::Auto, &cold_jsonl);
+    let (cold_lines, _) = sweep(&cold);
+    drop(cold);
+    assert_eq!(mixed_lines, cold_lines);
+    assert_eq!(
+        std::fs::read(&mixed_jsonl).unwrap(),
+        std::fs::read(&cold_jsonl).unwrap(),
+        "JSONL must be byte-identical to an all-cold sweep"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

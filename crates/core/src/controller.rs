@@ -19,7 +19,7 @@ use crate::ams::AmsUnit;
 use crate::dms::DmsUnit;
 use crate::queue::{PendingQueue, QueueFull};
 use lazydram_common::prof::{self, Phase};
-use lazydram_common::snap::{Loader, Saver, SnapResult};
+use lazydram_common::snap::{Loader, Saver, SnapError, SnapResult};
 use lazydram_common::{AccessKind, Arbiter, GpuConfig, Request, RequestId, RowPolicy, SchedConfig};
 use lazydram_dram::{DramBackend, MemoryBackend};
 use std::collections::VecDeque;
@@ -185,14 +185,17 @@ impl MemoryController {
 
         // Continue an AMS drop sequence: one request per cycle, at most the
         // number that were pending when the decision was made.
+        // The count is checked before anything is removed: an exhausted
+        // sequence must end without taking (and losing) a request.
         if let Some((bank, row, remaining)) = self.dropping {
             let victim = self
                 .queue
                 .oldest_for_row(bank, row)
+                .filter(|_| remaining > 0)
                 .map(|(_, r)| r.id)
                 .and_then(|id| self.queue.remove(id));
             match victim {
-                Some(req) if remaining > 0 => {
+                Some(req) => {
                     self.backend.stats_mut().dropped += 1;
                     out.push(Response {
                         id: req.id,
@@ -213,7 +216,7 @@ impl MemoryController {
         // rows (one per cycle) and issue the refresh before normal work.
         if self.backend.refresh_due(now) {
             if self.backend.can_refresh(now) {
-                self.backend.refresh(now);
+                self.dram(|b| b.refresh(now));
                 return;
             }
             let mut open = self.backend.open_banks();
@@ -221,7 +224,7 @@ impl MemoryController {
                 let bank = open.trailing_zeros() as usize;
                 open &= open - 1;
                 if self.backend.can_precharge(bank, now) {
-                    self.backend.precharge(bank, now);
+                    self.dram(|b| b.precharge(bank, now));
                     return;
                 }
             }
@@ -313,6 +316,14 @@ impl MemoryController {
         self.backend.advance_to(to);
     }
 
+    /// Issues one DRAM command (ACT, PRE, CAS or REF) under the `dram`
+    /// profiler phase. The guard wraps each issued command, never a whole
+    /// tick, and compiles out without the `prof` feature.
+    fn dram<R>(&mut self, cmd: impl FnOnce(&mut DramBackend) -> R) -> R {
+        let _t = prof::enter(Phase::Dram);
+        cmd(&mut self.backend)
+    }
+
     /// FR-FCFS + DMS + AMS scheduling: issues at most one DRAM command.
     ///
     /// All selection queries are O(banks) thanks to the indexed queue.
@@ -356,7 +367,7 @@ impl MemoryController {
         }
         if let Some((_, id, bank)) = best {
             let req = self.queue.remove(id).expect("candidate still queued");
-            let done = self.backend.cas(bank, req.kind, req.is_global_read(), now);
+            let done = self.dram(|b| b.cas(bank, req.kind, req.is_global_read(), now));
             if req.kind == AccessKind::Read {
                 self.inflight.push_back(Inflight {
                     ready_at: done,
@@ -380,7 +391,7 @@ impl MemoryController {
                 scan &= scan - 1;
                 let open = self.backend.open_row(bank).expect("bank in open mask");
                 if !self.queue.any_for_row(bank, open) && self.backend.can_precharge(bank, now) {
-                    self.backend.precharge(bank, now);
+                    self.dram(|b| b.precharge(bank, now));
                     return;
                 }
             }
@@ -499,7 +510,7 @@ impl MemoryController {
             }
             if needs_pre {
                 if self.backend.can_precharge(bank, now) {
-                    self.backend.precharge(bank, now);
+                    self.dram(|b| b.precharge(bank, now));
                     return;
                 }
             } else {
@@ -511,7 +522,7 @@ impl MemoryController {
                     .loc
                     .row;
                 if self.backend.can_activate(bank, now) {
-                    self.backend.activate(bank, row, now);
+                    self.dram(|b| b.activate(bank, row, now));
                     return;
                 }
             }
@@ -590,7 +601,17 @@ impl MemoryController {
                 });
             }
             self.dropping = if l.bool("has_dropping")? {
-                Some((l.usize("drop_bank")?, l.u32("drop_row")?, l.u32("drop_remaining")?))
+                let (bank, row) = (l.usize("drop_bank")?, l.u32("drop_row")?);
+                let remaining = l.u32("drop_remaining")?;
+                // A live sequence always has a request left: it ends (becomes
+                // `None`) as soon as its last request is dropped.
+                if remaining == 0 {
+                    return Err(SnapError::Malformed {
+                        label: "drop_remaining".into(),
+                        why: "an AMS drop sequence with no requests left".into(),
+                    });
+                }
+                Some((bank, row, remaining))
             } else {
                 None
             };
@@ -1000,5 +1021,44 @@ mod tests {
         assert_eq!(mc.stats().rbl.activations(), 0, "row still open");
         mc.drain();
         assert_eq!(mc.stats().rbl.count(1), 1);
+    }
+
+    #[test]
+    fn exhausted_drop_sequence_takes_no_request() {
+        let map = AddressMap::new(&cfg());
+        let mut mc = baseline_mc();
+        let req = mkreq(&map, 1, 0, 0, 0, AccessKind::Read);
+        mc.enqueue(req).unwrap();
+        mc.dropping = Some((req.loc.flat_bank(mc.banks_per_group), req.loc.row, 0));
+        assert!(tick1(&mut mc).is_empty(), "the empty sequence answers nothing");
+        assert_eq!(mc.dropping, None, "the sequence ends");
+        assert_eq!(mc.pending_len(), 1, "the request is still queued");
+        let out = run_until_idle(&mut mc, 500);
+        assert_eq!(out.len(), 1, "the request is served, not lost");
+        assert!(out[0].id == RequestId(1) && !out[0].approximated);
+        assert_eq!(mc.stats().dropped, 0);
+    }
+
+    #[test]
+    fn load_state_rejects_an_exhausted_drop_sequence() {
+        let snapshot = |dropping| {
+            let mut mc = baseline_mc();
+            mc.dropping = dropping;
+            let mut s = Saver::new();
+            mc.save_state(&mut s);
+            s.finish()
+        };
+        let bytes = snapshot(Some((3, 7, 0)));
+        let err = baseline_mc()
+            .load_state(&mut Loader::new(&bytes))
+            .expect_err("a drop sequence with nothing left is malformed");
+        assert!(
+            matches!(&err, SnapError::Malformed { label, .. } if label == "drop_remaining"),
+            "{err}"
+        );
+        let bytes = snapshot(Some((3, 7, 1)));
+        let mut back = baseline_mc();
+        back.load_state(&mut Loader::new(&bytes)).expect("a live sequence restores");
+        assert_eq!(back.dropping, Some((3, 7, 1)));
     }
 }

@@ -131,9 +131,10 @@ echo "full / idle-only / naive loop modes byte-identical (cores=1 and 4)"
 echo "== tier1: result-cache smoke =="
 # Cross-sweep caching must be invisible in the results: the same fig04/SCP
 # sweep runs cold (populating the store) and warm (served from it); stdout
-# and JSONL must be byte-identical, the warm run must actually hit (the
-# end-of-sweep summary reports the counters), and nothing may fail. A
-# require-mode pass proves the store alone can serve the whole sweep.
+# and JSONL must be byte-identical, the warm run must actually hit and must
+# compute no exact-output reference (the end-of-sweep summary reports both),
+# and nothing may fail. A require-mode pass proves the store alone can serve
+# the whole sweep.
 LAZYDRAM_APPS=SCP LAZYDRAM_SCALE=0.05 LAZYDRAM_QUIET=1 \
 LAZYDRAM_RESULTS="$CKPT_TMP/cc.jsonl" \
 LAZYDRAM_CACHE_DIR="$CKPT_TMP/cache" \
@@ -146,6 +147,8 @@ cmp "$CKPT_TMP/cc.jsonl" "$CKPT_TMP/cw.jsonl"
 cmp "$CKPT_TMP/cc.out" "$CKPT_TMP/cw.out"
 grep -E 'cache: [1-9][0-9]* hits' "$CKPT_TMP/cw.err" > /dev/null || {
     echo "warm sweep reported no cache hits" >&2; cat "$CKPT_TMP/cw.err" >&2; exit 1; }
+grep -E 'refs: 0 of [1-9][0-9]* computed' "$CKPT_TMP/cw.err" > /dev/null || {
+    echo "warm sweep computed exact-output references" >&2; cat "$CKPT_TMP/cw.err" >&2; exit 1; }
 if grep -q '"record":"failure"' "$CKPT_TMP/cw.jsonl"; then
     echo "cache smoke produced failure records" >&2; exit 1
 fi
@@ -154,7 +157,7 @@ LAZYDRAM_RESULTS="$CKPT_TMP/cr.jsonl" \
 LAZYDRAM_CACHE_DIR="$CKPT_TMP/cache" LAZYDRAM_CACHE_MODE=require \
     cargo bench -q -p lazydram-bench --bench fig04_delay_sweep > /dev/null
 cmp "$CKPT_TMP/cc.jsonl" "$CKPT_TMP/cr.jsonl"
-echo "cold + warm + require-mode sweeps byte-identical; warm run hit the store"
+echo "cold + warm + require-mode sweeps byte-identical; warm run hit the store, computed no reference"
 
 echo "== tier1: memory-backend matrix smoke =="
 # The MemoryBackend trait (PR 10) must be (a) sweepable: the fig04/SCP
