@@ -7,7 +7,7 @@
 //! (or approximated) values the memory system returns, so application error
 //! under AMS is measured, not assumed.
 
-use crate::memimg::MemoryImage;
+use crate::memimg::{push_run, MemoryImage, Run};
 use lazydram_common::snap::{Loader, Saver, SnapResult};
 
 
@@ -22,10 +22,10 @@ use lazydram_common::snap::{Loader, Saver, SnapResult};
 pub enum WarpOp {
     /// `n` single-cycle ALU warp instructions.
     Compute(u32),
-    /// A global load: one address per active lane. The warp blocks until all
-    /// covered cache lines arrive; the loaded values are passed to the next
-    /// [`WarpProgram::next`] call in lane order.
-    Load(Vec<u64>),
+    /// A global load, as its lanes' contiguous runs in lane order. The warp
+    /// blocks until all covered cache lines arrive; the loaded values are
+    /// passed to the next [`WarpProgram::next`] call in lane order.
+    Load(Vec<Run>),
     /// A global store: `(address, value)` per active lane. The warp does not
     /// wait for completion (write-through, fire-and-forget).
     Store(Vec<(u64, f32)>),
@@ -38,7 +38,7 @@ pub enum WarpOp {
 pub enum OpKind {
     /// `n` single-cycle ALU warp instructions.
     Compute(u32),
-    /// A load; the addresses are in [`OpBuf::addrs`].
+    /// A load; its lanes are in [`OpBuf::runs`].
     Load,
     /// A store; the writes are in [`OpBuf::writes`].
     Store,
@@ -49,22 +49,65 @@ pub enum OpKind {
 /// A reusable warp-op emission buffer, owned by the caller of
 /// [`WarpProgram::next`].
 ///
-/// One warp-load *instruction* covers up to 32 lane addresses; programs may
-/// emit larger batches to model several back-to-back instructions kept in
-/// flight by the scoreboard, so the lane buffers are capacity-retaining
-/// `Vec`s rather than fixed 32-slot arrays. Because the same buffer is
-/// reused for every op, steady-state emission performs **zero heap
-/// allocations** once the buffers have grown to the program's batch size
-/// (enforced by the `alloc_gate` integration test).
+/// A load is held as a list of contiguous lane [`Run`]s, from emission to
+/// completion: programs add lanes through the [`LoadEmitter`] that
+/// [`OpBuf::begin_load`] returns, either a whole run at a time
+/// ([`LoadEmitter::run`]) or one lane at a time ([`LoadEmitter::push`],
+/// which extends the last run when the address continues it). The SM
+/// coalesces, parks and reads the load per run, never per lane.
+///
+/// One warp-load *instruction* covers up to 32 lanes; programs may emit
+/// larger batches to model several back-to-back instructions kept in
+/// flight by the scoreboard, so a load is accounted as ⌈lanes/32⌉
+/// instructions. The buffers are capacity-retaining `Vec`s, and because the
+/// same buffer is reused for every op, steady-state emission performs
+/// **zero heap allocations** once they have grown to the program's batch
+/// size (enforced by the `alloc_gate` integration test).
 ///
 /// Lane ordering is the program's contract with itself: the values handed to
-/// the next `next()` call after a load appear in exactly the order the
-/// addresses were pushed.
+/// the next `next()` call after a load appear in exactly the order the lanes
+/// were emitted.
 #[derive(Debug)]
 pub struct OpBuf {
     kind: OpKind,
-    addrs: Vec<u64>,
+    runs: Vec<Run>,
     writes: Vec<(u64, f32)>,
+}
+
+/// Adds the lanes of a load to an [`OpBuf`]; returned by
+/// [`OpBuf::begin_load`].
+#[derive(Debug)]
+pub struct LoadEmitter<'a> {
+    runs: &'a mut Vec<Run>,
+}
+
+impl LoadEmitter<'_> {
+    /// Appends `words` lanes reading the consecutive words from byte
+    /// address `base` on. Same lanes, same order as `words` calls of
+    /// [`LoadEmitter::push`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words` does not fit in a `u32`.
+    #[inline]
+    pub fn run(&mut self, base: u64, words: usize) {
+        let words = u32::try_from(words).expect("run longer than u32::MAX lanes");
+        push_run(self.runs, base, words);
+    }
+
+    /// Appends one lane reading byte address `addr`.
+    #[inline]
+    pub fn push(&mut self, addr: u64) {
+        push_run(self.runs, addr, 1);
+    }
+}
+
+impl Extend<u64> for LoadEmitter<'_> {
+    fn extend<I: IntoIterator<Item = u64>>(&mut self, addrs: I) {
+        for a in addrs {
+            self.push(a);
+        }
+    }
 }
 
 impl Default for OpBuf {
@@ -78,7 +121,7 @@ impl OpBuf {
     pub fn new() -> Self {
         Self {
             kind: OpKind::Finished,
-            addrs: Vec::new(),
+            runs: Vec::new(),
             writes: Vec::new(),
         }
     }
@@ -88,12 +131,12 @@ impl OpBuf {
         self.kind
     }
 
-    /// Lane addresses of the held load.
+    /// Lane runs of the held load, in lane order.
     ///
     /// Meaningful only when [`OpBuf::kind`] is [`OpKind::Load`].
-    pub fn addrs(&self) -> &[u64] {
-        debug_assert_eq!(self.kind, OpKind::Load, "addrs() on a non-load op");
-        &self.addrs
+    pub fn runs(&self) -> &[Run] {
+        debug_assert_eq!(self.kind, OpKind::Load, "runs() on a non-load op");
+        &self.runs
     }
 
     /// Lane `(address, value)` writes of the held store.
@@ -114,11 +157,12 @@ impl OpBuf {
         self.kind = OpKind::Finished;
     }
 
-    /// Starts a load: clears and returns the address buffer (capacity kept).
-    pub fn begin_load(&mut self) -> &mut Vec<u64> {
+    /// Starts a load: clears the run list (capacity kept) and returns the
+    /// emitter that fills it.
+    pub fn begin_load(&mut self) -> LoadEmitter<'_> {
         self.kind = OpKind::Load;
-        self.addrs.clear();
-        &mut self.addrs
+        self.runs.clear();
+        LoadEmitter { runs: &mut self.runs }
     }
 
     /// Starts a store: clears and returns the write buffer (capacity kept).
@@ -133,7 +177,7 @@ impl OpBuf {
     pub fn to_warp_op(&self) -> WarpOp {
         match self.kind {
             OpKind::Compute(n) => WarpOp::Compute(n),
-            OpKind::Load => WarpOp::Load(self.addrs.clone()),
+            OpKind::Load => WarpOp::Load(self.runs.clone()),
             OpKind::Store => WarpOp::Store(self.writes.clone()),
             OpKind::Finished => WarpOp::Finished,
         }
@@ -248,30 +292,63 @@ pub fn lane_item(warp_id: usize, lane: usize, lanes: usize) -> usize {
 pub fn run_functional(kernel: &mut dyn Kernel) -> (Vec<f32>, MemoryImage) {
     let mut image = MemoryImage::new();
     kernel.setup(&mut image);
+    run_launch_functional(kernel, &mut image);
+    (kernel.output(&image), image)
+}
+
+/// Runs every warp of an already set-up launch functionally against
+/// `image`, one warp at a time in warp order.
+///
+/// # Panics
+///
+/// Panics if a warp program runs for more than 100 million operations.
+pub fn run_launch_functional(kernel: &dyn Kernel, image: &mut MemoryImage) {
     let mut buf = OpBuf::new();
     let mut loaded: Vec<f32> = Vec::new();
     for w in 0..kernel.total_warps() {
         let mut prog = kernel.program(w);
-        loaded.clear();
-        let mut ops = 0u64;
-        loop {
-            ops += 1;
-            assert!(ops < 100_000_000, "runaway warp program in {}", kernel.name());
-            prog.next(&loaded, &mut buf);
-            match buf.kind() {
-                OpKind::Compute(_) => loaded.clear(),
-                OpKind::Load => {
-                    image.read_lanes_into(buf.addrs(), &mut loaded);
-                }
-                OpKind::Store => {
-                    image.write_lanes(buf.writes());
-                    loaded.clear();
-                }
-                OpKind::Finished => break,
-            }
+        run_warp_functional(prog.as_mut(), image, &mut buf, &mut loaded);
+    }
+}
+
+/// Runs one warp program to completion functionally against `image`,
+/// reusing `buf` and `loaded` as scratch.
+///
+/// # Panics
+///
+/// Panics if the program runs for more than 100 million operations.
+pub fn run_warp_functional(
+    prog: &mut dyn WarpProgram,
+    image: &mut MemoryImage,
+    buf: &mut OpBuf,
+    loaded: &mut Vec<f32>,
+) {
+    loaded.clear();
+    for _ in 0..100_000_000u32 {
+        prog.next(loaded, buf);
+        if !apply_functional(buf, image, loaded) {
+            return;
         }
     }
-    (kernel.output(&image), image)
+    panic!("runaway warp program: over 100 million ops");
+}
+
+/// Applies the op held in `buf` to `image` functionally — the one step
+/// every functional executor shares. A load refills `loaded` with its
+/// values in lane order, a store commits its writes in lane order, and any
+/// other op clears `loaded`. Returns `false` when the op is
+/// [`OpKind::Finished`].
+pub fn apply_functional(buf: &OpBuf, image: &mut MemoryImage, loaded: &mut Vec<f32>) -> bool {
+    match buf.kind() {
+        OpKind::Compute(_) => loaded.clear(),
+        OpKind::Load => image.read_runs_into(buf.runs(), loaded),
+        OpKind::Store => {
+            image.write_lanes(buf.writes());
+            loaded.clear();
+        }
+        OpKind::Finished => return false,
+    }
+    true
 }
 
 #[cfg(test)]

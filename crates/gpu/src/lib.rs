@@ -43,9 +43,10 @@ mod trace;
 
 pub use cache::{AccessResult, Cache};
 pub use kernel::{
-    application_error, lane_item, run_functional, Kernel, OpBuf, OpKind, WarpOp, WarpProgram,
+    application_error, apply_functional, lane_item, run_functional, run_launch_functional,
+    run_warp_functional, Kernel, LoadEmitter, OpBuf, OpKind, WarpOp, WarpProgram,
 };
-pub use memimg::{MemoryImage, OverlayView, LINE_BYTES, WORDS_PER_LINE};
+pub use memimg::{MemoryImage, OverlayView, Run, LINE_BYTES, WORDS_PER_LINE};
 pub use lazydram_common::snap::{Loader, Saver, SnapError, SnapResult};
 pub use noc::{DelayQueue, NocFull};
 pub use pool::{parse_oversubscribe, SharedSlice, WorkerPool};

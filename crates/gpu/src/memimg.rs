@@ -57,6 +57,78 @@ const ARENA_BASE: u64 = 0x10_0000;
 /// All-zero line served for reads of untouched memory.
 static ZERO_LINE: [f32; WORDS_PER_LINE] = [0.0; WORDS_PER_LINE];
 
+/// A contiguous run of `f32` lanes: `words` consecutive words starting at
+/// byte address `base`.
+///
+/// A warp load is a list of runs in lane order; its lane addresses are the
+/// runs' expansions ([`Run::lanes`]) concatenated. Lanes that are adjacent
+/// in memory share one run, so a 32-lane row fetch is one run rather than
+/// 32 addresses, and reading it is one line copy per line it touches.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Run {
+    /// Byte address of the first lane.
+    pub base: u64,
+    /// Number of lanes (consecutive `f32` words); at least 1.
+    pub words: u32,
+}
+
+impl Run {
+    /// One past the last byte of the run.
+    #[inline]
+    pub fn end(self) -> u64 {
+        self.base + u64::from(self.words) * 4
+    }
+
+    /// The run's lane addresses, in lane order.
+    pub fn lanes(self) -> impl Iterator<Item = u64> {
+        (0..u64::from(self.words)).map(move |i| self.base + i * 4)
+    }
+
+    /// Base addresses of the first and the last line the run touches. The
+    /// run covers every line in between, since its words are consecutive.
+    #[inline]
+    pub fn line_span(self) -> (u64, u64) {
+        debug_assert!(self.words > 0, "empty run");
+        let line = |a: u64| a & !(LINE_BYTES - 1);
+        (line(self.base), line(self.end() - 4))
+    }
+}
+
+/// Appends `words` lanes starting at `base` to `runs`, extending the last
+/// run instead when `base` continues it. The expansion of `runs` therefore
+/// grows by exactly these lanes, in this order, whichever way they are
+/// split into calls.
+#[inline]
+pub(crate) fn push_run(runs: &mut Vec<Run>, base: u64, words: u32) {
+    if words == 0 {
+        return;
+    }
+    match runs.last_mut() {
+        Some(last) if last.end() == base => last.words += words,
+        _ => runs.push(Run { base, words }),
+    }
+}
+
+/// Splits the `n` consecutive words starting at `addr` at line boundaries:
+/// yields `(chunk address, its word index in its line, words taken)` per
+/// line touched.
+pub(crate) fn line_chunks(
+    mut addr: u64,
+    mut n: usize,
+) -> impl Iterator<Item = (u64, usize, usize)> {
+    std::iter::from_fn(move || {
+        if n == 0 {
+            return None;
+        }
+        let chunk = addr;
+        let start = ((addr % LINE_BYTES) / 4) as usize;
+        let take = (WORDS_PER_LINE - start).min(n);
+        addr += take as u64 * 4;
+        n -= take;
+        Some((chunk, start, take))
+    })
+}
+
 /// One 64 KiB arena page: a flat word array plus a touched-line bitmask so
 /// [`MemoryImage::resident_lines`] keeps the sparse map's "lines ever
 /// written" semantics.
@@ -235,27 +307,31 @@ impl MemoryImage {
         out.copy_from_slice(self.line_words(line));
     }
 
-    /// Reads one `f32` per lane address into `out` (cleared first). The
-    /// backing line is resolved once per run of same-line addresses instead
-    /// of once per lane — the warp-coalescing fast path.
+    /// Reads the lanes of `runs` into `out` (cleared first), in lane order,
+    /// copying line-at-a-time: the backing line is resolved once per
+    /// stretch of lanes on it, not once per lane.
     ///
     /// # Panics
     ///
-    /// Panics if any address is not 4-byte aligned.
-    pub fn read_lanes_into(&self, addrs: &[u64], out: &mut Vec<f32>) {
+    /// Panics if a run's base address is not 4-byte aligned.
+    pub fn read_runs_into(&self, runs: &[Run], out: &mut Vec<f32>) {
         let _t = prof::enter(Phase::FuncMem);
         out.clear();
-        out.reserve(addrs.len());
+        // Exact-size growth: lane buffers live in every warp slot, so
+        // doubling past a large load would cost memory on every slot.
+        out.reserve(runs.iter().map(|r| r.words as usize).sum());
         let mut cur_line = u64::MAX;
         let mut words: &[f32] = &ZERO_LINE;
-        for &a in addrs {
-            assert!(a.is_multiple_of(4), "unaligned f32 read at {a:#x}");
-            let line = a & !(LINE_BYTES - 1);
-            if line != cur_line {
-                cur_line = line;
-                words = self.line_words(line);
+        for r in runs {
+            assert!(r.base.is_multiple_of(4), "unaligned f32 read at {:#x}", r.base);
+            for (a, start, take) in line_chunks(r.base, r.words as usize) {
+                let line = a & !(LINE_BYTES - 1);
+                if line != cur_line {
+                    cur_line = line;
+                    words = self.line_words(line);
+                }
+                out.extend_from_slice(&words[start..start + take]);
             }
-            out.push(words[((a % LINE_BYTES) / 4) as usize]);
         }
     }
 
@@ -286,22 +362,10 @@ impl MemoryImage {
     ///
     /// # Panics
     ///
-    /// Panics if `base` is not 4-byte aligned.
+    /// Panics if `base` is not 4-byte aligned or `n` exceeds `u32::MAX`.
     pub fn read_slice_into(&self, base: u64, n: usize, out: &mut Vec<f32>) {
-        let _t = prof::enter(Phase::FuncMem);
-        assert!(base.is_multiple_of(4), "unaligned f32 read at {base:#x}");
-        out.clear();
-        out.reserve(n);
-        let mut addr = base;
-        let mut remaining = n;
-        while remaining > 0 {
-            let line = addr & !(LINE_BYTES - 1);
-            let start = ((addr % LINE_BYTES) / 4) as usize;
-            let take = (WORDS_PER_LINE - start).min(remaining);
-            out.extend_from_slice(&self.line_words(line)[start..start + take]);
-            addr += take as u64 * 4;
-            remaining -= take;
-        }
+        let words = u32::try_from(n).expect("slice longer than u32::MAX words");
+        self.read_runs_into(&[Run { base, words }], out);
     }
 
     /// Convenience: reads `n` consecutive `f32`s starting at `base`.
@@ -313,15 +377,11 @@ impl MemoryImage {
 
     /// Convenience: writes a slice of `f32`s starting at `base`.
     pub fn write_slice(&mut self, base: u64, data: &[f32]) {
-        let mut addr = base;
         let mut rest = data;
-        while !rest.is_empty() {
-            assert!(addr.is_multiple_of(4), "unaligned f32 write at {addr:#x}");
-            let line = addr & !(LINE_BYTES - 1);
-            let start = ((addr % LINE_BYTES) / 4) as usize;
-            let take = (WORDS_PER_LINE - start).min(rest.len());
+        for (a, start, take) in line_chunks(base, data.len()) {
+            assert!(a.is_multiple_of(4), "unaligned f32 write at {a:#x}");
+            let line = a & !(LINE_BYTES - 1);
             self.line_words_mut(line)[start..start + take].copy_from_slice(&rest[..take]);
-            addr += take as u64 * 4;
             rest = &rest[take..];
         }
     }
@@ -437,23 +497,27 @@ impl<'a> OverlayView<'a> {
         v
     }
 
-    /// Reads one `f32` per lane address into `out` (cleared first),
-    /// honoring overlay writes. Mirrors [`MemoryImage::read_lanes_into`].
+    /// Reads the lanes of `runs` into `out` (cleared first), honoring
+    /// overlay writes: an overlay write lands on every lane whose address it
+    /// equals, later writes over earlier ones. Mirrors
+    /// [`MemoryImage::read_runs_into`].
     ///
     /// # Panics
     ///
-    /// Panics if any address is not 4-byte aligned.
-    pub fn read_lanes_into(&self, addrs: &[u64], out: &mut Vec<f32>) {
-        self.base.read_lanes_into(addrs, out);
+    /// Panics if a run's base address is not 4-byte aligned.
+    pub fn read_runs_into(&self, runs: &[Run], out: &mut Vec<f32>) {
+        self.base.read_runs_into(runs, out);
         if self.overlay.is_empty() {
             return;
         }
-        for &(a, w) in self.overlay {
-            for (i, &addr) in addrs.iter().enumerate() {
-                if addr == a {
-                    out[i] = w;
+        let mut first = 0;
+        for r in runs {
+            for &(a, w) in self.overlay {
+                if (r.base..r.end()).contains(&a) && (a - r.base).is_multiple_of(4) {
+                    out[first + ((a - r.base) / 4) as usize] = w;
                 }
             }
+            first += r.words as usize;
         }
     }
 }
@@ -543,8 +607,13 @@ mod tests {
         let addrs: Vec<u64> = (0..64u64).map(|i| base + i * 4).collect();
         let writes: Vec<(u64, f32)> = addrs.iter().map(|&a| (a, a as f32)).collect();
         m.write_lanes(&writes);
+        let mut runs = Vec::new();
+        for &a in &addrs {
+            push_run(&mut runs, a, 1);
+        }
+        assert_eq!(runs, vec![Run { base, words: 64 }]);
         let mut got = Vec::new();
-        m.read_lanes_into(&addrs, &mut got);
+        m.read_runs_into(&runs, &mut got);
         let want: Vec<f32> = addrs.iter().map(|&a| m.read_f32(a)).collect();
         assert_eq!(got, want);
         assert_eq!(m.resident_lines(), 2);
@@ -562,13 +631,13 @@ mod tests {
         assert_eq!(v.read_f32(base), 11.0);
         assert_eq!(v.read_f32(base + 4), 2.0);
         assert_eq!(v.read_f32(base + 8), 30.0);
-        let addrs = [base, base + 4, base + 8, base + 12];
+        let runs = [Run { base, words: 4 }];
         let mut got = Vec::new();
-        v.read_lanes_into(&addrs, &mut got);
+        v.read_runs_into(&runs, &mut got);
         assert_eq!(got, vec![11.0, 2.0, 30.0, 0.0]);
         // Empty overlay degenerates to the plain image.
         let plain = OverlayView::new(&m, &[]);
-        plain.read_lanes_into(&addrs, &mut got);
+        plain.read_runs_into(&runs, &mut got);
         assert_eq!(got, vec![1.0, 2.0, 0.0, 0.0]);
     }
 

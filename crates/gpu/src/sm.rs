@@ -2,12 +2,13 @@
 //!
 //! Each SM holds up to `warps_per_sm` resident warps and issues up to
 //! `issue_width` warp instructions per core cycle with a loose round-robin
-//! scheduler. Loads are coalesced to 128-byte lines, looked up in the
+//! scheduler. Loads arrive as lists of contiguous lane runs and stay in that
+//! form: they are coalesced to 128-byte lines run by run, looked up in the
 //! (tag-only) L1, merged in the L1 MSHRs, and forwarded to the home L2 slice
 //! through the request interconnect. A warp blocks until every line of its
-//! load has arrived; values are assembled from the functional memory image —
-//! or from value-predictor output for lines whose DRAM request was dropped
-//! by AMS.
+//! load has arrived; values are assembled line-at-a-time from the functional
+//! memory image — or from value-predictor output for lines whose DRAM
+//! request was dropped by AMS.
 //!
 //! The issue path is allocation-free in steady state: programs emit into the
 //! SM's reusable [`OpBuf`], and all per-load / per-store bookkeeping lives in
@@ -16,7 +17,7 @@
 
 use crate::cache::{AccessResult, Cache};
 use crate::kernel::{Kernel, OpBuf, OpKind, WarpProgram};
-use crate::memimg::{MemoryImage, OverlayView};
+use crate::memimg::{line_chunks, push_run, MemoryImage, OverlayView, Run, LINE_BYTES};
 use crate::noc::DelayQueue;
 use lazydram_common::snap::{Loader, Saver, SnapError, SnapResult};
 use lazydram_common::FastMap;
@@ -50,7 +51,8 @@ pub(crate) struct Reply {
 /// of reallocated per load.
 #[derive(Debug)]
 struct LoadWait {
-    lane_addrs: Vec<u64>,
+    /// The parked load's lane runs, in lane order.
+    runs: Vec<Run>,
     /// Outstanding miss lines; a load coalesces to a handful of lines, so a
     /// flat vector with `swap_remove` beats a hash set.
     pending: Vec<u64>,
@@ -65,7 +67,7 @@ struct LoadWait {
 impl LoadWait {
     const fn new() -> Self {
         Self {
-            lane_addrs: Vec::new(),
+            runs: Vec::new(),
             pending: Vec::new(),
             unsent: Vec::new(),
             approx: Vec::new(),
@@ -237,43 +239,40 @@ fn for_each_bit_rotated(mask: u128, start: usize, mut f: impl FnMut(usize) -> bo
     }
 }
 
-/// Appends the distinct 128-byte lines behind the lane addresses of `it` to
-/// `lines` (which starts empty), preserving first-touch order.
+/// Appends to `lines` (which starts empty) the distinct 128-byte lines
+/// covered by `spans`, in first-touch order. Each span is the inclusive
+/// `(first, last)` line range of a run of consecutive words (a single lane
+/// is a one-line span), so walking a span's lines in rising order touches
+/// them in exactly the order its lanes do: the result equals per-lane
+/// first-touch coalescing of the expanded lane sequence.
 ///
-/// Affine per-lane patterns — `addr = base + lane * stride`, either sign,
-/// the overwhelmingly common case — produce a *monotone* line sequence, in
-/// which equal lines are always adjacent and first-touch order equals
-/// sequence order; dedup then degenerates to collapsing adjacent repeats in
-/// one O(lanes) pass. Anything non-monotone falls back to the quadratic
-/// membership scan, which is correct for arbitrary patterns.
-fn coalesce_lines(lines: &mut Vec<u64>, it: impl Iterator<Item = u64> + Clone) {
-    debug_assert!(lines.is_empty(), "coalesce_lines fills a cleared buffer");
+/// While `lines` is strictly rising — the common case: rising runs, or
+/// repeats of the latest line — a line is either the last entry again or
+/// new, so it costs one comparison. Anything else falls back to a
+/// membership scan, which is correct for arbitrary orders.
+fn coalesce_spans(lines: &mut Vec<u64>, spans: impl Iterator<Item = (u64, u64)>) {
+    debug_assert!(lines.is_empty(), "coalesce_spans fills a cleared buffer");
     let mut rising = true;
-    let mut falling = true;
-    let mut probe = it.clone().map(|a| a & !127);
-    if let Some(mut prev) = probe.next() {
-        for l in probe {
-            rising &= prev <= l;
-            falling &= prev >= l;
-            if !(rising || falling) {
+    for (first, last) in spans {
+        let mut l = first;
+        loop {
+            match lines.last() {
+                Some(&tail) if tail == l => {}
+                Some(&tail) if rising && tail < l => lines.push(l),
+                None => lines.push(l),
+                Some(_) => {
+                    if !lines.contains(&l) {
+                        // Either the list is already unordered or `l`
+                        // lands below its tail: it is not rising any more.
+                        rising = false;
+                        lines.push(l);
+                    }
+                }
+            }
+            if l == last {
                 break;
             }
-            prev = l;
-        }
-    }
-    if rising || falling {
-        for a in it {
-            let l = a & !127;
-            if lines.last() != Some(&l) {
-                lines.push(l);
-            }
-        }
-    } else {
-        for a in it {
-            let l = a & !127;
-            if !lines.contains(&l) {
-                lines.push(l);
-            }
+            l += LINE_BYTES;
         }
     }
 }
@@ -623,20 +622,24 @@ impl Sm {
         );
         let WarpSlot { state, last_loaded, wait, .. } = slot;
         if wait.approx.is_empty() {
-            // Exact load: one line resolution per coalesced line, refilling
-            // the slot's buffer in place.
-            view.read_lanes_into(&wait.lane_addrs, last_loaded);
+            // Exact load: one line resolution per line each run touches,
+            // refilling the slot's buffer in place.
+            view.read_runs_into(&wait.runs, last_loaded);
         } else {
             // Every approximated line covers at least one lane (pending
-            // lines come from the lane coalescing), so reaching this branch
-            // means the load used predicted values.
-            last_loaded.clear();
-            last_loaded.reserve(wait.lane_addrs.len());
-            for &addr in &wait.lane_addrs {
-                let line = addr & !127;
-                match wait.approx.iter().find(|(l, _)| *l == line) {
-                    Some((_, vals)) => last_loaded.push(vals[((addr % 128) / 4) as usize]),
-                    None => last_loaded.push(view.read_f32(addr)),
+            // lines come from coalescing the runs), so reaching this branch
+            // means the load used predicted values: read the exact values,
+            // then overwrite the lanes on approximated lines.
+            view.read_runs_into(&wait.runs, last_loaded);
+            let mut first = 0;
+            for r in &wait.runs {
+                for (a, start, take) in line_chunks(r.base, r.words as usize) {
+                    let line = a & !(LINE_BYTES - 1);
+                    if let Some((_, vals)) = wait.approx.iter().find(|(l, _)| *l == line) {
+                        let lanes = &mut last_loaded[first..first + take];
+                        lanes.copy_from_slice(&vals[start..start + take]);
+                    }
+                    first += take;
                 }
             }
             *approx_ctr += 1;
@@ -799,7 +802,7 @@ impl Sm {
                 self.instructions += 1;
                 true
             }
-            OpKind::Load => self.issue_load(idx, op.addrs(), ctx),
+            OpKind::Load => self.issue_load(idx, op.runs(), ctx),
             OpKind::Store => self.issue_store(idx, op.writes(), ctx),
             OpKind::Finished => {
                 let slot = &mut self.slots[idx];
@@ -811,12 +814,12 @@ impl Sm {
         }
     }
 
-    fn issue_load(&mut self, idx: usize, addrs: &[u64], ctx: &mut SmCtx<'_>) -> bool {
-        debug_assert!(!addrs.is_empty(), "empty load");
+    fn issue_load(&mut self, idx: usize, runs: &[Run], ctx: &mut SmCtx<'_>) -> bool {
+        debug_assert!(!runs.is_empty(), "empty load");
         // Coalesce to distinct lines, preserving first-touch order.
         let mut lines = std::mem::take(&mut self.scratch_lines);
         lines.clear();
-        coalesce_lines(&mut lines, addrs.iter().copied());
+        coalesce_spans(&mut lines, runs.iter().map(|r| r.line_span()));
         // Classify: L1 hits complete immediately; everything else is
         // pending. A load always issues — lines that cannot get an MSHR or
         // a NoC slot right now sit in `unsent` and trickle out. The pending
@@ -841,20 +844,21 @@ impl Sm {
             }
         }
         self.scratch_lines = lines;
-        // One warp-load instruction covers up to 32 lane addresses; larger
-        // batches model several back-to-back load instructions kept in
-        // flight by the scoreboard (intra-warp MLP).
-        self.instructions += addrs.len().div_ceil(32) as u64;
+        // One warp-load instruction covers up to 32 lanes; larger batches
+        // model several back-to-back load instructions kept in flight by
+        // the scoreboard (intra-warp MLP).
+        let lanes: usize = runs.iter().map(|r| r.words as usize).sum();
+        self.instructions += lanes.div_ceil(32) as u64;
         let WarpSlot { state, wait, last_loaded, .. } = &mut self.slots[idx];
         if wait.pending.is_empty() {
             // Pure L1 hit: values available for the next issue of this warp,
             // assembled line-at-a-time into the slot's reusable buffer. The
             // overlay makes stores staged earlier this cycle visible.
-            OverlayView::new(ctx.image, &ctx.stage.writes).read_lanes_into(addrs, last_loaded);
+            OverlayView::new(ctx.image, &ctx.stage.writes).read_runs_into(runs, last_loaded);
             *state = WarpState::Ready;
         } else {
-            wait.lane_addrs.clear();
-            wait.lane_addrs.extend_from_slice(addrs);
+            wait.runs.clear();
+            wait.runs.extend_from_slice(runs);
             *state = WarpState::Waiting;
             self.drain_unsent_for(idx, ctx);
         }
@@ -935,7 +939,10 @@ impl Sm {
         store.writes.clear();
         store.writes.extend_from_slice(writes);
         store.lines.clear();
-        coalesce_lines(&mut store.lines, writes.iter().map(|&(a, _)| a));
+        coalesce_spans(
+            &mut store.lines,
+            writes.iter().map(|&(a, _)| (a & !(LINE_BYTES - 1), a & !(LINE_BYTES - 1))),
+        );
         store.per_slice.clear();
         for &l in &store.lines {
             let ch = ctx.map.channel_of(l);
@@ -1036,7 +1043,11 @@ impl Sm {
                     WarpState::Done => s.u8("state", 3),
                 }
                 s.bool("store_parked", slot.store_parked);
-                s.u64s("lane_addrs", &slot.wait.lane_addrs);
+                // The wire format predates runs: a parked load is written
+                // as its expanded lane addresses.
+                let lane_addrs: Vec<u64> =
+                    slot.wait.runs.iter().flat_map(|r| r.lanes()).collect();
+                s.u64s("lane_addrs", &lane_addrs);
                 s.u64s("pending", &slot.wait.pending);
                 s.u64s("unsent", &slot.wait.unsent);
                 s.seq("approx", slot.wait.approx.len());
@@ -1114,7 +1125,7 @@ impl Sm {
                     slot.warp_id = 0;
                     slot.state = WarpState::Done;
                     slot.store_parked = false;
-                    slot.wait.lane_addrs.clear();
+                    slot.wait.runs.clear();
                     slot.wait.pending.clear();
                     slot.wait.unsent.clear();
                     slot.wait.approx.clear();
@@ -1138,7 +1149,12 @@ impl Sm {
                     }
                 };
                 slot.store_parked = l.bool("store_parked")?;
-                l.u64s("lane_addrs", &mut slot.wait.lane_addrs)?;
+                let mut lane_addrs = Vec::new();
+                l.u64s("lane_addrs", &mut lane_addrs)?;
+                slot.wait.runs.clear();
+                for a in lane_addrs {
+                    push_run(&mut slot.wait.runs, a, 1);
+                }
                 l.u64s("pending", &mut slot.wait.pending)?;
                 l.u64s("unsent", &mut slot.wait.unsent)?;
                 let n_a = l.seq("approx", 8)?;
@@ -1624,6 +1640,56 @@ mod tests {
         assert_eq!(sm.drain_rr, 7, "a fully drained scan leaves the cursor alone");
     }
 
+    /// The per-lane coalescer the run coalescer replaced, kept as the
+    /// oracle: distinct lines of the lane addresses in first-touch order,
+    /// with a one-pass path for monotone line sequences.
+    fn coalesce_lines(lines: &mut Vec<u64>, it: impl Iterator<Item = u64> + Clone) {
+        let mut rising = true;
+        let mut falling = true;
+        let mut probe = it.clone().map(|a| a & !127);
+        if let Some(mut prev) = probe.next() {
+            for l in probe {
+                rising &= prev <= l;
+                falling &= prev >= l;
+                if !(rising || falling) {
+                    break;
+                }
+                prev = l;
+            }
+        }
+        if rising || falling {
+            for a in it {
+                let l = a & !127;
+                if lines.last() != Some(&l) {
+                    lines.push(l);
+                }
+            }
+        } else {
+            for a in it {
+                let l = a & !127;
+                if !lines.contains(&l) {
+                    lines.push(l);
+                }
+            }
+        }
+    }
+
+    /// Push-merges lane addresses into runs, as `LoadEmitter::push` does.
+    fn runs_of(addrs: &[u64]) -> Vec<Run> {
+        let mut runs = Vec::new();
+        for &a in addrs {
+            push_run(&mut runs, a, 1);
+        }
+        runs
+    }
+
+    /// Lines of a run list through the run coalescer.
+    fn run_lines(runs: &[Run]) -> Vec<u64> {
+        let mut lines = Vec::new();
+        coalesce_spans(&mut lines, runs.iter().map(|r| r.line_span()));
+        lines
+    }
+
     #[test]
     fn coalesce_lines_matches_reference_on_patterns() {
         let reference = |addrs: &[u64]| {
@@ -1645,11 +1711,121 @@ mod tests {
             vec![5000],                                       // single
             vec![],                                           // empty
             (0..48u64).map(|i| (i * 37) % 1024).collect(),    // scrambled
+            (0..40u64).map(|i| 96 + i * 4).chain([0, 4]).collect(), // cross, then back
         ];
         for addrs in cases {
             let mut got = Vec::new();
             coalesce_lines(&mut got, addrs.iter().copied());
             assert_eq!(got, reference(&addrs), "pattern {addrs:?}");
+            assert_eq!(run_lines(&runs_of(&addrs)), got, "runs of {addrs:?}");
+        }
+    }
+
+    /// GEMM's load shape: an 8-word `A` run plus eight 32-word `B` rows,
+    /// 264 lanes. It coalesces to the 9 lines its expanded lanes give,
+    /// sends 9 line requests and retires ⌈264/32⌉ = 9 instructions.
+    #[test]
+    fn gemm_shaped_load_issues_nine_lines_and_nine_instructions() {
+        struct GemmLoad {
+            base: u64,
+        }
+        impl WarpProgram for GemmLoad {
+            fn next(&mut self, _loaded: &[f32], out: &mut OpBuf) {
+                let mut load = out.begin_load();
+                load.run(self.base, 8);
+                for k in 0..8 {
+                    load.run(self.base + 4096 + k * 1024, 32);
+                }
+            }
+            fn save_state(&self, _s: &mut Saver) {}
+            fn load_state(&mut self, _l: &mut Loader<'_>) -> SnapResult<()> {
+                Ok(())
+            }
+        }
+        let (mut sm, mut image, map, kernel, mut noc) = setup();
+        let mut buf = OpBuf::new();
+        GemmLoad { base: kernel.base }.next(&[], &mut buf);
+        let runs = buf.runs().to_vec();
+        let lanes: Vec<u64> = runs.iter().flat_map(|r| r.lanes()).collect();
+        assert_eq!((runs.len(), lanes.len()), (9, 264));
+        assert_eq!(runs_of(&lanes), runs, "push-merging rebuilds the runs");
+        let mut oracle = Vec::new();
+        coalesce_lines(&mut oracle, lanes.iter().copied());
+        assert_eq!(run_lines(&runs), oracle);
+        assert_eq!(oracle.len(), 9);
+        sm.dispatch(0, Box::new(GemmLoad { base: kernel.base }));
+        run_cycle(&mut sm, 1, &mut image, &map, &kernel, &mut noc);
+        assert_eq!(noc.iter().map(|q| q.len()).sum::<usize>(), 9);
+        assert_eq!(sm.instructions, 9);
+    }
+
+    mod coalesce_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// One emitted piece of a load: a run of `words` lanes at word
+        /// offset `word` of a small window, so runs cross lines, repeat
+        /// and overlap often.
+        fn piece() -> impl Strategy<Value = (u64, u32)> {
+            prop_oneof![
+                (0u64..512, Just(1u32)),
+                (0u64..512, 1u32..80),
+                (0u64..16, 1u32..8),
+            ]
+        }
+
+        /// Lays the pieces out in rising, falling or drawn order; orders
+        /// 3 and 4 are rising and falling with every piece cut to one
+        /// word, the per-lane coalescer's monotone shapes.
+        fn layout(pieces: &[(u64, u32)], order: u8) -> Vec<Run> {
+            let mut v: Vec<(u64, u32)> = pieces.to_vec();
+            if order >= 3 {
+                v.iter_mut().for_each(|p| p.1 = 1);
+            }
+            match order {
+                0 | 3 => v.sort_unstable(),
+                1 | 4 => v.sort_unstable_by(|x, y| y.cmp(x)),
+                _ => {}
+            }
+            let mut runs = Vec::new();
+            for (word, words) in v {
+                push_run(&mut runs, 0x10_0000 + word * 4, words);
+            }
+            runs
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Coalescing a run list gives exactly the line sequence the
+            /// per-lane coalescer gives on its expansion.
+            #[test]
+            fn run_coalescing_equals_per_lane_coalescing(
+                pieces in prop::collection::vec(piece(), 1..24),
+                order in 0u8..5,
+            ) {
+                let runs = layout(&pieces, order);
+                let lanes: Vec<u64> = runs.iter().flat_map(|r| r.lanes()).collect();
+                let mut oracle = Vec::new();
+                coalesce_lines(&mut oracle, lanes.iter().copied());
+                prop_assert_eq!(run_lines(&runs), oracle);
+            }
+
+            /// Push-merging lanes and expanding the runs returns the pushed
+            /// lane sequence exactly, and no two neighbouring runs are
+            /// contiguous (the runs are maximal).
+            #[test]
+            fn push_merge_then_expand_is_identity(
+                pieces in prop::collection::vec(piece(), 0..24),
+                order in 0u8..5,
+            ) {
+                let lanes: Vec<u64> =
+                    layout(&pieces, order).iter().flat_map(|r| r.lanes()).collect();
+                let runs = runs_of(&lanes);
+                let back: Vec<u64> = runs.iter().flat_map(|r| r.lanes()).collect();
+                prop_assert_eq!(back, lanes);
+                prop_assert!(runs.windows(2).all(|w| w[0].end() != w[1].base));
+            }
         }
     }
 

@@ -11,7 +11,7 @@
 //! plus identical "lines ever written" accounting (`resident_lines`).
 
 use lazydram_common::{FastMap, SplitMix64};
-use lazydram_gpu::{MemoryImage, LINE_BYTES, WORDS_PER_LINE};
+use lazydram_gpu::{MemoryImage, OpBuf, OverlayView, LINE_BYTES, WORDS_PER_LINE};
 use proptest::prelude::*;
 
 /// The reference: one map entry per line ever written, zeros elsewhere.
@@ -69,6 +69,7 @@ fn check_equivalence(seed: u64, ops: usize) {
     let mut model = ModelImage::default();
     let mut regions: Vec<(u64, u64)> = Vec::new();
     let mut scratch = Vec::new();
+    let mut buf = OpBuf::new();
 
     for step in 0..ops {
         match rng.next_u64() % 16 {
@@ -94,8 +95,9 @@ fn check_equivalence(seed: u64, ops: usize) {
                 assert_eq!(img.read_line(addr), model.read_line(addr), "read_line at {addr:#x}");
             }
             9 | 10 => {
-                // Batch lane read, with the warp-typical same-line runs.
-                let n = 1 + (rng.next_u64() % 32) as usize;
+                // Run read of push-merged lanes, with the warp-typical
+                // contiguous stretches, line crossings and jumps.
+                let n = 1 + (rng.next_u64() % 80) as usize;
                 let mut addrs = Vec::with_capacity(n);
                 let mut a = draw_addr(&mut rng, &regions);
                 for _ in 0..n {
@@ -106,9 +108,33 @@ fn check_equivalence(seed: u64, ops: usize) {
                     }
                     addrs.push(a);
                 }
-                img.read_lanes_into(&addrs, &mut scratch);
+                let mut load = buf.begin_load();
+                for &a in &addrs {
+                    load.push(a);
+                }
+                img.read_runs_into(buf.runs(), &mut scratch);
                 let expect: Vec<f32> = addrs.iter().map(|&a| model.read(a)).collect();
-                assert_eq!(scratch, expect, "read_lanes_into {addrs:?}");
+                assert_eq!(scratch, expect, "read_runs_into {addrs:?}");
+                // The same read through an overlay of pending writes, some
+                // on lane addresses and some repeated: the latest write to
+                // a lane's address wins, every other lane reads the image.
+                let overlay: Vec<(u64, f32)> = (0..rng.next_u64() % 6)
+                    .map(|i| {
+                        let at = addrs[(rng.next_u64() % n as u64) as usize];
+                        let addr = if i % 3 == 2 { draw_addr(&mut rng, &regions) } else { at };
+                        (addr, -1000.0 - i as f32)
+                    })
+                    .collect();
+                let view = OverlayView::new(&img, &overlay);
+                view.read_runs_into(buf.runs(), &mut scratch);
+                let latest = |a: u64| overlay.iter().rev().find(|&&(o, _)| o == a);
+                let expect: Vec<f32> = addrs
+                    .iter()
+                    .map(|&a| latest(a).map_or(model.read(a), |&(_, v)| v))
+                    .collect();
+                assert_eq!(scratch, expect, "overlay read_runs_into {addrs:?} over {overlay:?}");
+                let per_lane: Vec<f32> = addrs.iter().map(|&a| view.read_f32(a)).collect();
+                assert_eq!(scratch, per_lane, "overlay read_runs_into vs read_f32");
             }
             11 | 12 => {
                 let n = 1 + (rng.next_u64() % 32) as usize;

@@ -17,7 +17,7 @@
 //! * [`ScanProgram`] — sequential block scan (SLA),
 //! * [`ScpProgram`] — per-thread dot products over long vectors (SCP).
 
-use lazydram_gpu::{Loader, OpBuf, Saver, SnapError, SnapResult, WarpProgram};
+use lazydram_gpu::{LoadEmitter, Loader, OpBuf, Saver, SnapError, SnapResult, WarpProgram};
 
 /// Threads per warp; fixed across the suite.
 pub const LANES: usize = 32;
@@ -155,12 +155,15 @@ impl WarpProgram for MapProgram {
             }
             match self.phase {
                 MapPhase::Load => {
-                    let addrs = out.begin_load();
+                    // Lanes are pushed one by one (the index map may
+                    // scatter them); push-merging folds the contiguous
+                    // stretches of an identity map into runs.
+                    let mut load = out.begin_load();
                     for &(base, words) in &self.cfg.inputs {
                         for w in 0..words {
                             for &(_, _, item) in &self.active {
                                 let idx = (self.cfg.index)(item, self.cfg.items);
-                                addrs.push(f32_addr(base, idx * words + w));
+                                load.push(f32_addr(base, idx * words + w));
                             }
                         }
                     }
@@ -392,27 +395,24 @@ impl WarpProgram for MatVecProgram {
                 let b = MV_BATCH.min(self.cfg.n - j0);
                 self.j += b;
                 let n = self.cfg.n;
-                let addrs = out.begin_load();
+                let mut load = out.begin_load();
+                load.run(f32_addr(self.cfg.x, j0), b);
                 for jj in 0..b {
-                    addrs.push(f32_addr(self.cfg.x, j0 + jj));
-                }
-                for jj in 0..b {
-                    for lane in 0..active {
-                        let t = self.first + lane;
-                        let idx = match self.cfg.orientation {
-                            MatVecOrientation::RowPerLane => t * n + j0 + jj,
-                            MatVecOrientation::ColPerLane => (j0 + jj) * n + t,
-                        };
-                        addrs.push(f32_addr(self.cfg.a, idx));
+                    match self.cfg.orientation {
+                        MatVecOrientation::RowPerLane => {
+                            for lane in 0..active {
+                                load.push(f32_addr(self.cfg.a, (self.first + lane) * n + j0 + jj));
+                            }
+                        }
+                        MatVecOrientation::ColPerLane => {
+                            load.run(f32_addr(self.cfg.a, (j0 + jj) * n + self.first), active);
+                        }
                     }
                 }
             }
             MatVecState::LoadOld => {
                 self.state = MatVecState::Store;
-                let addrs = out.begin_load();
-                for lane in 0..active {
-                    addrs.push(f32_addr(self.cfg.y, self.first + lane));
-                }
+                out.begin_load().run(f32_addr(self.cfg.y, self.first), active);
             }
             MatVecState::Store => {
                 let writes = out.begin_store();
@@ -554,14 +554,10 @@ impl WarpProgram for MatmulProgram {
         let k0 = self.k;
         let b = MM_BATCH.min(n - k0);
         self.k += b;
-        let addrs = out.begin_load();
+        let mut load = out.begin_load();
+        load.run(f32_addr(self.cfg.a, self.row * n + k0), b);
         for kk in 0..b {
-            addrs.push(f32_addr(self.cfg.a, self.row * n + k0 + kk));
-        }
-        for kk in 0..b {
-            for lane in 0..LANES {
-                addrs.push(f32_addr(self.cfg.b, (k0 + kk) * n + self.col0 + lane));
-            }
+            load.run(f32_addr(self.cfg.b, (k0 + kk) * n + self.col0), LANES);
         }
     }
 
@@ -584,6 +580,22 @@ impl WarpProgram for MatmulProgram {
 // ---------------------------------------------------------------------------
 // Stencil programs
 // ---------------------------------------------------------------------------
+
+/// Emits the 32 lanes of one stencil tap over the strip starting at column
+/// `x0` of the row whose first word is `row` in `input`: lane `l` reads
+/// column `x0 + l + dx`, clamped to `[0, w)`. An interior tap is one run;
+/// a tap hanging over an image border goes lane by lane.
+fn strip_lanes(load: &mut LoadEmitter<'_>, input: u64, row: usize, x0: usize, dx: i32, w: usize) {
+    let first = x0 as i64 + i64::from(dx);
+    if first >= 0 && first + LANES as i64 <= w as i64 {
+        load.run(f32_addr(input, row + first as usize), LANES);
+    } else {
+        for lane in 0..LANES as i64 {
+            let xx = (first + lane).clamp(0, w as i64 - 1) as usize;
+            load.push(f32_addr(input, row + xx));
+        }
+    }
+}
 
 /// Configuration of a [`Stencil2DProgram`].
 #[derive(Debug, Clone)]
@@ -651,17 +663,12 @@ impl WarpProgram for Stencil2DProgram {
         }
         match self.stage {
             0 => {
-                let addrs = out.begin_load();
+                let (w, h) = (self.cfg.w, self.cfg.h);
+                let mut load = out.begin_load();
                 for &(_, y, x0) in &self.strips {
                     for &(dy, dx, _) in &self.cfg.taps {
-                        for lane in 0..LANES {
-                            let yy = (y as i64 + i64::from(dy)).clamp(0, self.cfg.h as i64 - 1)
-                                as usize;
-                            let xx = ((x0 + lane) as i64 + i64::from(dx))
-                                .clamp(0, self.cfg.w as i64 - 1)
-                                as usize;
-                            addrs.push(f32_addr(self.cfg.input, yy * self.cfg.w + xx));
-                        }
+                        let yy = (y as i64 + i64::from(dy)).clamp(0, h as i64 - 1) as usize;
+                        strip_lanes(&mut load, self.cfg.input, yy * w, x0, dx, w);
                     }
                 }
                 self.stage = 1;
@@ -785,16 +792,12 @@ impl WarpProgram for Stencil3DProgram {
         match self.stage {
             0 => {
                 let (w, h, d) = (self.cfg.w, self.cfg.h, self.cfg.d);
-                let addrs = out.begin_load();
+                let mut load = out.begin_load();
                 for &(_, z, y, x0) in &self.strips {
                     for &(dz, dy, dx, _) in &self.cfg.taps {
-                        for lane in 0..LANES {
-                            let zz = (z as i64 + i64::from(dz)).clamp(0, d as i64 - 1) as usize;
-                            let yy = (y as i64 + i64::from(dy)).clamp(0, h as i64 - 1) as usize;
-                            let xx = ((x0 + lane) as i64 + i64::from(dx))
-                                .clamp(0, w as i64 - 1) as usize;
-                            addrs.push(f32_addr(self.cfg.input, (zz * h + yy) * w + xx));
-                        }
+                        let zz = (z as i64 + i64::from(dz)).clamp(0, d as i64 - 1) as usize;
+                        let yy = (y as i64 + i64::from(dy)).clamp(0, h as i64 - 1) as usize;
+                        strip_lanes(&mut load, self.cfg.input, (zz * h + yy) * w, x0, dx, w);
                     }
                 }
                 self.stage = 1;
@@ -950,9 +953,9 @@ impl WarpProgram for FwtProgram {
             return;
         }
         self.fill_pair_indices();
-        let addrs = out.begin_load();
+        let mut load = out.begin_load();
         for &i in &self.idx {
-            addrs.push(f32_addr(self.cfg.data, i));
+            load.push(f32_addr(self.cfg.data, i));
         }
         self.pending = true;
     }
@@ -1054,10 +1057,7 @@ impl WarpProgram for ScanProgram {
         }
         let start = self.base + self.chunk * LANES;
         self.pending = true;
-        let addrs = out.begin_load();
-        for i in 0..n {
-            addrs.push(f32_addr(self.cfg.input, start + i));
-        }
+        out.begin_load().run(f32_addr(self.cfg.input, start), n);
     }
 
     fn save_state(&self, s: &mut Saver) {
@@ -1131,14 +1131,12 @@ impl WarpProgram for ScpProgram {
             0 => {
                 // Load a then b, lane-major (each lane's vector contiguous).
                 self.state = 1;
+                // The active lanes' vectors are adjacent, so each bundle
+                // is one run.
                 let v = self.cfg.veclen;
-                let addrs = out.begin_load();
+                let mut load = out.begin_load();
                 for base in [self.cfg.a, self.cfg.b] {
-                    for lane in 0..active {
-                        for j in 0..v {
-                            addrs.push(f32_addr(base, (self.first_pair + lane) * v + j));
-                        }
-                    }
+                    load.run(f32_addr(base, self.first_pair * v), active * v);
                 }
             }
             1 => {
@@ -1180,30 +1178,11 @@ impl WarpProgram for ScpProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lazydram_gpu::{MemoryImage, OpKind};
+    use lazydram_gpu::{run_warp_functional, MemoryImage};
 
     /// Runs one program functionally against an image.
     fn exec(prog: &mut dyn WarpProgram, image: &mut MemoryImage) {
-        let mut buf = OpBuf::new();
-        let mut loaded: Vec<f32> = Vec::new();
-        for _ in 0..10_000_000 {
-            prog.next(&loaded, &mut buf);
-            match buf.kind() {
-                OpKind::Compute(_) => loaded.clear(),
-                OpKind::Load => {
-                    loaded.clear();
-                    loaded.extend(buf.addrs().iter().map(|&a| image.read_f32(a)));
-                }
-                OpKind::Store => {
-                    for &(a, v) in buf.writes() {
-                        image.write_f32(a, v);
-                    }
-                    loaded.clear();
-                }
-                OpKind::Finished => return,
-            }
-        }
-        panic!("program did not finish");
+        run_warp_functional(prog, image, &mut OpBuf::new(), &mut Vec::new());
     }
 
     #[test]

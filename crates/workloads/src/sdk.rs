@@ -126,9 +126,7 @@ impl WarpProgram for RayProgram {
         match self.stage {
             RayStage::LoadSpheres => {
                 self.stage = RayStage::Intersect;
-                let n = self.k.nspheres * 4;
-                out.begin_load()
-                    .extend((0..n).map(|i| self.k.spheres + (i * 4) as u64));
+                out.begin_load().run(self.k.spheres, self.k.nspheres * 4);
             }
             RayStage::Intersect => {
                 self.sphere_data.clear();

@@ -428,28 +428,7 @@ mod tests {
         for i in 0..app.input.words {
             img.write_f32(app.input.base + (i * 4) as u64, 2.5);
         }
-        for wid in 0..app.total_warps() {
-            let mut p = app.program(wid);
-            let mut buf = lazydram_gpu::OpBuf::new();
-            let mut loaded: Vec<f32> = Vec::new();
-            loop {
-                p.next(&loaded, &mut buf);
-                match buf.kind() {
-                    lazydram_gpu::OpKind::Compute(_) => loaded.clear(),
-                    lazydram_gpu::OpKind::Load => {
-                        loaded.clear();
-                        loaded.extend(buf.addrs().iter().map(|&x| img.read_f32(x)));
-                    }
-                    lazydram_gpu::OpKind::Store => {
-                        for &(a, v) in buf.writes() {
-                            img.write_f32(a, v);
-                        }
-                        loaded.clear();
-                    }
-                    lazydram_gpu::OpKind::Finished => break,
-                }
-            }
-        }
+        lazydram_gpu::run_launch_functional(&app, &mut img);
         let out = app.output(&img);
         assert!(out.iter().all(|&v| (v - 2.5).abs() < 1e-5));
     }

@@ -1,7 +1,7 @@
 //! Shared helpers for workload construction.
 
 use lazydram_common::SplitMix64;
-use lazydram_gpu::{Kernel, MemoryImage, OpBuf, OpKind};
+use lazydram_gpu::{run_launch_functional, Kernel, MemoryImage};
 
 /// A named, line-aligned array in the memory image.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -107,31 +107,9 @@ pub fn scaled_dim3(base: usize, scale: f64, quantum: usize) -> usize {
 pub fn run_sequence_functional(kernels: &mut [Box<dyn Kernel>]) -> Vec<f32> {
     assert!(!kernels.is_empty(), "need at least one launch");
     let mut image = MemoryImage::new();
-    let mut buf = OpBuf::new();
-    let mut loaded: Vec<f32> = Vec::new();
     for k in kernels.iter_mut() {
         k.setup(&mut image);
-        for w in 0..k.total_warps() {
-            let mut prog = k.program(w);
-            loaded.clear();
-            let mut ops = 0u64;
-            loop {
-                ops += 1;
-                assert!(ops < 100_000_000, "runaway warp program in {}", k.name());
-                prog.next(&loaded, &mut buf);
-                match buf.kind() {
-                    OpKind::Compute(_) => loaded.clear(),
-                    OpKind::Load => {
-                        image.read_lanes_into(buf.addrs(), &mut loaded);
-                    }
-                    OpKind::Store => {
-                        image.write_lanes(buf.writes());
-                        loaded.clear();
-                    }
-                    OpKind::Finished => break,
-                }
-            }
-        }
+        run_launch_functional(k.as_ref(), &mut image);
     }
     kernels.last().expect("non-empty").output(&image)
 }

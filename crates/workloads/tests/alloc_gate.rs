@@ -7,19 +7,19 @@
 //! pair indices) is computed once at construction or reused across calls.
 //! This test turns that claim into a regression gate with a counting
 //! `#[global_allocator]`: after a warm-up run, a representative map,
-//! stencil, and matvec program each execute their measured ops — `next`
-//! into a reused buffer, then the functional issue (lane reads/writes
-//! against a page-warm memory image) — under the assertion that the
-//! allocation counter does not move.
+//! stencil, matvec and matmul program each execute their measured ops —
+//! `next` into a reused buffer, then the functional issue (run reads and
+//! lane writes against a page-warm memory image) — under the assertion
+//! that the allocation counter does not move.
 //!
 //! The gate lives in its own integration-test binary with a **single**
 //! `#[test]` so no concurrent test thread can bleed allocations into the
 //! measured window.
 
-use lazydram_gpu::{MemoryImage, OpBuf, OpKind, WarpProgram};
+use lazydram_gpu::{apply_functional, MemoryImage, OpBuf, WarpProgram};
 use lazydram_workloads::programs::{
-    MapConfig, MapProgram, MatVecConfig, MatVecOrientation, MatVecProgram, Stencil2DConfig,
-    Stencil2DProgram,
+    MapConfig, MapProgram, MatVecConfig, MatVecOrientation, MatVecProgram, MatmulConfig,
+    MatmulProgram, Stencil2DConfig, Stencil2DProgram,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -78,14 +78,8 @@ fn drive(
         }
         p.next(loaded, buf);
         ops += 1;
-        match buf.kind() {
-            OpKind::Compute(_) => loaded.clear(),
-            OpKind::Load => image.read_lanes_into(buf.addrs(), loaded),
-            OpKind::Store => {
-                image.write_lanes(buf.writes());
-                loaded.clear();
-            }
-            OpKind::Finished => break,
+        if !apply_functional(buf, image, loaded) {
+            break;
         }
         assert!(ops < 10_000_000, "program did not finish");
     }
@@ -127,7 +121,7 @@ fn gate(
     );
 }
 
-/// One test, three program families. Configs are sized so a single warp has
+/// One test, four program families. Configs are sized so a single warp has
 /// a genuine steady state (several load batches / strips / inner-product
 /// batches), unlike some app-level configs whose warps finish in one batch.
 #[test]
@@ -202,5 +196,19 @@ fn steady_state_emission_is_allocation_free() {
             ))
         };
         gate("matvec", &mut image, &mut make, 0.5);
+    }
+
+    // Matmul: n = 256 → 32 batched loads of one `A` run plus eight `B`
+    // rows. Its state is fixed-size, so the entire run must be alloc-free.
+    {
+        let mut image = MemoryImage::new();
+        let n = 256;
+        let a = image.alloc(n * n);
+        let b = image.alloc(n * n);
+        let c = image.alloc(n * n);
+        let mut make = || -> Box<dyn WarpProgram> {
+            Box::new(MatmulProgram::new(3, MatmulConfig { a, b, c, n, alpha: 1.5 }))
+        };
+        gate("matmul", &mut image, &mut make, 0.0);
     }
 }

@@ -10,12 +10,12 @@
 //! device-under-test reuses a single buffer that is deliberately left dirty
 //! (and occasionally pre-poisoned with junk) between calls. Every emitted
 //! op must reconstruct to the same `WarpOp`, over random program families
-//! and shapes (map, matvec, stencil, FWT).
+//! and shapes (map, matvec, stencil, FWT, matmul, scan).
 
-use lazydram_gpu::{MemoryImage, OpBuf, OpKind, WarpOp, WarpProgram};
+use lazydram_gpu::{apply_functional, MemoryImage, OpBuf, Run, WarpOp, WarpProgram};
 use lazydram_workloads::programs::{
     FwtConfig, FwtProgram, MapConfig, MapProgram, MatVecConfig, MatVecOrientation, MatVecProgram,
-    Stencil2DConfig, Stencil2DProgram,
+    MatmulConfig, MatmulProgram, ScanConfig, ScanProgram, Stencil2DConfig, Stencil2DProgram,
 };
 use proptest::prelude::*;
 
@@ -29,7 +29,7 @@ fn build(
     warp: usize,
 ) -> (MemoryImage, Box<dyn WarpProgram>, Box<dyn WarpProgram>) {
     let mut image = MemoryImage::new();
-    match family % 4 {
+    match family % 6 {
         0 => {
             // Map: `dim` scales iterations, `batch` the load batching.
             let iters = 2 + dim % 14;
@@ -101,11 +101,33 @@ fn build(
             };
             (image, make(), make())
         }
-        _ => {
+        3 => {
             let segment = 64 << (dim % 4);
             let data = image.alloc(segment * (warp + 1));
             let make = move || -> Box<dyn WarpProgram> {
                 Box::new(FwtProgram::new(warp, FwtConfig { data, segment }))
+            };
+            (image, make(), make())
+        }
+        4 => {
+            // Matmul: `dim` sizes the matrices; any strip of any row.
+            let n = 32 * (1 + dim % 4);
+            let a = image.alloc(n * n);
+            let b = image.alloc(n * n);
+            let c = image.alloc(n * n);
+            let strip = (warp + batch) % (n * n / 32);
+            let make = move || -> Box<dyn WarpProgram> {
+                Box::new(MatmulProgram::new(strip, MatmulConfig { a, b, c, n, alpha: 0.5 }))
+            };
+            (image, make(), make())
+        }
+        _ => {
+            // Scan: segments of 1-20 chunks, so the last batch is partial.
+            let segment = 32 * (1 + dim % 20);
+            let input = image.alloc(segment * (warp + 1));
+            let output = image.alloc(segment * (warp + 1));
+            let make = move || -> Box<dyn WarpProgram> {
+                Box::new(ScanProgram::new(warp, ScanConfig { input, output, segment }))
             };
             (image, make(), make())
         }
@@ -126,8 +148,7 @@ fn check(family: u8, dim: usize, batch: usize, warp: usize, seed: u64) {
         // The contract says previous contents are unspecified garbage —
         // occasionally make that garbage as misleading as possible.
         if step % 7 == 3 {
-            let junk = dirty.begin_load();
-            junk.extend([0xDEAD_BEEFu64 * 4, 4, 8]);
+            dirty.begin_load().extend([0xDEAD_BEEFu64 * 4, 4, 8]);
         } else if step % 7 == 5 {
             dirty.begin_store().push((12, -1.0e9));
         }
@@ -140,14 +161,8 @@ fn check(family: u8, dim: usize, batch: usize, warp: usize, seed: u64) {
         assert_eq!(got, expect, "step {step}: dirty-buffer emission diverged");
 
         // Apply the op once so both programs see identical loaded values.
-        match dirty.kind() {
-            OpKind::Compute(_) => loaded.clear(),
-            OpKind::Load => image.read_lanes_into(dirty.addrs(), &mut loaded),
-            OpKind::Store => {
-                image.write_lanes(dirty.writes());
-                loaded.clear();
-            }
-            OpKind::Finished => return,
+        if !apply_functional(&dirty, &mut image, &mut loaded) {
+            return;
         }
     }
     panic!("program did not finish");
@@ -157,7 +172,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
     #[test]
     fn dirty_buffer_reuse_matches_fresh_per_call(
-        family in 0u8..4,
+        family in 0u8..6,
         dim in 0usize..64,
         batch in 0usize..64,
         warp in 0usize..4,
@@ -174,10 +189,38 @@ fn to_warp_op_covers_every_variant() {
     let mut b = OpBuf::new();
     b.set_compute(7);
     assert_eq!(b.to_warp_op(), WarpOp::Compute(7));
-    b.begin_load().extend([4u64, 8, 12]);
-    assert_eq!(b.to_warp_op(), WarpOp::Load(vec![4, 8, 12]));
+    b.begin_load().extend([4u64, 8, 12, 40]);
+    assert_eq!(
+        b.to_warp_op(),
+        WarpOp::Load(vec![Run { base: 4, words: 3 }, Run { base: 40, words: 1 }])
+    );
     b.begin_store().extend([(16u64, 1.5f32), (20, -2.0)]);
     assert_eq!(b.to_warp_op(), WarpOp::Store(vec![(16, 1.5), (20, -2.0)]));
     b.set_finished();
     assert_eq!(b.to_warp_op(), WarpOp::Finished);
+}
+
+/// GEMM's first load, pinned: one 8-word run of `A`'s row plus eight
+/// 32-word rows of `B`, 264 lanes on 9 lines. (The SM's handling of this
+/// shape, 9 line requests and 9 warp-load instructions, is pinned in the
+/// simulator's own tests.)
+#[test]
+fn gemm_first_load_is_one_a_run_plus_eight_b_rows() {
+    let app = lazydram_workloads::by_name("GEMM").expect("known app");
+    let mut launches = app.launches(1.0);
+    let kernel = &mut launches[0];
+    let mut image = MemoryImage::new();
+    kernel.setup(&mut image);
+    let mut buf = OpBuf::new();
+    kernel.program(0).next(&[], &mut buf);
+    let runs = buf.runs();
+    let words: Vec<u32> = runs.iter().map(|r| r.words).collect();
+    assert_eq!(words, [8, 32, 32, 32, 32, 32, 32, 32, 32]);
+    // The B rows are one matrix row apart.
+    let stride = runs[2].base - runs[1].base;
+    assert!(stride > 32 * 4, "B rows must not be contiguous");
+    assert!(runs[2..].windows(2).all(|w| w[1].base - w[0].base == stride));
+    let lines: std::collections::BTreeSet<u64> =
+        runs.iter().flat_map(|r| r.lanes()).map(|a| a & !127).collect();
+    assert_eq!(lines.len(), 9);
 }

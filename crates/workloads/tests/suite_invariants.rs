@@ -1,6 +1,6 @@
 //! Per-application invariants over the whole 20-app suite.
 
-use lazydram_gpu::{run_functional, OpBuf, OpKind};
+use lazydram_gpu::{apply_functional, run_functional, OpBuf, OpKind};
 use lazydram_workloads::{all_apps, util::run_sequence_functional};
 
 const SCALE: f64 = 0.02;
@@ -38,20 +38,11 @@ fn annotations_never_cover_outputs() {
                 let mut loaded: Vec<f32> = Vec::new();
                 loop {
                     p.next(&loaded, &mut buf);
-                    match buf.kind() {
-                        OpKind::Compute(_) => loaded.clear(),
-                        OpKind::Load => {
-                            loaded.clear();
-                            loaded.extend(buf.addrs().iter().map(|&x| image.read_f32(x)));
-                        }
-                        OpKind::Store => {
-                            for &(a, v) in buf.writes() {
-                                stores.push(a);
-                                image.write_f32(a, v);
-                            }
-                            loaded.clear();
-                        }
-                        OpKind::Finished => break,
+                    if buf.kind() == OpKind::Store {
+                        stores.extend(buf.writes().iter().map(|&(a, _)| a));
+                    }
+                    if !apply_functional(&buf, &mut image, &mut loaded) {
+                        break;
                     }
                 }
             }
@@ -80,30 +71,20 @@ fn programs_issue_nonempty_operations() {
         for _ in 0..10_000 {
             p.next(&loaded, &mut buf);
             match buf.kind() {
-                OpKind::Compute(c) => {
-                    assert!(c > 0, "{}: zero-cycle compute", app.name);
-                    loaded.clear();
-                }
+                OpKind::Compute(c) => assert!(c > 0, "{}: zero-cycle compute", app.name),
                 OpKind::Load => {
-                    let a = buf.addrs();
-                    assert!(!a.is_empty(), "{}: empty load", app.name);
-                    assert!(a.iter().all(|&x| x % 4 == 0), "{}: unaligned load", app.name);
-                    loaded.clear();
-                    loaded.extend(buf.addrs().iter().map(|&x| image.read_f32(x)));
+                    let runs = buf.runs();
+                    assert!(!runs.is_empty(), "{}: empty load", app.name);
+                    assert!(runs.iter().all(|r| r.words > 0), "{}: empty run", app.name);
+                    assert!(runs.iter().all(|r| r.base % 4 == 0), "{}: unaligned load", app.name);
                 }
-                OpKind::Store => {
-                    let w = buf.writes();
-                    assert!(!w.is_empty(), "{}: empty store", app.name);
-                    for &(a, v) in buf.writes() {
-                        image.write_f32(a, v);
-                    }
-                    loaded.clear();
-                }
+                OpKind::Store => assert!(!buf.writes().is_empty(), "{}: empty store", app.name),
                 OpKind::Finished => {
                     finished = true;
                     break;
                 }
             }
+            apply_functional(&buf, &mut image, &mut loaded);
         }
         assert!(finished, "{}: warp 0 did not finish in 10k ops", app.name);
     }
