@@ -17,13 +17,10 @@
 //! no `cfg` and the optimizer erases them. With the feature on, a phase
 //! transition is one `RDTSC` read plus a handful of `Cell` load/stores in a
 //! thread-local accumulator. Each thread accumulates independently: sweeps
-//! run one simulation per job thread, and when `LAZYDRAM_CORES > 1` the
-//! intra-run worker pool's threads each keep their own totals, drained via
-//! [`take`] when the pool shuts down and merged into the run's report
-//! ([`ProfReport::merge`]). Spans shorter than the `RDTSC` measurement
-//! floor are
-//! dropped rather than accumulated, so guard overhead is not reported as
-//! phase time; the tick→seconds scale is recovered once per [`take`].
+//! run one simulation per job thread, and each simulation drains its own
+//! totals with [`take`]. Spans shorter than the `RDTSC` measurement floor
+//! are dropped rather than accumulated, so guard overhead is not reported
+//! as phase time; the tick→seconds scale is recovered once per [`take`].
 //!
 //! # Usage
 //!
@@ -56,12 +53,12 @@ pub enum Phase {
     FuncMem,
     /// The event-driven fast-forward scan (`next_interesting_cycle`).
     FastForward,
-    /// Main-thread barrier wait: time the coordinating thread spends
-    /// waiting for worker-pool shards to finish a parallel phase
-    /// (`LAZYDRAM_CORES > 1`; zero on the sequential path).
+    /// Never entered: the simulator runs on one thread and has no barrier
+    /// to wait on. Kept, always zero, only because the benchmark's
+    /// per-layer schema reports it as `gpu.pool_sync_s`.
     Sync,
-    /// Worker-thread idle time: time a pool worker spends waiting for the
-    /// next parallel phase to be published (zero on the sequential path).
+    /// Never entered, like [`Phase::Sync`]. Kept, always zero, only because
+    /// the benchmark's per-layer schema reports it as `gpu.pool_idle_s`.
     Idle,
 }
 

@@ -185,11 +185,7 @@ impl OpBuf {
 }
 
 /// The per-warp state machine of a kernel.
-///
-/// `Send` because SMs (which own the boxed programs of their resident
-/// warps) are ticked on worker-pool threads when `LAZYDRAM_CORES > 1`;
-/// programs are plain data, so the bound costs implementations nothing.
-pub trait WarpProgram: Send {
+pub trait WarpProgram {
     /// Produces the warp's next operation by filling `out` in place.
     ///
     /// `loaded` holds the values of the most recent load in lane order
@@ -216,12 +212,7 @@ pub trait WarpProgram: Send {
 }
 
 /// A GPU kernel launch.
-///
-/// `Sync` because the phased tick shares `&dyn Kernel` across worker-pool
-/// threads (each SM queries [`Kernel::approximable`] while ticking in
-/// parallel); kernels are immutable during simulation, so the bound costs
-/// implementations nothing.
-pub trait Kernel: Sync {
+pub trait Kernel {
     /// Short workload name (e.g. `"GEMM"`).
     fn name(&self) -> &str;
 

@@ -28,6 +28,7 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
@@ -35,7 +36,6 @@ mod cache;
 mod kernel;
 mod memimg;
 mod noc;
-mod pool;
 mod sim;
 mod slice;
 mod sm;
@@ -49,10 +49,8 @@ pub use kernel::{
 pub use memimg::{MemoryImage, OverlayView, Run, LINE_BYTES, WORDS_PER_LINE};
 pub use lazydram_common::snap::{Loader, Saver, SnapError, SnapResult};
 pub use noc::{DelayQueue, NocFull};
-pub use pool::{parse_oversubscribe, SharedSlice, WorkerPool};
 pub use sim::{
-    cores_from_env, parse_cores, parse_no_compute_skip, parse_no_skip, run_kernel, Checkpoint,
-    RunOutcome, RunResult,
+    parse_no_compute_skip, parse_no_skip, run_kernel, Checkpoint, RunOutcome, RunResult,
     SimLimits, Simulator,
 };
 pub use trace::{

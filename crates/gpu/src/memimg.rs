@@ -464,8 +464,8 @@ impl MemoryImage {
 /// pending lane writes.
 ///
 /// During phase A of the phased tick each SM stages its functional writes
-/// instead of committing them (the image is shared read-only across worker
-/// threads); loads issued later in the *same* SM's tick must still observe
+/// instead of committing them (the image stays read-only until phase B
+/// commits); loads issued later in the *same* SM's tick must still observe
 /// those writes to match the sequential semantics. The overlay holds the
 /// SM's staged `(addr, value)` pairs in program order — a forward scan
 /// taking the last match gives latest-write-wins. The overlay is tiny (one

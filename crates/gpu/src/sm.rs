@@ -157,8 +157,8 @@ impl WarpSlot {
 /// During phase A every SM ticks against a *read-only* memory image and a
 /// cycle-start snapshot of the request-NoC occupancy; its side effects —
 /// outbound slice requests and functional store writes — accumulate here
-/// and are committed at the phase-B barrier in ascending SM order, making
-/// the machine state independent of how SMs were scheduled onto threads.
+/// and are committed in phase B in ascending SM order, so no SM observes
+/// another SM's effects from the same cycle.
 pub(crate) struct SmStage {
     /// `(channel, request)` in stage order; phase B pushes them into the
     /// per-channel `req_noc` queues in exactly this order.

@@ -334,7 +334,6 @@ pub struct SimBuilder {
     trace: bool,
     skip: Option<bool>,
     compute_skip: Option<bool>,
-    cores: Option<usize>,
     checkpoints: Option<CheckpointPolicy>,
 }
 
@@ -353,7 +352,6 @@ impl SimBuilder {
             trace: false,
             skip: None,
             compute_skip: None,
-            cores: None,
             checkpoints: None,
         }
     }
@@ -419,16 +417,6 @@ impl SimBuilder {
         self
     }
 
-    /// Overrides the phased tick's thread budget (default:
-    /// `LAZYDRAM_CORES`, itself defaulting to 1). Results are bit-identical
-    /// at every value, so — like `cycle_skipping` — the setting is excluded
-    /// from the checkpoint filename tag: a sweep resumed at a different
-    /// width picks up its parked checkpoints.
-    pub fn cores(mut self, cores: usize) -> Self {
-        self.cores = Some(cores);
-        self
-    }
-
     /// Attaches a periodic checkpoint policy; `None` disables checkpointing.
     pub fn checkpoints(mut self, policy: Option<CheckpointPolicy>) -> Self {
         self.checkpoints = policy;
@@ -460,7 +448,7 @@ impl SimBuilder {
     /// simulation's results — app, scheme label, scale bits, machine config,
     /// scheduling policy, safety limits. Deliberately **excludes** the knobs
     /// proven result-invariant by the bit-identity suites (`cycle_skipping`,
-    /// `compute_skipping`, `cores`, trace capture), so the result store keyed on this digest
+    /// `compute_skipping`, trace capture), so the result store keyed on this digest
     /// serves hits across them. The checkpoint tag (which guards *trajectory*
     /// resumption, not results) keeps including them.
     pub fn cell_digest(&self) -> u64 {
@@ -508,9 +496,6 @@ impl SimBuilder {
         }
         if let Some(compute_skip) = self.compute_skip {
             sim = sim.with_compute_skipping(compute_skip);
-        }
-        if let Some(cores) = self.cores {
-            sim = sim.with_cores(cores);
         }
         SimRun {
             app: self.app,
@@ -827,7 +812,6 @@ mod tests {
         // split the cache namespace…
         assert_eq!(d, base.clone().cycle_skipping(false).cell_digest());
         assert_eq!(d, base.clone().compute_skipping(false).cell_digest());
-        assert_eq!(d, base.clone().cores(4).cell_digest());
         assert_eq!(d, base.clone().trace(true).cell_digest());
         // …while anything that changes the measured results does.
         assert_ne!(d, base.clone().scale(0.5).cell_digest());

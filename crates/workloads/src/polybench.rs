@@ -13,19 +13,15 @@
 use crate::programs::{MatVecConfig, MatVecOrientation, MatVecProgram, MatmulConfig, MatmulProgram, LANES};
 use crate::util::Region;
 use lazydram_gpu::{Kernel, MemoryImage, WarpProgram};
-use std::sync::{Arc, RwLock};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// Shared base-address cell between dependent launches of one app.
-///
-/// An `RwLock`, not a `RefCell`: [`Kernel`] is `Sync` so the phased tick
-/// can query `approximable` from worker threads concurrently. Writes happen
-/// only in `setup`, strictly before any cycle of that launch ticks, so the
-/// read lock in the hot path is never contended by a writer.
-pub(crate) type Shared<T> = Arc<RwLock<T>>;
+pub(crate) type Shared<T> = Rc<RefCell<T>>;
 
 /// Builds a [`Shared`] cell.
 pub(crate) fn shared<T>(v: T) -> Shared<T> {
-    Arc::new(RwLock::new(v))
+    Rc::new(RefCell::new(v))
 }
 
 // ---------------------------------------------------------------------------
@@ -103,7 +99,7 @@ impl Kernel for Gemm {
             let a = Region::alloc_smooth(mem, n2, self.seed, lo, hi);
             let b = Region::alloc_smooth(mem, n2, self.seed + 1, lo, hi);
             let c = Region::alloc(mem, n2);
-            *self.st.write().unwrap() = GemmArrays { a, b, c };
+            *self.st.borrow_mut() = GemmArrays { a, b, c };
         }
     }
 
@@ -112,7 +108,7 @@ impl Kernel for Gemm {
     }
 
     fn program(&self, warp_id: usize) -> Box<dyn WarpProgram> {
-        let st = self.st.read().unwrap();
+        let st = self.st.borrow();
         Box::new(MatmulProgram::new(
             warp_id,
             MatmulConfig {
@@ -126,12 +122,12 @@ impl Kernel for Gemm {
     }
 
     fn approximable(&self, addr: u64) -> bool {
-        let st = self.st.read().unwrap();
+        let st = self.st.borrow();
         st.a.contains(addr) || st.b.contains(addr)
     }
 
     fn output(&self, mem: &MemoryImage) -> Vec<f32> {
-        self.st.read().unwrap().c.read(mem)
+        self.st.borrow().c.read(mem)
     }
 }
 
@@ -154,11 +150,11 @@ pub fn two_mm(n: usize) -> Vec<Box<dyn Kernel>> {
         fn setup(&mut self, mem: &mut MemoryImage) {
             // D (the previous product) becomes this launch's A; allocate a
             // fresh right operand and output.
-            let d = self.from.read().unwrap().c;
+            let d = self.from.borrow().c;
             let n2 = self.n * self.n;
             let c = Region::alloc_smooth(mem, n2, self.seed, -1.0, 1.0);
             let e = Region::alloc(mem, n2);
-            *self.inner.st.write().unwrap() = GemmArrays { a: d, b: c, c: e };
+            *self.inner.st.borrow_mut() = GemmArrays { a: d, b: c, c: e };
         }
         fn total_warps(&self) -> usize {
             self.inner.total_warps()
@@ -200,10 +196,10 @@ pub fn three_mm(n: usize) -> Vec<Box<dyn Kernel>> {
             self.inner.name()
         }
         fn setup(&mut self, mem: &mut MemoryImage) {
-            let e = self.left.read().unwrap().c;
-            let f = self.right.read().unwrap().c;
+            let e = self.left.borrow().c;
+            let f = self.right.borrow().c;
             let g = Region::alloc(mem, self.n * self.n);
-            *self.inner.st.write().unwrap() = GemmArrays { a: e, b: f, c: g };
+            *self.inner.st.borrow_mut() = GemmArrays { a: e, b: f, c: g };
         }
         fn total_warps(&self) -> usize {
             self.inner.total_warps()
@@ -274,7 +270,7 @@ impl Kernel for MvLaunch {
             let x2 = Region::alloc_smooth(mem, n, self.seed + 2, lo, hi);
             let y1 = Region::alloc(mem, n);
             let y2 = Region::alloc(mem, n);
-            *self.st.write().unwrap() = MvArrays { a, x1, x2, y1, y2 };
+            *self.st.borrow_mut() = MvArrays { a, x1, x2, y1, y2 };
         }
     }
 
@@ -283,7 +279,7 @@ impl Kernel for MvLaunch {
     }
 
     fn program(&self, warp_id: usize) -> Box<dyn WarpProgram> {
-        let st = self.st.read().unwrap();
+        let st = self.st.borrow();
         let (x, y) = if self.second { (st.x2, st.y2) } else { (st.x1, st.y1) };
         Box::new(MatVecProgram::new(
             warp_id,
@@ -299,12 +295,12 @@ impl Kernel for MvLaunch {
     }
 
     fn approximable(&self, addr: u64) -> bool {
-        let st = self.st.read().unwrap();
+        let st = self.st.borrow();
         st.a.contains(addr) || st.x1.contains(addr) || st.x2.contains(addr)
     }
 
     fn output(&self, mem: &MemoryImage) -> Vec<f32> {
-        let st = self.st.read().unwrap();
+        let st = self.st.borrow();
         if self.concat_output {
             let mut out = st.y1.read(mem);
             out.extend(st.y2.read(mem));
@@ -357,7 +353,7 @@ pub fn atax(n: usize) -> Vec<Box<dyn Kernel>> {
         }
         fn setup(&mut self, mem: &mut MemoryImage) {
             // Second pass reads the first pass's output: x2 := y1.
-            let mut st = self.inner.st.write().unwrap();
+            let mut st = self.inner.st.borrow_mut();
             st.x2 = st.y1;
             drop(st);
             self.inner.setup(mem);
@@ -444,7 +440,7 @@ mod tests {
         let mut g = Gemm::new(n);
         let (out, img) = run_functional(&mut g);
         assert_eq!(out.len(), n * n);
-        let st = g.st.read().unwrap();
+        let st = g.st.borrow();
         let a = st.a.read(&img);
         let b = st.b.read(&img);
         for (i, j) in [(0usize, 0usize), (13, 57), (63, 63)] {
@@ -457,7 +453,7 @@ mod tests {
     fn gemm_annotates_inputs_not_output() {
         let mut g = Gemm::new(32);
         let (_, _) = run_functional(&mut g);
-        let st = *g.st.read().unwrap();
+        let st = *g.st.borrow();
         assert!(g.approximable(st.a.base));
         assert!(g.approximable(st.b.base + 64));
         assert!(!g.approximable(st.c.base));

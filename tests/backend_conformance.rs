@@ -10,10 +10,10 @@
 //! 2. **Monotone wake-up** — `refresh_due_at` never overshoots: a refresh
 //!    is never due strictly before the advertised cycle, and is due at it
 //!    (refresh-free backends advertise `u64::MAX`).
-//! 3. **Engine invariance** — end to end per preset, the phased parallel
-//!    tick (`cores(4)`) and the fast-forward engine (`cycle_skipping`)
-//!    must be bit-identical to the reference interpreter, and a
-//!    checkpoint/resume run must match an uninterrupted one.
+//! 3. **Engine invariance** — end to end per preset, the fast-forward
+//!    engine (`cycle_skipping`) must be bit-identical to the reference
+//!    interpreter, and a checkpoint/resume run must match an uninterrupted
+//!    one.
 
 use lazydram::common::{AccessKind, DramPreset, SimStats};
 use lazydram::common::snap::{Loader, Saver};
@@ -184,19 +184,15 @@ fn engines_are_bit_identical_on_every_backend() {
         let build = || {
             SimBuilder::new(&app).preset(preset).scheme(Scheme::DynCombo).scale(SCALE)
         };
-        let reference = build().cycle_skipping(false).cores(1).build().run();
+        let reference = build().cycle_skipping(false).build().run();
         assert!(!reference.hit_cycle_limit, "{preset}");
-        for (label, run) in [
-            ("cycle_skipping", build().cycle_skipping(true).build().run()),
-            ("cores(4)", build().cores(4).build().run()),
-        ] {
-            assert_eq!(run.output, reference.output, "{preset}/{label}: outputs");
-            assert_eq!(
-                normalized(&run.stats),
-                normalized(&reference.stats),
-                "{preset}/{label}: statistics"
-            );
-        }
+        let run = build().cycle_skipping(true).build().run();
+        assert_eq!(run.output, reference.output, "{preset}: outputs");
+        assert_eq!(
+            normalized(&run.stats),
+            normalized(&reference.stats),
+            "{preset}: statistics"
+        );
     }
 }
 

@@ -75,22 +75,6 @@ fi
 ls "$CKPT_TMP/traces"/*.trace > /dev/null
 echo "captured + replayed sweeps byte-identical; replay cells present"
 
-echo "== tier1: multi-core determinism smoke =="
-# The phased parallel tick must be result-invisible: the same fig04/SCP
-# sweep at LAZYDRAM_CORES=1 and LAZYDRAM_CORES=4 must produce byte-identical
-# stdout and JSONL. (On a 1-CPU host cores=4 degrades to the inline path —
-# the same phased code, minus threads; tests/pool_threads.rs covers real
-# workers. On a multi-core host this exercises genuine cross-thread staging.)
-LAZYDRAM_APPS=SCP LAZYDRAM_SCALE=0.05 LAZYDRAM_QUIET=1 LAZYDRAM_CORES=1 \
-LAZYDRAM_RESULTS="$CKPT_TMP/cores1.jsonl" \
-    cargo bench -q -p lazydram-bench --bench fig04_delay_sweep > "$CKPT_TMP/cores1.out"
-LAZYDRAM_APPS=SCP LAZYDRAM_SCALE=0.05 LAZYDRAM_QUIET=1 LAZYDRAM_CORES=4 \
-LAZYDRAM_RESULTS="$CKPT_TMP/cores4.jsonl" \
-    cargo bench -q -p lazydram-bench --bench fig04_delay_sweep > "$CKPT_TMP/cores4.out"
-cmp "$CKPT_TMP/cores1.jsonl" "$CKPT_TMP/cores4.jsonl"
-cmp "$CKPT_TMP/cores1.out" "$CKPT_TMP/cores4.out"
-echo "cores=1 and cores=4 sweeps byte-identical (stdout + JSONL)"
-
 echo "== tier1: compute-skip byte-identity smoke =="
 # The analytic compute-burst fast-forward must be result-invisible: the same
 # fig04/SCP sweep in the three loop modes — full skip (default), idle-only
@@ -99,8 +83,7 @@ echo "== tier1: compute-skip byte-identity smoke =="
 # loop-instrumentation counters (cycles_skipped / compute_cycles_skipped /
 # ticks_executed), which legitimately differ between loop modes, so those
 # keys are stripped before comparison; everything else must match byte for
-# byte. A cores=4 run with compute-skip on closes the loop on the
-# skip × parallel-tick interaction.
+# byte.
 strip_loop_counters() {
     sed -E 's/"(cycles_skipped|compute_cycles_skipped|ticks_executed)":[0-9]+,//g' "$1"
 }
@@ -113,20 +96,14 @@ LAZYDRAM_RESULTS="$CKPT_TMP/cs_idle.jsonl" \
 LAZYDRAM_APPS=SCP LAZYDRAM_SCALE=0.05 LAZYDRAM_QUIET=1 LAZYDRAM_NO_SKIP=1 \
 LAZYDRAM_RESULTS="$CKPT_TMP/cs_naive.jsonl" \
     cargo bench -q -p lazydram-bench --bench fig04_delay_sweep > "$CKPT_TMP/cs_naive.out"
-LAZYDRAM_APPS=SCP LAZYDRAM_SCALE=0.05 LAZYDRAM_QUIET=1 LAZYDRAM_CORES=4 \
-LAZYDRAM_RESULTS="$CKPT_TMP/cs_wide.jsonl" \
-    cargo bench -q -p lazydram-bench --bench fig04_delay_sweep > "$CKPT_TMP/cs_wide.out"
 cmp "$CKPT_TMP/cs_full.out" "$CKPT_TMP/cs_idle.out"
 cmp "$CKPT_TMP/cs_full.out" "$CKPT_TMP/cs_naive.out"
-cmp "$CKPT_TMP/cs_full.out" "$CKPT_TMP/cs_wide.out"
 strip_loop_counters "$CKPT_TMP/cs_full.jsonl" > "$CKPT_TMP/cs_full.norm"
 strip_loop_counters "$CKPT_TMP/cs_idle.jsonl" > "$CKPT_TMP/cs_idle.norm"
 strip_loop_counters "$CKPT_TMP/cs_naive.jsonl" > "$CKPT_TMP/cs_naive.norm"
 cmp "$CKPT_TMP/cs_full.norm" "$CKPT_TMP/cs_idle.norm"
 cmp "$CKPT_TMP/cs_full.norm" "$CKPT_TMP/cs_naive.norm"
-# cores=4 with compute-skip on is bit-identical *including* the counters.
-cmp "$CKPT_TMP/cs_full.jsonl" "$CKPT_TMP/cs_wide.jsonl"
-echo "full / idle-only / naive loop modes byte-identical (cores=1 and 4)"
+echo "full / idle-only / naive loop modes byte-identical"
 
 echo "== tier1: result-cache smoke =="
 # Cross-sweep caching must be invisible in the results: the same fig04/SCP
@@ -214,11 +191,6 @@ echo "== tier1: timed smoke sweep (BENCH_PR4.json) =="
 # acceptance floor — at least one app's sweep must replay >= 5x faster
 # than execution-driven — and on a zero-unserved-requests assertion
 # inside the bench.
-# It then times the phased parallel tick (BENCH_PR7.json): cores=1 vs
-# cores=4 on the same run, asserting identical statistics. On this 1-CPU
-# container the pool degrades to the inline path, so the gate is an
-# overhead cap — cores=4 must stay within 1.15x of cores=1; on a real
-# multi-core host the run must additionally scale >= 2x at 4 cores.
 # It then times the content-addressed result store (BENCH_PR8.json):
 # the same delay sweep cold (populating a fresh store) vs warm (served
 # entirely from disk by a fresh runner), asserting identical measurements
@@ -230,16 +202,11 @@ echo "== tier1: timed smoke sweep (BENCH_PR4.json) =="
 # The PR 10 gate (BENCH_PR10.json) compares the same rows against
 # pre_pr10.tsv — recorded immediately before the MemoryBackend trait — with
 # a tight 1.15x cap: static enum dispatch is supposed to be free.
-if [ "$(nproc 2>/dev/null || echo 1)" -gt 1 ]; then
-    export LAZYDRAM_MIN_CORES_SPEEDUP="${LAZYDRAM_MIN_CORES_SPEEDUP:-2.0}"
-fi
 LAZYDRAM_SCALE="${LAZYDRAM_SCALE:-0.2}" \
 LAZYDRAM_BENCH_OUT="${LAZYDRAM_BENCH_OUT:-$PWD/BENCH_PR4.json}" \
 LAZYDRAM_MAX_REGRESSION="${LAZYDRAM_MAX_REGRESSION:-2.0}" \
 LAZYDRAM_TRACE_BENCH_OUT="${LAZYDRAM_TRACE_BENCH_OUT:-$PWD/BENCH_PR6.json}" \
 LAZYDRAM_MIN_TRACE_SPEEDUP="${LAZYDRAM_MIN_TRACE_SPEEDUP:-5.0}" \
-LAZYDRAM_CORES_BENCH_OUT="${LAZYDRAM_CORES_BENCH_OUT:-$PWD/BENCH_PR7.json}" \
-LAZYDRAM_MAX_CORES_OVERHEAD="${LAZYDRAM_MAX_CORES_OVERHEAD:-1.15}" \
 LAZYDRAM_CACHE_BENCH_OUT="${LAZYDRAM_CACHE_BENCH_OUT:-$PWD/BENCH_PR8.json}" \
 LAZYDRAM_MIN_CACHE_SPEEDUP="${LAZYDRAM_MIN_CACHE_SPEEDUP:-10}" \
 LAZYDRAM_PR9_BENCH_OUT="${LAZYDRAM_PR9_BENCH_OUT:-$PWD/BENCH_PR9.json}" \
