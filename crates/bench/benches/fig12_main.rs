@@ -3,7 +3,7 @@
 //! error-tolerant applications (groups 1-3), plus the HBM1/HBM2
 //! memory-system-energy projection of Section V.
 
-use lazydram_bench::{gpu_config_from_env, mean, MeasureSpec, print_table, scale_from_env, Scheme, SimBuilder, SweepRunner};
+use lazydram_bench::{gpu_config_from_env, mean, signed_change, MeasureSpec, print_table, scale_from_env, Scheme, SimBuilder, SweepRunner};
 use lazydram_energy::{CardBudget, EnergyModel, MemoryTech};
 use lazydram_workloads::all_apps;
 
@@ -108,8 +108,8 @@ fn main() {
         let red = model.system_energy_reduction(combo_ratio);
         let budget = CardBudget::default();
         println!(
-            "{tech:?}: memory-system energy −{:.1}%  → {:.1} W saved at peak, or +{:.0} GB/s in a 60 W budget",
-            100.0 * red,
+            "{tech:?}: memory-system energy {}  → {:.1} W saved at peak, or +{:.0} GB/s in a 60 W budget",
+            signed_change(red),
             budget.power_saving_w(red),
             budget.bandwidth_headroom_gbs(red),
         );

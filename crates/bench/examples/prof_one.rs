@@ -1,10 +1,11 @@
 //! Profile one sweep cell: run a single app/scheme/scale combination
-//! (min-of-3 wall clock) and print the simulator's per-phase split.
-//! The workhorse for localizing hot-path regressions without running the
-//! whole perf_smoke suite. Usage:
+//! (min-of-3 wall clock) and print the simulator's per-phase split and the
+//! work dormancy skipped. The workhorse for localizing hot-path regressions
+//! without running a whole benchmark. Usage:
 //!   cargo run --release -p lazydram-bench --features prof --example prof_one -- SLA baseline 0.2
-use lazydram_bench::SimBuilder;
-use lazydram_common::SchedConfig;
+//! The scheme is any `Scheme` label, e.g. `baseline` or `Dyn-DMS+Dyn-AMS`.
+use lazydram_bench::{Scheme, SimBuilder};
+use lazydram_common::prof::Counter;
 use lazydram_workloads::by_name;
 use std::time::Instant;
 
@@ -13,16 +14,11 @@ fn main() {
     let app = args.get(1).map(String::as_str).unwrap_or("SLA");
     let scheme = args.get(2).map(String::as_str).unwrap_or("baseline");
     let scale: f64 = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(0.2);
-    let sched = match scheme {
-        "baseline" => SchedConfig::baseline(),
-        "Static-DMS" => SchedConfig::static_dms(),
-        other => panic!("unknown scheme {other}"),
-    };
+    let scheme = Scheme::by_label(scheme).unwrap_or_else(|| panic!("unknown scheme {scheme}"));
     let spec = by_name(app).expect("known app");
     let run = SimBuilder::new(&spec)
-        .sched(sched, "perf")
+        .scheme(scheme)
         .scale(scale)
-        .cycle_skipping(true)
         .build();
     let mut best = f64::INFINITY;
     let mut stats = None;
@@ -36,5 +32,8 @@ fn main() {
     println!("{app}/{scheme} scale={scale}: wall {best:.4}s, cycles {}", stats.core_cycles);
     for p in lazydram_common::prof::Phase::ALL {
         println!("  {:<13} {:>9.4}s", p.name(), stats.prof.get(p));
+    }
+    for c in Counter::ALL {
+        println!("  {:<18} {:>9}", c.name(), stats.prof.count(c));
     }
 }

@@ -6,9 +6,12 @@
 //! The time is the baseline simulation alone (the exact-output reference
 //! is computed first and not timed). `Minst/s` is host throughput in
 //! simulated warp instructions per wall-clock second, so a per-app speed
-//! change can be checked without the full benchmark.
+//! change can be checked without the full benchmark. Built with
+//! `--features prof`, it also prints the work dormancy skipped: SM visits
+//! and memory-controller scheduling passes.
 
 use lazydram_bench::{measure, Scheme, SimBuilder};
+use lazydram_common::prof::Counter;
 use lazydram_common::GpuConfig;
 use lazydram_workloads::by_name;
 use std::time::Instant;
@@ -40,5 +43,13 @@ fn main() {
             name, dt, minst_per_s, m.stats.core_cycles, m.ipc, m.activations, m.avg_rbl,
             m.stats.dram.reads, m.stats.dram.writes, m.stats.l2_misses, m.truncated
         );
+        if !m.stats.prof.is_empty() {
+            let skipped = Counter::ALL
+                .iter()
+                .map(|&c| format!("{}={}", c.name(), m.stats.prof.count(c)))
+                .collect::<Vec<_>>()
+                .join(" ");
+            println!("{:>12}  dormancy: {skipped}", "");
+        }
     }
 }

@@ -344,6 +344,18 @@ pub fn pct(x: f64) -> String {
     format!("{:.1}%", 100.0 * x)
 }
 
+/// Formats an energy `reduction` (a fraction; negative when energy grew)
+/// as the signed change it causes: `−12.3%` for a saving, `+8.6%` for a
+/// growth, and `−0.0%` when the change rounds to zero.
+pub fn signed_change(reduction: f64) -> String {
+    let magnitude = format!("{:.1}", 100.0 * reduction.abs());
+    if reduction < 0.0 && magnitude != "0.0" {
+        format!("+{magnitude}%")
+    } else {
+        format!("−{magnitude}%")
+    }
+}
+
 /// Serializes measurements as a JSON array (for downstream plotting).
 pub fn to_json(measurements: &[Measurement]) -> String {
     let items: Vec<String> = measurements.iter().map(Measurement::to_json).collect();
@@ -352,6 +364,16 @@ pub fn to_json(measurements: &[Measurement]) -> String {
 
 #[cfg(test)]
 mod tests {
+    #[test]
+    fn signed_change_prints_one_sign() {
+        use super::signed_change;
+        assert_eq!(signed_change(0.123), "−12.3%");
+        assert_eq!(signed_change(0.0), "−0.0%");
+        assert_eq!(signed_change(-0.0), "−0.0%");
+        assert_eq!(signed_change(-0.0004), "−0.0%");
+        assert_eq!(signed_change(-0.086), "+8.6%");
+    }
+
     use super::*;
 
     #[test]

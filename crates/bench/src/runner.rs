@@ -764,7 +764,8 @@ impl Drop for SweepRunner {
 }
 
 /// Renders the fast-forward annotation for a measurement's progress line
-/// (empty when the event-driven loop never skipped, e.g. `LAZYDRAM_NO_SKIP`);
+/// (empty when the event-driven loop never skipped, e.g. with
+/// `SimBuilder::cycle_skipping(false)`);
 /// cache-served and trace-replayed cells are flagged instead, since they
 /// skip the simulation (wholly or GPU-side).
 fn skip_note(m: &Measurement) -> String {

@@ -93,6 +93,33 @@ impl Phase {
     }
 }
 
+/// An event the profiler counts alongside the phase timers. Counters say
+/// how much work a fast path avoided, which phase time alone cannot show.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Counter {
+    /// SM visits the phased tick skipped because the SM was not due.
+    SmVisitsSkipped,
+    /// Memory-controller scheduling passes skipped while the controller
+    /// slept until its wake cycle.
+    SchedulesSkipped,
+}
+
+/// Number of [`Counter`] variants ([`Counter::ALL`]'s length).
+pub const NUM_COUNTERS: usize = 2;
+
+impl Counter {
+    /// Every counter, in display order.
+    pub const ALL: [Counter; NUM_COUNTERS] = [Counter::SmVisitsSkipped, Counter::SchedulesSkipped];
+
+    /// Stable snake_case name (used as the JSON key).
+    pub fn name(self) -> &'static str {
+        match self {
+            Counter::SmVisitsSkipped => "sm_visits_skipped",
+            Counter::SchedulesSkipped => "schedules_skipped",
+        }
+    }
+}
+
 /// Exclusive wall-clock seconds per [`Phase`], drained by [`take`].
 ///
 /// Always present in `SimStats` but empty unless the `prof` feature is on.
@@ -103,12 +130,19 @@ impl Phase {
 pub struct ProfReport {
     /// Exclusive seconds, indexed in [`Phase::ALL`] order.
     pub secs: [f64; NUM_PHASES],
+    /// Event counts, indexed in [`Counter::ALL`] order.
+    pub counts: [u64; NUM_COUNTERS],
 }
 
 impl ProfReport {
-    /// `true` when no time was recorded (profiling off or nothing ran).
+    /// `true` when nothing was recorded (profiling off or nothing ran).
     pub fn is_empty(&self) -> bool {
-        self.secs.iter().all(|&s| s == 0.0)
+        self.secs.iter().all(|&s| s == 0.0) && self.counts.iter().all(|&c| c == 0)
+    }
+
+    /// How often `counter` fired.
+    pub fn count(&self, counter: Counter) -> u64 {
+        self.counts[counter as usize]
     }
 
     /// Sum of all phase times.
@@ -127,13 +161,19 @@ impl ProfReport {
         for (a, b) in self.secs.iter_mut().zip(&other.secs) {
             *a += b;
         }
+        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
+            *a += b;
+        }
     }
 
-    /// Serializes as a JSON object keyed by phase name.
+    /// Serializes as a JSON object keyed by phase and counter name.
     pub fn to_json(&self) -> String {
         let mut o = crate::json::JsonObject::new();
         for (phase, &secs) in Phase::ALL.iter().zip(&self.secs) {
             o.f64(phase.name(), secs);
+        }
+        for (counter, &n) in Counter::ALL.iter().zip(&self.counts) {
+            o.u64(counter.name(), n);
         }
         o.finish()
     }
@@ -141,7 +181,7 @@ impl ProfReport {
 
 #[cfg(feature = "prof")]
 mod imp {
-    use super::{Phase, ProfReport, NUM_PHASES};
+    use super::{Counter, Phase, ProfReport, NUM_COUNTERS, NUM_PHASES};
     use std::cell::Cell;
     use std::time::Instant;
 
@@ -191,6 +231,8 @@ mod imp {
         /// [`take`]: converts accumulated ticks to seconds.
         anchor_tick: Cell<u64>,
         anchor_instant: Cell<Option<Instant>>,
+        /// Accumulated event counts per [`Counter`].
+        counts: [Cell<u64>; NUM_COUNTERS],
     }
 
     thread_local! {
@@ -201,8 +243,18 @@ mod imp {
                 open_since: Cell::new(0),
                 anchor_tick: Cell::new(0),
                 anchor_instant: Cell::new(None),
+                counts: [const { Cell::new(0) }; NUM_COUNTERS],
             }
         };
+    }
+
+    /// Adds `n` to `counter`.
+    #[inline]
+    pub fn count(counter: Counter, n: u64) {
+        STATE.with(|s| {
+            let c = &s.counts[counter as usize];
+            c.set(c.get() + n);
+        });
     }
 
     /// Scope guard of one [`enter`] call; restores the enclosing phase on
@@ -275,6 +327,9 @@ mod imp {
             for (out, acc) in report.secs.iter_mut().zip(&s.acc) {
                 *out = acc.replace(0) as f64 * scale;
             }
+            for (out, c) in report.counts.iter_mut().zip(&s.counts) {
+                *out = c.replace(0);
+            }
             report
         })
     }
@@ -282,7 +337,7 @@ mod imp {
 
 #[cfg(not(feature = "prof"))]
 mod imp {
-    use super::{Phase, ProfReport};
+    use super::{Counter, Phase, ProfReport};
 
     /// Zero-sized no-op guard (profiling compiled out).
     pub struct Guard {
@@ -296,6 +351,10 @@ mod imp {
         Guard { _priv: () }
     }
 
+    /// No-op: profiling is compiled out without the `prof` feature.
+    #[inline(always)]
+    pub fn count(_counter: Counter, _n: u64) {}
+
     /// Always returns an empty report without the `prof` feature.
     #[inline(always)]
     pub fn take() -> ProfReport {
@@ -303,7 +362,7 @@ mod imp {
     }
 }
 
-pub use imp::{enter, take, Guard};
+pub use imp::{count, enter, take, Guard};
 
 #[cfg(test)]
 mod tests {
@@ -321,6 +380,10 @@ mod tests {
         assert!((a.total_secs() - 4.0).abs() < 1e-12);
         assert!((a.get(Phase::SmIssue) - 3.0).abs() < 1e-12);
         assert!((a.get(Phase::Dram) - 1.0).abs() < 1e-12);
+        b.counts[Counter::SchedulesSkipped as usize] = 3;
+        a.merge(&b);
+        assert_eq!(a.count(Counter::SchedulesSkipped), 3);
+        assert_eq!(a.count(Counter::SmVisitsSkipped), 0);
     }
 
     #[test]
@@ -329,6 +392,9 @@ mod tests {
         let j = r.to_json();
         for p in Phase::ALL {
             assert!(j.contains(p.name()), "{j} missing {}", p.name());
+        }
+        for c in Counter::ALL {
+            assert!(j.contains(c.name()), "{j} missing {}", c.name());
         }
     }
 
@@ -340,11 +406,13 @@ mod tests {
             let _outer = enter(Phase::Slice);
             let _inner = enter(Phase::FuncMem);
         }
+        count(Counter::SmVisitsSkipped, 2);
         let first = take();
         let second = take();
         assert!(second.is_empty(), "take must reset the accumulator");
         if cfg!(feature = "prof") {
             assert!(first.total_secs() >= 0.0);
+            assert_eq!(first.count(Counter::SmVisitsSkipped), 2);
         } else {
             assert!(first.is_empty());
         }

@@ -315,7 +315,7 @@ pub struct SimStats {
     /// The subset of `cycles_skipped` spanning *busy* cycles: spans where at
     /// least one SM's `Computing` warps were advanced analytically instead
     /// of being provably idle. Zero when compute skipping is disabled
-    /// (`LAZYDRAM_NO_COMPUTE_SKIP=1`) or skipping is off entirely.
+    /// (`SimBuilder::compute_skipping(false)`) or skipping is off entirely.
     pub compute_cycles_skipped: u64,
     /// Core cycles actually executed by the master loop. With skipping off
     /// this equals `core_cycles`; with skipping on,

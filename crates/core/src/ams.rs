@@ -90,12 +90,17 @@ impl AmsUnit {
     }
 
     /// Decides whether the oldest pending request `req` (which is about to
-    /// open a new row) should instead start a drop sequence.
+    /// open a new row) should instead start a drop sequence, counting the
+    /// outcome in `accepts` or `declines`.
     ///
     /// `halted` is raised by the controller while `Dyn-DMS` samples its
     /// baseline BWUTIL (Section IV-B).
+    ///
+    /// # Errors
+    ///
+    /// Returns the first criterion the request failed.
     #[allow(clippy::too_many_arguments)]
-    pub fn should_drop(
+    pub fn decide(
         &mut self,
         req: &Request,
         queue: &PendingQueue,
@@ -104,46 +109,76 @@ impl AmsUnit {
         global_reads_received: u64,
         oldest_age_ok: bool,
         halted: bool,
-    ) -> bool {
+    ) -> Result<(), AmsDecline> {
+        match self.verdict(
+            req,
+            queue,
+            bank,
+            dropped,
+            global_reads_received,
+            oldest_age_ok,
+            halted,
+        ) {
+            Ok(()) => {
+                self.accepts += 1;
+                Ok(())
+            }
+            Err(why) => {
+                self.count_decline(why);
+                Err(why)
+            }
+        }
+    }
+
+    /// Counts one decline for `why`. A sleeping controller calls this once
+    /// per skipped scheduling pass, replaying the reason its last pass
+    /// recorded, so the histogram matches a controller that never sleeps.
+    pub fn count_decline(&mut self, why: AmsDecline) {
+        self.declines[why as usize] += 1;
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn verdict(
+        &self,
+        req: &Request,
+        queue: &PendingQueue,
+        bank: usize,
+        dropped: u64,
+        global_reads_received: u64,
+        oldest_age_ok: bool,
+        halted: bool,
+    ) -> Result<(), AmsDecline> {
         if !self.is_enabled() || halted {
-            self.declines[AmsDecline::OffOrHalted as usize] += 1;
-            return false;
+            return Err(AmsDecline::OffOrHalted);
         }
         // Warm-up: let the L2 fill before the VP starts predicting.
         if global_reads_received < self.warmup_requests {
-            self.declines[AmsDecline::Warmup as usize] += 1;
-            return false;
+            return Err(AmsDecline::Warmup);
         }
         // Criterion 1: the request itself must be an annotated global read.
         if !req.is_global_read() || !req.approximable {
-            self.declines[AmsDecline::NotApproximable as usize] += 1;
-            return false;
+            return Err(AmsDecline::NotApproximable);
         }
         // Criterion 2: the delay criterion determined by DMS.
         if !oldest_age_ok {
-            self.declines[AmsDecline::Delay as usize] += 1;
-            return false;
+            return Err(AmsDecline::Delay);
         }
         // Criterion 3: coverage below the user-defined cap.
         if global_reads_received == 0
             || (dropped as f64 / global_reads_received as f64) >= self.coverage_cap
         {
-            self.declines[AmsDecline::Coverage as usize] += 1;
-            return false;
+            return Err(AmsDecline::Coverage);
         }
         // Criterion 4: visible RBL ≤ Th_RBL and the whole pending row set is
         // global reads (no write or non-global access to the same row).
         let row = req.loc.row;
         if !queue.row_is_all_global_reads(bank, row) {
-            self.declines[AmsDecline::RowHasWrites as usize] += 1;
-            return false;
+            return Err(AmsDecline::RowHasWrites);
         }
         if queue.visible_rbl(bank, row) > self.th_rbl {
-            self.declines[AmsDecline::AboveThreshold as usize] += 1;
-            return false;
+            return Err(AmsDecline::AboveThreshold);
         }
-        self.accepts += 1;
-        true
+        Ok(())
     }
 
     /// Serializes the unit's dynamic state (mode, cap and warm-up come from
@@ -252,21 +287,27 @@ mod tests {
     fn drops_low_rbl_read_only_row() {
         let r = req(1, 5, AccessKind::Read, true);
         let q = queue_with(&[r, req(2, 5, AccessKind::Read, true)]);
-        assert!(unit_mut().should_drop(&r, &q, 0, 0, 1000, true, false));
+        assert_eq!(unit_mut().decide(&r, &q, 0, 0, 1000, true, false), Ok(()));
     }
 
     #[test]
     fn refuses_when_row_has_a_write() {
         let r = req(1, 5, AccessKind::Read, true);
         let q = queue_with(&[r, req(2, 5, AccessKind::Write, false)]);
-        assert!(!unit_mut().should_drop(&r, &q, 0, 0, 1000, true, false));
+        assert_eq!(
+            unit_mut().decide(&r, &q, 0, 0, 1000, true, false),
+            Err(AmsDecline::RowHasWrites)
+        );
     }
 
     #[test]
     fn refuses_unannotated_request() {
         let r = req(1, 5, AccessKind::Read, false);
         let q = queue_with(&[r]);
-        assert!(!unit_mut().should_drop(&r, &q, 0, 0, 1000, true, false));
+        assert_eq!(
+            unit_mut().decide(&r, &q, 0, 0, 1000, true, false),
+            Err(AmsDecline::NotApproximable)
+        );
     }
 
     #[test]
@@ -275,31 +316,46 @@ mod tests {
         let reqs: Vec<Request> = (1..=9).map(|i| req(i, 5, AccessKind::Read, true)).collect();
         let q = queue_with(&reqs);
         // Visible RBL is 9 > Th_RBL = 8.
-        assert!(!unit_mut().should_drop(&r, &q, 0, 0, 1000, true, false));
+        assert_eq!(
+            unit_mut().decide(&r, &q, 0, 0, 1000, true, false),
+            Err(AmsDecline::AboveThreshold)
+        );
     }
 
     #[test]
     fn refuses_at_coverage_cap() {
         let r = req(1, 5, AccessKind::Read, true);
         let q = queue_with(&[r]);
-        assert!(!unit_mut().should_drop(&r, &q, 0, 100, 1000, true, false));
-        assert!(unit_mut().should_drop(&r, &q, 0, 99, 1000, true, false));
+        assert_eq!(
+            unit_mut().decide(&r, &q, 0, 100, 1000, true, false),
+            Err(AmsDecline::Coverage)
+        );
+        assert_eq!(unit_mut().decide(&r, &q, 0, 99, 1000, true, false), Ok(()));
     }
 
     #[test]
     fn refuses_before_delay_criterion() {
         let r = req(1, 5, AccessKind::Read, true);
         let q = queue_with(&[r]);
-        assert!(!unit_mut().should_drop(&r, &q, 0, 0, 1000, false, false));
+        assert_eq!(
+            unit_mut().decide(&r, &q, 0, 0, 1000, false, false),
+            Err(AmsDecline::Delay)
+        );
     }
 
     #[test]
     fn refuses_while_halted_or_warming() {
         let r = req(1, 5, AccessKind::Read, true);
         let q = queue_with(&[r]);
-        assert!(!unit_mut().should_drop(&r, &q, 0, 0, 1000, true, true));
+        assert_eq!(
+            unit_mut().decide(&r, &q, 0, 0, 1000, true, true),
+            Err(AmsDecline::OffOrHalted)
+        );
         let mut cold = AmsUnit::new(AmsMode::Static(8), 0.10, 5_000);
-        assert!(!cold.should_drop(&r, &q, 0, 0, 1000, true, false));
+        assert_eq!(
+            cold.decide(&r, &q, 0, 0, 1000, true, false),
+            Err(AmsDecline::Warmup)
+        );
     }
 
     #[test]
@@ -307,7 +363,10 @@ mod tests {
         let r = req(1, 5, AccessKind::Read, true);
         let q = queue_with(&[r]);
         let mut off = AmsUnit::new(AmsMode::Off, 0.10, 0);
-        assert!(!off.should_drop(&r, &q, 0, 0, 1000, true, false));
+        assert_eq!(
+            off.decide(&r, &q, 0, 0, 1000, true, false),
+            Err(AmsDecline::OffOrHalted)
+        );
     }
 
     #[test]

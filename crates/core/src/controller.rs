@@ -14,11 +14,26 @@
 //! Rows are managed open-page: an open row is only precharged when a pending
 //! request needs a different row in the same bank *and* no pending request
 //! still targets the open row.
+//!
+//! # Dormancy
+//!
+//! A scheduling pass that issues nothing leaves the controller exactly as
+//! it found it, apart from one AMS decline count. So such a pass also works
+//! out when the next pass could first do something: the earliest timing
+//! threshold among the commands it just failed, the DMS gate opening, or
+//! the next Dyn-DMS/Dyn-AMS window boundary. Until then the controller
+//! sleeps: [`MemoryController::tick`] still runs the window profilers,
+//! completions, drop sequences and refresh, but replaces the pass by
+//! replaying its decline count. An enqueue, a drop-sequence step or a
+//! command issued outside the pass wakes it early. Passes that do run
+//! reuse each bank's row-hit and row-management answers until a request
+//! for the bank arrives or leaves or its row opens or closes. See
+//! `DESIGN.md` §12.
 
-use crate::ams::AmsUnit;
+use crate::ams::{AmsDecline, AmsUnit};
 use crate::dms::DmsUnit;
 use crate::queue::{PendingQueue, QueueFull};
-use lazydram_common::prof::{self, Phase};
+use lazydram_common::prof::{self, Counter, Phase};
 use lazydram_common::snap::{Loader, Saver, SnapError, SnapResult};
 use lazydram_common::{AccessKind, Arbiter, GpuConfig, Request, RequestId, RowPolicy, SchedConfig};
 use lazydram_dram::{DramBackend, MemoryBackend};
@@ -34,6 +49,63 @@ pub struct Response {
     /// `true` when the request was dropped by AMS and its value must be
     /// supplied by the value-prediction unit.
     pub approximated: bool,
+}
+
+/// The DRAM guards a scheduling pass found closed, as bank masks. Noting
+/// a closed guard is a bit set; only a pass that issues nothing turns the
+/// masks into timing thresholds, so passes that issue pay nothing extra.
+#[derive(Debug, Clone, Copy)]
+struct Blocked {
+    /// A cycle before which no CAS can issue, when the pass skipped its
+    /// row-hit scan for that reason (`u64::MAX` otherwise).
+    cas_floor: u64,
+    cas_read: u64,
+    cas_write: u64,
+    pre: u64,
+    act: u64,
+}
+
+impl Blocked {
+    fn new() -> Self {
+        Self { cas_floor: u64::MAX, cas_read: 0, cas_write: 0, pre: 0, act: 0 }
+    }
+
+    fn cas(&mut self, bank: usize, kind: AccessKind) {
+        match kind {
+            AccessKind::Read => self.cas_read |= 1 << bank,
+            AccessKind::Write => self.cas_write |= 1 << bank,
+        }
+    }
+
+    /// The first cycle at which any noted guard can open, or any cycle up
+    /// to `soon` if one opens by then (no earlier wake is possible).
+    fn earliest(&self, backend: &DramBackend, soon: u64) -> u64 {
+        let mut wake = self.cas_floor;
+        let mut each = |mut mask: u64, ready: &dyn Fn(usize) -> u64| {
+            while mask != 0 && wake > soon {
+                wake = wake.min(ready(mask.trailing_zeros() as usize));
+                mask &= mask - 1;
+            }
+        };
+        each(self.cas_read, &|b| backend.cas_ready_at(b, AccessKind::Read));
+        each(self.cas_write, &|b| backend.cas_ready_at(b, AccessKind::Write));
+        each(self.pre, &|b| backend.precharge_ready_at(b));
+        each(self.act, &|b| backend.activate_ready_at(b));
+        wake
+    }
+}
+
+/// What the scheduler last learned about one bank from the pending queue:
+/// its oldest request for the open row (`hit`: seq, id, kind) and its
+/// row-management candidacy (`cand`: seq of its oldest request, and
+/// whether its open row must close first). Both stay true until a request
+/// for the bank arrives or leaves or its row opens or closes, so a pass
+/// reuses them instead of asking the queue again; the controller's
+/// `hit_known`/`cand_known` masks say which entries are current.
+#[derive(Debug, Clone, Copy, Default)]
+struct BankView {
+    hit: Option<(u64, RequestId, AccessKind)>,
+    cand: Option<(u64, bool)>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -62,6 +134,21 @@ pub struct MemoryController {
     /// newly arriving same-row requests are not swept past the coverage cap.
     dropping: Option<(usize, u32, u32)>,
     now: u64,
+    /// Whether no-op scheduling passes put the controller to sleep.
+    dormancy: bool,
+    /// The first memory cycle at which [`MemoryController::schedule`] must
+    /// run again; before it, every pass is a proven no-op. Derived state:
+    /// never serialized, and zero (awake) after a restore.
+    wake_at: u64,
+    /// The AMS decline the last (no-op) pass counted, replayed once per
+    /// pass skipped while asleep.
+    sleep_decline: Option<AmsDecline>,
+    /// Per-bank scheduler views; derived state, never serialized.
+    views: Vec<BankView>,
+    /// Banks whose `views[b].hit` is current.
+    hit_known: u64,
+    /// Banks whose `views[b].cand` is current.
+    cand_known: u64,
 }
 
 impl MemoryController {
@@ -82,7 +169,27 @@ impl MemoryController {
             inflight: VecDeque::new(),
             dropping: None,
             now: 0,
+            dormancy: true,
+            wake_at: 0,
+            sleep_decline: None,
+            views: vec![BankView::default(); cfg.banks_per_channel],
+            hit_known: 0,
+            cand_known: 0,
         }
+    }
+
+    /// Forgets the scheduler's view of `bank`: a request for it arrived or
+    /// left, or its row opened or closed.
+    fn stale(&mut self, bank: usize) {
+        self.hit_known &= !(1 << bank);
+        self.cand_known &= !(1 << bank);
+    }
+
+    /// Turns dormancy on (the default) or off. Off, every memory cycle runs
+    /// a full scheduling pass; results are identical either way.
+    pub fn set_dormancy(&mut self, enabled: bool) {
+        self.dormancy = enabled;
+        self.wake_at = 0;
     }
 
     /// Current memory-cycle time of this controller.
@@ -145,6 +252,8 @@ impl MemoryController {
             return Err(QueueFull);
         }
         req.arrival = self.now;
+        self.wake_at = 0;
+        self.stale(req.loc.flat_bank(self.banks_per_group));
         let stats = self.backend.stats_mut();
         stats.requests_received += 1;
         if req.is_global_read() {
@@ -188,12 +297,14 @@ impl MemoryController {
         // The count is checked before anything is removed: an exhausted
         // sequence must end without taking (and losing) a request.
         if let Some((bank, row, remaining)) = self.dropping {
+            self.wake_at = 0;
             let victim = self
                 .queue
                 .oldest_for_row(bank, row)
                 .filter(|_| remaining > 0)
                 .map(|(_, r)| r.id)
                 .and_then(|id| self.queue.remove(id));
+            self.stale(bank);
             match victim {
                 Some(req) => {
                     self.backend.stats_mut().dropped += 1;
@@ -217,6 +328,9 @@ impl MemoryController {
         if self.backend.refresh_due(now) {
             if self.backend.can_refresh(now) {
                 self.dram(|b| b.refresh(now));
+                self.wake_at = 0;
+                self.hit_known = 0;
+                self.cand_known = 0;
                 return;
             }
             let mut open = self.backend.open_banks();
@@ -225,13 +339,45 @@ impl MemoryController {
                 open &= open - 1;
                 if self.backend.can_precharge(bank, now) {
                     self.dram(|b| b.precharge(bank, now));
+                    self.wake_at = 0;
+                    self.stale(bank);
                     return;
                 }
             }
             // Banks still within tRAS: fall through and keep serving.
         }
 
+        if now < self.wake_at {
+            // Asleep: this pass would issue nothing and count the same
+            // decline as the last one.
+            if let Some(why) = self.sleep_decline {
+                self.ams.count_decline(why);
+            }
+            prof::count(Counter::SchedulesSkipped, 1);
+            return;
+        }
         self.schedule(out);
+    }
+
+    /// Ends a pass that issued nothing: with dormancy on, the controller
+    /// sleeps until the earliest of `gate` (the DMS gate opening), the
+    /// first cycle a `blocked` guard can open, and the next profiler window
+    /// boundary, and replays `decline` for each pass it skips. Only the
+    /// inputs an enqueue, a drop or a command would change are left
+    /// unchecked; those events reset `wake_at` themselves.
+    fn sleep(&mut self, blocked: Blocked, gate: u64, decline: Option<AmsDecline>) {
+        if !self.dormancy {
+            return;
+        }
+        let mut wake = gate.min(blocked.earliest(&self.backend, self.now + 1));
+        if let Some(b) = self.dms.next_window_boundary() {
+            wake = wake.min(b);
+        }
+        if let Some(b) = self.ams.next_window_boundary() {
+            wake = wake.min(b);
+        }
+        self.wake_at = wake.max(self.now + 1);
+        self.sleep_decline = decline;
     }
 
     /// The earliest future memory cycle at which ticking this controller
@@ -326,15 +472,24 @@ impl MemoryController {
 
     /// FR-FCFS + DMS + AMS scheduling: issues at most one DRAM command.
     ///
-    /// All selection queries are O(banks) thanks to the indexed queue.
+    /// All selection queries are O(banks) thanks to the indexed queue. A
+    /// pass that issues nothing notes the guards it found closed and ends
+    /// in [`MemoryController::sleep`].
     fn schedule(&mut self, out: &mut Vec<Response>) {
         let now = self.now;
+        let mut blocked = Blocked::new();
 
         // Pass 1: a CAS for an open row. FR-FCFS picks the oldest hit across
         // all banks; strict FCFS only serves the globally oldest request
         // (no reordering past it).
         let mut best: Option<(u64, RequestId, usize)> = None;
+        let cas_floor = self.backend.cas_floor();
         match self.arbiter {
+            Arbiter::FrFcfs if cas_floor > now => {
+                // The data or command bus rules out every CAS this cycle:
+                // the scan would only fail bank by bank.
+                blocked.cas_floor = cas_floor;
+            }
             Arbiter::FrFcfs => {
                 // A hit needs an open row and pending work in that bank:
                 // scan only the intersection of the two occupancy masks.
@@ -342,31 +497,41 @@ impl MemoryController {
                 while scan != 0 {
                     let bank = scan.trailing_zeros() as usize;
                     scan &= scan - 1;
-                    let row = self.backend.open_row(bank).expect("bank in open mask");
-                    let Some((seq, req)) = self.queue.oldest_for_row(bank, row) else {
+                    if self.hit_known & (1 << bank) == 0 {
+                        let row = self.backend.open_row(bank).expect("bank in open mask");
+                        self.views[bank].hit =
+                            self.queue.oldest_for_row(bank, row).map(|(s, r)| (s, r.id, r.kind));
+                        self.hit_known |= 1 << bank;
+                    }
+                    let Some((seq, id, kind)) = self.views[bank].hit else {
                         continue;
                     };
                     if best.is_some_and(|(s, _, _)| s <= seq) {
                         continue;
                     }
-                    if self.backend.can_cas(bank, req.kind, now) {
-                        best = Some((seq, req.id, bank));
+                    if self.backend.can_cas(bank, kind, now) {
+                        best = Some((seq, id, bank));
+                    } else {
+                        blocked.cas(bank, kind);
                     }
                 }
             }
             Arbiter::Fcfs => {
                 if let Some(req) = self.queue.oldest().copied() {
                     let bank = req.loc.flat_bank(self.queue_banks_per_group());
-                    if self.backend.open_row(bank) == Some(req.loc.row)
-                        && self.backend.can_cas(bank, req.kind, now)
-                    {
-                        best = Some((0, req.id, bank));
+                    if self.backend.open_row(bank) == Some(req.loc.row) {
+                        if self.backend.can_cas(bank, req.kind, now) {
+                            best = Some((0, req.id, bank));
+                        } else {
+                            blocked.cas(bank, req.kind);
+                        }
                     }
                 }
             }
         }
         if let Some((_, id, bank)) = best {
             let req = self.queue.remove(id).expect("candidate still queued");
+            self.stale(bank);
             let done = self.dram(|b| b.cas(bank, req.kind, req.is_global_read(), now));
             if req.kind == AccessKind::Read {
                 self.inflight.push_back(Inflight {
@@ -390,23 +555,31 @@ impl MemoryController {
                 let bank = scan.trailing_zeros() as usize;
                 scan &= scan - 1;
                 let open = self.backend.open_row(bank).expect("bank in open mask");
-                if !self.queue.any_for_row(bank, open) && self.backend.can_precharge(bank, now) {
+                if self.queue.any_for_row(bank, open) {
+                    continue;
+                }
+                if self.backend.can_precharge(bank, now) {
                     self.dram(|b| b.precharge(bank, now));
+                    self.stale(bank);
                     return;
                 }
+                blocked.pre |= 1 << bank;
             }
         }
 
         // Pass 2: row management for requests that need a new row.
-        let Some(oldest_age) = self.queue.oldest().map(|r| r.age(now)) else {
+        let Some(oldest) = self.queue.oldest().map(|r| r.arrival) else {
+            self.sleep(blocked, u64::MAX, None);
             return;
         };
-        let oldest_age_ok = self.dms.row_miss_allowed(oldest_age);
+        let oldest_age_ok = self.dms.row_miss_allowed(now.saturating_sub(oldest));
         // The DMS gate holds back every new-row command (and, via criterion
         // 2, every AMS drop). Checked before the per-candidate work so a
         // gated cycle is a pure no-op — the property the event-driven loop
         // relies on to fast-forward stall epochs wholesale.
         if !oldest_age_ok {
+            let gate = oldest + u64::from(self.dms.current_delay());
+            self.sleep(blocked, gate, None);
             return;
         }
         let halted = self.dms.sampling_baseline();
@@ -427,16 +600,11 @@ impl MemoryController {
                 while scan != 0 {
                     let bank = scan.trailing_zeros() as usize;
                     scan &= scan - 1;
-                    let needs_pre = match self.backend.open_row(bank) {
-                        Some(open) => {
-                            if self.queue.any_for_row(bank, open) {
-                                continue; // row hits pending (maybe timing-blocked)
-                            }
-                            true
-                        }
-                        None => false,
-                    };
-                    if let Some((seq, _)) = self.queue.oldest_for_bank(bank) {
+                    if self.cand_known & (1 << bank) == 0 {
+                        self.views[bank].cand = self.row_candidate(bank);
+                        self.cand_known |= 1 << bank;
+                    }
+                    if let Some((seq, needs_pre)) = self.views[bank].cand {
                         cands[ncands] = (seq, bank, needs_pre);
                         ncands += 1;
                     }
@@ -464,6 +632,7 @@ impl MemoryController {
             }
         }
 
+        let mut decline = None;
         for (i, &(_, bank, needs_pre)) in cands[..ncands].iter().enumerate() {
             if i == 0 {
                 // AMS inspects only the oldest row-management candidate
@@ -477,7 +646,7 @@ impl MemoryController {
                     let s = self.backend.stats();
                     (s.dropped, s.global_reads_received)
                 };
-                if self.ams.should_drop(
+                let verdict = self.ams.decide(
                     &req,
                     &self.queue,
                     bank,
@@ -485,7 +654,10 @@ impl MemoryController {
                     reads,
                     oldest_age_ok,
                     halted,
-                ) {
+                );
+                if let Err(why) = verdict {
+                    decline = Some(why);
+                } else {
                     let pending_now = self.queue.visible_rbl(bank, req.loc.row);
                     if let Some(victim) = self
                         .queue
@@ -493,6 +665,7 @@ impl MemoryController {
                         .map(|(_, r)| r.id)
                         .and_then(|id| self.queue.remove(id))
                     {
+                        self.stale(bank);
                         self.backend.stats_mut().dropped += 1;
                         out.push(Response {
                             id: victim.id,
@@ -511,8 +684,10 @@ impl MemoryController {
             if needs_pre {
                 if self.backend.can_precharge(bank, now) {
                     self.dram(|b| b.precharge(bank, now));
+                    self.stale(bank);
                     return;
                 }
+                blocked.pre |= 1 << bank;
             } else {
                 let row = self
                     .queue
@@ -523,10 +698,29 @@ impl MemoryController {
                     .row;
                 if self.backend.can_activate(bank, now) {
                     self.dram(|b| b.activate(bank, row, now));
+                    self.stale(bank);
                     return;
                 }
+                blocked.act |= 1 << bank;
             }
         }
+        self.sleep(blocked, u64::MAX, decline);
+    }
+
+    /// `bank`'s row-management candidacy under FR-FCFS: its oldest request
+    /// and whether the open row must close first, or `None` while requests
+    /// for the open row are pending (maybe timing-blocked).
+    fn row_candidate(&mut self, bank: usize) -> Option<(u64, bool)> {
+        let needs_pre = match self.backend.open_row(bank) {
+            Some(open) => {
+                if self.queue.any_for_row(bank, open) {
+                    return None;
+                }
+                true
+            }
+            None => false,
+        };
+        self.queue.oldest_for_bank(bank).map(|(seq, _)| (seq, needs_pre))
     }
 
     /// Finishes the simulation: closes all open rows so their RBL is
@@ -616,6 +810,12 @@ impl MemoryController {
                 None
             };
             self.now = l.u64("now")?;
+            // Sleep state is derived: the first pass after a restore runs
+            // in full and recomputes it.
+            self.wake_at = 0;
+            self.sleep_decline = None;
+            self.hit_known = 0;
+            self.cand_known = 0;
             Ok(())
         })
     }
@@ -1037,6 +1237,104 @@ mod tests {
         assert_eq!(out.len(), 1, "the request is served, not lost");
         assert!(out[0].id == RequestId(1) && !out[0].approximated);
         assert_eq!(mc.stats().dropped, 0);
+    }
+
+    /// Drives a controller that sleeps and a twin that schedules every
+    /// cycle with one random request stream (a few banks and rows, so row
+    /// conflicts keep ACT and PRE timing-blocked) and checks them cycle by
+    /// cycle: responses, DRAM commands (through the statistics) and the
+    /// AMS histogram. Returns how many cycles the sleeper spent asleep.
+    fn lockstep(sched: SchedConfig, cycles: u64, seed: u64) -> u64 {
+        let map = AddressMap::new(&cfg());
+        let mut sleepy = MemoryController::new(&cfg(), &sched);
+        let mut eager = MemoryController::new(&cfg(), &sched);
+        eager.set_dormancy(false);
+        let mut rng = lazydram_common::SplitMix64::new(seed);
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        let (mut id, mut asleep) = (0, 0);
+        for t in 0..cycles {
+            if rng.below(3) == 0 && sleepy.can_accept() {
+                id += 1;
+                let kind = if rng.below(4) == 0 { AccessKind::Write } else { AccessKind::Read };
+                let (region, row, col) = (rng.below(3), rng.below(6) as u32, rng.below(8) as u16);
+                let req = mkreq(&map, id, region, row, col, kind);
+                sleepy.enqueue(req).unwrap();
+                eager.enqueue(req).unwrap();
+            }
+            if sleepy.wake_at > sleepy.now + 1 {
+                asleep += 1;
+            }
+            a.clear();
+            b.clear();
+            sleepy.tick(&mut a);
+            eager.tick(&mut b);
+            assert_eq!(a, b, "responses differ at cycle {t}");
+            assert_eq!(sleepy.stats(), eager.stats(), "commands differ at cycle {t}");
+            assert_eq!(sleepy.ams().declines, eager.ams().declines, "declines differ at cycle {t}");
+            assert_eq!(sleepy.ams().accepts, eager.ams().accepts, "accepts differ at cycle {t}");
+        }
+        assert!(eager.wake_at == 0, "the eager twin never sleeps");
+        asleep
+    }
+
+    #[test]
+    fn sleeping_controller_matches_an_eager_one_under_static_ams() {
+        let sched = SchedConfig { ams_warmup_requests: 16, ..SchedConfig::static_ams() };
+        for seed in 1..4 {
+            assert!(lockstep(sched.clone(), 6_000, seed) > 0, "seed {seed} never slept");
+        }
+    }
+
+    #[test]
+    fn sleeping_controller_matches_an_eager_one_under_dyn_ams() {
+        // Long enough to cross several 4096-cycle profiler windows.
+        for sched in [SchedConfig::dyn_ams(), SchedConfig::dyn_combo()] {
+            let sched = SchedConfig { ams_warmup_requests: 16, ..sched };
+            assert!(lockstep(sched, 20_000, 7) > 0, "never slept");
+        }
+    }
+
+    #[test]
+    fn sleeping_controller_matches_an_eager_one_under_static_dms() {
+        assert!(lockstep(SchedConfig::static_dms(), 6_000, 11) > 0, "never slept");
+    }
+
+    #[test]
+    fn enqueue_wakes_a_sleeping_controller() {
+        let map = AddressMap::new(&cfg());
+        let sched = SchedConfig::static_dms();
+        let mut sleepy = MemoryController::new(&cfg(), &sched);
+        let mut eager = MemoryController::new(&cfg(), &sched);
+        eager.set_dormancy(false);
+        let mut both = |req: Option<Request>, ticks: u64| {
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            if let Some(req) = req {
+                sleepy.enqueue(req).unwrap();
+                eager.enqueue(req).unwrap();
+                assert_eq!(sleepy.wake_at, 0, "an enqueue wakes the controller");
+            }
+            for _ in 0..ticks {
+                sleepy.tick(&mut a);
+                eager.tick(&mut b);
+            }
+            assert_eq!(a, b);
+            assert_eq!(sleepy.stats(), eager.stats());
+            (a, sleepy.wake_at > sleepy.now + 1)
+        };
+        // Open row 0, then park a row miss behind the 128-cycle DMS gate:
+        // the controller sleeps until the gate opens.
+        let (served, _) = both(Some(mkreq(&map, 1, 0, 0, 0, AccessKind::Read)), 400);
+        assert_eq!(served.len(), 1);
+        let (_, asleep) = both(Some(mkreq(&map, 2, 0, 1, 0, AccessKind::Read)), 10);
+        assert!(asleep, "a gated row miss puts the controller to sleep");
+        // A row hit arrives mid-sleep: it must be served at once (hits are
+        // never gated), not when the gate opens.
+        let (served, _) = both(Some(mkreq(&map, 3, 0, 0, 1, AccessKind::Read)), 60);
+        assert_eq!(served.len(), 1, "the hit is served before the gate opens");
+        assert_eq!(served[0].id, RequestId(3));
+        let (served, _) = both(None, 400);
+        assert_eq!(served.len(), 1);
+        assert_eq!(served[0].id, RequestId(2), "the gated miss follows");
     }
 
     #[test]

@@ -117,6 +117,19 @@ impl<T> DelayQueue<T> {
         }
     }
 
+    /// Whether [`DelayQueue::pop_ready`] would deliver an item at `now`.
+    /// Records `now` as the current cycle exactly as a `pop_ready` call
+    /// does, so a consumer that polls instead of popping on an idle cycle
+    /// leaves the queue in the same state.
+    pub fn poll(&mut self, now: u64) -> bool {
+        if now != self.current_cycle {
+            self.current_cycle = now;
+            self.popped_this_cycle = 0;
+        }
+        self.popped_this_cycle < self.width
+            && self.items.front().is_some_and(|&(ready, _)| ready <= now)
+    }
+
     /// The cycle at which the next item becomes poppable, or `None` when
     /// the queue is empty. Pushes stamp monotonically increasing ready
     /// times (constant latency) and `push_front` re-inserts at the current
@@ -221,6 +234,22 @@ mod tests {
         q.push(1, "y").unwrap();
         assert_eq!(q.pop_ready(4), Some("x"));
         assert_eq!(q.pop_ready(4), Some("y"));
+    }
+
+    #[test]
+    fn poll_matches_an_empty_pop() {
+        let mut polled = DelayQueue::new(2, 8, 1);
+        polled.push(0, 'a').unwrap();
+        let mut popped = polled.clone();
+        assert!(!polled.poll(1));
+        assert!(popped.pop_ready(1).is_none());
+        assert_eq!(
+            (polled.current_cycle, polled.popped_this_cycle),
+            (popped.current_cycle, popped.popped_this_cycle)
+        );
+        assert!(polled.poll(2));
+        assert_eq!(polled.pop_ready(2), Some('a'));
+        assert!(!polled.poll(2), "width spent");
     }
 
     #[test]

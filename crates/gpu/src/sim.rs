@@ -43,7 +43,20 @@
 //! the identical phase code, and skips only cover cycles every component has
 //! proven to be no-ops — results are **bit-identical** with skipping on or
 //! off (enforced by the `fast_forward_equivalence` suite test and a
-//! proptest). `LAZYDRAM_NO_SKIP=1` forces the naive loop for debugging.
+//! proptest). [`Simulator::with_cycle_skipping`] forces the naive loop for
+//! debugging.
+//!
+//! # Dormancy
+//!
+//! Inside an executed cycle, phases A and B visit only the SMs that are
+//! due ([`Sm::is_due`]): one with a ready reply, an issueable warp, a drain
+//! retry that could act, or a parked store that would fit. An SM that is
+//! not due sleeps until a reply reaches its NoC head or a slice frees
+//! request-NoC space on a channel it waits on. The controllers sleep the
+//! same way between scheduling passes ([`MemoryController`]'s own
+//! dormancy). A skipped visit is an exact no-op, so results, checkpoints
+//! and the loop counters are identical with dormancy off
+//! ([`Simulator::with_dormancy`]). See `DESIGN.md` §12.
 //!
 //! # Checkpoint / resume
 //!
@@ -68,11 +81,10 @@ use crate::noc::DelayQueue;
 use crate::slice::Slice;
 use crate::trace::{Trace, TraceEntry};
 use crate::sm::{Reply, Sm, SmCtx, SliceReq, SmStage};
-use lazydram_common::prof::{self, Phase};
+use lazydram_common::prof::{self, Counter, Phase};
 use lazydram_common::snap::{digest, list_frames, FrameInfo, Loader, Saver, SnapError, SnapResult};
 use lazydram_common::{AddressMap, GpuConfig, SchedConfig, SimStats};
 use lazydram_core::{MemoryController, Response};
-use std::sync::OnceLock;
 
 /// Safety limits for one simulation run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,72 +99,6 @@ impl Default for SimLimits {
             max_core_cycles: 50_000_000,
         }
     }
-}
-
-/// Parses a `LAZYDRAM_NO_SKIP` value: `1`/`true` force the naive
-/// cycle-by-cycle loop, `0`/`false` keep event-driven fast-forward.
-///
-/// Kept separate from the env lookup so the validation is unit-testable.
-pub fn parse_no_skip(s: &str) -> Result<bool, String> {
-    match s.trim() {
-        "1" | "true" => Ok(true),
-        "0" | "false" => Ok(false),
-        _ => Err(format!(
-            "LAZYDRAM_NO_SKIP={s:?} is not a boolean; expected 1/true to \
-             disable cycle skipping or 0/false to keep it enabled"
-        )),
-    }
-}
-
-/// Whether `LAZYDRAM_NO_SKIP` disables fast-forward for this process.
-///
-/// # Panics
-///
-/// Panics on a malformed value instead of silently picking a loop mode (the
-/// two modes are result-identical but differ wildly in wall-clock).
-fn no_skip_from_env() -> bool {
-    static NO_SKIP: OnceLock<bool> = OnceLock::new();
-    *NO_SKIP.get_or_init(|| match std::env::var("LAZYDRAM_NO_SKIP") {
-        Ok(s) => parse_no_skip(&s).unwrap_or_else(|e| panic!("{e}")),
-        Err(_) => false,
-    })
-}
-
-/// Parses a `LAZYDRAM_NO_COMPUTE_SKIP` value: `1`/`true` restrict
-/// fast-forward to provably idle spans (the PR 2 behavior), `0`/`false`
-/// keep the analytic compute-burst skip enabled.
-///
-/// Kept separate from the env lookup so the validation is unit-testable.
-///
-/// # Errors
-///
-/// Returns a description of the expected format on anything else.
-pub fn parse_no_compute_skip(s: &str) -> Result<bool, String> {
-    match s.trim() {
-        "1" | "true" => Ok(true),
-        "0" | "false" => Ok(false),
-        _ => Err(format!(
-            "LAZYDRAM_NO_COMPUTE_SKIP={s:?} is not a boolean; expected 1/true \
-             to restrict fast-forward to idle spans or 0/false to keep the \
-             analytic compute-burst skip enabled"
-        )),
-    }
-}
-
-/// Whether `LAZYDRAM_NO_COMPUTE_SKIP` disables compute-burst skipping for
-/// this process. The escape hatch exists so `dbg_diverge` can bisect a
-/// compute-skip slip against the idle-only schedule.
-///
-/// # Panics
-///
-/// Panics on a malformed value instead of silently picking a loop mode (the
-/// modes are result-identical but differ wildly in wall-clock).
-fn no_compute_skip_from_env() -> bool {
-    static NO_COMPUTE_SKIP: OnceLock<bool> = OnceLock::new();
-    *NO_COMPUTE_SKIP.get_or_init(|| match std::env::var("LAZYDRAM_NO_COMPUTE_SKIP") {
-        Ok(s) => parse_no_compute_skip(&s).unwrap_or_else(|e| panic!("{e}")),
-        Err(_) => false,
-    })
 }
 
 /// The result of one kernel run.
@@ -338,11 +284,95 @@ struct LaunchMachine {
     /// Controller response scratch for phase C. Transient: drained into
     /// the owning slice within the phase.
     resp_buf: Vec<Response>,
+    /// Which SMs sleep. Derived state, never serialized.
+    dormancy: SmDormancy,
+}
+
+/// The SM side of dormancy (see the module docs). Derived state: a fresh
+/// or restored machine starts with every SM awake, and the first cycle
+/// re-derives who sleeps.
+struct SmDormancy {
+    /// Off: every SM is visited every cycle.
+    enabled: bool,
+    /// Per SM: asleep until a reply arrives or a channel it waits on frees
+    /// enough space.
+    asleep: Vec<bool>,
+    /// Per SM: the request-NoC channels it waits on while asleep, as a
+    /// bitmask ([`Sm::wake_needs`]).
+    wait: Vec<u32>,
+    /// Per SM, one row of `channels` entries: the free-slot count on each
+    /// channel that could wake it ([`Sm::wake_needs`]).
+    need: Vec<usize>,
+    channels: usize,
+    /// Per SM: visited in this cycle's phase A, so phase B commits it.
+    due: Vec<bool>,
+    /// The request-NoC free-slot snapshot of the previous executed cycle;
+    /// a channel whose count rose since wakes the SMs waiting on it.
+    last_free: Vec<usize>,
+}
+
+impl SmDormancy {
+    fn new(enabled: bool, sms: usize, channels: usize) -> Self {
+        Self {
+            enabled,
+            asleep: vec![false; sms],
+            wait: vec![0; sms],
+            need: vec![usize::MAX; sms * channels],
+            channels,
+            due: vec![true; sms],
+            last_free: vec![usize::MAX; channels],
+        }
+    }
+
+    /// Starts a cycle at the free-slot snapshot `free0`: returns the
+    /// channels whose free count grew since the last executed cycle, and
+    /// those with a free slot.
+    fn begin_cycle(&mut self, free0: &[usize]) -> (u32, u32) {
+        let (mut grown, mut avail) = (0u32, 0u32);
+        for (ch, (&f, last)) in free0.iter().zip(self.last_free.iter_mut()).enumerate() {
+            if f > *last {
+                grown |= 1 << ch;
+            }
+            if f > 0 {
+                avail |= 1 << ch;
+            }
+            *last = f;
+        }
+        (grown, avail)
+    }
+
+    /// Decides whether phase A visits SM `i` this cycle and records it in
+    /// `due`. `reply` says its reply-NoC head is ready; `grown` and `avail`
+    /// come from [`SmDormancy::begin_cycle`].
+    fn visit(&mut self, i: usize, sm: &Sm, reply: bool, free0: &[usize], grown: u32, avail: u32) -> bool {
+        let row = i * self.channels..(i + 1) * self.channels;
+        let mut woken = self.wait[i] & grown;
+        while woken != 0 && self.asleep[i] {
+            let ch = woken.trailing_zeros() as usize;
+            self.asleep[i] = free0[ch] < self.need[row.start + ch];
+            woken &= woken - 1;
+        }
+        let due = reply || (!self.asleep[i] && sm.is_due(free0, avail));
+        if !due && !self.asleep[i] {
+            self.asleep[i] = true;
+            self.wait[i] = sm.wake_needs(free0, avail, &mut self.need[row]);
+        } else if due {
+            self.asleep[i] = false;
+        }
+        self.due[i] = due;
+        due
+    }
 }
 
 impl LaunchMachine {
     /// Builds an empty machine from configuration (no warps dispatched yet).
-    fn new(cfg: &GpuConfig, sched: &SchedConfig, capture_trace: bool, total_warps: usize) -> Self {
+    fn new(
+        cfg: &GpuConfig,
+        sched: &SchedConfig,
+        capture_trace: bool,
+        dormancy: bool,
+        total_warps: usize,
+    ) -> Self {
         Self {
             map: AddressMap::new(cfg),
             sms: (0..cfg.num_sms).map(|i| Sm::new(i, cfg)).collect(),
@@ -356,7 +386,11 @@ impl LaunchMachine {
                 })
                 .collect(),
             mcs: (0..cfg.num_channels)
-                .map(|_| MemoryController::new(cfg, sched))
+                .map(|_| {
+                    let mut mc = MemoryController::new(cfg, sched);
+                    mc.set_dormancy(dormancy);
+                    mc
+                })
                 .collect(),
             req_noc: (0..cfg.num_channels)
                 .map(|_| {
@@ -382,6 +416,7 @@ impl LaunchMachine {
                 .map(|_| SmStage::new(cfg.num_channels))
                 .collect(),
             resp_buf: Vec::new(),
+            dormancy: SmDormancy::new(dormancy, cfg.num_sms, cfg.num_channels),
         }
     }
 
@@ -532,6 +567,7 @@ pub struct Simulator {
     capture_trace: bool,
     cycle_skipping: bool,
     compute_skipping: bool,
+    dormancy: bool,
 }
 
 /// Outcome of driving one launch's machine.
@@ -577,16 +613,18 @@ struct Restored {
 }
 
 impl Simulator {
-    /// Creates a simulator for a GPU configuration and scheduling policy.
-    /// Event-driven cycle skipping is on unless `LAZYDRAM_NO_SKIP=1`.
+    /// Creates a simulator for a GPU configuration and scheduling policy,
+    /// with event-driven cycle skipping, compute-burst skipping and
+    /// dormancy on.
     pub fn new(cfg: GpuConfig, sched: SchedConfig) -> Self {
         Self {
             cfg,
             sched,
             limits: SimLimits::default(),
             capture_trace: false,
-            cycle_skipping: !no_skip_from_env(),
-            compute_skipping: !no_compute_skip_from_env(),
+            cycle_skipping: true,
+            compute_skipping: true,
+            dormancy: true,
         }
     }
 
@@ -603,20 +641,29 @@ impl Simulator {
         self
     }
 
-    /// Forces event-driven cycle skipping on or off, overriding the
-    /// `LAZYDRAM_NO_SKIP` environment default. Results are bit-identical
-    /// either way; only wall-clock changes.
+    /// Turns event-driven cycle skipping on (the default) or off. Results
+    /// are bit-identical either way; only wall-clock changes.
     pub fn with_cycle_skipping(mut self, enabled: bool) -> Self {
         self.cycle_skipping = enabled;
         self
     }
 
-    /// Forces analytic compute-burst skipping on or off, overriding the
-    /// `LAZYDRAM_NO_COMPUTE_SKIP` environment default. Only effective while
-    /// cycle skipping itself is enabled; results are bit-identical either
-    /// way, only wall-clock changes.
+    /// Turns analytic compute-burst skipping on (the default) or off. Only
+    /// effective while cycle skipping itself is enabled; results are
+    /// bit-identical either way, only wall-clock changes.
     pub fn with_compute_skipping(mut self, enabled: bool) -> Self {
         self.compute_skipping = enabled;
+        self
+    }
+
+    /// Turns dormancy on (the default) or off: whether executed cycles
+    /// skip SMs that are not due and controller passes that cannot issue.
+    /// Results, checkpoint bytes and loop counters are identical either
+    /// way, so unlike the skipping switches it is not part of the
+    /// checkpoint's configuration fingerprint: a checkpoint taken with
+    /// dormancy resumes without it, and the other way round.
+    pub fn with_dormancy(mut self, enabled: bool) -> Self {
+        self.dormancy = enabled;
         self
     }
 
@@ -923,8 +970,13 @@ impl Simulator {
         })?;
         let mut image = MemoryImage::new();
         l.frame("img", 0, |l| image.load_state(l))?;
-        let mut machine =
-            LaunchMachine::new(&self.cfg, &self.sched, self.capture_trace, kernel.total_warps());
+        let mut machine = LaunchMachine::new(
+            &self.cfg,
+            &self.sched,
+            self.capture_trace,
+            self.dormancy,
+            kernel.total_warps(),
+        );
         machine.load_frames(&mut l, kernel)?;
         if l.pos() != bytes.len() {
             return Err(SnapError::Malformed {
@@ -983,6 +1035,7 @@ impl Simulator {
                         &self.cfg,
                         &self.sched,
                         self.capture_trace,
+                        self.dormancy,
                         kernel.total_warps(),
                     );
                     m.fill(kernel);
@@ -1015,10 +1068,10 @@ impl Simulator {
     ///
     /// Each executed cycle is a *phased tick* (see `DESIGN.md` §12):
     ///
-    /// * **A** — every SM ticks against a read-only memory image and a
+    /// * **A** — every due SM ticks against a read-only memory image and a
     ///   private staging area;
-    /// * **B** — staged image writes and NoC requests commit in ascending
-    ///   SM order, then new warps dispatch;
+    /// * **B** — the due SMs' staged image writes and NoC requests commit
+    ///   in ascending SM order, then new warps dispatch;
     /// * **C** — every memory partition (slice + controller) ticks against
     ///   its own queues, staging replies;
     /// * **D** — staged replies merge into the reply NoC in ascending slice
@@ -1049,6 +1102,7 @@ impl Simulator {
             compute_cycles_skipped,
             stages,
             resp_buf,
+            dormancy,
         } = m;
         let compute_skipping = self.compute_skipping;
         let total_warps = *total_warps;
@@ -1131,16 +1185,26 @@ impl Simulator {
             *ticks_executed += 1;
             let now = *core_cycle;
 
-            // Phase A: deliver replies and issue from each SM. Every SM
+            // Phase A: deliver replies and issue from each due SM. Every SM
             // sees the same read-only image and the same cycle-start NoC
             // occupancy snapshot; all effects land in its private `SmStage`.
             {
                 let _t = prof::enter(Phase::SmIssue);
                 free0.clear();
                 free0.extend(req_noc.iter().map(|q| q.free()));
-                for ((sm, replies), stage) in
-                    sms.iter_mut().zip(reply_noc.iter_mut()).zip(stages.iter_mut())
+                let (grown, avail) = dormancy.begin_cycle(&free0);
+                let mut skipped = 0u64;
+                for (i, ((sm, replies), stage)) in
+                    sms.iter_mut().zip(reply_noc.iter_mut()).zip(stages.iter_mut()).enumerate()
                 {
+                    // Polling stamps the queue's cycle exactly as the empty
+                    // `pop_ready` of a visit would.
+                    if dormancy.enabled
+                        && !dormancy.visit(i, sm, replies.poll(now), &free0, grown, avail)
+                    {
+                        skipped += 1;
+                        continue;
+                    }
                     while let Some(reply) = replies.pop_ready(now) {
                         sm.on_reply(reply, image);
                     }
@@ -1153,14 +1217,24 @@ impl Simulator {
                     };
                     sm.tick(&mut ctx);
                 }
+                prof::count(Counter::SmVisitsSkipped, skipped);
             }
 
-            // Phase B: commit staged effects in ascending SM order —
-            // functional writes first, then the SM's requests in stage
-            // order — and greedily dispatch new warps.
+            // Phase B: commit the due SMs' staged effects in ascending SM
+            // order — functional writes first, then the SM's requests in
+            // stage order — and greedily dispatch new warps. An SM that
+            // was not due staged nothing, and cannot have a free slot while
+            // warps remain: a slot frees only when its SM ticks, and phase
+            // B refills it in that same cycle.
             {
                 let _t = prof::enter(Phase::SmIssue);
-                for (sm, stage) in sms.iter_mut().zip(stages.iter_mut()) {
+                for ((sm, stage), &due) in
+                    sms.iter_mut().zip(stages.iter_mut()).zip(dormancy.due.iter())
+                {
+                    if !due {
+                        debug_assert!(*next_warp >= total_warps || !sm.has_free_slot());
+                        continue;
+                    }
                     if !stage.writes.is_empty() {
                         image.write_lanes(&stage.writes);
                     }
@@ -1400,39 +1474,4 @@ fn next_interesting_cycle(
 /// ```
 pub fn run_kernel(kernel: &mut dyn Kernel, cfg: &GpuConfig, sched: &SchedConfig) -> RunResult {
     Simulator::new(cfg.clone(), sched.clone()).run(kernel)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parse_no_skip_accepts_booleans() {
-        assert_eq!(parse_no_skip("1"), Ok(true));
-        assert_eq!(parse_no_skip("true"), Ok(true));
-        assert_eq!(parse_no_skip(" 0 "), Ok(false));
-        assert_eq!(parse_no_skip("false"), Ok(false));
-    }
-
-    #[test]
-    fn parse_no_skip_rejects_garbage() {
-        assert!(parse_no_skip("yes").is_err());
-        assert!(parse_no_skip("").is_err());
-        assert!(parse_no_skip("2").is_err());
-    }
-
-    #[test]
-    fn parse_no_compute_skip_accepts_booleans() {
-        assert_eq!(parse_no_compute_skip("1"), Ok(true));
-        assert_eq!(parse_no_compute_skip("true"), Ok(true));
-        assert_eq!(parse_no_compute_skip(" 0 "), Ok(false));
-        assert_eq!(parse_no_compute_skip("false"), Ok(false));
-    }
-
-    #[test]
-    fn parse_no_compute_skip_rejects_garbage() {
-        assert!(parse_no_compute_skip("yes").is_err());
-        assert!(parse_no_compute_skip("").is_err());
-        assert!(parse_no_compute_skip("2").is_err());
-    }
 }

@@ -442,6 +442,113 @@ impl Sm {
         ready
     }
 
+    /// `true` when [`Sm::tick`] could change anything this cycle, given the
+    /// cycle-start request-NoC free-slot snapshot `free0` (`avail` is the
+    /// mask of channels with a free slot) and no reply to deliver (the
+    /// caller checks the reply NoC). An SM that is not due ticks as an
+    /// exact no-op, so the phased tick may skip it:
+    ///
+    /// * a warp is `Ready` (not a parked store) or `Computing`;
+    /// * a drain retry would act: its first slot's futility proof is stale,
+    ///   a channel one of that slot's unsent lines needs has free space, or
+    ///   the retry would move the `drain_rr` cursor;
+    /// * a parked store's plan fits `free0`.
+    ///
+    /// A failed drain retry stops at its first slot and a failed store
+    /// retry changes nothing, which is what makes the remaining cases
+    /// no-ops.
+    pub fn is_due(&self, free0: &[usize], avail: u32) -> bool {
+        if self.live_warps == 0 {
+            return false;
+        }
+        if self.issueable & !self.stalled != 0 {
+            return true;
+        }
+        if self.unsent != 0 && self.mshr.len() < self.mshr_capacity {
+            let idx = self.first_unsent();
+            let slot = &self.slots[idx];
+            if self.drain_rr != idx
+                || slot.drain_epoch != self.mem_epoch
+                || slot.unsent_channels & avail != 0
+            {
+                return true;
+            }
+        }
+        // As in the issue scan, a plan needing a full channel cannot fit.
+        let scan = self.stalled & !self.parked_on(!avail);
+        let mut fits = false;
+        for_each_bit_rotated(scan, 0, |idx| {
+            fits = self.slots[idx]
+                .store
+                .per_slice
+                .iter()
+                .all(|&(ch, count)| free0[ch] >= count);
+            !fits
+        });
+        fits
+    }
+
+    /// For an SM that is not due at `free0` ([`Sm::is_due`]): fills
+    /// `need[ch]` with the fewest free request-NoC slots on channel `ch`
+    /// that could make it due again (`usize::MAX` for none) and returns the
+    /// mask of channels with a finite entry. Until a reply arrives, the SM
+    /// stays not due while every channel's free count stays below its
+    /// entry: a drain needs one slot on a channel its first slot waits on;
+    /// a parked store needs one slot on a full channel of its plan (a
+    /// conservative bound, found per channel instead of per plan), or else
+    /// its whole share on its first short channel.
+    pub fn wake_needs(&self, free0: &[usize], avail: u32, need: &mut [usize]) -> u32 {
+        need.fill(usize::MAX);
+        let mut ones = 0u32;
+        if self.unsent != 0 && self.mshr.len() < self.mshr_capacity {
+            ones = self.slots[self.first_unsent()].unsent_channels;
+        }
+        for (ch, &parked) in self.parked_need.iter().enumerate() {
+            if avail & (1 << ch) == 0 && parked != 0 {
+                ones |= 1 << ch;
+            }
+        }
+        let mut m = ones;
+        while m != 0 {
+            need[m.trailing_zeros() as usize] = 1;
+            m &= m - 1;
+        }
+        for_each_bit_rotated(self.stalled & !self.parked_on(!avail), 0, |idx| {
+            let plan = &self.slots[idx].store.per_slice;
+            if let Some(&(ch, count)) = plan.iter().find(|&&(ch, count)| free0[ch] < count) {
+                need[ch] = need[ch].min(count);
+            }
+            true
+        });
+        need.iter()
+            .enumerate()
+            .filter(|&(_, &n)| n != usize::MAX)
+            .fold(0u32, |m, (ch, _)| m | 1 << ch)
+    }
+
+    /// The parked stores whose plans need at least one of the channels in
+    /// `mask`.
+    fn parked_on(&self, mask: u32) -> u128 {
+        let mut slots = 0u128;
+        for (ch, &need) in self.parked_need.iter().enumerate() {
+            if mask & (1 << ch) != 0 {
+                slots |= need;
+            }
+        }
+        slots
+    }
+
+    /// The slot a drain retry visits first: the first `unsent` bit at or
+    /// after the `drain_rr` cursor, wrapping. Requires `unsent != 0`.
+    fn first_unsent(&self) -> usize {
+        let mut first = 0;
+        for_each_bit_rotated(self.unsent, self.drain_rr % self.slots.len(), |idx| {
+            first = idx;
+            false
+        });
+        first
+    }
+
     /// The earliest core cycle at which this SM needs a real [`Sm::tick`] —
     /// the first cycle its behavior stops being analytically predictable
     /// from the current state. `now` is the last completed cycle.

@@ -44,7 +44,7 @@ pub const DEFAULT_CHECKPOINT_EVERY: u64 = 5_000_000;
 /// Parses a `LAZYDRAM_CHECKPOINT_EVERY` value: a positive cycle count.
 ///
 /// Kept separate from [`CheckpointPolicy::from_env`] so the validation is
-/// unit-testable, following the `parse_scale`/`parse_no_skip` pattern.
+/// unit-testable, following the `parse_scale` pattern.
 pub fn parse_checkpoint_every(s: &str) -> Result<u64, String> {
     match s.trim().parse::<u64>() {
         Ok(n) if n >= 1 => Ok(n),
@@ -334,13 +334,14 @@ pub struct SimBuilder {
     trace: bool,
     skip: Option<bool>,
     compute_skip: Option<bool>,
+    dormancy: bool,
     checkpoints: Option<CheckpointPolicy>,
 }
 
 impl SimBuilder {
     /// Starts a builder for `app` with the defaults every harness shares:
     /// baseline scheme, default GPU, scale 1.0, default safety limits, no
-    /// trace capture, cycle skipping from the environment.
+    /// trace capture, cycle skipping, compute skipping and dormancy on.
     pub fn new(app: &AppSpec) -> Self {
         Self {
             app: app.clone(),
@@ -352,6 +353,7 @@ impl SimBuilder {
             trace: false,
             skip: None,
             compute_skip: None,
+            dormancy: true,
             checkpoints: None,
         }
     }
@@ -401,19 +403,27 @@ impl SimBuilder {
         self
     }
 
-    /// Forces the event-driven fast-forward on or off (default: on, unless
-    /// `LAZYDRAM_NO_SKIP` is set).
+    /// Turns the event-driven fast-forward on or off (default: on).
     pub fn cycle_skipping(mut self, enabled: bool) -> Self {
         self.skip = Some(enabled);
         self
     }
 
-    /// Forces the analytic compute-burst fast-forward on or off (default:
-    /// on, unless `LAZYDRAM_NO_COMPUTE_SKIP` is set). Only meaningful while
-    /// cycle skipping itself is enabled: with skipping off entirely, the
-    /// master loop never consults the SM schedule analytically.
+    /// Turns the analytic compute-burst fast-forward on or off (default:
+    /// on). Only meaningful while cycle skipping itself is enabled: with
+    /// skipping off entirely, the master loop never consults the SM
+    /// schedule analytically.
     pub fn compute_skipping(mut self, enabled: bool) -> Self {
         self.compute_skip = Some(enabled);
+        self
+    }
+
+    /// Turns dormancy on or off (default: on): whether executed cycles skip
+    /// SMs that are not due and controller passes that cannot issue (see
+    /// [`Simulator::with_dormancy`]). Results and checkpoints are identical
+    /// either way.
+    pub fn dormancy(mut self, enabled: bool) -> Self {
+        self.dormancy = enabled;
         self
     }
 
@@ -448,7 +458,7 @@ impl SimBuilder {
     /// simulation's results — app, scheme label, scale bits, machine config,
     /// scheduling policy, safety limits. Deliberately **excludes** the knobs
     /// proven result-invariant by the bit-identity suites (`cycle_skipping`,
-    /// `compute_skipping`, trace capture), so the result store keyed on this digest
+    /// `compute_skipping`, `dormancy`, trace capture), so the result store keyed on this digest
     /// serves hits across them. The checkpoint tag (which guards *trajectory*
     /// resumption, not results) keeps including them.
     pub fn cell_digest(&self) -> u64 {
@@ -471,7 +481,8 @@ impl SimBuilder {
         // The checkpoint filename tag must change whenever *any* knob that
         // affects the trajectory changes, so a stale file from a different
         // sweep can never be resumed by accident (resume would reject it
-        // anyway; the tag avoids even attempting it).
+        // anyway; the tag avoids even attempting it). Dormancy leaves the
+        // checkpoint bytes unchanged, so it stays out of the tag.
         let tag = digest(
             format!(
                 "{}|{}|{:x}|{:?}|{:?}|{:?}|{}|{:?}|{:?}",
@@ -490,7 +501,8 @@ impl SimBuilder {
         let backend = self.cfg.backend;
         let mut sim = Simulator::new(self.cfg, self.sched)
             .with_limits(self.limits)
-            .with_trace_capture(self.trace);
+            .with_trace_capture(self.trace)
+            .with_dormancy(self.dormancy);
         if let Some(skip) = self.skip {
             sim = sim.with_cycle_skipping(skip);
         }
@@ -812,6 +824,7 @@ mod tests {
         // split the cache namespace…
         assert_eq!(d, base.clone().cycle_skipping(false).cell_digest());
         assert_eq!(d, base.clone().compute_skipping(false).cell_digest());
+        assert_eq!(d, base.clone().dormancy(false).cell_digest());
         assert_eq!(d, base.clone().trace(true).cell_digest());
         // …while anything that changes the measured results does.
         assert_ne!(d, base.clone().scale(0.5).cell_digest());

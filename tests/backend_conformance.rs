@@ -14,6 +14,10 @@
 //!    engine (`cycle_skipping`) must be bit-identical to the reference
 //!    interpreter, and a checkpoint/resume run must match an uninterrupted
 //!    one.
+//! 4. **Honest thresholds** — each `*_ready_at` is the first cycle its
+//!    guard opens while no command intervenes (the controller sleeps until
+//!    the earliest one), and `cas_floor` never exceeds a bank's CAS
+//!    threshold.
 
 use lazydram::common::{AccessKind, DramPreset, SimStats};
 use lazydram::common::snap::{Loader, Saver};
@@ -162,6 +166,45 @@ proptest! {
                     );
                 }
                 step(&mut b, nbanks, op, &mut now);
+            }
+        }
+    }
+}
+
+/// Checks one guard against its advertised threshold `ready` at `now`:
+/// closed before `ready`, open from it on.
+fn honest(guard: impl Fn(u64) -> bool, ready: u64, now: u64) -> bool {
+    if ready == u64::MAX {
+        return !guard(now) && !guard(now + 1000);
+    }
+    guard(now) == (now >= ready) && guard(ready.max(now)) && (ready <= now || !guard(ready - 1))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn ready_at_thresholds_are_honest(
+        ops in prop::collection::vec(op_strategy(), 1..120),
+    ) {
+        for preset in DramPreset::ALL {
+            let cfg = preset.gpu_config();
+            let nbanks = cfg.banks_per_channel;
+            let mut b = DramBackend::new(&cfg);
+            let mut now = 0u64;
+            for &op in &ops {
+                step(&mut b, nbanks, op, &mut now);
+                for bank in 0..nbanks {
+                    let act = b.activate_ready_at(bank);
+                    prop_assert!(honest(|t| b.can_activate(bank, t), act, now), "{preset}: ACT bank {bank} at {now}");
+                    let pre = b.precharge_ready_at(bank);
+                    prop_assert!(honest(|t| b.can_precharge(bank, t), pre, now), "{preset}: PRE bank {bank} at {now}");
+                    for kind in [AccessKind::Read, AccessKind::Write] {
+                        let cas = b.cas_ready_at(bank, kind);
+                        prop_assert!(honest(|t| b.can_cas(bank, kind, t), cas, now), "{preset}: CAS bank {bank} at {now}");
+                        prop_assert!(b.cas_floor() <= cas, "{preset}: CAS floor above bank {bank}");
+                    }
+                }
             }
         }
     }

@@ -1,7 +1,7 @@
 //! Fast-forward must be invisible in results: for every application and
 //! scheme, a run with the full skipper (idle + analytic compute bursts), a
-//! run with only the idle skipper (`LAZYDRAM_NO_COMPUTE_SKIP`'s effect), and
-//! the naive cycle-by-cycle loop (`LAZYDRAM_NO_SKIP`'s effect) must produce
+//! run with only the idle skipper (`compute_skipping(false)`), and the
+//! naive cycle-by-cycle loop (`cycle_skipping(false)`) must produce
 //! bit-identical output, statistics, and DRAM trace. Only `cycles_skipped` /
 //! `compute_cycles_skipped` / `ticks_executed` (the instrumentation of the
 //! skipping itself) may differ, so those are normalized before comparison.
@@ -11,14 +11,14 @@ use lazydram::gpu::{RunResult, SimLimits};
 use lazydram::workloads::{all_apps, AppSpec};
 use lazydram::SimBuilder;
 
-/// The three loop modes under test, mirroring the env-var escape hatches.
+/// The three loop modes under test, selected through the builder.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Mode {
     /// Idle skip + analytic compute-burst skip (the default).
     Full,
-    /// Idle skip only — `LAZYDRAM_NO_COMPUTE_SKIP=1`.
+    /// Idle skip only — `compute_skipping(false)`.
     IdleOnly,
-    /// Naive cycle-by-cycle loop — `LAZYDRAM_NO_SKIP=1`.
+    /// Naive cycle-by-cycle loop — `cycle_skipping(false)`.
     Naive,
 }
 
