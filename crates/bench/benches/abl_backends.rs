@@ -1,7 +1,8 @@
 //! Ablation: the headline scheme across the whole memory-backend matrix.
 //!
-//! Where `abl_hbm` varies the *organization* under the same banked GDDR5
-//! model, this harness varies the *model itself*: every [`DramPreset`] —
+//! The harness varies both the organization (the gddr5/hbm1/hbm2 rows share
+//! one banked model, which is Section V's technology claim) and the *model
+//! itself*: every [`DramPreset`] —
 //! banked GDDR5/HBM, DDR4- and LPDDR4-class timing packages, the
 //! bank-state-free Naive backend and the per-bank Flexible-Latency
 //! backend — runs baseline vs `Dyn-DMS+Dyn-AMS` on the same apps. The

@@ -1,29 +1,24 @@
-//! Trace capture/replay workbench: capture request traces, replay them
-//! under arbitrary schemes, and — the validation harness — measure the
-//! open-loop **error envelope** (replayed vs execution-driven results) and
-//! the replay speedup per app.
+//! Open-loop error envelope of trace replay: for every paper scheme, the
+//! execution-driven run against a [`TraceSim`] replay of the app's baseline
+//! request trace.
 //!
 //! ```text
-//! dbg_trace capture APP FILE [SCALE]     record APP's baseline request stream
-//! dbg_trace replay FILE [SCHEME]         replay a trace file through MC+DRAM
 //! dbg_trace envelope APP [SCALE]         replayed-vs-executed error per scheme
-//! dbg_trace sweep APP [SCALE]            timed fig04 delay sweep: executed vs replayed
 //! ```
 //!
-//! Defaults: `SCALE 0.1`, `SCHEME baseline`. `envelope` is the harness
-//! behind the documented replay accuracy numbers (EXPERIMENTS.md): open-loop
-//! replay loses the closed-loop timing feedback (a delayed scheduler slows
-//! the GPU down, which reshapes the arrival stream), so DRAM-side metrics
-//! differ from the execution-driven run by a few percent; this tool
-//! quantifies that instead of hand-waving it.
+//! Default `SCALE 0.1`. Open-loop replay loses the closed-loop timing
+//! feedback (a held row-miss lets warps keep issuing, so more requests for
+//! the same row arrive before it opens), and the DRAM-side metrics differ
+//! from the execution-driven run by tens of percent under the static
+//! schemes (EXPERIMENTS.md, "Trace capture and replay"). This tool is the
+//! source of those numbers. Capturing and replaying single traces is
+//! `lazydram capture` / `lazydram replay`.
 
 use lazydram_bench::{print_table, SimBuilder};
-use lazydram_common::{DmsMode, GpuConfig, SchedConfig, Scheme, SimStats};
+use lazydram_common::{GpuConfig, Scheme, SimStats};
 use lazydram_energy::{EnergyModel, MemoryTech};
 use lazydram_gpu::{Trace, TraceSim};
 use lazydram_workloads::{by_name, AppSpec};
-use std::path::Path;
-use std::time::Instant;
 
 fn app_or_exit(name: &str) -> AppSpec {
     by_name(name).unwrap_or_else(|| {
@@ -41,13 +36,11 @@ fn parse_scale(args: &[String], at: usize) -> f64 {
     })
 }
 
-/// Captures the app's baseline request stream (the trace-store convention:
-/// sweeps replay the baseline-policy stream under every candidate scheme).
-fn capture(app: &AppSpec, scale: f64) -> (Trace, SimStats, f64) {
-    let t0 = Instant::now();
+/// Captures the app's baseline request stream, which the envelope replays
+/// under every paper scheme.
+fn capture(app: &AppSpec, scale: f64) -> Trace {
     let r = SimBuilder::new(app).scheme(Scheme::Baseline).scale(scale).trace(true).build().run();
-    let secs = t0.elapsed().as_secs_f64();
-    (r.trace.expect("capture enabled"), r.stats, secs)
+    r.trace.expect("capture enabled")
 }
 
 fn rel_err(replayed: f64, executed: f64) -> f64 {
@@ -62,61 +55,11 @@ fn row_energy(stats: &SimStats) -> f64 {
     EnergyModel::new(MemoryTech::Gddr5).breakdown(&stats.dram).row_energy_pj
 }
 
-fn cmd_capture(app: &AppSpec, path: &Path, scale: f64) {
-    let cfg = GpuConfig::default();
-    let (trace, stats, secs) = capture(app, scale);
-    trace.save_file(path, &cfg).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(1);
-    });
-    println!(
-        "captured {} requests from {} (scale {scale}) in {secs:.2}s -> {}",
-        trace.len(),
-        app.name,
-        path.display()
-    );
-    println!("  geometry digest {:016x}", Trace::stream_digest(&cfg));
-    println!("  execution-driven baseline: {} activations", stats.dram.activations);
-}
-
-fn cmd_replay(path: &Path, scheme_label: &str) {
-    let cfg = GpuConfig::default();
-    let scheme = Scheme::by_label(scheme_label).unwrap_or_else(|| {
-        eprintln!("unknown scheme {scheme_label:?}");
-        std::process::exit(2);
-    });
-    let trace = Trace::load_file(path, &cfg).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(1);
-    });
-    let t0 = Instant::now();
-    let report = TraceSim::new(&cfg, &scheme.sched()).replay(&trace).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(1);
-    });
-    println!(
-        "replayed {} of {} requests under {} in {:.3}s ({} memory cycles)",
-        report.served,
-        trace.len(),
-        scheme.label(),
-        t0.elapsed().as_secs_f64(),
-        report.replay_cycles
-    );
-    println!("  activations {:>10}", report.stats.dram.activations);
-    println!("  Avg-RBL     {:>10.2}", report.stats.dram.avg_rbl());
-    println!("  coverage    {:>9.1}%", 100.0 * report.stats.dram.coverage());
-    println!("  row energy  {:>9.1} µJ", row_energy(&report.stats) / 1e6);
-    if report.unserved > 0 {
-        eprintln!("REPLAY INCOMPLETE: {} requests unserved", report.unserved);
-        std::process::exit(1);
-    }
-}
-
 /// The validation harness: for every paper scheme, compare the
 /// execution-driven run against an open-loop replay of the baseline trace.
 fn cmd_envelope(app: &AppSpec, scale: f64) {
     let cfg = GpuConfig::default();
-    let (trace, _, _) = capture(app, scale);
+    let trace = capture(app, scale);
     println!(
         "{}: replayed-vs-executed error envelope (scale {scale}, {} recorded requests)",
         app.name,
@@ -151,70 +94,14 @@ fn cmd_envelope(app: &AppSpec, scale: f64) {
     println!("\nworst relative error across schemes/metrics: {:.1}%", 100.0 * worst);
 }
 
-/// Timed fig04-style delay sweep, executed vs capture-once-replay-many.
-fn cmd_sweep(app: &AppSpec, scale: f64) {
-    let cfg = GpuConfig::default();
-    let delays = [64u32, 128, 256, 512, 1024, 2048];
-    let (trace, _, capture_s) = capture(app, scale);
-    let mut exec_s = 0.0;
-    let mut replay_s = 0.0;
-    let mut rows = Vec::new();
-    for &x in &delays {
-        let sched = SchedConfig { dms: DmsMode::Static(x), ..SchedConfig::baseline() };
-        let t0 = Instant::now();
-        let exec =
-            SimBuilder::new(app).sched(sched.clone(), format!("DMS({x})")).scale(scale).build().run().stats;
-        let te = t0.elapsed().as_secs_f64();
-        exec_s += te;
-        let t0 = Instant::now();
-        let report = TraceSim::new(&cfg, &sched).replay(&trace).unwrap_or_else(|e| panic!("{e}"));
-        let tr = t0.elapsed().as_secs_f64();
-        replay_s += tr;
-        assert_eq!(report.unserved, 0, "replay must serve every request");
-        rows.push(vec![
-            format!("DMS({x})"),
-            format!("{te:.3}s"),
-            format!("{tr:.3}s"),
-            format!("{:.1}x", te / tr.max(1e-9)),
-            format!(
-                "{:.1}%",
-                100.0 * rel_err(report.stats.dram.activations as f64, exec.dram.activations as f64)
-            ),
-        ]);
-    }
-    print_table(
-        &format!("{} delay sweep: executed vs replayed (scale {scale})", app.name),
-        &["cell", "exec", "replay", "speedup", "act err"],
-        &rows,
-    );
-    println!(
-        "\nsweep totals: executed {exec_s:.3}s, replayed {replay_s:.3}s \
-         ({:.1}x; {:.1}x counting the {capture_s:.3}s capture run)",
-        exec_s / replay_s.max(1e-9),
-        exec_s / (replay_s + capture_s).max(1e-9),
-    );
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("capture") if args.len() >= 3 => {
-            cmd_capture(&app_or_exit(&args[1]), Path::new(&args[2]), parse_scale(&args, 3));
-        }
-        Some("replay") if args.len() >= 2 => {
-            cmd_replay(Path::new(&args[1]), args.get(2).map_or("baseline", String::as_str));
-        }
         Some("envelope") if args.len() >= 2 => {
             cmd_envelope(&app_or_exit(&args[1]), parse_scale(&args, 2));
         }
-        Some("sweep") if args.len() >= 2 => {
-            cmd_sweep(&app_or_exit(&args[1]), parse_scale(&args, 2));
-        }
         _ => {
-            eprintln!(
-                "usage: dbg_trace <capture APP FILE [SCALE] | replay FILE [SCHEME] | \
-                 envelope APP [SCALE] | sweep APP [SCALE]>"
-            );
+            eprintln!("usage: dbg_trace envelope APP [SCALE]");
             std::process::exit(2);
         }
     }

@@ -11,7 +11,7 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 use lazydram_common::{DramPreset, GpuConfig, SimStats};
-use lazydram_gpu::{application_error, Trace};
+use lazydram_gpu::application_error;
 use lazydram_workloads::{exact_output, AppSpec};
 
 pub mod runner;
@@ -21,9 +21,8 @@ pub use lazydram_common::Scheme;
 pub use lazydram_energy::{EnergyModel, MemoryTech};
 pub use lazydram_gpu::{ReplayReport, TraceError, TraceSim};
 pub use lazydram_workloads::{
-    parse_backend, parse_cache_mode, parse_checkpoint_every, parse_trace_mode, CacheMode,
-    CachePolicy, CheckpointPolicy, SimBuilder, SimRun, TraceMode, TracePolicy,
-    DEFAULT_CHECKPOINT_EVERY,
+    parse_backend, parse_cache_mode, parse_checkpoint_every, CacheMode, CachePolicy,
+    CheckpointPolicy, SimBuilder, SimRun, DEFAULT_CHECKPOINT_EVERY,
 };
 pub use runner::{Baseline, ExactOutput, Job, JobFailure, JobResult, MeasureSpec, SweepRunner};
 pub use store::{CacheStats, EntryInfo, Fidelity, Store};
@@ -153,9 +152,11 @@ pub struct Measurement {
     pub row_energy_pj: f64,
     /// `true` if the run hit the safety cycle limit.
     pub truncated: bool,
-    /// `true` when this measurement came from open-loop trace replay
-    /// (MC + DRAM only): the DRAM-side metrics are real, but `ipc` and
-    /// `app_error` are reported as 0 — replay never runs the GPU.
+    /// Always `false`: every measurement is execution-driven. A vestige of
+    /// the removed sweep trace-replay route, kept so the JSONL schema, the
+    /// store's entry bytes and every result digest stay unchanged; the next
+    /// benchmark change removes it together with the benchmark's check of
+    /// it.
     pub replayed: bool,
     /// `true` when this measurement was served from the content-addressed
     /// result store ([`store::Store`]) instead of being simulated.
@@ -207,25 +208,15 @@ pub fn measure(run: &SimRun, exact: &[f32]) -> Measurement {
 
 /// [`measure`], surfacing checkpoint-IO failures as `Err` (the sweep runner
 /// records them as [`JobFailure`] rows instead of aborting the sweep).
-pub fn try_measure(run: &SimRun, exact: &[f32]) -> Result<Measurement, String> {
-    try_measure_traced(run, exact).map(|(m, _)| m)
-}
-
-/// [`try_measure`], also returning the captured request trace when the run
-/// was built with `.trace(true)` (the sweep runner persists it into the
-/// trace store).
 ///
 /// # Errors
 ///
-/// Checkpoint-IO failures, as for [`try_measure`].
-pub fn try_measure_traced(
-    run: &SimRun,
-    exact: &[f32],
-) -> Result<(Measurement, Option<Trace>), String> {
+/// Checkpoint-IO failures of a crash-recoverable run.
+pub fn try_measure(run: &SimRun, exact: &[f32]) -> Result<Measurement, String> {
     let r = run.run_recoverable()?;
     let energy = EnergyModel::new(MemoryTech::for_backend(run.backend()));
     let row_energy_pj = energy.breakdown(&r.stats.dram).row_energy_pj;
-    let m = Measurement {
+    Ok(Measurement {
         app: run.app().name.to_string(),
         scheme: run.scheme_label().to_string(),
         ipc: r.stats.ipc(),
@@ -238,41 +229,6 @@ pub fn try_measure_traced(
         replayed: false,
         cached: false,
         stats: r.stats,
-    };
-    Ok((m, r.trace))
-}
-
-/// Measures one sweep cell by open-loop trace replay instead of running the
-/// GPU: the captured request stream goes through fresh controllers under
-/// the run's scheduling policy and machine config. DRAM-side metrics
-/// (activations, Avg-RBL, coverage, row energy) are real; `ipc` and
-/// `app_error` are 0 since replay has no core side — see the
-/// [`Measurement::replayed`] flag.
-///
-/// # Errors
-///
-/// A malformed/incompatible trace, or **any** unserved request (an
-/// incomplete replay is never silently reported as a smaller result).
-pub fn try_measure_replay(run: &SimRun, trace: &Trace) -> Result<Measurement, String> {
-    let report = run
-        .replay_trace(trace)
-        .and_then(lazydram_gpu::ReplayReport::complete)
-        .map_err(|e| e.to_string())?;
-    let energy = EnergyModel::new(MemoryTech::for_backend(run.backend()));
-    let row_energy_pj = energy.breakdown(&report.stats.dram).row_energy_pj;
-    Ok(Measurement {
-        app: run.app().name.to_string(),
-        scheme: run.scheme_label().to_string(),
-        ipc: 0.0,
-        activations: report.stats.dram.activations,
-        avg_rbl: report.stats.dram.avg_rbl(),
-        coverage: report.stats.dram.coverage(),
-        app_error: 0.0,
-        row_energy_pj,
-        truncated: false,
-        replayed: true,
-        cached: false,
-        stats: report.stats,
     })
 }
 

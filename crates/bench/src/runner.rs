@@ -37,17 +37,6 @@
 //!   and the bit-identical restore guarantee keeps the results (and the
 //!   JSONL file) byte-identical to an uninterrupted sweep. Checkpoint-IO
 //!   failures surface as [`JobFailure`] records, not panics.
-//! * **Trace fast path** — with `LAZYDRAM_TRACE_DIR` set (behavior via
-//!   `LAZYDRAM_TRACE_MODE`: `auto` (default), `capture`, or `replay`), each
-//!   `(app, machine geometry, scale)` baseline run records the coalesced
-//!   request stream at the NoC→MC boundary and parks it in the trace store;
-//!   sweep cells then replay that stream through MC + DRAM only
-//!   ([`crate::try_measure_replay`]), turning scheduler-side sweeps
-//!   (fig02/fig04/fig11/fig13) into capture-once-replay-many. Replayed
-//!   records carry `replayed: true` in the JSONL and report `ipc`/
-//!   `app_error` as 0 (open-loop replay has no core side); a replay that
-//!   cannot serve every recorded request is a [`JobFailure`], never a
-//!   silently smaller result.
 //! * **Result cache** — with `LAZYDRAM_CACHE_DIR` set (behavior via
 //!   `LAZYDRAM_CACHE_MODE`: `auto` (default), `require`, `refresh`, `off`),
 //!   every finished `(app × scheme × config)` cell is published to the
@@ -60,22 +49,25 @@
 //!   with a remediation hint; `refresh` re-simulates and overwrites. See
 //!   [`crate::store`] for the key structure and the lock-free multi-process
 //!   publish protocol.
+//! * **Execution-driven cells** — every cell the store does not serve runs
+//!   the full GPU simulation. Open-loop trace replay drops the closed-loop
+//!   feedback that DMS relies on (a held row-miss lets warps keep issuing),
+//!   so it stays a single-trace tool ([`lazydram_gpu::TraceSim`]) and never
+//!   stands in for a sweep cell.
 //! * **End-of-sweep summary** — dropping the runner prints one stderr line
 //!   (jobs run, failures, elapsed wall clock, cache counters, and how many
 //!   exact-output references were computed), suppressed under
 //!   `LAZYDRAM_QUIET` or when no jobs ran.
 
 use crate::store::{Fidelity, Store};
-use crate::{try_measure, try_measure_replay, try_measure_traced, Measurement};
+use crate::{try_measure, Measurement};
 use lazydram_common::json::JsonObject;
 use lazydram_common::{GpuConfig, Scheme};
-use lazydram_gpu::Trace;
 use lazydram_workloads::{exact_output, AppSpec, CacheMode, CachePolicy, CheckpointPolicy,
-                         SimBuilder, TraceMode, TracePolicy};
+                         SimBuilder};
 use std::collections::HashMap;
 use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
@@ -131,8 +123,7 @@ impl<'a, T> Job<'a, T> {
 /// Clones share one [`OnceLock`], so the reference is computed at most once
 /// however many cells use it; concurrent first uses block on that single
 /// computation. Nothing dereferences it until a cell actually simulates, so
-/// cells served from the result store (or replayed from a trace) never pay
-/// for it.
+/// cells served from the result store never pay for it.
 #[derive(Clone)]
 pub struct ExactOutput(Arc<LazyExact>);
 
@@ -176,8 +167,8 @@ impl std::fmt::Debug for ExactOutput {
 }
 
 /// A cached `(app, config, scale)` baseline: the measurement under
-/// [`SchedConfig::baseline`] plus the exact functional output shared by
-/// every scheme of that app.
+/// [`SchedConfig::baseline`](lazydram_common::SchedConfig::baseline) plus
+/// the exact functional output shared by every scheme of that app.
 #[derive(Debug)]
 pub struct Baseline {
     /// Baseline measurement (scheme label `"baseline"`).
@@ -196,7 +187,7 @@ pub struct MeasureSpec {
     /// The configured simulation (app, scheme, machine, scale, …).
     pub builder: SimBuilder,
     /// Exact output shared across the app's schemes. Only forced when this
-    /// cell simulates; a cache hit or a trace replay never computes it.
+    /// cell simulates; a cache hit never computes it.
     pub exact: ExactOutput,
 }
 
@@ -208,7 +199,6 @@ impl MeasureSpec {
 }
 
 type BaselineKey = (String, u64, String);
-type TraceCell = Arc<OnceLock<Result<Arc<Trace>, String>>>;
 
 /// Parallel sweep runner. See the [module docs](self) for the full design.
 pub struct SweepRunner {
@@ -216,10 +206,8 @@ pub struct SweepRunner {
     quiet: bool,
     results: Option<Mutex<std::io::BufWriter<std::fs::File>>>,
     checkpoints: Option<CheckpointPolicy>,
-    traces: Option<TracePolicy>,
     cache: Option<Store>,
     baselines: Mutex<HashMap<BaselineKey, Arc<OnceLock<Arc<Baseline>>>>>,
-    trace_cache: Mutex<HashMap<PathBuf, TraceCell>>,
     jobs_run: AtomicU64,
     jobs_failed: AtomicU64,
     started: Instant,
@@ -255,12 +243,13 @@ impl SweepRunner {
     /// `LAZYDRAM_JOBS` (default: available parallelism), JSONL results path
     /// from `LAZYDRAM_RESULTS` (default: none), crash-recovery
     /// checkpointing from `LAZYDRAM_CHECKPOINT_DIR` /
-    /// `LAZYDRAM_CHECKPOINT_EVERY` (default: off).
+    /// `LAZYDRAM_CHECKPOINT_EVERY` (default: off), and the result store from
+    /// `LAZYDRAM_CACHE_DIR` / `LAZYDRAM_CACHE_MODE` (default: off).
     ///
     /// # Panics
     ///
     /// Panics on a malformed `LAZYDRAM_JOBS`, an unwritable
-    /// `LAZYDRAM_RESULTS` path, or malformed checkpoint/trace variables.
+    /// `LAZYDRAM_RESULTS` path, or malformed checkpoint/cache variables.
     pub fn from_env() -> Self {
         let workers = match std::env::var("LAZYDRAM_JOBS") {
             Ok(s) => parse_jobs(&s).unwrap_or_else(|e| panic!("{e}")),
@@ -268,7 +257,6 @@ impl SweepRunner {
         };
         let runner = Self::with_workers(workers)
             .with_checkpoints(CheckpointPolicy::from_env_or_die())
-            .with_traces(TracePolicy::from_env_or_die())
             .with_cache(CachePolicy::from_env_or_die());
         match std::env::var("LAZYDRAM_RESULTS") {
             Ok(path) if !path.trim().is_empty() => runner.with_results_file(&path),
@@ -290,10 +278,8 @@ impl SweepRunner {
             },
             results: None,
             checkpoints: None,
-            traces: None,
             cache: None,
             baselines: Mutex::new(HashMap::new()),
-            trace_cache: Mutex::new(HashMap::new()),
             jobs_run: AtomicU64::new(0),
             jobs_failed: AtomicU64::new(0),
             started: Instant::now(),
@@ -304,15 +290,6 @@ impl SweepRunner {
     /// measurement job.
     pub fn with_checkpoints(mut self, policy: Option<CheckpointPolicy>) -> Self {
         self.checkpoints = policy;
-        self
-    }
-
-    /// Attaches (or clears) the trace capture/replay policy: baselines
-    /// capture the request stream into the policy's store, and sweep cells
-    /// replay it through MC + DRAM only instead of re-running the GPU (see
-    /// [`TraceMode`] for the capture/replay split).
-    pub fn with_traces(mut self, policy: Option<TracePolicy>) -> Self {
-        self.traces = policy;
         self
     }
 
@@ -464,70 +441,16 @@ impl SweepRunner {
             .clone();
         cell.get_or_init(|| {
             let exact = ExactOutput::new(app, scale);
-            // With a trace policy attached, the baseline run doubles as the
-            // capture run: it records the request stream and parks it in
-            // the trace store for the sweep cells to replay. The baseline
-            // *measurement* stays execution-driven either way (it anchors
-            // the IPC/error normalization, which replay cannot provide).
-            let capture = self.traces.as_ref().is_some_and(|p| {
-                p.mode != TraceMode::Replay && !p.path_for(app.name, cfg, scale).exists()
-            });
             let builder = SimBuilder::new(app)
                 .gpu(cfg.clone())
                 .scheme(Scheme::Baseline)
                 .scale(scale)
-                .checkpoints(self.checkpoints.clone())
-                .trace(capture);
-            // A pending trace capture forces execution in auto mode — a
-            // cache hit can serve the measurement but not park the trace
-            // the sweep cells will want. `require` mode still looks up (it
-            // promises a simulation-free sweep; replay cells then hit the
-            // cache too, so the missing trace never matters).
-            let skip_lookup = capture && self.cache.as_ref().is_some_and(|s| s.mode() != CacheMode::Require);
-            if !skip_lookup {
-                match self.cache_lookup(&builder, Fidelity::Execute) {
-                    Ok(Some(measurement)) => return Arc::new(Baseline { measurement, exact }),
-                    Ok(None) => {}
-                    Err(e) => panic!("{e}"),
-                }
-            }
-            let key = Store::cell_key(builder.cell_digest(), Fidelity::Execute);
-            let run = builder.build();
-            let (measurement, trace) =
-                try_measure_traced(&run, &exact).unwrap_or_else(|e| panic!("{e}"));
-            self.cache_publish(key, &measurement);
-            if let (Some(policy), Some(trace)) = (&self.traces, trace) {
-                let path = policy.path_for(app.name, cfg, scale);
-                std::fs::create_dir_all(&policy.dir).unwrap_or_else(|e| {
-                    panic!("cannot create LAZYDRAM_TRACE_DIR {}: {e}", policy.dir.display())
-                });
-                trace
-                    .save_file(&path, cfg)
-                    .unwrap_or_else(|e| panic!("cannot park captured trace: {e}"));
-                // Seed the in-memory cache so replay jobs skip the decode.
-                let cell = self.trace_cell(&path);
-                let _ = cell.set(Ok(Arc::new(trace)));
-            }
+                .checkpoints(self.checkpoints.clone());
+            let measurement =
+                self.measure_one(builder, &exact).unwrap_or_else(|e| panic!("{e}"));
             Arc::new(Baseline { measurement, exact })
         })
         .clone()
-    }
-
-    fn trace_cell(&self, path: &Path) -> TraceCell {
-        self.trace_cache
-            .lock()
-            .expect("trace cache lock")
-            .entry(path.to_path_buf())
-            .or_insert_with(|| Arc::new(OnceLock::new()))
-            .clone()
-    }
-
-    /// Loads (and caches) a trace-store file; concurrent replay jobs of the
-    /// same sweep share one decoded [`Trace`].
-    fn load_trace(&self, path: &Path, cfg: &GpuConfig) -> Result<Arc<Trace>, String> {
-        self.trace_cell(path)
-            .get_or_init(|| Trace::load_file(path, cfg).map(Arc::new).map_err(|e| e.to_string()))
-            .clone()
     }
 
     /// Computes all apps' baselines **in parallel** (through the cache) and
@@ -611,70 +534,27 @@ impl SweepRunner {
         results
     }
 
-    /// One sweep cell: open-loop trace replay when the policy and store
-    /// allow it, execution-driven otherwise — behind the result cache.
-    ///
-    /// The route (replay vs. execute) is resolved **before** the cache is
-    /// consulted, for two reasons: the cache key's fidelity flavor must
-    /// match the bytes the cell would actually produce (replay zeroes
-    /// `ipc`/`app_error`), and a replay-mode cell whose trace is missing
-    /// must fail identically whether or not some earlier sweep published an
-    /// entry — warm and cold runs stay byte-identical. `exact` is
-    /// dereferenced (and so computed) only on the execute path, after the
-    /// lookup missed.
+    /// One sweep cell, execution-driven behind the result cache. `exact` is
+    /// dereferenced (and so computed) only after the lookup missed.
     fn measure_one(&self, builder: SimBuilder, exact: &ExactOutput) -> Result<Measurement, String> {
-        let mut replay_path = None;
-        if let Some(policy) = &self.traces {
-            if policy.mode != TraceMode::Capture {
-                let path = policy.path_for(
-                    builder.app().name,
-                    builder.gpu_config(),
-                    builder.work_scale(),
-                );
-                if path.exists() {
-                    replay_path = Some(path);
-                } else if policy.mode == TraceMode::Replay {
-                    return Err(format!(
-                        "no captured trace at {} (run the sweep once with \
-                         LAZYDRAM_TRACE_MODE=auto or capture to record it)",
-                        path.display()
-                    ));
-                }
-                // Auto mode with no stored trace for this machine geometry
-                // (e.g. an ablation config no baseline captured): fall back
-                // to the execution-driven path.
-            }
-        }
-        let fidelity = if replay_path.is_some() { Fidelity::Replay } else { Fidelity::Execute };
-        if let Some(m) = self.cache_lookup(&builder, fidelity)? {
+        let key = Store::cell_key(builder.cell_digest(), Fidelity::Execute);
+        if let Some(m) = self.cache_lookup(key, &builder)? {
             return Ok(m);
         }
-        let key = Store::cell_key(builder.cell_digest(), fidelity);
-        let m = match replay_path {
-            Some(path) => {
-                let trace = self.load_trace(&path, builder.gpu_config())?;
-                try_measure_replay(&builder.build(), &trace)?
-            }
-            None => try_measure(&builder.build(), exact)?,
-        };
+        let m = try_measure(&builder.build(), exact)?;
         self.cache_publish(key, &m);
         Ok(m)
     }
 
-    /// Consults the result store for one configured cell. `Ok(Some)` is a
-    /// hit (with [`Measurement::cached`] set); `Ok(None)` means simulate
-    /// (store off, `refresh` mode, or a plain miss); `Err` is a `require`-
-    /// mode miss with a remediation hint.
-    fn cache_lookup(
-        &self,
-        builder: &SimBuilder,
-        fidelity: Fidelity,
-    ) -> Result<Option<Measurement>, String> {
+    /// Consults the result store for one configured cell under its `key`.
+    /// `Ok(Some)` is a hit (with [`Measurement::cached`] set); `Ok(None)`
+    /// means simulate (store off, `refresh` mode, or a plain miss); `Err` is
+    /// a `require`-mode miss with a remediation hint.
+    fn cache_lookup(&self, key: u64, builder: &SimBuilder) -> Result<Option<Measurement>, String> {
         let Some(store) = &self.cache else { return Ok(None) };
         if store.mode() == CacheMode::Refresh {
             return Ok(None);
         }
-        let key = Store::cell_key(builder.cell_digest(), fidelity);
         let app = builder.app().name;
         let scheme = builder.scheme_label();
         match store.lookup(key, app, scheme) {
@@ -765,14 +645,11 @@ impl Drop for SweepRunner {
 
 /// Renders the fast-forward annotation for a measurement's progress line
 /// (empty when the event-driven loop never skipped, e.g. with
-/// `SimBuilder::cycle_skipping(false)`);
-/// cache-served and trace-replayed cells are flagged instead, since they
-/// skip the simulation (wholly or GPU-side).
+/// `SimBuilder::cycle_skipping(false)`); cache-served cells are flagged
+/// instead, since they skip the simulation.
 fn skip_note(m: &Measurement) -> String {
     if m.cached {
         " [cache hit]".to_string()
-    } else if m.replayed {
-        " [trace replay]".to_string()
     } else if m.stats.cycles_skipped == 0 {
         String::new()
     } else {

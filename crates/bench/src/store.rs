@@ -8,14 +8,13 @@
 //! same harness, a different figure, or a different process — serves it in
 //! one file read instead of minutes of simulation.
 //!
-//! * **Key** — [`Store::cell_key`] folds the [`SimBuilder::cell_digest`]
+//! * **Key** — [`Store::cell_key`] folds the
+//!   [`SimBuilder::cell_digest`](lazydram_workloads::SimBuilder::cell_digest)
 //!   (app × scheme label × scale bits × machine config × policy × limits)
-//!   with the requested *fidelity* ([`Fidelity::Execute`] vs
-//!   [`Fidelity::Replay`] — a trace-replayed measurement zeroes `ipc` and
-//!   `app_error`, so the two must never alias), the
-//!   [`lazydram_common::SEMANTICS_VERSION`] (bumped by any
-//!   behavior-changing PR, invalidating every stale entry at once), and the
-//!   [`STORE_VERSION`] wire-format version.
+//!   with the [`Fidelity`] discriminator (always [`Fidelity::Execute`],
+//!   which folds to 0), the [`lazydram_common::SEMANTICS_VERSION`] (bumped
+//!   by any behavior-changing PR, invalidating every stale entry at once),
+//!   and the [`STORE_VERSION`] wire-format version.
 //! * **Value** — the cell's exact [`Measurement`] bytes in a versioned
 //!   `snap` frame with a trailing integrity digest. A served hit is
 //!   byte-identical to re-running the simulation: stdout tables and
@@ -68,17 +67,15 @@ pub const STORE_VERSION: u16 = 3;
 /// Filename extension of a store entry.
 pub const ENTRY_EXT: &str = "meas";
 
-/// How the measurement a cell asks for is produced — execution-driven, or
-/// open-loop trace replay (which zeroes `ipc`/`app_error`). Folded into the
-/// cache key so a replay-capable sweep and an execution-driven sweep sharing
-/// one cache directory never serve each other's (different) bytes.
+/// How a cell's measurement is produced. Only execution-driven simulation
+/// remains; the enum is a vestige of the removed sweep trace-replay route,
+/// kept because the benchmark names [`Fidelity::Execute`]. It folds into
+/// [`Store::cell_key`] as 0, exactly as before, so every existing store
+/// entry keeps its key. The next benchmark change removes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fidelity {
     /// Full execution-driven simulation.
     Execute,
-    /// The sweep is allowed to replay this cell from a captured trace
-    /// (`LAZYDRAM_TRACE_DIR` with mode `auto` or `replay`).
-    Replay,
 }
 
 /// Why a store entry was rejected (and the cell re-simulated).
@@ -236,7 +233,6 @@ impl Store {
     pub fn cell_key(cell_digest: u64, fidelity: Fidelity) -> u64 {
         let f = match fidelity {
             Fidelity::Execute => 0u64,
-            Fidelity::Replay => 1u64,
         };
         fold(fold(fold(cell_digest, f), SEMANTICS_VERSION), u64::from(STORE_VERSION))
     }
@@ -598,12 +594,11 @@ mod tests {
     }
 
     #[test]
-    fn fidelity_and_semantics_split_the_key_space() {
+    fn execute_key_is_pinned() {
+        // Stores written by earlier versions stay valid only while the
+        // execute key keeps this value.
         let d = 0x1234_5678_9ABC_DEF0u64;
-        assert_ne!(
-            Store::cell_key(d, Fidelity::Execute),
-            Store::cell_key(d, Fidelity::Replay)
-        );
+        assert_eq!(Store::cell_key(d, Fidelity::Execute), 0xf8fb_9d15_6249_22a7);
         assert_ne!(Store::cell_key(d, Fidelity::Execute), d);
     }
 

@@ -667,21 +667,6 @@ impl Simulator {
         self
     }
 
-    /// Replays a captured request trace through this machine's MC + DRAM
-    /// under this simulator's scheduling policy — the open-loop fast path
-    /// (no SMs, caches, or interconnect are simulated). See
-    /// [`crate::TraceSim`] for the replay semantics.
-    ///
-    /// # Errors
-    ///
-    /// [`TraceError`](crate::TraceError) on a malformed trace.
-    pub fn replay_trace(
-        &self,
-        trace: &Trace,
-    ) -> Result<crate::ReplayReport, crate::TraceError> {
-        crate::TraceSim::new(&self.cfg, &self.sched).replay(trace)
-    }
-
     /// Runs `kernel` to completion and returns statistics plus output.
     pub fn run(&self, kernel: &mut dyn Kernel) -> RunResult {
         self.drive(&mut SeqMut::One(kernel), None, None)

@@ -4,10 +4,12 @@
 //! memory controllers, producing a **memory trace** that can be replayed
 //! through the scheduler alone — orders of magnitude faster than re-running
 //! the GPU, and exactly the methodology of trace-driven DRAM studies. Replay
-//! is *open-loop* (arrival times are fixed by the recording), so absolute
-//! results differ slightly from the closed-loop run; shapes are preserved
-//! for scheduler-side questions like queue-size or delay sweeps
-//! (`dbg_trace envelope` quantifies the difference per app).
+//! is *open-loop* (arrival times are fixed by the recording), so it drops
+//! the feedback DMS and AMS rely on: a held row-miss no longer lets warps
+//! issue more requests to the same row. `dbg_trace envelope` measures the
+//! resulting activation error per scheme (tens of percent on SCP), which is
+//! why sweeps never replay: a trace is a single-run tool (Fig. 3's example,
+//! `lazydram capture` / `replay`).
 //!
 //! The pieces:
 //!
@@ -205,8 +207,8 @@ impl Trace {
     /// geometry, and the memory clock the cycle stamps are denominated in.
     ///
     /// Deliberately *excludes* queue sizes, DRAM timings, caches, SM counts,
-    /// and scheduler policy — a trace captured once replays across the whole
-    /// fig02/fig04/fig11/fig13 sweep space.
+    /// and scheduler policy — a trace captured once replays under any
+    /// queue size, timing package or scheduling policy of that geometry.
     pub fn stream_digest(cfg: &GpuConfig) -> u64 {
         digest(
             format!(

@@ -23,14 +23,17 @@
 //! 0. The bit-identical restore guarantee of
 //! [`Simulator::resume`](lazydram_gpu::Simulator::resume) makes the
 //! recovery invisible in the results.
+//!
+//! Trace capture is one more builder option: [`SimBuilder::trace`] records
+//! the coalesced request stream at the NoC→MC boundary into
+//! [`RunResult::trace`], the input of the single-trace
+//! [`TraceSim`](lazydram_gpu::TraceSim) tools. Sweeps never replay traces;
+//! every sweep cell runs execution-driven.
 
 use crate::suite::AppSpec;
 use lazydram_common::snap::digest;
 use lazydram_common::{BackendKind, DramPreset, GpuConfig, SchedConfig, Scheme};
-use lazydram_gpu::{
-    Checkpoint, Kernel, ReplayReport, RunOutcome, RunResult, SimLimits, Simulator, SnapResult,
-    Trace, TraceError,
-};
+use lazydram_gpu::{Checkpoint, Kernel, RunOutcome, RunResult, SimLimits, Simulator, SnapResult};
 use std::path::PathBuf;
 
 /// Default checkpoint interval in core cycles when `LAZYDRAM_CHECKPOINT_DIR`
@@ -72,107 +75,6 @@ pub fn parse_backend(s: &str) -> Result<DramPreset, String> {
     })
 }
 
-/// What a [`TracePolicy`] does with captured request traces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceMode {
-    /// Capture a trace when none is on disk, replay when one is — the
-    /// capture-once-replay-many default.
-    Auto,
-    /// Record traces but keep every measurement execution-driven (prepare a
-    /// trace store for later replay-only runs).
-    Capture,
-    /// Never run the GPU for sweep cells: replay from the trace store, and
-    /// fail loudly when a needed trace is missing.
-    Replay,
-}
-
-/// Parses a `LAZYDRAM_TRACE_MODE` value (case-insensitive: `auto`,
-/// `capture`, `replay`).
-///
-/// Kept separate from [`TracePolicy::from_env`] so the validation is
-/// unit-testable, following the `parse_scale`/`parse_checkpoint_every`
-/// pattern.
-///
-/// # Errors
-///
-/// Returns a message naming the valid modes on anything else.
-pub fn parse_trace_mode(s: &str) -> Result<TraceMode, String> {
-    match s.trim().to_ascii_lowercase().as_str() {
-        "auto" => Ok(TraceMode::Auto),
-        "capture" => Ok(TraceMode::Capture),
-        "replay" => Ok(TraceMode::Replay),
-        _ => Err(format!(
-            "LAZYDRAM_TRACE_MODE={s:?} is not a trace mode; expected auto, capture, or replay"
-        )),
-    }
-}
-
-/// Where the sweep runner's trace store lives and how it is used.
-#[derive(Debug, Clone)]
-pub struct TracePolicy {
-    /// Directory holding one `.trace` file per `(app, geometry, scale)`.
-    pub dir: PathBuf,
-    /// Capture/replay behavior.
-    pub mode: TraceMode,
-}
-
-impl TracePolicy {
-    /// A policy over `dir` in the given mode.
-    pub fn new(dir: impl Into<PathBuf>, mode: TraceMode) -> Self {
-        Self { dir: dir.into(), mode }
-    }
-
-    /// Builds the policy from `LAZYDRAM_TRACE_DIR` / `LAZYDRAM_TRACE_MODE`.
-    /// Returns `Ok(None)` when tracing is not requested, and an error
-    /// (never a silent fallback) when the variables are malformed —
-    /// including `LAZYDRAM_TRACE_MODE` without a directory, which would
-    /// otherwise be dead configuration.
-    ///
-    /// # Errors
-    ///
-    /// See above.
-    pub fn from_env() -> Result<Option<Self>, String> {
-        let dir = std::env::var("LAZYDRAM_TRACE_DIR").ok().filter(|s| !s.trim().is_empty());
-        let mode = std::env::var("LAZYDRAM_TRACE_MODE").ok();
-        match (dir, mode) {
-            (None, None) => Ok(None),
-            (None, Some(m)) => Err(format!(
-                "LAZYDRAM_TRACE_MODE={m:?} is set but LAZYDRAM_TRACE_DIR is not; \
-                 set the directory too (or unset the mode)"
-            )),
-            (Some(d), mode) => {
-                let mode = match mode {
-                    Some(s) => parse_trace_mode(&s)?,
-                    None => TraceMode::Auto,
-                };
-                Ok(Some(Self::new(d, mode)))
-            }
-        }
-    }
-
-    /// [`TracePolicy::from_env`], panicking on malformed variables
-    /// (matching the checkpoint-policy handling: a loud error beats a
-    /// silently execution-driven overnight sweep).
-    pub fn from_env_or_die() -> Option<Self> {
-        Self::from_env().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// The trace file for `(app, machine geometry, scale)`. Keyed by the
-    /// stream-geometry digest — not the full config — so one captured trace
-    /// serves every queue-size/timing/scheduler cell of a sweep.
-    pub fn path_for(&self, app: &str, cfg: &GpuConfig, scale: f64) -> PathBuf {
-        let clean: String = app
-            .chars()
-            .map(|c| if c.is_ascii_alphanumeric() || c == '-' || c == '.' { c } else { '_' })
-            .collect();
-        self.dir.join(format!(
-            "{clean}-s{:x}-{:016x}.trace",
-            scale.to_bits(),
-            Trace::stream_digest(cfg)
-        ))
-    }
-}
-
 /// What the content-addressed result store does on lookup and publish (the
 /// `LAZYDRAM_CACHE_MODE` knob; the store itself lives in
 /// `lazydram-bench::store`).
@@ -195,7 +97,7 @@ pub enum CacheMode {
 /// `require`, `refresh`).
 ///
 /// Kept separate from [`CachePolicy::from_env`] so the validation is
-/// unit-testable, following the `parse_scale`/`parse_trace_mode` pattern.
+/// unit-testable, following the `parse_scale`/`parse_checkpoint_every` pattern.
 ///
 /// # Errors
 ///
@@ -265,7 +167,7 @@ impl CachePolicy {
     }
 
     /// [`CachePolicy::from_env`], panicking on malformed variables (matching
-    /// the checkpoint/trace-policy handling: a loud error beats a silently
+    /// the checkpoint-policy handling: a loud error beats a silently
     /// uncached — or silently wrongly-keyed — overnight sweep).
     pub fn from_env_or_die() -> Option<Self> {
         Self::from_env().unwrap_or_else(|e| panic!("{e}"))
@@ -397,7 +299,7 @@ impl SimBuilder {
         self
     }
 
-    /// Enables DRAM command trace capture in the result.
+    /// Enables request-trace capture into [`RunResult::trace`].
     pub fn trace(mut self, capture: bool) -> Self {
         self.trace = capture;
         self
@@ -441,17 +343,6 @@ impl SimBuilder {
     /// The scheme display label.
     pub fn scheme_label(&self) -> &str {
         &self.label
-    }
-
-    /// The machine configuration (the sweep runner derives trace-store
-    /// paths from its stream geometry before building).
-    pub fn gpu_config(&self) -> &GpuConfig {
-        &self.cfg
-    }
-
-    /// The work scale.
-    pub fn work_scale(&self) -> f64 {
-        self.scale
     }
 
     /// Content digest of this *cell*: everything that determines the
@@ -580,19 +471,6 @@ impl SimRun {
             None => Ok(self.sim.run_sequence(&mut self.launches())),
             Some(policy) => self.run_with_checkpoints(policy),
         }
-    }
-
-    /// Replays a captured request trace through this run's MC + DRAM under
-    /// its scheduling policy — the open-loop fast path (no GPU substrate).
-    /// The trace must come from a machine with the same stream geometry;
-    /// a full sweep cell gets its result in milliseconds instead of
-    /// re-simulating the SMs.
-    ///
-    /// # Errors
-    ///
-    /// [`TraceError`] on a malformed or incompatible trace.
-    pub fn replay_trace(&self, trace: &Trace) -> Result<ReplayReport, TraceError> {
-        self.sim.replay_trace(trace)
     }
 
     /// Runs until `pause_at` total core cycles, returning either the
@@ -740,42 +618,6 @@ mod tests {
         assert!(
             name.chars().all(|ch| ch.is_ascii_alphanumeric() || ch == '-' || ch == '.' || ch == '_'),
             "unsafe checkpoint file name {name:?}"
-        );
-    }
-
-    #[test]
-    fn parse_trace_mode_accepts_known_modes() {
-        assert_eq!(parse_trace_mode("auto"), Ok(TraceMode::Auto));
-        assert_eq!(parse_trace_mode(" Capture "), Ok(TraceMode::Capture));
-        assert_eq!(parse_trace_mode("REPLAY"), Ok(TraceMode::Replay));
-    }
-
-    #[test]
-    fn parse_trace_mode_rejects_garbage() {
-        for bad in ["", "record", "auto,replay", "1"] {
-            let err = parse_trace_mode(bad).unwrap_err();
-            assert!(err.contains("auto, capture, or replay"), "{err}");
-        }
-    }
-
-    #[test]
-    fn trace_paths_are_shared_across_sweep_knobs_only() {
-        let policy = TracePolicy::new("traces", TraceMode::Auto);
-        let base = GpuConfig::default();
-        let queue = GpuConfig { pending_queue_size: 16, ..GpuConfig::default() };
-        let chans = GpuConfig { num_channels: 4, ..GpuConfig::default() };
-        let p = policy.path_for("SCP", &base, 0.1);
-        // Queue-size sweep cells replay the same captured stream…
-        assert_eq!(p, policy.path_for("SCP", &queue, 0.1));
-        // …but a different geometry, scale, or app does not.
-        assert_ne!(p, policy.path_for("SCP", &chans, 0.1));
-        assert_ne!(p, policy.path_for("SCP", &base, 0.2));
-        assert_ne!(p, policy.path_for("GEMM", &base, 0.1));
-        let name = p.file_name().unwrap().to_str().unwrap();
-        assert!(name.ends_with(".trace"), "{name}");
-        assert!(
-            name.chars().all(|ch| ch.is_ascii_alphanumeric() || ch == '-' || ch == '.' || ch == '_'),
-            "unsafe trace file name {name:?}"
         );
     }
 

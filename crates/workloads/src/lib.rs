@@ -39,8 +39,7 @@ pub mod suite;
 pub mod util;
 
 pub use builder::{
-    parse_backend, parse_cache_mode, parse_checkpoint_every, parse_trace_mode, CacheMode,
-    CachePolicy, CheckpointPolicy, SimBuilder, SimRun, TraceMode, TracePolicy,
-    DEFAULT_CHECKPOINT_EVERY,
+    parse_backend, parse_cache_mode, parse_checkpoint_every, CacheMode, CachePolicy,
+    CheckpointPolicy, SimBuilder, SimRun, DEFAULT_CHECKPOINT_EVERY,
 };
 pub use suite::{by_name, exact_output, group, run_app, run_app_limited, suite as all_apps, AppSpec};

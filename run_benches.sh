@@ -25,7 +25,7 @@ echo "### lazydram reproduction sweep — LAZYDRAM_SCALE=$LAZYDRAM_SCALE, LAZYDR
 for b in tab01_config fig08_drop_accuracy fig12_main fig04_delay_sweep tab02_classify \
          fig02_queue_size fig13_queue_dms fig05_rbl_shift fig06_cdf fig07_case_studies \
          fig10_bwutil_ipc fig11_thrbl fig14_laplacian fig15_group4 \
-         abl_baselines abl_reuse abl_window abl_timing abl_hbm; do
+         abl_baselines abl_reuse abl_window abl_timing abl_backends; do
   echo; echo "##### bench: $b"
   cargo bench -q -p lazydram-bench --bench "$b"
 done

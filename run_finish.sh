@@ -29,7 +29,7 @@ LAZYDRAM_SCALE=0.35 LAZYDRAM_APPS="$REP_APPS" cargo bench -q -p lazydram-bench -
 echo; echo "##### bench: fig13_queue_dms (LAZYDRAM_SCALE=0.35, representative apps)"
 LAZYDRAM_SCALE=0.35 LAZYDRAM_APPS="$REP_APPS" cargo bench -q -p lazydram-bench --bench fig13_queue_dms
 
-for b in abl_baselines abl_timing abl_hbm tab01_config; do
+for b in abl_baselines abl_timing abl_backends tab01_config; do
   echo; echo "##### bench: $b (LAZYDRAM_SCALE=0.5)"
   LAZYDRAM_SCALE=0.5 cargo bench -q -p lazydram-bench --bench "$b"
 done

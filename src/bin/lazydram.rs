@@ -120,16 +120,27 @@ fn cmd_schemes(app: &AppSpec, scale: f64, preset: DramPreset) {
     let exact = base_run.exact_output();
     let base = base_run.run();
     println!("{}: all schemes (scale {scale}, backend {preset})", app.name);
-    println!("{:>24} {:>10} {:>9} {:>9} {:>9}", "scheme", "norm acts", "norm IPC", "coverage", "error");
+    println!(
+        "baseline: {} activations, IPC {:.3}, Avg-RBL {:.2}",
+        base.stats.dram.activations,
+        base.stats.ipc(),
+        base.stats.dram.avg_rbl()
+    );
+    println!(
+        "{:>24} {:>10} {:>10} {:>9} {:>9} {:>9} {:>8}",
+        "scheme", "acts", "norm acts", "norm IPC", "coverage", "error", "Avg-RBL"
+    );
     for scheme in Scheme::PAPER {
         let r = SimBuilder::new(app).preset(preset).scheme(scheme).scale(scale).build().run();
         println!(
-            "{:>24} {:>10.3} {:>9.3} {:>8.1}% {:>8.2}%",
+            "{:>24} {:>10} {:>10.3} {:>9.3} {:>8.1}% {:>8.2}% {:>8.2}",
             scheme.label(),
+            r.stats.dram.activations,
             r.stats.dram.activations as f64 / base.stats.dram.activations.max(1) as f64,
             r.stats.ipc() / base.stats.ipc().max(1e-9),
             100.0 * r.stats.dram.coverage(),
             100.0 * application_error(&exact, &r.output),
+            r.stats.dram.avg_rbl(),
         );
     }
 }

@@ -9,17 +9,20 @@
 //! * [`core`] — the lazy memory scheduler (FR-FCFS + DMS + AMS), the paper's
 //!   contribution;
 //! * [`gpu`] — the execution-driven GPU substrate (SMs, caches, interconnect,
-//!   value prediction, trace capture/replay);
+//!   value prediction), plus request-trace capture and the open-loop
+//!   single-trace replayer;
 //! * [`workloads`] — the 20-application evaluation suite of Table II;
 //! * [`energy`] — the GPUWattch-style DRAM energy model;
-//! * [`bench`] — the parallel sweep runner and the content-addressed
-//!   result store shared by the figure harnesses and the CLI.
+//! * [`bench`](mod@bench) — the parallel sweep runner and the
+//!   content-addressed result store shared by the figure harnesses and the
+//!   CLI.
 //!
 //! The crate root also re-exports the high-level entry points — the
 //! [`SimBuilder`] facade, the [`Scheme`] constructors, the
-//! checkpoint/resume types, and the trace capture/replay types
-//! ([`Trace`], [`TraceSim`], [`TracePolicy`]) — so most users never need
-//! to reach into the sub-crates:
+//! checkpoint/resume types, and the trace types ([`Trace`], [`TraceSim`])
+//! — so most users never need to reach into the sub-crates. Sweeps are
+//! always execution-driven; [`TraceSim`] replays one captured trace at a
+//! time (`lazydram capture` / `lazydram replay`, Fig. 3's example).
 //!
 //! # Example
 //!
@@ -48,6 +51,5 @@ pub use lazydram_gpu::{
     Checkpoint, ReplayReport, RunOutcome, Trace, TraceError, TraceSim,
 };
 pub use lazydram_workloads::{
-    parse_checkpoint_every, parse_trace_mode, CheckpointPolicy, SimBuilder, SimRun, TraceMode,
-    TracePolicy, DEFAULT_CHECKPOINT_EVERY,
+    parse_checkpoint_every, CheckpointPolicy, SimBuilder, SimRun, DEFAULT_CHECKPOINT_EVERY,
 };

@@ -51,39 +51,6 @@ cmp "$CKPT_TMP/a.jsonl" "$CKPT_TMP/b.jsonl"
 cmp "$CKPT_TMP/a.jsonl" "$CKPT_TMP/c.jsonl"
 echo "checkpointed + resumed sweeps byte-identical to plain run"
 
-echo "== tier1: trace capture/replay smoke =="
-# Capture-once-replay-many through a real harness: the same fig04/SCP sweep
-# runs twice against a trace store — first in auto mode (baseline captures,
-# cells replay), then in strict replay mode (store must already hold the
-# trace). Both runs must be byte-identical (replay is deterministic and the
-# baseline, the normalisation anchor, stays execution-driven), every cell
-# must actually have replayed, and nothing may fail or drop requests
-# (unserved requests fail the job, which would surface as a failure record).
-LAZYDRAM_APPS=SCP LAZYDRAM_SCALE=0.05 LAZYDRAM_QUIET=1 \
-LAZYDRAM_RESULTS="$CKPT_TMP/t1.jsonl" \
-LAZYDRAM_TRACE_DIR="$CKPT_TMP/traces" \
-    cargo bench -q -p lazydram-bench --bench fig04_delay_sweep > /dev/null
-LAZYDRAM_APPS=SCP LAZYDRAM_SCALE=0.05 LAZYDRAM_QUIET=1 \
-LAZYDRAM_RESULTS="$CKPT_TMP/t2.jsonl" \
-LAZYDRAM_TRACE_DIR="$CKPT_TMP/traces" LAZYDRAM_TRACE_MODE=replay \
-    cargo bench -q -p lazydram-bench --bench fig04_delay_sweep > /dev/null
-cmp "$CKPT_TMP/t1.jsonl" "$CKPT_TMP/t2.jsonl"
-grep -q '"replayed":true' "$CKPT_TMP/t1.jsonl"
-if grep -q '"record":"failure"' "$CKPT_TMP/t1.jsonl"; then
-    echo "trace smoke produced failure records" >&2; exit 1
-fi
-ls "$CKPT_TMP/traces"/*.trace > /dev/null
-echo "captured + replayed sweeps byte-identical; replay cells present"
-# The fast path must stay fast: SCP's six-delay sweep at scale 0.2 must
-# replay at least 5x faster than it executes (dbg_trace itself asserts that
-# every replayed request is served).
-cargo run -q --release -p lazydram-bench --bin dbg_trace -- sweep SCP 0.2 > "$CKPT_TMP/trace_sweep.out"
-trace_speedup=$(sed -n 's/^sweep totals: .*(\([0-9.]*\)x;.*/\1/p' "$CKPT_TMP/trace_sweep.out")
-awk -v x="$trace_speedup" 'BEGIN { exit !(x >= 5.0) }' || {
-    echo "trace replay sweep speedup ${trace_speedup:-missing}x is below 5x" >&2
-    cat "$CKPT_TMP/trace_sweep.out" >&2; exit 1; }
-echo "SCP delay sweep replays ${trace_speedup}x faster than execution"
-
 echo "== tier1: result-cache smoke =="
 # Cross-sweep caching must be invisible in the results: the same fig04/SCP
 # sweep runs cold (populating the store) and warm (served from it); stdout
