@@ -317,8 +317,7 @@ impl MemoryImage {
     pub fn read_runs_into(&self, runs: &[Run], out: &mut Vec<f32>) {
         let _t = prof::enter(Phase::FuncMem);
         out.clear();
-        // Exact-size growth: lane buffers live in every warp slot, so
-        // doubling past a large load would cost memory on every slot.
+        // One growth step at most, sized by the load.
         out.reserve(runs.iter().map(|r| r.words as usize).sum());
         let mut cur_line = u64::MAX;
         let mut words: &[f32] = &ZERO_LINE;

@@ -11,9 +11,13 @@
 //! request was dropped by AMS.
 //!
 //! The issue path is allocation-free in steady state: programs emit into the
-//! SM's reusable [`OpBuf`], and all per-load / per-store bookkeeping lives in
+//! SM's reusable [`OpBuf`], and per-load / per-store bookkeeping lives in
 //! slot-persistent buffers whose capacity survives across ops *and* across
-//! the warps that occupy the slot.
+//! the warps that occupy the slot. A completed load's values are the one
+//! exception: they sit in a buffer taken from the SM's pool when the load
+//! completes and returned once the warp's next `next()` has consumed them,
+//! so the SM holds as many value buffers as loads that have completed but
+//! are not yet consumed, not one per slot sized by its largest load.
 
 use crate::cache::{AccessResult, Cache};
 use crate::kernel::{Kernel, OpBuf, OpKind, WarpProgram};
@@ -106,8 +110,10 @@ impl StorePlan {
 }
 
 /// One warp slot. `program.is_none()` ⇔ the slot is empty; the scratch
-/// buffers (`wait`, `store`, `last_loaded`) persist for the SM's lifetime,
-/// so successive warps occupying the slot inherit warmed capacity.
+/// buffers (`wait`, `store`) persist for the SM's lifetime, so successive
+/// warps occupying the slot inherit warmed capacity. `last_loaded` holds a
+/// buffer from the SM's `load_pool` only between a load's completion and
+/// its consumption.
 struct WarpSlot {
     program: Option<Box<dyn WarpProgram>>,
     /// Warp id the occupying program was built for ([`Kernel::program`]);
@@ -124,6 +130,7 @@ struct WarpSlot {
     /// must be retried before the warp can advance.
     store_parked: bool,
     /// Values delivered by the last load, consumed by the next `next()` call.
+    /// Capacity-free while no completed load awaits consumption.
     last_loaded: Vec<f32>,
     /// [`Sm::mem_epoch`] value as of this slot's last drain attempt. A
     /// retry with an unchanged epoch cannot probe-hit or merge any unsent
@@ -220,6 +227,25 @@ pub(crate) struct SmCtx<'a> {
     pub kernel: &'a dyn Kernel,
     /// This SM's staging area for the cycle.
     pub stage: &'a mut SmStage,
+}
+
+/// Gives an empty `last_loaded` a buffer from `pool` (or a fresh one when
+/// the pool is dry), so the load's values reuse a retired buffer's
+/// capacity.
+fn take_load_buf(last_loaded: &mut Vec<f32>, pool: &mut Vec<Vec<f32>>) {
+    debug_assert!(last_loaded.is_empty(), "unconsumed load values");
+    if last_loaded.capacity() == 0 {
+        *last_loaded = pool.pop().unwrap_or_default();
+    }
+}
+
+/// Returns `last_loaded`'s buffer, if it holds one, to `pool` emptied.
+fn release_load_buf(last_loaded: &mut Vec<f32>, pool: &mut Vec<Vec<f32>>) {
+    if last_loaded.capacity() > 0 {
+        let mut vals = std::mem::take(last_loaded);
+        vals.clear();
+        pool.push(vals);
+    }
 }
 
 /// Visits the set bits of `mask` in rotated index order — `start..128`, then
@@ -322,6 +348,10 @@ pub(crate) struct Sm {
     /// Retired MSHR waiter lists, recycled so a new miss entry does not
     /// allocate.
     waiter_pool: Vec<Vec<usize>>,
+    /// Empty load-value buffers: a completing load takes one into its
+    /// slot's `last_loaded`, and the issue that consumes the values returns
+    /// it.
+    load_pool: Vec<Vec<f32>>,
     /// Bumped whenever SM-local memory state that can unblock an unsent
     /// miss line changes: an L1 fill (a blocked line may now probe-hit) or
     /// a fresh MSHR entry (a blocked line may now merge). Together with
@@ -366,6 +396,7 @@ impl Sm {
             scratch_lines: Vec::new(),
             opbuf: OpBuf::new(),
             waiter_pool: Vec::new(),
+            load_pool: Vec::new(),
             mem_epoch: 0,
             parked_need: vec![0; cfg.num_channels],
         }
@@ -680,7 +711,7 @@ impl Sm {
         slot.warp_id = warp_id;
         slot.state = WarpState::Ready;
         slot.store_parked = false;
-        slot.last_loaded.clear();
+        debug_assert!(slot.last_loaded.capacity() == 0, "vacated slot holds a load buffer");
         self.live_warps += 1;
         self.refresh_masks(idx);
     }
@@ -714,7 +745,12 @@ impl Sm {
                 // Replies are delivered before the SM ticks, so no writes
                 // of this cycle are staged yet — the plain image is the
                 // coherent view.
-                Self::complete_load(slot, &OverlayView::new(image, &[]), &mut self.approximated_loads);
+                Self::complete_load(
+                    slot,
+                    &mut self.load_pool,
+                    &OverlayView::new(image, &[]),
+                    &mut self.approximated_loads,
+                );
                 self.refresh_masks(idx);
             }
         }
@@ -722,15 +758,21 @@ impl Sm {
         self.waiter_pool.push(waiters);
     }
 
-    fn complete_load(slot: &mut WarpSlot, view: &OverlayView<'_>, approx_ctr: &mut u64) {
+    fn complete_load(
+        slot: &mut WarpSlot,
+        pool: &mut Vec<Vec<f32>>,
+        view: &OverlayView<'_>,
+        approx_ctr: &mut u64,
+    ) {
         debug_assert!(
             matches!(slot.state, WarpState::Waiting),
             "complete_load on non-waiting warp"
         );
         let WarpSlot { state, last_loaded, wait, .. } = slot;
+        take_load_buf(last_loaded, pool);
         if wait.approx.is_empty() {
             // Exact load: one line resolution per line each run touches,
-            // refilling the slot's buffer in place.
+            // filling the pooled buffer.
             view.read_runs_into(&wait.runs, last_loaded);
         } else {
             // Every approximated line covers at least one lane (pending
@@ -881,7 +923,7 @@ impl Sm {
                     let slot = &mut self.slots[idx];
                     let program = slot.program.as_mut().expect("occupied slot");
                     program.next(&slot.last_loaded, &mut buf);
-                    slot.last_loaded.clear();
+                    release_load_buf(&mut slot.last_loaded, &mut self.load_pool);
                 }
                 let ok = self.execute_op(idx, &buf, ctx);
                 self.opbuf = buf;
@@ -959,8 +1001,9 @@ impl Sm {
         let WarpSlot { state, wait, last_loaded, .. } = &mut self.slots[idx];
         if wait.pending.is_empty() {
             // Pure L1 hit: values available for the next issue of this warp,
-            // assembled line-at-a-time into the slot's reusable buffer. The
-            // overlay makes stores staged earlier this cycle visible.
+            // assembled line-at-a-time into a pooled buffer. The overlay
+            // makes stores staged earlier this cycle visible.
+            take_load_buf(last_loaded, &mut self.load_pool);
             OverlayView::new(ctx.image, &ctx.stage.writes).read_runs_into(runs, last_loaded);
             *state = WarpState::Ready;
         } else {
@@ -1035,7 +1078,7 @@ impl Sm {
             }
         }
         if wait.pending.is_empty() {
-            Self::complete_load(slot, &view, &mut self.approximated_loads);
+            Self::complete_load(slot, &mut self.load_pool, &view, &mut self.approximated_loads);
         }
     }
 
@@ -1225,6 +1268,7 @@ impl Sm {
         }
         let mut live = 0usize;
         for (i, slot) in self.slots.iter_mut().enumerate() {
+            release_load_buf(&mut slot.last_loaded, &mut self.load_pool);
             l.frame("slot", i as u32, |l| {
                 let occupied = l.bool("occupied")?;
                 if !occupied {
@@ -1239,7 +1283,6 @@ impl Sm {
                     slot.store.writes.clear();
                     slot.store.lines.clear();
                     slot.store.per_slice.clear();
-                    slot.last_loaded.clear();
                     return Ok(());
                 }
                 slot.warp_id = l.usize("warp_id")?;
@@ -1287,6 +1330,8 @@ impl Sm {
                     let count = l.usize("count")?;
                     slot.store.per_slice.push((ch, count));
                 }
+                // Reads into the buffer-free slot: an empty list allocates
+                // nothing, and a filled one joins the pool once consumed.
                 l.f32s("last_loaded", &mut slot.last_loaded)?;
                 let mut program = kernel.program(slot.warp_id);
                 l.frame("prog", 0, |l| program.load_state(l))?;
@@ -1864,6 +1909,78 @@ mod tests {
         run_cycle(&mut sm, 1, &mut image, &map, &kernel, &mut noc);
         assert_eq!(noc.iter().map(|q| q.len()).sum::<usize>(), 9);
         assert_eq!(sm.instructions, 9);
+    }
+
+    /// Load values live in pooled buffers: 48 resident warps whose
+    /// 3DCONV-sized loads (3,456 words, 13.5 KiB) complete one after
+    /// another, each consumed before the next completes, leave the SM with
+    /// one buffer, not one per slot.
+    #[test]
+    fn consumed_loads_share_one_pooled_buffer() {
+        const WORDS: usize = 3456;
+        /// Loads its own region, then computes long enough to stay resident.
+        struct LoadThenCompute {
+            base: u64,
+            loaded: bool,
+        }
+        impl WarpProgram for LoadThenCompute {
+            fn next(&mut self, loaded: &[f32], out: &mut OpBuf) {
+                if self.loaded {
+                    assert_eq!(loaded.len(), WORDS);
+                    out.set_compute(1_000_000);
+                } else {
+                    self.loaded = true;
+                    out.begin_load().run(self.base, WORDS);
+                }
+            }
+            fn save_state(&self, _s: &mut Saver) {}
+            fn load_state(&mut self, _l: &mut Loader<'_>) -> SnapResult<()> {
+                Ok(())
+            }
+        }
+        let (mut sm, mut image, map, kernel, _) = setup();
+        let slots = sm.slots.len();
+        assert_eq!(slots, 48);
+        let region = image.alloc(slots * WORDS);
+        let buffers = |sm: &Sm| {
+            sm.load_pool.len() + sm.slots.iter().filter(|s| s.last_loaded.capacity() > 0).count()
+        };
+        let mut now = 0;
+        for w in 0..slots {
+            let base = region + (w as u64) * WORDS as u64 * 4;
+            sm.dispatch(w, Box::new(LoadThenCompute { base, loaded: false }));
+            // Nothing drains the request NoC here; a fresh one per warp
+            // keeps every warp's requests from backing up behind the last.
+            let mut noc: Vec<DelayQueue<SliceReq>> =
+                (0..6).map(|_| DelayQueue::new(0, 64, 8)).collect();
+            while !matches!(sm.slots[w].state, WarpState::Waiting) {
+                now += 1;
+                run_cycle(&mut sm, now, &mut image, &map, &kernel, &mut noc);
+            }
+            // Every line misses (each warp has its own region). Answer
+            // the lines in the MSHRs, let the next cycle send the lines
+            // that did not fit, and repeat: the last reply completes it.
+            while matches!(sm.slots[w].state, WarpState::Waiting) {
+                let lines: Vec<u64> = sm.mshr.keys().copied().collect();
+                for line in lines {
+                    sm.on_reply(Reply { line, values: None }, &image);
+                }
+                if matches!(sm.slots[w].state, WarpState::Waiting) {
+                    now += 1;
+                    run_cycle(&mut sm, now, &mut image, &map, &kernel, &mut noc);
+                }
+            }
+            assert!(matches!(sm.slots[w].state, WarpState::Ready), "warp {w} load incomplete");
+            assert_eq!(buffers(&sm), 1, "warp {w}: completed load holds the one buffer");
+            while !matches!(sm.slots[w].state, WarpState::Computing { .. }) {
+                now += 1;
+                run_cycle(&mut sm, now, &mut image, &map, &kernel, &mut noc);
+            }
+        }
+        assert_eq!(sm.live_warps(), slots);
+        assert_eq!(sm.load_pool.len(), 1, "one pooled buffer after 48 consumed loads");
+        assert!(sm.load_pool[0].capacity() >= WORDS);
+        assert!(sm.slots.iter().all(|s| s.last_loaded.capacity() == 0));
     }
 
     mod coalesce_props {

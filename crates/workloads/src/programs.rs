@@ -63,6 +63,10 @@ enum MapPhase {
 /// Element-wise map over items, 32 items per warp-iteration. All input words
 /// of one iteration are fetched by a single batched load (the back-to-back
 /// load instructions a real GPU keeps in flight via its scoreboard).
+///
+/// A batch covers consecutive items ([`MapProgram::batch_items`]; `index`
+/// only shapes input addresses), so its per-item data lives in two flat
+/// buffers indexed `[item in batch][word]`, sized by the batch alone.
 pub struct MapProgram {
     cfg: MapConfig,
     first_item: usize,
@@ -71,32 +75,34 @@ pub struct MapProgram {
     /// `true` while a load is in flight; its values are absorbed exactly once
     /// at the top of the next `next()` call.
     awaiting: bool,
-    /// Collected input words, `[batch slot][word]`.
-    in_vals: Vec<Vec<f32>>,
-    /// Computed output words, `[batch slot][word]`.
-    out_vals: Vec<Vec<f32>>,
-    /// Active `(slot, lane, item)` triples of the current batch, rebuilt in
-    /// place only when the batch advances.
-    active: Vec<(usize, usize, usize)>,
-    /// `iter` value `active` was computed for (`usize::MAX` = never).
-    active_iter: usize,
+    /// Input words per item (`Σ inputs.words`).
+    in_words: usize,
+    /// Output words per item (`Σ outputs.words`).
+    out_words: usize,
+    /// Collected input words of the current batch, `[item in batch][word]`;
+    /// filled from the load's values and emptied by the compute step.
+    in_vals: Vec<f32>,
+    /// Computed output words of the current batch, `[item in batch][word]`;
+    /// filled by the compute step and emptied once the batch is stored.
+    out_vals: Vec<f32>,
 }
 
 impl MapProgram {
     /// Creates the program for `warp_id`.
     pub fn new(warp_id: usize, cfg: MapConfig) -> Self {
         let first_item = warp_id * LANES * cfg.iters_per_warp;
-        let slots = LANES * cfg.load_batch.max(1);
+        let in_words = cfg.inputs.iter().map(|i| i.1).sum();
+        let out_words = cfg.outputs.iter().map(|o| o.1).sum();
         Self {
             cfg,
             first_item,
             iter: 0,
             phase: MapPhase::Load,
             awaiting: false,
-            in_vals: vec![Vec::new(); slots],
-            out_vals: vec![Vec::new(); slots],
-            active: Vec::new(),
-            active_iter: usize::MAX,
+            in_words,
+            out_words,
+            in_vals: Vec::new(),
+            out_vals: Vec::new(),
         }
     }
 
@@ -106,24 +112,19 @@ impl MapProgram {
         self.iter..(self.iter + b).min(self.cfg.iters_per_warp)
     }
 
-    /// Rebuilds `active` — the `(slot, lane, item)` triples of the current
-    /// batch, where `slot` numbers the batch-local position — unless it is
-    /// already valid for the current `iter`.
-    fn refresh_active(&mut self) {
-        if self.active_iter == self.iter {
-            return;
-        }
-        self.active_iter = self.iter;
-        self.active.clear();
-        for (bi, it) in self.batch().enumerate() {
-            let base = self.first_item + it * LANES;
-            for lane in 0..LANES {
-                let item = base + lane;
-                if item < self.cfg.items {
-                    self.active.push((bi * LANES + lane, lane, item));
-                }
-            }
-        }
+    /// Items of the current batch, in lane order (iteration-major): the
+    /// batch's iterations cut at the launch's last item.
+    fn batch_items(&self) -> std::ops::Range<usize> {
+        let batch = self.batch();
+        let start = self.first_item + batch.start * LANES;
+        let end = (self.first_item + batch.end * LANES).min(self.cfg.items);
+        start..end.max(start)
+    }
+
+    /// Batch positions the snapshot format has one `f32s` entry for:
+    /// `LANES` per iteration of a full batch.
+    fn snapshot_slots(&self) -> usize {
+        LANES * self.cfg.load_batch.max(1)
     }
 }
 
@@ -131,16 +132,20 @@ impl WarpProgram for MapProgram {
     fn next(&mut self, loaded: &[f32], out: &mut OpBuf) {
         if self.awaiting {
             self.awaiting = false;
-            // Values arrive in (input, word, slot) order.
-            self.refresh_active();
-            let Self { cfg, active, in_vals, .. } = self;
+            // Values arrive in (input, word, item) order; scatter them to
+            // `[item][word]`.
+            let n = self.batch_items().len();
+            let Self { cfg, in_vals, in_words, .. } = self;
+            in_vals.resize(n * *in_words, 0.0);
             let mut it = loaded.iter();
-            for (_, words) in &cfg.inputs {
-                for _w in 0..*words {
-                    for &(slot, _, _) in active.iter() {
-                        in_vals[slot].push(*it.next().expect("value per address"));
+            let mut word_off = 0;
+            for &(_, words) in &cfg.inputs {
+                for w in word_off..word_off + words {
+                    for v in in_vals.iter_mut().skip(w).step_by(*in_words) {
+                        *v = *it.next().expect("value per address");
                     }
                 }
+                word_off += words;
             }
         }
         loop {
@@ -148,8 +153,8 @@ impl WarpProgram for MapProgram {
                 out.set_finished();
                 return;
             }
-            self.refresh_active();
-            if self.active.is_empty() {
+            let items = self.batch_items();
+            if items.is_empty() {
                 out.set_finished();
                 return;
             }
@@ -161,7 +166,7 @@ impl WarpProgram for MapProgram {
                     let mut load = out.begin_load();
                     for &(base, words) in &self.cfg.inputs {
                         for w in 0..words {
-                            for &(_, _, item) in &self.active {
+                            for item in items.clone() {
                                 let idx = (self.cfg.index)(item, self.cfg.items);
                                 load.push(f32_addr(base, idx * words + w));
                             }
@@ -173,12 +178,14 @@ impl WarpProgram for MapProgram {
                 }
                 MapPhase::Compute => {
                     let iters = self.batch().len() as u32;
-                    let Self { cfg, active, in_vals, out_vals, .. } = self;
-                    for &(slot, _, _) in active.iter() {
-                        out_vals[slot].clear();
-                        (cfg.func)(&in_vals[slot], &mut out_vals[slot]);
-                        in_vals[slot].clear();
+                    let Self { cfg, in_vals, out_vals, in_words, .. } = self;
+                    // `func` appends each item's output words in turn.
+                    out_vals.clear();
+                    for i in 0..items.len() {
+                        (cfg.func)(&in_vals[i * *in_words..(i + 1) * *in_words], out_vals);
                     }
+                    debug_assert_eq!(out_vals.len(), items.len() * self.out_words);
+                    in_vals.clear();
                     self.phase = MapPhase::Store { output: 0, word: 0 };
                     if self.cfg.compute > 0 {
                         out.set_compute(self.cfg.compute * iters);
@@ -189,19 +196,17 @@ impl WarpProgram for MapProgram {
                 MapPhase::Store { output, word } => {
                     if output >= self.cfg.outputs.len() {
                         self.iter += self.batch().len().max(1);
-                        for v in &mut self.out_vals {
-                            v.clear();
-                        }
+                        self.out_vals.clear();
                         self.phase = MapPhase::Load;
                         continue;
                     }
                     let (base, words) = self.cfg.outputs[output];
                     let word_off: usize = self.cfg.outputs[..output].iter().map(|o| o.1).sum();
                     let writes = out.begin_store();
-                    for &(slot, _, item) in &self.active {
+                    for (i, item) in items.enumerate() {
                         writes.push((
                             f32_addr(base, item * words + word),
-                            self.out_vals[slot][word_off + word],
+                            self.out_vals[i * self.out_words + word_off + word],
                         ));
                     }
                     self.phase = if word + 1 < words {
@@ -227,13 +232,17 @@ impl WarpProgram for MapProgram {
             }
         }
         s.bool("awaiting", self.awaiting);
-        s.seq("in_vals", self.in_vals.len());
-        for v in &self.in_vals {
-            s.f32s("vals", v);
-        }
-        s.seq("out_vals", self.out_vals.len());
-        for v in &self.out_vals {
-            s.f32s("vals", v);
+        // One `f32s` per batch position, empty past the filled items.
+        let slots = self.snapshot_slots();
+        for (label, vals, words) in [
+            ("in_vals", &self.in_vals, self.in_words),
+            ("out_vals", &self.out_vals, self.out_words),
+        ] {
+            s.seq(label, slots);
+            let mut rows = vals.chunks_exact(words.max(1));
+            for _ in 0..slots {
+                s.f32s("vals", rows.next().unwrap_or_default());
+            }
         }
     }
 
@@ -251,21 +260,40 @@ impl WarpProgram for MapProgram {
             }
         };
         self.awaiting = l.bool("awaiting")?;
-        for (label, bufs) in [("in_vals", &mut self.in_vals), ("out_vals", &mut self.out_vals)] {
+        let slots = self.snapshot_slots();
+        let mut row = Vec::new();
+        for (label, vals, words) in [
+            ("in_vals", &mut self.in_vals, self.in_words),
+            ("out_vals", &mut self.out_vals, self.out_words),
+        ] {
             let n = l.seq(label, 8)?;
-            if n != bufs.len() {
+            if n != slots {
                 return Err(SnapError::Malformed {
                     label: label.into(),
-                    why: format!("snapshot has {n} slots, program has {}", bufs.len()),
+                    why: format!("snapshot has {n} slots, program has {slots}"),
                 });
             }
-            for v in bufs.iter_mut() {
-                l.f32s("vals", v)?;
+            // Filled positions are a prefix of full rows.
+            vals.clear();
+            let mut filled = true;
+            for _ in 0..n {
+                l.f32s("vals", &mut row)?;
+                if row.is_empty() {
+                    filled = false;
+                } else if !filled || row.len() != words {
+                    return Err(SnapError::Malformed {
+                        label: label.into(),
+                        why: format!(
+                            "batch position holds {} words; filled positions must be a \
+                             prefix of {words}-word rows",
+                            row.len()
+                        ),
+                    });
+                } else {
+                    vals.extend_from_slice(&row);
+                }
             }
         }
-        // Force a deterministic rebuild of the active-triple cache.
-        self.active_iter = usize::MAX;
-        self.active.clear();
         Ok(())
     }
 }
@@ -1276,6 +1304,69 @@ mod tests {
         for i in 0..40u64 {
             assert_eq!(img.read_f32(out + i * 4), -(1.0 + i as f32));
         }
+    }
+
+    /// A mid-store snapshot writes one row per batch position (the filled
+    /// prefix, then empty rows), restores byte for byte, and a row that
+    /// breaks the prefix-of-full-rows shape is rejected.
+    #[test]
+    fn map_program_snapshot_rows() {
+        let mut img = MemoryImage::new();
+        let a = img.alloc(80);
+        let out = img.alloc(80);
+        let make = || {
+            MapProgram::new(
+                0,
+                MapConfig {
+                    inputs: vec![(a, 2)],
+                    outputs: vec![(out, 2)],
+                    items: 40, // the batch's second iteration is partial
+                    iters_per_warp: 2,
+                    compute: 1,
+                    load_batch: 2,
+                    index: identity_index,
+                    func: |inp, o| o.extend([inp[1], inp[0]]),
+                },
+            )
+        };
+        let save = |p: &MapProgram| {
+            let mut s = Saver::new();
+            p.save_state(&mut s);
+            s.finish()
+        };
+        let mut p = make();
+        let (mut buf, mut loaded) = (OpBuf::new(), Vec::new());
+        while !matches!(p.phase, MapPhase::Store { .. }) {
+            p.next(&loaded, &mut buf);
+            assert!(lazydram_gpu::apply_functional(&buf, &mut img, &mut loaded));
+        }
+        assert_eq!(p.out_vals.len(), 40 * 2);
+        let bytes = save(&p);
+        let mut q = make();
+        q.load_state(&mut Loader::new(&bytes)).expect("valid snapshot");
+        assert_eq!(save(&q), bytes);
+
+        let store_with_rows = |rows: &[&[f32]]| {
+            let mut s = Saver::new();
+            s.usize("iter", 0);
+            s.u8("phase", 2);
+            s.usize("output", 0);
+            s.usize("word", 0);
+            s.bool("awaiting", false);
+            s.seq("in_vals", 64);
+            for _ in 0..64 {
+                s.f32s("vals", &[]);
+            }
+            s.seq("out_vals", 64);
+            for i in 0..64 {
+                s.f32s("vals", rows.get(i).copied().unwrap_or_default());
+            }
+            s.finish()
+        };
+        let load = |bytes: &[u8]| make().load_state(&mut Loader::new(bytes));
+        assert!(load(&store_with_rows(&[&[1.0, 2.0], &[3.0, 4.0]])).is_ok());
+        assert!(load(&store_with_rows(&[&[], &[3.0, 4.0]])).is_err(), "gap before a row");
+        assert!(load(&store_with_rows(&[&[1.0, 2.0, 3.0]])).is_err(), "row of 3 words");
     }
 
     #[test]

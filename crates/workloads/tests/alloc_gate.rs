@@ -3,8 +3,9 @@
 //!
 //! PR 4's tentpole claim is that warp-op emission is allocation-free once
 //! warm: programs fill a caller-owned [`OpBuf`] whose lane vectors retain
-//! capacity, and per-program helper state (`active` triples, `strips`,
-//! pair indices) is computed once at construction or reused across calls.
+//! capacity, and per-program helper state (the map's flat batch buffers,
+//! `strips`, pair indices) is computed once at construction or reused
+//! across calls.
 //! This test turns that claim into a regression gate with a counting
 //! `#[global_allocator]`: after a warm-up run, a representative map,
 //! stencil, matvec and matmul program each execute their measured ops —

@@ -18,6 +18,11 @@ echo "== tier1: allocation gate (steady-state zero-alloc emission) =="
 # asserts the warm next+issue cycle never touches the heap.
 cargo test -q --release -p lazydram-workloads --test alloc_gate
 
+echo "== tier1: footprint gate (a map warp's heap is one batch) =="
+# A counting global allocator bounds an inversek2j-shaped MapProgram's peak
+# live heap, so per-warp host memory stays sized by the batch in flight.
+cargo test -q --release -p lazydram-workloads --test footprint_gate
+
 echo "== tier1: cargo clippy (-D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
