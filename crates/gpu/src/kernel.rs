@@ -6,8 +6,12 @@
 //! are *execution-driven*: they issue real addresses and consume the real
 //! (or approximated) values the memory system returns, so application error
 //! under AMS is measured, not assumed.
+//!
+//! A warp's loads and stores travel as lists of strided lane [`Run`]s, from
+//! emission into an [`OpBuf`] to their completion in the SM; a store carries
+//! one value per lane beside its runs.
 
-use crate::memimg::{push_run, MemoryImage, Run};
+use crate::memimg::{push_lane, push_run, MemoryImage, Run};
 use lazydram_common::snap::{Loader, Saver, SnapResult};
 
 
@@ -22,12 +26,13 @@ use lazydram_common::snap::{Loader, Saver, SnapResult};
 pub enum WarpOp {
     /// `n` single-cycle ALU warp instructions.
     Compute(u32),
-    /// A global load, as its lanes' contiguous runs in lane order. The warp
+    /// A global load, as its lanes' strided runs in lane order. The warp
     /// blocks until all covered cache lines arrive; the loaded values are
     /// passed to the next [`WarpProgram::next`] call in lane order.
     Load(Vec<Run>),
-    /// A global store: `(address, value)` per active lane. The warp does not
-    /// wait for completion (write-through, fire-and-forget).
+    /// A global store: `(address, value)` per active lane, in lane order.
+    /// The warp does not wait for completion (write-through,
+    /// fire-and-forget).
     Store(Vec<(u64, f32)>),
     /// The warp has retired.
     Finished,
@@ -40,7 +45,8 @@ pub enum OpKind {
     Compute(u32),
     /// A load; its lanes are in [`OpBuf::runs`].
     Load,
-    /// A store; the writes are in [`OpBuf::writes`].
+    /// A store; its lanes are in [`OpBuf::runs`], their values in
+    /// [`OpBuf::values`].
     Store,
     /// The warp has retired.
     Finished,
@@ -49,20 +55,24 @@ pub enum OpKind {
 /// A reusable warp-op emission buffer, owned by the caller of
 /// [`WarpProgram::next`].
 ///
-/// A load is held as a list of contiguous lane [`Run`]s, from emission to
-/// completion: programs add lanes through the [`LoadEmitter`] that
-/// [`OpBuf::begin_load`] returns, either a whole run at a time
-/// ([`LoadEmitter::run`]) or one lane at a time ([`LoadEmitter::push`],
-/// which extends the last run when the address continues it). The SM
-/// coalesces, parks and reads the load per run, never per lane.
+/// A load or a store is held as a list of strided lane [`Run`]s, from
+/// emission to completion; a store adds one value per lane in a bare `f32`
+/// slice. Programs add a load's lanes through the [`LoadEmitter`] that
+/// [`OpBuf::begin_load`] returns, either a whole contiguous run at a time
+/// ([`LoadEmitter::run`]) or one lane at a time ([`LoadEmitter::push`]),
+/// and a store's lanes through the [`StoreEmitter`] that
+/// [`OpBuf::begin_store`] returns ([`StoreEmitter::push`]). A pushed lane
+/// extends the last run when its address continues that run's stride. The
+/// SM coalesces, parks, reads and writes these ops per run, never per
+/// lane.
 ///
-/// One warp-load *instruction* covers up to 32 lanes; programs may emit
+/// One warp memory *instruction* covers up to 32 lanes; programs may emit
 /// larger batches to model several back-to-back instructions kept in
-/// flight by the scoreboard, so a load is accounted as ⌈lanes/32⌉
-/// instructions. The buffers are capacity-retaining `Vec`s, and because the
-/// same buffer is reused for every op, steady-state emission performs
-/// **zero heap allocations** once they have grown to the program's batch
-/// size (enforced by the `alloc_gate` integration test).
+/// flight by the scoreboard, so a load or store is accounted as
+/// ⌈lanes/32⌉ instructions. The buffers are capacity-retaining `Vec`s, and
+/// because the same buffer is reused for every op, steady-state emission
+/// performs **zero heap allocations** once they have grown to the
+/// program's batch size (enforced by the `alloc_gate` integration test).
 ///
 /// Lane ordering is the program's contract with itself: the values handed to
 /// the next `next()` call after a load appear in exactly the order the lanes
@@ -71,7 +81,7 @@ pub enum OpKind {
 pub struct OpBuf {
     kind: OpKind,
     runs: Vec<Run>,
-    writes: Vec<(u64, f32)>,
+    values: Vec<f32>,
 }
 
 /// Adds the lanes of a load to an [`OpBuf`]; returned by
@@ -98,7 +108,7 @@ impl LoadEmitter<'_> {
     /// Appends one lane reading byte address `addr`.
     #[inline]
     pub fn push(&mut self, addr: u64) {
-        push_run(self.runs, addr, 1);
+        push_lane(self.runs, addr);
     }
 }
 
@@ -106,6 +116,31 @@ impl Extend<u64> for LoadEmitter<'_> {
     fn extend<I: IntoIterator<Item = u64>>(&mut self, addrs: I) {
         for a in addrs {
             self.push(a);
+        }
+    }
+}
+
+/// Adds the lanes of a store to an [`OpBuf`]; returned by
+/// [`OpBuf::begin_store`].
+#[derive(Debug)]
+pub struct StoreEmitter<'a> {
+    runs: &'a mut Vec<Run>,
+    values: &'a mut Vec<f32>,
+}
+
+impl StoreEmitter<'_> {
+    /// Appends one lane writing `value` to byte address `addr`.
+    #[inline]
+    pub fn push(&mut self, addr: u64, value: f32) {
+        push_lane(self.runs, addr);
+        self.values.push(value);
+    }
+}
+
+impl Extend<(u64, f32)> for StoreEmitter<'_> {
+    fn extend<I: IntoIterator<Item = (u64, f32)>>(&mut self, writes: I) {
+        for (a, v) in writes {
+            self.push(a, v);
         }
     }
 }
@@ -122,7 +157,7 @@ impl OpBuf {
         Self {
             kind: OpKind::Finished,
             runs: Vec::new(),
-            writes: Vec::new(),
+            values: Vec::new(),
         }
     }
 
@@ -131,20 +166,24 @@ impl OpBuf {
         self.kind
     }
 
-    /// Lane runs of the held load, in lane order.
+    /// Lane runs of the held load or store, in lane order.
     ///
-    /// Meaningful only when [`OpBuf::kind`] is [`OpKind::Load`].
+    /// Meaningful only when [`OpBuf::kind`] is [`OpKind::Load`] or
+    /// [`OpKind::Store`].
     pub fn runs(&self) -> &[Run] {
-        debug_assert_eq!(self.kind, OpKind::Load, "runs() on a non-load op");
+        debug_assert!(
+            matches!(self.kind, OpKind::Load | OpKind::Store),
+            "runs() on a non-memory op"
+        );
         &self.runs
     }
 
-    /// Lane `(address, value)` writes of the held store.
+    /// Values of the held store, one per lane of [`OpBuf::runs`].
     ///
     /// Meaningful only when [`OpBuf::kind`] is [`OpKind::Store`].
-    pub fn writes(&self) -> &[(u64, f32)] {
-        debug_assert_eq!(self.kind, OpKind::Store, "writes() on a non-store op");
-        &self.writes
+    pub fn values(&self) -> &[f32] {
+        debug_assert_eq!(self.kind, OpKind::Store, "values() on a non-store op");
+        &self.values
     }
 
     /// Emits a compute op.
@@ -165,11 +204,13 @@ impl OpBuf {
         LoadEmitter { runs: &mut self.runs }
     }
 
-    /// Starts a store: clears and returns the write buffer (capacity kept).
-    pub fn begin_store(&mut self) -> &mut Vec<(u64, f32)> {
+    /// Starts a store: clears the run list and the values (capacity kept)
+    /// and returns the emitter that fills them.
+    pub fn begin_store(&mut self) -> StoreEmitter<'_> {
         self.kind = OpKind::Store;
-        self.writes.clear();
-        &mut self.writes
+        self.runs.clear();
+        self.values.clear();
+        StoreEmitter { runs: &mut self.runs, values: &mut self.values }
     }
 
     /// Reconstructs the owned [`WarpOp`] this buffer holds (allocates; for
@@ -178,7 +219,9 @@ impl OpBuf {
         match self.kind {
             OpKind::Compute(n) => WarpOp::Compute(n),
             OpKind::Load => WarpOp::Load(self.runs.clone()),
-            OpKind::Store => WarpOp::Store(self.writes.clone()),
+            OpKind::Store => WarpOp::Store(
+                self.runs.iter().flat_map(|r| r.lanes()).zip(self.values.iter().copied()).collect(),
+            ),
             OpKind::Finished => WarpOp::Finished,
         }
     }
@@ -326,15 +369,15 @@ pub fn run_warp_functional(
 
 /// Applies the op held in `buf` to `image` functionally — the one step
 /// every functional executor shares. A load refills `loaded` with its
-/// values in lane order, a store commits its writes in lane order, and any
-/// other op clears `loaded`. Returns `false` when the op is
+/// values in lane order, a store writes its values to its lanes in lane
+/// order, and any other op clears `loaded`. Returns `false` when the op is
 /// [`OpKind::Finished`].
 pub fn apply_functional(buf: &OpBuf, image: &mut MemoryImage, loaded: &mut Vec<f32>) -> bool {
     match buf.kind() {
         OpKind::Compute(_) => loaded.clear(),
         OpKind::Load => image.read_runs_into(buf.runs(), loaded),
         OpKind::Store => {
-            image.write_lanes(buf.writes());
+            image.write_runs(buf.runs(), buf.values());
             loaded.clear();
         }
         OpKind::Finished => return false,

@@ -44,7 +44,7 @@ mod trace;
 pub use cache::{AccessResult, Cache};
 pub use kernel::{
     application_error, apply_functional, lane_item, run_functional, run_launch_functional,
-    run_warp_functional, Kernel, LoadEmitter, OpBuf, OpKind, WarpOp, WarpProgram,
+    run_warp_functional, Kernel, LoadEmitter, OpBuf, OpKind, StoreEmitter, WarpOp, WarpProgram,
 };
 pub use memimg::{MemoryImage, OverlayView, Run, LINE_BYTES, WORDS_PER_LINE};
 pub use lazydram_common::snap::{Loader, Saver, SnapError, SnapResult};

@@ -28,6 +28,14 @@
 //! tracking which lines were actually touched — denser for the suite's
 //! contiguous arrays, and reads/writes are branch-plus-index instead of a
 //! hash probe.
+//!
+//! # Lane runs
+//!
+//! Warp loads and stores reach the image as lists of strided lane [`Run`]s.
+//! [`MemoryImage::read_runs_into`] and [`MemoryImage::write_runs`] split
+//! each run at line boundaries and resolve each line once per stretch of
+//! lanes on it; a contiguous stretch is one slice copy. [`OverlayView`]
+//! patches such reads with an SM's staged store runs.
 
 use lazydram_common::prof::{self, Phase};
 use lazydram_common::snap::{Loader, Saver, SnapError, SnapResult};
@@ -57,76 +65,167 @@ const ARENA_BASE: u64 = 0x10_0000;
 /// All-zero line served for reads of untouched memory.
 static ZERO_LINE: [f32; WORDS_PER_LINE] = [0.0; WORDS_PER_LINE];
 
-/// A contiguous run of `f32` lanes: `words` consecutive words starting at
-/// byte address `base`.
+/// A strided run of `f32` lanes: `words` lanes from byte address `base` on,
+/// `stride` bytes apart.
 ///
-/// A warp load is a list of runs in lane order; its lane addresses are the
-/// runs' expansions ([`Run::lanes`]) concatenated. Lanes that are adjacent
-/// in memory share one run, so a 32-lane row fetch is one run rather than
-/// 32 addresses, and reading it is one line copy per line it touches.
+/// A warp load or store is a list of runs in lane order; its lane addresses
+/// are the runs' expansions ([`Run::lanes`]) concatenated. Lanes that are
+/// evenly spaced in memory share one run: a 32-lane row fetch is one run at
+/// stride 4, and one field of an array of 8-byte structs is one run at
+/// stride 8, rather than 32 addresses.
+///
+/// `stride` is a multiple of 4 in `0..=LINE_BYTES` (0 repeats one word).
+/// Because consecutive lanes are at most a line apart, a run touches every
+/// line from its first lane's to its last lane's, in rising order, and no
+/// other line. The emitters give a one-lane run stride 4.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Run {
     /// Byte address of the first lane.
     pub base: u64,
-    /// Number of lanes (consecutive `f32` words); at least 1.
+    /// Number of lanes; at least 1.
     pub words: u32,
+    /// Byte distance from one lane to the next; 4 for consecutive words.
+    pub stride: u32,
 }
 
 impl Run {
-    /// One past the last byte of the run.
+    /// `words` consecutive words from byte address `base` on.
     #[inline]
-    pub fn end(self) -> u64 {
-        self.base + u64::from(self.words) * 4
+    pub const fn contiguous(base: u64, words: u32) -> Self {
+        Self { base, words, stride: 4 }
+    }
+
+    /// Byte address of the last lane.
+    #[inline]
+    pub(crate) fn last(self) -> u64 {
+        self.base + u64::from(self.words - 1) * u64::from(self.stride)
+    }
+
+    /// The address a lane appended to the run would have to take.
+    #[inline]
+    fn next_lane(self) -> u64 {
+        self.base + u64::from(self.words) * u64::from(self.stride)
+    }
+
+    /// `true` when the base is word aligned and the stride is a word
+    /// multiple of at most a line.
+    #[inline]
+    fn is_well_formed(self) -> bool {
+        self.base.is_multiple_of(4)
+            && self.stride.is_multiple_of(4)
+            && u64::from(self.stride) <= LINE_BYTES
+    }
+
+    /// Word step from one lane to the next (`stride / 4`).
+    #[inline]
+    pub(crate) fn step(self) -> usize {
+        (self.stride / 4) as usize
     }
 
     /// The run's lane addresses, in lane order.
     pub fn lanes(self) -> impl Iterator<Item = u64> {
-        (0..u64::from(self.words)).map(move |i| self.base + i * 4)
+        (0..u64::from(self.words)).map(move |i| self.base + i * u64::from(self.stride))
+    }
+
+    /// Indices of the lanes whose address is `addr`: one lane, or, for a
+    /// stride-0 run at `addr`, all of them.
+    #[inline]
+    pub(crate) fn lanes_at(self, addr: u64) -> std::ops::Range<usize> {
+        let Some(off) = addr.checked_sub(self.base) else {
+            return 0..0;
+        };
+        match u64::from(self.stride) {
+            0 if off == 0 => 0..self.words as usize,
+            0 => 0..0,
+            s if off.is_multiple_of(s) && off / s < u64::from(self.words) => {
+                let i = (off / s) as usize;
+                i..i + 1
+            }
+            _ => 0..0,
+        }
     }
 
     /// Base addresses of the first and the last line the run touches. The
-    /// run covers every line in between, since its words are consecutive.
+    /// run covers every line in between, since its stride is at most a
+    /// line.
     #[inline]
     pub fn line_span(self) -> (u64, u64) {
         debug_assert!(self.words > 0, "empty run");
         let line = |a: u64| a & !(LINE_BYTES - 1);
-        (line(self.base), line(self.end() - 4))
+        (line(self.base), line(self.last()))
+    }
+
+    /// Splits the run at line boundaries: yields `(line base address, word
+    /// index of the first lane on it, lanes on it)` per line touched, in
+    /// lane order. Lane `k` of a chunk is word `start + k * stride / 4` of
+    /// its line.
+    pub(crate) fn line_chunks(self) -> impl Iterator<Item = (u64, usize, usize)> {
+        debug_assert!(self.is_well_formed(), "malformed run {self:?}");
+        let stride = u64::from(self.stride);
+        let mut addr = self.base;
+        let mut left = self.words as usize;
+        std::iter::from_fn(move || {
+            if left == 0 {
+                return None;
+            }
+            let line = addr & !(LINE_BYTES - 1);
+            let start = ((addr - line) / 4) as usize;
+            let take = match stride {
+                0 => left,
+                4 => (WORDS_PER_LINE - start).min(left),
+                s => ((line + LINE_BYTES - addr).div_ceil(s) as usize).min(left),
+            };
+            addr += take as u64 * stride;
+            left -= take;
+            Some((line, start, take))
+        })
     }
 }
 
-/// Appends `words` lanes starting at `base` to `runs`, extending the last
-/// run instead when `base` continues it. The expansion of `runs` therefore
-/// grows by exactly these lanes, in this order, whichever way they are
-/// split into calls.
+/// Appends one lane at byte address `addr` to `runs`. It extends the last
+/// run when `addr` continues its stride, or, when that run has one lane,
+/// when `addr` lies a multiple of 4 bytes from 0 to [`LINE_BYTES`] above
+/// it (which sets the stride). Otherwise a new one-lane run starts. The
+/// expansion of `runs` therefore grows by exactly this lane.
+#[inline]
+pub(crate) fn push_lane(runs: &mut Vec<Run>, addr: u64) {
+    if let Some(last) = runs.last_mut() {
+        if last.words == 1 {
+            let gap = addr.wrapping_sub(last.base);
+            if gap <= LINE_BYTES && gap.is_multiple_of(4) {
+                last.words = 2;
+                last.stride = gap as u32;
+                return;
+            }
+        } else if last.next_lane() == addr {
+            last.words += 1;
+            return;
+        }
+    }
+    runs.push(Run::contiguous(addr, 1));
+}
+
+/// Appends `words` lanes reading the consecutive words from `base` on to
+/// `runs`: one lane goes through [`push_lane`]; more extend the last run
+/// when it is contiguous and ends at `base`. The expansion of `runs`
+/// therefore grows by exactly these lanes, in this order, whichever way
+/// they are split into calls.
 #[inline]
 pub(crate) fn push_run(runs: &mut Vec<Run>, base: u64, words: u32) {
-    if words == 0 {
-        return;
-    }
-    match runs.last_mut() {
-        Some(last) if last.end() == base => last.words += words,
-        _ => runs.push(Run { base, words }),
+    match words {
+        0 => {}
+        1 => push_lane(runs, base),
+        _ => match runs.last_mut() {
+            Some(last) if last.stride == 4 && last.next_lane() == base => last.words += words,
+            _ => runs.push(Run::contiguous(base, words)),
+        },
     }
 }
 
-/// Splits the `n` consecutive words starting at `addr` at line boundaries:
-/// yields `(chunk address, its word index in its line, words taken)` per
-/// line touched.
-pub(crate) fn line_chunks(
-    mut addr: u64,
-    mut n: usize,
-) -> impl Iterator<Item = (u64, usize, usize)> {
-    std::iter::from_fn(move || {
-        if n == 0 {
-            return None;
-        }
-        let chunk = addr;
-        let start = ((addr % LINE_BYTES) / 4) as usize;
-        let take = (WORDS_PER_LINE - start).min(n);
-        addr += take as u64 * 4;
-        n -= take;
-        Some((chunk, start, take))
-    })
+/// Lanes of a run list (the sum of its run lengths).
+#[inline]
+pub(crate) fn lane_count(runs: &[Run]) -> usize {
+    runs.iter().map(|r| r.words as usize).sum()
 }
 
 /// One 64 KiB arena page: a flat word array plus a touched-line bitmask so
@@ -308,49 +407,65 @@ impl MemoryImage {
     }
 
     /// Reads the lanes of `runs` into `out` (cleared first), in lane order,
-    /// copying line-at-a-time: the backing line is resolved once per
-    /// stretch of lanes on it, not once per lane.
+    /// line at a time: the backing line is resolved once per stretch of
+    /// lanes on it, not once per lane, and a contiguous stretch is one copy.
     ///
     /// # Panics
     ///
-    /// Panics if a run's base address is not 4-byte aligned.
+    /// Panics if a run's base address is not 4-byte aligned or its stride
+    /// is not a multiple of 4 of at most [`LINE_BYTES`].
     pub fn read_runs_into(&self, runs: &[Run], out: &mut Vec<f32>) {
         let _t = prof::enter(Phase::FuncMem);
         out.clear();
         // One growth step at most, sized by the load.
-        out.reserve(runs.iter().map(|r| r.words as usize).sum());
+        out.reserve(lane_count(runs));
         let mut cur_line = u64::MAX;
         let mut words: &[f32] = &ZERO_LINE;
         for r in runs {
-            assert!(r.base.is_multiple_of(4), "unaligned f32 read at {:#x}", r.base);
-            for (a, start, take) in line_chunks(r.base, r.words as usize) {
-                let line = a & !(LINE_BYTES - 1);
+            assert!(r.is_well_formed(), "unaligned f32 read in run {r:?}");
+            let step = r.step();
+            for (line, start, take) in r.line_chunks() {
                 if line != cur_line {
                     cur_line = line;
                     words = self.line_words(line);
                 }
-                out.extend_from_slice(&words[start..start + take]);
+                if step == 1 {
+                    out.extend_from_slice(&words[start..start + take]);
+                } else {
+                    out.extend((0..take).map(|k| words[start + k * step]));
+                }
             }
         }
     }
 
-    /// Writes one `(addr, value)` pair per lane, resolving the backing line
-    /// once per run of same-line addresses.
+    /// Writes `values` to the lanes of `runs`, in lane order (a later lane
+    /// at the same address wins), line at a time: the backing line is
+    /// resolved once per stretch of lanes on it, and a contiguous stretch
+    /// is one copy.
     ///
     /// # Panics
     ///
-    /// Panics if any address is not 4-byte aligned.
-    pub fn write_lanes(&mut self, writes: &[(u64, f32)]) {
+    /// Panics if a run's base address is not 4-byte aligned, its stride is
+    /// not a multiple of 4 of at most [`LINE_BYTES`], or `values` holds
+    /// fewer values than the runs have lanes.
+    pub fn write_runs(&mut self, runs: &[Run], values: &[f32]) {
         let _t = prof::enter(Phase::FuncMem);
-        let mut i = 0;
-        while i < writes.len() {
-            let line = writes[i].0 & !(LINE_BYTES - 1);
-            let words = self.line_words_mut(line);
-            while i < writes.len() && writes[i].0 & !(LINE_BYTES - 1) == line {
-                let (a, v) = writes[i];
-                assert!(a.is_multiple_of(4), "unaligned f32 write at {a:#x}");
-                words[((a % LINE_BYTES) / 4) as usize] = v;
-                i += 1;
+        debug_assert_eq!(lane_count(runs), values.len(), "one value per lane");
+        let mut rest = values;
+        for r in runs {
+            assert!(r.is_well_formed(), "unaligned f32 write in run {r:?}");
+            let step = r.step();
+            for (line, start, take) in r.line_chunks() {
+                let (vals, tail) = rest.split_at(take);
+                let words = self.line_words_mut(line);
+                if step == 1 {
+                    words[start..start + take].copy_from_slice(vals);
+                } else {
+                    for (k, &v) in vals.iter().enumerate() {
+                        words[start + k * step] = v;
+                    }
+                }
+                rest = tail;
             }
         }
     }
@@ -364,7 +479,7 @@ impl MemoryImage {
     /// Panics if `base` is not 4-byte aligned or `n` exceeds `u32::MAX`.
     pub fn read_slice_into(&self, base: u64, n: usize, out: &mut Vec<f32>) {
         let words = u32::try_from(n).expect("slice longer than u32::MAX words");
-        self.read_runs_into(&[Run { base, words }], out);
+        self.read_runs_into(&[Run::contiguous(base, words)], out);
     }
 
     /// Convenience: reads `n` consecutive `f32`s starting at `base`.
@@ -375,11 +490,16 @@ impl MemoryImage {
     }
 
     /// Convenience: writes a slice of `f32`s starting at `base`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `base` is not 4-byte aligned or `data` is longer than
+    /// `u32::MAX` words.
     pub fn write_slice(&mut self, base: u64, data: &[f32]) {
+        assert!(base.is_multiple_of(4), "unaligned f32 write at {base:#x}");
+        let words = u32::try_from(data.len()).expect("slice longer than u32::MAX words");
         let mut rest = data;
-        for (a, start, take) in line_chunks(base, data.len()) {
-            assert!(a.is_multiple_of(4), "unaligned f32 write at {a:#x}");
-            let line = a & !(LINE_BYTES - 1);
+        for (line, start, take) in Run::contiguous(base, words).line_chunks() {
             self.line_words_mut(line)[start..start + take].copy_from_slice(&rest[..take]);
             rest = &rest[take..];
         }
@@ -466,19 +586,22 @@ impl MemoryImage {
 /// instead of committing them (the image stays read-only until phase B
 /// commits); loads issued later in the *same* SM's tick must still observe
 /// those writes to match the sequential semantics. The overlay holds the
-/// SM's staged `(addr, value)` pairs in program order — a forward scan
-/// taking the last match gives latest-write-wins. The overlay is tiny (one
-/// SM's writes from one cycle) and usually empty, so the scan is cheaper
-/// than any index.
+/// SM's staged writes in program order, as runs plus one value per lane —
+/// a forward scan taking the last match gives latest-write-wins. The
+/// overlay is small (one SM's stores from one cycle, a few runs each) and
+/// usually empty, so the scan is cheaper than any index.
 pub struct OverlayView<'a> {
     base: &'a MemoryImage,
-    overlay: &'a [(u64, f32)],
+    runs: &'a [Run],
+    values: &'a [f32],
 }
 
 impl<'a> OverlayView<'a> {
-    /// Wraps `base` patched by `overlay` (ordered oldest-to-newest).
-    pub fn new(base: &'a MemoryImage, overlay: &'a [(u64, f32)]) -> Self {
-        Self { base, overlay }
+    /// Wraps `base` patched by the lane writes `runs` with one value per
+    /// lane in `values`, ordered oldest-to-newest.
+    pub fn new(base: &'a MemoryImage, runs: &'a [Run], values: &'a [f32]) -> Self {
+        debug_assert_eq!(lane_count(runs), values.len(), "one value per lane");
+        Self { base, runs, values }
     }
 
     /// Reads the `f32` at byte address `addr`, honoring overlay writes.
@@ -488,10 +611,12 @@ impl<'a> OverlayView<'a> {
     /// Panics if `addr` is not 4-byte aligned.
     pub fn read_f32(&self, addr: u64) -> f32 {
         let mut v = self.base.read_f32(addr);
-        for &(a, w) in self.overlay {
-            if a == addr {
-                v = w;
+        let mut first = 0;
+        for r in self.runs {
+            if let Some(i) = r.lanes_at(addr).last() {
+                v = self.values[first + i];
             }
+            first += r.words as usize;
         }
         v
     }
@@ -503,18 +628,28 @@ impl<'a> OverlayView<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if a run's base address is not 4-byte aligned.
+    /// Panics if a run's base address is not 4-byte aligned or its stride
+    /// is not a multiple of 4 of at most [`LINE_BYTES`].
     pub fn read_runs_into(&self, runs: &[Run], out: &mut Vec<f32>) {
         self.base.read_runs_into(runs, out);
-        if self.overlay.is_empty() {
+        if self.runs.is_empty() {
             return;
         }
         let mut first = 0;
         for r in runs {
-            for &(a, w) in self.overlay {
-                if (r.base..r.end()).contains(&a) && (a - r.base).is_multiple_of(4) {
-                    out[first + ((a - r.base) / 4) as usize] = w;
+            let (lo, hi) = (r.base, r.last());
+            // Only overlay runs whose address range meets this run's can
+            // land on its lanes; walk those lane by lane, in order.
+            let mut v = 0;
+            for w in self.runs {
+                if w.base <= hi && w.last() >= lo {
+                    for (a, &val) in w.lanes().zip(&self.values[v..]) {
+                        for i in r.lanes_at(a) {
+                            out[first + i] = val;
+                        }
+                    }
                 }
+                v += w.words as usize;
             }
             first += r.words as usize;
         }
@@ -604,18 +739,47 @@ mod tests {
         let mut m = MemoryImage::new();
         let base = m.alloc(WORDS_PER_LINE * 3);
         let addrs: Vec<u64> = (0..64u64).map(|i| base + i * 4).collect();
-        let writes: Vec<(u64, f32)> = addrs.iter().map(|&a| (a, a as f32)).collect();
-        m.write_lanes(&writes);
         let mut runs = Vec::new();
         for &a in &addrs {
-            push_run(&mut runs, a, 1);
+            push_lane(&mut runs, a);
         }
-        assert_eq!(runs, vec![Run { base, words: 64 }]);
+        assert_eq!(runs, vec![Run::contiguous(base, 64)]);
+        let values: Vec<f32> = addrs.iter().map(|&a| a as f32).collect();
+        m.write_runs(&runs, &values);
         let mut got = Vec::new();
         m.read_runs_into(&runs, &mut got);
         let want: Vec<f32> = addrs.iter().map(|&a| m.read_f32(a)).collect();
         assert_eq!(got, want);
+        assert_eq!(got, values);
         assert_eq!(m.resident_lines(), 2);
+    }
+
+    #[test]
+    fn strided_runs_read_and_write_their_lanes() {
+        let mut m = MemoryImage::new();
+        let base = m.alloc(WORDS_PER_LINE * 8);
+        // Field 1 of 256 8-byte structs: one stride-8 run over 16 lines.
+        let mut runs = Vec::new();
+        for i in 0..256u64 {
+            push_lane(&mut runs, base + 4 + i * 8);
+        }
+        assert_eq!(runs, vec![Run { base: base + 4, words: 256, stride: 8 }]);
+        assert_eq!(runs[0].line_span(), (base, base + 15 * LINE_BYTES));
+        let values: Vec<f32> = (0..256).map(|i| i as f32).collect();
+        m.write_runs(&runs, &values);
+        for i in 0..256u64 {
+            assert_eq!(m.read_f32(base + i * 8), 0.0, "field 0 untouched");
+            assert_eq!(m.read_f32(base + 4 + i * 8), i as f32);
+        }
+        let mut got = Vec::new();
+        m.read_runs_into(&runs, &mut got);
+        assert_eq!(got, values);
+        // A repeated word is one stride-0 run; its last write wins.
+        let rep = [Run { base, words: 3, stride: 0 }];
+        m.write_runs(&rep, &[1.0, 2.0, 3.0]);
+        assert_eq!(m.read_f32(base), 3.0);
+        m.read_runs_into(&rep, &mut got);
+        assert_eq!(got, vec![3.0; 3]);
     }
 
     #[test]
@@ -625,18 +789,22 @@ mod tests {
         m.write_f32(base, 1.0);
         m.write_f32(base + 4, 2.0);
         // Two overlay writes to the same address: the later one wins.
-        let overlay = [(base, 10.0f32), (base + 8, 30.0), (base, 11.0)];
-        let v = OverlayView::new(&m, &overlay);
+        let runs = [Run { base, words: 2, stride: 8 }, Run::contiguous(base, 1)];
+        let values = [10.0f32, 30.0, 11.0];
+        let v = OverlayView::new(&m, &runs, &values);
         assert_eq!(v.read_f32(base), 11.0);
         assert_eq!(v.read_f32(base + 4), 2.0);
         assert_eq!(v.read_f32(base + 8), 30.0);
-        let runs = [Run { base, words: 4 }];
+        let read = [Run::contiguous(base, 4)];
         let mut got = Vec::new();
-        v.read_runs_into(&runs, &mut got);
+        v.read_runs_into(&read, &mut got);
         assert_eq!(got, vec![11.0, 2.0, 30.0, 0.0]);
+        // A stride-0 read repeats the patched word on every lane.
+        v.read_runs_into(&[Run { base, words: 3, stride: 0 }], &mut got);
+        assert_eq!(got, vec![11.0; 3]);
         // Empty overlay degenerates to the plain image.
-        let plain = OverlayView::new(&m, &[]);
-        plain.read_runs_into(&runs, &mut got);
+        let plain = OverlayView::new(&m, &[], &[]);
+        plain.read_runs_into(&read, &mut got);
         assert_eq!(got, vec![1.0, 2.0, 0.0, 0.0]);
     }
 

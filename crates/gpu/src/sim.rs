@@ -1220,8 +1220,8 @@ impl Simulator {
                         debug_assert!(*next_warp >= total_warps || !sm.has_free_slot());
                         continue;
                     }
-                    if !stage.writes.is_empty() {
-                        image.write_lanes(&stage.writes);
+                    if !stage.write_runs.is_empty() {
+                        image.write_runs(&stage.write_runs, &stage.write_values);
                     }
                     for &(ch, req) in &stage.reqs {
                         req_noc[ch].push_unchecked(now, req);

@@ -2,13 +2,18 @@
 //!
 //! Each SM holds up to `warps_per_sm` resident warps and issues up to
 //! `issue_width` warp instructions per core cycle with a loose round-robin
-//! scheduler. Loads arrive as lists of contiguous lane runs and stay in that
-//! form: they are coalesced to 128-byte lines run by run, looked up in the
-//! (tag-only) L1, merged in the L1 MSHRs, and forwarded to the home L2 slice
-//! through the request interconnect. A warp blocks until every line of its
-//! load has arrived; values are assembled line-at-a-time from the functional
-//! memory image — or from value-predictor output for lines whose DRAM
-//! request was dropped by AMS.
+//! scheduler. Loads and stores arrive as lists of strided lane runs
+//! ([`Run`]; a store adds one value per lane) and stay in that form: they
+//! are coalesced to 128-byte lines run by run, looked up in the (tag-only)
+//! L1, merged in the L1 MSHRs, and forwarded to the home L2 slice through
+//! the request interconnect. A warp blocks until every line of its load has
+//! arrived; values are assembled line-at-a-time from the functional memory
+//! image — or from value-predictor output for lines whose DRAM request was
+//! dropped by AMS. A store's values are staged as runs and written to the
+//! image line-at-a-time in phase B. Parking a load or a store in a slot
+//! therefore costs 16 bytes per run plus 4 per stored lane, so an
+//! array-of-structs access parks as a few strided runs, not as one entry
+//! per lane.
 //!
 //! The issue path is allocation-free in steady state: programs emit into the
 //! SM's reusable [`OpBuf`], and per-load / per-store bookkeeping lives in
@@ -21,7 +26,7 @@
 
 use crate::cache::{AccessResult, Cache};
 use crate::kernel::{Kernel, OpBuf, OpKind, WarpProgram};
-use crate::memimg::{line_chunks, push_run, MemoryImage, OverlayView, Run, LINE_BYTES};
+use crate::memimg::{lane_count, push_lane, MemoryImage, OverlayView, Run, LINE_BYTES};
 use crate::noc::DelayQueue;
 use lazydram_common::snap::{Loader, Saver, SnapError, SnapResult};
 use lazydram_common::FastMap;
@@ -96,7 +101,10 @@ enum WarpState {
 /// instead of re-deriving the whole plan from the lane writes every cycle.
 /// Lives permanently in the slot so its buffers are reused across stores.
 struct StorePlan {
-    writes: Vec<(u64, f32)>,
+    /// The store's lane runs, in lane order.
+    runs: Vec<Run>,
+    /// One value per lane of `runs`.
+    values: Vec<f32>,
     /// Distinct line addresses, in first-touch order.
     lines: Vec<u64>,
     /// `(channel, requests)` pairs the store needs to place atomically.
@@ -105,7 +113,12 @@ struct StorePlan {
 
 impl StorePlan {
     const fn new() -> Self {
-        Self { writes: Vec::new(), lines: Vec::new(), per_slice: Vec::new() }
+        Self {
+            runs: Vec::new(),
+            values: Vec::new(),
+            lines: Vec::new(),
+            per_slice: Vec::new(),
+        }
     }
 }
 
@@ -170,10 +183,12 @@ pub(crate) struct SmStage {
     /// `(channel, request)` in stage order; phase B pushes them into the
     /// per-channel `req_noc` queues in exactly this order.
     pub reqs: Vec<(usize, SliceReq)>,
-    /// Functional lane writes in program order; phase B commits them to
-    /// the shared [`MemoryImage`]. Until then they overlay this SM's own
-    /// reads (see [`OverlayView`]).
-    pub writes: Vec<(u64, f32)>,
+    /// Lane runs of the functional store writes, in program order; phase B
+    /// commits them to the shared [`MemoryImage`]. Until then they overlay
+    /// this SM's own reads (see [`OverlayView`]).
+    pub write_runs: Vec<Run>,
+    /// One value per lane of `write_runs`.
+    pub write_values: Vec<f32>,
     /// This SM's local view of request-NoC free slots: the cycle-start
     /// snapshot minus what this SM has staged this cycle. Every SM sees
     /// the *same* snapshot, so reservations are interleaving-independent;
@@ -186,7 +201,8 @@ impl SmStage {
     pub fn new(channels: usize) -> Self {
         Self {
             reqs: Vec::new(),
-            writes: Vec::new(),
+            write_runs: Vec::new(),
+            write_values: Vec::new(),
             free: vec![0; channels],
         }
     }
@@ -195,7 +211,8 @@ impl SmStage {
     /// free-slot snapshot (one entry per request-NoC channel).
     pub fn begin_cycle(&mut self, free0: &[usize]) {
         self.reqs.clear();
-        self.writes.clear();
+        self.write_runs.clear();
+        self.write_values.clear();
         self.free.clear();
         self.free.extend_from_slice(free0);
     }
@@ -212,9 +229,15 @@ impl SmStage {
         self.reqs.push((ch, req));
     }
 
-    /// Stages functional store writes for the phase-B commit.
-    pub fn stage_writes(&mut self, writes: &[(u64, f32)]) {
-        self.writes.extend_from_slice(writes);
+    /// Stages a store's lane runs and values for the phase-B commit.
+    pub fn stage_writes(&mut self, runs: &[Run], values: &[f32]) {
+        self.write_runs.extend_from_slice(runs);
+        self.write_values.extend_from_slice(values);
+    }
+
+    /// This SM's own reads: the image patched by the writes staged so far.
+    pub fn view<'a>(&'a self, image: &'a MemoryImage) -> OverlayView<'a> {
+        OverlayView::new(image, &self.write_runs, &self.write_values)
     }
 }
 
@@ -267,9 +290,10 @@ fn for_each_bit_rotated(mask: u128, start: usize, mut f: impl FnMut(usize) -> bo
 
 /// Appends to `lines` (which starts empty) the distinct 128-byte lines
 /// covered by `spans`, in first-touch order. Each span is the inclusive
-/// `(first, last)` line range of a run of consecutive words (a single lane
-/// is a one-line span), so walking a span's lines in rising order touches
-/// them in exactly the order its lanes do: the result equals per-lane
+/// `(first, last)` line range of a run ([`Run::line_span`]). A run's lanes
+/// rise at most a line apart, so they touch every line of the span in
+/// rising order: walking a span's lines in rising order touches them in
+/// exactly the order its lanes do, and the result equals per-lane
 /// first-touch coalescing of the expanded lane sequence.
 ///
 /// While `lines` is strictly rising — the common case: rising runs, or
@@ -748,7 +772,7 @@ impl Sm {
                 Self::complete_load(
                     slot,
                     &mut self.load_pool,
-                    &OverlayView::new(image, &[]),
+                    &OverlayView::new(image, &[], &[]),
                     &mut self.approximated_loads,
                 );
                 self.refresh_masks(idx);
@@ -782,11 +806,13 @@ impl Sm {
             view.read_runs_into(&wait.runs, last_loaded);
             let mut first = 0;
             for r in &wait.runs {
-                for (a, start, take) in line_chunks(r.base, r.words as usize) {
-                    let line = a & !(LINE_BYTES - 1);
+                let step = r.step();
+                for (line, start, take) in r.line_chunks() {
                     if let Some((_, vals)) = wait.approx.iter().find(|(l, _)| *l == line) {
                         let lanes = &mut last_loaded[first..first + take];
-                        lanes.copy_from_slice(&vals[start..start + take]);
+                        for (k, v) in lanes.iter_mut().enumerate() {
+                            *v = vals[start + k * step];
+                        }
                     }
                     first += take;
                 }
@@ -952,7 +978,7 @@ impl Sm {
                 true
             }
             OpKind::Load => self.issue_load(idx, op.runs(), ctx),
-            OpKind::Store => self.issue_store(idx, op.writes(), ctx),
+            OpKind::Store => self.issue_store(idx, op.runs(), op.values(), ctx),
             OpKind::Finished => {
                 let slot = &mut self.slots[idx];
                 slot.state = WarpState::Done;
@@ -996,15 +1022,14 @@ impl Sm {
         // One warp-load instruction covers up to 32 lanes; larger batches
         // model several back-to-back load instructions kept in flight by
         // the scoreboard (intra-warp MLP).
-        let lanes: usize = runs.iter().map(|r| r.words as usize).sum();
-        self.instructions += lanes.div_ceil(32) as u64;
+        self.instructions += lane_count(runs).div_ceil(32) as u64;
         let WarpSlot { state, wait, last_loaded, .. } = &mut self.slots[idx];
         if wait.pending.is_empty() {
             // Pure L1 hit: values available for the next issue of this warp,
             // assembled line-at-a-time into a pooled buffer. The overlay
             // makes stores staged earlier this cycle visible.
             take_load_buf(last_loaded, &mut self.load_pool);
-            OverlayView::new(ctx.image, &ctx.stage.writes).read_runs_into(runs, last_loaded);
+            ctx.stage.view(ctx.image).read_runs_into(runs, last_loaded);
             *state = WarpState::Ready;
         } else {
             wait.runs.clear();
@@ -1066,7 +1091,7 @@ impl Sm {
             }
         }
         unsent.truncate(still_len);
-        let view = OverlayView::new(ctx.image, &ctx.stage.writes);
+        let view = ctx.stage.view(ctx.image);
         let slot = &mut self.slots[idx];
         let wait = &mut slot.wait;
         wait.unsent = unsent;
@@ -1082,17 +1107,22 @@ impl Sm {
         }
     }
 
-    fn issue_store(&mut self, idx: usize, writes: &[(u64, f32)], ctx: &mut SmCtx<'_>) -> bool {
-        debug_assert!(!writes.is_empty(), "empty store");
+    fn issue_store(
+        &mut self,
+        idx: usize,
+        runs: &[Run],
+        values: &[f32],
+        ctx: &mut SmCtx<'_>,
+    ) -> bool {
+        debug_assert!(!runs.is_empty(), "empty store");
         // Build the coalescing plan into the slot's persistent buffers.
         let store = &mut self.slots[idx].store;
-        store.writes.clear();
-        store.writes.extend_from_slice(writes);
+        store.runs.clear();
+        store.runs.extend_from_slice(runs);
+        store.values.clear();
+        store.values.extend_from_slice(values);
         store.lines.clear();
-        coalesce_spans(
-            &mut store.lines,
-            writes.iter().map(|&(a, _)| (a & !(LINE_BYTES - 1), a & !(LINE_BYTES - 1))),
-        );
+        coalesce_spans(&mut store.lines, runs.iter().map(|r| r.line_span()));
         store.per_slice.clear();
         for &l in &store.lines {
             let ch = ctx.map.channel_of(l);
@@ -1135,7 +1165,7 @@ impl Sm {
         }
         slot.store_parked = false;
         let store = &slot.store;
-        ctx.stage.stage_writes(&store.writes);
+        ctx.stage.stage_writes(&store.runs, &store.values);
         for &l in &store.lines {
             ctx.stage.push_req(
                 ctx.map.channel_of(l),
@@ -1147,7 +1177,7 @@ impl Sm {
                 },
             );
         }
-        self.instructions += store.writes.len().div_ceil(32) as u64;
+        self.instructions += store.values.len().div_ceil(32) as u64;
         // Write-through: the warp does not wait for stores.
         true
     }
@@ -1205,8 +1235,10 @@ impl Sm {
                     s.u64("line", *line);
                     s.f32s("vals", vals);
                 }
-                s.seq("writes", slot.store.writes.len());
-                for &(a, v) in &slot.store.writes {
+                // Stores are written expanded too, one `(addr, val)` per lane.
+                s.seq("writes", slot.store.values.len());
+                let addrs = slot.store.runs.iter().flat_map(|r| r.lanes());
+                for (a, &v) in addrs.zip(&slot.store.values) {
                     s.u64("addr", a);
                     s.f32("val", v);
                 }
@@ -1280,7 +1312,8 @@ impl Sm {
                     slot.wait.pending.clear();
                     slot.wait.unsent.clear();
                     slot.wait.approx.clear();
-                    slot.store.writes.clear();
+                    slot.store.runs.clear();
+                    slot.store.values.clear();
                     slot.store.lines.clear();
                     slot.store.per_slice.clear();
                     return Ok(());
@@ -1303,7 +1336,7 @@ impl Sm {
                 l.u64s("lane_addrs", &mut lane_addrs)?;
                 slot.wait.runs.clear();
                 for a in lane_addrs {
-                    push_run(&mut slot.wait.runs, a, 1);
+                    push_lane(&mut slot.wait.runs, a);
                 }
                 l.u64s("pending", &mut slot.wait.pending)?;
                 l.u64s("unsent", &mut slot.wait.unsent)?;
@@ -1316,11 +1349,11 @@ impl Sm {
                     slot.wait.approx.push((line, vals));
                 }
                 let n_w = l.seq("writes", 12)?;
-                slot.store.writes.clear();
+                slot.store.runs.clear();
+                slot.store.values.clear();
                 for _ in 0..n_w {
-                    let a = l.u64("addr")?;
-                    let v = l.f32("val")?;
-                    slot.store.writes.push((a, v));
+                    push_lane(&mut slot.store.runs, l.u64("addr")?);
+                    slot.store.values.push(l.f32("val")?);
                 }
                 l.u64s("lines", &mut slot.store.lines)?;
                 let n_ps = l.seq("per_slice", 16)?;
@@ -1461,8 +1494,8 @@ mod tests {
             let mut ctx = SmCtx { image, map, kernel, stage: &mut stage };
             sm.tick(&mut ctx);
         }
-        if !stage.writes.is_empty() {
-            image.write_lanes(&stage.writes);
+        if !stage.write_runs.is_empty() {
+            image.write_runs(&stage.write_runs, &stage.write_values);
         }
         for &(ch, req) in &stage.reqs {
             noc[ch].push_unchecked(now, req);
@@ -1632,7 +1665,8 @@ mod tests {
                 SlotSpec::Parked => {
                     sm.slots[i].state = WarpState::Ready;
                     sm.slots[i].store_parked = true;
-                    sm.slots[i].store.writes.push((0, 1.0));
+                    sm.slots[i].store.runs.push(Run::contiguous(0, 1));
+                    sm.slots[i].store.values.push(1.0);
                     sm.slots[i].store.lines.push(0);
                     sm.slots[i].store.per_slice.push((0, usize::MAX / 2));
                 }
@@ -1830,7 +1864,7 @@ mod tests {
     fn runs_of(addrs: &[u64]) -> Vec<Run> {
         let mut runs = Vec::new();
         for &a in addrs {
-            push_run(&mut runs, a, 1);
+            push_lane(&mut runs, a);
         }
         runs
     }
@@ -1983,39 +2017,186 @@ mod tests {
         assert!(sm.slots.iter().all(|s| s.last_loaded.capacity() == 0));
     }
 
+    /// An inversek2j-shaped slot: a load of 2 words × 256 items of 8-byte
+    /// structs, every line a miss, parked behind a 256-lane store at
+    /// stride 8. Both park as strided runs, so the slot's run and store
+    /// bookkeeping is one value per stored lane plus a few runs (1,152 B),
+    /// not 16 bytes per lane (12 KiB as one-word runs and per-lane pairs).
+    #[test]
+    fn strided_slot_bookkeeping_stays_small() {
+        const ITEMS: u64 = 256;
+        /// Stores one field of `ITEMS` structs, then loads both fields.
+        struct StoreThenLoad {
+            input: u64,
+            output: u64,
+            step: u32,
+        }
+        impl WarpProgram for StoreThenLoad {
+            fn next(&mut self, _loaded: &[f32], out: &mut OpBuf) {
+                self.step += 1;
+                match self.step {
+                    1 => {
+                        let mut store = out.begin_store();
+                        for i in 0..ITEMS {
+                            store.push(self.output + i * 8, i as f32);
+                        }
+                    }
+                    2 => {
+                        let mut load = out.begin_load();
+                        for w in 0..2 {
+                            for i in 0..ITEMS {
+                                load.push(self.input + (i * 2 + w) * 4);
+                            }
+                        }
+                    }
+                    _ => out.set_finished(),
+                }
+            }
+            fn save_state(&self, _s: &mut Saver) {}
+            fn load_state(&mut self, _l: &mut Loader<'_>) -> SnapResult<()> {
+                Ok(())
+            }
+        }
+        let (mut sm, mut image, map, kernel, mut noc) = setup();
+        let input = image.alloc(2 * ITEMS as usize);
+        let output = image.alloc(2 * ITEMS as usize);
+        sm.dispatch(0, Box::new(StoreThenLoad { input, output, step: 0 }));
+        let mut now = 0;
+        while !matches!(sm.slots[0].state, WarpState::Waiting) {
+            now += 1;
+            run_cycle(&mut sm, now, &mut image, &map, &kernel, &mut noc);
+        }
+        let slot = &sm.slots[0];
+        assert!(!slot.store_parked);
+        assert_eq!(slot.wait.pending.len(), 16, "all 16 lines of the load miss");
+        assert_eq!(lane_count(&slot.wait.runs), 2 * ITEMS as usize);
+        assert_eq!(slot.store.values.len(), ITEMS as usize);
+        for i in 0..ITEMS {
+            assert_eq!(image.read_f32(output + i * 8), i as f32, "store committed");
+        }
+        let run = std::mem::size_of::<Run>();
+        let bytes = slot.wait.runs.capacity() * run
+            + slot.store.runs.capacity() * run
+            + slot.store.values.capacity() * std::mem::size_of::<f32>();
+        assert!(bytes <= 1229, "slot run and store bookkeeping is {bytes} B, over 1.2 KiB");
+    }
+
     mod coalesce_props {
         use super::*;
         use proptest::prelude::*;
 
-        /// One emitted piece of a load: a run of `words` lanes at word
-        /// offset `word` of a small window, so runs cross lines, repeat
-        /// and overlap often.
-        fn piece() -> impl Strategy<Value = (u64, u32)> {
+        /// Word offset of the lane window from the image base; descending
+        /// pieces walk down from their start, so the window starts high.
+        const WINDOW: u64 = 4096;
+
+        /// One emitted piece of a lane sequence, at a word offset of a small
+        /// window, so pieces cross lines, repeat and overlap often.
+        #[derive(Debug, Clone, Copy)]
+        enum Piece {
+            /// `words` consecutive words, emitted as one `run`.
+            Run(u64, u32),
+            /// `lanes` lanes `step` words apart, rising; step 0 repeats one
+            /// word and steps above 32 leave gaps over 128 B.
+            Strided(u64, u32, u64),
+            /// `lanes` lanes `step` words apart, falling.
+            Descending(u64, u32, u64),
+            /// A clamped border tap: the first word repeated `front` times,
+            /// `lanes` consecutive words, the last one repeated `back` times.
+            Clamped(u64, u32, u32, u32),
+        }
+
+        impl Piece {
+            fn lanes(self) -> Vec<u64> {
+                let at = |w: u64| 0x10_0000 + (WINDOW + w) * 4;
+                match self {
+                    Piece::Run(w, n) => (0..u64::from(n)).map(|i| at(w + i)).collect(),
+                    Piece::Strided(w, n, step) => {
+                        (0..u64::from(n)).map(|i| at(w + i * step)).collect()
+                    }
+                    Piece::Descending(w, n, step) => {
+                        (0..u64::from(n)).map(|i| at(w) - i * step * 4).collect()
+                    }
+                    Piece::Clamped(w, n, front, back) => {
+                        let last = w + u64::from(n) - 1;
+                        std::iter::repeat_n(at(w), front as usize)
+                            .chain((w..=last).map(at))
+                            .chain(std::iter::repeat_n(at(last), back as usize))
+                            .collect()
+                    }
+                }
+            }
+
+            fn first(self) -> u64 {
+                self.lanes()[0]
+            }
+        }
+
+        fn piece() -> impl Strategy<Value = Piece> {
             prop_oneof![
-                (0u64..512, Just(1u32)),
-                (0u64..512, 1u32..80),
-                (0u64..16, 1u32..8),
+                (0u64..512).prop_map(|w| Piece::Run(w, 1)),
+                (0u64..512, 1u32..80).prop_map(|(w, n)| Piece::Run(w, n)),
+                (0u64..16, 1u32..8).prop_map(|(w, n)| Piece::Run(w, n)),
+                (0u64..512, 1u32..40, 0u64..=48).prop_map(|(w, n, s)| Piece::Strided(w, n, s)),
+                (0u64..512, 1u32..40, 1u64..=48).prop_map(|(w, n, s)| Piece::Descending(w, n, s)),
+                (0u64..512, 1u32..33, 0u32..4, 0u32..4)
+                    .prop_map(|(w, n, f, b)| Piece::Clamped(w, n, f, b)),
             ]
         }
 
-        /// Lays the pieces out in rising, falling or drawn order; orders
-        /// 3 and 4 are rising and falling with every piece cut to one
-        /// word, the per-lane coalescer's monotone shapes.
-        fn layout(pieces: &[(u64, u32)], order: u8) -> Vec<Run> {
-            let mut v: Vec<(u64, u32)> = pieces.to_vec();
+        /// Orders the pieces rising, falling or as drawn; orders 3 and 4
+        /// are rising and falling with every piece cut to its first lane,
+        /// the per-lane coalescer's monotone shapes.
+        fn order_pieces(pieces: &[Piece], order: u8) -> Vec<Piece> {
+            let mut v: Vec<Piece> = pieces.to_vec();
             if order >= 3 {
-                v.iter_mut().for_each(|p| p.1 = 1);
+                v.iter_mut().for_each(|p| *p = Piece::Run((p.first() - 0x10_0000) / 4 - WINDOW, 1));
             }
             match order {
-                0 | 3 => v.sort_unstable(),
-                1 | 4 => v.sort_unstable_by(|x, y| y.cmp(x)),
+                0 | 3 => v.sort_by_key(|p| p.first()),
+                1 | 4 => v.sort_by_key(|p| std::cmp::Reverse(p.first())),
                 _ => {}
             }
+            v
+        }
+
+        /// The lane sequence of the ordered pieces.
+        fn lanes_of(pieces: &[Piece]) -> Vec<u64> {
+            pieces.iter().flat_map(|p| p.lanes()).collect()
+        }
+
+        /// Emits the ordered pieces as a program would: `Run` pieces through
+        /// `push_run`, every other lane through `push_lane`.
+        fn layout(pieces: &[Piece]) -> Vec<Run> {
             let mut runs = Vec::new();
-            for (word, words) in v {
-                push_run(&mut runs, 0x10_0000 + word * 4, words);
+            for &p in pieces {
+                match p {
+                    Piece::Run(..) => {
+                        let lanes = p.lanes();
+                        crate::memimg::push_run(&mut runs, lanes[0], lanes.len() as u32);
+                    }
+                    _ => p.lanes().into_iter().for_each(|a| push_lane(&mut runs, a)),
+                }
             }
             runs
+        }
+
+        /// Runs that contiguous-only merging would build for `lanes`.
+        fn contiguous_runs(lanes: &[u64]) -> usize {
+            (0..lanes.len()).filter(|&i| i == 0 || lanes[i] != lanes[i - 1] + 4).count()
+        }
+
+        /// Words from the image base past the highest lane a piece reaches.
+        const SPAN: u64 = WINDOW + 4096;
+
+        /// The image the read and write properties run against: every word
+        /// of the lane window holds a distinct value.
+        fn window_image() -> MemoryImage {
+            let mut img = MemoryImage::new();
+            let words = SPAN as usize;
+            let base = img.alloc(words);
+            let data: Vec<f32> = (0..words).map(|i| i as f32).collect();
+            img.write_slice(base, &data);
+            img
         }
 
         proptest! {
@@ -2028,7 +2209,7 @@ mod tests {
                 pieces in prop::collection::vec(piece(), 1..24),
                 order in 0u8..5,
             ) {
-                let runs = layout(&pieces, order);
+                let runs = layout(&order_pieces(&pieces, order));
                 let lanes: Vec<u64> = runs.iter().flat_map(|r| r.lanes()).collect();
                 let mut oracle = Vec::new();
                 coalesce_lines(&mut oracle, lanes.iter().copied());
@@ -2036,19 +2217,81 @@ mod tests {
             }
 
             /// Push-merging lanes and expanding the runs returns the pushed
-            /// lane sequence exactly, and no two neighbouring runs are
-            /// contiguous (the runs are maximal).
+            /// lane sequence exactly, every run is well formed, no lane
+            /// could have extended the run before it (the runs are
+            /// maximal), and there are never more runs than contiguous-only
+            /// merging would build.
             #[test]
             fn push_merge_then_expand_is_identity(
                 pieces in prop::collection::vec(piece(), 0..24),
                 order in 0u8..5,
             ) {
-                let lanes: Vec<u64> =
-                    layout(&pieces, order).iter().flat_map(|r| r.lanes()).collect();
+                let ordered = order_pieces(&pieces, order);
+                let lanes = lanes_of(&ordered);
+                let emitted: Vec<u64> =
+                    layout(&ordered).iter().flat_map(|r| r.lanes()).collect();
+                prop_assert_eq!(&emitted, &lanes);
                 let runs = runs_of(&lanes);
                 let back: Vec<u64> = runs.iter().flat_map(|r| r.lanes()).collect();
-                prop_assert_eq!(back, lanes);
-                prop_assert!(runs.windows(2).all(|w| w[0].end() != w[1].base));
+                prop_assert_eq!(&back, &lanes);
+                for r in &runs {
+                    prop_assert!(r.words >= 1 && r.stride.is_multiple_of(4));
+                    prop_assert!(u64::from(r.stride) <= LINE_BYTES);
+                    prop_assert!(r.words > 1 || r.stride == 4);
+                }
+                prop_assert!(runs.windows(2).all(|w| {
+                    let mut tail = vec![w[0]];
+                    push_lane(&mut tail, w[1].base);
+                    tail.len() == 2
+                }));
+                prop_assert!(runs.len() <= contiguous_runs(&lanes));
+            }
+
+            /// Run-based reads and writes equal per-lane ones: reading runs
+            /// from the image or through an overlay of staged run writes
+            /// gives each lane's `read_f32`, latest overlay write winning,
+            /// and writing runs leaves the image a per-lane `write_f32` in
+            /// lane order leaves.
+            #[test]
+            fn run_reads_and_writes_equal_per_lane_access(
+                reads in prop::collection::vec(piece(), 1..12),
+                writes in prop::collection::vec(piece(), 0..6),
+                order in 0u8..5,
+            ) {
+                let img = window_image();
+                let read_pieces = order_pieces(&reads, order);
+                let read_runs = layout(&read_pieces);
+                let read_lanes = lanes_of(&read_pieces);
+                let mut got = Vec::new();
+                img.read_runs_into(&read_runs, &mut got);
+                let plain: Vec<f32> = read_lanes.iter().map(|&a| img.read_f32(a)).collect();
+                prop_assert_eq!(&got, &plain);
+
+                let write_runs = layout(&writes);
+                let write_lanes = lanes_of(&writes);
+                let values: Vec<f32> = (0..write_lanes.len()).map(|i| -1.0 - i as f32).collect();
+                let view = OverlayView::new(&img, &write_runs, &values);
+                view.read_runs_into(&read_runs, &mut got);
+                let latest = |a: u64| {
+                    write_lanes.iter().zip(&values).rev().find(|&(&w, _)| w == a).map(|(_, &v)| v)
+                };
+                let want: Vec<f32> =
+                    read_lanes.iter().map(|&a| latest(a).unwrap_or(img.read_f32(a))).collect();
+                prop_assert_eq!(&got, &want);
+                let per_lane: Vec<f32> = read_lanes.iter().map(|&a| view.read_f32(a)).collect();
+                prop_assert_eq!(&got, &per_lane);
+
+                let mut by_runs = img.clone();
+                by_runs.write_runs(&write_runs, &values);
+                let mut by_lanes = img;
+                for (&a, &v) in write_lanes.iter().zip(&values) {
+                    by_lanes.write_f32(a, v);
+                }
+                let window = 0x10_0000..0x10_0000 + SPAN * 4;
+                for a in window.step_by(4) {
+                    prop_assert_eq!(by_runs.read_f32(a), by_lanes.read_f32(a), "word {:#x}", a);
+                }
+                prop_assert_eq!(by_runs.resident_lines(), by_lanes.resident_lines());
             }
         }
     }

@@ -63,7 +63,7 @@ impl WarpProgram for SynthProgram {
                 let round = u64::from(self.round);
                 self.round += 1;
                 let addr = self.base + ((self.warp_id * 17 + round) % self.words) * 4;
-                out.begin_store().push((addr, self.acc + round as f32));
+                out.begin_store().push(addr, self.acc + round as f32);
             }
         }
     }

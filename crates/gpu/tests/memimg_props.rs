@@ -125,7 +125,9 @@ fn check_equivalence(seed: u64, ops: usize) {
                         (addr, -1000.0 - i as f32)
                     })
                     .collect();
-                let view = OverlayView::new(&img, &overlay);
+                let mut staged = OpBuf::new();
+                staged.begin_store().extend(overlay.iter().copied());
+                let view = OverlayView::new(&img, staged.runs(), staged.values());
                 view.read_runs_into(buf.runs(), &mut scratch);
                 let latest = |a: u64| overlay.iter().rev().find(|&&(o, _)| o == a);
                 let expect: Vec<f32> = addrs
@@ -137,18 +139,24 @@ fn check_equivalence(seed: u64, ops: usize) {
                 assert_eq!(scratch, per_lane, "overlay read_runs_into vs read_f32");
             }
             11 | 12 => {
+                // A run write of push-merged lanes: contiguous stretches,
+                // evenly strided fields and repeats, with jumps between.
                 let n = 1 + (rng.next_u64() % 32) as usize;
                 let mut writes = Vec::with_capacity(n);
                 let mut a = draw_addr(&mut rng, &regions);
+                let mut stride = 4 * (rng.next_u64() % 40);
                 for _ in 0..n {
                     if rng.next_u64().is_multiple_of(4) {
                         a = draw_addr(&mut rng, &regions);
+                        stride = 4 * (rng.next_u64() % 40);
                     } else {
-                        a += 4;
+                        a += stride;
                     }
                     writes.push((a, step as f32 + (rng.next_u64() % 100) as f32));
                 }
-                img.write_lanes(&writes);
+                let mut store = buf.begin_store();
+                store.extend(writes.iter().copied());
+                img.write_runs(buf.runs(), buf.values());
                 for &(a, v) in &writes {
                     model.write(a, v);
                 }

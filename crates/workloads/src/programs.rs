@@ -64,9 +64,12 @@ enum MapPhase {
 /// of one iteration are fetched by a single batched load (the back-to-back
 /// load instructions a real GPU keeps in flight via its scoreboard).
 ///
-/// A batch covers consecutive items ([`MapProgram::batch_items`]; `index`
-/// only shapes input addresses), so its per-item data lives in two flat
-/// buffers indexed `[item in batch][word]`, sized by the batch alone.
+/// A batch covers consecutive items (`index` only shapes input
+/// addresses), so its per-item data lives in two flat buffers indexed
+/// `[item in batch][word]`, sized by the batch alone. Consecutive items'
+/// words sit `words × 4` bytes apart, so each output word of a batch
+/// stores as one strided run, and so does each input word under an
+/// identity `index`.
 pub struct MapProgram {
     cfg: MapConfig,
     first_item: usize,
@@ -202,12 +205,12 @@ impl WarpProgram for MapProgram {
                     }
                     let (base, words) = self.cfg.outputs[output];
                     let word_off: usize = self.cfg.outputs[..output].iter().map(|o| o.1).sum();
-                    let writes = out.begin_store();
+                    let mut store = out.begin_store();
                     for (i, item) in items.enumerate() {
-                        writes.push((
+                        store.push(
                             f32_addr(base, item * words + word),
                             self.out_vals[i * self.out_words + word_off + word],
-                        ));
+                        );
                     }
                     self.phase = if word + 1 < words {
                         MapPhase::Store { output, word: word + 1 }
@@ -443,10 +446,10 @@ impl WarpProgram for MatVecProgram {
                 out.begin_load().run(f32_addr(self.cfg.y, self.first), active);
             }
             MatVecState::Store => {
-                let writes = out.begin_store();
+                let mut store = out.begin_store();
                 for (lane, &acc) in self.acc.iter().enumerate().take(active) {
                     let old = if self.cfg.accumulate { loaded[lane] } else { 0.0 };
-                    writes.push((f32_addr(self.cfg.y, self.first + lane), old + acc));
+                    store.push(f32_addr(self.cfg.y, self.first + lane), old + acc);
                 }
                 self.first = usize::MAX; // retire after this store
                 self.j = 0;
@@ -570,12 +573,12 @@ impl WarpProgram for MatmulProgram {
         if self.k >= n {
             self.done = true;
             let alpha = self.cfg.alpha;
-            let writes = out.begin_store();
+            let mut store = out.begin_store();
             for lane in 0..LANES {
-                writes.push((
+                store.push(
                     f32_addr(self.cfg.c, self.row * n + self.col0 + lane),
                     alpha * self.acc[lane],
-                ));
+                );
             }
             return;
         }
@@ -726,7 +729,7 @@ impl WarpProgram for Stencil2DProgram {
             }
             _ => {
                 // Stage 2: emit all strips' results and retire.
-                let writes = out.begin_store();
+                let mut store = out.begin_store();
                 for &(i, y, x0) in &self.strips {
                     for lane in 0..LANES {
                         let v = match self.cfg.post {
@@ -735,7 +738,7 @@ impl WarpProgram for Stencil2DProgram {
                             }
                             None => self.sums[i * LANES + lane],
                         };
-                        writes.push((f32_addr(self.cfg.output, y * self.cfg.w + x0 + lane), v));
+                        store.push(f32_addr(self.cfg.output, y * self.cfg.w + x0 + lane), v);
                     }
                 }
                 self.stage = 3;
@@ -847,16 +850,16 @@ impl WarpProgram for Stencil3DProgram {
                 out.set_compute(36 * self.strips.len() as u32);
             }
             _ => {
-                let writes = out.begin_store();
+                let mut store = out.begin_store();
                 for &(i, z, y, x0) in &self.strips {
                     for lane in 0..LANES {
-                        writes.push((
+                        store.push(
                             f32_addr(
                                 self.cfg.output,
                                 (z * self.cfg.h + y) * self.cfg.w + x0 + lane,
                             ),
                             self.sums[i * LANES + lane],
-                        ));
+                        );
                     }
                 }
                 self.stage = 3;
@@ -957,16 +960,16 @@ impl WarpProgram for FwtProgram {
             self.pending = false;
             self.computing = false;
             // Butterfly: a' = a + b, b' = a - b.
-            let writes = out.begin_store();
+            let mut store = out.begin_store();
             for lane in 0..LANES {
                 let a = self.vals[lane];
                 let b = self.vals[LANES + lane];
-                writes.push((f32_addr(self.cfg.data, self.idx[lane]), a + b));
+                store.push(f32_addr(self.cfg.data, self.idx[lane]), a + b);
             }
             for lane in 0..LANES {
                 let a = self.vals[lane];
                 let b = self.vals[LANES + lane];
-                writes.push((f32_addr(self.cfg.data, self.idx[LANES + lane]), a - b));
+                store.push(f32_addr(self.cfg.data, self.idx[LANES + lane]), a - b);
             }
             // Advance to the next chunk / stage.
             self.chunk += 1;
@@ -1069,10 +1072,10 @@ impl WarpProgram for ScanProgram {
             self.pending = false;
             let mut acc = self.carry;
             let start = self.base + self.chunk * LANES;
-            let writes = out.begin_store();
+            let mut store = out.begin_store();
             for (i, &v) in loaded.iter().enumerate() {
                 acc += v;
-                writes.push((f32_addr(self.cfg.output, start + i), acc));
+                store.push(f32_addr(self.cfg.output, start + i), acc);
             }
             self.carry = acc;
             self.chunk += loaded.len().div_ceil(LANES);
@@ -1182,9 +1185,9 @@ impl WarpProgram for ScpProgram {
             }
             2 => {
                 self.state = 3;
-                let writes = out.begin_store();
+                let mut store = out.begin_store();
                 for lane in 0..active {
-                    writes.push((f32_addr(self.cfg.out, self.first_pair + lane), self.acc[lane]));
+                    store.push(f32_addr(self.cfg.out, self.first_pair + lane), self.acc[lane]);
                 }
             }
             _ => out.set_finished(),

@@ -181,10 +181,10 @@ impl WarpProgram for RayProgram {
             }
             RayStage::Store => {
                 let first_pixel = self.warp_id * LANES;
-                let writes = out.begin_store();
+                let mut store = out.begin_store();
                 for (lane, &env) in loaded.iter().enumerate().take(LANES) {
                     let color = (self.base_shade[lane] + 0.6 * env).min(1.0);
-                    writes.push((self.k.img + ((first_pixel + lane) * 4) as u64, color));
+                    store.push(self.k.img + ((first_pixel + lane) * 4) as u64, color);
                 }
                 self.stage = RayStage::Done;
             }

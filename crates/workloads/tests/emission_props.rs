@@ -150,7 +150,7 @@ fn check(family: u8, dim: usize, batch: usize, warp: usize, seed: u64) {
         if step % 7 == 3 {
             dirty.begin_load().extend([0xDEAD_BEEFu64 * 4, 4, 8]);
         } else if step % 7 == 5 {
-            dirty.begin_store().push((12, -1.0e9));
+            dirty.begin_store().push(12, -1.0e9);
         }
 
         let mut fresh = OpBuf::new();
@@ -189,13 +189,18 @@ fn to_warp_op_covers_every_variant() {
     let mut b = OpBuf::new();
     b.set_compute(7);
     assert_eq!(b.to_warp_op(), WarpOp::Compute(7));
-    b.begin_load().extend([4u64, 8, 12, 40]);
+    b.begin_load().extend([4u64, 8, 12, 40, 300, 308, 316]);
     assert_eq!(
         b.to_warp_op(),
-        WarpOp::Load(vec![Run { base: 4, words: 3 }, Run { base: 40, words: 1 }])
+        WarpOp::Load(vec![
+            Run::contiguous(4, 3),
+            Run::contiguous(40, 1),
+            Run { base: 300, words: 3, stride: 8 },
+        ])
     );
-    b.begin_store().extend([(16u64, 1.5f32), (20, -2.0)]);
-    assert_eq!(b.to_warp_op(), WarpOp::Store(vec![(16, 1.5), (20, -2.0)]));
+    b.begin_store().extend([(16u64, 1.5f32), (20, -2.0), (28, 0.5), (36, 4.0)]);
+    assert_eq!(b.runs(), [Run::contiguous(16, 2), Run { base: 28, words: 2, stride: 8 }]);
+    assert_eq!(b.to_warp_op(), WarpOp::Store(vec![(16, 1.5), (20, -2.0), (28, 0.5), (36, 4.0)]));
     b.set_finished();
     assert_eq!(b.to_warp_op(), WarpOp::Finished);
 }

@@ -1,31 +1,91 @@
 //! Snapshot pin: the bytes of a paused run's checkpoint, taken while
-//! warp-side value buffers are in use, are fixed.
+//! warp-side buffers are in use, are fixed.
 //!
 //! Each case pauses a baseline GDDR5 run at scale 0.05 mid-run, at a cycle
-//! where the named buffers hold values: a `MapProgram`'s batch rows
-//! (`prog[0]/vals`) for the map apps, and an SM slot's completed-but-not-
-//! yet-consumed load (`last_loaded`) for 3DCONV. At this scale the map
-//! apps' warps consume every load in the cycle it completes, so their
-//! pauses never catch `last_loaded` filled. The checkpoint digest must
-//! equal the pinned value, which fixes the wire format and its contents
-//! however the simulator holds these buffers in memory, and resuming the
-//! checkpoint must reproduce the plain run.
+//! where the named buffers hold data:
+//!
+//! * a `MapProgram`'s batch rows (`prog[0]/vals`) for the map apps;
+//! * an SM slot's completed-but-not-yet-consumed load (`last_loaded`) for
+//!   3DCONV (at this scale the map apps' warps consume every load in the
+//!   cycle it completes, so their pauses never catch `last_loaded` filled);
+//! * a slot blocked on a load, whose parked lanes are written as
+//!   `lane_addrs`, for inversek2j (strided array-of-structs lanes);
+//! * a slot holding a store parked on request-NoC backpressure, whose lanes
+//!   are written as `writes`, for SLA.
+//!
+//! The checkpoint digest must equal the pinned value, which fixes the wire
+//! format and its contents however the simulator holds these buffers in
+//! memory, and resuming the checkpoint must reproduce the plain run.
 
 use lazydram_common::{DramPreset, Scheme};
 use lazydram_gpu::RunOutcome;
 use lazydram_workloads::{by_name, SimBuilder};
 
-/// `(app, pause cycle, label suffix of the buffers that must be non-empty,
-/// pinned checkpoint digest)`.
-const PINS: [(&str, u64, &str, u64); 3] = [
-    ("inversek2j", 640, "prog[0]/vals", 0xaaa1553e0589aae4),
-    ("jmeint", 500, "prog[0]/vals", 0xefa39fbccb6aada4),
-    ("3DCONV", 358, "/last_loaded", 0x7492ec15a70c6e12),
+/// A checkpoint's labeled fields, as `(path, rendered value)`.
+type Fields = [(String, String)];
+
+/// Some field whose path ends with `label` is a non-empty `f32` slice.
+fn filled_vals(fields: &Fields, label: &str) -> bool {
+    fields.iter().any(|(k, v)| k.ends_with(label) && !v.starts_with("[f32; 0]"))
+}
+
+/// The value of the field at `path`.
+fn field<'a>(fields: &'a Fields, path: &str) -> Option<&'a str> {
+    fields.iter().find(|(k, _)| k == path).map(|(_, v)| v.as_str())
+}
+
+/// The path prefixes (ending in `/`) of the warp slots whose field `label`
+/// reads `value`.
+fn slots_with<'a>(
+    fields: &'a Fields,
+    label: &'a str,
+    value: &'a str,
+) -> impl Iterator<Item = &'a str> {
+    fields.iter().filter_map(move |(k, v)| {
+        let prefix = k.strip_suffix(label)?;
+        let slot = prefix.strip_suffix('/')?.rsplit('/').next()?;
+        (slot.starts_with("slot[") && v == value).then_some(prefix)
+    })
+}
+
+/// `prog[0]/vals`: some `MapProgram` batch row holds values.
+fn map_rows(fields: &Fields) -> bool {
+    filled_vals(fields, "prog[0]/vals")
+}
+
+/// `/last_loaded`: some slot holds a completed, unconsumed load.
+fn unconsumed_load(fields: &Fields) -> bool {
+    filled_vals(fields, "/last_loaded")
+}
+
+/// Some slot is `Waiting` (state 2) on a load with parked lanes.
+fn waiting_load(fields: &Fields) -> bool {
+    slots_with(fields, "state", "2").any(|slot| {
+        field(fields, &format!("{slot}lane_addrs")).is_some_and(|v| !v.starts_with("[u64; 0]"))
+    })
+}
+
+/// Some slot holds a parked store with lanes.
+fn parked_store(fields: &Fields) -> bool {
+    slots_with(fields, "store_parked", "1")
+        .any(|slot| field(fields, &format!("{slot}writes")).is_some_and(|v| v != "0"))
+}
+
+/// `(app, pause cycle, what must hold at the pause, its name, pinned
+/// checkpoint digest)`.
+type Pin = (&'static str, u64, fn(&Fields) -> bool, &'static str, u64);
+
+const PINS: [Pin; 5] = [
+    ("inversek2j", 640, map_rows, "prog[0]/vals", 0xaaa1553e0589aae4),
+    ("jmeint", 500, map_rows, "prog[0]/vals", 0xefa39fbccb6aada4),
+    ("3DCONV", 358, unconsumed_load, "/last_loaded", 0x7492ec15a70c6e12),
+    ("inversek2j", 300, waiting_load, "a waiting slot's lane_addrs", 0x4544696c13311c54),
+    ("SLA", 300, parked_store, "a parked store's writes", 0xa05ca4656bbbca27),
 ];
 
 #[test]
 fn paused_checkpoints_keep_their_bytes_and_resume_exactly() {
-    for (app, at, filled_label, want) in PINS {
+    for (app, at, holds, what, want) in PINS {
         let spec = by_name(app).expect("app");
         let run = SimBuilder::new(&spec)
             .scheme(Scheme::Baseline)
@@ -36,13 +96,8 @@ fn paused_checkpoints_keep_their_bytes_and_resume_exactly() {
         let RunOutcome::Paused(ck) = run.run_until(at) else {
             panic!("{app}: finished before cycle {at}");
         };
-        let filled = run
-            .checkpoint_fields(&ck)
-            .expect("checkpoint restores")
-            .iter()
-            .filter(|(k, v)| k.ends_with(filled_label) && !v.starts_with("[f32; 0]"))
-            .count();
-        assert!(filled > 0, "{app}: no `{filled_label}` buffer holds values at cycle {at}");
+        let fields = run.checkpoint_fields(&ck).expect("checkpoint restores");
+        assert!(holds(&fields), "{app}: no {what} holds data at cycle {at}");
         assert_eq!(
             ck.digest(),
             want,

@@ -39,7 +39,7 @@ fn annotations_never_cover_outputs() {
                 loop {
                     p.next(&loaded, &mut buf);
                     if buf.kind() == OpKind::Store {
-                        stores.extend(buf.writes().iter().map(|&(a, _)| a));
+                        stores.extend(buf.runs().iter().flat_map(|r| r.lanes()));
                     }
                     if !apply_functional(&buf, &mut image, &mut loaded) {
                         break;
@@ -78,7 +78,11 @@ fn programs_issue_nonempty_operations() {
                     assert!(runs.iter().all(|r| r.words > 0), "{}: empty run", app.name);
                     assert!(runs.iter().all(|r| r.base % 4 == 0), "{}: unaligned load", app.name);
                 }
-                OpKind::Store => assert!(!buf.writes().is_empty(), "{}: empty store", app.name),
+                OpKind::Store => {
+                    assert!(!buf.values().is_empty(), "{}: empty store", app.name);
+                    let lanes: usize = buf.runs().iter().map(|r| r.words as usize).sum();
+                    assert_eq!(lanes, buf.values().len(), "{}: one value per lane", app.name);
+                }
                 OpKind::Finished => {
                     finished = true;
                     break;

@@ -26,6 +26,10 @@ cargo test -q --release -p lazydram-workloads --test footprint_gate
 echo "== tier1: cargo clippy (-D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== tier1: rustdoc (-D warnings) =="
+# Broken intra-doc links, and public docs linking to private items, fail.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
 echo "== tier1: prof-feature build =="
 # The self-profiler is compiled out by default; build (and unit-test) the
 # gated implementation so it cannot rot unnoticed.
