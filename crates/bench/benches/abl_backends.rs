@@ -1,14 +1,12 @@
-//! Ablation: the headline scheme across the whole memory-backend matrix.
+//! Ablation: the headline scheme across the memory-backend matrix.
 //!
-//! The harness varies both the organization (the gddr5/hbm1/hbm2 rows share
-//! one banked model, which is Section V's technology claim) and the *model
-//! itself*: every [`DramPreset`] —
-//! banked GDDR5/HBM, DDR4- and LPDDR4-class timing packages, the
-//! bank-state-free Naive backend and the per-bank Flexible-Latency
-//! backend — runs baseline vs `Dyn-DMS+Dyn-AMS` on the same apps. The
-//! Section V claim generalizes if the normalized activation savings
-//! survive on every backend; Naive is the control (no banks, so no row
-//! locality to harvest — its "norm acts" column reads 1.000 by design).
+//! Every [`DramPreset`] runs baseline vs `Dyn-DMS+Dyn-AMS` on the same
+//! apps. The gddr5/hbm1/hbm2 rows share one banked model under three
+//! organizations and timing packages: Section V's claim that the saving
+//! is independent of the memory technology holds if their normalized
+//! activation savings agree. The bank-state-free naive backend is the
+//! control (no banks, so no row locality to harvest — its "norm acts"
+//! column reads 1.000 by design).
 
 use lazydram_bench::{
     print_table, scale_from_env, MeasureSpec, MemoryTech, Scheme, SimBuilder, SweepRunner,

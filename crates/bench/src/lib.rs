@@ -97,7 +97,7 @@ pub fn apps_from_env() -> Vec<AppSpec> {
 }
 
 /// The DRAM backend preset for a harness run: `LAZYDRAM_BACKEND` env var
-/// (a [`DramPreset`] label such as `gddr5`, `ddr4` or `flex`) or the
+/// (a [`DramPreset`] label such as `gddr5`, `hbm2` or `naive`) or the
 /// default GDDR5 machine.
 ///
 /// # Panics
@@ -148,7 +148,10 @@ pub struct Measurement {
     pub coverage: f64,
     /// Application error vs. the exact output (0 when no approximation).
     pub app_error: f64,
-    /// GDDR5 row energy, pJ.
+    /// Row energy in pJ, priced with the GDDR5 profile
+    /// ([`MemoryTech::Gddr5`]) whatever the preset: on an HBM machine it
+    /// counts activations at GDDR5's per-activation cost. Only ratios of
+    /// two cells (normalised row energy) are technology-independent.
     pub row_energy_pj: f64,
     /// `true` if the run hit the safety cycle limit.
     pub truncated: bool,
@@ -214,7 +217,7 @@ pub fn measure(run: &SimRun, exact: &[f32]) -> Measurement {
 /// Checkpoint-IO failures of a crash-recoverable run.
 pub fn try_measure(run: &SimRun, exact: &[f32]) -> Result<Measurement, String> {
     let r = run.run_recoverable()?;
-    let energy = EnergyModel::new(MemoryTech::for_backend(run.backend()));
+    let energy = EnergyModel::new(MemoryTech::Gddr5);
     let row_energy_pj = energy.breakdown(&r.stats.dram).row_energy_pj;
     Ok(Measurement {
         app: run.app().name.to_string(),
@@ -381,8 +384,8 @@ mod tests {
     fn backend_env_helpers_expand_presets() {
         // Not touching the process env (tests run in parallel): exercise the
         // parse + expand path the env helpers are built from.
-        let cfg = parse_backend("ddr4").unwrap().gpu_config();
-        assert_eq!(cfg.backend, lazydram_common::BackendKind::Ddr4);
+        let cfg = parse_backend("naive").unwrap().gpu_config();
+        assert_eq!(cfg.backend, lazydram_common::BackendKind::Naive);
         assert!(parse_backend("gddr6").is_err());
     }
 

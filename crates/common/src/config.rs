@@ -74,50 +74,6 @@ impl DramTimings {
             ..Self::default()
         }
     }
-
-    /// A DDR4-2400-class timing package in 1200 MHz command-clock cycles,
-    /// with the full constraint set (tFAW, tCCDL, refresh) enabled. Used by
-    /// [`DramPreset::Ddr4`] / the `Ddr4` backend.
-    pub fn ddr4() -> Self {
-        Self {
-            t_cl: 16,
-            t_rp: 16,
-            t_rc: 55,
-            t_ras: 39,
-            t_ccd: 4,
-            t_rcd: 16,
-            t_rrd: 6,
-            t_cdlr: 8,
-            t_wl: 12,
-            t_wr: 18,
-            t_faw: 26,
-            t_ccdl: 6,
-            t_refi: 9_360,
-            t_rfc: 420,
-        }
-    }
-
-    /// An LPDDR4-3200-class timing package in 800 MHz command-clock cycles.
-    /// LPDDR4 has no bank groups, so `t_ccdl` stays 0; refresh is enabled.
-    /// Used by [`DramPreset::Lpddr4`] / the `Lpddr4` backend.
-    pub fn lpddr4() -> Self {
-        Self {
-            t_cl: 14,
-            t_rp: 17,
-            t_rc: 51,
-            t_ras: 34,
-            t_ccd: 4,
-            t_rcd: 15,
-            t_rrd: 8,
-            t_cdlr: 9,
-            t_wl: 9,
-            t_wr: 15,
-            t_faw: 32,
-            t_ccdl: 0,
-            t_refi: 6_240,
-            t_rfc: 336,
-        }
-    }
 }
 
 /// Which memory-backend model services a controller's DRAM commands.
@@ -127,6 +83,8 @@ impl DramTimings {
 /// package still come from the rest of [`GpuConfig`]. The discriminant
 /// values are stable — they tag backend checkpoint frames on the wire, so a
 /// checkpoint taken under one backend can never be restored into another.
+/// Tags 2–4 are retired (they named DDR4, LPDDR4 and Flexible-Latency
+/// models) and are never reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u32)]
 pub enum BackendKind {
@@ -136,15 +94,6 @@ pub enum BackendKind {
     /// Fixed-latency, bank-state-free tier for fast functional runs: every
     /// command is always legal and a CAS completes after tRCD+tCL+tCCD.
     Naive = 1,
-    /// The banked channel model tagged as DDR4-class; pair with
-    /// [`DramTimings::ddr4`] (done by [`DramPreset::Ddr4`]).
-    Ddr4 = 2,
-    /// The banked channel model tagged as LPDDR4-class; pair with
-    /// [`DramTimings::lpddr4`] (done by [`DramPreset::Lpddr4`]).
-    Lpddr4 = 3,
-    /// Flexible-Latency DRAM: the banked channel model with deterministic
-    /// per-bank tCL/tRCD variation seeded from the config digest.
-    Flex = 4,
 }
 
 impl BackendKind {
@@ -612,29 +561,15 @@ pub enum DramPreset {
     /// A representative HBM2 machine (faster clock, pseudo-channel-like
     /// organization approximated as 8 channels).
     Hbm2,
-    /// A DDR4-2400-class machine: 4 wide channels with large (8 KiB) rows.
-    Ddr4,
-    /// An LPDDR4-3200-class machine: 8 narrow channels, no bank groups.
-    Lpddr4,
     /// The paper-baseline geometry serviced by the fixed-latency
     /// [`BackendKind::Naive`] model (fast functional tier).
     Naive,
-    /// The paper-baseline geometry with Flexible-Latency DRAM: per-bank
-    /// tCL/tRCD variation seeded deterministically from the config digest.
-    Flex,
 }
 
 impl DramPreset {
     /// Every preset, the paper baseline first.
-    pub const ALL: [DramPreset; 7] = [
-        DramPreset::Gddr5,
-        DramPreset::Hbm1,
-        DramPreset::Hbm2,
-        DramPreset::Ddr4,
-        DramPreset::Lpddr4,
-        DramPreset::Naive,
-        DramPreset::Flex,
-    ];
+    pub const ALL: [DramPreset; 4] =
+        [DramPreset::Gddr5, DramPreset::Hbm1, DramPreset::Hbm2, DramPreset::Naive];
 
     /// The machine configuration this preset names.
     pub fn gpu_config(self) -> GpuConfig {
@@ -682,32 +617,8 @@ impl DramPreset {
                 },
                 ..GpuConfig::default()
             },
-            DramPreset::Ddr4 => GpuConfig {
-                num_channels: 4,
-                mem_clock_mhz: 1200,
-                banks_per_channel: 16,
-                bank_groups: 4,
-                row_bytes: 8192,
-                timings: DramTimings::ddr4(),
-                backend: BackendKind::Ddr4,
-                ..GpuConfig::default()
-            },
-            DramPreset::Lpddr4 => GpuConfig {
-                num_channels: 8,
-                mem_clock_mhz: 800,
-                banks_per_channel: 8,
-                bank_groups: 1,
-                row_bytes: 4096,
-                timings: DramTimings::lpddr4(),
-                backend: BackendKind::Lpddr4,
-                ..GpuConfig::default()
-            },
             DramPreset::Naive => GpuConfig {
                 backend: BackendKind::Naive,
-                ..GpuConfig::default()
-            },
-            DramPreset::Flex => GpuConfig {
-                backend: BackendKind::Flex,
                 ..GpuConfig::default()
             },
         }
@@ -719,10 +630,7 @@ impl DramPreset {
             DramPreset::Gddr5 => "gddr5",
             DramPreset::Hbm1 => "hbm1",
             DramPreset::Hbm2 => "hbm2",
-            DramPreset::Ddr4 => "ddr4",
-            DramPreset::Lpddr4 => "lpddr4",
             DramPreset::Naive => "naive",
-            DramPreset::Flex => "flex",
         }
     }
 
@@ -820,7 +728,7 @@ mod tests {
             assert_eq!(DramPreset::by_label(p.label()), Some(p));
             assert_eq!(format!("{p}"), p.label());
         }
-        assert_eq!(DramPreset::by_label("LPDDR4"), Some(DramPreset::Lpddr4));
+        assert_eq!(DramPreset::by_label("HBM2"), Some(DramPreset::Hbm2));
         assert_eq!(DramPreset::by_label("sram"), None);
         assert_eq!(DramPreset::labels().len(), DramPreset::ALL.len());
     }
@@ -834,10 +742,6 @@ mod tests {
             assert!(g.lines_per_row() >= 8, "{p}");
         }
         assert_eq!(DramPreset::Naive.gpu_config().backend, BackendKind::Naive);
-        assert_eq!(DramPreset::Ddr4.gpu_config().backend, BackendKind::Ddr4);
-        assert_eq!(DramPreset::Ddr4.gpu_config().timings, DramTimings::ddr4());
-        assert_eq!(DramPreset::Lpddr4.gpu_config().timings, DramTimings::lpddr4());
-        assert_eq!(DramPreset::Flex.gpu_config().backend, BackendKind::Flex);
     }
 
     #[test]
@@ -845,9 +749,6 @@ mod tests {
         // Wire tags for checkpoint frames: frozen, never renumber.
         assert_eq!(BackendKind::Gddr5.tag(), 0);
         assert_eq!(BackendKind::Naive.tag(), 1);
-        assert_eq!(BackendKind::Ddr4.tag(), 2);
-        assert_eq!(BackendKind::Lpddr4.tag(), 3);
-        assert_eq!(BackendKind::Flex.tag(), 4);
     }
 
     #[test]

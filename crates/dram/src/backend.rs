@@ -11,22 +11,17 @@
 //! latency oracle either duplicates the state machine or silently diverges
 //! from it; see DESIGN.md §15.
 //!
-//! The matrix (selected by [`BackendKind`] in the configuration):
+//! Two models implement it (selected by [`BackendKind`] in the
+//! configuration), wrapped by the [`DramBackend`] dispatch enum:
 //!
-//! * [`Gddr5Backend`] — the cycle-level banked [`Channel`] model, the
-//!   paper's baseline. Bit-identical to the pre-trait hard-wired wiring.
+//! * [`Channel`] — the cycle-level banked model, the paper's GDDR5
+//!   baseline; under the HBM presets' timing packages it is the HBM1/HBM2
+//!   machine. Bit-identical to the pre-trait hard-wired wiring.
 //! * [`NaiveBackend`] — fixed-latency, bank-state-free functional tier.
-//! * [`Ddr4Backend`] / [`Lpddr4Backend`] — the banked model under the
-//!   DDR4-class / LPDDR4-class timing packages ([`DramTimings::ddr4`] /
-//!   [`DramTimings::lpddr4`]), tagged so their checkpoints and cache cells
-//!   can never be confused with GDDR5 ones.
-//! * [`FlexBackend`] — Flexible-Latency DRAM: the banked model with
-//!   deterministic per-bank tCL/tRCD/tRP variation seeded from the config
-//!   digest.
 
 use crate::channel::Channel;
 use lazydram_common::snap::{Loader, Saver, SnapResult};
-use lazydram_common::{snap, AccessKind, BackendKind, DramStats, DramTimings, GpuConfig, SplitMix64};
+use lazydram_common::{AccessKind, BackendKind, DramStats, GpuConfig};
 
 /// One memory channel as seen by the memory controller.
 ///
@@ -144,236 +139,6 @@ pub trait MemoryBackend {
     /// Returns an error when the snapshot bytes are malformed or were taken
     /// under a different geometry.
     fn load_state(&mut self, l: &mut Loader<'_>) -> SnapResult<()>;
-}
-
-macro_rules! banked_backend {
-    ($(#[$doc:meta])* $name:ident, $kind:expr) => {
-        $(#[$doc])*
-        #[derive(Debug, Clone, PartialEq)]
-        pub struct $name(Channel);
-
-        impl $name {
-            /// Creates an idle backend per the GPU configuration.
-            pub fn new(cfg: &GpuConfig) -> Self {
-                Self(Channel::new(cfg))
-            }
-        }
-
-        impl MemoryBackend for $name {
-            fn kind(&self) -> BackendKind {
-                $kind
-            }
-            fn advance_to(&mut self, now: u64) {
-                self.0.advance_to(now);
-            }
-            fn stats(&self) -> &DramStats {
-                self.0.stats()
-            }
-            fn stats_mut(&mut self) -> &mut DramStats {
-                self.0.stats_mut()
-            }
-            fn open_banks(&self) -> u64 {
-                self.0.open_banks()
-            }
-            fn open_row(&self, bank: usize) -> Option<u32> {
-                self.0.open_row(bank)
-            }
-            fn can_activate(&self, bank: usize, now: u64) -> bool {
-                self.0.can_activate(bank, now)
-            }
-            fn activate(&mut self, bank: usize, row: u32, now: u64) {
-                self.0.activate(bank, row, now);
-            }
-            fn can_precharge(&self, bank: usize, now: u64) -> bool {
-                self.0.can_precharge(bank, now)
-            }
-            fn precharge(&mut self, bank: usize, now: u64) {
-                self.0.precharge(bank, now);
-            }
-            fn can_cas(&self, bank: usize, kind: AccessKind, now: u64) -> bool {
-                self.0.can_cas(bank, kind, now)
-            }
-            fn activate_ready_at(&self, bank: usize) -> u64 {
-                self.0.activate_ready_at(bank)
-            }
-            fn precharge_ready_at(&self, bank: usize) -> u64 {
-                self.0.precharge_ready_at(bank)
-            }
-            fn cas_ready_at(&self, bank: usize, kind: AccessKind) -> u64 {
-                self.0.cas_ready_at(bank, kind)
-            }
-            fn cas_floor(&self) -> u64 {
-                self.0.cas_floor()
-            }
-            fn cas(&mut self, bank: usize, kind: AccessKind, global_read: bool, now: u64) -> u64 {
-                self.0.cas(bank, kind, global_read, now)
-            }
-            fn refresh_due(&self, now: u64) -> bool {
-                self.0.refresh_due(now)
-            }
-            fn refresh_due_at(&self) -> u64 {
-                self.0.refresh_due_at()
-            }
-            fn can_refresh(&self, now: u64) -> bool {
-                self.0.can_refresh(now)
-            }
-            fn refresh(&mut self, now: u64) {
-                self.0.refresh(now);
-            }
-            fn refreshes(&self) -> u64 {
-                self.0.refreshes()
-            }
-            fn drain(&mut self) {
-                self.0.drain();
-            }
-            fn save_state(&self, s: &mut Saver) {
-                self.0.save_state(s);
-            }
-            fn load_state(&mut self, l: &mut Loader<'_>) -> SnapResult<()> {
-                self.0.load_state(l)
-            }
-        }
-    };
-}
-
-banked_backend!(
-    /// The cycle-level banked channel model under the configuration's
-    /// timings — the paper's GDDR5 baseline (and, with the HBM presets'
-    /// timing packages, the HBM variants).
-    Gddr5Backend,
-    BackendKind::Gddr5
-);
-
-banked_backend!(
-    /// The banked channel model tagged DDR4-class. [`DramPreset::Ddr4`]
-    /// pairs it with [`DramTimings::ddr4`] and a DDR4 energy profile; the
-    /// distinct kind keeps its checkpoints and cache cells apart from
-    /// GDDR5 ones.
-    ///
-    /// [`DramPreset::Ddr4`]: lazydram_common::DramPreset::Ddr4
-    Ddr4Backend,
-    BackendKind::Ddr4
-);
-
-banked_backend!(
-    /// The banked channel model tagged LPDDR4-class; see [`Ddr4Backend`].
-    ///
-    /// [`DramPreset::Lpddr4`]: lazydram_common::DramPreset::Lpddr4
-    Lpddr4Backend,
-    BackendKind::Lpddr4
-);
-
-/// Flexible-Latency DRAM: the banked channel model with per-bank
-/// tCL/tRCD/tRP reductions, modelling the real-chip latency variation of
-/// FLY-DRAM (PAPERS.md). The per-bank timing vector is drawn once at
-/// construction from a [`SplitMix64`] stream seeded with the digest of the
-/// configuration's debug encoding, so a given machine always gets the same
-/// bank binning — across runs, checkpoint restores, and trace replays —
-/// without serializing it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FlexBackend(Channel);
-
-impl FlexBackend {
-    /// Largest per-bank reduction drawn for tCL/tRCD/tRP, in cycles.
-    const MAX_REDUCTION: u32 = 4;
-
-    /// Creates an idle backend with deterministically varied bank timings.
-    pub fn new(cfg: &GpuConfig) -> Self {
-        let mut ch = Channel::new(cfg);
-        let seed = snap::digest(format!("{cfg:?}").as_bytes());
-        let mut rng = SplitMix64::new(seed);
-        let base = cfg.timings;
-        // Fast bins keep a floor of 2 cycles on every reduced parameter.
-        let floor = |t: u32, r: u64| t.saturating_sub(r as u32).max(2);
-        let over: Vec<DramTimings> = (0..cfg.banks_per_channel)
-            .map(|_| {
-                let r = u64::from(Self::MAX_REDUCTION) + 1;
-                DramTimings {
-                    t_cl: floor(base.t_cl, rng.below(r)),
-                    t_rcd: floor(base.t_rcd, rng.below(r)),
-                    t_rp: floor(base.t_rp, rng.below(r)),
-                    ..base
-                }
-            })
-            .collect();
-        ch.set_bank_timings(over);
-        Self(ch)
-    }
-}
-
-impl MemoryBackend for FlexBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Flex
-    }
-    fn advance_to(&mut self, now: u64) {
-        self.0.advance_to(now);
-    }
-    fn stats(&self) -> &DramStats {
-        self.0.stats()
-    }
-    fn stats_mut(&mut self) -> &mut DramStats {
-        self.0.stats_mut()
-    }
-    fn open_banks(&self) -> u64 {
-        self.0.open_banks()
-    }
-    fn open_row(&self, bank: usize) -> Option<u32> {
-        self.0.open_row(bank)
-    }
-    fn can_activate(&self, bank: usize, now: u64) -> bool {
-        self.0.can_activate(bank, now)
-    }
-    fn activate(&mut self, bank: usize, row: u32, now: u64) {
-        self.0.activate(bank, row, now);
-    }
-    fn can_precharge(&self, bank: usize, now: u64) -> bool {
-        self.0.can_precharge(bank, now)
-    }
-    fn precharge(&mut self, bank: usize, now: u64) {
-        self.0.precharge(bank, now);
-    }
-    fn can_cas(&self, bank: usize, kind: AccessKind, now: u64) -> bool {
-        self.0.can_cas(bank, kind, now)
-    }
-    fn activate_ready_at(&self, bank: usize) -> u64 {
-        self.0.activate_ready_at(bank)
-    }
-    fn precharge_ready_at(&self, bank: usize) -> u64 {
-        self.0.precharge_ready_at(bank)
-    }
-    fn cas_ready_at(&self, bank: usize, kind: AccessKind) -> u64 {
-        self.0.cas_ready_at(bank, kind)
-    }
-    fn cas_floor(&self) -> u64 {
-        self.0.cas_floor()
-    }
-    fn cas(&mut self, bank: usize, kind: AccessKind, global_read: bool, now: u64) -> u64 {
-        self.0.cas(bank, kind, global_read, now)
-    }
-    fn refresh_due(&self, now: u64) -> bool {
-        self.0.refresh_due(now)
-    }
-    fn refresh_due_at(&self) -> u64 {
-        self.0.refresh_due_at()
-    }
-    fn can_refresh(&self, now: u64) -> bool {
-        self.0.can_refresh(now)
-    }
-    fn refresh(&mut self, now: u64) {
-        self.0.refresh(now);
-    }
-    fn refreshes(&self) -> u64 {
-        self.0.refreshes()
-    }
-    fn drain(&mut self) {
-        self.0.drain();
-    }
-    fn save_state(&self, s: &mut Saver) {
-        self.0.save_state(s);
-    }
-    fn load_state(&mut self, l: &mut Loader<'_>) -> SnapResult<()> {
-        self.0.load_state(l)
-    }
 }
 
 /// One bank's worth of functional state in the [`NaiveBackend`].
@@ -565,50 +330,43 @@ impl MemoryBackend for NaiveBackend {
 }
 
 /// The backend matrix: one variant per [`BackendKind`], dispatched
-/// statically so the GDDR5 hot path stays monomorphic (and byte-identical
-/// to the pre-trait wiring).
+/// statically so the GDDR5 hot path calls [`Channel`] directly (and stays
+/// byte-identical to the pre-trait wiring).
 #[derive(Debug, Clone, PartialEq)]
 pub enum DramBackend {
-    /// See [`Gddr5Backend`].
-    Gddr5(Gddr5Backend),
+    /// The banked [`Channel`] model (GDDR5, and HBM under its timings).
+    Gddr5(Channel),
     /// See [`NaiveBackend`].
     Naive(NaiveBackend),
-    /// See [`Ddr4Backend`].
-    Ddr4(Ddr4Backend),
-    /// See [`Lpddr4Backend`].
-    Lpddr4(Lpddr4Backend),
-    /// See [`FlexBackend`].
-    Flex(FlexBackend),
 }
 
 impl DramBackend {
     /// Creates the backend the configuration selects.
     pub fn new(cfg: &GpuConfig) -> Self {
         match cfg.backend {
-            BackendKind::Gddr5 => DramBackend::Gddr5(Gddr5Backend::new(cfg)),
+            BackendKind::Gddr5 => DramBackend::Gddr5(Channel::new(cfg)),
             BackendKind::Naive => DramBackend::Naive(NaiveBackend::new(cfg)),
-            BackendKind::Ddr4 => DramBackend::Ddr4(Ddr4Backend::new(cfg)),
-            BackendKind::Lpddr4 => DramBackend::Lpddr4(Lpddr4Backend::new(cfg)),
-            BackendKind::Flex => DramBackend::Flex(FlexBackend::new(cfg)),
         }
     }
 }
 
+/// Forwards one call to the active model. The `Gddr5` arm resolves to
+/// [`Channel`]'s inherent methods, which carry the trait's names.
 macro_rules! dispatch {
     ($self:ident, $b:ident => $e:expr) => {
         match $self {
             DramBackend::Gddr5($b) => $e,
             DramBackend::Naive($b) => $e,
-            DramBackend::Ddr4($b) => $e,
-            DramBackend::Lpddr4($b) => $e,
-            DramBackend::Flex($b) => $e,
         }
     };
 }
 
 impl MemoryBackend for DramBackend {
     fn kind(&self) -> BackendKind {
-        dispatch!(self, b => b.kind())
+        match self {
+            DramBackend::Gddr5(_) => BackendKind::Gddr5,
+            DramBackend::Naive(_) => BackendKind::Naive,
+        }
     }
     fn advance_to(&mut self, now: u64) {
         dispatch!(self, b => b.advance_to(now))
@@ -686,23 +444,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn gddr5_backend_mirrors_channel() {
-        let cfg = GpuConfig::default();
-        let mut b = Gddr5Backend::new(&cfg);
-        let mut c = Channel::new(&cfg);
-        assert!(b.can_activate(0, 0) && c.can_activate(0, 0));
-        b.activate(0, 7, 0);
-        c.activate(0, 7, 0);
-        assert_eq!(
-            b.cas(0, AccessKind::Read, true, 12),
-            c.cas(0, AccessKind::Read, true, 12)
-        );
-        assert_eq!(b.stats(), c.stats());
-        assert_eq!(b.open_row(0), Some(7));
-        assert_eq!(b.kind(), BackendKind::Gddr5);
-    }
-
-    #[test]
     fn naive_backend_is_always_ready_with_fixed_latency() {
         let cfg = GpuConfig::default();
         let mut b = NaiveBackend::new(&cfg);
@@ -736,24 +477,6 @@ mod tests {
         let mut l = Loader::new(&bytes);
         b2.load_state(&mut l).expect("round trip");
         assert_eq!(b, b2);
-    }
-
-    #[test]
-    fn flex_backend_is_deterministic_and_distinct_per_config() {
-        let cfg = lazydram_common::DramPreset::Flex.gpu_config();
-        let a = FlexBackend::new(&cfg);
-        let b = FlexBackend::new(&cfg);
-        assert_eq!(a, b, "same config must draw the same bank binning");
-        // A different machine draws a different binning (with overwhelming
-        // probability); compare behavior through a CAS completion time.
-        let mut fast = FlexBackend::new(&cfg);
-        let mut base = Gddr5Backend::new(&GpuConfig::default());
-        fast.activate(0, 1, 0);
-        base.activate(0, 1, 0);
-        // Flex tRCD ≤ base tRCD: the flex CAS is legal no later than base.
-        let t = u64::from(cfg.timings.t_rcd);
-        assert!(fast.can_cas(0, AccessKind::Read, t));
-        assert!(base.can_cas(0, AccessKind::Read, t));
     }
 
     #[test]

@@ -4,18 +4,14 @@ use crate::bank::{Bank, BankState};
 use lazydram_common::snap::{Loader, Saver, SnapError, SnapResult};
 use lazydram_common::{AccessKind, DramStats, DramTimings, GpuConfig};
 
-/// A GDDR5 channel with `banks_per_channel` banks in `bank_groups` groups.
+/// A banked DRAM channel (GDDR5, or HBM under its timing package) with
+/// `banks_per_channel` banks in `bank_groups` groups.
 ///
 /// The channel enforces the *inter*-bank and bus-level constraints; per-bank
 /// constraints live in [`Bank`]. All times are memory cycles.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Channel {
     timings: DramTimings,
-    /// Per-bank timing overrides (Flexible-Latency DRAM). Empty means every
-    /// bank uses `timings`; when non-empty it holds one entry per bank.
-    /// Derived from the configuration at construction time, never
-    /// serialized.
-    bank_timings: Vec<DramTimings>,
     banks: Vec<Bank>,
     banks_per_group: usize,
     /// Bit `b` set iff bank `b` has an open row. Derived from `banks`
@@ -24,9 +20,6 @@ pub struct Channel {
     open_banks: u64,
     /// Earliest cycle the next `ACT` to *any* bank is legal (tRRD).
     next_act_ok: u64,
-    /// The longest CAS latency (tCL or tWL) of any bank. Derived from the
-    /// timings, never serialized.
-    max_cas_latency: u64,
     /// Cycle of the most recent command, for the 1-command/cycle bus.
     last_cmd_cycle: Option<u64>,
     /// First cycle at which the data bus is free again.
@@ -59,11 +52,9 @@ impl Channel {
         );
         Self {
             timings: cfg.timings,
-            bank_timings: Vec::new(),
             banks: (0..cfg.banks_per_channel).map(|_| Bank::new()).collect(),
             banks_per_group: cfg.banks_per_channel / cfg.bank_groups,
             open_banks: 0,
-            max_cas_latency: u64::from(cfg.timings.t_cl.max(cfg.timings.t_wl)),
             next_act_ok: 0,
             last_cmd_cycle: None,
             bus_free: 0,
@@ -91,35 +82,6 @@ impl Channel {
     /// Banks per bank group.
     pub fn banks_per_group(&self) -> usize {
         self.banks_per_group
-    }
-
-    /// Installs per-bank timing overrides (Flexible-Latency DRAM). `over`
-    /// must hold exactly one entry per bank. Call right after construction,
-    /// before any command is issued.
-    ///
-    /// Channel-global constraints (tRRD, tFAW, tCCD/tCCDL gaps, tCDLR,
-    /// refresh) keep using the configuration's base timings; only the
-    /// per-bank command timings (tCL/tRCD/tRP/tRAS/tRC/tWL/tWR) vary.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `over.len()` differs from the bank count.
-    pub fn set_bank_timings(&mut self, over: Vec<DramTimings>) {
-        assert_eq!(over.len(), self.banks.len(), "one timing set per bank");
-        self.max_cas_latency = over
-            .iter()
-            .map(|t| u64::from(t.t_cl.max(t.t_wl)))
-            .fold(u64::from(self.timings.t_cl.max(self.timings.t_wl)), u64::max);
-        self.bank_timings = over;
-    }
-
-    /// The timing parameters in force for `bank`.
-    fn bt(&self, bank: usize) -> &DramTimings {
-        if self.bank_timings.is_empty() {
-            &self.timings
-        } else {
-            &self.bank_timings[bank]
-        }
     }
 
     /// The row currently open in `bank`, if any.
@@ -192,7 +154,7 @@ impl Channel {
     pub fn cas_floor(&self) -> u64 {
         self.refresh_until
             .max(self.cmd_bus_ready_at())
-            .max(self.bus_free.saturating_sub(self.max_cas_latency))
+            .max(self.bus_free.saturating_sub(self.max_cas_latency()))
     }
 
     /// The first cycle from which [`Channel::can_cas`] holds for a `kind`
@@ -205,7 +167,7 @@ impl Channel {
             .refresh_until
             .max(self.cmd_bus_ready_at())
             .max(self.banks[bank].cas_ready_at())
-            .max(self.bus_free.saturating_sub(self.cas_latency(bank, kind)));
+            .max(self.bus_free.saturating_sub(self.cas_latency(kind)));
         if self.timings.t_ccdl > 0 {
             if let Some((c, group)) = self.last_cas {
                 let gap = if group == bank / self.banks_per_group {
@@ -247,8 +209,7 @@ impl Channel {
     /// Debug-panics if [`Channel::can_activate`] is false at `now`.
     pub fn activate(&mut self, bank: usize, row: u32, now: u64) {
         debug_assert!(self.can_activate(bank, now), "illegal ACT at {now}");
-        let t = *self.bt(bank);
-        self.banks[bank].activate(row, now, &t);
+        self.banks[bank].activate(row, now, &self.timings);
         self.open_banks |= 1 << bank;
         self.next_act_ok = now + u64::from(self.timings.t_rrd);
         self.last_cmd_cycle = Some(now);
@@ -271,8 +232,7 @@ impl Channel {
     /// Debug-panics if [`Channel::can_precharge`] is false at `now`.
     pub fn precharge(&mut self, bank: usize, now: u64) {
         debug_assert!(self.can_precharge(bank, now), "illegal PRE at {now}");
-        let t = *self.bt(bank);
-        let rec = self.banks[bank].precharge(now, &t);
+        let rec = self.banks[bank].precharge(now, &self.timings);
         self.open_banks &= !(1 << bank);
         self.last_cmd_cycle = Some(now);
         self.stats.precharges += 1;
@@ -312,7 +272,7 @@ impl Channel {
                 }
             }
         }
-        let data_start = now + self.cas_latency(bank, kind);
+        let data_start = now + self.cas_latency(kind);
         if data_start < self.bus_free {
             return false;
         }
@@ -326,11 +286,15 @@ impl Channel {
         true
     }
 
-    fn cas_latency(&self, bank: usize, kind: AccessKind) -> u64 {
-        let t = self.bt(bank);
+    /// The longer of the two CAS latencies, tCL and tWL.
+    fn max_cas_latency(&self) -> u64 {
+        u64::from(self.timings.t_cl.max(self.timings.t_wl))
+    }
+
+    fn cas_latency(&self, kind: AccessKind) -> u64 {
         match kind {
-            AccessKind::Read => u64::from(t.t_cl),
-            AccessKind::Write => u64::from(t.t_wl),
+            AccessKind::Read => u64::from(self.timings.t_cl),
+            AccessKind::Write => u64::from(self.timings.t_wl),
         }
     }
 
@@ -354,10 +318,9 @@ impl Channel {
         } else {
             self.stats.row_hits += 1;
         }
-        let t = *self.bt(bank);
-        self.banks[bank].cas(kind, global_read, now, &t);
+        self.banks[bank].cas(kind, global_read, now, &self.timings);
         self.last_cmd_cycle = Some(now);
-        let data_start = now + self.cas_latency(bank, kind);
+        let data_start = now + self.cas_latency(kind);
         let data_end = data_start + u64::from(self.timings.t_ccd);
         self.bus_free = data_end;
         self.last_cas = Some((now, bank / self.banks_per_group));

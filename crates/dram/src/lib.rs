@@ -43,9 +43,6 @@ mod bank;
 mod channel;
 
 pub use auditor::{Auditor, Command, ProtocolViolation};
-pub use backend::{
-    Ddr4Backend, DramBackend, FlexBackend, Gddr5Backend, Lpddr4Backend, MemoryBackend,
-    NaiveBackend,
-};
+pub use backend::{DramBackend, MemoryBackend, NaiveBackend};
 pub use bank::{ActivationRecord, Bank, BankState};
 pub use channel::Channel;

@@ -26,7 +26,7 @@
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
-use lazydram_common::{BackendKind, DramPreset, DramStats};
+use lazydram_common::{DramPreset, DramStats};
 
 /// Memory technology profiles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -39,34 +39,17 @@ pub enum MemoryTech {
     /// Second-generation HBM: row energy ≈ 25 % of total (O'Connor et al.,
     /// MICRO'17).
     Hbm2,
-    /// Commodity DDR4: large (8 KB) pages make the row round trip the most
-    /// expensive of the matrix, with cheaper terminated I/O than GDDR5.
-    Ddr4,
-    /// Low-power DDR4: everything scaled down — small row energy, very low
-    /// background power (deep power-down states).
-    Lpddr4,
 }
 
 impl MemoryTech {
     /// The energy profile matching a machine preset of the backend matrix.
+    /// The naive preset models the GDDR5 machine, so it accounts energy
+    /// with the GDDR5 profile.
     pub fn for_preset(preset: DramPreset) -> Self {
         match preset {
-            DramPreset::Gddr5 | DramPreset::Naive | DramPreset::Flex => MemoryTech::Gddr5,
+            DramPreset::Gddr5 | DramPreset::Naive => MemoryTech::Gddr5,
             DramPreset::Hbm1 => MemoryTech::Hbm1,
             DramPreset::Hbm2 => MemoryTech::Hbm2,
-            DramPreset::Ddr4 => MemoryTech::Ddr4,
-            DramPreset::Lpddr4 => MemoryTech::Lpddr4,
-        }
-    }
-
-    /// The energy profile matching a configured backend kind. The naive and
-    /// flex backends model GDDR5-organized machines, so they account energy
-    /// with the GDDR5 profile.
-    pub fn for_backend(kind: BackendKind) -> Self {
-        match kind {
-            BackendKind::Gddr5 | BackendKind::Naive | BackendKind::Flex => MemoryTech::Gddr5,
-            BackendKind::Ddr4 => MemoryTech::Ddr4,
-            BackendKind::Lpddr4 => MemoryTech::Lpddr4,
         }
     }
 }
@@ -112,21 +95,6 @@ impl EnergyParams {
                 read_pj: 200.0,
                 write_pj: 210.0,
                 background_pj_per_cycle: 40.0,
-            },
-            // DDR4: an 8 KB page costs the most row energy per cycle; I/O
-            // per burst is cheaper than GDDR5's high-speed interface.
-            MemoryTech::Ddr4 => Self {
-                row_pj_per_act: 2_600.0,
-                read_pj: 350.0,
-                write_pj: 370.0,
-                background_pj_per_cycle: 30.0,
-            },
-            // LPDDR4: low-voltage arrays and aggressive power-down.
-            MemoryTech::Lpddr4 => Self {
-                row_pj_per_act: 1_200.0,
-                read_pj: 140.0,
-                write_pj: 150.0,
-                background_pj_per_cycle: 8.0,
             },
         }
     }
@@ -223,8 +191,6 @@ impl EnergyModel {
             MemoryTech::Gddr5 => 0.35,
             MemoryTech::Hbm1 => 0.50,
             MemoryTech::Hbm2 => 0.25,
-            MemoryTech::Ddr4 => 0.40,
-            MemoryTech::Lpddr4 => 0.45,
         }
     }
 }
@@ -329,19 +295,10 @@ mod tests {
 
     #[test]
     fn backend_matrix_maps_to_profiles() {
+        assert_eq!(MemoryTech::for_preset(DramPreset::Gddr5), MemoryTech::Gddr5);
         assert_eq!(MemoryTech::for_preset(DramPreset::Naive), MemoryTech::Gddr5);
-        assert_eq!(MemoryTech::for_preset(DramPreset::Flex), MemoryTech::Gddr5);
-        assert_eq!(MemoryTech::for_preset(DramPreset::Ddr4), MemoryTech::Ddr4);
-        assert_eq!(MemoryTech::for_backend(BackendKind::Lpddr4), MemoryTech::Lpddr4);
-        for p in DramPreset::ALL {
-            // Every preset's profile agrees with its configured backend,
-            // except the HBM presets which refine GDDR5's banked model.
-            let by_preset = MemoryTech::for_preset(p);
-            let by_backend = MemoryTech::for_backend(p.gpu_config().backend);
-            if !matches!(p, DramPreset::Hbm1 | DramPreset::Hbm2) {
-                assert_eq!(by_preset, by_backend, "{p}");
-            }
-        }
+        assert_eq!(MemoryTech::for_preset(DramPreset::Hbm1), MemoryTech::Hbm1);
+        assert_eq!(MemoryTech::for_preset(DramPreset::Hbm2), MemoryTech::Hbm2);
     }
 
     #[test]

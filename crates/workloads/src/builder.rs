@@ -689,12 +689,16 @@ mod tests {
     #[test]
     fn parse_backend_is_strict() {
         assert_eq!(parse_backend("gddr5"), Ok(DramPreset::Gddr5));
-        assert_eq!(parse_backend(" LPDDR4 "), Ok(DramPreset::Lpddr4));
-        assert_eq!(parse_backend("Flex"), Ok(DramPreset::Flex));
-        for bad in ["", "gddr6", "naive,flex", "1"] {
+        assert_eq!(parse_backend(" HBM2 "), Ok(DramPreset::Hbm2));
+        assert_eq!(parse_backend("Naive"), Ok(DramPreset::Naive));
+        // The retired ddr4/lpddr4/flex presets must fail, not fall back.
+        for bad in ["", "gddr6", "naive,hbm1", "1", "ddr4", "lpddr4", "flex"] {
             let err = parse_backend(bad).unwrap_err();
             assert!(err.contains("not a DRAM backend preset"), "{err}");
-            assert!(err.contains("naive"), "must list valid labels: {err}");
+            assert!(
+                err.ends_with("expected one of: gddr5, hbm1, hbm2, naive"),
+                "must list the four labels: {err}"
+            );
         }
     }
 

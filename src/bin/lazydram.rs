@@ -88,6 +88,13 @@ fn cmd_run(app: &AppSpec, scheme: &str, scale: f64, preset: DramPreset) {
     println!("  row energy       {:>12.1} µJ", e.row_energy_pj / 1e6);
     println!("  coverage         {:>11.1}%", 100.0 * r.stats.dram.coverage());
     println!("  app error        {:>11.2}%", 100.0 * application_error(&exact, &r.output));
+    if scheme.sched().ams.is_enabled() {
+        // Declines are indexed by `lazydram::core::AmsDecline`.
+        println!(
+            "  ams_accepts {}  ams_declines {:?}",
+            r.stats.ams_accepts, r.stats.ams_declines
+        );
+    }
 }
 
 fn cmd_sweep(app: &AppSpec, scale: f64, preset: DramPreset) {

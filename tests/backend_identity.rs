@@ -5,7 +5,7 @@
 //! the fig04/fig12 harnesses captured at the commit *before* the
 //! [`MemoryBackend`] extraction (`LAZYDRAM_SCALE=0.05`). This test re-runs
 //! a cross-section of those cells through today's trait-dispatched
-//! [`Gddr5Backend`] and compares [`Measurement::to_json`] byte-for-byte
+//! `DramBackend::Gddr5` channel and compares [`Measurement::to_json`] byte-for-byte
 //! against the captured lines — any drift in timing, statistics, energy or
 //! float formatting fails here before it reaches the tier-1 figure diff
 //! (which compares the *full* 140/77-record files).

@@ -98,7 +98,7 @@ echo "== tier1: memory-backend matrix smoke =="
 # unset-env run; (c) byte-identical to the pre-trait model: the full fig04
 # and fig12 harnesses reproduce the stdout + JSONL captured at the revision
 # before the trait extraction (crates/bench/captures/pre_pr10/).
-for backend in gddr5 hbm1 hbm2 ddr4 lpddr4 naive flex; do
+for backend in gddr5 hbm1 hbm2 naive; do
     LAZYDRAM_APPS=SCP LAZYDRAM_SCALE=0.05 LAZYDRAM_QUIET=1 \
     LAZYDRAM_BACKEND="$backend" \
     LAZYDRAM_RESULTS="$CKPT_TMP/be_$backend.jsonl" \
@@ -126,7 +126,7 @@ LAZYDRAM_RESULTS="$CKPT_TMP/pre10_fig12.jsonl" \
     > "$CKPT_TMP/pre10_fig12.out"
 cmp "$CKPT_TMP/pre10_fig12.out" crates/bench/captures/pre_pr10/fig12.out
 cmp "$CKPT_TMP/pre10_fig12.jsonl" crates/bench/captures/pre_pr10/fig12.jsonl
-echo "all 7 backends green; GDDR5 default byte-identical to pre-trait captures"
+echo "all 4 backends green; GDDR5 default byte-identical to pre-trait captures"
 
 echo "== tier1: divergence-bisection smoke =="
 # The bisection tool must find a concrete first divergent cycle between two
