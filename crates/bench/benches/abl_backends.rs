@@ -8,19 +8,18 @@
 //! control (no banks, so no row locality to harvest — its "norm acts"
 //! column reads 1.000 by design).
 
-use lazydram_bench::{
-    print_table, scale_from_env, MeasureSpec, MemoryTech, Scheme, SimBuilder, SweepRunner,
-};
+use lazydram_bench::{print_table, MeasureSpec, MemoryTech, RunEnv, Scheme, SimBuilder};
 use lazydram_common::DramPreset;
 use lazydram_workloads::by_name;
 
 fn main() {
-    let scale = scale_from_env();
+    let env = RunEnv::load();
+    let scale = env.scale;
     let apps: Vec<_> = ["SCP", "MVT", "meanfilter"]
         .iter()
         .map(|n| by_name(n).expect("app"))
         .collect();
-    let runner = SweepRunner::from_env();
+    let runner = env.runner();
     // One baseline per (app, preset): the cache keys on the full config
     // (backend kind included), so each backend is its own cached cell.
     let mut bases = Vec::new();

@@ -2,13 +2,14 @@
 //! open-page baseline already capture vs strict FCFS and closed-page, and
 //! what the lazy scheduler adds on top.
 
-use lazydram_bench::{gpu_config_from_env, mean, MeasureSpec, print_table, scale_from_env, SimBuilder, SweepRunner};
+use lazydram_bench::{mean, print_table, MeasureSpec, RunEnv, SimBuilder};
 use lazydram_common::{Arbiter, RowPolicy, SchedConfig};
 use lazydram_workloads::by_name;
 
 fn main() {
-    let scale = scale_from_env();
-    let cfg = gpu_config_from_env();
+    let env = RunEnv::load();
+    let scale = env.scale;
+    let cfg = env.preset.gpu_config();
     // "FR-FCFS+open" *is* the baseline scheduler — that column comes from the
     // cached baseline run instead of a duplicate simulation.
     let sweep: Vec<(&str, SchedConfig)> = vec![
@@ -21,7 +22,7 @@ fn main() {
         .iter()
         .map(|n| by_name(n).expect("app"))
         .collect();
-    let runner = SweepRunner::from_env();
+    let runner = env.runner();
     let bases = runner.baselines(&apps, &cfg, scale);
     let mut specs = Vec::new();
     for (app, base) in apps.iter().zip(&bases) {

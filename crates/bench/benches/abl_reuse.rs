@@ -2,15 +2,16 @@
 //! model that inserts approximated lines into L2 (error propagates through
 //! reuse).
 
-use lazydram_bench::{gpu_config_from_env, MeasureSpec, print_table, scale_from_env, SimBuilder, SweepRunner};
+use lazydram_bench::{print_table, MeasureSpec, RunEnv, SimBuilder};
 use lazydram_common::{SchedConfig};
 use lazydram_workloads::group;
 
 fn main() {
-    let scale = scale_from_env();
-    let cfg = gpu_config_from_env();
+    let env = RunEnv::load();
+    let scale = env.scale;
+    let cfg = env.preset.gpu_config();
     let apps = [group(1), group(2), group(3)].concat();
-    let runner = SweepRunner::from_env();
+    let runner = env.runner();
     let bases = runner.baselines(&apps, &cfg, scale);
     let mut specs = Vec::new();
     for (app, base) in apps.iter().zip(&bases) {

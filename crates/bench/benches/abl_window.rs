@@ -1,20 +1,21 @@
 //! Ablation (paper footnote 1): the 4096-cycle profiling window of the
 //! dynamic schemes vs smaller and larger windows.
 
-use lazydram_bench::{gpu_config_from_env, MeasureSpec, print_table, scale_from_env, SimBuilder, SweepRunner};
+use lazydram_bench::{print_table, MeasureSpec, RunEnv, SimBuilder};
 use lazydram_common::config::{DynAmsConfig, DynDmsConfig};
 use lazydram_common::{AmsMode, DmsMode, SchedConfig};
 use lazydram_workloads::by_name;
 
 fn main() {
-    let scale = scale_from_env();
-    let cfg = gpu_config_from_env();
+    let env = RunEnv::load();
+    let scale = env.scale;
+    let cfg = env.preset.gpu_config();
     let windows = [1024u32, 4096, 16384];
     let apps: Vec<_> = ["SCP", "MVT", "3DCONV"]
         .iter()
         .map(|n| by_name(n).expect("app"))
         .collect();
-    let runner = SweepRunner::from_env();
+    let runner = env.runner();
     let bases = runner.baselines(&apps, &cfg, scale);
     let mut specs = Vec::new();
     for (app, base) in apps.iter().zip(&bases) {

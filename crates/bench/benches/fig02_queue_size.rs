@@ -1,17 +1,18 @@
 //! Figure 2: effect of the FR-FCFS pending-queue size on the number of row
 //! activations, normalized to the baseline size of 128.
 
-use lazydram_bench::{apps_from_env, gpu_config_from_env, mean, MeasureSpec, print_table, scale_from_env, Scheme, SimBuilder, SweepRunner};
+use lazydram_bench::{mean, print_table, MeasureSpec, RunEnv, Scheme, SimBuilder};
 use lazydram_common::GpuConfig;
 
 fn main() {
-    let scale = scale_from_env();
-    let apps = apps_from_env();
-    let runner = SweepRunner::from_env();
-    let cfg = gpu_config_from_env();
+    let env = RunEnv::load();
+    let scale = env.scale;
+    let apps = &env.apps;
+    let runner = env.runner();
+    let cfg = env.preset.gpu_config();
     // q = 128 is the default config, i.e. exactly the cached baseline run.
     let sweep_sizes = [16usize, 32, 64, 256];
-    let bases = runner.baselines(&apps, &cfg, scale);
+    let bases = runner.baselines(apps, &cfg, scale);
     let mut specs = Vec::new();
     for (app, base) in apps.iter().zip(&bases) {
         let Ok(base) = base else { continue };

@@ -1,16 +1,17 @@
 //! Figure 4: effect of the DMS delay on (a) row activations and (b) IPC,
 //! both normalized to the no-delay baseline.
 
-use lazydram_bench::{apps_from_env, gpu_config_from_env, mean, MeasureSpec, print_table, scale_from_env, SimBuilder, SweepRunner};
+use lazydram_bench::{mean, print_table, MeasureSpec, RunEnv, SimBuilder};
 use lazydram_common::{DmsMode, SchedConfig};
 
 fn main() {
-    let scale = scale_from_env();
-    let apps = apps_from_env();
+    let env = RunEnv::load();
+    let scale = env.scale;
+    let apps = &env.apps;
     let delays = [64u32, 128, 256, 512, 1024, 2048];
-    let cfg = gpu_config_from_env();
-    let runner = SweepRunner::from_env();
-    let bases = runner.baselines(&apps, &cfg, scale);
+    let cfg = env.preset.gpu_config();
+    let runner = env.runner();
+    let bases = runner.baselines(apps, &cfg, scale);
     let mut specs = Vec::new();
     for (app, base) in apps.iter().zip(&bases) {
         let Ok(base) = base else { continue };

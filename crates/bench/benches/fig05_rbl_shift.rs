@@ -1,7 +1,7 @@
 //! Figure 5: distribution of row activations over RBL buckets as the DMS
 //! delay grows, for two applications.
 
-use lazydram_bench::{gpu_config_from_env, Measurement, MeasureSpec, print_table, scale_from_env, SimBuilder, SweepRunner};
+use lazydram_bench::{print_table, MeasureSpec, Measurement, RunEnv, SimBuilder};
 use lazydram_common::{DmsMode, SchedConfig};
 use lazydram_workloads::by_name;
 
@@ -25,9 +25,10 @@ fn fail_cells(delay: u32) -> Vec<String> {
 }
 
 fn main() {
-    let scale = scale_from_env();
-    let cfg = gpu_config_from_env();
-    let runner = SweepRunner::from_env();
+    let env = RunEnv::load();
+    let scale = env.scale;
+    let cfg = env.preset.gpu_config();
+    let runner = env.runner();
     let apps: Vec<_> = ["GEMM", "SCP"].iter().map(|n| by_name(n).expect("app")).collect();
     let delays = [128u32, 512, 2048]; // delay = 0 is the cached baseline run
     let bases = runner.baselines(&apps, &cfg, scale);

@@ -1,13 +1,14 @@
 //! Figure 6: cumulative distribution of row activations over requests sorted
 //! by the RBL of their activation (read-only rows), for GEMM and 3MM.
 
-use lazydram_bench::{gpu_config_from_env, scale_from_env, SweepRunner};
+use lazydram_bench::{RunEnv};
 use lazydram_workloads::by_name;
 
 fn main() {
-    let scale = scale_from_env();
-    let cfg = gpu_config_from_env();
-    let runner = SweepRunner::from_env();
+    let env = RunEnv::load();
+    let scale = env.scale;
+    let cfg = env.preset.gpu_config();
+    let runner = env.runner();
     let apps: Vec<_> = ["GEMM", "3MM"].iter().map(|n| by_name(n).expect("app")).collect();
     let bases = runner.baselines(&apps, &cfg, scale);
     for (app, base) in apps.iter().zip(&bases) {

@@ -1,16 +1,17 @@
 //! Figure 7: how AMS helps DMS — LPS (delay-insensitive activations) and
 //! SCP (performance-limited delay) case studies.
 
-use lazydram_bench::{gpu_config_from_env, MeasureSpec, print_table, scale_from_env, SimBuilder, SweepRunner};
+use lazydram_bench::{print_table, MeasureSpec, RunEnv, SimBuilder};
 use lazydram_common::{AmsMode, DmsMode, SchedConfig};
 use lazydram_workloads::by_name;
 
 type Case = (&'static str, DmsMode, AmsMode);
 
 fn main() {
-    let scale = scale_from_env();
-    let cfg = gpu_config_from_env();
-    let runner = SweepRunner::from_env();
+    let env = RunEnv::load();
+    let scale = env.scale;
+    let cfg = env.preset.gpu_config();
+    let runner = env.runner();
     let studies: Vec<(&str, Vec<Case>)> = vec![
         (
             "LPS",

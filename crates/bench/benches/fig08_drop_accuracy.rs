@@ -2,7 +2,7 @@
 //! micro-trace over five rows of one bank: AMS alone drops the oldest
 //! request (wrongly), AMS+DMS drops the only true RBL(1) row.
 
-use lazydram_bench::{Job, SweepRunner};
+use lazydram_bench::{Job, RunEnv};
 use lazydram_common::{AccessKind, AddressMap, AmsMode, DmsMode, GpuConfig, MemSpace, Request,
                       RequestId, SchedConfig};
 use lazydram_core::MemoryController;
@@ -73,7 +73,7 @@ fn run(dms: DmsMode) -> (Vec<u64>, u64, f64) {
 fn main() {
     println!("=== Figure 8: drop accuracy of AMS alone vs AMS+DMS ===");
     println!("nine requests over rows R1..R5 of one bank; second batch to R1..R4 arrives late\n");
-    let runner = SweepRunner::from_env();
+    let runner = RunEnv::load().runner();
     let results = runner.run(vec![
         Job::new("fig08/AMS-alone", || run(DmsMode::Off)),
         Job::new("fig08/AMS+DMS", || run(DmsMode::Static(64))),

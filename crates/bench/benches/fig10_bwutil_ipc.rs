@@ -2,16 +2,17 @@
 //! the observation Dyn-DMS relies on to profile performance locally at the
 //! memory controller.
 
-use lazydram_bench::{apps_from_env, bw_util, gpu_config_from_env, Measurement, MeasureSpec, print_table, scale_from_env, SimBuilder, SweepRunner};
+use lazydram_bench::{bw_util, print_table, MeasureSpec, Measurement, RunEnv, SimBuilder};
 use lazydram_common::{DmsMode, SchedConfig};
 
 fn main() {
-    let scale = scale_from_env();
-    let apps = apps_from_env();
-    let cfg = gpu_config_from_env();
-    let runner = SweepRunner::from_env();
+    let env = RunEnv::load();
+    let scale = env.scale;
+    let apps = &env.apps;
+    let cfg = env.preset.gpu_config();
+    let runner = env.runner();
     let delays = [256u32, 1024]; // delay = 0 is the cached baseline run
-    let bases = runner.baselines(&apps, &cfg, scale);
+    let bases = runner.baselines(apps, &cfg, scale);
     let mut specs = Vec::new();
     for (app, base) in apps.iter().zip(&bases) {
         let Ok(base) = base else { continue };

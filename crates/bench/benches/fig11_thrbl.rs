@@ -1,14 +1,15 @@
 //! Figure 11: effect of reducing Th_RBL on SCP — lower thresholds focus the
 //! limited coverage on the lowest-RBL rows and remove more activations.
 
-use lazydram_bench::{gpu_config_from_env, MeasureSpec, print_table, scale_from_env, SimBuilder, SweepRunner};
+use lazydram_bench::{print_table, MeasureSpec, RunEnv, SimBuilder};
 use lazydram_common::{AmsMode, SchedConfig};
 use lazydram_workloads::by_name;
 
 fn main() {
-    let scale = scale_from_env();
-    let cfg = gpu_config_from_env();
-    let runner = SweepRunner::from_env();
+    let env = RunEnv::load();
+    let scale = env.scale;
+    let cfg = env.preset.gpu_config();
+    let runner = env.runner();
     let app = by_name("SCP").expect("app");
     let thresholds = [8u32, 4, 2, 1];
     let bases = runner.baselines(std::slice::from_ref(&app), &cfg, scale);

@@ -3,16 +3,17 @@
 //! error-tolerant applications (groups 1-3), plus the HBM1/HBM2
 //! memory-system-energy projection of Section V.
 
-use lazydram_bench::{gpu_config_from_env, mean, signed_change, MeasureSpec, print_table, scale_from_env, Scheme, SimBuilder, SweepRunner};
+use lazydram_bench::{mean, print_table, signed_change, MeasureSpec, RunEnv, Scheme, SimBuilder};
 use lazydram_energy::{CardBudget, EnergyModel, MemoryTech};
 use lazydram_workloads::all_apps;
 
 fn main() {
-    let scale = scale_from_env();
-    let cfg = gpu_config_from_env();
+    let env = RunEnv::load();
+    let scale = env.scale;
+    let cfg = env.preset.gpu_config();
     let apps: Vec<_> = all_apps().into_iter().filter(|a| a.error_tolerant()).collect();
     let schemes = Scheme::PAPER;
-    let runner = SweepRunner::from_env();
+    let runner = env.runner();
     let bases = runner.baselines(&apps, &cfg, scale);
     let mut specs = Vec::new();
     for (app, base) in apps.iter().zip(&bases) {

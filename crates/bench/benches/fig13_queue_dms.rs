@@ -2,16 +2,17 @@
 //! maximum delay DMS(2048) is applied (normalized to the no-delay baseline
 //! at queue size 128).
 
-use lazydram_bench::{apps_from_env, gpu_config_from_env, mean, MeasureSpec, print_table, scale_from_env, SimBuilder, SweepRunner};
+use lazydram_bench::{mean, print_table, MeasureSpec, RunEnv, SimBuilder};
 use lazydram_common::{DmsMode, GpuConfig, SchedConfig};
 
 fn main() {
-    let scale = scale_from_env();
-    let apps = apps_from_env();
+    let env = RunEnv::load();
+    let scale = env.scale;
+    let apps = &env.apps;
     let sizes = [32usize, 64, 128, 256];
-    let runner = SweepRunner::from_env();
-    let cfg = gpu_config_from_env();
-    let bases = runner.baselines(&apps, &cfg, scale);
+    let runner = env.runner();
+    let cfg = env.preset.gpu_config();
+    let bases = runner.baselines(apps, &cfg, scale);
     let mut specs = Vec::new();
     for (app, base) in apps.iter().zip(&bases) {
         let Ok(base) = base else { continue };

@@ -2,7 +2,7 @@
 //! exact and the approximated (Dyn-DMS + Dyn-AMS) output images as PGM
 //! files and reports the application error.
 
-use lazydram_bench::{gpu_config_from_env, Job, scale_from_env, Scheme, SimBuilder, SweepRunner};
+use lazydram_bench::{Job, RunEnv, Scheme, SimBuilder};
 use lazydram_gpu::application_error;
 use lazydram_workloads::{by_name, exact_output};
 
@@ -19,10 +19,11 @@ fn write_pgm(path: &str, pixels: &[f32], w: usize) -> std::io::Result<()> {
 }
 
 fn main() {
-    let scale = scale_from_env();
-    let cfg = gpu_config_from_env();
+    let env = RunEnv::load();
+    let scale = env.scale;
+    let cfg = env.preset.gpu_config();
     let app = by_name("laplacian").expect("app");
-    let runner = SweepRunner::from_env();
+    let runner = env.runner();
     // The exact (functional) output and the approximated run are independent —
     // compute both in parallel, each isolated against panics.
     let exact_job = {
@@ -53,8 +54,8 @@ fn main() {
     let err = application_error(&exact, &lazy_out);
     // The image is square at any scale (w == h in the builder).
     let w = (exact.len() as f64).sqrt().round() as usize;
-    let dir = std::env::var("LAZYDRAM_OUT").unwrap_or_else(|_| "target".into());
-    std::fs::create_dir_all(&dir).expect("create LAZYDRAM_OUT dir");
+    let dir = env.out_dir.display();
+    std::fs::create_dir_all(&env.out_dir).expect("create LAZYDRAM_OUT dir");
     let exact_path = format!("{dir}/fig14_laplacian_exact.pgm");
     let approx_path = format!("{dir}/fig14_laplacian_approx.pgm");
     write_pgm(&exact_path, &exact, w).expect("write exact image");

@@ -1,15 +1,16 @@
 //! Figure 15: delay-only mode for the low-error-tolerance applications
 //! (Group 4): normalized row energy and IPC under Static-DMS and Dyn-DMS.
 
-use lazydram_bench::{gpu_config_from_env, mean, MeasureSpec, print_table, scale_from_env, Scheme, SimBuilder, SweepRunner};
+use lazydram_bench::{mean, print_table, MeasureSpec, RunEnv, Scheme, SimBuilder};
 use lazydram_workloads::group;
 
 fn main() {
-    let scale = scale_from_env();
-    let cfg = gpu_config_from_env();
+    let env = RunEnv::load();
+    let scale = env.scale;
+    let cfg = env.preset.gpu_config();
     let schemes = [Scheme::StaticDms, Scheme::DynDms];
     let apps = group(4);
-    let runner = SweepRunner::from_env();
+    let runner = env.runner();
     let bases = runner.baselines(&apps, &cfg, scale);
     let mut specs = Vec::new();
     for (app, base) in apps.iter().zip(&bases) {

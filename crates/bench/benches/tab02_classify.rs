@@ -2,7 +2,7 @@
 //! thrashing level, delay tolerance (MTD), activation sensitivity, Th_RBL
 //! sensitivity, and error tolerance, with the paper's thresholds.
 
-use lazydram_bench::{apps_from_env, gpu_config_from_env, JobResult, Measurement, MeasureSpec, print_table, scale_from_env, Scheme, SimBuilder, SweepRunner};
+use lazydram_bench::{print_table, JobResult, MeasureSpec, Measurement, RunEnv, Scheme, SimBuilder};
 use lazydram_common::{AmsMode, DmsMode, SchedConfig};
 
 const DELAYS: [u32; 5] = [128, 256, 512, 1024, 2048];
@@ -86,11 +86,12 @@ fn classify(
 }
 
 fn main() {
-    let scale = scale_from_env();
-    let cfg = gpu_config_from_env();
-    let apps = apps_from_env();
-    let runner = SweepRunner::from_env();
-    let bases = runner.baselines(&apps, &cfg, scale);
+    let env = RunEnv::load();
+    let scale = env.scale;
+    let cfg = env.preset.gpu_config();
+    let apps = &env.apps;
+    let runner = env.runner();
+    let bases = runner.baselines(apps, &cfg, scale);
     let mut specs = Vec::new();
     for (app, base) in apps.iter().zip(&bases) {
         let Ok(base) = base else { continue };

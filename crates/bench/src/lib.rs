@@ -10,10 +10,11 @@
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
-use lazydram_common::{DramPreset, GpuConfig, SimStats};
+use lazydram_common::{GpuConfig, SimStats};
 use lazydram_gpu::application_error;
 use lazydram_workloads::{exact_output, AppSpec};
 
+pub mod run_env;
 pub mod runner;
 pub mod store;
 
@@ -21,9 +22,9 @@ pub use lazydram_common::Scheme;
 pub use lazydram_energy::{EnergyModel, MemoryTech};
 pub use lazydram_gpu::{ReplayReport, TraceError, TraceSim};
 pub use lazydram_workloads::{
-    parse_backend, parse_cache_mode, parse_checkpoint_every, CacheMode, CachePolicy,
-    CheckpointPolicy, SimBuilder, SimRun, DEFAULT_CHECKPOINT_EVERY,
+    parse_backend, parse_cache_mode, CacheMode, CachePolicy, SimBuilder, SimRun,
 };
+pub use run_env::RunEnv;
 pub use runner::{Baseline, ExactOutput, Job, JobFailure, JobResult, MeasureSpec, SweepRunner};
 pub use store::{CacheStats, EntryInfo, Fidelity, Store};
 
@@ -34,7 +35,7 @@ pub const BENCH_SCALE: f64 = 1.0;
 
 /// Parses a `LAZYDRAM_SCALE` value: must be a finite, positive number.
 ///
-/// Kept separate from [`scale_from_env`] so the validation is unit-testable.
+/// Kept separate from [`RunEnv::load`] so the validation is unit-testable.
 pub fn parse_scale(s: &str) -> Result<f64, String> {
     match s.trim().parse::<f64>() {
         Err(_) => Err(format!(
@@ -46,19 +47,6 @@ pub fn parse_scale(s: &str) -> Result<f64, String> {
              (e.g. 0.5 for a half-size run); got {v}"
         )),
         Ok(v) => Ok(v),
-    }
-}
-
-/// Work scale for harness runs: `LAZYDRAM_SCALE` env var or [`BENCH_SCALE`].
-///
-/// # Panics
-///
-/// Panics on a malformed or non-positive `LAZYDRAM_SCALE` instead of
-/// silently falling back to a full-scale (potentially hours-long) run.
-pub fn scale_from_env() -> f64 {
-    match std::env::var("LAZYDRAM_SCALE") {
-        Ok(s) => parse_scale(&s).unwrap_or_else(|e| panic!("{e}")),
-        Err(_) => BENCH_SCALE,
     }
 }
 
@@ -79,44 +67,6 @@ pub fn parse_apps(list: &str) -> Result<Vec<AppSpec>, String> {
             })
         })
         .collect()
-}
-
-/// The application list for a harness run: all 20, or the comma-separated
-/// names in `LAZYDRAM_APPS`.
-///
-/// # Panics
-///
-/// Panics on an unknown app name, listing the valid names.
-pub fn apps_from_env() -> Vec<AppSpec> {
-    match std::env::var("LAZYDRAM_APPS") {
-        Ok(list) if !list.trim().is_empty() => {
-            parse_apps(&list).unwrap_or_else(|e| panic!("{e}"))
-        }
-        _ => lazydram_workloads::all_apps(),
-    }
-}
-
-/// The DRAM backend preset for a harness run: `LAZYDRAM_BACKEND` env var
-/// (a [`DramPreset`] label such as `gddr5`, `hbm2` or `naive`) or the
-/// default GDDR5 machine.
-///
-/// # Panics
-///
-/// Panics on a malformed `LAZYDRAM_BACKEND` instead of silently sweeping
-/// the wrong memory model.
-pub fn backend_from_env() -> DramPreset {
-    match std::env::var("LAZYDRAM_BACKEND") {
-        Ok(s) => parse_backend(&s).unwrap_or_else(|e| panic!("{e}")),
-        Err(_) => DramPreset::Gddr5,
-    }
-}
-
-/// The machine configuration for a harness run: [`backend_from_env`]'s
-/// preset expanded to its full [`GpuConfig`] (geometry + timings + backend
-/// model). Figure harnesses use this instead of `GpuConfig::default()` so
-/// `LAZYDRAM_BACKEND=<label>` re-runs any figure on any backend.
-pub fn gpu_config_from_env() -> GpuConfig {
-    backend_from_env().gpu_config()
 }
 
 /// Aggregate DRAM data-bus utilization of a run: busy cycles across all
@@ -148,10 +98,10 @@ pub struct Measurement {
     pub coverage: f64,
     /// Application error vs. the exact output (0 when no approximation).
     pub app_error: f64,
-    /// Row energy in pJ, priced with the GDDR5 profile
-    /// ([`MemoryTech::Gddr5`]) whatever the preset: on an HBM machine it
-    /// counts activations at GDDR5's per-activation cost. Only ratios of
-    /// two cells (normalised row energy) are technology-independent.
+    /// Row energy in pJ, priced with the run's own memory technology
+    /// ([`MemoryTech::for_preset`] of [`SimRun::preset`]), as `lazydram run`
+    /// prices it. A hand-built machine that equals no preset is priced with
+    /// the GDDR5 profile.
     pub row_energy_pj: f64,
     /// `true` if the run hit the safety cycle limit.
     pub truncated: bool,
@@ -202,24 +152,12 @@ impl Measurement {
 ///
 /// `exact` is the functional reference output (compute it once per app with
 /// [`lazydram_workloads::exact_output`] and share it across schemes — the
-/// [`SweepRunner`] baseline cache does this automatically). Checkpoint-IO
-/// failures on a crash-recoverable run panic; [`try_measure`] surfaces them
-/// as `Err` instead.
+/// [`SweepRunner`] baseline cache does this automatically).
 pub fn measure(run: &SimRun, exact: &[f32]) -> Measurement {
-    try_measure(run, exact).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`measure`], surfacing checkpoint-IO failures as `Err` (the sweep runner
-/// records them as [`JobFailure`] rows instead of aborting the sweep).
-///
-/// # Errors
-///
-/// Checkpoint-IO failures of a crash-recoverable run.
-pub fn try_measure(run: &SimRun, exact: &[f32]) -> Result<Measurement, String> {
-    let r = run.run_recoverable()?;
-    let energy = EnergyModel::new(MemoryTech::Gddr5);
-    let row_energy_pj = energy.breakdown(&r.stats.dram).row_energy_pj;
-    Ok(Measurement {
+    let r = run.run();
+    let tech = run.preset().map_or(MemoryTech::Gddr5, MemoryTech::for_preset);
+    let row_energy_pj = EnergyModel::new(tech).breakdown(&r.stats.dram).row_energy_pj;
+    Measurement {
         app: run.app().name.to_string(),
         scheme: run.scheme_label().to_string(),
         ipc: r.stats.ipc(),
@@ -232,7 +170,20 @@ pub fn try_measure(run: &SimRun, exact: &[f32]) -> Result<Measurement, String> {
         replayed: false,
         cached: false,
         stats: r.stats,
-    })
+    }
+}
+
+/// [`measure`] wrapped in `Ok`: it never fails. A vestige of the removed
+/// sweep-level checkpoints, whose IO errors it used to surface, kept with
+/// its `Result` because the repository benchmark calls it; the next
+/// benchmark change removes it together with [`store::Fidelity`] and
+/// [`Measurement::replayed`].
+///
+/// # Errors
+///
+/// None.
+pub fn try_measure(run: &SimRun, exact: &[f32]) -> Result<Measurement, String> {
+    Ok(measure(run, exact))
 }
 
 /// Convenience: the baseline measurement plus its exact output.
@@ -378,15 +329,6 @@ mod tests {
         let err = parse_apps("GEMM,telepathy").unwrap_err();
         assert!(err.contains("telepathy"), "{err}");
         assert!(err.contains("GEMM") && err.contains("laplacian"), "{err}");
-    }
-
-    #[test]
-    fn backend_env_helpers_expand_presets() {
-        // Not touching the process env (tests run in parallel): exercise the
-        // parse + expand path the env helpers are built from.
-        let cfg = parse_backend("naive").unwrap().gpu_config();
-        assert_eq!(cfg.backend, lazydram_common::BackendKind::Naive);
-        assert!(parse_backend("gddr6").is_err());
     }
 
     #[test]

@@ -4,10 +4,12 @@
 //! `(app × scheme)` simulations. This module fans them across a
 //! [`std::thread::scope`] worker pool:
 //!
-//! * **Worker count** comes from `LAZYDRAM_JOBS` (default:
-//!   [`std::thread::available_parallelism`]). `LAZYDRAM_JOBS=1` reproduces
-//!   the sequential run bit for bit. It is the only parallelism knob: each
-//!   simulation runs on the one worker thread that picked up its job.
+//! * **Worker count** is set at construction; harnesses take it from
+//!   `LAZYDRAM_JOBS` through [`RunEnv::runner`](crate::RunEnv::runner)
+//!   (default: [`std::thread::available_parallelism`]). One worker
+//!   reproduces the sequential run bit for bit. It is the only parallelism
+//!   setting: each simulation runs on the one worker thread that picked up
+//!   its job.
 //! * **Determinism** — results are collected in submission order, so harness
 //!   output is byte-identical regardless of worker count or completion
 //!   order.
@@ -29,14 +31,10 @@
 //!   record per line for downstream plotting. Timing never enters the JSONL
 //!   records, so result files from parallel and sequential runs are
 //!   byte-identical.
-//! * **Crash recovery** — with `LAZYDRAM_CHECKPOINT_DIR` set (interval via
-//!   `LAZYDRAM_CHECKPOINT_EVERY`, default
-//!   [`lazydram_workloads::DEFAULT_CHECKPOINT_EVERY`] cycles), every job
-//!   periodically parks a serialized checkpoint; re-running a killed sweep
-//!   resumes each job from its last parked checkpoint instead of cycle 0,
-//!   and the bit-identical restore guarantee keeps the results (and the
-//!   JSONL file) byte-identical to an uninterrupted sweep. Checkpoint-IO
-//!   failures surface as [`JobFailure`] records, not panics.
+//! * **Crash recovery** — through the result store: with a persistent
+//!   `LAZYDRAM_CACHE_DIR`, re-running a killed sweep serves every cell it
+//!   published and simulates only the rest, byte-identical to an
+//!   uninterrupted sweep. A cell that was in flight restarts from cycle 0.
 //! * **Result cache** — with `LAZYDRAM_CACHE_DIR` set (behavior via
 //!   `LAZYDRAM_CACHE_MODE`: `auto` (default), `require`, `refresh`, `off`),
 //!   every finished `(app × scheme × config)` cell is published to the
@@ -60,14 +58,14 @@
 //!   `LAZYDRAM_QUIET` or when no jobs ran.
 
 use crate::store::{Fidelity, Store};
-use crate::{try_measure, Measurement};
+use crate::{measure, Measurement};
 use lazydram_common::json::JsonObject;
 use lazydram_common::{GpuConfig, Scheme};
-use lazydram_workloads::{exact_output, AppSpec, CacheMode, CachePolicy, CheckpointPolicy,
-                         SimBuilder};
+use lazydram_workloads::{exact_output, AppSpec, CacheMode, CachePolicy, SimBuilder};
 use std::collections::HashMap;
 use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
@@ -205,7 +203,6 @@ pub struct SweepRunner {
     workers: usize,
     quiet: bool,
     results: Option<Mutex<std::io::BufWriter<std::fs::File>>>,
-    checkpoints: Option<CheckpointPolicy>,
     cache: Option<Store>,
     baselines: Mutex<HashMap<BaselineKey, Arc<OnceLock<Arc<Baseline>>>>>,
     jobs_run: AtomicU64,
@@ -239,58 +236,18 @@ pub fn parse_quiet(s: &str) -> Result<bool, String> {
 }
 
 impl SweepRunner {
-    /// Builds a runner from the environment: worker count from
-    /// `LAZYDRAM_JOBS` (default: available parallelism), JSONL results path
-    /// from `LAZYDRAM_RESULTS` (default: none), crash-recovery
-    /// checkpointing from `LAZYDRAM_CHECKPOINT_DIR` /
-    /// `LAZYDRAM_CHECKPOINT_EVERY` (default: off), and the result store from
-    /// `LAZYDRAM_CACHE_DIR` / `LAZYDRAM_CACHE_MODE` (default: off).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a malformed `LAZYDRAM_JOBS`, an unwritable
-    /// `LAZYDRAM_RESULTS` path, or malformed checkpoint/cache variables.
-    pub fn from_env() -> Self {
-        let workers = match std::env::var("LAZYDRAM_JOBS") {
-            Ok(s) => parse_jobs(&s).unwrap_or_else(|e| panic!("{e}")),
-            Err(_) => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        };
-        let runner = Self::with_workers(workers)
-            .with_checkpoints(CheckpointPolicy::from_env_or_die())
-            .with_cache(CachePolicy::from_env_or_die());
-        match std::env::var("LAZYDRAM_RESULTS") {
-            Ok(path) if !path.trim().is_empty() => runner.with_results_file(&path),
-            _ => runner,
-        }
-    }
-
     /// Builds a runner with an explicit worker count (≥ 1).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a malformed `LAZYDRAM_QUIET`.
     pub fn with_workers(workers: usize) -> Self {
         Self {
             workers: workers.max(1),
-            quiet: match std::env::var("LAZYDRAM_QUIET") {
-                Ok(s) => parse_quiet(&s).unwrap_or_else(|e| panic!("{e}")),
-                Err(_) => false,
-            },
+            quiet: false,
             results: None,
-            checkpoints: None,
             cache: None,
             baselines: Mutex::new(HashMap::new()),
             jobs_run: AtomicU64::new(0),
             jobs_failed: AtomicU64::new(0),
             started: Instant::now(),
         }
-    }
-
-    /// Attaches (or clears) the periodic checkpoint policy applied to every
-    /// measurement job.
-    pub fn with_checkpoints(mut self, policy: Option<CheckpointPolicy>) -> Self {
-        self.checkpoints = policy;
-        self
     }
 
     /// Attaches (or clears) the content-addressed result cache: sweep cells
@@ -321,14 +278,15 @@ impl SweepRunner {
     /// # Panics
     ///
     /// Panics if the file cannot be created.
-    pub fn with_results_file(mut self, path: &str) -> Self {
+    pub fn with_results_file(mut self, path: impl AsRef<Path>) -> Self {
+        let path = path.as_ref();
         let file = std::fs::File::create(path)
             .unwrap_or_else(|e| panic!("cannot create LAZYDRAM_RESULTS={path:?}: {e}"));
         self.results = Some(Mutex::new(std::io::BufWriter::new(file)));
         self
     }
 
-    /// Suppresses the stderr progress lines (used by tests).
+    /// Suppresses the stderr progress and summary lines.
     pub fn quiet(mut self) -> Self {
         self.quiet = true;
         self
@@ -444,8 +402,7 @@ impl SweepRunner {
             let builder = SimBuilder::new(app)
                 .gpu(cfg.clone())
                 .scheme(Scheme::Baseline)
-                .scale(scale)
-                .checkpoints(self.checkpoints.clone());
+                .scale(scale);
             let measurement =
                 self.measure_one(builder, &exact).unwrap_or_else(|e| panic!("{e}"));
             Arc::new(Baseline { measurement, exact })
@@ -485,8 +442,8 @@ impl SweepRunner {
     /// Runs every measurement spec on the pool, records the outcomes in the
     /// JSONL results file (submission order, so files are byte-identical
     /// across worker counts), and returns the outcomes in submission order.
-    /// With a checkpoint policy attached, each job runs crash-recoverably;
-    /// a checkpoint-IO failure becomes that job's [`JobFailure`] record.
+    /// A cell that cannot be served (a `require`-mode store miss) becomes
+    /// that job's [`JobFailure`] record.
     pub fn measure_all(&self, specs: Vec<MeasureSpec>) -> Vec<JobResult<Measurement>> {
         let labels: Vec<String> = specs
             .iter()
@@ -496,13 +453,7 @@ impl SweepRunner {
             .into_iter()
             .zip(&labels)
             .map(|(spec, label)| {
-                // The runner's policy wins when set; otherwise whatever the
-                // spec's builder already carries stays in effect.
-                let builder = match &self.checkpoints {
-                    Some(p) => spec.builder.checkpoints(Some(p.clone())),
-                    None => spec.builder,
-                };
-                let exact = spec.exact;
+                let MeasureSpec { builder, exact } = spec;
                 Job::new(label.clone(), move || self.measure_one(builder, &exact)).with_note(
                     |r: &Result<Measurement, String>| match r {
                         Ok(m) => skip_note(m),
@@ -541,7 +492,7 @@ impl SweepRunner {
         if let Some(m) = self.cache_lookup(key, &builder)? {
             return Ok(m);
         }
-        let m = try_measure(&builder.build(), exact)?;
+        let m = measure(&builder.build(), exact);
         self.cache_publish(key, &m);
         Ok(m)
     }
@@ -696,7 +647,7 @@ mod tests {
         assert_eq!(parse_quiet("false"), Ok(false));
         for bad in ["", "yes", "2", "quiet"] {
             let err = parse_quiet(bad).expect_err("only 1|true|0|false are booleans");
-            assert!(err.contains("LAZYDRAM_QUIET"), "{err}");
+            assert!(err.starts_with("LAZYDRAM_QUIET="), "{err}");
         }
     }
 

@@ -596,9 +596,11 @@ mod tests {
     #[test]
     fn execute_key_is_pinned() {
         // Stores written by earlier versions stay valid only while the
-        // execute key keeps this value.
+        // execute key keeps this value. Re-pinned on purpose for
+        // SEMANTICS_VERSION 2 (sweep row energy priced per preset), which
+        // re-keys every store.
         let d = 0x1234_5678_9ABC_DEF0u64;
-        assert_eq!(Store::cell_key(d, Fidelity::Execute), 0xf8fb_9d15_6249_22a7);
+        assert_eq!(Store::cell_key(d, Fidelity::Execute), 0x2bda_69b4_9b9b_ffe1);
         assert_ne!(Store::cell_key(d, Fidelity::Execute), d);
     }
 

@@ -6,7 +6,7 @@
 //! differ between fast-forward modes, are stripped. Dormancy leaves even
 //! the loop counters alone, so the last two modes must match byte for byte.
 
-use lazydram_bench::{try_measure, SimBuilder};
+use lazydram_bench::{measure, SimBuilder};
 use lazydram_common::{DmsMode, SchedConfig};
 use lazydram_workloads::by_name;
 
@@ -87,7 +87,7 @@ fn cells(mode: Mode) -> Vec<String> {
                 .dormancy(mode.dormancy)
                 .build();
             let exact = exact.get_or_insert_with(|| run.exact_output());
-            let m = try_measure(&run, exact).unwrap_or_else(|e| panic!("{mode:?}: {e}"));
+            let m = measure(&run, exact);
             assert!(!m.truncated, "{mode:?}: {} hit the cycle limit", m.scheme);
             m.to_json()
         })

@@ -103,3 +103,33 @@ fn baseline_cache_returns_same_measurement_as_fresh_computation() {
     );
     assert_eq!(*cached.exact, fresh_exact, "exact outputs must match");
 }
+
+/// A sweep cell prices its row energy with its own preset's technology:
+/// the `row_energy_pj` in an hbm2 cell's JSONL record is the HBM2 profile
+/// applied to that cell's statistics, the figure `lazydram run --backend
+/// hbm2` prints, not the GDDR5 one.
+#[test]
+fn hbm2_cell_row_energy_uses_its_own_technology() {
+    use lazydram_bench::{EnergyModel, MemoryTech};
+    use lazydram_common::DramPreset;
+    use lazydram_common::json::JsonObject;
+
+    let path = std::env::temp_dir().join("lazydram_runner_test_hbm2.jsonl");
+    let app = by_name("SCP").expect("app");
+    let runner = SweepRunner::with_workers(1).quiet().with_results_file(&path);
+    let base = runner.baselines(std::slice::from_ref(&app), &DramPreset::Hbm2.gpu_config(), SCALE);
+    let m = &base[0].as_ref().expect("hbm2 baseline runs").measurement;
+    drop(runner);
+
+    let want = EnergyModel::new(MemoryTech::Hbm2).breakdown(&m.stats.dram).row_energy_pj;
+    let gddr5 = EnergyModel::new(MemoryTech::Gddr5).breakdown(&m.stats.dram).row_energy_pj;
+    assert_eq!(m.row_energy_pj, want);
+    assert_ne!(want, gddr5, "the two profiles must price this cell differently");
+    let mut field = JsonObject::new();
+    field.f64("row_energy_pj", want);
+    let field = field.finish();
+    let field = &field[1..field.len() - 1];
+    let jsonl = std::fs::read_to_string(&path).expect("results file");
+    assert!(jsonl.contains(field), "JSONL lacks {field}: {jsonl}");
+    let _ = std::fs::remove_file(&path);
+}

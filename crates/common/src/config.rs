@@ -65,6 +65,11 @@ impl DramTimings {
     /// aware tCCDL, and periodic all-bank refresh. The paper's Table I does
     /// not list these, so the default keeps them off; this profile is used
     /// by the timing-fidelity ablation.
+    ///
+    /// tFAW never binds here: with tRRD 6, four ACTs already span 18 cycles
+    /// and a fifth cannot issue before cycle 24, past the 23-cycle window.
+    /// So this profile exercises tCCDL and refresh only; the conformance
+    /// suite stretches tFAW to 32 where it needs a binding window.
     pub fn gddr5_extended() -> Self {
         Self {
             t_faw: 23,

@@ -53,7 +53,10 @@ pub mod stats;
 /// change *how fast* the same results are produced (fast-forward, parallel
 /// tick, allocation work) leave it untouched; their bit-identity suites prove
 /// cached entries are still exact.
-pub const SEMANTICS_VERSION: u64 = 1;
+///
+/// Version 2 prices a sweep cell's `row_energy_pj` with its own preset's
+/// energy profile (HBM1/HBM2 cells were priced as GDDR5 before).
+pub const SEMANTICS_VERSION: u64 = 2;
 
 pub use addr::{AddressMap, Location};
 pub use fasthash::{FastMap, FastSet};

@@ -12,8 +12,8 @@
 //!   component-level field diff without a second serialization code path.
 //! * [`Loader`] — the mirror-image reader. Every read returns a
 //!   [`SnapError`] on malformed input (truncation, tag mismatch, version
-//!   skew) instead of panicking, so sweep crash-recovery can reject a
-//!   corrupt checkpoint loudly and fall back to a cold start.
+//!   skew) instead of panicking, so a caller restoring a checkpoint or a
+//!   store entry from disk can reject a corrupt one loudly.
 //!
 //! Component state is framed: a frame is `tag (4 bytes) · index (u32) ·
 //! payload length (u64) · payload`. Frames nest; the top-level frames of a

@@ -122,8 +122,8 @@ pub struct RunResult {
 ///
 /// Produced by [`Simulator::run_until`] and consumed by
 /// [`Simulator::resume`]; the bytes round-trip through
-/// [`Checkpoint::into_bytes`] / [`Checkpoint::from_bytes`] so sweeps can
-/// park them on disk and survive a crash.
+/// [`Checkpoint::into_bytes`] / [`Checkpoint::from_bytes`] so a long run
+/// can park one on disk and survive a crash.
 ///
 /// Layout after the 6-byte `snap` header: a flat sequence of frames —
 /// `meta[0]` (launch index, config fingerprint, pause cycle), `stat[0]`
@@ -1396,13 +1396,6 @@ fn next_interesting_cycle(
     } else if sms.iter().any(Sm::has_work) {
         return now + 1;
     }
-    // Parked store retries are events only when they would succeed; a
-    // failing retry leaves the warp exactly as it found it, and request-NoC
-    // occupancy cannot change during the span (no SM has drainable work, no
-    // slice services a head) so it keeps failing identically.
-    if sms.iter().any(|s| s.stalled_store_ready(req_noc)) {
-        return now + 1;
-    }
     for (i, q) in req_noc.iter().enumerate() {
         let Some(ready) = q.next_ready_cycle() else {
             continue;
@@ -1424,6 +1417,16 @@ fn next_interesting_cycle(
     }
     if next == now + 1 {
         return next;
+    }
+    // Parked store retries are events only when they would succeed; a
+    // failing retry leaves the warp exactly as it found it, and request-NoC
+    // occupancy cannot change during the span (no SM has drainable work, no
+    // slice services a head) so it keeps failing identically. This scan
+    // walks every SM, so it runs after the cheap NoC checks: every check
+    // here is read-only and the result is the minimum over all of them, so
+    // the order only decides how soon a `now + 1` answer returns.
+    if sms.iter().any(|s| s.stalled_store_ready(req_noc)) {
+        return now + 1;
     }
     // Memory-side events arrive in memory cycles (in-flight completions,
     // DMS expiries, window boundaries). Map the j-th future memory tick

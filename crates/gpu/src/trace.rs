@@ -303,8 +303,8 @@ impl Trace {
         Ok(trace)
     }
 
-    /// Writes the trace to `path` atomically (write-then-rename, like
-    /// checkpoint parking: a crash mid-write never leaves a torn file).
+    /// Writes the trace to `path` atomically (write-then-rename: a crash
+    /// mid-write never leaves a torn file).
     ///
     /// # Errors
     ///

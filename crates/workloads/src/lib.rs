@@ -9,7 +9,7 @@
 //!
 //! * [`suite::suite`] — the 20-app registry with the paper's result groups,
 //! * [`builder::SimBuilder`] — the one front door for configuring and
-//!   running a timed simulation (scheme, scale, limits, checkpointing),
+//!   running a timed simulation (scheme, scale, limits, checkpoint/resume),
 //! * [`suite::exact_output`] — the functional (error-free) reference output,
 //! * [`programs`] — the reusable warp-program shapes.
 //!
@@ -38,8 +38,5 @@ pub mod stencil_apps;
 pub mod suite;
 pub mod util;
 
-pub use builder::{
-    parse_backend, parse_cache_mode, parse_checkpoint_every, CacheMode, CachePolicy,
-    CheckpointPolicy, SimBuilder, SimRun, DEFAULT_CHECKPOINT_EVERY,
-};
+pub use builder::{parse_backend, parse_cache_mode, CacheMode, CachePolicy, SimBuilder, SimRun};
 pub use suite::{by_name, exact_output, group, run_app, run_app_limited, suite as all_apps, AppSpec};

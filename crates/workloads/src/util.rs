@@ -3,6 +3,11 @@
 use lazydram_common::SplitMix64;
 use lazydram_gpu::{run_launch_functional, Kernel, MemoryImage};
 
+/// Words generated per chunk of input synthesis: [`Region::alloc_random`]
+/// and [`Region::alloc_smooth`] fill a stack buffer of this many values and
+/// store it with one [`MemoryImage::write_slice`].
+const FILL_CHUNK: usize = 1024;
+
 /// A named, line-aligned array in the memory image.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Region {
@@ -25,9 +30,7 @@ impl Region {
     pub fn alloc_random(mem: &mut MemoryImage, words: usize, seed: u64, lo: f32, hi: f32) -> Self {
         let r = Self::alloc(mem, words);
         let mut rng = SplitMix64::new(seed);
-        for i in 0..words {
-            mem.write_f32(r.base + i as u64 * 4, rng.range_f32(lo, hi));
-        }
+        r.fill(mem, |_| rng.range_f32(lo, hi));
         r
     }
 
@@ -48,16 +51,30 @@ impl Region {
         let l2: f32 = rng.range_f32(400.0, 800.0);
         let mid = 0.5 * (lo + hi);
         let amp = 0.5 * (hi - lo);
-        for i in 0..words {
+        r.fill(mem, |i| {
             let x = i as f32;
             let v = mid
                 + amp
                     * (0.68 * (std::f32::consts::TAU * x / l1 + p1).sin()
                         + 0.28 * (std::f32::consts::TAU * x / l2 + p2).sin()
                         + 0.04 * rng.range_f32(-1.0, 1.0));
-            mem.write_f32(r.base + i as u64 * 4, v.clamp(lo, hi));
-        }
+            v.clamp(lo, hi)
+        });
         r
+    }
+
+    /// Stores `value(i)` into word `i` of the region, calling `value` in
+    /// ascending `i` (so an RNG inside it draws in word order), one
+    /// [`FILL_CHUNK`]-word slice at a time.
+    fn fill(&self, mem: &mut MemoryImage, mut value: impl FnMut(usize) -> f32) {
+        let mut buf = [0.0f32; FILL_CHUNK];
+        for start in (0..self.words).step_by(FILL_CHUNK) {
+            let chunk = &mut buf[..FILL_CHUNK.min(self.words - start)];
+            for (j, v) in chunk.iter_mut().enumerate() {
+                *v = value(start + j);
+            }
+            mem.write_slice(self.base + start as u64 * 4, chunk);
+        }
     }
 
     /// Whether `addr` falls inside this region.
@@ -145,6 +162,49 @@ mod tests {
         let b = Region::alloc_random(&mut m2, 100, 42, -1.0, 1.0);
         assert_eq!(a.read(&m1), b.read(&m2));
         assert!(a.read(&m1).iter().all(|&v| (-1.0..1.0).contains(&v)));
+    }
+
+    #[test]
+    fn chunked_fills_match_the_per_word_formula() {
+        // 17,000 words after a 100-word pad: several chunks, starting
+        // mid-page and crossing a 64 KiB page boundary.
+        let words = 17_000;
+        let (seed, lo, hi) = (7, -2.0f32, 3.0f32);
+        let mut mem = MemoryImage::new();
+        Region::alloc(&mut mem, 100);
+        let random = Region::alloc_random(&mut mem, words, seed, lo, hi);
+        let smooth = Region::alloc_smooth(&mut mem, words, seed, lo, hi);
+
+        let mut rng = SplitMix64::new(seed);
+        let want: Vec<f32> = (0..words).map(|_| rng.range_f32(lo, hi)).collect();
+        assert_eq!(random.read(&mem), want);
+
+        let mut rng = SplitMix64::new(seed);
+        let p1 = rng.range_f32(0.0, std::f32::consts::TAU);
+        let p2 = rng.range_f32(0.0, std::f32::consts::TAU);
+        let l1 = rng.range_f32(3000.0, 6000.0);
+        let l2 = rng.range_f32(400.0, 800.0);
+        let (mid, amp) = (0.5 * (lo + hi), 0.5 * (hi - lo));
+        let mut reference = MemoryImage::new();
+        Region::alloc(&mut reference, 100);
+        Region::alloc(&mut reference, words);
+        let r = Region::alloc(&mut reference, words);
+        assert_eq!(r, smooth);
+        for i in 0..words {
+            let x = i as f32;
+            let v = mid
+                + amp
+                    * (0.68 * (std::f32::consts::TAU * x / l1 + p1).sin()
+                        + 0.28 * (std::f32::consts::TAU * x / l2 + p2).sin()
+                        + 0.04 * rng.range_f32(-1.0, 1.0));
+            reference.write_f32(r.base + i as u64 * 4, v.clamp(lo, hi));
+        }
+        assert_eq!(smooth.read(&mem), r.read(&reference));
+        assert!(
+            !random.base.is_multiple_of(64 * 1024),
+            "the region must start mid-page"
+        );
+        assert_eq!(mem.resident_lines(), 2 * words.div_ceil(32));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use lazydram::common::{DmsMode, GpuConfig, SchedConfig};
 use lazydram::energy::{EnergyModel, MemoryTech};
 use lazydram::workloads::by_name;
-use lazydram_bench::{MeasureSpec, SimBuilder, SweepRunner};
+use lazydram_bench::{MeasureSpec, RunEnv, SimBuilder};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -20,7 +20,7 @@ fn main() {
     let scale: f64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(0.5);
     let app = by_name(&name).expect("known app");
     let cfg = GpuConfig::default();
-    let runner = SweepRunner::from_env();
+    let runner = RunEnv::load().runner();
 
     let base = runner.baseline(&app, &cfg, scale);
     let base_acts = base.measurement.activations.max(1) as f64;

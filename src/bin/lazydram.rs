@@ -14,7 +14,7 @@
 //!                                       administer the result store (LAZYDRAM_CACHE_DIR)
 //! ```
 
-use lazydram::bench::{CacheMode, EntryInfo, Store};
+use lazydram::bench::{CacheMode, EntryInfo, RunEnv, Store};
 use lazydram::common::{DmsMode, DramPreset, GpuConfig, SchedConfig};
 use lazydram::energy::{EnergyModel, MemoryTech};
 use lazydram::gpu::{application_error, Trace, TraceSim};
@@ -201,13 +201,10 @@ fn cmd_replay(path: &Path, scheme: &str, preset: DramPreset) {
 /// Opens the result store named by `LAZYDRAM_CACHE_DIR` for administration
 /// (the mode knob only affects sweeps, not `cache` subcommands).
 fn cache_store() -> Store {
-    let dir = std::env::var("LAZYDRAM_CACHE_DIR")
-        .ok()
-        .filter(|s| !s.trim().is_empty())
-        .unwrap_or_else(|| {
-            eprintln!("LAZYDRAM_CACHE_DIR is not set; point it at the result store to administer");
-            std::process::exit(2);
-        });
+    let dir = RunEnv::load().cache.map(|p| p.dir).unwrap_or_else(|| {
+        eprintln!("LAZYDRAM_CACHE_DIR is not set; point it at the result store to administer");
+        std::process::exit(2);
+    });
     Store::open(&dir, CacheMode::Auto).unwrap_or_else(|e| {
         eprintln!("{e}");
         std::process::exit(1);

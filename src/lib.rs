@@ -50,6 +50,4 @@ pub use lazydram_common::Scheme;
 pub use lazydram_gpu::{
     Checkpoint, ReplayReport, RunOutcome, Trace, TraceError, TraceSim,
 };
-pub use lazydram_workloads::{
-    parse_checkpoint_every, CheckpointPolicy, SimBuilder, SimRun, DEFAULT_CHECKPOINT_EVERY,
-};
+pub use lazydram_workloads::{SimBuilder, SimRun};

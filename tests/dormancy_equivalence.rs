@@ -7,7 +7,7 @@
 //! checkpoint taken with dormancy must resume without it, and the other
 //! way round, to the same result.
 
-use lazydram::bench::try_measure;
+use lazydram::bench::measure;
 use lazydram::common::DramPreset;
 use lazydram::gpu::RunOutcome;
 use lazydram::workloads::{all_apps, AppSpec};
@@ -37,8 +37,8 @@ fn check(
         build(app, preset, scheme, false),
     );
     let exact = on.exact_output();
-    let m_on = try_measure(&on, &exact).map_err(TestCaseError::fail)?;
-    let m_off = try_measure(&off, &exact).map_err(TestCaseError::fail)?;
+    let m_on = measure(&on, &exact);
+    let m_off = measure(&off, &exact);
     prop_assert_eq!(
         m_on.to_json(),
         m_off.to_json(),

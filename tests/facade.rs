@@ -19,22 +19,17 @@ fn facade_reexports_compile_and_link() {
 
 #[test]
 fn facade_exports_the_builder_entry_points() {
-    use lazydram::{CheckpointPolicy, Scheme, SimBuilder, DEFAULT_CHECKPOINT_EVERY};
+    use lazydram::{Scheme, SimBuilder};
 
-    // The root crate is the one-stop shop: scheme lookup, builder
-    // construction and checkpoint-policy parsing all resolve from `lazydram`.
+    // The root crate is the one-stop shop: scheme lookup and builder
+    // construction both resolve from `lazydram`.
     assert_eq!(Scheme::by_label("dyn-dms+dyn-ams"), Some(Scheme::DynCombo));
     assert_eq!(Scheme::ALL.len(), 7);
     assert_eq!(Scheme::PAPER.len(), 6);
-    // Touch the re-exported constant so a broken re-export fails to compile.
-    let _default_every: u64 = DEFAULT_CHECKPOINT_EVERY;
-    let policy = CheckpointPolicy::new("/tmp/ckpts", 1000);
     let app = lazydram::workloads::by_name("SCP").expect("app");
     let run = SimBuilder::new(&app)
         .scheme(Scheme::StaticDms)
         .scale(0.02)
-        .checkpoints(Some(policy))
         .build();
     assert_eq!(run.scheme_label(), "Static-DMS");
-    assert!(run.checkpoint_path().expect("policy attached").to_string_lossy().ends_with(".ckpt"));
 }

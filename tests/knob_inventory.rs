@@ -8,8 +8,11 @@
 //! any `LAZYDRAM_*` variable rather than read one) and the
 //! `LAZYDRAM_TEST_…` variables tests use to talk to their own child
 //! processes.
+//!
+//! Every knob is read once, in one place: `RunEnv` in
+//! `crates/bench/src/run_env.rs` is the only file that names one.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -51,19 +54,27 @@ fn knob_literals(src: &str) -> Vec<String> {
     names
 }
 
-fn knobs_read() -> BTreeSet<String> {
+/// Every knob read, with the files (relative to the root) that name it.
+fn knob_files() -> BTreeMap<String, BTreeSet<PathBuf>> {
     let root = root();
     let excluded = root.join("crates/bench/examples/benchmark");
     let mut files = Vec::new();
     for dir in ["crates", "src", "examples"] {
         rust_files(&root.join(dir), &mut files);
     }
-    files
-        .iter()
-        .filter(|f| !f.starts_with(&excluded))
-        .flat_map(|f| knob_literals(&fs::read_to_string(f).expect("read source")))
-        .filter(|name| !name.starts_with("LAZYDRAM_TEST_"))
-        .collect()
+    let mut knobs: BTreeMap<String, BTreeSet<PathBuf>> = BTreeMap::new();
+    for f in files.iter().filter(|f| !f.starts_with(&excluded)) {
+        let names = knob_literals(&fs::read_to_string(f).expect("read source"));
+        for name in names.into_iter().filter(|n| !n.starts_with("LAZYDRAM_TEST_")) {
+            let rel = f.strip_prefix(&root).expect("under the root").to_path_buf();
+            knobs.entry(name).or_default().insert(rel);
+        }
+    }
+    knobs
+}
+
+fn knobs_read() -> BTreeSet<String> {
+    knob_files().into_keys().collect()
 }
 
 /// The knob named by each ``| `LAZYDRAM_X=example` | effect |`` row.
@@ -112,5 +123,21 @@ fn every_knob_read_has_a_readme_row_and_every_row_is_read() {
     assert!(
         readme.contains(&count),
         "README must state the knob count as {count:?}"
+    );
+}
+
+#[test]
+fn every_knob_is_read_in_run_env_only() {
+    let run_env = Path::new("crates/bench/src/run_env.rs");
+    let knobs = knob_files();
+    assert!(!knobs.is_empty(), "no knob found; is the scanner broken?");
+    let elsewhere: Vec<_> = knobs
+        .iter()
+        .filter(|(_, files)| files.len() != 1 || !files.contains(run_env))
+        .collect();
+    assert!(
+        elsewhere.is_empty(),
+        "knobs named outside {} (read every knob once, in RunEnv): {elsewhere:?}",
+        run_env.display()
     );
 }

@@ -33,15 +33,22 @@ use lazydram::{Scheme, SimBuilder};
 /// `(SEMANTICS_VERSION, golden digest)` — see the module docs for the
 /// re-pin protocol. (The digest covers stored bytes, so `STORE_VERSION`
 /// bumps re-pin it too; v3 re-pin carried no behavior change — the
-/// default-machine cells were byte-identical across the bump.)
-const PINNED: (u64, u64) = (1, 0xd2c685aaa0c7f114);
+/// default-machine cells were byte-identical across the bump.) Version 2
+/// prices HBM sweep cells with their own energy profile. These GDDR5 cells
+/// measure the same as under version 1 (whose digest was
+/// `0xd2c685aaa0c7f114`); their stored bytes moved only because an entry
+/// embeds the semantics version.
+const PINNED: (u64, u64) = (2, 0x86a12183b8ff06a6);
 
 /// One golden cell per non-default backend model: SCP under the headline
 /// scheme on the naive model (the HBM presets run the banked model that
 /// [`PINNED`] covers). A drifting digest here with a clean [`PINNED`]
 /// means only the naive model changed behavior — same re-pin protocol,
 /// scoped to the named backend.
-const PINNED_BACKENDS: [(DramPreset, u64); 1] = [(DramPreset::Naive, 0x9b3eea56c5980d17)];
+///
+/// Re-pinned for version 2 like [`PINNED`]: the naive cell is priced with
+/// the GDDR5 profile as before (version 1 digest `0x9b3eea56c5980d17`).
+const PINNED_BACKENDS: [(DramPreset, u64); 1] = [(DramPreset::Naive, 0xab0f35c0f56693d7)];
 
 fn cell(app: &str, scheme: Scheme) -> Measurement {
     preset_cell(app, scheme, DramPreset::Gddr5)

@@ -17,13 +17,15 @@ fn backend_presets_run_and_preserve_outputs() {
     }
 }
 
+/// The extended GDDR5 profile (tCCDL and refresh; its tFAW of 23 never
+/// binds at tRRD 6) runs to completion without deadlock.
 #[test]
 fn extended_timing_profile_runs() {
     use lazydram::common::DramTimings;
     let app = by_name("CONS").expect("app");
     let cfg = GpuConfig { timings: DramTimings::gddr5_extended(), ..GpuConfig::default() };
     let r = run_app(&app, &cfg, &SchedConfig::baseline(), SCALE);
-    assert!(!r.hit_cycle_limit, "refresh/tFAW must not deadlock");
+    assert!(!r.hit_cycle_limit, "refresh must not deadlock");
     assert!(r.stats.dram.activations > 0);
 }
 

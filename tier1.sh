@@ -38,27 +38,8 @@ cargo test -q -p lazydram-common --features prof
 cargo clippy -p lazydram-common --features prof -- -D warnings
 cargo clippy -p lazydram-bench --all-targets --features prof -- -D warnings
 
-echo "== tier1: checkpoint crash-recovery smoke =="
-# Bit-identical restore, end to end through a real harness: the same
-# fig04/SCP sweep must produce byte-identical JSONL (a) plain, (b) with
-# periodic checkpointing enabled, and (c) re-run against the kept final
-# checkpoints (which resumes each job instead of recomputing it).
-CKPT_TMP="$(mktemp -d)"
-trap 'rm -rf "$CKPT_TMP"' EXIT
-LAZYDRAM_APPS=SCP LAZYDRAM_SCALE=0.05 LAZYDRAM_QUIET=1 \
-LAZYDRAM_RESULTS="$CKPT_TMP/a.jsonl" \
-    cargo bench -q -p lazydram-bench --bench fig04_delay_sweep > /dev/null
-LAZYDRAM_APPS=SCP LAZYDRAM_SCALE=0.05 LAZYDRAM_QUIET=1 \
-LAZYDRAM_RESULTS="$CKPT_TMP/b.jsonl" \
-LAZYDRAM_CHECKPOINT_DIR="$CKPT_TMP/ckpts" LAZYDRAM_CHECKPOINT_EVERY=2000 \
-    cargo bench -q -p lazydram-bench --bench fig04_delay_sweep > /dev/null
-LAZYDRAM_APPS=SCP LAZYDRAM_SCALE=0.05 LAZYDRAM_QUIET=1 \
-LAZYDRAM_RESULTS="$CKPT_TMP/c.jsonl" \
-LAZYDRAM_CHECKPOINT_DIR="$CKPT_TMP/ckpts" LAZYDRAM_CHECKPOINT_EVERY=2000 \
-    cargo bench -q -p lazydram-bench --bench fig04_delay_sweep > /dev/null
-cmp "$CKPT_TMP/a.jsonl" "$CKPT_TMP/b.jsonl"
-cmp "$CKPT_TMP/a.jsonl" "$CKPT_TMP/c.jsonl"
-echo "checkpointed + resumed sweeps byte-identical to plain run"
+TIER1_TMP="$(mktemp -d)"
+trap 'rm -rf "$TIER1_TMP"' EXIT
 
 echo "== tier1: result-cache smoke =="
 # Cross-sweep caching must be invisible in the results: the same fig04/SCP
@@ -68,27 +49,27 @@ echo "== tier1: result-cache smoke =="
 # and nothing may fail. A require-mode pass proves the store alone can serve
 # the whole sweep.
 LAZYDRAM_APPS=SCP LAZYDRAM_SCALE=0.05 LAZYDRAM_QUIET=1 \
-LAZYDRAM_RESULTS="$CKPT_TMP/cc.jsonl" \
-LAZYDRAM_CACHE_DIR="$CKPT_TMP/cache" \
-    cargo bench -q -p lazydram-bench --bench fig04_delay_sweep > "$CKPT_TMP/cc.out"
+LAZYDRAM_RESULTS="$TIER1_TMP/cc.jsonl" \
+LAZYDRAM_CACHE_DIR="$TIER1_TMP/cache" \
+    cargo bench -q -p lazydram-bench --bench fig04_delay_sweep > "$TIER1_TMP/cc.out"
 LAZYDRAM_APPS=SCP LAZYDRAM_SCALE=0.05 \
-LAZYDRAM_RESULTS="$CKPT_TMP/cw.jsonl" \
-LAZYDRAM_CACHE_DIR="$CKPT_TMP/cache" \
-    cargo bench -q -p lazydram-bench --bench fig04_delay_sweep > "$CKPT_TMP/cw.out" 2> "$CKPT_TMP/cw.err"
-cmp "$CKPT_TMP/cc.jsonl" "$CKPT_TMP/cw.jsonl"
-cmp "$CKPT_TMP/cc.out" "$CKPT_TMP/cw.out"
-grep -E 'cache: [1-9][0-9]* hits' "$CKPT_TMP/cw.err" > /dev/null || {
-    echo "warm sweep reported no cache hits" >&2; cat "$CKPT_TMP/cw.err" >&2; exit 1; }
-grep -E 'refs: 0 of [1-9][0-9]* computed' "$CKPT_TMP/cw.err" > /dev/null || {
-    echo "warm sweep computed exact-output references" >&2; cat "$CKPT_TMP/cw.err" >&2; exit 1; }
-if grep -q '"record":"failure"' "$CKPT_TMP/cw.jsonl"; then
+LAZYDRAM_RESULTS="$TIER1_TMP/cw.jsonl" \
+LAZYDRAM_CACHE_DIR="$TIER1_TMP/cache" \
+    cargo bench -q -p lazydram-bench --bench fig04_delay_sweep > "$TIER1_TMP/cw.out" 2> "$TIER1_TMP/cw.err"
+cmp "$TIER1_TMP/cc.jsonl" "$TIER1_TMP/cw.jsonl"
+cmp "$TIER1_TMP/cc.out" "$TIER1_TMP/cw.out"
+grep -E 'cache: [1-9][0-9]* hits' "$TIER1_TMP/cw.err" > /dev/null || {
+    echo "warm sweep reported no cache hits" >&2; cat "$TIER1_TMP/cw.err" >&2; exit 1; }
+grep -E 'refs: 0 of [1-9][0-9]* computed' "$TIER1_TMP/cw.err" > /dev/null || {
+    echo "warm sweep computed exact-output references" >&2; cat "$TIER1_TMP/cw.err" >&2; exit 1; }
+if grep -q '"record":"failure"' "$TIER1_TMP/cw.jsonl"; then
     echo "cache smoke produced failure records" >&2; exit 1
 fi
 LAZYDRAM_APPS=SCP LAZYDRAM_SCALE=0.05 LAZYDRAM_QUIET=1 \
-LAZYDRAM_RESULTS="$CKPT_TMP/cr.jsonl" \
-LAZYDRAM_CACHE_DIR="$CKPT_TMP/cache" LAZYDRAM_CACHE_MODE=require \
+LAZYDRAM_RESULTS="$TIER1_TMP/cr.jsonl" \
+LAZYDRAM_CACHE_DIR="$TIER1_TMP/cache" LAZYDRAM_CACHE_MODE=require \
     cargo bench -q -p lazydram-bench --bench fig04_delay_sweep > /dev/null
-cmp "$CKPT_TMP/cc.jsonl" "$CKPT_TMP/cr.jsonl"
+cmp "$TIER1_TMP/cc.jsonl" "$TIER1_TMP/cr.jsonl"
 echo "cold + warm + require-mode sweeps byte-identical; warm run hit the store, computed no reference"
 
 echo "== tier1: memory-backend matrix smoke =="
@@ -101,31 +82,31 @@ echo "== tier1: memory-backend matrix smoke =="
 for backend in gddr5 hbm1 hbm2 naive; do
     LAZYDRAM_APPS=SCP LAZYDRAM_SCALE=0.05 LAZYDRAM_QUIET=1 \
     LAZYDRAM_BACKEND="$backend" \
-    LAZYDRAM_RESULTS="$CKPT_TMP/be_$backend.jsonl" \
+    LAZYDRAM_RESULTS="$TIER1_TMP/be_$backend.jsonl" \
         cargo bench -q -p lazydram-bench --bench fig04_delay_sweep \
-        > "$CKPT_TMP/be_$backend.out"
-    if grep -q '"record":"failure"' "$CKPT_TMP/be_$backend.jsonl"; then
+        > "$TIER1_TMP/be_$backend.out"
+    if grep -q '"record":"failure"' "$TIER1_TMP/be_$backend.jsonl"; then
         echo "backend $backend produced failure records" >&2; exit 1
     fi
 done
 LAZYDRAM_APPS=SCP LAZYDRAM_SCALE=0.05 LAZYDRAM_QUIET=1 \
-LAZYDRAM_RESULTS="$CKPT_TMP/be_default.jsonl" \
+LAZYDRAM_RESULTS="$TIER1_TMP/be_default.jsonl" \
     cargo bench -q -p lazydram-bench --bench fig04_delay_sweep \
-    > "$CKPT_TMP/be_default.out"
-cmp "$CKPT_TMP/be_default.jsonl" "$CKPT_TMP/be_gddr5.jsonl"
-cmp "$CKPT_TMP/be_default.out" "$CKPT_TMP/be_gddr5.out"
+    > "$TIER1_TMP/be_default.out"
+cmp "$TIER1_TMP/be_default.jsonl" "$TIER1_TMP/be_gddr5.jsonl"
+cmp "$TIER1_TMP/be_default.out" "$TIER1_TMP/be_gddr5.out"
 LAZYDRAM_SCALE=0.05 LAZYDRAM_QUIET=1 \
-LAZYDRAM_RESULTS="$CKPT_TMP/pre10_fig04.jsonl" \
+LAZYDRAM_RESULTS="$TIER1_TMP/pre10_fig04.jsonl" \
     cargo bench -q -p lazydram-bench --bench fig04_delay_sweep \
-    > "$CKPT_TMP/pre10_fig04.out"
-cmp "$CKPT_TMP/pre10_fig04.out" crates/bench/captures/pre_pr10/fig04.out
-cmp "$CKPT_TMP/pre10_fig04.jsonl" crates/bench/captures/pre_pr10/fig04.jsonl
+    > "$TIER1_TMP/pre10_fig04.out"
+cmp "$TIER1_TMP/pre10_fig04.out" crates/bench/captures/pre_pr10/fig04.out
+cmp "$TIER1_TMP/pre10_fig04.jsonl" crates/bench/captures/pre_pr10/fig04.jsonl
 LAZYDRAM_SCALE=0.05 LAZYDRAM_QUIET=1 \
-LAZYDRAM_RESULTS="$CKPT_TMP/pre10_fig12.jsonl" \
+LAZYDRAM_RESULTS="$TIER1_TMP/pre10_fig12.jsonl" \
     cargo bench -q -p lazydram-bench --bench fig12_main \
-    > "$CKPT_TMP/pre10_fig12.out"
-cmp "$CKPT_TMP/pre10_fig12.out" crates/bench/captures/pre_pr10/fig12.out
-cmp "$CKPT_TMP/pre10_fig12.jsonl" crates/bench/captures/pre_pr10/fig12.jsonl
+    > "$TIER1_TMP/pre10_fig12.out"
+cmp "$TIER1_TMP/pre10_fig12.out" crates/bench/captures/pre_pr10/fig12.out
+cmp "$TIER1_TMP/pre10_fig12.jsonl" crates/bench/captures/pre_pr10/fig12.jsonl
 echo "all 4 backends green; GDDR5 default byte-identical to pre-trait captures"
 
 echo "== tier1: divergence-bisection smoke =="
@@ -146,7 +127,7 @@ echo "== tier1: repository benchmark (host-independent checks) =="
 # long as a warm pass served from disk.
 DIGESTS=crates/bench/captures/benchmark_digests.tsv
 bench_check() {
-    local workload=$1 trace=$2 out="$CKPT_TMP/bench_$1_$2.jsonl" want got
+    local workload=$1 trace=$2 out="$TIER1_TMP/bench_$1_$2.jsonl" want got
     bash crates/bench/examples/benchmark/run.sh --workload "$workload" --seconds 0.1 --trace "$trace" > "$out"
     grep -Eq '^\{"correct":true,"attempted":[0-9]+,"failed":0,' "$out" || {
         echo "benchmark $workload (trace $trace) is not correct or failed operations" >&2
@@ -163,7 +144,7 @@ for workload in sla-long gemm-long fig12-cold fig12-warm; do
     bench_check "$workload" 0
 done
 bench_check sla-long 1
-wall_s() { sed -n 's/^{"correct":.*"wall_s":{"value":\([0-9.eE+-]*\),.*/\1/p' "$CKPT_TMP/bench_$1_0.jsonl"; }
+wall_s() { sed -n 's/^{"correct":.*"wall_s":{"value":\([0-9.eE+-]*\),.*/\1/p' "$TIER1_TMP/bench_$1_0.jsonl"; }
 awk -v cold="$(wall_s fig12-cold)" -v warm="$(wall_s fig12-warm)" 'BEGIN {
     printf "fig12 cold %.3fs, warm %.6fs (%.0fx)\n", cold, warm, cold / warm
     if (!(cold >= 10 * warm)) { print "warm fig12 pass is not 10x faster than cold" > "/dev/stderr"; exit 1 }
