@@ -31,7 +31,10 @@ fn main() {
         for (app, base) in apps.iter().zip(&bases[t]) {
             let Ok(base) = base else { continue };
             specs.push(MeasureSpec::new(
-                SimBuilder::new(app).preset(preset).scheme(Scheme::DynCombo).scale(scale),
+                SimBuilder::new(app)
+                    .preset(preset)
+                    .scheme(Scheme::DynCombo)
+                    .scale(scale),
                 base.exact.clone(),
             ));
         }
@@ -54,8 +57,7 @@ fn main() {
                             base.measurement.activations.to_string(),
                             format!(
                                 "{:.3}",
-                                m.activations as f64
-                                    / base.measurement.activations.max(1) as f64
+                                m.activations as f64 / base.measurement.activations.max(1) as f64
                             ),
                             format!("{:.3}", m.ipc / base.measurement.ipc.max(1e-9)),
                             format!(
@@ -89,7 +91,15 @@ fn main() {
     }
     print_table(
         "Ablation: Dyn-DMS+Dyn-AMS across the memory-backend matrix",
-        &["app", "backend", "energy tech", "base acts", "norm acts", "norm IPC", "norm rowE"],
+        &[
+            "app",
+            "backend",
+            "energy tech",
+            "base acts",
+            "norm acts",
+            "norm IPC",
+            "norm rowE",
+        ],
         &rows,
     );
 }

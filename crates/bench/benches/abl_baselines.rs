@@ -13,11 +13,28 @@ fn main() {
     // "FR-FCFS+open" *is* the baseline scheduler — that column comes from the
     // cached baseline run instead of a duplicate simulation.
     let sweep: Vec<(&str, SchedConfig)> = vec![
-        ("FCFS+open", SchedConfig { arbiter: Arbiter::Fcfs, ..SchedConfig::baseline() }),
-        ("FR-FCFS+closed", SchedConfig { row_policy: RowPolicy::Closed, ..SchedConfig::baseline() }),
+        (
+            "FCFS+open",
+            SchedConfig {
+                arbiter: Arbiter::Fcfs,
+                ..SchedConfig::baseline()
+            },
+        ),
+        (
+            "FR-FCFS+closed",
+            SchedConfig {
+                row_policy: RowPolicy::Closed,
+                ..SchedConfig::baseline()
+            },
+        ),
         ("lazy (Dyn+Dyn)", SchedConfig::dyn_combo()),
     ];
-    let columns = ["FCFS+open", "FR-FCFS+closed", "FR-FCFS+open", "lazy (Dyn+Dyn)"];
+    let columns = [
+        "FCFS+open",
+        "FR-FCFS+closed",
+        "FR-FCFS+open",
+        "lazy (Dyn+Dyn)",
+    ];
     let apps: Vec<_> = ["GEMM", "SCP", "CONS", "meanfilter", "MVT", "LPS"]
         .iter()
         .map(|n| by_name(n).expect("app"))
@@ -29,7 +46,10 @@ fn main() {
         let Ok(base) = base else { continue };
         for (label, sched) in &sweep {
             specs.push(MeasureSpec::new(
-                SimBuilder::new(app).gpu(cfg.clone()).sched(sched.clone(), *label).scale(scale),
+                SimBuilder::new(app)
+                    .gpu(cfg.clone())
+                    .sched(sched.clone(), *label)
+                    .scale(scale),
                 base.exact.clone(),
             ));
         }

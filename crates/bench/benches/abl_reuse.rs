@@ -3,7 +3,7 @@
 //! reuse).
 
 use lazydram_bench::{print_table, MeasureSpec, RunEnv, SimBuilder};
-use lazydram_common::{SchedConfig};
+use lazydram_common::SchedConfig;
 use lazydram_workloads::group;
 
 fn main() {
@@ -18,10 +18,19 @@ fn main() {
         let Ok(base) = base else { continue };
         for (label, sched) in [
             ("simple", SchedConfig::static_ams()),
-            ("reuse", SchedConfig { approx_reuse: true, ..SchedConfig::static_ams() }),
+            (
+                "reuse",
+                SchedConfig {
+                    approx_reuse: true,
+                    ..SchedConfig::static_ams()
+                },
+            ),
         ] {
             specs.push(MeasureSpec::new(
-                SimBuilder::new(app).gpu(cfg.clone()).sched(sched, label).scale(scale),
+                SimBuilder::new(app)
+                    .gpu(cfg.clone())
+                    .sched(sched, label)
+                    .scale(scale),
                 base.exact.clone(),
             ));
         }
@@ -54,7 +63,13 @@ fn main() {
     }
     print_table(
         "Ablation (footnote 2): simple VP vs approx-reuse VP under Static-AMS",
-        &["app", "acts (simple)", "err (simple)", "acts (reuse)", "err (reuse)"],
+        &[
+            "app",
+            "acts (simple)",
+            "err (simple)",
+            "acts (reuse)",
+            "err (reuse)",
+        ],
         &rows,
     );
 }

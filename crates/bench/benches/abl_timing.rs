@@ -23,7 +23,10 @@ fn main() {
     let runner = env.runner();
     let mut bases = Vec::new();
     for (_, timings) in &timing_sets {
-        let cfg = GpuConfig { timings: *timings, ..GpuConfig::default() };
+        let cfg = GpuConfig {
+            timings: *timings,
+            ..GpuConfig::default()
+        };
         bases.push((cfg.clone(), runner.baselines(&apps, &cfg, scale)));
     }
     let mut specs = Vec::new();
@@ -31,7 +34,10 @@ fn main() {
         for (app, base) in apps.iter().zip(tech_bases) {
             let Ok(base) = base else { continue };
             specs.push(MeasureSpec::new(
-                SimBuilder::new(app).gpu(cfg.clone()).scheme(Scheme::DynCombo).scale(scale),
+                SimBuilder::new(app)
+                    .gpu(cfg.clone())
+                    .scheme(Scheme::DynCombo)
+                    .scale(scale),
                 base.exact.clone(),
             ));
         }
@@ -50,8 +56,10 @@ fn main() {
                             app.name.to_string(),
                             tl.to_string(),
                             base.measurement.activations.to_string(),
-                            format!("{:.3}", m.activations as f64
-                                    / base.measurement.activations.max(1) as f64),
+                            format!(
+                                "{:.3}",
+                                m.activations as f64 / base.measurement.activations.max(1) as f64
+                            ),
                             format!("{:.3}", m.ipc / base.measurement.ipc.max(1e-9)),
                         ],
                         Err(_) => vec![
@@ -80,7 +88,13 @@ fn main() {
     }
     print_table(
         "Ablation: lazy-scheduler benefit under extended GDDR5 timing (tCCDL/refresh)",
-        &["app", "timing", "base acts", "lazy norm acts", "lazy norm IPC"],
+        &[
+            "app",
+            "timing",
+            "base acts",
+            "lazy norm acts",
+            "lazy norm IPC",
+        ],
         &rows,
     );
 }

@@ -22,8 +22,14 @@ fn main() {
         let Ok(base) = base else { continue };
         for &window in &windows {
             let sched = SchedConfig {
-                dms: DmsMode::Dynamic(DynDmsConfig { window, ..DynDmsConfig::default() }),
-                ams: AmsMode::Dynamic(DynAmsConfig { window, ..DynAmsConfig::default() }),
+                dms: DmsMode::Dynamic(DynDmsConfig {
+                    window,
+                    ..DynDmsConfig::default()
+                }),
+                ams: AmsMode::Dynamic(DynAmsConfig {
+                    window,
+                    ..DynAmsConfig::default()
+                }),
                 ..SchedConfig::baseline()
             };
             specs.push(MeasureSpec::new(
@@ -55,8 +61,10 @@ fn main() {
                 Ok(m) => vec![
                     app.name.to_string(),
                     window.to_string(),
-                    format!("{:.3}",
-                        m.activations as f64 / base.measurement.activations.max(1) as f64),
+                    format!(
+                        "{:.3}",
+                        m.activations as f64 / base.measurement.activations.max(1) as f64
+                    ),
                     format!("{:.3}", m.ipc / base.measurement.ipc.max(1e-9)),
                     format!("{:.1}%", 100.0 * m.coverage),
                 ],

@@ -19,7 +19,10 @@ fn main() {
         for &q in &sweep_sizes {
             specs.push(MeasureSpec::new(
                 SimBuilder::new(app)
-                    .gpu(GpuConfig { pending_queue_size: q, ..cfg.clone() })
+                    .gpu(GpuConfig {
+                        pending_queue_size: q,
+                        ..cfg.clone()
+                    })
                     .sched(Scheme::Baseline.sched(), format!("q={q}"))
                     .scale(scale),
                 base.exact.clone(),

@@ -20,7 +20,10 @@ fn main() {
                 SimBuilder::new(app)
                     .gpu(cfg.clone())
                     .sched(
-                        SchedConfig { dms: DmsMode::Static(x), ..SchedConfig::baseline() },
+                        SchedConfig {
+                            dms: DmsMode::Static(x),
+                            ..SchedConfig::baseline()
+                        },
                         format!("DMS({x})"),
                     )
                     .scale(scale),
@@ -78,6 +81,14 @@ fn main() {
         .chain(delays.iter().map(|d| format!("DMS({d})")))
         .collect();
     let hdr: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
-    print_table("Figure 4(a): activations vs delay (normalized to baseline)", &hdr, &act_rows);
-    print_table("Figure 4(b): IPC vs delay (normalized to baseline)", &hdr, &ipc_rows);
+    print_table(
+        "Figure 4(a): activations vs delay (normalized to baseline)",
+        &hdr,
+        &act_rows,
+    );
+    print_table(
+        "Figure 4(b): IPC vs delay (normalized to baseline)",
+        &hdr,
+        &ipc_rows,
+    );
 }

@@ -12,7 +12,10 @@ fn bucket_cells(delay: u32, m: &Measurement) -> Vec<String> {
     let total = h.activations().max(1) as f64;
     let mut cells = vec![format!("delay={delay}")];
     for &(lo, hi) in &BUCKETS {
-        cells.push(format!("{:.1}%", 100.0 * h.count_range(lo, hi) as f64 / total));
+        cells.push(format!(
+            "{:.1}%",
+            100.0 * h.count_range(lo, hi) as f64 / total
+        ));
     }
     cells.push(format!("{}", h.activations()));
     cells
@@ -29,7 +32,10 @@ fn main() {
     let scale = env.scale;
     let cfg = env.preset.gpu_config();
     let runner = env.runner();
-    let apps: Vec<_> = ["GEMM", "SCP"].iter().map(|n| by_name(n).expect("app")).collect();
+    let apps: Vec<_> = ["GEMM", "SCP"]
+        .iter()
+        .map(|n| by_name(n).expect("app"))
+        .collect();
     let delays = [128u32, 512, 2048]; // delay = 0 is the cached baseline run
     let bases = runner.baselines(&apps, &cfg, scale);
     let mut specs = Vec::new();
@@ -40,7 +46,10 @@ fn main() {
                 SimBuilder::new(app)
                     .gpu(cfg.clone())
                     .sched(
-                        SchedConfig { dms: DmsMode::Static(delay), ..SchedConfig::baseline() },
+                        SchedConfig {
+                            dms: DmsMode::Static(delay),
+                            ..SchedConfig::baseline()
+                        },
                         format!("DMS({delay})"),
                     )
                     .scale(scale),
@@ -66,8 +75,19 @@ fn main() {
             Err(_) => rows.push(fail_cells(0)),
         }
         print_table(
-            &format!("Figure 5 ({}): activation share per RBL bucket vs delay", app.name),
-            &["delay", "RBL(1)", "RBL(2)", "RBL(3-4)", "RBL(5-8)", "RBL(9+)", "total acts"],
+            &format!(
+                "Figure 5 ({}): activation share per RBL bucket vs delay",
+                app.name
+            ),
+            &[
+                "delay",
+                "RBL(1)",
+                "RBL(2)",
+                "RBL(3-4)",
+                "RBL(5-8)",
+                "RBL(9+)",
+                "total acts",
+            ],
             &rows,
         );
     }

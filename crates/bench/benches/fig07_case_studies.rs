@@ -31,7 +31,10 @@ fn main() {
             ],
         ),
     ];
-    let apps: Vec<_> = studies.iter().map(|(n, _)| by_name(n).expect("app")).collect();
+    let apps: Vec<_> = studies
+        .iter()
+        .map(|(n, _)| by_name(n).expect("app"))
+        .collect();
     let bases = runner.baselines(&apps, &cfg, scale);
     let mut specs = Vec::new();
     for ((app, base), (_, cases)) in apps.iter().zip(&bases).zip(&studies) {
@@ -40,7 +43,14 @@ fn main() {
             specs.push(MeasureSpec::new(
                 SimBuilder::new(app)
                     .gpu(cfg.clone())
-                    .sched(SchedConfig { dms: *dms, ams: *ams, ..SchedConfig::baseline() }, *label)
+                    .sched(
+                        SchedConfig {
+                            dms: *dms,
+                            ams: *ams,
+                            ..SchedConfig::baseline()
+                        },
+                        *label,
+                    )
                     .scale(scale),
                 base.exact.clone(),
             ));
@@ -57,8 +67,10 @@ fn main() {
                     rows.push(match r {
                         Ok(m) => vec![
                             (*label).to_string(),
-                            format!("{:.3}",
-                                m.activations as f64 / base.measurement.activations.max(1) as f64),
+                            format!(
+                                "{:.3}",
+                                m.activations as f64 / base.measurement.activations.max(1) as f64
+                            ),
                             format!("{:.3}", m.ipc / base.measurement.ipc.max(1e-9)),
                             format!("{:.1}%", 100.0 * m.coverage),
                             format!("{:.1}%", 100.0 * m.app_error),

@@ -3,8 +3,9 @@
 //! request (wrongly), AMS+DMS drops the only true RBL(1) row.
 
 use lazydram_bench::{Job, RunEnv};
-use lazydram_common::{AccessKind, AddressMap, AmsMode, DmsMode, GpuConfig, MemSpace, Request,
-                      RequestId, SchedConfig};
+use lazydram_common::{
+    AccessKind, AddressMap, AmsMode, DmsMode, GpuConfig, MemSpace, Request, RequestId, SchedConfig,
+};
 use lazydram_core::MemoryController;
 
 fn mkreq(map: &AddressMap, id: u64, row: u32, col: u16) -> Request {

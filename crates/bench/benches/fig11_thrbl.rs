@@ -27,7 +27,10 @@ fn main() {
                 SimBuilder::new(&app)
                     .gpu(cfg.clone())
                     .sched(
-                        SchedConfig { ams: AmsMode::Static(th), ..SchedConfig::baseline() },
+                        SchedConfig {
+                            ams: AmsMode::Static(th),
+                            ..SchedConfig::baseline()
+                        },
                         format!("AMS({th})"),
                     )
                     .scale(scale),
@@ -42,8 +45,10 @@ fn main() {
         rows.push(match r {
             Ok(m) => vec![
                 format!("AMS({th})"),
-                format!("{:.3}",
-                    m.activations as f64 / base.measurement.activations.max(1) as f64),
+                format!(
+                    "{:.3}",
+                    m.activations as f64 / base.measurement.activations.max(1) as f64
+                ),
                 format!("{:.1}%", 100.0 * m.coverage),
                 format!("{:.1}%", 100.0 * m.app_error),
             ],
@@ -65,8 +70,14 @@ fn main() {
     let h = &base.measurement.stats.dram.rbl;
     let total = h.requests().max(1) as f64;
     println!("\nbaseline request share by activation RBL:");
-    for (lo, hi, label) in [(1, 1, "RBL(1)"), (2, 8, "RBL(2-8)"), (9, u32::MAX - 1, "RBL(9+)")] {
-        let req: u64 = (lo..=hi.min(h.max_rbl())).map(|k| k as u64 * h.count(k)).sum();
+    for (lo, hi, label) in [
+        (1, 1, "RBL(1)"),
+        (2, 8, "RBL(2-8)"),
+        (9, u32::MAX - 1, "RBL(9+)"),
+    ] {
+        let req: u64 = (lo..=hi.min(h.max_rbl()))
+            .map(|k| k as u64 * h.count(k))
+            .sum();
         println!("  {label:>9}: {:.1}%", 100.0 * req as f64 / total);
     }
 }

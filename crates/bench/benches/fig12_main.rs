@@ -11,7 +11,10 @@ fn main() {
     let env = RunEnv::load();
     let scale = env.scale;
     let cfg = env.preset.gpu_config();
-    let apps: Vec<_> = all_apps().into_iter().filter(|a| a.error_tolerant()).collect();
+    let apps: Vec<_> = all_apps()
+        .into_iter()
+        .filter(|a| a.error_tolerant())
+        .collect();
     let schemes = Scheme::PAPER;
     let runner = env.runner();
     let bases = runner.baselines(&apps, &cfg, scale);
@@ -20,7 +23,10 @@ fn main() {
         let Ok(base) = base else { continue };
         for &scheme in &schemes {
             specs.push(MeasureSpec::new(
-                SimBuilder::new(app).gpu(cfg.clone()).scheme(scheme).scale(scale),
+                SimBuilder::new(app)
+                    .gpu(cfg.clone())
+                    .scheme(scheme)
+                    .scale(scale),
                 base.exact.clone(),
             ));
         }
@@ -83,9 +89,24 @@ fn main() {
     let hdr: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
 
     for (title, rows, cols, pctfmt) in [
-        ("Figure 12(a): normalized row energy", &mut energy_rows, &energy_cols, false),
-        ("Figure 12(b): normalized IPC", &mut ipc_rows, &ipc_cols, false),
-        ("Figure 12(c): application error", &mut err_rows, &err_cols, true),
+        (
+            "Figure 12(a): normalized row energy",
+            &mut energy_rows,
+            &energy_cols,
+            false,
+        ),
+        (
+            "Figure 12(b): normalized IPC",
+            &mut ipc_rows,
+            &ipc_cols,
+            false,
+        ),
+        (
+            "Figure 12(c): application error",
+            &mut err_rows,
+            &err_cols,
+            true,
+        ),
         ("Figure 12(d): coverage", &mut cov_rows, &cov_cols, true),
     ] {
         let mut mrow = vec!["MEAN".to_string()];

@@ -19,9 +19,15 @@ fn main() {
         for &q in &sizes {
             specs.push(MeasureSpec::new(
                 SimBuilder::new(app)
-                    .gpu(GpuConfig { pending_queue_size: q, ..cfg.clone() })
+                    .gpu(GpuConfig {
+                        pending_queue_size: q,
+                        ..cfg.clone()
+                    })
                     .sched(
-                        SchedConfig { dms: DmsMode::Static(2048), ..SchedConfig::baseline() },
+                        SchedConfig {
+                            dms: DmsMode::Static(2048),
+                            ..SchedConfig::baseline()
+                        },
                         format!("DMS(2048)/q={q}"),
                     )
                     .scale(scale),

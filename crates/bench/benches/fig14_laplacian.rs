@@ -36,7 +36,12 @@ fn main() {
         let app = app.clone();
         let cfg = cfg.clone();
         Job::new("laplacian/Dyn-DMS+Dyn-AMS", move || {
-            let r = SimBuilder::new(&app).gpu(cfg).scheme(Scheme::DynCombo).scale(scale).build().run();
+            let r = SimBuilder::new(&app)
+                .gpu(cfg)
+                .scheme(Scheme::DynCombo)
+                .scale(scale)
+                .build()
+                .run();
             let coverage = r.stats.dram.coverage();
             (r.output, coverage)
         })
@@ -61,6 +66,10 @@ fn main() {
     write_pgm(&exact_path, &exact, w).expect("write exact image");
     write_pgm(&approx_path, &lazy_out, w).expect("write approx image");
     println!("=== Figure 14 (laplacian): output quality under Dyn-DMS+Dyn-AMS ===");
-    println!("application error: {:.1}%  coverage: {:.1}%", 100.0 * err, 100.0 * coverage);
+    println!(
+        "application error: {:.1}%  coverage: {:.1}%",
+        100.0 * err,
+        100.0 * coverage
+    );
     println!("images written: {exact_path} (exact), {approx_path} (approximated)");
 }

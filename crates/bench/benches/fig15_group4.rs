@@ -17,7 +17,10 @@ fn main() {
         let Ok(base) = base else { continue };
         for &scheme in &schemes {
             specs.push(MeasureSpec::new(
-                SimBuilder::new(app).gpu(cfg.clone()).scheme(scheme).scale(scale),
+                SimBuilder::new(app)
+                    .gpu(cfg.clone())
+                    .scheme(scheme)
+                    .scale(scale),
                 base.exact.clone(),
             ));
         }
@@ -65,8 +68,14 @@ fn main() {
         }
         rows.push(mrow);
     }
-    print_table("Figure 15(a): Group-4 normalized row energy (delay-only)",
-                &["app", "Static-DMS", "Dyn-DMS"], &e_rows);
-    print_table("Figure 15(b): Group-4 normalized IPC (delay-only)",
-                &["app", "Static-DMS", "Dyn-DMS"], &i_rows);
+    print_table(
+        "Figure 15(a): Group-4 normalized row energy (delay-only)",
+        &["app", "Static-DMS", "Dyn-DMS"],
+        &e_rows,
+    );
+    print_table(
+        "Figure 15(b): Group-4 normalized IPC (delay-only)",
+        &["app", "Static-DMS", "Dyn-DMS"],
+        &i_rows,
+    );
 }

@@ -2,7 +2,9 @@
 //! thrashing level, delay tolerance (MTD), activation sensitivity, Th_RBL
 //! sensitivity, and error tolerance, with the paper's thresholds.
 
-use lazydram_bench::{print_table, JobResult, MeasureSpec, Measurement, RunEnv, Scheme, SimBuilder};
+use lazydram_bench::{
+    print_table, JobResult, MeasureSpec, Measurement, RunEnv, Scheme, SimBuilder,
+};
 use lazydram_common::{AmsMode, DmsMode, SchedConfig};
 
 const DELAYS: [u32; 5] = [128, 256, 512, 1024, 2048];
@@ -60,8 +62,7 @@ fn classify(
         }
         best_acts = best_acts.min(m.activations);
     }
-    let th_sens =
-        100.0 * (acts8.saturating_sub(best_acts)) as f64 / base.activations.max(1) as f64;
+    let th_sens = 100.0 * (acts8.saturating_sub(best_acts)) as f64 / base.activations.max(1) as f64;
 
     // Error tolerance: error at 10 % coverage (Static-AMS).
     let mams = ams_run[0].as_ref().ok()?;
@@ -80,7 +81,10 @@ fn classify(
         format!("{thrash:.0}% {}", class(thrash, 3.0, 10.0)),
         format!("{mtd} {}", class(f64::from(mtd), 256.0, 1024.0)),
         format!("{act_sens:.0}% {}", class(act_sens, 10.0, 20.0)),
-        format!("{th_sens:.0}% {}", if th_sens < 5.0 { "Low" } else { "High" }),
+        format!(
+            "{th_sens:.0}% {}",
+            if th_sens < 5.0 { "Low" } else { "High" }
+        ),
         format!("{err:.0}% {err_class} (cov {:.0}%)", 100.0 * mams.coverage),
     ])
 }
@@ -100,7 +104,10 @@ fn main() {
                 SimBuilder::new(app)
                     .gpu(cfg.clone())
                     .sched(
-                        SchedConfig { dms: DmsMode::Static(d), ..SchedConfig::baseline() },
+                        SchedConfig {
+                            dms: DmsMode::Static(d),
+                            ..SchedConfig::baseline()
+                        },
                         format!("DMS({d})"),
                     )
                     .scale(scale),
@@ -112,7 +119,10 @@ fn main() {
                 SimBuilder::new(app)
                     .gpu(cfg.clone())
                     .sched(
-                        SchedConfig { ams: AmsMode::Static(th), ..SchedConfig::baseline() },
+                        SchedConfig {
+                            ams: AmsMode::Static(th),
+                            ..SchedConfig::baseline()
+                        },
                         format!("AMS({th})"),
                     )
                     .scale(scale),
@@ -120,7 +130,10 @@ fn main() {
             ));
         }
         specs.push(MeasureSpec::new(
-            SimBuilder::new(app).gpu(cfg.clone()).scheme(Scheme::StaticAms).scale(scale),
+            SimBuilder::new(app)
+                .gpu(cfg.clone())
+                .scheme(Scheme::StaticAms)
+                .scale(scale),
             base.exact.clone(),
         ));
     }
@@ -135,12 +148,13 @@ fn main() {
             Ok(base) => {
                 let sweep: Vec<_> = cursor.by_ref().take(per_app).collect();
                 rows.push(
-                    classify(cell.clone(), app.group, &base.measurement, &sweep)
-                        .unwrap_or_else(|| {
+                    classify(cell.clone(), app.group, &base.measurement, &sweep).unwrap_or_else(
+                        || {
                             let mut r = vec![cell, format!("g{}", app.group)];
                             r.extend(std::iter::repeat_n("FAIL".to_string(), 5));
                             r
-                        }),
+                        },
+                    ),
                 );
             }
             Err(_) => {
@@ -152,7 +166,15 @@ fn main() {
     }
     print_table(
         "Tables II-III: measured application features (value + class, paper thresholds)",
-        &["app", "grp", "thrashing", "MTD/delay-tol", "act-sens", "ThRBL-sens", "err-tol@10%"],
+        &[
+            "app",
+            "grp",
+            "thrashing",
+            "MTD/delay-tol",
+            "act-sens",
+            "ThRBL-sens",
+            "err-tol@10%",
+        ],
         &rows,
     );
 }

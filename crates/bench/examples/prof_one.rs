@@ -20,10 +20,7 @@ fn main() {
     let scale: f64 = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(0.2);
     let scheme = Scheme::by_label(scheme).unwrap_or_else(|| panic!("unknown scheme {scheme}"));
     let spec = by_name(app).expect("known app");
-    let run = SimBuilder::new(&spec)
-        .scheme(scheme)
-        .scale(scale)
-        .build();
+    let run = SimBuilder::new(&spec).scheme(scheme).scale(scale).build();
     let mut best = f64::INFINITY;
     let mut stats = None;
     for _ in 0..3 {

@@ -86,7 +86,11 @@ fn frame_diff(a: &Checkpoint, b: &Checkpoint) -> Vec<String> {
     let fb = list_frames(bb).expect("frames");
     let mut out = Vec::new();
     for (x, y) in fa.iter().zip(&fb) {
-        assert_eq!((&x.tag, x.index), (&y.tag, y.index), "frame layout mismatch");
+        assert_eq!(
+            (&x.tag, x.index),
+            (&y.tag, y.index),
+            "frame layout mismatch"
+        );
         if x.tag == "meta" {
             continue;
         }
@@ -119,10 +123,16 @@ fn expected_diff(path: &str) -> bool {
 }
 
 fn field_diff(run_a: &SimRun, ck_a: &Checkpoint, run_b: &SimRun, ck_b: &Checkpoint) {
-    let fields_a: BTreeMap<String, String> =
-        run_a.checkpoint_fields(ck_a).expect("fields").into_iter().collect();
-    let fields_b: BTreeMap<String, String> =
-        run_b.checkpoint_fields(ck_b).expect("fields").into_iter().collect();
+    let fields_a: BTreeMap<String, String> = run_a
+        .checkpoint_fields(ck_a)
+        .expect("fields")
+        .into_iter()
+        .collect();
+    let fields_b: BTreeMap<String, String> = run_b
+        .checkpoint_fields(ck_b)
+        .expect("fields")
+        .into_iter()
+        .collect();
     let mut architectural = 0usize;
     println!("\nfield-level diff (architectural state; policy/config fields marked *):");
     for (path, va) in &fields_a {
@@ -147,7 +157,10 @@ fn field_diff(run_a: &SimRun, ck_a: &Checkpoint, run_b: &SimRun, ck_b: &Checkpoi
         }
     }
     if architectural > 40 {
-        println!("    … and {} more architectural field diffs", architectural - 40);
+        println!(
+            "    … and {} more architectural field diffs",
+            architectural - 40
+        );
     }
     println!("\n{architectural} architectural field(s) differ at the divergence cycle");
 }
@@ -158,13 +171,20 @@ fn main() {
     let x1: u32 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(128);
     let x2: u32 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(256);
     let scale: f64 = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(0.05);
-    let stride: u64 = args.get(4).and_then(|s| s.parse().ok()).unwrap_or(4096).max(2);
+    let stride: u64 = args
+        .get(4)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(4096)
+        .max(2);
     let app = by_name(&name).expect("known app");
 
     let build = |x: u32| {
         SimBuilder::new(&app)
             .sched(
-                SchedConfig { dms: DmsMode::Static(x), ..SchedConfig::baseline() },
+                SchedConfig {
+                    dms: DmsMode::Static(x),
+                    ..SchedConfig::baseline()
+                },
                 format!("DMS({x})"),
             )
             .scale(scale)

@@ -39,20 +39,31 @@ fn parse_scale(args: &[String], at: usize) -> f64 {
 /// Captures the app's baseline request stream, which the envelope replays
 /// under every paper scheme.
 fn capture(app: &AppSpec, scale: f64) -> Trace {
-    let r = SimBuilder::new(app).scheme(Scheme::Baseline).scale(scale).trace(true).build().run();
+    let r = SimBuilder::new(app)
+        .scheme(Scheme::Baseline)
+        .scale(scale)
+        .trace(true)
+        .build()
+        .run();
     r.trace.expect("capture enabled")
 }
 
 fn rel_err(replayed: f64, executed: f64) -> f64 {
     if executed == 0.0 {
-        if replayed == 0.0 { 0.0 } else { f64::INFINITY }
+        if replayed == 0.0 {
+            0.0
+        } else {
+            f64::INFINITY
+        }
     } else {
         (replayed - executed).abs() / executed
     }
 }
 
 fn row_energy(stats: &SimStats) -> f64 {
-    EnergyModel::new(MemoryTech::Gddr5).breakdown(&stats.dram).row_energy_pj
+    EnergyModel::new(MemoryTech::Gddr5)
+        .breakdown(&stats.dram)
+        .row_energy_pj
 }
 
 /// The validation harness: for every paper scheme, compare the
@@ -68,12 +79,20 @@ fn cmd_envelope(app: &AppSpec, scale: f64) {
     let mut rows = Vec::new();
     let mut worst: f64 = 0.0;
     for scheme in Scheme::PAPER {
-        let exec = SimBuilder::new(app).scheme(scheme).scale(scale).build().run().stats;
+        let exec = SimBuilder::new(app)
+            .scheme(scheme)
+            .scale(scale)
+            .build()
+            .run()
+            .stats;
         let report = TraceSim::new(&cfg, &scheme.sched())
             .replay(&trace)
             .unwrap_or_else(|e| panic!("{e}"));
         assert_eq!(report.unserved, 0, "replay must serve every request");
-        let act = rel_err(report.stats.dram.activations as f64, exec.dram.activations as f64);
+        let act = rel_err(
+            report.stats.dram.activations as f64,
+            exec.dram.activations as f64,
+        );
         let rbl = rel_err(report.stats.dram.avg_rbl(), exec.dram.avg_rbl());
         let nrg = rel_err(row_energy(&report.stats), row_energy(&exec));
         worst = worst.max(act).max(rbl).max(nrg);
@@ -88,10 +107,20 @@ fn cmd_envelope(app: &AppSpec, scale: f64) {
     }
     print_table(
         &format!("{} open-loop error envelope", app.name),
-        &["scheme", "exec acts", "replay acts", "act err", "rbl err", "energy err"],
+        &[
+            "scheme",
+            "exec acts",
+            "replay acts",
+            "act err",
+            "rbl err",
+            "energy err",
+        ],
         &rows,
     );
-    println!("\nworst relative error across schemes/metrics: {:.1}%", 100.0 * worst);
+    println!(
+        "\nworst relative error across schemes/metrics: {:.1}%",
+        100.0 * worst
+    );
 }
 
 fn main() {

@@ -58,8 +58,10 @@ pub fn parse_apps(list: &str) -> Result<Vec<AppSpec>, String> {
         .map(|n| {
             let n = n.trim();
             lazydram_workloads::by_name(n).ok_or_else(|| {
-                let valid: Vec<&str> =
-                    lazydram_workloads::all_apps().iter().map(|a| a.name).collect();
+                let valid: Vec<&str> = lazydram_workloads::all_apps()
+                    .iter()
+                    .map(|a| a.name)
+                    .collect();
                 format!(
                     "unknown app {n:?} in LAZYDRAM_APPS; valid names (case-insensitive): {}",
                     valid.join(", ")
@@ -155,8 +157,12 @@ impl Measurement {
 /// [`SweepRunner`] baseline cache does this automatically).
 pub fn measure(run: &SimRun, exact: &[f32]) -> Measurement {
     let r = run.run();
-    let tech = run.preset().map_or(MemoryTech::Gddr5, MemoryTech::for_preset);
-    let row_energy_pj = EnergyModel::new(tech).breakdown(&r.stats.dram).row_energy_pj;
+    let tech = run
+        .preset()
+        .map_or(MemoryTech::Gddr5, MemoryTech::for_preset);
+    let row_energy_pj = EnergyModel::new(tech)
+        .breakdown(&r.stats.dram)
+        .row_energy_pj;
     Measurement {
         app: run.app().name.to_string(),
         scheme: run.scheme_label().to_string(),
@@ -208,7 +214,10 @@ pub fn measure_baseline(app: &AppSpec, cfg: &GpuConfig, scale: f64) -> (Measurem
 ///
 /// Panics if any value is non-positive.
 pub fn geomean(values: &[f64]) -> f64 {
-    assert!(values.iter().all(|&v| v > 0.0), "geomean needs positive values");
+    assert!(
+        values.iter().all(|&v| v > 0.0),
+        "geomean needs positive values"
+    );
     if values.is_empty() {
         return 1.0;
     }
@@ -243,7 +252,10 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
             .collect::<Vec<_>>()
             .join("  ")
     };
-    println!("{}", fmt_row(&header.iter().map(|s| s.to_string()).collect::<Vec<_>>()));
+    println!(
+        "{}",
+        fmt_row(&header.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    );
     for row in rows {
         println!("{}", fmt_row(row));
     }
@@ -348,7 +360,10 @@ mod tests {
             cached: false,
         };
         let j = m.to_json();
-        assert!(!j.contains("cached"), "cache provenance must not leak into JSONL: {j}");
+        assert!(
+            !j.contains("cached"),
+            "cache provenance must not leak into JSONL: {j}"
+        );
         for key in [
             "\"record\":\"measurement\"",
             "\"app\":\"GEMM\"",

@@ -104,7 +104,11 @@ pub struct Job<'a, T> {
 impl<'a, T> Job<'a, T> {
     /// Wraps a closure with a display label.
     pub fn new(label: impl Into<String>, work: impl FnOnce() -> T + Send + 'a) -> Self {
-        Self { label: label.into(), work: Box::new(work), note: None }
+        Self {
+            label: label.into(),
+            work: Box::new(work),
+            note: None,
+        }
     }
 
     /// Adds an annotation rendered on the job's stderr progress line after a
@@ -134,7 +138,11 @@ struct LazyExact {
 impl ExactOutput {
     /// The (not yet computed) reference of `app` at `scale`.
     pub(crate) fn new(app: &AppSpec, scale: f64) -> Self {
-        Self(Arc::new(LazyExact { app: app.clone(), scale, output: OnceLock::new() }))
+        Self(Arc::new(LazyExact {
+            app: app.clone(),
+            scale,
+            output: OnceLock::new(),
+        }))
     }
 
     /// Whether the reference has been computed (through any clone).
@@ -301,9 +309,15 @@ impl SweepRunner {
     /// have had their exact-output reference computed, out of all of them.
     pub fn references_computed(&self) -> (usize, usize) {
         // A read-only walk: a poisoned map still holds valid entries.
-        let map = self.baselines.lock().unwrap_or_else(PoisonError::into_inner);
+        let map = self
+            .baselines
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         let ready: Vec<&Arc<Baseline>> = map.values().filter_map(|cell| cell.get()).collect();
-        (ready.iter().filter(|b| b.exact.is_computed()).count(), ready.len())
+        (
+            ready.iter().filter(|b| b.exact.is_computed()).count(),
+            ready.len(),
+        )
     }
 
     /// Runs `jobs` on the worker pool and returns their outcomes **in
@@ -320,8 +334,7 @@ impl SweepRunner {
             labels.push(job.label);
             slots.push(Mutex::new(Some((job.work, job.note))));
         }
-        let results: Vec<Mutex<Option<JobResult<T>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
+        let results: Vec<Mutex<Option<JobResult<T>>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
         let done = AtomicUsize::new(0);
         let sweep_start = Instant::now();
@@ -403,8 +416,9 @@ impl SweepRunner {
                 .gpu(cfg.clone())
                 .scheme(Scheme::Baseline)
                 .scale(scale);
-            let measurement =
-                self.measure_one(builder, &exact).unwrap_or_else(|e| panic!("{e}"));
+            let measurement = self
+                .measure_one(builder, &exact)
+                .unwrap_or_else(|e| panic!("{e}"));
             Arc::new(Baseline { measurement, exact })
         })
         .clone()
@@ -502,7 +516,9 @@ impl SweepRunner {
     /// means simulate (store off, `refresh` mode, or a plain miss); `Err` is
     /// a `require`-mode miss with a remediation hint.
     fn cache_lookup(&self, key: u64, builder: &SimBuilder) -> Result<Option<Measurement>, String> {
-        let Some(store) = &self.cache else { return Ok(None) };
+        let Some(store) = &self.cache else {
+            return Ok(None);
+        };
         if store.mode() == CacheMode::Refresh {
             return Ok(None);
         }
@@ -553,7 +569,10 @@ impl SweepRunner {
 
     fn flush_results(&self) {
         if let Some(out) = &self.results {
-            out.lock().expect("results lock").flush().expect("flush LAZYDRAM_RESULTS");
+            out.lock()
+                .expect("results lock")
+                .flush()
+                .expect("flush LAZYDRAM_RESULTS");
         }
     }
 }
@@ -604,7 +623,10 @@ fn skip_note(m: &Measurement) -> String {
     } else if m.stats.cycles_skipped == 0 {
         String::new()
     } else {
-        format!(" [skipped {:.1}% of cycles]", 100.0 * m.stats.skip_fraction())
+        format!(
+            " [skipped {:.1}% of cycles]",
+            100.0 * m.stats.skip_fraction()
+        )
     }
 }
 

@@ -12,7 +12,10 @@ const SCALE: f64 = 0.05;
 const CHILD_ENV: &str = "LAZYDRAM_TEST_CACHE_RACE_CHILD";
 
 fn race_sweep(cache_dir: &Path, results: &Path) {
-    let apps: Vec<_> = ["SCP", "GEMM"].iter().map(|n| by_name(n).expect("app")).collect();
+    let apps: Vec<_> = ["SCP", "GEMM"]
+        .iter()
+        .map(|n| by_name(n).expect("app"))
+        .collect();
     let cfg = GpuConfig::default();
     let runner = SweepRunner::with_workers(2)
         .quiet()
@@ -27,7 +30,10 @@ fn race_sweep(cache_dir: &Path, results: &Path) {
                 SimBuilder::new(app)
                     .gpu(cfg.clone())
                     .sched(
-                        SchedConfig { dms: DmsMode::Static(delay), ..SchedConfig::baseline() },
+                        SchedConfig {
+                            dms: DmsMode::Static(delay),
+                            ..SchedConfig::baseline()
+                        },
                         format!("DMS({delay})"),
                     )
                     .scale(SCALE),
@@ -44,7 +50,9 @@ fn race_sweep(cache_dir: &Path, results: &Path) {
 /// below, returns immediately under a normal `cargo test`.
 #[test]
 fn child_worker() {
-    let Ok(spec) = std::env::var(CHILD_ENV) else { return };
+    let Ok(spec) = std::env::var(CHILD_ENV) else {
+        return;
+    };
     let (cache_dir, results) = spec.split_once('\x1f').expect("dir\\x1fresults spec");
     race_sweep(Path::new(cache_dir), Path::new(results));
 }
@@ -81,7 +89,10 @@ fn racing_processes_converge_without_torn_entries() {
     let a_bytes = std::fs::read(&a_jsonl).expect("racer A results");
     let b_bytes = std::fs::read(&b_jsonl).expect("racer B results");
     assert!(!a_bytes.is_empty());
-    assert_eq!(a_bytes, b_bytes, "racing processes must emit byte-identical JSONL");
+    assert_eq!(
+        a_bytes, b_bytes,
+        "racing processes must emit byte-identical JSONL"
+    );
 
     // Every surviving entry is complete and valid — no torn files, no
     // leftover publish temporaries.
@@ -98,6 +109,9 @@ fn racing_processes_converge_without_torn_entries() {
         .filter_map(|e| e.ok())
         .filter(|e| e.file_name().to_string_lossy().ends_with(".tmp"))
         .collect();
-    assert!(tmps.is_empty(), "publish temporaries must not survive: {tmps:?}");
+    assert!(
+        tmps.is_empty(),
+        "publish temporaries must not survive: {tmps:?}"
+    );
     let _ = std::fs::remove_dir_all(&base);
 }

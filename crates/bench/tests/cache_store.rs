@@ -8,7 +8,8 @@ use lazydram_common::SimStats;
 use std::path::PathBuf;
 
 fn fresh_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("lazydram_cache_store_{tag}_{}", std::process::id()));
+    let dir =
+        std::env::temp_dir().join(format!("lazydram_cache_store_{tag}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
@@ -39,14 +40,23 @@ fn publish_then_lookup_round_trips_with_provenance() {
     let store = Store::open(&dir, CacheMode::Auto).unwrap();
     let m = sample("SCP", "DMS(128)", 42);
     let key = Store::cell_key(0xABCD, Fidelity::Execute);
-    assert!(store.lookup(key, "SCP", "DMS(128)").is_none(), "empty store misses");
+    assert!(
+        store.lookup(key, "SCP", "DMS(128)").is_none(),
+        "empty store misses"
+    );
     store.publish(key, &m).unwrap();
 
     // Fresh store = fresh process: no hot tier, pure disk path.
     let other = Store::open(&dir, CacheMode::Auto).unwrap();
-    let hit = other.lookup(key, "SCP", "DMS(128)").expect("published entry hits");
+    let hit = other
+        .lookup(key, "SCP", "DMS(128)")
+        .expect("published entry hits");
     assert!(hit.cached, "a served hit carries the provenance flag");
-    assert_eq!(hit.to_json(), m.to_json(), "served bytes identical modulo provenance");
+    assert_eq!(
+        hit.to_json(),
+        m.to_json(),
+        "served bytes identical modulo provenance"
+    );
     assert_eq!(hit.stats, m.stats);
     let s = other.stats();
     assert_eq!((s.disk_hits, s.hot_hits, s.misses), (1, 0, 0));
@@ -72,7 +82,10 @@ fn torn_truncated_and_foreign_files_are_rejected_not_served() {
     // Truncated mid-write (a torn copy that bypassed the atomic rename).
     std::fs::write(&path, &good[..good.len() / 2]).unwrap();
     let fresh = Store::open(&dir, CacheMode::Auto).unwrap();
-    assert!(fresh.lookup(key, "SCP", "baseline").is_none(), "torn entry must miss");
+    assert!(
+        fresh.lookup(key, "SCP", "baseline").is_none(),
+        "torn entry must miss"
+    );
     assert_eq!(fresh.stats().rejected, 1);
 
     // Bit rot in the middle of the payload.
@@ -80,7 +93,10 @@ fn torn_truncated_and_foreign_files_are_rejected_not_served() {
     rotted[good.len() / 2] ^= 0x01;
     std::fs::write(&path, &rotted).unwrap();
     let fresh = Store::open(&dir, CacheMode::Auto).unwrap();
-    assert!(fresh.lookup(key, "SCP", "baseline").is_none(), "corrupt entry must miss");
+    assert!(
+        fresh.lookup(key, "SCP", "baseline").is_none(),
+        "corrupt entry must miss"
+    );
 
     // A valid entry renamed to another cell's address must not be served.
     std::fs::write(&path, &good).unwrap();
@@ -104,9 +120,13 @@ fn torn_truncated_and_foreign_files_are_rejected_not_served() {
 fn gc_evicts_invalid_then_least_recently_used() {
     let dir = fresh_dir("gc");
     let store = Store::open(&dir, CacheMode::Auto).unwrap();
-    let keys: Vec<u64> = (0..3).map(|i| Store::cell_key(i, Fidelity::Execute)).collect();
+    let keys: Vec<u64> = (0..3)
+        .map(|i| Store::cell_key(i, Fidelity::Execute))
+        .collect();
     for (i, key) in keys.iter().enumerate() {
-        store.publish(*key, &sample("SCP", &format!("DMS({i})"), i as u64)).unwrap();
+        store
+            .publish(*key, &sample("SCP", &format!("DMS({i})"), i as u64))
+            .unwrap();
         // Ensure distinct file times so LRU ordering is deterministic.
         std::thread::sleep(std::time::Duration::from_millis(25));
     }
@@ -119,7 +139,9 @@ fn gc_evicts_invalid_then_least_recently_used() {
     std::thread::sleep(std::time::Duration::from_millis(25));
     assert!(reader.lookup(keys[0], "SCP", "DMS(0)").is_some());
 
-    let entry_bytes = std::fs::metadata(store.entry_path(keys[0], "SCP", "DMS(0)")).unwrap().len();
+    let entry_bytes = std::fs::metadata(store.entry_path(keys[0], "SCP", "DMS(0)"))
+        .unwrap()
+        .len();
     // Budget for two entries: the junk file and the LRU entry (keys[1],
     // since keys[0] was just used) must go.
     let admin = Store::open(&dir, CacheMode::Auto).unwrap();
@@ -132,8 +154,14 @@ fn gc_evicts_invalid_then_least_recently_used() {
         evicted_names.iter().any(|n| n.starts_with("junk")),
         "invalid entries evicted first: {evicted_names:?}"
     );
-    assert!(store.entry_path(keys[0], "SCP", "DMS(0)").exists(), "recently used survives");
-    assert!(!store.entry_path(keys[1], "SCP", "DMS(1)").exists(), "LRU entry evicted");
+    assert!(
+        store.entry_path(keys[0], "SCP", "DMS(0)").exists(),
+        "recently used survives"
+    );
+    assert!(
+        !store.entry_path(keys[1], "SCP", "DMS(1)").exists(),
+        "LRU entry evicted"
+    );
     assert!(store.entry_path(keys[2], "SCP", "DMS(2)").exists());
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -142,11 +170,23 @@ fn gc_evicts_invalid_then_least_recently_used() {
 fn clear_removes_entries_and_stray_temporaries() {
     let dir = fresh_dir("clear");
     let store = Store::open(&dir, CacheMode::Auto).unwrap();
-    store.publish(Store::cell_key(9, Fidelity::Execute), &sample("SCP", "baseline", 9)).unwrap();
+    store
+        .publish(
+            Store::cell_key(9, Fidelity::Execute),
+            &sample("SCP", "baseline", 9),
+        )
+        .unwrap();
     std::fs::write(dir.join(".deadbeef.123.0.tmp"), b"stray").unwrap();
     std::fs::write(dir.join("unrelated.txt"), b"keep me").unwrap();
-    assert_eq!(store.clear().unwrap(), 2, "one entry + one temporary removed");
-    assert!(dir.join("unrelated.txt").exists(), "non-store files untouched");
+    assert_eq!(
+        store.clear().unwrap(),
+        2,
+        "one entry + one temporary removed"
+    );
+    assert!(
+        dir.join("unrelated.txt").exists(),
+        "non-store files untouched"
+    );
     assert_eq!(store.entries().unwrap().len(), 0);
     let _ = std::fs::remove_dir_all(&dir);
 }

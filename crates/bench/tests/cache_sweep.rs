@@ -14,7 +14,8 @@ use std::sync::Arc;
 const SCALE: f64 = 0.05;
 
 fn fresh_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("lazydram_cache_sweep_{tag}_{}", std::process::id()));
+    let dir =
+        std::env::temp_dir().join(format!("lazydram_cache_sweep_{tag}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
@@ -29,7 +30,10 @@ fn runner(dir: &Path, mode: CacheMode, results: &Path) -> SweepRunner {
 /// One small fig04-like sweep (baselines + two DMS delays per app) through
 /// `runner`; returns the measurement JSON lines and the apps' baselines.
 fn sweep(runner: &SweepRunner) -> (Vec<String>, Vec<Arc<Baseline>>) {
-    let apps: Vec<_> = ["SCP", "GEMM"].iter().map(|n| by_name(n).expect("app")).collect();
+    let apps: Vec<_> = ["SCP", "GEMM"]
+        .iter()
+        .map(|n| by_name(n).expect("app"))
+        .collect();
     let cfg = GpuConfig::default();
     let bases = runner.baselines(&apps, &cfg, SCALE);
     let mut specs = Vec::new();
@@ -40,7 +44,10 @@ fn sweep(runner: &SweepRunner) -> (Vec<String>, Vec<Arc<Baseline>>) {
                 SimBuilder::new(app)
                     .gpu(cfg.clone())
                     .sched(
-                        SchedConfig { dms: DmsMode::Static(delay), ..SchedConfig::baseline() },
+                        SchedConfig {
+                            dms: DmsMode::Static(delay),
+                            ..SchedConfig::baseline()
+                        },
                         format!("DMS({delay})"),
                     )
                     .scale(SCALE),
@@ -48,12 +55,20 @@ fn sweep(runner: &SweepRunner) -> (Vec<String>, Vec<Arc<Baseline>>) {
             ));
         }
     }
-    let mut out: Vec<String> =
-        bases.iter().map(|r| r.as_ref().expect("baseline").measurement.to_json()).collect();
+    let mut out: Vec<String> = bases
+        .iter()
+        .map(|r| r.as_ref().expect("baseline").measurement.to_json())
+        .collect();
     out.extend(
-        runner.measure_all(specs).into_iter().map(|r| r.expect("cell runs").to_json()),
+        runner
+            .measure_all(specs)
+            .into_iter()
+            .map(|r| r.expect("cell runs").to_json()),
     );
-    (out, bases.into_iter().map(|b| b.expect("baseline")).collect())
+    (
+        out,
+        bases.into_iter().map(|b| b.expect("baseline")).collect(),
+    )
 }
 
 #[test]
@@ -84,7 +99,10 @@ fn warm_sweep_is_byte_identical_and_served_from_disk() {
     let cold_bytes = std::fs::read(&cold_jsonl).unwrap();
     let warm_bytes = std::fs::read(&warm_jsonl).unwrap();
     assert!(!cold_bytes.is_empty());
-    assert_eq!(cold_bytes, warm_bytes, "JSONL must be byte-identical cold vs warm");
+    assert_eq!(
+        cold_bytes, warm_bytes,
+        "JSONL must be byte-identical cold vs warm"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -92,7 +110,10 @@ fn warm_sweep_is_byte_identical_and_served_from_disk() {
 fn second_harness_reuses_first_harness_baselines() {
     let dir = fresh_dir("xharness");
     std::fs::create_dir_all(&dir).unwrap();
-    let apps: Vec<_> = ["SCP", "MVT"].iter().map(|n| by_name(n).expect("app")).collect();
+    let apps: Vec<_> = ["SCP", "MVT"]
+        .iter()
+        .map(|n| by_name(n).expect("app"))
+        .collect();
     let cfg = GpuConfig::default();
 
     // Harness 1 (fig04 analog): computes the baselines, publishing them.
@@ -133,13 +154,19 @@ fn require_mode_miss_fails_with_remediation_hint() {
         .quiet()
         .with_cache(Some(CachePolicy::new(&dir, CacheMode::Require)));
     let results = runner.baselines(&[app], &cfg, SCALE);
-    let failure = results[0].as_ref().expect_err("empty store + require must fail");
+    let failure = results[0]
+        .as_ref()
+        .expect_err("empty store + require must fail");
     assert!(
         failure.message.contains("LAZYDRAM_CACHE_MODE=auto"),
         "failure must tell the user how to populate the store: {}",
         failure.message
     );
-    assert!(failure.message.contains("no cache entry"), "{}", failure.message);
+    assert!(
+        failure.message.contains("no cache entry"),
+        "{}",
+        failure.message
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -161,7 +188,10 @@ fn refresh_mode_resimulates_and_republishes() {
         .with_cache(Some(CachePolicy::new(&dir, CacheMode::Refresh)));
     let again = refresh.baselines(&[app], &cfg, SCALE);
     let again = again[0].as_ref().expect("baseline").measurement.to_json();
-    assert_eq!(first, again, "determinism: a refresh reproduces the same bytes");
+    assert_eq!(
+        first, again,
+        "determinism: a refresh reproduces the same bytes"
+    );
     let stats = refresh.cache().unwrap().stats();
     assert_eq!(stats.hits(), 0, "refresh never consults the store");
     assert_eq!(stats.published, 1, "refresh overwrites the entry");
@@ -177,7 +207,11 @@ fn require_mode_sweep_never_computes_a_reference() {
 
     let cold = runner(&store, CacheMode::Auto, &cold_jsonl);
     sweep(&cold);
-    assert_eq!(cold.references_computed(), (2, 2), "a cold sweep computes every reference");
+    assert_eq!(
+        cold.references_computed(),
+        (2, 2),
+        "a cold sweep computes every reference"
+    );
     drop(cold);
 
     // A fresh runner over the filled store: every cell is a hit, so no cell
@@ -185,14 +219,22 @@ fn require_mode_sweep_never_computes_a_reference() {
     let warm = runner(&store, CacheMode::Require, &warm_jsonl);
     let (_, bases) = sweep(&warm);
     for b in &bases {
-        assert!(!b.exact.is_computed(), "{:?} computed on a served sweep", b.exact);
+        assert!(
+            !b.exact.is_computed(),
+            "{:?} computed on a served sweep",
+            b.exact
+        );
     }
     assert_eq!(warm.references_computed(), (0, 2));
     drop(warm);
 
     let cold_bytes = std::fs::read(&cold_jsonl).unwrap();
     assert!(!cold_bytes.is_empty());
-    assert_eq!(cold_bytes, std::fs::read(&warm_jsonl).unwrap(), "JSONL must be cmp-equal");
+    assert_eq!(
+        cold_bytes,
+        std::fs::read(&warm_jsonl).unwrap(),
+        "JSONL must be cmp-equal"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -201,7 +243,10 @@ fn baseline_only_store_forces_each_reference_once() {
     let dir = fresh_dir("baseonly");
     std::fs::create_dir_all(&dir).unwrap();
     let store = dir.join("store");
-    let apps: Vec<_> = ["SCP", "GEMM"].iter().map(|n| by_name(n).expect("app")).collect();
+    let apps: Vec<_> = ["SCP", "GEMM"]
+        .iter()
+        .map(|n| by_name(n).expect("app"))
+        .collect();
     SweepRunner::with_workers(2)
         .quiet()
         .with_cache(Some(CachePolicy::new(&store, CacheMode::Auto)))
@@ -211,7 +256,11 @@ fn baseline_only_store_forces_each_reference_once() {
     let mixed = runner(&store, CacheMode::Auto, &mixed_jsonl);
     let (mixed_lines, bases) = sweep(&mixed);
     let stats = mixed.cache().expect("cache attached").stats();
-    assert_eq!((stats.disk_hits, stats.misses), (2, 4), "baselines hit, scheme cells simulate");
+    assert_eq!(
+        (stats.disk_hits, stats.misses),
+        (2, 4),
+        "baselines hit, scheme cells simulate"
+    );
     // Every cell of an app shares the baseline's one `OnceLock`: the first
     // simulating cell forces it and the others reuse it.
     for b in &bases {

@@ -31,7 +31,10 @@ fn sweep_json(workers: usize, path: &str) -> Vec<String> {
                 SimBuilder::new(app)
                     .gpu(cfg.clone())
                     .sched(
-                        SchedConfig { dms: DmsMode::Static(delay), ..SchedConfig::baseline() },
+                        SchedConfig {
+                            dms: DmsMode::Static(delay),
+                            ..SchedConfig::baseline()
+                        },
                         format!("DMS({delay})"),
                     )
                     .scale(SCALE),
@@ -111,20 +114,33 @@ fn baseline_cache_returns_same_measurement_as_fresh_computation() {
 #[test]
 fn hbm2_cell_row_energy_uses_its_own_technology() {
     use lazydram_bench::{EnergyModel, MemoryTech};
-    use lazydram_common::DramPreset;
     use lazydram_common::json::JsonObject;
+    use lazydram_common::DramPreset;
 
     let path = std::env::temp_dir().join("lazydram_runner_test_hbm2.jsonl");
     let app = by_name("SCP").expect("app");
-    let runner = SweepRunner::with_workers(1).quiet().with_results_file(&path);
-    let base = runner.baselines(std::slice::from_ref(&app), &DramPreset::Hbm2.gpu_config(), SCALE);
+    let runner = SweepRunner::with_workers(1)
+        .quiet()
+        .with_results_file(&path);
+    let base = runner.baselines(
+        std::slice::from_ref(&app),
+        &DramPreset::Hbm2.gpu_config(),
+        SCALE,
+    );
     let m = &base[0].as_ref().expect("hbm2 baseline runs").measurement;
     drop(runner);
 
-    let want = EnergyModel::new(MemoryTech::Hbm2).breakdown(&m.stats.dram).row_energy_pj;
-    let gddr5 = EnergyModel::new(MemoryTech::Gddr5).breakdown(&m.stats.dram).row_energy_pj;
+    let want = EnergyModel::new(MemoryTech::Hbm2)
+        .breakdown(&m.stats.dram)
+        .row_energy_pj;
+    let gddr5 = EnergyModel::new(MemoryTech::Gddr5)
+        .breakdown(&m.stats.dram)
+        .row_energy_pj;
     assert_eq!(m.row_energy_pj, want);
-    assert_ne!(want, gddr5, "the two profiles must price this cell differently");
+    assert_ne!(
+        want, gddr5,
+        "the two profiles must price this cell differently"
+    );
     let mut field = JsonObject::new();
     field.f64("row_energy_pj", want);
     let field = field.finish();

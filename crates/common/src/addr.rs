@@ -60,11 +60,26 @@ impl AddressMap {
     /// smaller than a line, or if the bank count is not divisible by the
     /// bank-group count.
     pub fn new(cfg: &GpuConfig) -> Self {
-        assert!(cfg.line_bytes.is_power_of_two(), "line size must be a power of two");
-        assert!(cfg.chunk_bytes.is_power_of_two(), "chunk size must be a power of two");
-        assert!(cfg.row_bytes.is_power_of_two(), "row size must be a power of two");
-        assert!(cfg.chunk_bytes >= cfg.line_bytes, "chunk must hold at least one line");
-        assert!(cfg.row_bytes >= cfg.chunk_bytes, "row must hold at least one chunk");
+        assert!(
+            cfg.line_bytes.is_power_of_two(),
+            "line size must be a power of two"
+        );
+        assert!(
+            cfg.chunk_bytes.is_power_of_two(),
+            "chunk size must be a power of two"
+        );
+        assert!(
+            cfg.row_bytes.is_power_of_two(),
+            "row size must be a power of two"
+        );
+        assert!(
+            cfg.chunk_bytes >= cfg.line_bytes,
+            "chunk must hold at least one line"
+        );
+        assert!(
+            cfg.row_bytes >= cfg.chunk_bytes,
+            "row must hold at least one chunk"
+        );
         assert_eq!(
             cfg.banks_per_channel % cfg.bank_groups,
             0,
@@ -114,8 +129,8 @@ impl AddressMap {
         let local_chunk = chunk_id / self.channels;
         let chunk_in_row = local_chunk % self.chunks_per_row;
         let region = local_chunk / self.chunks_per_row; // 1 region = 1 row of 1 bank
-        // Bank-group-major interleave: consecutive regions visit
-        // bank groups 0,1,2,3, then the next bank within each group.
+                                                        // Bank-group-major interleave: consecutive regions visit
+                                                        // bank groups 0,1,2,3, then the next bank within each group.
         let bank_linear = region % self.banks_per_channel;
         let bank_group = bank_linear % self.bank_groups;
         let bank_in_group = (bank_linear / self.bank_groups) % self.banks_per_group;
@@ -136,8 +151,7 @@ impl AddressMap {
     /// This is the exact inverse of [`AddressMap::decompose`] restricted to
     /// line-aligned addresses.
     pub fn compose(&self, loc: Location) -> u64 {
-        let bank_linear =
-            loc.bank_in_group as u64 * self.bank_groups + loc.bank_group as u64;
+        let bank_linear = loc.bank_in_group as u64 * self.bank_groups + loc.bank_group as u64;
         let region = loc.row as u64 * self.banks_per_channel + bank_linear;
         let chunk_in_row = loc.col as u64 / self.lines_per_chunk;
         let line_in_chunk = loc.col as u64 % self.lines_per_chunk;
@@ -184,7 +198,10 @@ mod tests {
         let m = map();
         let a = m.decompose(0);
         let b = m.decompose(128);
-        assert_eq!((a.channel, a.bank_group, a.bank_in_group, a.row), (b.channel, b.bank_group, b.bank_in_group, b.row));
+        assert_eq!(
+            (a.channel, a.bank_group, a.bank_in_group, a.row),
+            (b.channel, b.bank_group, b.bank_in_group, b.row)
+        );
         assert_eq!(a.col + 1, b.col);
     }
 
@@ -241,7 +258,11 @@ mod tests {
             let loc = m.decompose(i * region_bytes);
             seen.insert(loc.flat_bank(m.banks_per_group()));
         }
-        assert_eq!(seen.len(), 16, "16 consecutive regions must cover all 16 banks");
+        assert_eq!(
+            seen.len(),
+            16,
+            "16 consecutive regions must cover all 16 banks"
+        );
     }
 
     proptest! {

@@ -1,7 +1,6 @@
 //! Configuration of the simulated GPU (Table I of the paper) and of the
 //! lazy-memory-scheduler policies (Section IV of the paper).
 
-
 /// GDDR5 DRAM timing parameters, in *memory* cycles (924 MHz domain).
 ///
 /// Defaults follow the Hynix GDDR5 values in Table I of the paper.
@@ -456,7 +455,10 @@ impl SchedConfig {
     /// All six schemes evaluated in Figure 12, with their paper labels,
     /// in presentation order.
     pub fn paper_schemes() -> Vec<(&'static str, Self)> {
-        Scheme::PAPER.iter().map(|s| (s.label(), s.sched())).collect()
+        Scheme::PAPER
+            .iter()
+            .map(|s| (s.label(), s.sched()))
+            .collect()
     }
 }
 
@@ -536,7 +538,9 @@ impl Scheme {
 
     /// Looks a scheme up by its (case-insensitive) display label.
     pub fn by_label(name: &str) -> Option<Scheme> {
-        Scheme::ALL.into_iter().find(|s| s.label().eq_ignore_ascii_case(name))
+        Scheme::ALL
+            .into_iter()
+            .find(|s| s.label().eq_ignore_ascii_case(name))
     }
 }
 
@@ -573,8 +577,12 @@ pub enum DramPreset {
 
 impl DramPreset {
     /// Every preset, the paper baseline first.
-    pub const ALL: [DramPreset; 4] =
-        [DramPreset::Gddr5, DramPreset::Hbm1, DramPreset::Hbm2, DramPreset::Naive];
+    pub const ALL: [DramPreset; 4] = [
+        DramPreset::Gddr5,
+        DramPreset::Hbm1,
+        DramPreset::Hbm2,
+        DramPreset::Naive,
+    ];
 
     /// The machine configuration this preset names.
     pub fn gpu_config(self) -> GpuConfig {
@@ -646,7 +654,9 @@ impl DramPreset {
 
     /// Looks a preset up by its (case-insensitive) label.
     pub fn by_label(name: &str) -> Option<DramPreset> {
-        DramPreset::ALL.into_iter().find(|p| p.label().eq_ignore_ascii_case(name))
+        DramPreset::ALL
+            .into_iter()
+            .find(|p| p.label().eq_ignore_ascii_case(name))
     }
 }
 

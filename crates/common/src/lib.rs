@@ -59,11 +59,11 @@ pub mod stats;
 pub const SEMANTICS_VERSION: u64 = 2;
 
 pub use addr::{AddressMap, Location};
-pub use fasthash::{FastMap, FastSet};
 pub use config::{
     AmsMode, Arbiter, BackendKind, DmsMode, DramPreset, DramTimings, GpuConfig, RowPolicy,
     SchedConfig, Scheme,
 };
+pub use fasthash::{FastMap, FastSet};
 pub use prof::ProfReport;
 pub use req::{AccessKind, MemSpace, Request, RequestId};
 pub use rng::SplitMix64;

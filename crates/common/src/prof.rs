@@ -152,7 +152,10 @@ impl ProfReport {
 
     /// Seconds attributed to `phase`.
     pub fn get(&self, phase: Phase) -> f64 {
-        let idx = Phase::ALL.iter().position(|&p| p == phase).expect("phase in ALL");
+        let idx = Phase::ALL
+            .iter()
+            .position(|&p| p == phase)
+            .expect("phase in ALL");
         self.secs[idx]
     }
 
@@ -319,7 +322,11 @@ mod imp {
             let scale = match s.anchor_instant.take() {
                 Some(i0) => {
                     let dt = now_ticks().wrapping_sub(s.anchor_tick.get());
-                    if dt == 0 { 0.0 } else { i0.elapsed().as_secs_f64() / dt as f64 }
+                    if dt == 0 {
+                        0.0
+                    } else {
+                        i0.elapsed().as_secs_f64() / dt as f64
+                    }
                 }
                 None => 0.0,
             };

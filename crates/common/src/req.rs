@@ -101,8 +101,16 @@ impl Request {
                 row: l.u32("row")?,
                 col: l.u16("col")?,
             },
-            kind: if l.bool("is_read")? { AccessKind::Read } else { AccessKind::Write },
-            space: if l.bool("is_global")? { MemSpace::Global } else { MemSpace::Other },
+            kind: if l.bool("is_read")? {
+                AccessKind::Read
+            } else {
+                AccessKind::Write
+            },
+            space: if l.bool("is_global")? {
+                MemSpace::Global
+            } else {
+                MemSpace::Other
+            },
             approximable: l.bool("approximable")?,
             arrival: l.u64("arrival")?,
         })
@@ -117,7 +125,13 @@ mod tests {
         Request {
             id: RequestId(7),
             addr: 0x1000,
-            loc: Location { channel: 0, bank_group: 0, bank_in_group: 0, row: 2, col: 0 },
+            loc: Location {
+                channel: 0,
+                bank_group: 0,
+                bank_in_group: 0,
+                row: 2,
+                col: 0,
+            },
             kind,
             space,
             approximable: true,

@@ -8,7 +8,6 @@
 //! * **Coverage** — fraction of global read requests dropped (approximated)
 //!   instead of being served by DRAM.
 
-
 /// Histogram of row activations keyed by the RBL they achieved.
 ///
 /// `hist[k]` counts activations that served exactly `k` requests; index 0 is

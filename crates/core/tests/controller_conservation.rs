@@ -2,12 +2,17 @@
 //! out exactly once — served by DRAM (reads produce responses, writes are
 //! counted) or dropped — under random traffic and every scheme.
 
-use lazydram_common::{AccessKind, AddressMap, GpuConfig, MemSpace, Request, RequestId, SchedConfig};
+use lazydram_common::{
+    AccessKind, AddressMap, GpuConfig, MemSpace, Request, RequestId, SchedConfig,
+};
 use lazydram_core::MemoryController;
 use proptest::prelude::*;
 use std::collections::HashSet;
 
-fn run_conservation(seed_reqs: Vec<(u32, u8, bool)>, sched: SchedConfig) -> Result<(), TestCaseError> {
+fn run_conservation(
+    seed_reqs: Vec<(u32, u8, bool)>,
+    sched: SchedConfig,
+) -> Result<(), TestCaseError> {
     let cfg = GpuConfig::default();
     let map = AddressMap::new(&cfg);
     let mut mc = MemoryController::new(&cfg, &sched);
@@ -32,7 +37,11 @@ fn run_conservation(seed_reqs: Vec<(u32, u8, bool)>, sched: SchedConfig) -> Resu
                     id: RequestId(next_id),
                     addr,
                     loc: map.decompose(addr),
-                    kind: if is_write { AccessKind::Write } else { AccessKind::Read },
+                    kind: if is_write {
+                        AccessKind::Write
+                    } else {
+                        AccessKind::Read
+                    },
                     space: MemSpace::Global,
                     approximable: approx,
                     arrival: 0,
@@ -53,7 +62,10 @@ fn run_conservation(seed_reqs: Vec<(u32, u8, bool)>, sched: SchedConfig) -> Resu
             break;
         }
     }
-    prop_assert!(pending.is_empty() && mc.is_idle(), "controller did not drain");
+    prop_assert!(
+        pending.is_empty() && mc.is_idle(),
+        "controller did not drain"
+    );
     let _ = mc.drain();
 
     // Every read answered exactly once; no duplicates; no unknown ids.

@@ -273,18 +273,30 @@ mod tests {
     #[test]
     fn clean_sequence_passes() {
         let mut a = aud();
-        a.observe(Command::Act { bank: 0, row: 1, at: 0 });
+        a.observe(Command::Act {
+            bank: 0,
+            row: 1,
+            at: 0,
+        });
         a.observe(Command::Read { bank: 0, at: 12 });
         a.observe(Command::Read { bank: 0, at: 14 });
         a.observe(Command::Pre { bank: 0, at: 28 });
-        a.observe(Command::Act { bank: 0, row: 2, at: 40 });
+        a.observe(Command::Act {
+            bank: 0,
+            row: 2,
+            at: 40,
+        });
         assert!(a.check().is_ok(), "{:?}", a.violations());
     }
 
     #[test]
     fn detects_trcd_violation() {
         let mut a = aud();
-        a.observe(Command::Act { bank: 0, row: 1, at: 0 });
+        a.observe(Command::Act {
+            bank: 0,
+            row: 1,
+            at: 0,
+        });
         a.observe(Command::Read { bank: 0, at: 11 });
         assert_eq!(a.violations()[0].rule, "tRCD");
     }
@@ -292,7 +304,11 @@ mod tests {
     #[test]
     fn detects_tras_violation() {
         let mut a = aud();
-        a.observe(Command::Act { bank: 0, row: 1, at: 0 });
+        a.observe(Command::Act {
+            bank: 0,
+            row: 1,
+            at: 0,
+        });
         a.observe(Command::Pre { bank: 0, at: 27 });
         assert_eq!(a.violations()[0].rule, "tRAS");
     }
@@ -300,17 +316,36 @@ mod tests {
     #[test]
     fn detects_trrd_violation() {
         let mut a = aud();
-        a.observe(Command::Act { bank: 0, row: 1, at: 0 });
-        a.observe(Command::Act { bank: 1, row: 1, at: 5 });
+        a.observe(Command::Act {
+            bank: 0,
+            row: 1,
+            at: 0,
+        });
+        a.observe(Command::Act {
+            bank: 1,
+            row: 1,
+            at: 5,
+        });
         assert_eq!(a.violations()[0].rule, "tRRD");
     }
 
     #[test]
     fn detects_command_bus_conflict() {
         let mut a = aud();
-        a.observe(Command::Act { bank: 0, row: 1, at: 0 });
-        a.observe(Command::Act { bank: 1, row: 1, at: 0 });
-        assert!(a.violations().iter().any(|v| v.rule.contains("command bus")));
+        a.observe(Command::Act {
+            bank: 0,
+            row: 1,
+            at: 0,
+        });
+        a.observe(Command::Act {
+            bank: 1,
+            row: 1,
+            at: 0,
+        });
+        assert!(a
+            .violations()
+            .iter()
+            .any(|v| v.rule.contains("command bus")));
     }
 
     #[test]
@@ -323,8 +358,16 @@ mod tests {
     #[test]
     fn detects_data_bus_overlap() {
         let mut a = aud();
-        a.observe(Command::Act { bank: 0, row: 1, at: 0 });
-        a.observe(Command::Act { bank: 1, row: 1, at: 6 });
+        a.observe(Command::Act {
+            bank: 0,
+            row: 1,
+            at: 0,
+        });
+        a.observe(Command::Act {
+            bank: 1,
+            row: 1,
+            at: 6,
+        });
         a.observe(Command::Read { bank: 0, at: 18 });
         a.observe(Command::Read { bank: 1, at: 19 }); // data would overlap
         assert!(a.violations().iter().any(|v| v.rule == "data bus overlap"));
@@ -333,7 +376,11 @@ mod tests {
     #[test]
     fn detects_tcdlr_violation() {
         let mut a = aud();
-        a.observe(Command::Act { bank: 0, row: 1, at: 0 });
+        a.observe(Command::Act {
+            bank: 0,
+            row: 1,
+            at: 0,
+        });
         a.observe(Command::Write { bank: 0, at: 12 }); // data 16..18
         a.observe(Command::Read { bank: 0, at: 20 }); // < 18 + 5
         assert!(a.violations().iter().any(|v| v.rule == "tCDLR"));
@@ -342,7 +389,11 @@ mod tests {
     #[test]
     fn detects_twr_violation() {
         let mut a = aud();
-        a.observe(Command::Act { bank: 0, row: 1, at: 0 });
+        a.observe(Command::Act {
+            bank: 0,
+            row: 1,
+            at: 0,
+        });
         a.observe(Command::Write { bank: 0, at: 12 }); // data end 18, +tWR=30
         a.observe(Command::Pre { bank: 0, at: 29 });
         assert!(a.violations().iter().any(|v| v.rule == "tWR"));

@@ -220,7 +220,11 @@ impl MemoryBackend for NaiveBackend {
     }
     fn activate(&mut self, bank: usize, row: u32, _now: u64) {
         debug_assert!(self.open[bank].is_none(), "ACT on open bank");
-        self.open[bank] = Some(NaiveRow { row, served: 0, read_only: true });
+        self.open[bank] = Some(NaiveRow {
+            row,
+            served: 0,
+            read_only: true,
+        });
         self.open_banks |= 1 << bank;
         self.stats.activations += 1;
     }
@@ -236,10 +240,18 @@ impl MemoryBackend for NaiveBackend {
         self.open[bank].is_some()
     }
     fn activate_ready_at(&self, bank: usize) -> u64 {
-        if self.open[bank].is_none() { 0 } else { u64::MAX }
+        if self.open[bank].is_none() {
+            0
+        } else {
+            u64::MAX
+        }
     }
     fn precharge_ready_at(&self, bank: usize) -> u64 {
-        if self.open[bank].is_some() { 0 } else { u64::MAX }
+        if self.open[bank].is_some() {
+            0
+        } else {
+            u64::MAX
+        }
     }
     fn cas_ready_at(&self, bank: usize, _kind: AccessKind) -> u64 {
         self.precharge_ready_at(bank)
@@ -447,7 +459,8 @@ mod tests {
     fn naive_backend_is_always_ready_with_fixed_latency() {
         let cfg = GpuConfig::default();
         let mut b = NaiveBackend::new(&cfg);
-        let lat = u64::from(cfg.timings.t_rcd) + u64::from(cfg.timings.t_cl)
+        let lat = u64::from(cfg.timings.t_rcd)
+            + u64::from(cfg.timings.t_cl)
             + u64::from(cfg.timings.t_ccd);
         assert!(b.can_activate(5, 0));
         b.activate(5, 3, 0);

@@ -205,7 +205,9 @@ impl Bank {
     pub fn load_state(&mut self, l: &mut Loader<'_>) -> SnapResult<()> {
         self.state = match l.u8("state")? {
             0 => BankState::Closed,
-            1 => BankState::Open { row: l.u32("open_row")? },
+            1 => BankState::Open {
+                row: l.u32("open_row")?,
+            },
             b => {
                 return Err(SnapError::Malformed {
                     label: "state".into(),
@@ -239,12 +241,8 @@ impl Bank {
     pub fn precharge(&mut self, now: u64, t: &DramTimings) -> ActivationRecord {
         debug_assert!(self.can_precharge(now), "illegal PRE at {now}");
         self.state = BankState::Closed;
-        self.act_ready = self
-            .act_ready
-            .max(now + u64::from(t.t_rp));
-        self.current
-            .take()
-            .expect("open bank must have a record")
+        self.act_ready = self.act_ready.max(now + u64::from(t.t_rp));
+        self.current.take().expect("open bank must have a record")
     }
 }
 

@@ -524,7 +524,7 @@ mod tests {
         let mut c = ch();
         c.activate(0, 1, 0);
         c.cas(0, AccessKind::Write, false, 12); // data 16..18
-        // Read CAS must wait until 18 + tCDLR(5) = 23.
+                                                // Read CAS must wait until 18 + tCDLR(5) = 23.
         assert!(!c.can_cas(0, AccessKind::Read, 22));
         assert!(c.can_cas(0, AccessKind::Read, 23));
     }
@@ -586,7 +586,10 @@ mod tests {
     fn tfaw_blocks_fifth_activation_in_window() {
         // A tFAW large enough to dominate the tRRD chain (4 × 6 = 24).
         let g = GpuConfig {
-            timings: DramTimings { t_faw: 60, ..DramTimings::default() },
+            timings: DramTimings {
+                t_faw: 60,
+                ..DramTimings::default()
+            },
             ..GpuConfig::default()
         };
         let mut c = Channel::new(&g);
@@ -612,7 +615,10 @@ mod tests {
     #[test]
     fn tccdl_separates_same_group_bursts() {
         let g = GpuConfig {
-            timings: DramTimings { t_ccdl: 4, ..DramTimings::default() },
+            timings: DramTimings {
+                t_ccdl: 4,
+                ..DramTimings::default()
+            },
             ..GpuConfig::default()
         };
         let mut c = Channel::new(&g);
@@ -629,7 +635,11 @@ mod tests {
     #[test]
     fn refresh_stalls_and_recurs() {
         let g = GpuConfig {
-            timings: DramTimings { t_refi: 100, t_rfc: 20, ..DramTimings::default() },
+            timings: DramTimings {
+                t_refi: 100,
+                t_rfc: 20,
+                ..DramTimings::default()
+            },
             ..GpuConfig::default()
         };
         let mut c = Channel::new(&g);
@@ -649,7 +659,11 @@ mod tests {
     #[test]
     fn refresh_requires_closed_banks() {
         let g = GpuConfig {
-            timings: DramTimings { t_refi: 10, t_rfc: 20, ..DramTimings::default() },
+            timings: DramTimings {
+                t_refi: 10,
+                t_rfc: 20,
+                ..DramTimings::default()
+            },
             ..GpuConfig::default()
         };
         let mut c = Channel::new(&g);

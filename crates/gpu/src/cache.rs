@@ -6,7 +6,6 @@
 //! it exposes [`Cache::nearest_resident`], the paper's "search in the nearby
 //! cache sets … use the values from cache lines with nearest addresses".
 
-
 use lazydram_common::snap::{Loader, Saver, SnapError, SnapResult};
 
 /// Result of a cache access.
@@ -71,8 +70,14 @@ impl Cache {
         let lines = total_bytes / line_bytes;
         assert_eq!(lines % ways, 0, "cache geometry must divide evenly");
         let num_sets = lines / ways;
-        assert!(num_sets.is_power_of_two(), "set count must be a power of two");
-        assert!(line_bytes.is_power_of_two(), "line size must be a power of two");
+        assert!(
+            num_sets.is_power_of_two(),
+            "set count must be a power of two"
+        );
+        assert!(
+            line_bytes.is_power_of_two(),
+            "line size must be a power of two"
+        );
         Self {
             sets: vec![Vec::with_capacity(ways); num_sets],
             ways,
@@ -124,7 +129,10 @@ impl Cache {
     pub fn lookup(&self, addr: u64) -> CacheSlot {
         let line = self.line_of(addr);
         let set = self.set_of(line);
-        CacheSlot { set, way: self.sets[set].iter().position(|w| w.line == line) }
+        CacheSlot {
+            set,
+            way: self.sets[set].iter().position(|w| w.line == line),
+        }
     }
 
     /// Applies the counter/recency effects of an access whose set scan was
@@ -181,11 +189,19 @@ impl Cache {
             }
         }
         if ways.len() < self.ways {
-            ways.push(Way { line, dirty, lru: tick });
+            ways.push(Way {
+                line,
+                dirty,
+                lru: tick,
+            });
             return None;
         }
         let old = ways[victim];
-        ways[victim] = Way { line, dirty, lru: tick };
+        ways[victim] = Way {
+            line,
+            dirty,
+            lru: tick,
+        };
         Some((old.line, old.dirty))
     }
 
@@ -357,7 +373,7 @@ mod tests {
         let mut c = small();
         c.fill(0x1000, false); // set (0x1000/128)%4 = 32%4 = 0
         c.fill(0x1080, false); // set 1
-        // Target 0x1100 (set 2): nearest is 0x1080 (dist 0x80) vs 0x1000 (0x100).
+                               // Target 0x1100 (set 2): nearest is 0x1080 (dist 0x80) vs 0x1000 (0x100).
         assert_eq!(c.nearest_resident(0x1100, 4), Some(0x1080));
         // Target equals a resident line → that line is excluded.
         assert_eq!(c.nearest_resident(0x1080, 4), Some(0x1000));
@@ -367,7 +383,7 @@ mod tests {
     fn nearest_resident_respects_radius() {
         let mut c = Cache::new(128 * 128, 1, 128); // 128 sets × 1 way
         c.fill(128 * 10, false); // set 10
-        // From set 0 with radius 4, set 10 is out of reach.
+                                 // From set 0 with radius 4, set 10 is out of reach.
         assert_eq!(c.nearest_resident(0, 4), None);
         assert_eq!(c.nearest_resident(0, 10), Some(1280));
     }

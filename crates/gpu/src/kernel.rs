@@ -14,7 +14,6 @@
 use crate::memimg::{push_lane, push_run, MemoryImage, Run};
 use lazydram_common::snap::{Loader, Saver, SnapResult};
 
-
 /// One operation issued by a warp — the *owned* reference representation.
 ///
 /// The hot path never materializes this enum: programs emit into a caller
@@ -201,7 +200,9 @@ impl OpBuf {
     pub fn begin_load(&mut self) -> LoadEmitter<'_> {
         self.kind = OpKind::Load;
         self.runs.clear();
-        LoadEmitter { runs: &mut self.runs }
+        LoadEmitter {
+            runs: &mut self.runs,
+        }
     }
 
     /// Starts a store: clears the run list and the values (capacity kept)
@@ -210,7 +211,10 @@ impl OpBuf {
         self.kind = OpKind::Store;
         self.runs.clear();
         self.values.clear();
-        StoreEmitter { runs: &mut self.runs, values: &mut self.values }
+        StoreEmitter {
+            runs: &mut self.runs,
+            values: &mut self.values,
+        }
     }
 
     /// Reconstructs the owned [`WarpOp`] this buffer holds (allocates; for
@@ -220,7 +224,11 @@ impl OpBuf {
             OpKind::Compute(n) => WarpOp::Compute(n),
             OpKind::Load => WarpOp::Load(self.runs.clone()),
             OpKind::Store => WarpOp::Store(
-                self.runs.iter().flat_map(|r| r.lanes()).zip(self.values.iter().copied()).collect(),
+                self.runs
+                    .iter()
+                    .flat_map(|r| r.lanes())
+                    .zip(self.values.iter().copied())
+                    .collect(),
             ),
             OpKind::Finished => WarpOp::Finished,
         }

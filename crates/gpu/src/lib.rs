@@ -46,11 +46,8 @@ pub use kernel::{
     application_error, apply_functional, lane_item, run_functional, run_launch_functional,
     run_warp_functional, Kernel, LoadEmitter, OpBuf, OpKind, StoreEmitter, WarpOp, WarpProgram,
 };
-pub use memimg::{MemoryImage, OverlayView, Run, LINE_BYTES, WORDS_PER_LINE};
 pub use lazydram_common::snap::{Loader, Saver, SnapError, SnapResult};
+pub use memimg::{MemoryImage, OverlayView, Run, LINE_BYTES, WORDS_PER_LINE};
 pub use noc::{DelayQueue, NocFull};
 pub use sim::{run_kernel, Checkpoint, RunOutcome, RunResult, SimLimits, Simulator};
-pub use trace::{
-    ReplayReport, Trace, TraceEntry, TraceError, TraceSim, DEFAULT_DRAIN_GRACE,
-};
-
+pub use trace::{ReplayReport, Trace, TraceEntry, TraceError, TraceSim, DEFAULT_DRAIN_GRACE};

@@ -92,7 +92,11 @@ impl Run {
     /// `words` consecutive words from byte address `base` on.
     #[inline]
     pub const fn contiguous(base: u64, words: u32) -> Self {
-        Self { base, words, stride: 4 }
+        Self {
+            base,
+            words,
+            stride: 4,
+        }
     }
 
     /// Byte address of the last lane.
@@ -763,7 +767,14 @@ mod tests {
         for i in 0..256u64 {
             push_lane(&mut runs, base + 4 + i * 8);
         }
-        assert_eq!(runs, vec![Run { base: base + 4, words: 256, stride: 8 }]);
+        assert_eq!(
+            runs,
+            vec![Run {
+                base: base + 4,
+                words: 256,
+                stride: 8
+            }]
+        );
         assert_eq!(runs[0].line_span(), (base, base + 15 * LINE_BYTES));
         let values: Vec<f32> = (0..256).map(|i| i as f32).collect();
         m.write_runs(&runs, &values);
@@ -775,7 +786,11 @@ mod tests {
         m.read_runs_into(&runs, &mut got);
         assert_eq!(got, values);
         // A repeated word is one stride-0 run; its last write wins.
-        let rep = [Run { base, words: 3, stride: 0 }];
+        let rep = [Run {
+            base,
+            words: 3,
+            stride: 0,
+        }];
         m.write_runs(&rep, &[1.0, 2.0, 3.0]);
         assert_eq!(m.read_f32(base), 3.0);
         m.read_runs_into(&rep, &mut got);
@@ -789,7 +804,14 @@ mod tests {
         m.write_f32(base, 1.0);
         m.write_f32(base + 4, 2.0);
         // Two overlay writes to the same address: the later one wins.
-        let runs = [Run { base, words: 2, stride: 8 }, Run::contiguous(base, 1)];
+        let runs = [
+            Run {
+                base,
+                words: 2,
+                stride: 8,
+            },
+            Run::contiguous(base, 1),
+        ];
         let values = [10.0f32, 30.0, 11.0];
         let v = OverlayView::new(&m, &runs, &values);
         assert_eq!(v.read_f32(base), 11.0);
@@ -800,7 +822,14 @@ mod tests {
         v.read_runs_into(&read, &mut got);
         assert_eq!(got, vec![11.0, 2.0, 30.0, 0.0]);
         // A stride-0 read repeats the patched word on every lane.
-        v.read_runs_into(&[Run { base, words: 3, stride: 0 }], &mut got);
+        v.read_runs_into(
+            &[Run {
+                base,
+                words: 3,
+                stride: 0,
+            }],
+            &mut got,
+        );
         assert_eq!(got, vec![11.0; 3]);
         // Empty overlay degenerates to the plain image.
         let plain = OverlayView::new(&m, &[], &[]);

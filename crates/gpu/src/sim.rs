@@ -79,8 +79,8 @@ use crate::kernel::Kernel;
 use crate::memimg::MemoryImage;
 use crate::noc::DelayQueue;
 use crate::slice::Slice;
+use crate::sm::{Reply, SliceReq, Sm, SmCtx, SmStage};
 use crate::trace::{Trace, TraceEntry};
-use crate::sm::{Reply, Sm, SmCtx, SliceReq, SmStage};
 use lazydram_common::prof::{self, Counter, Phase};
 use lazydram_common::snap::{digest, list_frames, FrameInfo, Loader, Saver, SnapError, SnapResult};
 use lazydram_common::{AddressMap, GpuConfig, SchedConfig, SimStats};
@@ -197,7 +197,8 @@ impl Checkpoint {
     /// The byte region after the `snap` header: a flat frame sequence.
     pub fn body(&self) -> &[u8] {
         let mut l = Loader::new(&self.data);
-        l.expect_header().expect("constructed checkpoints have a valid header");
+        l.expect_header()
+            .expect("constructed checkpoints have a valid header");
         &self.data[l.pos()..]
     }
 
@@ -344,7 +345,15 @@ impl SmDormancy {
     /// Decides whether phase A visits SM `i` this cycle and records it in
     /// `due`. `reply` says its reply-NoC head is ready; `grown` and `avail`
     /// come from [`SmDormancy::begin_cycle`].
-    fn visit(&mut self, i: usize, sm: &Sm, reply: bool, free0: &[usize], grown: u32, avail: u32) -> bool {
+    fn visit(
+        &mut self,
+        i: usize,
+        sm: &Sm,
+        reply: bool,
+        free0: &[usize],
+        grown: u32,
+        avail: u32,
+    ) -> bool {
         let row = i * self.channels..(i + 1) * self.channels;
         let mut woken = self.wait[i] & grown;
         while woken != 0 && self.asleep[i] {
@@ -966,7 +975,10 @@ impl Simulator {
         if l.pos() != bytes.len() {
             return Err(SnapError::Malformed {
                 label: "checkpoint".into(),
-                why: format!("{} trailing bytes after the last frame", bytes.len() - l.pos()),
+                why: format!(
+                    "{} trailing bytes after the last frame",
+                    bytes.len() - l.pos()
+                ),
             });
         }
         Ok(Restored {
@@ -997,7 +1009,13 @@ impl Simulator {
                 // Discard profiler totals left over from earlier work on
                 // this thread, as a fresh launch would.
                 let _ = prof::take();
-                (st.image, st.stats, st.trace, ck.launch_idx(), Some(st.machine))
+                (
+                    st.image,
+                    st.stats,
+                    st.trace,
+                    ck.launch_idx(),
+                    Some(st.machine),
+                )
             }
             None => (
                 MemoryImage::new(),
@@ -1111,8 +1129,18 @@ impl Simulator {
             if self.cycle_skipping && *core_cycle > 0 {
                 let _t_ff = prof::enter(Phase::FastForward);
                 let mut target = next_interesting_cycle(
-                    *core_cycle, limit, *acc, core_hz, mem_hz, *mem_time, compute_skipping,
-                    sms, slices, req_noc, reply_noc, mcs,
+                    *core_cycle,
+                    limit,
+                    *acc,
+                    core_hz,
+                    mem_hz,
+                    *mem_time,
+                    compute_skipping,
+                    sms,
+                    slices,
+                    req_noc,
+                    reply_noc,
+                    mcs,
                 );
                 if let Some(p) = pause {
                     // Never skip past the pause point: any prefix of a
@@ -1139,8 +1167,7 @@ impl Simulator {
                     // skipped span; the controllers see the exact same tick
                     // count (all of them no-ops) as the naive loop would
                     // have executed.
-                    let units =
-                        u128::from(*acc) + u128::from(skipped) * u128::from(mem_hz);
+                    let units = u128::from(*acc) + u128::from(skipped) * u128::from(mem_hz);
                     let mem_ticks = (units / u128::from(core_hz)) as u64;
                     *acc = (units % u128::from(core_hz)) as u64;
                     if mem_ticks > 0 {
@@ -1179,8 +1206,11 @@ impl Simulator {
                 free0.extend(req_noc.iter().map(|q| q.free()));
                 let (grown, avail) = dormancy.begin_cycle(&free0);
                 let mut skipped = 0u64;
-                for (i, ((sm, replies), stage)) in
-                    sms.iter_mut().zip(reply_noc.iter_mut()).zip(stages.iter_mut()).enumerate()
+                for (i, ((sm, replies), stage)) in sms
+                    .iter_mut()
+                    .zip(reply_noc.iter_mut())
+                    .zip(stages.iter_mut())
+                    .enumerate()
                 {
                     // Polling stamps the queue's cycle exactly as the empty
                     // `pop_ready` of a visit would.
@@ -1213,8 +1243,10 @@ impl Simulator {
             // B refills it in that same cycle.
             {
                 let _t = prof::enter(Phase::SmIssue);
-                for ((sm, stage), &due) in
-                    sms.iter_mut().zip(stages.iter_mut()).zip(dormancy.due.iter())
+                for ((sm, stage), &due) in sms
+                    .iter_mut()
+                    .zip(stages.iter_mut())
+                    .zip(dormancy.due.iter())
                 {
                     if !due {
                         debug_assert!(*next_warp >= total_warps || !sm.has_free_slot());
@@ -1246,8 +1278,10 @@ impl Simulator {
                     *mem_time += 1;
                     mem_ticks += 1;
                 }
-                for ((slice, mc), incoming) in
-                    slices.iter_mut().zip(mcs.iter_mut()).zip(req_noc.iter_mut())
+                for ((slice, mc), incoming) in slices
+                    .iter_mut()
+                    .zip(mcs.iter_mut())
+                    .zip(req_noc.iter_mut())
                 {
                     slice.tick(now, incoming, mc, image, map);
                     let _t = prof::enter(Phase::Controller);
@@ -1402,7 +1436,10 @@ fn next_interesting_cycle(
         };
         if ready > now + 1 {
             next = next.min(ready);
-        } else if q.peek().is_some_and(|req| slices[i].would_service(req, &mcs[i])) {
+        } else if q
+            .peek()
+            .is_some_and(|req| slices[i].would_service(req, &mcs[i]))
+        {
             return now + 1;
         }
         // A ready head the slice cannot service (controller backpressure)

@@ -443,10 +443,26 @@ impl Sm {
                 matches!(slot.state, WarpState::Computing { .. }),
             )
         };
-        self.issueable = if issueable { self.issueable | bit } else { self.issueable & !bit };
-        self.unsent = if unsent { self.unsent | bit } else { self.unsent & !bit };
-        self.stalled = if stalled { self.stalled | bit } else { self.stalled & !bit };
-        self.computing = if computing { self.computing | bit } else { self.computing & !bit };
+        self.issueable = if issueable {
+            self.issueable | bit
+        } else {
+            self.issueable & !bit
+        };
+        self.unsent = if unsent {
+            self.unsent | bit
+        } else {
+            self.unsent & !bit
+        };
+        self.stalled = if stalled {
+            self.stalled | bit
+        } else {
+            self.stalled & !bit
+        };
+        self.computing = if computing {
+            self.computing | bit
+        } else {
+            self.computing & !bit
+        };
     }
 
     pub fn l1(&self) -> &Cache {
@@ -735,7 +751,10 @@ impl Sm {
         slot.warp_id = warp_id;
         slot.state = WarpState::Ready;
         slot.store_parked = false;
-        debug_assert!(slot.last_loaded.capacity() == 0, "vacated slot holds a load buffer");
+        debug_assert!(
+            slot.last_loaded.capacity() == 0,
+            "vacated slot holds a load buffer"
+        );
         self.live_warps += 1;
         self.refresh_masks(idx);
     }
@@ -792,7 +811,12 @@ impl Sm {
             matches!(slot.state, WarpState::Waiting),
             "complete_load on non-waiting warp"
         );
-        let WarpSlot { state, last_loaded, wait, .. } = slot;
+        let WarpSlot {
+            state,
+            last_loaded,
+            wait,
+            ..
+        } = slot;
         take_load_buf(last_loaded, pool);
         if wait.approx.is_empty() {
             // Exact load: one line resolution per line each run touches,
@@ -1023,7 +1047,12 @@ impl Sm {
         // model several back-to-back load instructions kept in flight by
         // the scoreboard (intra-warp MLP).
         self.instructions += lane_count(runs).div_ceil(32) as u64;
-        let WarpSlot { state, wait, last_loaded, .. } = &mut self.slots[idx];
+        let WarpSlot {
+            state,
+            wait,
+            last_loaded,
+            ..
+        } = &mut self.slots[idx];
         if wait.pending.is_empty() {
             // Pure L1 hit: values available for the next issue of this warp,
             // assembled line-at-a-time into a pooled buffer. The overlay
@@ -1103,7 +1132,12 @@ impl Sm {
             }
         }
         if wait.pending.is_empty() {
-            Self::complete_load(slot, &mut self.load_pool, &view, &mut self.approximated_loads);
+            Self::complete_load(
+                slot,
+                &mut self.load_pool,
+                &view,
+                &mut self.approximated_loads,
+            );
         }
     }
 
@@ -1225,8 +1259,7 @@ impl Sm {
                 s.bool("store_parked", slot.store_parked);
                 // The wire format predates runs: a parked load is written
                 // as its expanded lane addresses.
-                let lane_addrs: Vec<u64> =
-                    slot.wait.runs.iter().flat_map(|r| r.lanes()).collect();
+                let lane_addrs: Vec<u64> = slot.wait.runs.iter().flat_map(|r| r.lanes()).collect();
                 s.u64s("lane_addrs", &lane_addrs);
                 s.u64s("pending", &slot.wait.pending);
                 s.u64s("unsent", &slot.wait.unsent);
@@ -1321,7 +1354,9 @@ impl Sm {
                 slot.warp_id = l.usize("warp_id")?;
                 slot.state = match l.u8("state")? {
                     0 => WarpState::Ready,
-                    1 => WarpState::Computing { left: l.u32("left")? },
+                    1 => WarpState::Computing {
+                        left: l.u32("left")?,
+                    },
                     2 => WarpState::Waiting,
                     3 => WarpState::Done,
                     x => {
@@ -1424,7 +1459,10 @@ mod tests {
             1
         }
         fn program(&self, _warp: usize) -> Box<dyn WarpProgram> {
-            Box::new(MiniProgram { base: self.base, step: 0 })
+            Box::new(MiniProgram {
+                base: self.base,
+                step: 0,
+            })
         }
         fn approximable(&self, _addr: u64) -> bool {
             true
@@ -1443,7 +1481,9 @@ mod tests {
         fn next(&mut self, loaded: &[f32], out: &mut OpBuf) {
             self.step += 1;
             match self.step {
-                1 => out.begin_load().extend((0..32u64).map(|i| self.base + i * 4)),
+                1 => out
+                    .begin_load()
+                    .extend((0..32u64).map(|i| self.base + i * 4)),
                 2 => out.begin_store().extend(
                     loaded
                         .iter()
@@ -1464,15 +1504,20 @@ mod tests {
         }
     }
 
-    fn setup() -> (Sm, MemoryImage, AddressMap, MiniKernel, Vec<DelayQueue<SliceReq>>) {
+    fn setup() -> (
+        Sm,
+        MemoryImage,
+        AddressMap,
+        MiniKernel,
+        Vec<DelayQueue<SliceReq>>,
+    ) {
         let cfg = GpuConfig::default();
         let sm = Sm::new(0, &cfg);
         let mut image = MemoryImage::new();
         let mut kernel = MiniKernel { base: 0 };
         kernel.setup(&mut image);
         let map = AddressMap::new(&cfg);
-        let noc: Vec<DelayQueue<SliceReq>> =
-            (0..6).map(|_| DelayQueue::new(0, 64, 8)).collect();
+        let noc: Vec<DelayQueue<SliceReq>> = (0..6).map(|_| DelayQueue::new(0, 64, 8)).collect();
         (sm, image, map, kernel, noc)
     }
 
@@ -1491,7 +1536,12 @@ mod tests {
         let mut stage = SmStage::new(noc.len());
         stage.begin_cycle(&free0);
         {
-            let mut ctx = SmCtx { image, map, kernel, stage: &mut stage };
+            let mut ctx = SmCtx {
+                image,
+                map,
+                kernel,
+                stage: &mut stage,
+            };
             sm.tick(&mut ctx);
         }
         if !stage.write_runs.is_empty() {
@@ -1522,7 +1572,13 @@ mod tests {
         let base = kernel.base;
         sm.dispatch(0, kernel.program(0));
         run_cycle(&mut sm, 1, &mut image, &map, &kernel, &mut noc);
-        sm.on_reply(Reply { line: base, values: None }, &image);
+        sm.on_reply(
+            Reply {
+                line: base,
+                values: None,
+            },
+            &image,
+        );
         run_cycle(&mut sm, 2, &mut image, &map, &kernel, &mut noc); // store issues
         run_cycle(&mut sm, 3, &mut image, &map, &kernel, &mut noc); // finish
         assert_eq!(image.read_f32(base + 128 + 4), 2.0);
@@ -1538,7 +1594,13 @@ mod tests {
         let base = kernel.base;
         sm.dispatch(0, kernel.program(0));
         run_cycle(&mut sm, 1, &mut image, &map, &kernel, &mut noc);
-        sm.on_reply(Reply { line: base, values: Some([7.0; 32]) }, &image);
+        sm.on_reply(
+            Reply {
+                line: base,
+                values: Some([7.0; 32]),
+            },
+            &image,
+        );
         run_cycle(&mut sm, 2, &mut image, &map, &kernel, &mut noc);
         run_cycle(&mut sm, 3, &mut image, &map, &kernel, &mut noc);
         // Stored values come from the prediction, not the image.
@@ -1576,7 +1638,9 @@ mod tests {
         let cfg = GpuConfig::default();
         let mut sm = Sm::new(0, &cfg);
         let mut image = MemoryImage::new();
-        let mut kernel = TwoWarps { inner: MiniKernel { base: 0 } };
+        let mut kernel = TwoWarps {
+            inner: MiniKernel { base: 0 },
+        };
         kernel.setup(&mut image);
         let map = AddressMap::new(&cfg);
         let mut noc: Vec<DelayQueue<SliceReq>> =
@@ -1588,7 +1652,13 @@ mod tests {
         let total: usize = noc.iter().map(|q| q.len()).sum();
         assert_eq!(total, 1, "second warp's identical line must merge");
         let base = kernel.inner.base;
-        sm.on_reply(Reply { line: base, values: None }, &image);
+        sm.on_reply(
+            Reply {
+                line: base,
+                values: None,
+            },
+            &image,
+        );
         run_cycle(&mut sm, 2, &mut image, &map, &kernel, &mut noc);
         run_cycle(&mut sm, 3, &mut image, &map, &kernel, &mut noc);
         assert_eq!(sm.live_warps(), 0, "both warps must complete");
@@ -1599,17 +1669,28 @@ mod tests {
         let (mut sm, mut image, map, kernel, _) = setup();
         let base = kernel.base;
         // Tiny NoC with no room.
-        let mut noc: Vec<DelayQueue<SliceReq>> =
-            (0..6).map(|_| DelayQueue::new(0, 1, 1)).collect();
+        let mut noc: Vec<DelayQueue<SliceReq>> = (0..6).map(|_| DelayQueue::new(0, 1, 1)).collect();
         for q in noc.iter_mut() {
-            q.push(0, SliceReq { sm: 9, line: 0, write: false, approximable: false }).unwrap();
+            q.push(
+                0,
+                SliceReq {
+                    sm: 9,
+                    line: 0,
+                    write: false,
+                    approximable: false,
+                },
+            )
+            .unwrap();
         }
         sm.dispatch(0, kernel.program(0));
         run_cycle(&mut sm, 1, &mut image, &map, &kernel, &mut noc);
         // The load issues (instruction retired) but its miss request cannot
         // leave yet: no MSHR is allocated, the line sits in `unsent`.
         assert_eq!(sm.instructions, 1, "load issues despite backpressure");
-        assert!(sm.mshr.is_empty(), "no MSHR allocated while the NoC is full");
+        assert!(
+            sm.mshr.is_empty(),
+            "no MSHR allocated while the NoC is full"
+        );
         // Free the queue; the deferred request drains on a later tick.
         for q in noc.iter_mut() {
             let _ = q.pop_ready(1);
@@ -1744,19 +1825,29 @@ mod tests {
 
         let sm = build_sm(&[SlotSpec::Computing(3), SlotSpec::Empty], 2, 0);
         assert_eq!(sm.next_external_event(5), Some(5 + 3 + 1));
-        assert!(sm.has_work(), "a computing SM still has work for the naive loop");
+        assert!(
+            sm.has_work(),
+            "a computing SM still has work for the naive loop"
+        );
 
         let mut sm = build_sm(&[SlotSpec::Computing(3)], 2, 0);
         sm.slots[0].state = WarpState::Ready;
         sm.refresh_masks(0);
-        assert_eq!(sm.next_external_event(5), Some(6), "Ready warps need a real tick");
+        assert_eq!(
+            sm.next_external_event(5),
+            Some(6),
+            "Ready warps need a real tick"
+        );
     }
 
     #[test]
     fn advance_compute_is_a_noop_without_computing_warps() {
         let mut sm = build_sm(&[SlotSpec::Waiting, SlotSpec::Parked], 2, 0);
         let before = state_bytes(&sm);
-        assert!(!sm.advance_compute(1000), "idle spans are not compute-skips");
+        assert!(
+            !sm.advance_compute(1000),
+            "idle spans are not compute-skips"
+        );
         assert_eq!(state_bytes(&sm), before);
     }
 
@@ -1782,7 +1873,10 @@ mod tests {
             }
             fn program(&self, warp: usize) -> Box<dyn WarpProgram> {
                 // Warp 0 loads lines 0-1, warp 1 loads lines 2-3.
-                Box::new(MiniProgram { base: self.base + warp as u64 * 256, step: 0 })
+                Box::new(MiniProgram {
+                    base: self.base + warp as u64 * 256,
+                    step: 0,
+                })
             }
             fn approximable(&self, _addr: u64) -> bool {
                 false
@@ -1796,7 +1890,10 @@ mod tests {
         // two warps with one miss line each, plus a third line to create a
         // backlog. Use 1 MSHR so warp 1's line cannot send while warp 0's
         // miss is in flight.
-        let cfg = GpuConfig { l1_mshrs: 1, ..GpuConfig::default() };
+        let cfg = GpuConfig {
+            l1_mshrs: 1,
+            ..GpuConfig::default()
+        };
         let mut sm = Sm::new(0, &cfg);
         let mut image = MemoryImage::new();
         let mut kernel = WideKernel { base: 0 };
@@ -1814,7 +1911,13 @@ mod tests {
         // Point the drain cursor *past* the blocked slot: the rotated scan
         // must wrap around and still find it once capacity frees up.
         sm.drain_rr = 7;
-        sm.on_reply(Reply { line: kernel.base, values: None }, &image);
+        sm.on_reply(
+            Reply {
+                line: kernel.base,
+                values: None,
+            },
+            &image,
+        );
         run_cycle(&mut sm, 2, &mut image, &map, &kernel, &mut noc);
         assert!(
             sm.mshr.contains_key(&(kernel.base + 256)),
@@ -1823,7 +1926,10 @@ mod tests {
         assert_eq!(sm.unsent, 0, "warp 1's single line drained fully");
         // A drain that *stays* blocked records its slot as the resume
         // point. Refill the MSHR pressure via a third resident warp.
-        assert_eq!(sm.drain_rr, 7, "a fully drained scan leaves the cursor alone");
+        assert_eq!(
+            sm.drain_rr, 7,
+            "a fully drained scan leaves the cursor alone"
+        );
     }
 
     /// The per-lane coalescer the run coalescer replaced, kept as the
@@ -1889,14 +1995,14 @@ mod tests {
             lines
         };
         let cases: Vec<Vec<u64>> = vec![
-            (0..64u64).map(|i| i * 4).collect(),              // rising, dense
-            (0..64u64).rev().map(|i| i * 4).collect(),        // falling
-            (0..32u64).map(|i| 4096 + i * 128).collect(),     // rising, strided
-            vec![100, 100, 100],                              // constant
-            vec![0, 300, 40, 700, 40, 0],                     // non-monotone
-            vec![5000],                                       // single
-            vec![],                                           // empty
-            (0..48u64).map(|i| (i * 37) % 1024).collect(),    // scrambled
+            (0..64u64).map(|i| i * 4).collect(),           // rising, dense
+            (0..64u64).rev().map(|i| i * 4).collect(),     // falling
+            (0..32u64).map(|i| 4096 + i * 128).collect(),  // rising, strided
+            vec![100, 100, 100],                           // constant
+            vec![0, 300, 40, 700, 40, 0],                  // non-monotone
+            vec![5000],                                    // single
+            vec![],                                        // empty
+            (0..48u64).map(|i| (i * 37) % 1024).collect(), // scrambled
             (0..40u64).map(|i| 96 + i * 4).chain([0, 4]).collect(), // cross, then back
         ];
         for addrs in cases {
@@ -1977,12 +2083,22 @@ mod tests {
         assert_eq!(slots, 48);
         let region = image.alloc(slots * WORDS);
         let buffers = |sm: &Sm| {
-            sm.load_pool.len() + sm.slots.iter().filter(|s| s.last_loaded.capacity() > 0).count()
+            sm.load_pool.len()
+                + sm.slots
+                    .iter()
+                    .filter(|s| s.last_loaded.capacity() > 0)
+                    .count()
         };
         let mut now = 0;
         for w in 0..slots {
             let base = region + (w as u64) * WORDS as u64 * 4;
-            sm.dispatch(w, Box::new(LoadThenCompute { base, loaded: false }));
+            sm.dispatch(
+                w,
+                Box::new(LoadThenCompute {
+                    base,
+                    loaded: false,
+                }),
+            );
             // Nothing drains the request NoC here; a fresh one per warp
             // keeps every warp's requests from backing up behind the last.
             let mut noc: Vec<DelayQueue<SliceReq>> =
@@ -2004,15 +2120,26 @@ mod tests {
                     run_cycle(&mut sm, now, &mut image, &map, &kernel, &mut noc);
                 }
             }
-            assert!(matches!(sm.slots[w].state, WarpState::Ready), "warp {w} load incomplete");
-            assert_eq!(buffers(&sm), 1, "warp {w}: completed load holds the one buffer");
+            assert!(
+                matches!(sm.slots[w].state, WarpState::Ready),
+                "warp {w} load incomplete"
+            );
+            assert_eq!(
+                buffers(&sm),
+                1,
+                "warp {w}: completed load holds the one buffer"
+            );
             while !matches!(sm.slots[w].state, WarpState::Computing { .. }) {
                 now += 1;
                 run_cycle(&mut sm, now, &mut image, &map, &kernel, &mut noc);
             }
         }
         assert_eq!(sm.live_warps(), slots);
-        assert_eq!(sm.load_pool.len(), 1, "one pooled buffer after 48 consumed loads");
+        assert_eq!(
+            sm.load_pool.len(),
+            1,
+            "one pooled buffer after 48 consumed loads"
+        );
         assert!(sm.load_pool[0].capacity() >= WORDS);
         assert!(sm.slots.iter().all(|s| s.last_loaded.capacity() == 0));
     }
@@ -2060,7 +2187,14 @@ mod tests {
         let (mut sm, mut image, map, kernel, mut noc) = setup();
         let input = image.alloc(2 * ITEMS as usize);
         let output = image.alloc(2 * ITEMS as usize);
-        sm.dispatch(0, Box::new(StoreThenLoad { input, output, step: 0 }));
+        sm.dispatch(
+            0,
+            Box::new(StoreThenLoad {
+                input,
+                output,
+                step: 0,
+            }),
+        );
         let mut now = 0;
         while !matches!(sm.slots[0].state, WarpState::Waiting) {
             now += 1;
@@ -2078,7 +2212,10 @@ mod tests {
         let bytes = slot.wait.runs.capacity() * run
             + slot.store.runs.capacity() * run
             + slot.store.values.capacity() * std::mem::size_of::<f32>();
-        assert!(bytes <= 1229, "slot run and store bookkeeping is {bytes} B, over 1.2 KiB");
+        assert!(
+            bytes <= 1229,
+            "slot run and store bookkeeping is {bytes} B, over 1.2 KiB"
+        );
     }
 
     mod coalesce_props {
@@ -2149,7 +2286,8 @@ mod tests {
         fn order_pieces(pieces: &[Piece], order: u8) -> Vec<Piece> {
             let mut v: Vec<Piece> = pieces.to_vec();
             if order >= 3 {
-                v.iter_mut().for_each(|p| *p = Piece::Run((p.first() - 0x10_0000) / 4 - WINDOW, 1));
+                v.iter_mut()
+                    .for_each(|p| *p = Piece::Run((p.first() - 0x10_0000) / 4 - WINDOW, 1));
             }
             match order {
                 0 | 3 => v.sort_by_key(|p| p.first()),
@@ -2182,7 +2320,9 @@ mod tests {
 
         /// Runs that contiguous-only merging would build for `lanes`.
         fn contiguous_runs(lanes: &[u64]) -> usize {
-            (0..lanes.len()).filter(|&i| i == 0 || lanes[i] != lanes[i - 1] + 4).count()
+            (0..lanes.len())
+                .filter(|&i| i == 0 || lanes[i] != lanes[i - 1] + 4)
+                .count()
         }
 
         /// Words from the image base past the highest lane a piece reaches.

@@ -102,12 +102,20 @@ pub enum TraceError {
 impl std::fmt::Display for TraceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Self::OutOfOrder { index, prev_cycle, cycle } => write!(
+            Self::OutOfOrder {
+                index,
+                prev_cycle,
+                cycle,
+            } => write!(
                 f,
                 "trace entry {index} at cycle {cycle} precedes its predecessor at cycle \
                  {prev_cycle}; the trace is not time-ordered"
             ),
-            Self::BadChannel { index, channel, channels } => write!(
+            Self::BadChannel {
+                index,
+                channel,
+                channels,
+            } => write!(
                 f,
                 "trace entry {index} targets channel {channel} but the replay machine has \
                  only {channels} channels"
@@ -192,11 +200,19 @@ impl Trace {
         let mut prev_cycle = 0u64;
         for (index, e) in self.entries.iter().enumerate() {
             if e.cycle < prev_cycle {
-                return Err(TraceError::OutOfOrder { index, prev_cycle, cycle: e.cycle });
+                return Err(TraceError::OutOfOrder {
+                    index,
+                    prev_cycle,
+                    cycle: e.cycle,
+                });
             }
             prev_cycle = e.cycle;
             if usize::from(e.channel) >= channels {
-                return Err(TraceError::BadChannel { index, channel: e.channel, channels });
+                return Err(TraceError::BadChannel {
+                    index,
+                    channel: e.channel,
+                    channels,
+                });
             }
         }
         Ok(())
@@ -281,12 +297,14 @@ impl Trace {
     pub fn from_bytes(bytes: &[u8], cfg: &GpuConfig) -> Result<Self, TraceError> {
         let mut l = Loader::new(bytes);
         l.expect_header()?;
-        let (geometry, declared) = l.frame("tmta", 0, |l| {
-            Ok((l.u64("geometry")?, l.u64("entries")?))
-        })?;
+        let (geometry, declared) =
+            l.frame("tmta", 0, |l| Ok((l.u64("geometry")?, l.u64("entries")?)))?;
         let machine = Self::stream_digest(cfg);
         if geometry != machine {
-            return Err(TraceError::ConfigMismatch { trace: geometry, machine });
+            return Err(TraceError::ConfigMismatch {
+                trace: geometry,
+                machine,
+            });
         }
         let mut trace = Self::new();
         l.frame("trc", 0, |l| trace.load_state(l))?;
@@ -371,7 +389,10 @@ impl ReplayReport {
     /// [`TraceError::Unserved`] when any recorded request was left behind.
     pub fn complete(self) -> Result<Self, TraceError> {
         if self.unserved > 0 {
-            Err(TraceError::Unserved { served: self.served, unserved: self.unserved })
+            Err(TraceError::Unserved {
+                served: self.served,
+                unserved: self.unserved,
+            })
         } else {
             Ok(self)
         }
@@ -395,7 +416,11 @@ pub struct TraceSim {
 impl TraceSim {
     /// A replayer for `cfg`'s memory system under scheduling policy `sched`.
     pub fn new(cfg: &GpuConfig, sched: &SchedConfig) -> Self {
-        Self { cfg: cfg.clone(), sched: sched.clone(), drain_grace: DEFAULT_DRAIN_GRACE }
+        Self {
+            cfg: cfg.clone(),
+            sched: sched.clone(),
+            drain_grace: DEFAULT_DRAIN_GRACE,
+        }
     }
 
     /// Overrides the drain budget: how many memory cycles without forward
@@ -556,10 +581,13 @@ mod tests {
             }
         }
         let base = trace.replay(&cfg, &SchedConfig::baseline());
-        let dms = trace.replay(&cfg, &SchedConfig {
-            dms: DmsMode::Static(256),
-            ..SchedConfig::baseline()
-        });
+        let dms = trace.replay(
+            &cfg,
+            &SchedConfig {
+                dms: DmsMode::Static(256),
+                ..SchedConfig::baseline()
+            },
+        );
         assert!(
             dms.dram.activations < base.dram.activations,
             "DMS {} vs base {}",
@@ -580,12 +608,13 @@ mod tests {
     fn validate_rejects_out_of_order_entries() {
         let cfg = GpuConfig::default();
         let map = AddressMap::new(&cfg);
-        let trace = Trace::from_entries(vec![
-            entry(&map, 0, 100, 0),
-            entry(&map, 1, 50, 512),
-        ]);
+        let trace = Trace::from_entries(vec![entry(&map, 0, 100, 0), entry(&map, 1, 50, 512)]);
         match trace.validate(cfg.num_channels) {
-            Err(TraceError::OutOfOrder { index: 1, prev_cycle: 100, cycle: 50 }) => {}
+            Err(TraceError::OutOfOrder {
+                index: 1,
+                prev_cycle: 100,
+                cycle: 50,
+            }) => {}
             other => panic!("expected OutOfOrder, got {other:?}"),
         }
         // The Result-returning replayer surfaces the same error...
@@ -600,10 +629,7 @@ mod tests {
     fn strict_replay_panics_on_out_of_order_entries() {
         let cfg = GpuConfig::default();
         let map = AddressMap::new(&cfg);
-        let trace = Trace::from_entries(vec![
-            entry(&map, 0, 100, 0),
-            entry(&map, 1, 50, 512),
-        ]);
+        let trace = Trace::from_entries(vec![entry(&map, 0, 100, 0), entry(&map, 1, 50, 512)]);
         let _ = trace.replay(&cfg, &SchedConfig::baseline());
     }
 
@@ -659,10 +685,16 @@ mod tests {
             bad.request.arrival = 987_654_321 + i;
             poisoned.push(bad);
         }
-        let sched = SchedConfig { dms: DmsMode::Static(256), ..SchedConfig::baseline() };
+        let sched = SchedConfig {
+            dms: DmsMode::Static(256),
+            ..SchedConfig::baseline()
+        };
         let a = Trace::from_entries(clean).replay(&cfg, &sched);
         let b = Trace::from_entries(poisoned).replay(&cfg, &sched);
-        assert_eq!(a.dram, b.dram, "recorded arrivals must not leak into replay");
+        assert_eq!(
+            a.dram, b.dram,
+            "recorded arrivals must not leak into replay"
+        );
     }
 
     #[test]
@@ -687,13 +719,19 @@ mod tests {
         let map = AddressMap::new(&cfg);
         let trace = Trace::from_entries(vec![entry(&map, 0, 0, 0)]);
         let bytes = trace.to_bytes(&cfg);
-        let other = GpuConfig { num_channels: 4, ..GpuConfig::default() };
+        let other = GpuConfig {
+            num_channels: 4,
+            ..GpuConfig::default()
+        };
         assert!(matches!(
             Trace::from_bytes(&bytes, &other),
             Err(TraceError::ConfigMismatch { .. })
         ));
         // ... but sweep-varied knobs (queue size, timings) stay compatible.
-        let swept = GpuConfig { pending_queue_size: 16, ..GpuConfig::default() };
+        let swept = GpuConfig {
+            pending_queue_size: 16,
+            ..GpuConfig::default()
+        };
         assert!(Trace::from_bytes(&bytes, &swept).is_ok());
     }
 
@@ -712,9 +750,18 @@ mod tests {
     #[test]
     fn stream_digest_tracks_geometry_not_sweep_knobs() {
         let base = GpuConfig::default();
-        let queue = GpuConfig { pending_queue_size: 16, ..GpuConfig::default() };
-        let sms = GpuConfig { num_sms: 4, ..GpuConfig::default() };
-        let chans = GpuConfig { num_channels: 4, ..GpuConfig::default() };
+        let queue = GpuConfig {
+            pending_queue_size: 16,
+            ..GpuConfig::default()
+        };
+        let sms = GpuConfig {
+            num_sms: 4,
+            ..GpuConfig::default()
+        };
+        let chans = GpuConfig {
+            num_channels: 4,
+            ..GpuConfig::default()
+        };
         assert_eq!(Trace::stream_digest(&base), Trace::stream_digest(&queue));
         assert_eq!(Trace::stream_digest(&base), Trace::stream_digest(&sms));
         assert_ne!(Trace::stream_digest(&base), Trace::stream_digest(&chans));

@@ -11,7 +11,10 @@ struct ModelCache {
 
 impl ModelCache {
     fn new(sets: usize, ways: usize) -> Self {
-        Self { sets: vec![Vec::new(); sets], ways }
+        Self {
+            sets: vec![Vec::new(); sets],
+            ways,
+        }
     }
     fn set_of(&self, line: u64) -> usize {
         ((line / 128) % self.sets.len() as u64) as usize

@@ -31,7 +31,8 @@ struct SynthProgram {
 
 impl SynthProgram {
     fn lane_addr(&self, lane: u64) -> u64 {
-        let idx = (self.warp_id * 131 + u64::from(self.round) * self.stride + lane * 7) % self.words;
+        let idx =
+            (self.warp_id * 131 + u64::from(self.round) * self.stride + lane * 7) % self.words;
         self.base + idx * 4
     }
 }

@@ -37,7 +37,10 @@ impl ModelImage {
 
     fn read_line(&self, addr: u64) -> [f32; WORDS_PER_LINE] {
         let line = addr & !(LINE_BYTES - 1);
-        self.lines.get(&line).copied().unwrap_or([0.0; WORDS_PER_LINE])
+        self.lines
+            .get(&line)
+            .copied()
+            .unwrap_or([0.0; WORDS_PER_LINE])
     }
 }
 
@@ -88,11 +91,19 @@ fn check_equivalence(seed: u64, ops: usize) {
             }
             5..=7 => {
                 let addr = draw_addr(&mut rng, &regions);
-                assert_eq!(img.read_f32(addr), model.read(addr), "read_f32 at {addr:#x}");
+                assert_eq!(
+                    img.read_f32(addr),
+                    model.read(addr),
+                    "read_f32 at {addr:#x}"
+                );
             }
             8 => {
                 let addr = draw_addr(&mut rng, &regions);
-                assert_eq!(img.read_line(addr), model.read_line(addr), "read_line at {addr:#x}");
+                assert_eq!(
+                    img.read_line(addr),
+                    model.read_line(addr),
+                    "read_line at {addr:#x}"
+                );
             }
             9 | 10 => {
                 // Run read of push-merged lanes, with the warp-typical
@@ -121,7 +132,11 @@ fn check_equivalence(seed: u64, ops: usize) {
                 let overlay: Vec<(u64, f32)> = (0..rng.next_u64() % 6)
                     .map(|i| {
                         let at = addrs[(rng.next_u64() % n as u64) as usize];
-                        let addr = if i % 3 == 2 { draw_addr(&mut rng, &regions) } else { at };
+                        let addr = if i % 3 == 2 {
+                            draw_addr(&mut rng, &regions)
+                        } else {
+                            at
+                        };
                         (addr, -1000.0 - i as f32)
                     })
                     .collect();
@@ -134,7 +149,10 @@ fn check_equivalence(seed: u64, ops: usize) {
                     .iter()
                     .map(|&a| latest(a).map_or(model.read(a), |&(_, v)| v))
                     .collect();
-                assert_eq!(scratch, expect, "overlay read_runs_into {addrs:?} over {overlay:?}");
+                assert_eq!(
+                    scratch, expect,
+                    "overlay read_runs_into {addrs:?} over {overlay:?}"
+                );
                 let per_lane: Vec<f32> = addrs.iter().map(|&a| view.read_f32(a)).collect();
                 assert_eq!(scratch, per_lane, "overlay read_runs_into vs read_f32");
             }
@@ -165,8 +183,7 @@ fn check_equivalence(seed: u64, ops: usize) {
                 let base = draw_addr(&mut rng, &regions);
                 let n = (rng.next_u64() % 200) as usize;
                 img.read_slice_into(base, n, &mut scratch);
-                let expect: Vec<f32> =
-                    (0..n as u64).map(|i| model.read(base + i * 4)).collect();
+                let expect: Vec<f32> = (0..n as u64).map(|i| model.read(base + i * 4)).collect();
                 assert_eq!(scratch, expect, "read_slice_into at {base:#x} x{n}");
             }
             14 => {
@@ -189,7 +206,11 @@ fn check_equivalence(seed: u64, ops: usize) {
             }
         }
     }
-    assert_eq!(img.resident_lines(), model.lines.len(), "final resident_lines");
+    assert_eq!(
+        img.resident_lines(),
+        model.lines.len(),
+        "final resident_lines"
+    );
 }
 
 proptest! {
@@ -216,10 +237,18 @@ fn long_run_with_forced_migration() {
     // ...then allocate over them, forcing spill → arena migration.
     let base = img.alloc(64 * 1024);
     assert_eq!(base, 0x10_0000);
-    assert_eq!(img.resident_lines(), model.lines.len(), "migration must not change accounting");
+    assert_eq!(
+        img.resident_lines(),
+        model.lines.len(),
+        "migration must not change accounting"
+    );
     for i in 0..200u64 {
         let addr = (0x10_0000 + i * 260) & !3;
-        assert_eq!(img.read_f32(addr), model.read(addr), "post-migration value at {addr:#x}");
+        assert_eq!(
+            img.read_f32(addr),
+            model.read(addr),
+            "post-migration value at {addr:#x}"
+        );
     }
     check_equivalence(0xD5_2019, 600);
 }

@@ -30,7 +30,11 @@ fn build_trace(cfg: &GpuConfig, n: usize, seed: u64, gap: u64) -> Trace {
                 id: RequestId(i as u64),
                 addr,
                 loc: map.decompose(addr),
-                kind: if state & 0x1_0000 == 0 { AccessKind::Read } else { AccessKind::Write },
+                kind: if state & 0x1_0000 == 0 {
+                    AccessKind::Read
+                } else {
+                    AccessKind::Write
+                },
                 space: MemSpace::Global,
                 approximable: state & 0x2_0000 != 0,
                 arrival: state, // junk on purpose: replay must restamp
@@ -43,7 +47,10 @@ fn build_trace(cfg: &GpuConfig, n: usize, seed: u64, gap: u64) -> Trace {
 fn scheme(pick: u8) -> SchedConfig {
     match pick % 4 {
         0 => SchedConfig::baseline(),
-        1 => SchedConfig { dms: DmsMode::Static(512), ..SchedConfig::baseline() },
+        1 => SchedConfig {
+            dms: DmsMode::Static(512),
+            ..SchedConfig::baseline()
+        },
         2 => SchedConfig {
             ams: AmsMode::Static(4),
             ams_warmup_requests: 0,

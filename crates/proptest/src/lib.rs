@@ -281,7 +281,10 @@ pub mod prop {
         impl From<std::ops::Range<usize>> for SizeRange {
             fn from(r: std::ops::Range<usize>) -> Self {
                 assert!(r.start < r.end, "empty size range");
-                Self { lo: r.start, hi: r.end }
+                Self {
+                    lo: r.start,
+                    hi: r.end,
+                }
             }
         }
 
@@ -308,7 +311,10 @@ pub mod prop {
 
         /// `vec(element, len_range)`: vectors with length drawn from the range.
         pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S> {
-            VecStrategy { element, size: size.into() }
+            VecStrategy {
+                element,
+                size: size.into(),
+            }
         }
     }
 }

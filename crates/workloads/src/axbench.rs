@@ -245,7 +245,8 @@ pub fn jmeint(items: usize) -> MapApp {
                 (dx * dx + dy * dy + dz * dz).sqrt()
             })
             .fold(0.0f32, f32::max);
-        let d = ((c1[0] - c2[0]).powi(2) + (c1[1] - c2[1]).powi(2) + (c1[2] - c2[2]).powi(2)).sqrt();
+        let d =
+            ((c1[0] - c2[0]).powi(2) + (c1[1] - c2[1]).powi(2) + (c1[2] - c2[2]).powi(2)).sqrt();
         out.push(if d <= r1 + r2 { 1.0 } else { 0.0 });
     }
     MapApp {

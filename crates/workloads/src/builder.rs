@@ -104,7 +104,10 @@ pub struct CachePolicy {
 impl CachePolicy {
     /// A policy over `dir` in the given mode.
     pub fn new(dir: impl Into<PathBuf>, mode: CacheMode) -> Self {
-        Self { dir: dir.into(), mode }
+        Self {
+            dir: dir.into(),
+            mode,
+        }
     }
 }
 
@@ -245,7 +248,9 @@ impl SimBuilder {
 
     /// Finalizes the configuration into a runnable [`SimRun`].
     pub fn build(self) -> SimRun {
-        let preset = DramPreset::ALL.into_iter().find(|p| p.gpu_config() == self.cfg);
+        let preset = DramPreset::ALL
+            .into_iter()
+            .find(|p| p.gpu_config() == self.cfg);
         let mut sim = Simulator::new(self.cfg, self.sched)
             .with_limits(self.limits)
             .with_trace_capture(self.trace)
@@ -328,13 +333,15 @@ impl SimRun {
 
     /// Resumes a checkpoint until `pause_at` total core cycles.
     pub fn resume_until(&self, ck: &Checkpoint, pause_at: u64) -> SnapResult<RunOutcome> {
-        self.sim.resume_sequence_until(&mut self.launches(), ck, pause_at)
+        self.sim
+            .resume_sequence_until(&mut self.launches(), ck, pause_at)
     }
 
     /// Labeled `(field path, value)` dump of a checkpoint's full state —
     /// the component-level diff source for `dbg_diverge`.
     pub fn checkpoint_fields(&self, ck: &Checkpoint) -> SnapResult<Vec<(String, String)>> {
-        self.sim.checkpoint_fields_sequence(&mut self.launches(), ck)
+        self.sim
+            .checkpoint_fields_sequence(&mut self.launches(), ck)
     }
 }
 
@@ -375,7 +382,10 @@ mod tests {
         assert_ne!(
             d,
             base.clone()
-                .gpu(GpuConfig { pending_queue_size: 16, ..GpuConfig::default() })
+                .gpu(GpuConfig {
+                    pending_queue_size: 16,
+                    ..GpuConfig::default()
+                })
                 .cell_digest()
         );
         // scheme() and an equivalent sched() agree (same policy, same label).
@@ -418,8 +428,14 @@ mod tests {
             seen.push(dp);
         }
         // A run knows its preset; a hand-built machine matches none.
-        assert_eq!(base.clone().preset(DramPreset::Naive).build().preset(), Some(DramPreset::Naive));
-        let odd = GpuConfig { pending_queue_size: 16, ..GpuConfig::default() };
+        assert_eq!(
+            base.clone().preset(DramPreset::Naive).build().preset(),
+            Some(DramPreset::Naive)
+        );
+        let odd = GpuConfig {
+            pending_queue_size: 16,
+            ..GpuConfig::default()
+        };
         assert_eq!(base.gpu(odd).build().preset(), None);
     }
 

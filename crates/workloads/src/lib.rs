@@ -39,4 +39,6 @@ pub mod suite;
 pub mod util;
 
 pub use builder::{parse_backend, parse_cache_mode, CacheMode, CachePolicy, SimBuilder, SimRun};
-pub use suite::{by_name, exact_output, group, run_app, run_app_limited, suite as all_apps, AppSpec};
+pub use suite::{
+    by_name, exact_output, group, run_app, run_app_limited, suite as all_apps, AppSpec,
+};

@@ -10,7 +10,9 @@
 //! through a shared cell, exactly like consecutive CUDA kernel launches
 //! share device pointers.
 
-use crate::programs::{MatVecConfig, MatVecOrientation, MatVecProgram, MatmulConfig, MatmulProgram, LANES};
+use crate::programs::{
+    MatVecConfig, MatVecOrientation, MatVecProgram, MatmulConfig, MatmulProgram, LANES,
+};
 use crate::util::Region;
 use lazydram_gpu::{Kernel, MemoryImage, WarpProgram};
 use std::cell::RefCell;
@@ -78,12 +80,26 @@ impl Gemm {
         seed: u64,
         range: (f32, f32),
     ) -> Self {
-        Self { n, name, range, st, allocates: true, seed }
+        Self {
+            n,
+            name,
+            range,
+            st,
+            allocates: true,
+            seed,
+        }
     }
 
     /// A launch over pre-existing arrays (later launches of 2MM/3MM).
     pub(crate) fn launch_over(name: &'static str, n: usize, st: Shared<GemmArrays>) -> Self {
-        Self { n, name, range: (0.0, 1.0), st, allocates: false, seed: 0 }
+        Self {
+            n,
+            name,
+            range: (0.0, 1.0),
+            st,
+            allocates: false,
+            seed: 0,
+        }
     }
 }
 
@@ -170,7 +186,13 @@ pub fn two_mm(n: usize) -> Vec<Box<dyn Kernel>> {
         }
     }
     vec![
-        Box::new(Gemm::launch_fresh("2MM", n, st1.clone(), 0x2A11, (-1.0, 1.0))),
+        Box::new(Gemm::launch_fresh(
+            "2MM",
+            n,
+            st1.clone(),
+            0x2A11,
+            (-1.0, 1.0),
+        )),
         Box::new(Wire {
             inner: Gemm::launch_over("2MM", n, st2),
             from: st1,
@@ -215,8 +237,20 @@ pub fn three_mm(n: usize) -> Vec<Box<dyn Kernel>> {
         }
     }
     vec![
-        Box::new(Gemm::launch_fresh("3MM", n, st1.clone(), 0x3A11, (0.1, 1.1))),
-        Box::new(Gemm::launch_fresh("3MM", n, st2.clone(), 0x3A21, (0.1, 1.1))),
+        Box::new(Gemm::launch_fresh(
+            "3MM",
+            n,
+            st1.clone(),
+            0x3A11,
+            (0.1, 1.1),
+        )),
+        Box::new(Gemm::launch_fresh(
+            "3MM",
+            n,
+            st2.clone(),
+            0x3A21,
+            (0.1, 1.1),
+        )),
         Box::new(Join {
             inner: Gemm::launch_over("3MM", n, st3),
             left: st1,
@@ -280,7 +314,11 @@ impl Kernel for MvLaunch {
 
     fn program(&self, warp_id: usize) -> Box<dyn WarpProgram> {
         let st = self.st.borrow();
-        let (x, y) = if self.second { (st.x2, st.y2) } else { (st.x1, st.y1) };
+        let (x, y) = if self.second {
+            (st.x2, st.y2)
+        } else {
+            (st.x1, st.y1)
+        };
         Box::new(MatVecProgram::new(
             warp_id,
             MatVecConfig {

@@ -138,7 +138,12 @@ impl WarpProgram for MapProgram {
             // Values arrive in (input, word, item) order; scatter them to
             // `[item][word]`.
             let n = self.batch_items().len();
-            let Self { cfg, in_vals, in_words, .. } = self;
+            let Self {
+                cfg,
+                in_vals,
+                in_words,
+                ..
+            } = self;
             in_vals.resize(n * *in_words, 0.0);
             let mut it = loaded.iter();
             let mut word_off = 0;
@@ -181,7 +186,13 @@ impl WarpProgram for MapProgram {
                 }
                 MapPhase::Compute => {
                     let iters = self.batch().len() as u32;
-                    let Self { cfg, in_vals, out_vals, in_words, .. } = self;
+                    let Self {
+                        cfg,
+                        in_vals,
+                        out_vals,
+                        in_words,
+                        ..
+                    } = self;
                     // `func` appends each item's output words in turn.
                     out_vals.clear();
                     for i in 0..items.len() {
@@ -213,9 +224,15 @@ impl WarpProgram for MapProgram {
                         );
                     }
                     self.phase = if word + 1 < words {
-                        MapPhase::Store { output, word: word + 1 }
+                        MapPhase::Store {
+                            output,
+                            word: word + 1,
+                        }
                     } else {
-                        MapPhase::Store { output: output + 1, word: 0 }
+                        MapPhase::Store {
+                            output: output + 1,
+                            word: 0,
+                        }
                     };
                     return;
                 }
@@ -254,7 +271,10 @@ impl WarpProgram for MapProgram {
         self.phase = match l.u8("phase")? {
             0 => MapPhase::Load,
             1 => MapPhase::Compute,
-            2 => MapPhase::Store { output: l.usize("output")?, word: l.usize("word")? },
+            2 => MapPhase::Store {
+                output: l.usize("output")?,
+                word: l.usize("word")?,
+            },
             x => {
                 return Err(SnapError::Malformed {
                     label: "phase".into(),
@@ -443,12 +463,17 @@ impl WarpProgram for MatVecProgram {
             }
             MatVecState::LoadOld => {
                 self.state = MatVecState::Store;
-                out.begin_load().run(f32_addr(self.cfg.y, self.first), active);
+                out.begin_load()
+                    .run(f32_addr(self.cfg.y, self.first), active);
             }
             MatVecState::Store => {
                 let mut store = out.begin_store();
                 for (lane, &acc) in self.acc.iter().enumerate().take(active) {
-                    let old = if self.cfg.accumulate { loaded[lane] } else { 0.0 };
+                    let old = if self.cfg.accumulate {
+                        loaded[lane]
+                    } else {
+                        0.0
+                    };
                     store.push(f32_addr(self.cfg.y, self.first + lane), old + acc);
                 }
                 self.first = usize::MAX; // retire after this store
@@ -1187,7 +1212,10 @@ impl WarpProgram for ScpProgram {
                 self.state = 3;
                 let mut store = out.begin_store();
                 for lane in 0..active {
-                    store.push(f32_addr(self.cfg.out, self.first_pair + lane), self.acc[lane]);
+                    store.push(
+                        f32_addr(self.cfg.out, self.first_pair + lane),
+                        self.acc[lane],
+                    );
                 }
             }
             _ => out.set_finished(),
@@ -1275,7 +1303,10 @@ mod tests {
         );
         exec(&mut p, &mut img);
         for i in 0..32u64 {
-            assert_eq!(img.read_f32(out + (i * 2) * 4), (i * 10 + i * 10 + 1) as f32);
+            assert_eq!(
+                img.read_f32(out + (i * 2) * 4),
+                (i * 10 + i * 10 + 1) as f32
+            );
             assert_eq!(img.read_f32(out + (i * 2 + 1) * 4), (i * 10 + 2) as f32);
         }
     }
@@ -1346,7 +1377,8 @@ mod tests {
         assert_eq!(p.out_vals.len(), 40 * 2);
         let bytes = save(&p);
         let mut q = make();
-        q.load_state(&mut Loader::new(&bytes)).expect("valid snapshot");
+        q.load_state(&mut Loader::new(&bytes))
+            .expect("valid snapshot");
         assert_eq!(save(&q), bytes);
 
         let store_with_rows = |rows: &[&[f32]]| {
@@ -1368,8 +1400,14 @@ mod tests {
         };
         let load = |bytes: &[u8]| make().load_state(&mut Loader::new(bytes));
         assert!(load(&store_with_rows(&[&[1.0, 2.0], &[3.0, 4.0]])).is_ok());
-        assert!(load(&store_with_rows(&[&[], &[3.0, 4.0]])).is_err(), "gap before a row");
-        assert!(load(&store_with_rows(&[&[1.0, 2.0, 3.0]])).is_err(), "row of 3 words");
+        assert!(
+            load(&store_with_rows(&[&[], &[3.0, 4.0]])).is_err(),
+            "gap before a row"
+        );
+        assert!(
+            load(&store_with_rows(&[&[1.0, 2.0, 3.0]])).is_err(),
+            "row of 3 words"
+        );
     }
 
     #[test]
@@ -1389,7 +1427,13 @@ mod tests {
         (0..n)
             .map(|t| {
                 (0..n)
-                    .map(|j| if transposed { a[j * n + t] * x[j] } else { a[t * n + j] * x[j] })
+                    .map(|j| {
+                        if transposed {
+                            a[j * n + t] * x[j]
+                        } else {
+                            a[t * n + j] * x[j]
+                        }
+                    })
                     .sum()
             })
             .collect()
@@ -1406,14 +1450,26 @@ mod tests {
         let xv: Vec<f32> = (0..n).map(|i| (i as f32) * 0.25).collect();
         img.write_slice(a, &av);
         img.write_slice(x, &xv);
-        let cfg = MatVecConfig { a, x, y, n, orientation: MatVecOrientation::RowPerLane, accumulate: false };
+        let cfg = MatVecConfig {
+            a,
+            x,
+            y,
+            n,
+            orientation: MatVecOrientation::RowPerLane,
+            accumulate: false,
+        };
         for w in 0..n / 32 {
             exec(&mut MatVecProgram::new(w, cfg), &mut img);
         }
         let expect = reference_matvec(&av, &xv, n, false);
         let got = img.read_slice(y, n);
         for i in 0..n {
-            assert!((got[i] - expect[i]).abs() < 1e-3, "row {i}: {} vs {}", got[i], expect[i]);
+            assert!(
+                (got[i] - expect[i]).abs() < 1e-3,
+                "row {i}: {} vs {}",
+                got[i],
+                expect[i]
+            );
         }
     }
 
@@ -1428,7 +1484,14 @@ mod tests {
         let xv: Vec<f32> = (0..n).map(|_| 1.0).collect();
         img.write_slice(a, &av);
         img.write_slice(x, &xv);
-        let cfg = MatVecConfig { a, x, y, n, orientation: MatVecOrientation::ColPerLane, accumulate: false };
+        let cfg = MatVecConfig {
+            a,
+            x,
+            y,
+            n,
+            orientation: MatVecOrientation::ColPerLane,
+            accumulate: false,
+        };
         exec(&mut MatVecProgram::new(0, cfg), &mut img);
         let expect = reference_matvec(&av, &xv, n, true);
         assert_eq!(img.read_slice(y, n), expect);
@@ -1444,7 +1507,14 @@ mod tests {
         img.write_slice(a, &vec![1.0; n * n]);
         img.write_slice(x, &vec![1.0; n]);
         img.write_slice(y, &vec![100.0; n]);
-        let cfg = MatVecConfig { a, x, y, n, orientation: MatVecOrientation::RowPerLane, accumulate: true };
+        let cfg = MatVecConfig {
+            a,
+            x,
+            y,
+            n,
+            orientation: MatVecOrientation::RowPerLane,
+            accumulate: true,
+        };
         exec(&mut MatVecProgram::new(0, cfg), &mut img);
         assert_eq!(img.read_f32(y), 132.0);
     }
@@ -1460,7 +1530,13 @@ mod tests {
         let bv: Vec<f32> = (0..n * n).map(|i| ((i % 5) as f32) * 0.5).collect();
         img.write_slice(a, &av);
         img.write_slice(b, &bv);
-        let cfg = MatmulConfig { a, b, c, n, alpha: 1.0 };
+        let cfg = MatmulConfig {
+            a,
+            b,
+            c,
+            n,
+            alpha: 1.0,
+        };
         for w in 0..n * n / 32 {
             exec(&mut MatmulProgram::new(w, cfg), &mut img);
         }
@@ -1468,7 +1544,10 @@ mod tests {
             for j in [0usize, 31, 45] {
                 let expect: f32 = (0..n).map(|k| av[i * n + k] * bv[k * n + j]).sum();
                 let got = img.read_f32(c + ((i * n + j) * 4) as u64);
-                assert!((got - expect).abs() < 1e-2, "C[{i}][{j}]: {got} vs {expect}");
+                assert!(
+                    (got - expect).abs() < 1e-2,
+                    "C[{i}][{j}]: {got} vs {expect}"
+                );
             }
         }
     }
@@ -1578,11 +1657,19 @@ mod tests {
             h *= 2;
         }
         for w in 0..2 {
-            exec(&mut FwtProgram::new(w, FwtConfig { data, segment: seg }), &mut img);
+            exec(
+                &mut FwtProgram::new(w, FwtConfig { data, segment: seg }),
+                &mut img,
+            );
         }
         let got = img.read_slice(data + (seg * 4) as u64, seg);
         for i in 0..seg {
-            assert!((got[i] - reference[i]).abs() < 1e-3, "elt {i}: {} vs {}", got[i], reference[i]);
+            assert!(
+                (got[i] - reference[i]).abs() < 1e-3,
+                "elt {i}: {} vs {}",
+                got[i],
+                reference[i]
+            );
         }
     }
 
@@ -1594,7 +1681,17 @@ mod tests {
         let out = img.alloc(seg);
         let vals: Vec<f32> = (0..seg).map(|i| (i % 3) as f32 + 1.0).collect();
         img.write_slice(inp, &vals);
-        exec(&mut ScanProgram::new(0, ScanConfig { input: inp, output: out, segment: seg }), &mut img);
+        exec(
+            &mut ScanProgram::new(
+                0,
+                ScanConfig {
+                    input: inp,
+                    output: out,
+                    segment: seg,
+                },
+            ),
+            &mut img,
+        );
         let mut acc = 0.0;
         for (i, v) in vals.iter().enumerate() {
             acc += v;
@@ -1610,16 +1707,28 @@ mod tests {
         let a = img.alloc(pairs * veclen);
         let b = img.alloc(pairs * veclen);
         let out = img.alloc(pairs);
-        let av: Vec<f32> = (0..pairs * veclen).map(|i| ((i % 7) as f32) - 3.0).collect();
-        let bv: Vec<f32> = (0..pairs * veclen).map(|i| ((i % 4) as f32) * 0.5).collect();
+        let av: Vec<f32> = (0..pairs * veclen)
+            .map(|i| ((i % 7) as f32) - 3.0)
+            .collect();
+        let bv: Vec<f32> = (0..pairs * veclen)
+            .map(|i| ((i % 4) as f32) * 0.5)
+            .collect();
         img.write_slice(a, &av);
         img.write_slice(b, &bv);
-        let cfg = ScpConfig { a, b, out, veclen, pairs };
+        let cfg = ScpConfig {
+            a,
+            b,
+            out,
+            veclen,
+            pairs,
+        };
         for w in 0..2 {
             exec(&mut ScpProgram::new(w, cfg), &mut img);
         }
         for p in [0usize, 31, 39] {
-            let expect: f32 = (0..veclen).map(|j| av[p * veclen + j] * bv[p * veclen + j]).sum();
+            let expect: f32 = (0..veclen)
+                .map(|j| av[p * veclen + j] * bv[p * veclen + j])
+                .sum();
             let got = img.read_f32(out + (p * 4) as u64);
             assert!((got - expect).abs() < 1e-3, "pair {p}: {got} vs {expect}");
         }

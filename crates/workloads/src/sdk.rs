@@ -1,7 +1,9 @@
 //! CUDA-SDK-style workloads: RAY (ray tracing), FWT (fast Walsh transform),
 //! SCP (scalar products), SLA (scan of large arrays).
 
-use crate::programs::{FwtConfig, FwtProgram, ScanConfig, ScanProgram, ScpConfig, ScpProgram, LANES};
+use crate::programs::{
+    FwtConfig, FwtProgram, ScanConfig, ScanProgram, ScpConfig, ScpProgram, LANES,
+};
 use crate::util::{pow2_at_most, Region};
 use lazydram_gpu::{Kernel, Loader, MemoryImage, OpBuf, Saver, SnapError, SnapResult, WarpProgram};
 
@@ -165,7 +167,8 @@ impl WarpProgram for RayProgram {
                         // Hit: irradiance lookup at a data-dependent address.
                         let hx = dir[0] * best_t;
                         let hy = dir[1] * best_t;
-                        let key = (hx.to_bits() >> 8) as usize ^ ((hy.to_bits() >> 6) as usize)
+                        let key = (hx.to_bits() >> 8) as usize
+                            ^ ((hy.to_bits() >> 6) as usize)
                             ^ (best_s * 0x9E37);
                         self.env_idx[lane] = key % self.k.env_words;
                         self.base_shade[lane] = 0.3 + 0.08 * best_s as f32;
@@ -449,8 +452,14 @@ mod tests {
         let mut app2 = Fwt::new(512, 128);
         let (after, _) = run_functional(&mut app2);
         for seg in 0..4 {
-            let e_in: f32 = before[seg * 128..(seg + 1) * 128].iter().map(|v| v * v).sum();
-            let e_out: f32 = after[seg * 128..(seg + 1) * 128].iter().map(|v| v * v).sum();
+            let e_in: f32 = before[seg * 128..(seg + 1) * 128]
+                .iter()
+                .map(|v| v * v)
+                .sum();
+            let e_out: f32 = after[seg * 128..(seg + 1) * 128]
+                .iter()
+                .map(|v| v * v)
+                .sum();
             assert!(
                 (e_out - 128.0 * e_in).abs() / (128.0 * e_in) < 1e-3,
                 "segment {seg}: {e_out} vs {}",

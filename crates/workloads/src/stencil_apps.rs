@@ -5,7 +5,9 @@
 //! [`Stencil3DProgram`]; their row-buffer behaviour differs through working
 //! set size, tap shape, and how many warps contend at the memory controller.
 
-use crate::programs::{Stencil2DConfig, Stencil2DProgram, Stencil3DConfig, Stencil3DProgram, LANES};
+use crate::programs::{
+    Stencil2DConfig, Stencil2DProgram, Stencil3DConfig, Stencil3DProgram, LANES,
+};
 use crate::util::Region;
 use lazydram_gpu::{Kernel, MemoryImage, WarpProgram};
 
@@ -25,7 +27,11 @@ pub struct Stencil2DApp {
 }
 
 enum InitKind {
-    Random { seed: u64, lo: f32, hi: f32 },
+    Random {
+        seed: u64,
+        lo: f32,
+        hi: f32,
+    },
     /// A viewable synthetic test image: gradient + circles (for Figure 14).
     TestImage,
 }
@@ -152,7 +158,11 @@ pub fn cons(width: usize) -> Stencil2DApp {
         24,
         4,
         None,
-        InitKind::Random { seed: 0xC025, lo: -1.0, hi: 1.0 },
+        InitKind::Random {
+            seed: 0xC025,
+            lo: -1.0,
+            hi: 1.0,
+        },
     )
 }
 
@@ -172,7 +182,11 @@ pub fn meanfilter(w: usize, h: usize) -> Stencil2DApp {
         28,
         4,
         None,
-        InitKind::Random { seed: 0x3EA7, lo: 0.0, hi: 1.0 },
+        InitKind::Random {
+            seed: 0x3EA7,
+            lo: 0.0,
+            hi: 1.0,
+        },
     )
 }
 
@@ -215,7 +229,11 @@ pub fn srad(w: usize, h: usize) -> Stencil2DApp {
         40,
         4,
         Some(diffuse),
-        InitKind::Random { seed: 0x52AD, lo: 0.0, hi: 2.0 },
+        InitKind::Random {
+            seed: 0x52AD,
+            lo: 0.0,
+            hi: 2.0,
+        },
     )
 }
 
@@ -376,9 +394,14 @@ mod tests {
         for y in 1..63usize {
             for x in 1..63usize {
                 let c = inp[y * w + x];
-                if [inp[(y - 1) * w + x], inp[(y + 1) * w + x], inp[y * w + x - 1], inp[y * w + x + 1]]
-                    .iter()
-                    .all(|&v| (v - c).abs() < 1e-7)
+                if [
+                    inp[(y - 1) * w + x],
+                    inp[(y + 1) * w + x],
+                    inp[y * w + x - 1],
+                    inp[y * w + x + 1],
+                ]
+                .iter()
+                .all(|&v| (v - c).abs() < 1e-7)
                 {
                     assert!((out[y * w + x] - c).abs() < 1e-5);
                     checked = true;

@@ -1,10 +1,10 @@
 //! The 20-application evaluation suite (Table II of the paper) and
 //! convenience runners.
 
-use crate::{axbench, polybench, sdk, stencil_apps};
 use crate::util::{run_sequence_functional, scaled, scaled_dim2, scaled_dim3};
-use lazydram_gpu::{Kernel, RunResult, SimLimits};
+use crate::{axbench, polybench, sdk, stencil_apps};
 use lazydram_common::{GpuConfig, SchedConfig};
+use lazydram_gpu::{Kernel, RunResult, SimLimits};
 
 /// One application of the evaluation suite.
 #[derive(Clone)]
@@ -67,17 +67,26 @@ fn b_cons(s: f64) -> Vec<Box<dyn Kernel>> {
     vec![Box::new(stencil_apps::cons(scaled(262_144, s, 128)))]
 }
 fn b_srad(s: f64) -> Vec<Box<dyn Kernel>> {
-    vec![Box::new(stencil_apps::srad(scaled_dim2(512, s, 32), scaled_dim2(512, s, 8)))]
+    vec![Box::new(stencil_apps::srad(
+        scaled_dim2(512, s, 32),
+        scaled_dim2(512, s, 8),
+    ))]
 }
 fn b_lps(s: f64) -> Vec<Box<dyn Kernel>> {
     let d = scaled_dim3(64, s, 8);
     vec![Box::new(stencil_apps::lps(scaled_dim3(64, s, 32), d, d))]
 }
 fn b_meanfilter(s: f64) -> Vec<Box<dyn Kernel>> {
-    vec![Box::new(stencil_apps::meanfilter(scaled_dim2(512, s, 32), scaled_dim2(512, s, 8)))]
+    vec![Box::new(stencil_apps::meanfilter(
+        scaled_dim2(512, s, 32),
+        scaled_dim2(512, s, 8),
+    ))]
 }
 fn b_laplacian(s: f64) -> Vec<Box<dyn Kernel>> {
-    vec![Box::new(stencil_apps::laplacian(scaled_dim2(512, s, 32), scaled_dim2(512, s, 8)))]
+    vec![Box::new(stencil_apps::laplacian(
+        scaled_dim2(512, s, 32),
+        scaled_dim2(512, s, 8),
+    ))]
 }
 fn b_blackscholes(s: f64) -> Vec<Box<dyn Kernel>> {
     vec![Box::new(axbench::blackscholes(scaled(262_144, s, 256)))]
@@ -112,32 +121,134 @@ fn b_sla(s: f64) -> Vec<Box<dyn Kernel>> {
 /// level in the paper; kept in a stable, alphabetical-by-source order here).
 pub fn suite() -> Vec<AppSpec> {
     vec![
-        AppSpec { name: "RAY", group: 3, description: "Ray tracing", builder: b_ray },
-        AppSpec { name: "inversek2j", group: 3, description: "Inverse kinematics for 2-joint arm", builder: b_inversek2j },
-        AppSpec { name: "newtonraph", group: 4, description: "Equation solver", builder: b_newtonraph },
-        AppSpec { name: "FWT", group: 4, description: "Fast Walsh Transform", builder: b_fwt },
-        AppSpec { name: "MVT", group: 2, description: "Matrix Vector Product and Transpose", builder: b_mvt },
-        AppSpec { name: "jmeint", group: 2, description: "Triangle intersection detection", builder: b_jmeint },
-        AppSpec { name: "ATAX", group: 4, description: "Matrix Transpose, Vector Multiplication", builder: b_atax },
-        AppSpec { name: "3DCONV", group: 2, description: "3D Convolution", builder: b_3dconv },
-        AppSpec { name: "CONS", group: 4, description: "1D Convolution", builder: b_cons },
-        AppSpec { name: "srad", group: 4, description: "Speckle Reducing Anisotropic Diffusion", builder: b_srad },
-        AppSpec { name: "LPS", group: 1, description: "3D Laplace Solver", builder: b_lps },
-        AppSpec { name: "BICG", group: 1, description: "BiCGStab Linear Solver", builder: b_bicg },
-        AppSpec { name: "SCP", group: 1, description: "Scalar products", builder: b_scp },
-        AppSpec { name: "GEMM", group: 4, description: "Matrix Multiplication", builder: b_gemm },
-        AppSpec { name: "blackscholes", group: 4, description: "Black-Scholes Option Pricing", builder: b_blackscholes },
-        AppSpec { name: "2MM", group: 4, description: "2 Matrix Multiplications", builder: b_2mm },
-        AppSpec { name: "3MM", group: 3, description: "3 Matrix Multiplications", builder: b_3mm },
-        AppSpec { name: "SLA", group: 4, description: "Scan of Large Arrays", builder: b_sla },
-        AppSpec { name: "meanfilter", group: 3, description: "Convolution Filter for Noise Reduction", builder: b_meanfilter },
-        AppSpec { name: "laplacian", group: 3, description: "Image sharpening filter", builder: b_laplacian },
+        AppSpec {
+            name: "RAY",
+            group: 3,
+            description: "Ray tracing",
+            builder: b_ray,
+        },
+        AppSpec {
+            name: "inversek2j",
+            group: 3,
+            description: "Inverse kinematics for 2-joint arm",
+            builder: b_inversek2j,
+        },
+        AppSpec {
+            name: "newtonraph",
+            group: 4,
+            description: "Equation solver",
+            builder: b_newtonraph,
+        },
+        AppSpec {
+            name: "FWT",
+            group: 4,
+            description: "Fast Walsh Transform",
+            builder: b_fwt,
+        },
+        AppSpec {
+            name: "MVT",
+            group: 2,
+            description: "Matrix Vector Product and Transpose",
+            builder: b_mvt,
+        },
+        AppSpec {
+            name: "jmeint",
+            group: 2,
+            description: "Triangle intersection detection",
+            builder: b_jmeint,
+        },
+        AppSpec {
+            name: "ATAX",
+            group: 4,
+            description: "Matrix Transpose, Vector Multiplication",
+            builder: b_atax,
+        },
+        AppSpec {
+            name: "3DCONV",
+            group: 2,
+            description: "3D Convolution",
+            builder: b_3dconv,
+        },
+        AppSpec {
+            name: "CONS",
+            group: 4,
+            description: "1D Convolution",
+            builder: b_cons,
+        },
+        AppSpec {
+            name: "srad",
+            group: 4,
+            description: "Speckle Reducing Anisotropic Diffusion",
+            builder: b_srad,
+        },
+        AppSpec {
+            name: "LPS",
+            group: 1,
+            description: "3D Laplace Solver",
+            builder: b_lps,
+        },
+        AppSpec {
+            name: "BICG",
+            group: 1,
+            description: "BiCGStab Linear Solver",
+            builder: b_bicg,
+        },
+        AppSpec {
+            name: "SCP",
+            group: 1,
+            description: "Scalar products",
+            builder: b_scp,
+        },
+        AppSpec {
+            name: "GEMM",
+            group: 4,
+            description: "Matrix Multiplication",
+            builder: b_gemm,
+        },
+        AppSpec {
+            name: "blackscholes",
+            group: 4,
+            description: "Black-Scholes Option Pricing",
+            builder: b_blackscholes,
+        },
+        AppSpec {
+            name: "2MM",
+            group: 4,
+            description: "2 Matrix Multiplications",
+            builder: b_2mm,
+        },
+        AppSpec {
+            name: "3MM",
+            group: 3,
+            description: "3 Matrix Multiplications",
+            builder: b_3mm,
+        },
+        AppSpec {
+            name: "SLA",
+            group: 4,
+            description: "Scan of Large Arrays",
+            builder: b_sla,
+        },
+        AppSpec {
+            name: "meanfilter",
+            group: 3,
+            description: "Convolution Filter for Noise Reduction",
+            builder: b_meanfilter,
+        },
+        AppSpec {
+            name: "laplacian",
+            group: 3,
+            description: "Image sharpening filter",
+            builder: b_laplacian,
+        },
     ]
 }
 
 /// Looks an application up by (case-insensitive) name.
 pub fn by_name(name: &str) -> Option<AppSpec> {
-    suite().into_iter().find(|a| a.name.eq_ignore_ascii_case(name))
+    suite()
+        .into_iter()
+        .find(|a| a.name.eq_ignore_ascii_case(name))
 }
 
 /// All applications in a given result group (1–4).
@@ -193,7 +304,10 @@ mod tests {
 
     #[test]
     fn groups_match_table_ii() {
-        assert_eq!(group(1).iter().map(|a| a.name).collect::<Vec<_>>(), vec!["LPS", "BICG", "SCP"]);
+        assert_eq!(
+            group(1).iter().map(|a| a.name).collect::<Vec<_>>(),
+            vec!["LPS", "BICG", "SCP"]
+        );
         assert_eq!(group(2).len(), 3);
         assert_eq!(group(3).len(), 5);
         assert_eq!(group(4).len(), 9);

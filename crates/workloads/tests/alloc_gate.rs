@@ -208,7 +208,16 @@ fn steady_state_emission_is_allocation_free() {
         let b = image.alloc(n * n);
         let c = image.alloc(n * n);
         let mut make = || -> Box<dyn WarpProgram> {
-            Box::new(MatmulProgram::new(3, MatmulConfig { a, b, c, n, alpha: 1.5 }))
+            Box::new(MatmulProgram::new(
+                3,
+                MatmulConfig {
+                    a,
+                    b,
+                    c,
+                    n,
+                    alpha: 1.5,
+                },
+            ))
         };
         gate("matmul", &mut image, &mut make, 0.0);
     }

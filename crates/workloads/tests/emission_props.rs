@@ -92,7 +92,13 @@ fn build(
                         output,
                         w,
                         h,
-                        taps: vec![(0, 0, 0.6), (-1, 0, 0.1), (1, 0, 0.1), (0, -1, 0.1), (0, 1, 0.1)],
+                        taps: vec![
+                            (0, 0, 0.6),
+                            (-1, 0, 0.1),
+                            (1, 0, 0.1),
+                            (0, -1, 0.1),
+                            (0, 1, 0.1),
+                        ],
                         compute: 2,
                         strips_per_warp,
                         post: None,
@@ -117,7 +123,16 @@ fn build(
             let c = image.alloc(n * n);
             let strip = (warp + batch) % (n * n / 32);
             let make = move || -> Box<dyn WarpProgram> {
-                Box::new(MatmulProgram::new(strip, MatmulConfig { a, b, c, n, alpha: 0.5 }))
+                Box::new(MatmulProgram::new(
+                    strip,
+                    MatmulConfig {
+                        a,
+                        b,
+                        c,
+                        n,
+                        alpha: 0.5,
+                    },
+                ))
             };
             (image, make(), make())
         }
@@ -127,7 +142,14 @@ fn build(
             let input = image.alloc(segment * (warp + 1));
             let output = image.alloc(segment * (warp + 1));
             let make = move || -> Box<dyn WarpProgram> {
-                Box::new(ScanProgram::new(warp, ScanConfig { input, output, segment }))
+                Box::new(ScanProgram::new(
+                    warp,
+                    ScanConfig {
+                        input,
+                        output,
+                        segment,
+                    },
+                ))
             };
             (image, make(), make())
         }
@@ -195,12 +217,30 @@ fn to_warp_op_covers_every_variant() {
         WarpOp::Load(vec![
             Run::contiguous(4, 3),
             Run::contiguous(40, 1),
-            Run { base: 300, words: 3, stride: 8 },
+            Run {
+                base: 300,
+                words: 3,
+                stride: 8
+            },
         ])
     );
-    b.begin_store().extend([(16u64, 1.5f32), (20, -2.0), (28, 0.5), (36, 4.0)]);
-    assert_eq!(b.runs(), [Run::contiguous(16, 2), Run { base: 28, words: 2, stride: 8 }]);
-    assert_eq!(b.to_warp_op(), WarpOp::Store(vec![(16, 1.5), (20, -2.0), (28, 0.5), (36, 4.0)]));
+    b.begin_store()
+        .extend([(16u64, 1.5f32), (20, -2.0), (28, 0.5), (36, 4.0)]);
+    assert_eq!(
+        b.runs(),
+        [
+            Run::contiguous(16, 2),
+            Run {
+                base: 28,
+                words: 2,
+                stride: 8
+            }
+        ]
+    );
+    assert_eq!(
+        b.to_warp_op(),
+        WarpOp::Store(vec![(16, 1.5), (20, -2.0), (28, 0.5), (36, 4.0)])
+    );
     b.set_finished();
     assert_eq!(b.to_warp_op(), WarpOp::Finished);
 }
@@ -224,8 +264,13 @@ fn gemm_first_load_is_one_a_run_plus_eight_b_rows() {
     // The B rows are one matrix row apart.
     let stride = runs[2].base - runs[1].base;
     assert!(stride > 32 * 4, "B rows must not be contiguous");
-    assert!(runs[2..].windows(2).all(|w| w[1].base - w[0].base == stride));
-    let lines: std::collections::BTreeSet<u64> =
-        runs.iter().flat_map(|r| r.lanes()).map(|a| a & !127).collect();
+    assert!(runs[2..]
+        .windows(2)
+        .all(|w| w[1].base - w[0].base == stride));
+    let lines: std::collections::BTreeSet<u64> = runs
+        .iter()
+        .flat_map(|r| r.lanes())
+        .map(|a| a & !127)
+        .collect();
     assert_eq!(lines.len(), 9);
 }

@@ -123,7 +123,10 @@ fn map_program_heap_is_one_batch() {
     let mut loaded = Vec::new();
     let warm_ops = drive(&mut make(), &mut image, &mut buf, &mut loaded);
     // Per batch: one load, one compute and one store per output word.
-    assert!(warm_ops > 3 * 4, "only {warm_ops} ops: fewer than three batches ran");
+    assert!(
+        warm_ops > 3 * 4,
+        "only {warm_ops} ops: fewer than three batches ran"
+    );
 
     let base = LIVE.load(Ordering::Relaxed);
     PEAK.store(base, Ordering::Relaxed);

@@ -9,7 +9,11 @@ const SCALE: f64 = 0.02;
 fn every_app_has_positive_warp_counts() {
     for app in all_apps() {
         for (i, k) in app.launches(SCALE).iter().enumerate() {
-            assert!(k.total_warps() > 0, "{} launch {i} has zero warps", app.name);
+            assert!(
+                k.total_warps() > 0,
+                "{} launch {i} has zero warps",
+                app.name
+            );
         }
     }
 }
@@ -76,12 +80,21 @@ fn programs_issue_nonempty_operations() {
                     let runs = buf.runs();
                     assert!(!runs.is_empty(), "{}: empty load", app.name);
                     assert!(runs.iter().all(|r| r.words > 0), "{}: empty run", app.name);
-                    assert!(runs.iter().all(|r| r.base % 4 == 0), "{}: unaligned load", app.name);
+                    assert!(
+                        runs.iter().all(|r| r.base % 4 == 0),
+                        "{}: unaligned load",
+                        app.name
+                    );
                 }
                 OpKind::Store => {
                     assert!(!buf.values().is_empty(), "{}: empty store", app.name);
                     let lanes: usize = buf.runs().iter().map(|r| r.words as usize).sum();
-                    assert_eq!(lanes, buf.values().len(), "{}: one value per lane", app.name);
+                    assert_eq!(
+                        lanes,
+                        buf.values().len(),
+                        "{}: one value per lane",
+                        app.name
+                    );
                 }
                 OpKind::Finished => {
                     finished = true;

@@ -33,7 +33,10 @@ fn main() {
                 SimBuilder::new(&app)
                     .gpu(cfg.clone())
                     .sched(
-                        SchedConfig { dms: DmsMode::Static(delay), ..SchedConfig::baseline() },
+                        SchedConfig {
+                            dms: DmsMode::Static(delay),
+                            ..SchedConfig::baseline()
+                        },
                         format!("DMS({delay})"),
                     )
                     .scale(scale),
@@ -43,10 +46,14 @@ fn main() {
         .collect();
     let results = runner.measure_all(specs);
 
-    println!("{name}: baseline {} activations, IPC {base_ipc:.2}\n",
-             base.measurement.activations);
-    println!("{:>9} {:>10} {:>9} {:>11} {:>11} {:>11}",
-             "delay", "norm acts", "norm IPC", "GDDR5 -E%", "HBM1 -E%", "HBM2 -E%");
+    println!(
+        "{name}: baseline {} activations, IPC {base_ipc:.2}\n",
+        base.measurement.activations
+    );
+    println!(
+        "{:>9} {:>10} {:>9} {:>11} {:>11} {:>11}",
+        "delay", "norm acts", "norm IPC", "GDDR5 -E%", "HBM1 -E%", "HBM2 -E%"
+    );
     let print_point = |delay: u32, na: f64, ni: f64| {
         let mut cells = format!("{delay:>9} {na:>10.3} {ni:>9.3}");
         for tech in [MemoryTech::Gddr5, MemoryTech::Hbm1, MemoryTech::Hbm2] {
@@ -58,11 +65,7 @@ fn main() {
     print_point(0, 1.0, 1.0);
     for (&delay, r) in delays.iter().zip(&results) {
         match r {
-            Ok(m) => print_point(
-                delay,
-                m.activations as f64 / base_acts,
-                m.ipc / base_ipc,
-            ),
+            Ok(m) => print_point(delay, m.activations as f64 / base_acts, m.ipc / base_ipc),
             Err(f) => println!("{delay:>9} FAILED: {}", f.message),
         }
     }

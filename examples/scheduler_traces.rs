@@ -9,8 +9,9 @@
 //! cargo run --release --example scheduler_traces
 //! ```
 
-use lazydram::common::{AccessKind, AddressMap, AmsMode, DmsMode, GpuConfig, MemSpace, Request,
-                       RequestId, SchedConfig};
+use lazydram::common::{
+    AccessKind, AddressMap, AmsMode, DmsMode, GpuConfig, MemSpace, Request, RequestId, SchedConfig,
+};
 use lazydram::core::MemoryController;
 use lazydram::gpu::{Trace, TraceEntry, TraceSim};
 
@@ -47,7 +48,13 @@ fn drive(mc: &mut MemoryController, cycles: u64) -> Vec<(u64, bool)> {
 fn fig3(delay: DmsMode, label: &str) {
     let cfg = GpuConfig::default();
     let map = AddressMap::new(&cfg);
-    let mut mc = MemoryController::new(&cfg, &SchedConfig { dms: delay, ..SchedConfig::baseline() });
+    let mut mc = MemoryController::new(
+        &cfg,
+        &SchedConfig {
+            dms: delay,
+            ..SchedConfig::baseline()
+        },
+    );
     // First burst: one request to each of R1..R4.
     for row in 1..=4u32 {
         mc.enqueue(request(&map, u64::from(row), row, 0)).unwrap();
@@ -55,7 +62,8 @@ fn fig3(delay: DmsMode, label: &str) {
     let mut served = drive(&mut mc, 150);
     // Second burst, 150 memory cycles later, to the same rows.
     for row in 1..=4u32 {
-        mc.enqueue(request(&map, u64::from(row) + 4, row, 1)).unwrap();
+        mc.enqueue(request(&map, u64::from(row) + 4, row, 1))
+            .unwrap();
     }
     for _ in 0..30_000 {
         let mut out = Vec::new();
@@ -67,8 +75,12 @@ fn fig3(delay: DmsMode, label: &str) {
     }
     let _ = mc.drain();
     let st = mc.stats();
-    println!("  {label:<18} activations {} (8 requests)  Avg-RBL {:.2}  order {:?}",
-             st.activations, st.rbl.avg_rbl(), served.iter().map(|s| s.0).collect::<Vec<_>>());
+    println!(
+        "  {label:<18} activations {} (8 requests)  Avg-RBL {:.2}  order {:?}",
+        st.activations,
+        st.rbl.avg_rbl(),
+        served.iter().map(|s| s.0).collect::<Vec<_>>()
+    );
 }
 
 fn main() {
@@ -78,7 +90,10 @@ fn main() {
     println!("  → the delayed scheduler opens each row once instead of twice\n");
 
     println!("=== Figure 8: which request does AMS drop? ===");
-    for (dms, label) in [(DmsMode::Off, "AMS(1) alone"), (DmsMode::Static(64), "AMS(1) + DMS(64)")] {
+    for (dms, label) in [
+        (DmsMode::Off, "AMS(1) alone"),
+        (DmsMode::Static(64), "AMS(1) + DMS(64)"),
+    ] {
         let cfg = GpuConfig::default();
         let map = AddressMap::new(&cfg);
         let sched = SchedConfig {
@@ -94,7 +109,8 @@ fn main() {
         }
         let mut served = drive(&mut mc, 20);
         for row in 1..=4u32 {
-            mc.enqueue(request(&map, u64::from(row) + 5, row, 1)).unwrap();
+            mc.enqueue(request(&map, u64::from(row) + 5, row, 1))
+                .unwrap();
         }
         for _ in 0..30_000 {
             let mut out = Vec::new();
@@ -107,8 +123,11 @@ fn main() {
         let _ = mc.drain();
         let dropped: Vec<u64> = served.iter().filter(|s| s.1).map(|s| s.0).collect();
         let st = mc.stats();
-        println!("  {label:<18} dropped req {dropped:?}  activations {}  Avg-RBL {:.2}",
-                 st.activations, st.rbl.avg_rbl());
+        println!(
+            "  {label:<18} dropped req {dropped:?}  activations {}  Avg-RBL {:.2}",
+            st.activations,
+            st.rbl.avg_rbl()
+        );
     }
     println!("  → delaying makes the approximation decision accurate (R5, the true RBL(1) row)");
 
@@ -121,15 +140,31 @@ fn main() {
     let mut trace = Trace::new();
     for row in 1..=4u32 {
         let req = request(&map, u64::from(row), row, 0);
-        trace.push(TraceEntry { cycle: 0, channel: map.channel_of(req.addr) as u16, request: req });
+        trace.push(TraceEntry {
+            cycle: 0,
+            channel: map.channel_of(req.addr) as u16,
+            request: req,
+        });
     }
     for row in 1..=4u32 {
         let req = request(&map, u64::from(row) + 4, row, 1);
-        trace.push(TraceEntry { cycle: 150, channel: map.channel_of(req.addr) as u16, request: req });
+        trace.push(TraceEntry {
+            cycle: 150,
+            channel: map.channel_of(req.addr) as u16,
+            request: req,
+        });
     }
-    for (dms, label) in [(DmsMode::Off, "baseline FR-FCFS:"), (DmsMode::Static(256), "DMS(256):")] {
-        let sched = SchedConfig { dms, ..SchedConfig::baseline() };
-        let report = TraceSim::new(&cfg, &sched).replay(&trace).expect("valid trace");
+    for (dms, label) in [
+        (DmsMode::Off, "baseline FR-FCFS:"),
+        (DmsMode::Static(256), "DMS(256):"),
+    ] {
+        let sched = SchedConfig {
+            dms,
+            ..SchedConfig::baseline()
+        };
+        let report = TraceSim::new(&cfg, &sched)
+            .replay(&trace)
+            .expect("valid trace");
         assert_eq!(report.unserved, 0);
         println!(
             "  {label:<18} activations {} ({} requests served in {} memory cycles)",

@@ -37,7 +37,9 @@ fn app_or_exit(name: &str) -> AppSpec {
 }
 
 fn backend_or_exit(args: &[String]) -> DramPreset {
-    let Some(label) = parse_flag(args, "--backend") else { return DramPreset::Gddr5 };
+    let Some(label) = parse_flag(args, "--backend") else {
+        return DramPreset::Gddr5;
+    };
     DramPreset::by_label(&label).unwrap_or_else(|| {
         eprintln!(
             "unknown backend {label:?}; valid labels: {}",
@@ -48,7 +50,10 @@ fn backend_or_exit(args: &[String]) -> DramPreset {
 }
 
 fn cmd_backends() {
-    println!("{:<8} {:>4}  {:>6}  {:>5}  {:>6}  model", "label", "ch", "MHz", "banks", "rowB");
+    println!(
+        "{:<8} {:>4}  {:>6}  {:>5}  {:>6}  model",
+        "label", "ch", "MHz", "banks", "rowB"
+    );
     for p in DramPreset::ALL {
         let c = p.gpu_config();
         println!(
@@ -76,18 +81,32 @@ fn cmd_run(app: &AppSpec, scheme: &str, scale: f64, preset: DramPreset) {
         eprintln!("unknown scheme {scheme:?} (baseline, Static-DMS, Dyn-DMS, Static-AMS, Dyn-AMS, Static-DMS+Static-AMS, Dyn-DMS+Dyn-AMS)");
         std::process::exit(2);
     });
-    let run = SimBuilder::new(app).preset(preset).scheme(scheme).scale(scale).build();
+    let run = SimBuilder::new(app)
+        .preset(preset)
+        .scheme(scheme)
+        .scale(scale)
+        .build();
     let exact = run.exact_output();
     let r = run.run();
     let e = EnergyModel::new(MemoryTech::for_preset(preset)).breakdown(&r.stats.dram);
-    println!("{} under {} (scale {scale}, backend {preset})", app.name, scheme.label());
+    println!(
+        "{} under {} (scale {scale}, backend {preset})",
+        app.name,
+        scheme.label()
+    );
     println!("  core cycles      {:>12}", r.stats.core_cycles);
     println!("  IPC              {:>12.3}", r.stats.ipc());
     println!("  DRAM activations {:>12}", r.stats.dram.activations);
     println!("  Avg-RBL          {:>12.2}", r.stats.dram.avg_rbl());
     println!("  row energy       {:>12.1} µJ", e.row_energy_pj / 1e6);
-    println!("  coverage         {:>11.1}%", 100.0 * r.stats.dram.coverage());
-    println!("  app error        {:>11.2}%", 100.0 * application_error(&exact, &r.output));
+    println!(
+        "  coverage         {:>11.1}%",
+        100.0 * r.stats.dram.coverage()
+    );
+    println!(
+        "  app error        {:>11.2}%",
+        100.0 * application_error(&exact, &r.output)
+    );
     if scheme.sched().ams.is_enabled() {
         // Declines are indexed by `lazydram::core::AmsDecline`.
         println!(
@@ -98,13 +117,24 @@ fn cmd_run(app: &AppSpec, scheme: &str, scale: f64, preset: DramPreset) {
 }
 
 fn cmd_sweep(app: &AppSpec, scale: f64, preset: DramPreset) {
-    let base =
-        SimBuilder::new(app).preset(preset).scheme(Scheme::Baseline).scale(scale).build().run();
-    println!("{}: DMS delay sweep (scale {scale}, backend {preset})", app.name);
+    let base = SimBuilder::new(app)
+        .preset(preset)
+        .scheme(Scheme::Baseline)
+        .scale(scale)
+        .build()
+        .run();
+    println!(
+        "{}: DMS delay sweep (scale {scale}, backend {preset})",
+        app.name
+    );
     println!("{:>7} {:>10} {:>9}", "delay", "norm acts", "norm IPC");
     for d in [0u32, 64, 128, 256, 512, 1024, 2048] {
         let sched = SchedConfig {
-            dms: if d == 0 { DmsMode::Off } else { DmsMode::Static(d) },
+            dms: if d == 0 {
+                DmsMode::Off
+            } else {
+                DmsMode::Static(d)
+            },
             ..SchedConfig::baseline()
         };
         let r = SimBuilder::new(app)
@@ -122,11 +152,17 @@ fn cmd_sweep(app: &AppSpec, scale: f64, preset: DramPreset) {
 }
 
 fn cmd_schemes(app: &AppSpec, scale: f64, preset: DramPreset) {
-    let base_run =
-        SimBuilder::new(app).preset(preset).scheme(Scheme::Baseline).scale(scale).build();
+    let base_run = SimBuilder::new(app)
+        .preset(preset)
+        .scheme(Scheme::Baseline)
+        .scale(scale)
+        .build();
     let exact = base_run.exact_output();
     let base = base_run.run();
-    println!("{}: all schemes (scale {scale}, backend {preset})", app.name);
+    println!(
+        "{}: all schemes (scale {scale}, backend {preset})",
+        app.name
+    );
     println!(
         "baseline: {} activations, IPC {:.3}, Avg-RBL {:.2}",
         base.stats.dram.activations,
@@ -138,7 +174,12 @@ fn cmd_schemes(app: &AppSpec, scale: f64, preset: DramPreset) {
         "scheme", "acts", "norm acts", "norm IPC", "coverage", "error", "Avg-RBL"
     );
     for scheme in Scheme::PAPER {
-        let r = SimBuilder::new(app).preset(preset).scheme(scheme).scale(scale).build().run();
+        let r = SimBuilder::new(app)
+            .preset(preset)
+            .scheme(scheme)
+            .scale(scale)
+            .build()
+            .run();
         println!(
             "{:>24} {:>10} {:>10.3} {:>9.3} {:>8.1}% {:>8.2}% {:>8.2}",
             scheme.label(),
@@ -153,12 +194,19 @@ fn cmd_schemes(app: &AppSpec, scale: f64, preset: DramPreset) {
 }
 
 fn cmd_capture(app: &AppSpec, path: &Path, scale: f64) {
-    let run = SimBuilder::new(app).scheme(Scheme::Baseline).scale(scale).trace(true).build().run();
+    let run = SimBuilder::new(app)
+        .scheme(Scheme::Baseline)
+        .scale(scale)
+        .trace(true)
+        .build()
+        .run();
     let trace = run.trace.expect("capture enabled");
-    trace.save_file(path, &GpuConfig::default()).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(1);
-    });
+    trace
+        .save_file(path, &GpuConfig::default())
+        .unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(1);
+        });
     println!(
         "captured {} requests from {} (scale {scale}) -> {}",
         trace.len(),
@@ -177,10 +225,12 @@ fn cmd_replay(path: &Path, scheme: &str, preset: DramPreset) {
         eprintln!("{e}");
         std::process::exit(1);
     });
-    let report = TraceSim::new(&cfg, &scheme.sched()).replay(&trace).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(1);
-    });
+    let report = TraceSim::new(&cfg, &scheme.sched())
+        .replay(&trace)
+        .unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(1);
+        });
     let e = EnergyModel::new(MemoryTech::for_preset(preset)).breakdown(&report.stats.dram);
     println!(
         "{} under {} (open-loop replay, MC+DRAM only, backend {preset})",
@@ -191,7 +241,10 @@ fn cmd_replay(path: &Path, scheme: &str, preset: DramPreset) {
     println!("  DRAM activations {:>12}", report.stats.dram.activations);
     println!("  Avg-RBL          {:>12.2}", report.stats.dram.avg_rbl());
     println!("  row energy       {:>12.1} µJ", e.row_energy_pj / 1e6);
-    println!("  coverage         {:>11.1}%", 100.0 * report.stats.dram.coverage());
+    println!(
+        "  coverage         {:>11.1}%",
+        100.0 * report.stats.dram.coverage()
+    );
     if report.unserved > 0 {
         eprintln!("REPLAY INCOMPLETE: {} requests unserved", report.unserved);
         std::process::exit(1);
@@ -246,14 +299,22 @@ fn cmd_cache(args: &[String]) {
                     || e.path.display().to_string(),
                     |n| n.to_string_lossy().into_owned(),
                 );
-                println!("{:>10}  {:>12}  {:<28} {}", e.bytes, entry_age(&e), what, name);
+                println!(
+                    "{:>10}  {:>12}  {:<28} {}",
+                    e.bytes,
+                    entry_age(&e),
+                    what,
+                    name
+                );
             }
         }
         Some("gc") => {
             let max_bytes: u64 = parse_flag(args, "--max-bytes")
                 .and_then(|s| s.parse().ok())
                 .unwrap_or_else(|| {
-                    eprintln!("usage: lazydram cache gc --max-bytes N (a byte budget, e.g. 104857600)");
+                    eprintln!(
+                        "usage: lazydram cache gc --max-bytes N (a byte budget, e.g. 104857600)"
+                    );
                     std::process::exit(2);
                 });
             let evicted = store.gc(max_bytes).unwrap_or_else(|e| {
@@ -282,7 +343,9 @@ fn cmd_cache(args: &[String]) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale: f64 = parse_flag(&args, "--scale").and_then(|s| s.parse().ok()).unwrap_or(0.5);
+    let scale: f64 = parse_flag(&args, "--scale")
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(0.5);
     let preset = backend_or_exit(&args);
     match args.first().map(String::as_str) {
         Some("apps") => cmd_apps(),

@@ -47,7 +47,5 @@ pub use lazydram_gpu as gpu;
 pub use lazydram_workloads as workloads;
 
 pub use lazydram_common::Scheme;
-pub use lazydram_gpu::{
-    Checkpoint, ReplayReport, RunOutcome, Trace, TraceError, TraceSim,
-};
+pub use lazydram_gpu::{Checkpoint, ReplayReport, RunOutcome, Trace, TraceError, TraceSim};
 pub use lazydram_workloads::{SimBuilder, SimRun};

@@ -23,8 +23,8 @@
 //!    the earliest one), and `cas_floor` never exceeds a bank's CAS
 //!    threshold.
 
-use lazydram::common::{AccessKind, DramPreset, DramTimings, GpuConfig, SimStats};
 use lazydram::common::snap::{Loader, Saver};
+use lazydram::common::{AccessKind, DramPreset, DramTimings, GpuConfig, SimStats};
 use lazydram::dram::{DramBackend, MemoryBackend};
 use lazydram::workloads::by_name;
 use lazydram::{Scheme, SimBuilder};
@@ -34,11 +34,21 @@ const SCALE: f64 = 0.02;
 
 #[derive(Debug, Clone, Copy)]
 enum Op {
-    Act { bank: u8, row: u8 },
-    Pre { bank: u8 },
-    Cas { bank: u8, write: bool },
+    Act {
+        bank: u8,
+        row: u8,
+    },
+    Pre {
+        bank: u8,
+    },
+    Cas {
+        bank: u8,
+        write: bool,
+    },
     Refresh,
-    Wait { cycles: u8 },
+    Wait {
+        cycles: u8,
+    },
     /// Sleeps until the advertised refresh wake-up, as the controller's
     /// event loop does; without it no stream would reach tREFI.
     SleepToRefresh,
@@ -78,7 +88,11 @@ fn step(b: &mut DramBackend, nbanks: usize, op: Op, now: &mut u64) -> (bool, u64
         }
         Op::Cas { bank, write } => {
             let bank = bank as usize % nbanks;
-            let kind = if write { AccessKind::Write } else { AccessKind::Read };
+            let kind = if write {
+                AccessKind::Write
+            } else {
+                AccessKind::Read
+            };
             let legal = b.open_row(bank).is_some() && b.can_cas(bank, kind, *now);
             if legal {
                 let done = b.cas(bank, kind, !write, *now);
@@ -111,22 +125,33 @@ fn step(b: &mut DramBackend, nbanks: usize, op: Op, now: &mut u64) -> (bool, u64
 /// The GDDR5 machine with tFAW, tCCDL and refresh turned on: a test
 /// input, not a preset.
 fn extended(timings: DramTimings) -> GpuConfig {
-    GpuConfig { timings, ..GpuConfig::default() }
+    GpuConfig {
+        timings,
+        ..GpuConfig::default()
+    }
 }
 
 /// `gddr5_extended` with tFAW stretched to 32. At 23, tFAW never binds:
 /// four ACTs span at least 3 x tRRD = 18 cycles and the fifth waits another
 /// tRRD (24 > 23), so only a longer window checks the four-ACT rule.
 fn extended_faw32() -> GpuConfig {
-    extended(DramTimings { t_faw: 32, ..DramTimings::gddr5_extended() })
+    extended(DramTimings {
+        t_faw: 32,
+        ..DramTimings::gddr5_extended()
+    })
 }
 
 /// Every machine the obligations iterate over, labelled: each preset, then
 /// the two extended GDDR5 machines.
 fn machines() -> Vec<(String, GpuConfig)> {
-    let mut m: Vec<_> =
-        DramPreset::ALL.iter().map(|p| (p.label().to_string(), p.gpu_config())).collect();
-    m.push(("gddr5-extended".to_string(), extended(DramTimings::gddr5_extended())));
+    let mut m: Vec<_> = DramPreset::ALL
+        .iter()
+        .map(|p| (p.label().to_string(), p.gpu_config()))
+        .collect();
+    m.push((
+        "gddr5-extended".to_string(),
+        extended(DramTimings::gddr5_extended()),
+    ));
     m.push(("gddr5-extended-faw32".to_string(), extended_faw32()));
     m
 }
@@ -208,7 +233,11 @@ fn check_wake_up(b: &DramBackend, now: u64, preset: &str) -> Result<bool, TestCa
         "{}: refresh due before advertised wake-up {due_at}",
         preset
     );
-    prop_assert!(b.refresh_due(due_at), "{}: refresh not due at advertised wake-up {due_at}", preset);
+    prop_assert!(
+        b.refresh_due(due_at),
+        "{}: refresh not due at advertised wake-up {due_at}",
+        preset
+    );
     Ok(true)
 }
 
@@ -222,16 +251,33 @@ fn honest(guard: impl Fn(u64) -> bool, ready: u64, now: u64) -> bool {
 }
 
 /// The honest-threshold obligation for every bank's guards at `now`.
-fn check_thresholds(b: &DramBackend, nbanks: usize, now: u64, preset: &str) -> Result<(), TestCaseError> {
+fn check_thresholds(
+    b: &DramBackend,
+    nbanks: usize,
+    now: u64,
+    preset: &str,
+) -> Result<(), TestCaseError> {
     for bank in 0..nbanks {
         let act = b.activate_ready_at(bank);
-        prop_assert!(honest(|t| b.can_activate(bank, t), act, now), "{preset}: ACT bank {bank} at {now}");
+        prop_assert!(
+            honest(|t| b.can_activate(bank, t), act, now),
+            "{preset}: ACT bank {bank} at {now}"
+        );
         let pre = b.precharge_ready_at(bank);
-        prop_assert!(honest(|t| b.can_precharge(bank, t), pre, now), "{preset}: PRE bank {bank} at {now}");
+        prop_assert!(
+            honest(|t| b.can_precharge(bank, t), pre, now),
+            "{preset}: PRE bank {bank} at {now}"
+        );
         for kind in [AccessKind::Read, AccessKind::Write] {
             let cas = b.cas_ready_at(bank, kind);
-            prop_assert!(honest(|t| b.can_cas(bank, kind, t), cas, now), "{preset}: CAS bank {bank} at {now}");
-            prop_assert!(b.cas_floor() <= cas, "{preset}: CAS floor above bank {bank}");
+            prop_assert!(
+                honest(|t| b.can_cas(bank, kind, t), cas, now),
+                "{preset}: CAS bank {bank} at {now}"
+            );
+            prop_assert!(
+                b.cas_floor() <= cas,
+                "{preset}: CAS floor above bank {bank}"
+            );
         }
     }
     Ok(())
@@ -272,7 +318,9 @@ fn extended_constraints_bind_and_stay_honest() {
         assert!(check_wake_up(b, *now, "gddr5-extended-faw32").expect("wake-up"));
         legal
     };
-    let wait_rrd = Op::Wait { cycles: t.t_rrd as u8 };
+    let wait_rrd = Op::Wait {
+        cycles: t.t_rrd as u8,
+    };
     // Four ACTs at tRRD spacing, one per bank group; the fifth, though
     // tRRD-legal at 24, waits for the tFAW window to pass the first ACT.
     for bank in [0, 4, 8, 12] {
@@ -280,14 +328,33 @@ fn extended_constraints_bind_and_stay_honest() {
         run(&mut b, wait_rrd, &mut now);
     }
     assert_eq!(now, 4 * u64::from(t.t_rrd));
-    assert!(!run(&mut b, Op::Act { bank: 1, row: 1 }, &mut now), "tFAW must stall the fifth ACT");
+    assert!(
+        !run(&mut b, Op::Act { bank: 1, row: 1 }, &mut now),
+        "tFAW must stall the fifth ACT"
+    );
     assert_eq!(b.activate_ready_at(1), u64::from(t.t_faw));
     now = u64::from(t.t_faw);
     assert!(run(&mut b, Op::Act { bank: 1, row: 1 }, &mut now));
     // Two reads to one bank group: the second waits tCCDL, not tCCD.
-    run(&mut b, Op::Wait { cycles: t.t_rcd as u8 }, &mut now);
-    assert!(run(&mut b, Op::Cas { bank: 0, write: false }, &mut now));
-    assert_eq!(b.cas_ready_at(1, AccessKind::Read), now + u64::from(t.t_ccdl));
+    run(
+        &mut b,
+        Op::Wait {
+            cycles: t.t_rcd as u8,
+        },
+        &mut now,
+    );
+    assert!(run(
+        &mut b,
+        Op::Cas {
+            bank: 0,
+            write: false
+        },
+        &mut now
+    ));
+    assert_eq!(
+        b.cas_ready_at(1, AccessKind::Read),
+        now + u64::from(t.t_ccdl)
+    );
     assert!(b.cas_ready_at(4, AccessKind::Read) < now + u64::from(t.t_ccdl));
     // Refresh: sleep to the wake-up, close every row, refresh; twice.
     for round in 1..=2u64 {
@@ -296,10 +363,16 @@ fn extended_constraints_bind_and_stay_honest() {
             run(&mut b, Op::Pre { bank }, &mut now);
             run(&mut b, Op::Wait { cycles: 1 }, &mut now);
         }
-        assert!(run(&mut b, Op::Refresh, &mut now), "refresh {round} at {now}");
+        assert!(
+            run(&mut b, Op::Refresh, &mut now),
+            "refresh {round} at {now}"
+        );
         assert_eq!(b.refreshes(), round);
         assert_eq!(b.refresh_due_at(), now + u64::from(t.t_refi));
-        assert!(!b.can_activate(0, now + u64::from(t.t_rfc) - 1), "tRFC stalls every ACT");
+        assert!(
+            !b.can_activate(0, now + u64::from(t.t_rfc) - 1),
+            "tRFC stalls every ACT"
+        );
         run(&mut b, Op::Wait { cycles: 1 }, &mut now);
         for bank in [0u8, 1, 4, 8, 12] {
             now = now.max(b.activate_ready_at(usize::from(bank)));
@@ -323,7 +396,10 @@ fn engines_are_bit_identical_on_every_backend() {
     let app = by_name("SCP").expect("app");
     for (preset, cfg) in machines() {
         let build = || {
-            SimBuilder::new(&app).gpu(cfg.clone()).scheme(Scheme::DynCombo).scale(SCALE)
+            SimBuilder::new(&app)
+                .gpu(cfg.clone())
+                .scheme(Scheme::DynCombo)
+                .scale(SCALE)
         };
         let reference = build().cycle_skipping(false).build().run();
         assert!(!reference.hit_cycle_limit, "{preset}");
@@ -341,8 +417,12 @@ fn engines_are_bit_identical_on_every_backend() {
 fn checkpoint_resume_is_invisible_on_every_backend() {
     let app = by_name("meanfilter").expect("app");
     for (preset, cfg) in machines() {
-        let build =
-            || SimBuilder::new(&app).gpu(cfg.clone()).scheme(Scheme::DynCombo).scale(SCALE);
+        let build = || {
+            SimBuilder::new(&app)
+                .gpu(cfg.clone())
+                .scheme(Scheme::DynCombo)
+                .scale(SCALE)
+        };
         let reference = build().build().run();
         let pause_at = reference.stats.core_cycles / 2;
         let run = build().build();

@@ -22,7 +22,10 @@ fn captured(file: &str, app: &str, scheme: &str) -> String {
     let text = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("missing pre-PR capture {path}: {e}"));
     text.lines()
-        .find(|l| l.contains(&format!("\"app\":\"{app}\"")) && l.contains(&format!("\"scheme\":\"{scheme}\"")))
+        .find(|l| {
+            l.contains(&format!("\"app\":\"{app}\""))
+                && l.contains(&format!("\"scheme\":\"{scheme}\""))
+        })
         .unwrap_or_else(|| panic!("no {app}/{scheme} record in {path}"))
         .to_string()
 }
@@ -56,7 +59,10 @@ fn gddr5_matches_pre_trait_fig04_cells() {
     for delay in [64u32, 512] {
         let run = SimBuilder::new(&app)
             .sched(
-                SchedConfig { dms: DmsMode::Static(delay), ..SchedConfig::baseline() },
+                SchedConfig {
+                    dms: DmsMode::Static(delay),
+                    ..SchedConfig::baseline()
+                },
                 format!("DMS({delay})"),
             )
             .scale(SCALE)

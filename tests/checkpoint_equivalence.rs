@@ -37,7 +37,10 @@ fn schemes() -> Vec<(&'static str, SchedConfig)> {
 }
 
 fn assert_identical(name: &str, scheme: &str, a: &RunResult, b: &RunResult) {
-    assert_eq!(a.hit_cycle_limit, b.hit_cycle_limit, "{name}/{scheme}: limit flag");
+    assert_eq!(
+        a.hit_cycle_limit, b.hit_cycle_limit,
+        "{name}/{scheme}: limit flag"
+    );
     assert_eq!(a.output, b.output, "{name}/{scheme}: outputs differ");
     assert!(a.trace == b.trace, "{name}/{scheme}: DRAM traces differ");
     assert_eq!(a.stats, b.stats, "{name}/{scheme}: statistics differ");
@@ -109,8 +112,13 @@ fn multi_launch_sequence_resumes_inside_later_launch() {
     let run = sim(&app, &SchedConfig::dyn_combo(), true);
     let reference = run.run();
     let pause_at = reference.stats.core_cycles * 4 / 5;
-    let ck = run.run_until(pause_at).expect_paused("3MM at 80% must still be running");
-    assert!(ck.launch_idx() > 0, "pause should land past the first launch");
+    let ck = run
+        .run_until(pause_at)
+        .expect_paused("3MM at 80% must still be running");
+    assert!(
+        ck.launch_idx() > 0,
+        "pause should land past the first launch"
+    );
     let resumed = run.resume(&ck).expect("resume failed");
     assert_identical("3MM", "Dyn-DMS+Dyn-AMS", &reference, &resumed);
 }
@@ -132,7 +140,11 @@ fn chained_checkpoints_reach_the_same_result() {
     assert!(ck2.cycle() > ck1.cycle());
     // The second checkpoint must equal a direct pause at the same cycle.
     let direct = run.run_until(total / 2).expect_paused("SCP at 50% direct");
-    assert_eq!(ck2.digest(), direct.digest(), "checkpoint trajectory diverged");
+    assert_eq!(
+        ck2.digest(),
+        direct.digest(),
+        "checkpoint trajectory diverged"
+    );
     let resumed = run.resume(&ck2).expect("final resume failed");
     assert_identical("SCP", "Static-DMS", &reference, &resumed);
 }

@@ -56,7 +56,10 @@ fn assert_equivalent(
     let idle = run(app, sched, scale, limits, Mode::IdleOnly);
     let slow = run(app, sched, scale, limits, Mode::Naive);
     let name = app.name;
-    assert_eq!(slow.stats.cycles_skipped, 0, "{name}: naive loop must not skip");
+    assert_eq!(
+        slow.stats.cycles_skipped, 0,
+        "{name}: naive loop must not skip"
+    );
     assert_eq!(
         idle.stats.compute_cycles_skipped, 0,
         "{name}: idle-only mode must not take compute skips"
@@ -70,9 +73,15 @@ fn assert_equivalent(
         );
     }
     for (label, fast) in [("full", &full), ("idle-only", &idle)] {
-        assert_eq!(fast.hit_cycle_limit, slow.hit_cycle_limit, "{name}/{label}: limit flag");
+        assert_eq!(
+            fast.hit_cycle_limit, slow.hit_cycle_limit,
+            "{name}/{label}: limit flag"
+        );
         assert_eq!(fast.output, slow.output, "{name}/{label}: outputs differ");
-        assert!(fast.trace == slow.trace, "{name}/{label}: DRAM traces differ");
+        assert!(
+            fast.trace == slow.trace,
+            "{name}/{label}: DRAM traces differ"
+        );
         assert_eq!(
             normalized(&fast.stats),
             normalized(&slow.stats),
@@ -90,9 +99,16 @@ fn assert_equivalent(
             );
         }
     }
-    assert_eq!(idle.stats.compute_skip_fraction(), 0.0, "{name}: idle-only fraction");
+    assert_eq!(
+        idle.stats.compute_skip_fraction(),
+        0.0,
+        "{name}: idle-only fraction"
+    );
     let f = full.stats.compute_skip_fraction();
-    assert!((0.0..=1.0).contains(&f), "{name}: fraction {f} out of range");
+    assert!(
+        (0.0..=1.0).contains(&f),
+        "{name}: fraction {f} out of range"
+    );
     (full.stats.cycles_skipped, full.stats.compute_cycles_skipped)
 }
 
@@ -108,7 +124,10 @@ fn whole_suite_static_dms_is_equivalent() {
         total_skipped += skipped;
         total_compute += compute;
     }
-    assert!(total_skipped > 0, "fast-forward never engaged across the suite");
+    assert!(
+        total_skipped > 0,
+        "fast-forward never engaged across the suite"
+    );
     assert!(
         total_compute > 0,
         "the analytic compute-burst skipper never engaged across the suite"
@@ -138,7 +157,9 @@ fn cycle_limit_hit_is_equivalent() {
     // A tight limit exercises the skip-past-the-limit clamp: all loops must
     // report the same truncated statistics and the limit flag.
     let app = lazydram::workloads::by_name("GEMM").expect("app");
-    let limits = SimLimits { max_core_cycles: 2_000 };
+    let limits = SimLimits {
+        max_core_cycles: 2_000,
+    };
     let fast = run(&app, &SchedConfig::static_dms(), 0.3, limits, Mode::Full);
     assert!(fast.hit_cycle_limit, "limit chosen too high for this check");
     assert_equivalent(&app, &SchedConfig::static_dms(), 0.3, limits);

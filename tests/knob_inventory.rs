@@ -65,7 +65,10 @@ fn knob_files() -> BTreeMap<String, BTreeSet<PathBuf>> {
     let mut knobs: BTreeMap<String, BTreeSet<PathBuf>> = BTreeMap::new();
     for f in files.iter().filter(|f| !f.starts_with(&excluded)) {
         let names = knob_literals(&fs::read_to_string(f).expect("read source"));
-        for name in names.into_iter().filter(|n| !n.starts_with("LAZYDRAM_TEST_")) {
+        for name in names
+            .into_iter()
+            .filter(|n| !n.starts_with("LAZYDRAM_TEST_"))
+        {
             let rel = f.strip_prefix(&root).expect("under the root").to_path_buf();
             knobs.entry(name).or_default().insert(rel);
         }

@@ -19,7 +19,10 @@ fn delay_reduces_or_preserves_activations_for_sensitive_apps() {
             let r = run_app(
                 &app,
                 &cfg,
-                &SchedConfig { dms: DmsMode::Static(d), ..SchedConfig::baseline() },
+                &SchedConfig {
+                    dms: DmsMode::Static(d),
+                    ..SchedConfig::baseline()
+                },
                 SCALE,
             );
             best = best.min(r.stats.dram.activations);
@@ -39,7 +42,10 @@ fn ams_reduces_activations_without_ipc_loss() {
     for name in ["MVT", "SCP"] {
         let app = by_name(name).expect("app");
         let base = run_app(&app, &cfg, &SchedConfig::baseline(), SCALE);
-        let sched = SchedConfig { ams_warmup_requests: 100, ..SchedConfig::static_ams() };
+        let sched = SchedConfig {
+            ams_warmup_requests: 100,
+            ..SchedConfig::static_ams()
+        };
         let ams = run_app(&app, &cfg, &sched, SCALE);
         assert!(
             ams.stats.dram.activations < base.stats.dram.activations,
@@ -65,7 +71,10 @@ fn dyn_dms_protects_ipc_better_than_large_static_delay() {
     let aggressive = run_app(
         &app,
         &cfg,
-        &SchedConfig { dms: DmsMode::Static(1024), ..SchedConfig::baseline() },
+        &SchedConfig {
+            dms: DmsMode::Static(1024),
+            ..SchedConfig::baseline()
+        },
         SCALE,
     );
     let dynd = run_app(&app, &cfg, &SchedConfig::dyn_dms(), SCALE);
@@ -108,7 +117,10 @@ fn every_threshold_reduces_scp_activations() {
 fn tiny_queue_increases_activations() {
     let app = by_name("CONS").expect("app");
     let big = run_app(&app, &GpuConfig::default(), &SchedConfig::baseline(), SCALE);
-    let small_cfg = GpuConfig { pending_queue_size: 16, ..GpuConfig::default() };
+    let small_cfg = GpuConfig {
+        pending_queue_size: 16,
+        ..GpuConfig::default()
+    };
     let small = run_app(&app, &small_cfg, &SchedConfig::baseline(), SCALE);
     assert!(
         small.stats.dram.activations as f64 > 0.98 * big.stats.dram.activations as f64,

@@ -14,7 +14,10 @@ fn coverage_never_exceeds_cap_by_more_than_one_row() {
         if !app.error_tolerant() {
             continue;
         }
-        let sched = SchedConfig { ams_warmup_requests: 50, ..SchedConfig::static_ams() };
+        let sched = SchedConfig {
+            ams_warmup_requests: 50,
+            ..SchedConfig::static_ams()
+        };
         let r = run_app(&app, &cfg, &sched, SCALE);
         let d = &r.stats.dram;
         let slack = 6.0 * 8.0 / d.global_reads_received.max(1) as f64; // 6 controllers × Th 8
@@ -61,15 +64,26 @@ fn rbl_histogram_accounts_every_served_request() {
     let app = by_name("CONS").expect("app");
     let r = run_app(&app, &cfg, &SchedConfig::baseline(), SCALE);
     let d = &r.stats.dram;
-    assert_eq!(d.rbl.requests(), d.served(), "histogram covers all requests");
-    assert_eq!(d.rbl.activations(), d.activations, "histogram covers all activations");
+    assert_eq!(
+        d.rbl.requests(),
+        d.served(),
+        "histogram covers all requests"
+    );
+    assert_eq!(
+        d.rbl.activations(),
+        d.activations,
+        "histogram covers all activations"
+    );
 }
 
 #[test]
 fn dropped_requests_are_never_served_by_dram() {
     let cfg = GpuConfig::default();
     let app = by_name("MVT").expect("app");
-    let sched = SchedConfig { ams_warmup_requests: 0, ..SchedConfig::static_ams() };
+    let sched = SchedConfig {
+        ams_warmup_requests: 0,
+        ..SchedConfig::static_ams()
+    };
     let r = run_app(&app, &cfg, &sched, SCALE);
     let d = &r.stats.dram;
     assert!(d.dropped > 0, "expected drops");
@@ -99,7 +113,10 @@ fn dyn_dms_delay_stays_in_bounds() {
     let base = run_app(&app, &cfg, &SchedConfig::baseline(), 0.1);
     let dynd = run_app(&app, &cfg, &SchedConfig::dyn_dms(), 0.1);
     let ratio = dynd.stats.ipc() / base.stats.ipc().max(1e-9);
-    assert!(ratio > 0.80, "Dyn-DMS degraded IPC to {ratio:.2} of baseline");
+    assert!(
+        ratio > 0.80,
+        "Dyn-DMS degraded IPC to {ratio:.2} of baseline"
+    );
 }
 
 #[test]
@@ -108,6 +125,10 @@ fn group4_apps_run_under_delay_only() {
     for app in lazydram::workloads::group(4).into_iter().take(3) {
         let r = run_app(&app, &cfg, &SchedConfig::static_dms(), SCALE);
         assert!(!r.hit_cycle_limit, "{} truncated", app.name);
-        assert_eq!(r.stats.dram.dropped, 0, "{}: delay-only must not drop", app.name);
+        assert_eq!(
+            r.stats.dram.dropped, 0,
+            "{}: delay-only must not drop",
+            app.name
+        );
     }
 }

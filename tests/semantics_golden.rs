@@ -56,7 +56,11 @@ fn cell(app: &str, scheme: Scheme) -> Measurement {
 
 fn preset_cell(app: &str, scheme: Scheme, preset: DramPreset) -> Measurement {
     let app = by_name(app).expect("known app");
-    let run = SimBuilder::new(&app).preset(preset).scheme(scheme).scale(0.05).build();
+    let run = SimBuilder::new(&app)
+        .preset(preset)
+        .scheme(scheme)
+        .scale(0.05)
+        .build();
     let exact = run.exact_output();
     measure(&run, &exact)
 }

@@ -12,7 +12,10 @@ fn backend_presets_run_and_preserve_outputs() {
     for preset in DramPreset::ALL {
         let r = run_app(&app, &preset.gpu_config(), &SchedConfig::baseline(), SCALE);
         assert!(!r.hit_cycle_limit, "{preset}");
-        assert_eq!(r.output, exact, "{preset}: memory model must not change values");
+        assert_eq!(
+            r.output, exact,
+            "{preset}: memory model must not change values"
+        );
         assert!(r.stats.dram.activations > 0, "{preset}");
     }
 }
@@ -23,7 +26,10 @@ fn backend_presets_run_and_preserve_outputs() {
 fn extended_timing_profile_runs() {
     use lazydram::common::DramTimings;
     let app = by_name("CONS").expect("app");
-    let cfg = GpuConfig { timings: DramTimings::gddr5_extended(), ..GpuConfig::default() };
+    let cfg = GpuConfig {
+        timings: DramTimings::gddr5_extended(),
+        ..GpuConfig::default()
+    };
     let r = run_app(&app, &cfg, &SchedConfig::baseline(), SCALE);
     assert!(!r.hit_cycle_limit, "refresh must not deadlock");
     assert!(r.stats.dram.activations > 0);
@@ -37,7 +43,10 @@ fn fcfs_baseline_is_no_better_than_frfcfs() {
     let fcfs = run_app(
         &app,
         &cfg,
-        &SchedConfig { arbiter: Arbiter::Fcfs, ..SchedConfig::baseline() },
+        &SchedConfig {
+            arbiter: Arbiter::Fcfs,
+            ..SchedConfig::baseline()
+        },
         SCALE,
     );
     assert_eq!(fcfs.output, frfcfs.output);
@@ -57,7 +66,10 @@ fn closed_page_never_beats_open_page_on_activations() {
     let closed = run_app(
         &app,
         &cfg,
-        &SchedConfig { row_policy: RowPolicy::Closed, ..SchedConfig::baseline() },
+        &SchedConfig {
+            row_policy: RowPolicy::Closed,
+            ..SchedConfig::baseline()
+        },
         SCALE,
     );
     assert_eq!(closed.output, open.output);

@@ -22,7 +22,10 @@ fn captured_trace_replays_with_matching_request_counts() {
     );
     // Replay through a fresh scheduler: same requests served.
     let stats = trace.replay(&cfg, &SchedConfig::baseline());
-    assert_eq!(stats.dram.requests_received, run.stats.dram.requests_received);
+    assert_eq!(
+        stats.dram.requests_received,
+        run.stats.dram.requests_received
+    );
     assert_eq!(
         stats.dram.reads + stats.dram.writes,
         run.stats.dram.reads + run.stats.dram.writes
@@ -31,13 +34,20 @@ fn captured_trace_replays_with_matching_request_counts() {
     // in the same ballpark as the closed-loop run.
     let a = stats.dram.activations as f64;
     let b = run.stats.dram.activations as f64;
-    assert!(a / b > 0.5 && a / b < 2.0, "replay acts {a} vs run acts {b}");
+    assert!(
+        a / b > 0.5 && a / b < 2.0,
+        "replay acts {a} vs run acts {b}"
+    );
 }
 
 #[test]
 fn trace_capture_off_by_default() {
     let app = by_name("CONS").expect("app");
-    let run = SimBuilder::new(&app).scheme(Scheme::Baseline).scale(0.05).build().run();
+    let run = SimBuilder::new(&app)
+        .scheme(Scheme::Baseline)
+        .scale(0.05)
+        .build()
+        .run();
     assert!(run.trace.is_none());
 }
 
@@ -53,13 +63,19 @@ fn trace_replay_responds_to_dms() {
         .run();
     let trace = run.trace.expect("capture enabled");
     let base = trace.replay(&cfg, &SchedConfig::baseline());
-    let dms = trace.replay(&cfg, &SchedConfig {
-        dms: lazydram::common::DmsMode::Static(512),
-        ..SchedConfig::baseline()
-    });
+    let dms = trace.replay(
+        &cfg,
+        &SchedConfig {
+            dms: lazydram::common::DmsMode::Static(512),
+            ..SchedConfig::baseline()
+        },
+    );
     // The delayed replay must not lose requests and should not *increase*
     // activations by more than noise.
-    assert_eq!(dms.dram.reads + dms.dram.writes, base.dram.reads + base.dram.writes);
+    assert_eq!(
+        dms.dram.reads + dms.dram.writes,
+        base.dram.reads + base.dram.writes
+    );
     assert!(
         (dms.dram.activations as f64) < 1.15 * base.dram.activations as f64,
         "DMS replay acts {} vs {}",
@@ -99,9 +115,16 @@ fn trace_survives_a_file_round_trip_with_identical_replay_stats() {
         dms: lazydram::common::DmsMode::Static(256),
         ..SchedConfig::baseline()
     };
-    let a = TraceSim::new(&cfg, &sched).replay(&trace).expect("replay original");
-    let b = TraceSim::new(&cfg, &sched).replay(&loaded).expect("replay loaded");
-    assert_eq!(a.stats.dram, b.stats.dram, "replayed stats are byte-identical");
+    let a = TraceSim::new(&cfg, &sched)
+        .replay(&trace)
+        .expect("replay original");
+    let b = TraceSim::new(&cfg, &sched)
+        .replay(&loaded)
+        .expect("replay loaded");
+    assert_eq!(
+        a.stats.dram, b.stats.dram,
+        "replayed stats are byte-identical"
+    );
     assert_eq!((a.served, a.unserved), (b.served, b.unserved));
     assert_eq!(a.unserved, 0);
 }
@@ -112,12 +135,22 @@ fn trace_survives_a_file_round_trip_with_identical_replay_stats() {
 fn write_requests_replay_fully() {
     let cfg = GpuConfig::default();
     let trace = capture("CONS", 0.05);
-    let writes_recorded =
-        trace.iter().filter(|e| e.request.kind == AccessKind::Write).count() as u64;
-    assert!(writes_recorded > 0, "CONS's trace must contain write requests");
-    let report = TraceSim::new(&cfg, &SchedConfig::baseline()).replay(&trace).expect("replay");
+    let writes_recorded = trace
+        .iter()
+        .filter(|e| e.request.kind == AccessKind::Write)
+        .count() as u64;
+    assert!(
+        writes_recorded > 0,
+        "CONS's trace must contain write requests"
+    );
+    let report = TraceSim::new(&cfg, &SchedConfig::baseline())
+        .replay(&trace)
+        .expect("replay");
     assert_eq!(report.unserved, 0, "no request may be dropped");
-    assert_eq!(report.stats.dram.writes, writes_recorded, "every write is served");
+    assert_eq!(
+        report.stats.dram.writes, writes_recorded,
+        "every write is served"
+    );
     assert_eq!(
         report.stats.dram.reads + report.stats.dram.writes,
         trace.len() as u64
@@ -141,8 +174,14 @@ fn approximable_lines_replay_under_ams() {
         ..SchedConfig::baseline()
     };
     let report = TraceSim::new(&cfg, &sched).replay(&trace).expect("replay");
-    assert!(report.stats.dram.dropped > 0, "AMS must approximate some lines");
-    assert_eq!(report.unserved, 0, "AMS drops count as served, not unserved");
+    assert!(
+        report.stats.dram.dropped > 0,
+        "AMS must approximate some lines"
+    );
+    assert_eq!(
+        report.unserved, 0,
+        "AMS drops count as served, not unserved"
+    );
     assert_eq!(
         report.served,
         report.stats.dram.reads + report.stats.dram.writes + report.stats.dram.dropped
