@@ -7,6 +7,9 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+echo "== tier1: cargo fmt --check =="
+cargo fmt --all -- --check
+
 echo "== tier1: cargo build --release =="
 cargo build --release --workspace
 
