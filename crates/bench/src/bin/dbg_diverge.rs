@@ -2,25 +2,27 @@
 //! configurations of the same app leave a common trajectory, then prints a
 //! component-level diff of the two machine states at that cycle.
 //!
-//! The tool runs both configurations in lockstep through chained
-//! checkpoints (stride cycles at a time), comparing a *comparable digest*
-//! of each checkpoint — the full architectural state minus the frames that
-//! differ by construction (the `meta` config digest and the per-controller
-//! `dms`/`ams` policy state). When a stride window shows a digest mismatch,
-//! it binary-searches inside the window, resuming from the last agreeing
-//! checkpoints, until the exact first divergent cycle is found.
+//! The tool pauses both configurations at the same cycles (stride cycles
+//! apart) and compares a *comparable digest* of each state dump — the full
+//! architectural state minus the frames that differ by construction (the
+//! `meta` config digest and the per-controller `dms`/`ams` policy state).
+//! When a stride window shows a digest mismatch, it binary-searches inside
+//! the window until the exact first divergent cycle is found. Every probe is
+//! a fresh run from cycle 0 to the probed cycle; dumps are never loaded back.
 //!
 //! ```text
-//! dbg_diverge [APP] [X1] [X2] [SCALE] [STRIDE]
+//! dbg_diverge [APP] [A] [B] [SCALE] [STRIDE]
 //! ```
 //!
-//! Defaults: `SLA 128 256 0.05 4096` — Static-DMS with delay X1 vs X2.
+//! `A` and `B` are each a scheme label (`baseline`, `Static-AMS`, …) or a
+//! bare number, which means Static-DMS with that delay. Defaults:
+//! `SLA 128 256 0.05 4096`.
 
 use lazydram_bench::SimBuilder;
 use lazydram_common::snap::{digest, fold, list_frames};
-use lazydram_common::{DmsMode, SchedConfig};
+use lazydram_common::{DmsMode, SchedConfig, Scheme};
 use lazydram_gpu::{Checkpoint, RunOutcome};
-use lazydram_workloads::{by_name, SimRun};
+use lazydram_workloads::{by_name, AppSpec, SimRun};
 use std::collections::BTreeMap;
 
 /// Digest over the architectural frames only: `meta` (holds the config
@@ -54,28 +56,20 @@ fn comparable_digest(ck: &Checkpoint) -> u64 {
     h
 }
 
-/// Advances one run to `target` cycles, either from the start or from a
-/// checkpoint at an earlier cycle.
-fn step(run: &SimRun, from: Option<&Checkpoint>, target: u64) -> RunOutcome {
-    match from {
-        None => run.run_until(target),
-        Some(ck) => run.resume_until(ck, target).expect("resume own checkpoint"),
-    }
-}
-
-/// State probe for the bisection: a paused run compares by comparable
-/// digest (policy frames excused), while a completed run compares by
-/// completion shape (cycle count and output digest), so an early finish on
-/// one side registers as divergence.
-fn probe(run: &SimRun, from: Option<&Checkpoint>, target: u64) -> (u64, Option<Checkpoint>) {
-    match step(run, from, target) {
-        RunOutcome::Paused(ck) => (comparable_digest(&ck), Some(ck)),
+/// State probe for the bisection, a fresh run from cycle 0 to `target`: a
+/// paused run compares by comparable digest (policy frames excused), while
+/// a completed run compares by completion shape (cycle count and output
+/// digest), so an early finish on one side registers as divergence.
+/// Returns the digest and whether the run paused.
+fn probe(run: &SimRun, target: u64) -> (u64, bool) {
+    match run.run_until(target) {
+        RunOutcome::Paused(ck) => (comparable_digest(&ck), true),
         RunOutcome::Done(r) => {
             let mut h = fold(0xD0E_u64, r.stats.core_cycles);
             for v in &r.output {
                 h = fold(h, u64::from(v.to_bits()));
             }
-            (h, None)
+            (h, false)
         }
     }
 }
@@ -122,16 +116,16 @@ fn expected_diff(path: &str) -> bool {
     path.starts_with("meta") || path.contains("/dms[") || path.contains("/ams[")
 }
 
-fn field_diff(run_a: &SimRun, ck_a: &Checkpoint, run_b: &SimRun, ck_b: &Checkpoint) {
-    let fields_a: BTreeMap<String, String> = run_a
-        .checkpoint_fields(ck_a)
-        .expect("fields")
-        .into_iter()
+fn field_diff(ck_a: &Checkpoint, ck_b: &Checkpoint) {
+    let fields_a: BTreeMap<&str, &str> = ck_a
+        .fields()
+        .iter()
+        .map(|(p, v)| (p.as_str(), v.as_str()))
         .collect();
-    let fields_b: BTreeMap<String, String> = run_b
-        .checkpoint_fields(ck_b)
-        .expect("fields")
-        .into_iter()
+    let fields_b: BTreeMap<&str, &str> = ck_b
+        .fields()
+        .iter()
+        .map(|(p, v)| (p.as_str(), v.as_str()))
         .collect();
     let mut architectural = 0usize;
     println!("\nfield-level diff (architectural state; policy/config fields marked *):");
@@ -165,11 +159,58 @@ fn field_diff(run_a: &SimRun, ck_a: &Checkpoint, run_b: &SimRun, ck_b: &Checkpoi
     println!("\n{architectural} architectural field(s) differ at the divergence cycle");
 }
 
+/// One side of the comparison: a scheme label, or a bare number meaning
+/// Static-DMS with that delay.
+enum Side {
+    Scheme(Scheme),
+    StaticDms(u32),
+}
+
+impl Side {
+    fn parse(arg: Option<&String>, default: u32) -> Side {
+        let Some(arg) = arg else {
+            return Side::StaticDms(default);
+        };
+        if let Ok(x) = arg.parse() {
+            return Side::StaticDms(x);
+        }
+        Scheme::by_label(arg).map(Side::Scheme).unwrap_or_else(|| {
+            let labels: Vec<&str> = Scheme::ALL.iter().map(|s| s.label()).collect();
+            eprintln!(
+                "dbg_diverge: {arg:?} is neither a delay nor a scheme label ({})",
+                labels.join(", ")
+            );
+            std::process::exit(2)
+        })
+    }
+
+    fn label(&self) -> String {
+        match self {
+            Side::Scheme(s) => s.label().to_string(),
+            Side::StaticDms(x) => format!("DMS({x})"),
+        }
+    }
+
+    fn build(&self, app: &AppSpec, scale: f64) -> SimRun {
+        let builder = match self {
+            Side::Scheme(s) => SimBuilder::new(app).scheme(*s),
+            Side::StaticDms(x) => SimBuilder::new(app).sched(
+                SchedConfig {
+                    dms: DmsMode::Static(*x),
+                    ..SchedConfig::baseline()
+                },
+                self.label(),
+            ),
+        };
+        builder.scale(scale).build()
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let name = args.first().cloned().unwrap_or_else(|| "SLA".into());
-    let x1: u32 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(128);
-    let x2: u32 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(256);
+    let side_a = Side::parse(args.get(1), 128);
+    let side_b = Side::parse(args.get(2), 256);
     let scale: f64 = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(0.05);
     let stride: u64 = args
         .get(4)
@@ -178,66 +219,44 @@ fn main() {
         .max(2);
     let app = by_name(&name).expect("known app");
 
-    let build = |x: u32| {
-        SimBuilder::new(&app)
-            .sched(
-                SchedConfig {
-                    dms: DmsMode::Static(x),
-                    ..SchedConfig::baseline()
-                },
-                format!("DMS({x})"),
-            )
-            .scale(scale)
-            .build()
+    let (run_a, run_b) = (side_a.build(&app, scale), side_b.build(&app, scale));
+    let (label_a, label_b) = (side_a.label(), side_b.label());
+    let what = match (&side_a, &side_b) {
+        (Side::StaticDms(x1), Side::StaticDms(x2)) => format!("Static-DMS X={x1} vs X={x2}"),
+        _ => format!("{label_a} vs {label_b}"),
     };
-    let (run_a, run_b) = (build(x1), build(x2));
-    let (label_a, label_b) = (format!("DMS({x1})"), format!("DMS({x2})"));
-    println!("{name} @ scale {scale}: bisecting Static-DMS X={x1} vs X={x2} (stride {stride})");
+    println!("{name} @ scale {scale}: bisecting {what} (stride {stride})");
 
     // Phase 1: lockstep coarse scan. `lo` is the last cycle where the two
-    // comparable digests agreed; the checkpoints at `lo` seed the bisection.
+    // comparable digests agreed.
     let mut lo = 0u64;
-    let mut ck_a: Option<Checkpoint> = None;
-    let mut ck_b: Option<Checkpoint> = None;
     let hi = loop {
         let target = lo + stride;
-        let (da, na) = probe(&run_a, ck_a.as_ref(), target);
-        let (db, nb) = probe(&run_b, ck_b.as_ref(), target);
+        let (da, paused_a) = probe(&run_a, target);
+        let (db, paused_b) = probe(&run_b, target);
         if da != db {
             break target;
         }
-        match (na, nb) {
-            (Some(a), Some(b)) => {
-                lo = target;
-                ck_a = Some(a);
-                ck_b = Some(b);
-            }
-            _ => {
-                // Both runs completed with identical completion shape and no
-                // digest mismatch at any stride boundary.
-                println!(
-                    "no divergence detected up to completion at stride {stride}; \
-                     the runs agree at every probed cycle"
-                );
-                return;
-            }
+        if !(paused_a && paused_b) {
+            // Both runs completed with identical completion shape and no
+            // digest mismatch at any stride boundary.
+            println!(
+                "no divergence detected up to completion at stride {stride}; \
+                 the runs agree at every probed cycle"
+            );
+            return;
         }
+        lo = target;
     };
     println!("digests agree at cycle {lo}, differ by cycle {hi} — bisecting…");
 
-    // Phase 2: binary search in (lo, hi], always resuming from the agreeing
-    // checkpoints at `lo`. Invariant: digests agree at `lo`, differ at `hi`.
+    // Phase 2: binary search in (lo, hi]. Invariant: digests agree at `lo`,
+    // differ at `hi`.
     let mut hi = hi;
     while hi - lo > 1 {
         let mid = lo + (hi - lo) / 2;
-        let (da, na) = probe(&run_a, ck_a.as_ref(), mid);
-        let (db, nb) = probe(&run_b, ck_b.as_ref(), mid);
-        if da == db {
+        if probe(&run_a, mid).0 == probe(&run_b, mid).0 {
             lo = mid;
-            if let (Some(a), Some(b)) = (na, nb) {
-                ck_a = Some(a);
-                ck_b = Some(b);
-            }
         } else {
             hi = mid;
         }
@@ -245,9 +264,7 @@ fn main() {
     println!("first divergent cycle: {hi} (last agreeing cycle: {lo})");
 
     // Phase 3: component- and field-level diff at the divergence cycle.
-    let at_a = step(&run_a, ck_a.as_ref(), hi);
-    let at_b = step(&run_b, ck_b.as_ref(), hi);
-    match (at_a, at_b) {
+    match (run_a.run_until_labelled(hi), run_b.run_until_labelled(hi)) {
         (RunOutcome::Paused(a), RunOutcome::Paused(b)) => {
             let diff = frame_diff(&a, &b);
             println!("\ndivergent components at cycle {hi}:");
@@ -257,7 +274,7 @@ fn main() {
             if diff.is_empty() {
                 println!("  (none at frame granularity — divergence is in completion shape)");
             }
-            field_diff(&run_a, &a, &run_b, &b);
+            field_diff(&a, &b);
         }
         (RunOutcome::Done(ra), RunOutcome::Done(rb)) => {
             println!(

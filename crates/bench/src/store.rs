@@ -43,8 +43,7 @@
 //!
 //! The profiler attribution (`SimStats::prof`) is wall-clock and therefore
 //! not part of the stored bytes — a cache hit reports an empty profile,
-//! exactly as `SimStats` equality and the checkpoint subsystem already
-//! treat it.
+//! exactly as `SimStats` equality and the state dump already treat it.
 
 use crate::Measurement;
 use lazydram_common::snap::{digest, fold, Loader, Saver};
@@ -65,7 +64,7 @@ use std::sync::{Arc, Mutex};
 pub const STORE_VERSION: u16 = 3;
 
 /// Version in an entry's snap header. An entry holds a measurement, never
-/// simulator state, so a checkpoint-layout bump of
+/// simulator state, so a dump- or trace-layout bump of
 /// [`lazydram_common::snap::SNAP_VERSION`] leaves entries (and every store
 /// written before it) valid; the entry layout is versioned by
 /// [`STORE_VERSION`].

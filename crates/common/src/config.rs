@@ -85,8 +85,8 @@ impl DramTimings {
 /// This selects the *model* behind the `MemoryBackend` trait in
 /// `lazydram_dram`, not the machine geometry: geometry and the timing
 /// package still come from the rest of [`GpuConfig`]. The discriminant
-/// values are stable — they tag backend checkpoint frames on the wire, so a
-/// checkpoint taken under one backend can never be restored into another.
+/// values are stable — they tag the backend's frame in a state dump, so
+/// dumps taken under two backends never compare equal frame by frame.
 /// Tags 2–4 are retired (they named DDR4, LPDDR4 and Flexible-Latency
 /// models) and are never reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -101,7 +101,7 @@ pub enum BackendKind {
 }
 
 impl BackendKind {
-    /// Stable wire tag used for checkpoint frame validation.
+    /// Stable wire tag: the index of the backend's state-dump frame.
     pub fn tag(self) -> u32 {
         self as u32
     }
@@ -761,7 +761,7 @@ mod tests {
 
     #[test]
     fn backend_tags_are_stable() {
-        // Wire tags for checkpoint frames: frozen, never renumber.
+        // Wire tags for state-dump frames: frozen, never renumber.
         assert_eq!(BackendKind::Gddr5.tag(), 0);
         assert_eq!(BackendKind::Naive.tag(), 1);
     }

@@ -1,8 +1,10 @@
-//! Hand-rolled snapshot wire format for checkpoint/restore.
+//! Hand-rolled snapshot wire format: state dumps, trace files and
+//! result-store entries.
 //!
-//! The simulator's checkpoint subsystem (DESIGN §10) serializes every
-//! stateful component into a versioned, length-prefixed little-endian binary
-//! stream. The container is offline, so this module replaces `serde` with a
+//! A paused simulation dumps every stateful component into a versioned,
+//! length-prefixed little-endian binary stream (DESIGN §10). The dump is
+//! write-only; only trace files and result-store entries are read back.
+//! The build has no serialization dependency, so this module is a
 //! deliberately small pair of types:
 //!
 //! * [`Saver`] — appends labeled primitives to a byte buffer. Labels are
@@ -10,10 +12,10 @@
 //!   with [`Saver::with_labels`] records a `(path, value)` dump alongside
 //!   the bytes, which is how `dbg_diverge` turns two snapshots into a
 //!   component-level field diff without a second serialization code path.
-//! * [`Loader`] — the mirror-image reader. Every read returns a
-//!   [`SnapError`] on malformed input (truncation, tag mismatch, version
-//!   skew) instead of panicking, so a caller restoring a checkpoint or a
-//!   store entry from disk can reject a corrupt one loudly.
+//! * [`Loader`] — the reader for what trace files and store entries hold.
+//!   Every read returns a [`SnapError`] on malformed input (truncation, tag
+//!   mismatch, version skew) instead of panicking, so a caller reading a
+//!   trace or a store entry from disk can reject a corrupt one loudly.
 //!
 //! Component state is framed: a frame is `tag (4 bytes) · index (u32) ·
 //! payload length (u64) · payload`. Frames nest; the top-level frames of a
@@ -24,9 +26,14 @@
 /// Magic bytes opening every snapshot produced by this crate family.
 pub const SNAP_MAGIC: [u8; 4] = *b"LZSN";
 
-/// Current snapshot wire-format version of checkpoints and traces. Bump on
-/// any layout change; loaders reject snapshots whose version differs.
-/// Version 2 holds the pending queue as one arrival-ordered list per bank.
+/// Current snapshot wire-format version. State dumps carry it in their
+/// header, but nothing reads a dump back, so it guards trace files only:
+/// bump it on a change to the trace layout (or to [`Request`]'s), and
+/// [`Loader::expect_header`] rejects a file of another version. Version 2
+/// (a pending-queue change to the dump) retired the trace files of older
+/// builds.
+///
+/// [`Request`]: crate::Request
 pub const SNAP_VERSION: u16 = 2;
 
 /// Error produced when decoding a snapshot fails.
@@ -324,7 +331,7 @@ impl Saver {
     }
 
     /// Writes a snapshot header carrying `version`: for a format that is
-    /// versioned apart from checkpoints, such as result-store entries.
+    /// versioned apart from trace files, such as result-store entries.
     pub fn header_version(&mut self, version: u16) {
         self.buf.extend_from_slice(&SNAP_MAGIC);
         self.buf.extend_from_slice(&version.to_le_bytes());
@@ -454,9 +461,9 @@ macro_rules! loader_prim {
     };
 }
 
-/// Deserializer over a snapshot byte slice. Mirrors [`Saver`] method for
-/// method; every read validates bounds and returns [`SnapError`] on
-/// malformed input.
+/// Deserializer over a snapshot byte slice, for the primitives trace files
+/// and store entries hold; every read validates bounds and returns
+/// [`SnapError`] on malformed input.
 #[derive(Debug)]
 pub struct Loader<'a> {
     buf: &'a [u8],
@@ -531,15 +538,6 @@ impl<'a> Loader<'a> {
         /// Reads a `u64`.
         u64, u64, 8
     );
-    loader_prim!(
-        /// Reads an `i64`.
-        i64, i64, 8
-    );
-
-    /// Reads a `usize` (stored as `u64`).
-    pub fn usize(&mut self, label: &str) -> SnapResult<usize> {
-        Ok(self.u64(label)? as usize)
-    }
 
     /// Reads a `bool`; rejects bytes other than `0`/`1`.
     pub fn bool(&mut self, label: &str) -> SnapResult<bool> {
@@ -551,11 +549,6 @@ impl<'a> Loader<'a> {
                 why: format!("bool byte 0x{b:02x}"),
             }),
         }
-    }
-
-    /// Reads an `f32` from its raw bits.
-    pub fn f32(&mut self, label: &str) -> SnapResult<f32> {
-        Ok(f32::from_bits(self.u32(label)?))
     }
 
     /// Reads an `f64` from its raw bits.
@@ -579,34 +572,6 @@ impl<'a> Loader<'a> {
         Ok(len)
     }
 
-    /// Reads an `f32` slice written by [`Saver::f32s`] into `out`
-    /// (cleared first; capacity retained).
-    pub fn f32s(&mut self, label: &str, out: &mut Vec<f32>) -> SnapResult<()> {
-        let len = self.seq(label, 4)?;
-        out.clear();
-        out.reserve(len);
-        for _ in 0..len {
-            out.push(f32::from_bits(self.u32(label)?));
-        }
-        Ok(())
-    }
-
-    /// Reads an `f32` slice written by [`Saver::f32s`], requiring its length
-    /// to equal `out.len()` exactly (for fixed-size arrays).
-    pub fn f32_array(&mut self, label: &str, out: &mut [f32]) -> SnapResult<()> {
-        let len = self.seq(label, 4)?;
-        if len != out.len() {
-            return Err(SnapError::Malformed {
-                label: label.into(),
-                why: format!("expected {} elements, found {len}", out.len()),
-            });
-        }
-        for slot in out.iter_mut() {
-            *slot = f32::from_bits(self.u32(label)?);
-        }
-        Ok(())
-    }
-
     /// Reads a `u64` slice written by [`Saver::u64s`] into `out`
     /// (cleared first; capacity retained).
     pub fn u64s(&mut self, label: &str, out: &mut Vec<u64>) -> SnapResult<()> {
@@ -619,22 +584,6 @@ impl<'a> Loader<'a> {
         Ok(())
     }
 
-    /// Reads a `u64` slice written by [`Saver::u64s`], requiring its length
-    /// to equal `out.len()` exactly (for fixed-size arrays).
-    pub fn u64_array(&mut self, label: &str, out: &mut [u64]) -> SnapResult<()> {
-        let len = self.seq(label, 8)?;
-        if len != out.len() {
-            return Err(SnapError::Malformed {
-                label: label.into(),
-                why: format!("expected {} elements, found {len}", out.len()),
-            });
-        }
-        for slot in out.iter_mut() {
-            *slot = self.u64(label)?;
-        }
-        Ok(())
-    }
-
     /// Reads a UTF-8 string written by [`Saver::str`]; rejects invalid UTF-8.
     pub fn str(&mut self, label: &str) -> SnapResult<String> {
         let len = self.seq(label, 1)?;
@@ -643,25 +592,6 @@ impl<'a> Loader<'a> {
             label: label.into(),
             why: format!("invalid UTF-8: {e}"),
         })
-    }
-
-    /// Peeks the next frame header without consuming it. Returns `None` at
-    /// end of buffer.
-    pub fn peek_frame(&self) -> SnapResult<Option<(String, u32, usize)>> {
-        if self.is_done() {
-            return Ok(None);
-        }
-        if self.remaining() < 16 {
-            return Err(SnapError::Truncated {
-                label: "frame header".into(),
-                at: self.pos,
-            });
-        }
-        let tag = tag_str(self.buf[self.pos..self.pos + 4].try_into().unwrap());
-        let index = u32::from_le_bytes(self.buf[self.pos + 4..self.pos + 8].try_into().unwrap());
-        let len =
-            u64::from_le_bytes(self.buf[self.pos + 8..self.pos + 16].try_into().unwrap()) as usize;
-        Ok(Some((tag, index, len)))
     }
 
     /// Reads a frame written by [`Saver::frame`], validating tag and index,
@@ -739,16 +669,16 @@ mod tests {
         assert_eq!(l.u16("b").unwrap(), 0xCDEF);
         assert_eq!(l.u32("c").unwrap(), 0xDEAD_BEEF);
         assert_eq!(l.u64("d").unwrap(), 0x0123_4567_89AB_CDEF);
-        assert_eq!(l.i64("e").unwrap(), -42);
-        assert_eq!(l.usize("f").unwrap(), 7);
+        // Write-only primitives read back through their wire types.
+        assert_eq!(l.u64("e").unwrap() as i64, -42);
+        assert_eq!(l.u64("f").unwrap(), 7);
         assert!(l.bool("g").unwrap());
-        assert_eq!(l.f32("h").unwrap(), -1.5);
+        assert_eq!(f32::from_bits(l.u32("h").unwrap()), -1.5);
         assert_eq!(l.f64("i").unwrap(), std::f64::consts::PI);
-        let mut fs = Vec::new();
-        l.f32s("j", &mut fs).unwrap();
-        assert_eq!(fs.len(), 3);
-        assert_eq!(fs[0], 1.0);
-        assert!(fs[1].is_nan());
+        assert_eq!(l.seq("j", 4).unwrap(), 3);
+        assert_eq!(f32::from_bits(l.u32("j").unwrap()), 1.0);
+        assert!(f32::from_bits(l.u32("j").unwrap()).is_nan());
+        assert_eq!(f32::from_bits(l.u32("j").unwrap()), 3.0);
         let mut us = Vec::new();
         l.u64s("k", &mut us).unwrap();
         assert_eq!(us, vec![9, 8]);
@@ -790,7 +720,7 @@ mod tests {
         s.f32("x", weird);
         let bytes = s.finish();
         let mut l = Loader::new(&bytes);
-        assert_eq!(l.f32("x").unwrap().to_bits(), 0x7FC0_1234);
+        assert_eq!(l.u32("x").unwrap(), 0x7FC0_1234);
     }
 
     #[test]
@@ -804,7 +734,6 @@ mod tests {
 
         let mut l = Loader::new(&bytes);
         l.frame("mach", 0, |l| {
-            assert_eq!(l.peek_frame().unwrap().unwrap(), ("sm".to_string(), 0, 8));
             l.frame("sm", 0, |l| {
                 assert_eq!(l.u64("cycles")?, 10);
                 Ok(())

@@ -103,7 +103,7 @@ impl RblHistogram {
         s.u64s("hist", &self.hist);
     }
 
-    /// Restores the histogram from a snapshot.
+    /// Reads the histogram back from a snapshot (a result-store entry).
     ///
     /// # Errors
     ///
@@ -247,7 +247,8 @@ impl DramStats {
         self.rbl_read_only.save_state(s);
     }
 
-    /// Restores the counters and histograms from a snapshot.
+    /// Reads the counters and histograms back from a snapshot (a
+    /// result-store entry).
     ///
     /// # Errors
     ///
@@ -412,7 +413,7 @@ impl SimStats {
 
     /// Serializes the statistics into a snapshot. The wall-clock `prof`
     /// report is intentionally excluded (it is nondeterministic and already
-    /// excluded from `==`); a restored run re-accumulates its own profile.
+    /// excluded from `==`).
     pub fn save_state(&self, s: &mut crate::snap::Saver) {
         let Self {
             core_cycles,
@@ -445,7 +446,8 @@ impl SimStats {
         dram.save_state(s);
     }
 
-    /// Restores the statistics from a snapshot (`prof` is left untouched).
+    /// Reads the statistics back from a snapshot (a result-store entry;
+    /// `prof` is left untouched).
     ///
     /// # Errors
     ///

@@ -15,7 +15,7 @@
 
 use crate::queue::PendingQueue;
 use lazydram_common::config::AmsMode;
-use lazydram_common::snap::{Loader, Saver, SnapResult};
+use lazydram_common::snap::Saver;
 use lazydram_common::Request;
 
 /// Why an AMS drop check declined (diagnostic histogram indices).
@@ -181,26 +181,13 @@ impl AmsUnit {
         Ok(())
     }
 
-    /// Serializes the unit's dynamic state (mode, cap and warm-up come from
-    /// the configuration at restore time).
+    /// Serializes the unit's dynamic state (mode, cap and warm-up are
+    /// configuration and are not written).
     pub fn save_state(&self, s: &mut Saver) {
         s.u32("th_rbl", self.th_rbl);
         s.u64("window_start", self.window_start);
         s.u64s("declines", &self.declines);
         s.u64("accepts", self.accepts);
-    }
-
-    /// Restores the unit's dynamic state from a snapshot.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the snapshot bytes are malformed.
-    pub fn load_state(&mut self, l: &mut Loader<'_>) -> SnapResult<()> {
-        self.th_rbl = l.u32("th_rbl")?;
-        self.window_start = l.u64("window_start")?;
-        l.u64_array("declines", &mut self.declines)?;
-        self.accepts = l.u64("accepts")?;
-        Ok(())
     }
 
     /// The absolute memory cycle of the next `Dyn-AMS` window boundary

@@ -33,7 +33,7 @@ use crate::ams::{AmsDecline, AmsUnit};
 use crate::dms::DmsUnit;
 use crate::queue::{PendingQueue, QueueFull};
 use lazydram_common::prof::{self, Counter, Phase};
-use lazydram_common::snap::{Loader, Saver, SnapError, SnapResult};
+use lazydram_common::snap::Saver;
 use lazydram_common::{AccessKind, Arbiter, GpuConfig, Request, RequestId, RowPolicy, SchedConfig};
 use lazydram_dram::{DramBackend, MemoryBackend};
 use std::collections::VecDeque;
@@ -134,7 +134,7 @@ pub struct MemoryController {
     dormancy: bool,
     /// The first memory cycle at which [`MemoryController::schedule`] must
     /// run again; before it, every pass is a proven no-op. Derived state:
-    /// never serialized, and zero (awake) after a restore.
+    /// never serialized.
     wake_at: u64,
     /// The AMS decline the last (no-op) pass counted, replayed once per
     /// pass skipped while asleep.
@@ -698,13 +698,11 @@ impl MemoryController {
     /// Serializes the controller's complete state (pending queue, DRAM
     /// channel, policy units, in-flight bursts, drop sequence, clock) into a
     /// snapshot. Configuration-derived fields (geometry, arbiter, row
-    /// policy, modes) are not serialized — the restoring controller must be
-    /// constructed from the same configuration.
+    /// policy, modes) are not serialized.
     pub fn save_state(&self, s: &mut Saver) {
         s.frame("pq", 0, |s| self.queue.save_state(s));
-        // The frame index carries the backend's stable wire tag, so a
-        // checkpoint taken under one backend can never be restored into
-        // another (the loader validates tag and index together).
+        // The frame index carries the backend's stable wire tag, so dumps
+        // taken under two backends differ in this frame's header.
         s.frame("chan", self.backend.kind().tag(), |s| {
             self.backend.save_state(s)
         });
@@ -733,61 +731,6 @@ impl MemoryController {
             }
             s.u64("now", self.now);
         });
-    }
-
-    /// Restores the controller state from a snapshot written by
-    /// [`MemoryController::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the snapshot bytes are malformed or the
-    /// snapshot geometry disagrees with this controller's configuration.
-    pub fn load_state(&mut self, l: &mut Loader<'_>) -> SnapResult<()> {
-        l.frame("pq", 0, |l| self.queue.load_state(l))?;
-        l.frame("chan", self.backend.kind().tag(), |l| {
-            self.backend.load_state(l)
-        })?;
-        l.frame("dms", 0, |l| self.dms.load_state(l))?;
-        l.frame("ams", 0, |l| self.ams.load_state(l))?;
-        l.frame("rest", 0, |l| {
-            let n = l.seq("inflight", 25)?;
-            self.inflight.clear();
-            for _ in 0..n {
-                let ready_at = l.u64("ready_at")?;
-                let id = RequestId(l.u64("resp_id")?);
-                let addr = l.u64("resp_addr")?;
-                let approximated = l.bool("resp_approx")?;
-                self.inflight.push_back(Inflight {
-                    ready_at,
-                    resp: Response {
-                        id,
-                        addr,
-                        approximated,
-                    },
-                });
-            }
-            self.dropping = if l.bool("has_dropping")? {
-                let (bank, row) = (l.usize("drop_bank")?, l.u32("drop_row")?);
-                let remaining = l.u32("drop_remaining")?;
-                // A live sequence always has a request left: it ends (becomes
-                // `None`) as soon as its last request is dropped.
-                if remaining == 0 {
-                    return Err(SnapError::Malformed {
-                        label: "drop_remaining".into(),
-                        why: "an AMS drop sequence with no requests left".into(),
-                    });
-                }
-                Some((bank, row, remaining))
-            } else {
-                None
-            };
-            self.now = l.u64("now")?;
-            // Sleep state is derived: the first pass after a restore runs
-            // in full and recomputes it.
-            self.wake_at = 0;
-            self.sleep_decline = None;
-            Ok(())
-        })
     }
 }
 
@@ -1412,29 +1355,5 @@ mod tests {
         let (served, _) = both(None, 400);
         assert_eq!(served.len(), 1);
         assert_eq!(served[0].id, RequestId(2), "the gated miss follows");
-    }
-
-    #[test]
-    fn load_state_rejects_an_exhausted_drop_sequence() {
-        let snapshot = |dropping| {
-            let mut mc = baseline_mc();
-            mc.dropping = dropping;
-            let mut s = Saver::new();
-            mc.save_state(&mut s);
-            s.finish()
-        };
-        let bytes = snapshot(Some((3, 7, 0)));
-        let err = baseline_mc()
-            .load_state(&mut Loader::new(&bytes))
-            .expect_err("a drop sequence with nothing left is malformed");
-        assert!(
-            matches!(&err, SnapError::Malformed { label, .. } if label == "drop_remaining"),
-            "{err}"
-        );
-        let bytes = snapshot(Some((3, 7, 1)));
-        let mut back = baseline_mc();
-        back.load_state(&mut Loader::new(&bytes))
-            .expect("a live sequence restores");
-        assert_eq!(back.dropping, Some((3, 7, 1)));
     }
 }

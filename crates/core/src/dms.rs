@@ -11,7 +11,7 @@
 //! baseline, backing off one step when it drops.
 
 use lazydram_common::config::{DmsMode, DynDmsConfig};
-use lazydram_common::snap::{Loader, Saver, SnapError, SnapResult};
+use lazydram_common::snap::Saver;
 
 /// Phase of the `Dyn-DMS` profiling state machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,8 +145,8 @@ impl DmsUnit {
         }
     }
 
-    /// Serializes the unit's dynamic state (the mode comes from the
-    /// configuration at restore time).
+    /// Serializes the unit's dynamic state (the mode is configuration and
+    /// is not written).
     pub fn save_state(&self, s: &mut Saver) {
         s.u32("current", self.current);
         s.u8(
@@ -162,32 +162,6 @@ impl DmsUnit {
         s.u32("windows_in_period", self.windows_in_period);
         s.u64("window_start", self.window_start);
         s.u64("busy_at_window_start", self.busy_at_window_start);
-    }
-
-    /// Restores the unit's dynamic state from a snapshot.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the snapshot bytes are malformed.
-    pub fn load_state(&mut self, l: &mut Loader<'_>) -> SnapResult<()> {
-        self.current = l.u32("current")?;
-        self.phase = match l.u8("phase")? {
-            0 => Phase::Sampling,
-            1 => Phase::Searching,
-            2 => Phase::Holding,
-            b => {
-                return Err(SnapError::Malformed {
-                    label: "phase".into(),
-                    why: format!("DMS phase discriminant {b}"),
-                })
-            }
-        };
-        self.baseline_bw = l.f64("baseline_bw")?;
-        self.recorded = l.u32("recorded")?;
-        self.windows_in_period = l.u32("windows_in_period")?;
-        self.window_start = l.u64("window_start")?;
-        self.busy_at_window_start = l.u64("busy_at_window_start")?;
-        Ok(())
     }
 
     /// Dynamic configuration, if the unit is dynamic.

@@ -14,7 +14,7 @@
 //! scan is a few cache lines. Removal searches one bank's list and keeps
 //! the rest in order.
 
-use lazydram_common::snap::{Loader, Saver, SnapError, SnapResult};
+use lazydram_common::snap::Saver;
 use lazydram_common::{Request, RequestId};
 
 /// Error returned when enqueueing into a full pending queue.
@@ -166,8 +166,7 @@ impl PendingQueue {
     }
 
     /// Serializes the next sequence number and each bank's list. Capacity
-    /// and geometry are *not* serialized; they come from the configuration
-    /// at restore time.
+    /// and geometry are configuration and are *not* serialized.
     pub fn save_state(&self, s: &mut Saver) {
         s.u64("next_seq", self.next_seq);
         s.seq("banks", self.banks.len());
@@ -178,38 +177,6 @@ impl PendingQueue {
                 r.save_state(s);
             }
         }
-    }
-
-    /// Restores the queue state from a snapshot. The queue must have been
-    /// constructed with the same capacity/geometry that produced it.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the snapshot bytes are malformed or the bank
-    /// count differs from this queue's geometry.
-    pub fn load_state(&mut self, l: &mut Loader<'_>) -> SnapResult<()> {
-        self.next_seq = l.u64("next_seq")?;
-        let banks = l.seq("banks", 8)?;
-        if banks != self.banks.len() {
-            return Err(SnapError::Malformed {
-                label: "banks".into(),
-                why: format!("snapshot has {banks} banks, queue has {}", self.banks.len()),
-            });
-        }
-        (self.bank_mask, self.len) = (0, 0);
-        for (bank, list) in self.banks.iter_mut().enumerate() {
-            let n = l.seq("bank", 16)?;
-            list.clear();
-            for _ in 0..n {
-                let seq = l.u64("seq")?;
-                list.push((seq, Request::load_state(l)?));
-            }
-            if n > 0 {
-                self.bank_mask |= 1 << bank;
-            }
-            self.len += n;
-        }
-        Ok(())
     }
 }
 
@@ -386,22 +353,6 @@ mod tests {
             "the departed write is forgotten"
         );
         assert_eq!(q.oldest_for_row(0, 5).unwrap().1.id, RequestId(2));
-    }
-
-    #[test]
-    fn load_state_refuses_another_bank_count() {
-        let mut q = q();
-        q.push(req(1, 2, 7, AccessKind::Read)).unwrap();
-        let mut s = Saver::new();
-        q.save_state(&mut s);
-        let bytes = s.finish();
-        let err = PendingQueue::new(128, 8, 4)
-            .load_state(&mut Loader::new(&bytes))
-            .unwrap_err();
-        assert!(
-            matches!(&err, SnapError::Malformed { label, .. } if label == "banks"),
-            "{err}"
-        );
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Model-based property test: the pending queue must behave exactly like a
 //! naive reference implementation under arbitrary push/remove
 //! interleavings, at every queue size the sweeps use, with requests spread
-//! over all banks or piled onto one, and across checkpoint round trips.
+//! over all banks or piled onto one.
 
-use lazydram_common::snap::{Loader, Saver};
 use lazydram_common::{AccessKind, Location, MemSpace, Request, RequestId};
 use lazydram_core::PendingQueue;
 use proptest::prelude::*;
@@ -13,21 +12,10 @@ const ROWS: usize = 6;
 
 #[derive(Debug, Clone)]
 enum Op {
-    Push {
-        bank: u8,
-        row: u8,
-        write: bool,
-    },
+    Push { bank: u8, row: u8, write: bool },
     RemoveOldest,
-    RemoveOldestForBank {
-        bank: u8,
-    },
-    RemoveOldestForRow {
-        bank: u8,
-        row: u8,
-    },
-    /// Checkpoint the queue and continue from a fresh one restored from it.
-    SaveLoad,
+    RemoveOldestForBank { bank: u8 },
+    RemoveOldestForRow { bank: u8, row: u8 },
 }
 
 /// Queue sizes: the paper's 128, the smallest and largest the fig02 and
@@ -55,12 +43,7 @@ fn removal() -> impl Strategy<Value = Op> {
 
 /// Requests spread over every bank.
 fn spread_op() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        push(0..BANKS as u8),
-        removal(),
-        removal(),
-        Just(Op::SaveLoad)
-    ]
+    prop_oneof![push(0..BANKS as u8), removal(), removal()]
 }
 
 /// Most requests go to bank 3, so its list grows towards the capacity.
@@ -72,7 +55,6 @@ fn one_bank_op() -> impl Strategy<Value = Op> {
         push(0..BANKS as u8),
         removal(),
         removal(),
-        Just(Op::SaveLoad)
     ]
 }
 
@@ -171,17 +153,6 @@ fn check(capacity: usize, ops: Vec<Op>) -> Result<(), TestCaseError> {
                 let got = q.oldest_for_row(bank, row).map(|(_, r)| r.id);
                 prop_assert_eq!(got, expect, "oldest_for_row mismatch");
                 expect
-            }
-            Op::SaveLoad => {
-                let mut s = Saver::new();
-                q.save_state(&mut s);
-                let bytes = s.finish();
-                q = PendingQueue::new(capacity, BANKS, 4);
-                q.load_state(&mut Loader::new(&bytes)).unwrap();
-                let mut again = Saver::new();
-                q.save_state(&mut again);
-                prop_assert!(again.finish() == bytes, "restored queue saves other bytes");
-                None
             }
         };
         if let Some(id) = victim {

@@ -20,7 +20,7 @@
 //! * [`NaiveBackend`] — fixed-latency, bank-state-free functional tier.
 
 use crate::channel::Channel;
-use lazydram_common::snap::{Loader, Saver, SnapResult};
+use lazydram_common::snap::Saver;
 use lazydram_common::{AccessKind, BackendKind, DramStats, GpuConfig};
 
 /// One memory channel as seen by the memory controller.
@@ -40,16 +40,13 @@ use lazydram_common::{AccessKind, BackendKind, DramStats, GpuConfig};
 /// * **Stall persistence** — once `can_*` is true at cycle `t` it stays
 ///   true at `t+1` unless a command or refresh intervenes; the controller's
 ///   `next_event_cycle` fast-forward depends on this.
-/// * **Snapshot fidelity** — `save_state` → `load_state` into a freshly
-///   constructed backend of the same kind and configuration reproduces
-///   behavior bit-for-bit.
 /// * **Honest thresholds** — each `*_ready_at` is never later than the
 ///   first cycle its `can_*` turns true while no command or refresh
 ///   intervenes, so a controller that sleeps until the earliest threshold
 ///   it failed never misses a legal command. The controller's dormancy
 ///   (DESIGN.md §12) depends on this.
 pub trait MemoryBackend {
-    /// Which model this is; tags checkpoint frames and cache cells.
+    /// Which model this is; tags state-dump frames and cache cells.
     fn kind(&self) -> BackendKind;
 
     /// Advances the backend's notion of elapsed time (statistics only);
@@ -130,15 +127,6 @@ pub trait MemoryBackend {
 
     /// Serializes the full backend state into a snapshot.
     fn save_state(&self, s: &mut Saver);
-
-    /// Restores the backend state from a snapshot taken by a backend of the
-    /// same kind and configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the snapshot bytes are malformed or were taken
-    /// under a different geometry.
-    fn load_state(&mut self, l: &mut Loader<'_>) -> SnapResult<()>;
 }
 
 /// One bank's worth of functional state in the [`NaiveBackend`].
@@ -315,30 +303,6 @@ impl MemoryBackend for NaiveBackend {
         }
         s.frame("stat", 0, |s| self.stats.save_state(s));
     }
-    fn load_state(&mut self, l: &mut Loader<'_>) -> SnapResult<()> {
-        use lazydram_common::SnapError;
-        let n = l.seq("nbanks", 1)?;
-        if n != self.open.len() {
-            return Err(SnapError::Malformed {
-                label: "nbanks".into(),
-                why: format!("snapshot has {n} banks, backend has {}", self.open.len()),
-            });
-        }
-        self.open_banks = 0;
-        for bank in 0..n {
-            self.open[bank] = if l.bool("open")? {
-                self.open_banks |= 1 << bank;
-                Some(NaiveRow {
-                    row: l.u32("row")?,
-                    served: l.u32("served")?,
-                    read_only: l.bool("read_only")?,
-                })
-            } else {
-                None
-            };
-        }
-        l.frame("stat", 0, |l| self.stats.load_state(l))
-    }
 }
 
 /// The backend matrix: one variant per [`BackendKind`], dispatched
@@ -446,9 +410,6 @@ impl MemoryBackend for DramBackend {
     fn save_state(&self, s: &mut Saver) {
         dispatch!(self, b => b.save_state(s))
     }
-    fn load_state(&mut self, l: &mut Loader<'_>) -> SnapResult<()> {
-        dispatch!(self, b => b.load_state(l))
-    }
 }
 
 #[cfg(test)]
@@ -474,22 +435,6 @@ mod tests {
         assert_eq!(b.stats().row_misses, 1);
         assert!(!b.refresh_due(u64::MAX - 1));
         assert_eq!(b.refresh_due_at(), u64::MAX);
-    }
-
-    #[test]
-    fn naive_backend_snapshot_round_trips() {
-        let cfg = GpuConfig::default();
-        let mut b = NaiveBackend::new(&cfg);
-        b.activate(3, 9, 0);
-        b.cas(3, AccessKind::Write, false, 1);
-        b.advance_to(10);
-        let mut s = Saver::new();
-        b.save_state(&mut s);
-        let bytes = s.finish();
-        let mut b2 = NaiveBackend::new(&cfg);
-        let mut l = Loader::new(&bytes);
-        b2.load_state(&mut l).expect("round trip");
-        assert_eq!(b, b2);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Per-bank row-buffer state machine and timing bookkeeping.
 
-use lazydram_common::snap::{Loader, Saver, SnapError, SnapResult};
+use lazydram_common::snap::Saver;
 use lazydram_common::{AccessKind, DramTimings};
 
 /// The row-buffer state of one DRAM bank.
@@ -195,41 +195,6 @@ impl Bank {
         s.u64("pre_ready", self.pre_ready);
         s.u64("act_ready", self.act_ready);
         s.bool("ever_activated", self.ever_activated);
-    }
-
-    /// Restores the bank state from a snapshot.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the snapshot bytes are malformed.
-    pub fn load_state(&mut self, l: &mut Loader<'_>) -> SnapResult<()> {
-        self.state = match l.u8("state")? {
-            0 => BankState::Closed,
-            1 => BankState::Open {
-                row: l.u32("open_row")?,
-            },
-            b => {
-                return Err(SnapError::Malformed {
-                    label: "state".into(),
-                    why: format!("bank state discriminant {b}"),
-                })
-            }
-        };
-        self.current = if l.bool("has_activation")? {
-            Some(ActivationRecord {
-                row: l.u32("act_row")?,
-                served: l.u32("act_served")?,
-                read_only: l.bool("act_read_only")?,
-            })
-        } else {
-            None
-        };
-        self.last_act = l.u64("last_act")?;
-        self.cas_ready = l.u64("cas_ready")?;
-        self.pre_ready = l.u64("pre_ready")?;
-        self.act_ready = l.u64("act_ready")?;
-        self.ever_activated = l.bool("ever_activated")?;
-        Ok(())
     }
 
     /// Applies a `PRE` at `now`, closing the row. Returns the finished

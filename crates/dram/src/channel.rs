@@ -1,7 +1,7 @@
 //! One DRAM channel: banks + shared command/data buses + statistics.
 
 use crate::bank::{Bank, BankState};
-use lazydram_common::snap::{Loader, Saver, SnapError, SnapResult};
+use lazydram_common::snap::Saver;
 use lazydram_common::{AccessKind, DramStats, DramTimings, GpuConfig};
 
 /// A banked DRAM channel (GDDR5, or HBM under its timing package) with
@@ -15,8 +15,8 @@ pub struct Channel {
     banks: Vec<Bank>,
     banks_per_group: usize,
     /// Bit `b` set iff bank `b` has an open row. Derived from `banks`
-    /// (maintained by `activate`/`precharge`/`drain`, rebuilt on restore,
-    /// never serialized); lets per-cycle scans visit only open banks.
+    /// (maintained by `activate`/`precharge`/`drain`, never serialized);
+    /// lets per-cycle scans visit only open banks.
     open_banks: u64,
     /// Earliest cycle the next `ACT` to *any* bank is legal (tRRD).
     next_act_ok: u64,
@@ -374,8 +374,8 @@ impl Channel {
     }
 
     /// Serializes the full channel state (banks, bus bookkeeping, refresh
-    /// FSM, statistics) into a snapshot. Timings and geometry are *not*
-    /// serialized — they come from the configuration at restore time.
+    /// FSM, statistics) into a snapshot. Timings and geometry are
+    /// configuration and are *not* serialized.
     pub fn save_state(&self, s: &mut Saver) {
         s.seq("banks", self.banks.len());
         for (i, b) in self.banks.iter().enumerate() {
@@ -402,60 +402,6 @@ impl Channel {
         s.u64("refresh_until", self.refresh_until);
         s.u64("refreshes", self.refreshes);
         s.frame("stat", 0, |s| self.stats.save_state(s));
-    }
-
-    /// Restores the channel state from a snapshot. The channel must have
-    /// been constructed with the same configuration that produced the
-    /// snapshot (bank count is validated).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the snapshot bytes are malformed or the bank
-    /// count differs from this channel's geometry.
-    pub fn load_state(&mut self, l: &mut Loader<'_>) -> SnapResult<()> {
-        let n = l.seq("banks", 1)?;
-        if n != self.banks.len() {
-            return Err(SnapError::Malformed {
-                label: "banks".into(),
-                why: format!("snapshot has {n} banks, channel has {}", self.banks.len()),
-            });
-        }
-        for (i, b) in self.banks.iter_mut().enumerate() {
-            l.frame("bank", i as u32, |l| b.load_state(l))?;
-        }
-        // Rebuild the derived open-bank mask (never serialized).
-        self.open_banks = 0;
-        for (i, b) in self.banks.iter().enumerate() {
-            if b.open_row().is_some() {
-                self.open_banks |= 1 << i;
-            }
-        }
-        self.next_act_ok = l.u64("next_act_ok")?;
-        let has_last_cmd = l.bool("has_last_cmd")?;
-        let last_cmd = l.u64("last_cmd_cycle")?;
-        self.last_cmd_cycle = has_last_cmd.then_some(last_cmd);
-        self.bus_free = l.u64("bus_free")?;
-        let has_wend = l.bool("has_last_write_end")?;
-        let wend = l.u64("last_write_data_end")?;
-        self.last_write_data_end = has_wend.then_some(wend);
-        l.u64_array("act_ring", &mut self.act_ring)?;
-        self.act_ring_idx = l.usize("act_ring_idx")?;
-        if self.act_ring_idx >= 4 {
-            return Err(SnapError::Malformed {
-                label: "act_ring_idx".into(),
-                why: format!("index {} out of range", self.act_ring_idx),
-            });
-        }
-        self.acts_seen = l.u64("acts_seen")?;
-        self.last_cas = if l.bool("has_last_cas")? {
-            Some((l.u64("last_cas_cycle")?, l.usize("last_cas_group")?))
-        } else {
-            None
-        };
-        self.refresh_due = l.u64("refresh_due")?;
-        self.refresh_until = l.u64("refresh_until")?;
-        self.refreshes = l.u64("refreshes")?;
-        l.frame("stat", 0, |l| self.stats.load_state(l))
     }
 
     /// Closes every open row *without* timing checks, flushing their RBL into

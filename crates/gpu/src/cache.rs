@@ -6,7 +6,7 @@
 //! it exposes [`Cache::nearest_resident`], the paper's "search in the nearby
 //! cache sets … use the values from cache lines with nearest addresses".
 
-use lazydram_common::snap::{Loader, Saver, SnapError, SnapResult};
+use lazydram_common::snap::Saver;
 
 /// Result of a cache access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -244,7 +244,7 @@ impl Cache {
     }
 
     /// Serializes the cache's dynamic state (tags, dirtiness, recency,
-    /// counters). Geometry comes from the configuration at restore time.
+    /// counters). Geometry is configuration and is not written.
     pub fn save_state(&self, s: &mut Saver) {
         s.u64("tick", self.tick);
         s.u64("hits", self.hits);
@@ -260,40 +260,6 @@ impl Cache {
                 }
             });
         }
-    }
-
-    /// Restores dynamic state into a cache built from the same geometry.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the snapshot bytes are malformed or the set
-    /// count does not match this cache's geometry.
-    pub fn load_state(&mut self, l: &mut Loader<'_>) -> SnapResult<()> {
-        self.tick = l.u64("tick")?;
-        self.hits = l.u64("hits")?;
-        self.misses = l.u64("misses")?;
-        let nsets = l.seq("sets", 16)?;
-        if nsets != self.sets.len() {
-            return Err(SnapError::Malformed {
-                label: "sets".into(),
-                why: format!("snapshot has {nsets} sets, cache has {}", self.sets.len()),
-            });
-        }
-        for (i, set) in self.sets.iter_mut().enumerate() {
-            l.frame("set", i as u32, |l| {
-                let nways = l.seq("ways", 17)?;
-                set.clear();
-                for _ in 0..nways {
-                    set.push(Way {
-                        line: l.u64("line")?,
-                        dirty: l.bool("dirty")?,
-                        lru: l.u64("lru")?,
-                    });
-                }
-                Ok(())
-            })?;
-        }
-        Ok(())
     }
 }
 

@@ -12,7 +12,7 @@
 //! one value per lane beside its runs.
 
 use crate::memimg::{push_lane, push_run, MemoryImage, Run};
-use lazydram_common::snap::{Loader, Saver, SnapResult};
+use lazydram_common::snap::Saver;
 
 /// One operation issued by a warp — the *owned* reference representation.
 ///
@@ -248,18 +248,9 @@ pub trait WarpProgram {
     fn next(&mut self, loaded: &[f32], out: &mut OpBuf);
 
     /// Serializes the program's *dynamic* state (loop counters, accumulators,
-    /// phase). Configuration passed to the constructor is not written: a
-    /// checkpoint restore rebuilds the program via [`Kernel::program`] for
-    /// the same warp and then calls [`WarpProgram::load_state`] on it.
+    /// phase) into a paused run's dump. Configuration passed to the
+    /// constructor is not written.
     fn save_state(&self, s: &mut Saver);
-
-    /// Restores dynamic state written by [`WarpProgram::save_state`] into a
-    /// freshly constructed program for the same warp of the same kernel.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the snapshot bytes are malformed.
-    fn load_state(&mut self, l: &mut Loader<'_>) -> SnapResult<()>;
 }
 
 /// A GPU kernel launch.

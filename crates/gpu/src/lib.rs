@@ -46,7 +46,7 @@ pub use kernel::{
     application_error, apply_functional, lane_item, run_functional, run_launch_functional,
     run_warp_functional, Kernel, LoadEmitter, OpBuf, OpKind, StoreEmitter, WarpOp, WarpProgram,
 };
-pub use lazydram_common::snap::{Loader, Saver, SnapError, SnapResult};
+pub use lazydram_common::snap::{Saver, SnapError};
 pub use memimg::{MemoryImage, OverlayView, Run, LINE_BYTES, WORDS_PER_LINE};
 pub use noc::{DelayQueue, NocFull};
 pub use sim::{run_kernel, Checkpoint, RunOutcome, RunResult, SimLimits, Simulator};

@@ -38,7 +38,7 @@
 //! patches such reads with an SM's staged store runs.
 
 use lazydram_common::prof::{self, Phase};
-use lazydram_common::snap::{Loader, Saver, SnapError, SnapResult};
+use lazydram_common::snap::Saver;
 use lazydram_common::FastMap;
 use std::fmt;
 
@@ -540,46 +540,6 @@ impl MemoryImage {
             s.u64("line", k);
             s.f32s("words", &self.spill[&k][..]);
         }
-    }
-
-    /// Restores the image from a snapshot, replacing all current contents.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the snapshot bytes are malformed.
-    pub fn load_state(&mut self, l: &mut Loader<'_>) -> SnapResult<()> {
-        self.next = l.u64("next")?;
-        self.arena_touched = l.usize("arena_touched")?;
-        let npages = l.seq("pages", 1)?;
-        self.pages.clear();
-        self.pages.reserve(npages);
-        for i in 0..npages {
-            if l.bool("present")? {
-                let mut page = Page::new_boxed();
-                l.frame("page", i as u32, |l| {
-                    l.f32_array("words", &mut page.words)?;
-                    l.u64_array("touched", &mut page.touched)
-                })?;
-                self.pages.push(Some(page));
-            } else {
-                self.pages.push(None);
-            }
-        }
-        let nspill = l.seq("spill", 12)?;
-        self.spill = FastMap::default();
-        self.spill.reserve(nspill);
-        for _ in 0..nspill {
-            let line = l.u64("line")?;
-            let mut words = Box::new([0.0f32; WORDS_PER_LINE]);
-            l.f32_array("words", &mut words[..])?;
-            if self.spill.insert(line, words).is_some() {
-                return Err(SnapError::Malformed {
-                    label: "spill".into(),
-                    why: format!("duplicate spill line {line:#x}"),
-                });
-            }
-        }
-        Ok(())
     }
 }
 

@@ -6,7 +6,7 @@
 //! producers experience backpressure — the property that makes the paper's
 //! pending-queue-full effects (Figure 13) observable.
 
-use lazydram_common::snap::{Loader, Saver, SnapResult};
+use lazydram_common::snap::Saver;
 use std::collections::VecDeque;
 
 /// Error returned when a [`DelayQueue`] is at capacity.
@@ -153,8 +153,8 @@ impl<T> DelayQueue<T> {
     }
 
     /// Serializes the queue's dynamic state. `save_item` writes one queued
-    /// item; the latency/capacity/width come from the configuration at
-    /// restore time.
+    /// item; the latency/capacity/width are configuration and are not
+    /// written.
     pub fn save_state(&self, s: &mut Saver, mut save_item: impl FnMut(&mut Saver, &T)) {
         s.u64("current_cycle", self.current_cycle);
         s.usize("popped_this_cycle", self.popped_this_cycle);
@@ -163,30 +163,6 @@ impl<T> DelayQueue<T> {
             s.u64("ready", *ready);
             save_item(s, item);
         }
-    }
-
-    /// Restores dynamic state into a queue built with the same parameters;
-    /// `load_item` mirrors the `save_item` closure of
-    /// [`DelayQueue::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the snapshot bytes are malformed.
-    pub fn load_state(
-        &mut self,
-        l: &mut Loader<'_>,
-        mut load_item: impl FnMut(&mut Loader<'_>) -> SnapResult<T>,
-    ) -> SnapResult<()> {
-        self.current_cycle = l.u64("current_cycle")?;
-        self.popped_this_cycle = l.usize("popped_this_cycle")?;
-        let n = l.seq("items", 8)?;
-        self.items.clear();
-        self.items.reserve(n);
-        for _ in 0..n {
-            let ready = l.u64("ready")?;
-            self.items.push_back((ready, load_item(l)?));
-        }
-        Ok(())
     }
 }
 

@@ -54,26 +54,28 @@
 //! not due sleeps until a reply reaches its NoC head or a slice frees
 //! request-NoC space on a channel it waits on. The controllers sleep the
 //! same way between scheduling passes ([`MemoryController`]'s own
-//! dormancy). A skipped visit is an exact no-op, so results, checkpoints
+//! dormancy). A skipped visit is an exact no-op, so results, state dumps
 //! and the loop counters are identical with dormancy off
 //! ([`Simulator::with_dormancy`]). See `DESIGN.md` §12.
 //!
-//! # Checkpoint / resume
+//! # Pausing a run
 //!
 //! All per-launch state lives in one [`LaunchMachine`] struct, so a run can
 //! be paused at any cumulative core cycle ([`Simulator::run_until`]) and
-//! serialized into a [`Checkpoint`] — a self-contained byte blob in the
-//! `snap` wire format. [`Simulator::resume`] restores it and continues;
-//! the resumed run's [`RunResult`] is **byte-identical** to the
-//! uninterrupted run's (enforced by `tests/checkpoint_equivalence.rs` and a
-//! proptest). Pausing clamps an in-flight fast-forward at the pause cycle
-//! and the resumed loop re-derives the remainder of the skip, so even the
-//! executed/skipped cycle accounting survives the round trip unchanged.
+//! dumped into a [`Checkpoint`]: a self-contained byte blob in the `snap`
+//! wire format, plus a labelled `(path, value)` list of every field when
+//! the caller asks for one ([`Simulator::run_sequence_until_labelled`]).
+//! The dump is write-only; nothing loads it back. It exists to be
+//! compared: `dbg_diverge` digests it to find the first cycle at which two
+//! configurations disagree, and the dormancy and fast-forward suites
+//! compare its bytes or fields. Pausing clamps an in-flight fast-forward
+//! at the pause cycle, so every loop mode dumps the same state there
+//! (`tests/fast_forward_equivalence.rs` names the few fields that record
+//! the loop mode itself).
 //!
-//! A checkpoint stores only *dynamic* state: configuration-derived geometry
-//! is rebuilt from the resuming [`Simulator`] (a config fingerprint is
-//! validated), and warp programs are reconstructed from the resuming
-//! [`Kernel`] before their dynamic state is loaded into them.
+//! A dump holds only *dynamic* state: configuration-derived geometry is
+//! not written, only a fingerprint of the configuration (`meta`'s
+//! `cfg_digest`).
 
 use crate::kernel::Kernel;
 use crate::memimg::MemoryImage;
@@ -82,7 +84,7 @@ use crate::slice::Slice;
 use crate::sm::{Reply, SliceReq, Sm, SmCtx, SmStage};
 use crate::trace::{Trace, TraceEntry};
 use lazydram_common::prof::{self, Counter, Phase};
-use lazydram_common::snap::{digest, list_frames, FrameInfo, Loader, Saver, SnapError, SnapResult};
+use lazydram_common::snap::{digest, Loader, Saver};
 use lazydram_common::{AddressMap, GpuConfig, SchedConfig, SimStats};
 use lazydram_core::{MemoryController, Response};
 
@@ -117,74 +119,44 @@ pub struct RunResult {
     pub trace: Option<Trace>,
 }
 
-/// A paused simulation, serialized into a self-contained byte blob in the
-/// `snap` wire format (see `DESIGN.md` §10).
+/// The state dump of a paused simulation: a self-contained byte blob in
+/// the `snap` wire format (see `DESIGN.md` §10), plus the labelled field
+/// list the same save recorded when the run was asked for one.
 ///
-/// Produced by [`Simulator::run_until`] and consumed by
-/// [`Simulator::resume`]; the bytes round-trip through
-/// [`Checkpoint::into_bytes`] / [`Checkpoint::from_bytes`] so a long run
-/// can park one on disk and survive a crash.
+/// Produced by [`Simulator::run_until`] and its sequence and labelled
+/// variants. A dump is write-only: nothing loads it back. Two dumps are
+/// compared, by digest, frame by frame or field by field.
 ///
 /// Layout after the 6-byte `snap` header: a flat sequence of frames —
 /// `meta[0]` (launch index, config fingerprint, pause cycle), `stat[0]`
 /// (statistics of completed launches), `trc[0]`, `img[0]`, `mach[0]`
 /// (loop scalars), then one `sm[i]` / `slc[i]` / `mc[i]` / `rnoc[i]` /
 /// `pnoc[i]` frame per component. The flat framing is what lets
-/// `dbg_diverge` digest and diff checkpoint regions component by component.
+/// `dbg_diverge` digest and diff dump regions component by component.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Checkpoint {
     data: Vec<u8>,
-    launch_idx: usize,
+    fields: Vec<(String, String)>,
     cycle: u64,
 }
 
 impl Checkpoint {
-    /// The serialized bytes (header included), ready to write to disk.
+    /// The serialized bytes (header included).
     pub fn as_bytes(&self) -> &[u8] {
         &self.data
-    }
-
-    /// Consumes the checkpoint and returns the serialized bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.data
-    }
-
-    /// Reconstructs a checkpoint from bytes produced by
-    /// [`Checkpoint::into_bytes`], validating the header, the `meta` frame
-    /// and the overall frame structure (component payloads are validated
-    /// later, on [`Simulator::resume`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the bytes are not a structurally valid
-    /// checkpoint.
-    pub fn from_bytes(data: Vec<u8>) -> SnapResult<Self> {
-        let mut l = Loader::new(&data);
-        l.expect_header()?;
-        let body_start = l.pos();
-        let (launch_idx, cycle) = l.frame("meta", 0, |l| {
-            let li = l.usize("launch_idx")?;
-            let _cfg_digest = l.u64("cfg_digest")?;
-            let c = l.u64("cycle")?;
-            Ok((li, c))
-        })?;
-        list_frames(&data[body_start..])?;
-        Ok(Self {
-            data,
-            launch_idx,
-            cycle,
-        })
-    }
-
-    /// Index of the in-progress launch within the kernel sequence (always
-    /// `0` for single-kernel runs).
-    pub fn launch_idx(&self) -> usize {
-        self.launch_idx
     }
 
     /// Cumulative core cycle at which the simulation paused.
     pub fn cycle(&self) -> u64 {
         self.cycle
+    }
+
+    /// Every primitive of the dump as a `(path, value)` pair (e.g.
+    /// `("sm[2]/slot[5]/rr", "3")`), recorded by the save itself — the
+    /// input to `dbg_diverge`'s field diff. Empty unless the run paused
+    /// under [`Simulator::run_sequence_until_labelled`].
+    pub fn fields(&self) -> &[(String, String)] {
+        &self.fields
     }
 
     /// Canonical digest of the full checkpoint (SplitMix64 fold over the
@@ -201,17 +173,6 @@ impl Checkpoint {
             .expect("constructed checkpoints have a valid header");
         &self.data[l.pos()..]
     }
-
-    /// Locates the top-level frames (`meta`, `stat`, `img`, `sm[i]`, …)
-    /// inside [`Checkpoint::body`], for component-granular comparison.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the frame structure is malformed (cannot
-    /// happen for checkpoints built by [`Simulator::run_until`]).
-    pub fn frames(&self) -> SnapResult<Vec<FrameInfo>> {
-        list_frames(self.body())
-    }
 }
 
 /// Outcome of a bounded run ([`Simulator::run_until`] and friends).
@@ -224,7 +185,7 @@ pub enum RunOutcome {
     /// The kernel (sequence) ran to completion — or hit its cycle limit —
     /// before reaching the pause target.
     Done(RunResult),
-    /// The pause target was reached first; the checkpoint resumes the run.
+    /// The pause target was reached first; the dump holds the state there.
     Paused(Checkpoint),
 }
 
@@ -240,23 +201,11 @@ impl RunOutcome {
             RunOutcome::Paused(ck) => panic!("{msg}: run paused at cycle {}", ck.cycle()),
         }
     }
-
-    /// Unwraps the checkpoint of a paused run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run completed instead.
-    pub fn expect_paused(self, msg: &str) -> Checkpoint {
-        match self {
-            RunOutcome::Paused(ck) => ck,
-            RunOutcome::Done(_) => panic!("{msg}: run completed before the pause target"),
-        }
-    }
 }
 
 /// All mutable state of one kernel launch — the SMs, slices, controllers,
 /// crossbar queues, and the cycle-loop scalars — gathered into one struct so
-/// it can be serialized as a unit and restored bit-identically.
+/// a paused run can dump it as a unit.
 struct LaunchMachine {
     map: AddressMap,
     sms: Vec<Sm>,
@@ -290,8 +239,8 @@ struct LaunchMachine {
 }
 
 /// The SM side of dormancy (see the module docs). Derived state: a fresh
-/// or restored machine starts with every SM awake, and the first cycle
-/// re-derives who sleeps.
+/// machine starts with every SM awake, and the first cycle re-derives who
+/// sleeps.
 struct SmDormancy {
     /// Off: every SM is visited every cycle.
     enabled: bool,
@@ -494,78 +443,6 @@ impl LaunchMachine {
             });
         }
     }
-
-    /// Restores a machine built by [`LaunchMachine::new`] with the same
-    /// configuration; warp programs are reconstructed from `kernel` and
-    /// their dynamic state loaded into them.
-    fn load_frames(&mut self, l: &mut Loader<'_>, kernel: &dyn Kernel) -> SnapResult<()> {
-        let expect_warps = self.total_warps;
-        let scalars = l.frame("mach", 1, |l| {
-            let tw = l.usize("total_warps")?;
-            if tw != expect_warps {
-                return Err(SnapError::Malformed {
-                    label: "total_warps".into(),
-                    why: format!(
-                        "checkpoint was taken with {tw} warps but the supplied \
-                         kernel launches {expect_warps}"
-                    ),
-                });
-            }
-            Ok([
-                l.u64("next_warp")?,
-                l.u64("acc")?,
-                l.u64("mem_time")?,
-                l.u64("core_cycle")?,
-                l.u64("ticks_executed")?,
-                l.u64("cycles_skipped")?,
-                l.u64("compute_cycles_skipped")?,
-            ])
-        })?;
-        self.next_warp = scalars[0] as usize;
-        self.acc = scalars[1];
-        self.mem_time = scalars[2];
-        self.core_cycle = scalars[3];
-        self.ticks_executed = scalars[4];
-        self.cycles_skipped = scalars[5];
-        self.compute_cycles_skipped = scalars[6];
-        for (i, sm) in self.sms.iter_mut().enumerate() {
-            l.frame("sm", i as u32, |l| sm.load_state(l, kernel))?;
-        }
-        for (i, slice) in self.slices.iter_mut().enumerate() {
-            l.frame("slc", i as u32, |l| slice.load_state(l))?;
-        }
-        for (i, mc) in self.mcs.iter_mut().enumerate() {
-            l.frame("mc", i as u32, |l| mc.load_state(l))?;
-        }
-        for (i, q) in self.req_noc.iter_mut().enumerate() {
-            l.frame("rnoc", i as u32, |l| {
-                q.load_state(l, |l| {
-                    Ok(SliceReq {
-                        sm: l.usize("sm")?,
-                        line: l.u64("line")?,
-                        write: l.bool("write")?,
-                        approximable: l.bool("approximable")?,
-                    })
-                })
-            })?;
-        }
-        for (i, q) in self.reply_noc.iter_mut().enumerate() {
-            l.frame("pnoc", i as u32, |l| {
-                q.load_state(l, |l| {
-                    let line = l.u64("line")?;
-                    let values = if l.bool("has_values")? {
-                        let mut v = [0f32; 32];
-                        l.f32_array("values", &mut v)?;
-                        Some(v)
-                    } else {
-                        None
-                    };
-                    Ok(Reply { line, values })
-                })
-            })?;
-        }
-        Ok(())
-    }
 }
 
 /// One configured GPU simulation.
@@ -611,14 +488,6 @@ impl SeqMut<'_> {
             SeqMut::Many(ks) => ks[i].as_mut(),
         }
     }
-}
-
-/// State restored from a checkpoint, ready to continue driving.
-struct Restored {
-    stats: SimStats,
-    trace: Option<Trace>,
-    image: MemoryImage,
-    machine: LaunchMachine,
 }
 
 impl Simulator {
@@ -667,10 +536,10 @@ impl Simulator {
 
     /// Turns dormancy on (the default) or off: whether executed cycles
     /// skip SMs that are not due and controller passes that cannot issue.
-    /// Results, checkpoint bytes and loop counters are identical either
-    /// way, so unlike the skipping switches it is not part of the
-    /// checkpoint's configuration fingerprint: a checkpoint taken with
-    /// dormancy resumes without it, and the other way round.
+    /// Results, dump bytes and loop counters are identical either way, so
+    /// unlike the skipping switches it is not part of the dump's
+    /// configuration fingerprint: a dump taken with dormancy equals the
+    /// one taken without it, byte for byte.
     pub fn with_dormancy(mut self, enabled: bool) -> Self {
         self.dormancy = enabled;
         self
@@ -678,8 +547,7 @@ impl Simulator {
 
     /// Runs `kernel` to completion and returns statistics plus output.
     pub fn run(&self, kernel: &mut dyn Kernel) -> RunResult {
-        self.drive(&mut SeqMut::One(kernel), None, None)
-            .expect("fresh runs deserialize nothing")
+        self.drive(&mut SeqMut::One(kernel), None, false)
             .expect_done("no pause target was set")
     }
 
@@ -691,17 +559,15 @@ impl Simulator {
     ///
     /// Panics if `kernels` is empty.
     pub fn run_sequence(&self, kernels: &mut [Box<dyn Kernel>]) -> RunResult {
-        self.drive(&mut SeqMut::Many(kernels), None, None)
-            .expect("fresh runs deserialize nothing")
+        self.drive(&mut SeqMut::Many(kernels), None, false)
             .expect_done("no pause target was set")
     }
 
     /// Runs `kernel` until it completes or the cumulative core-cycle count
-    /// reaches `pause_at`, whichever comes first. A paused run returns a
-    /// [`Checkpoint`] that [`Simulator::resume`] continues bit-identically.
+    /// reaches `pause_at`, whichever comes first. A paused run returns the
+    /// [`Checkpoint`] dump of its state at the pause.
     pub fn run_until(&self, kernel: &mut dyn Kernel, pause_at: u64) -> RunOutcome {
-        self.drive(&mut SeqMut::One(kernel), None, Some(pause_at))
-            .expect("fresh runs deserialize nothing")
+        self.drive(&mut SeqMut::One(kernel), Some(pause_at), false)
     }
 
     /// [`Simulator::run_until`] for a multi-launch sequence; the pause
@@ -711,139 +577,28 @@ impl Simulator {
     ///
     /// Panics if `kernels` is empty.
     pub fn run_sequence_until(&self, kernels: &mut [Box<dyn Kernel>], pause_at: u64) -> RunOutcome {
-        self.drive(&mut SeqMut::Many(kernels), None, Some(pause_at))
-            .expect("fresh runs deserialize nothing")
+        self.drive(&mut SeqMut::Many(kernels), Some(pause_at), false)
     }
 
-    /// Resumes a paused run to completion. `kernel` must be a freshly built
-    /// instance of the same kernel the checkpoint was taken from (its
-    /// `setup` is replayed against a scratch image to rebuild internal
-    /// region pointers; the checkpointed memory image is what the run uses).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the checkpoint bytes are malformed or were
-    /// taken under a different configuration or kernel.
-    pub fn resume(&self, kernel: &mut dyn Kernel, ck: &Checkpoint) -> SnapResult<RunResult> {
-        Ok(self
-            .drive(&mut SeqMut::One(kernel), Some(ck), None)?
-            .expect_done("no pause target was set"))
-    }
-
-    /// Resumes a paused run until completion or a (later) pause target.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the checkpoint bytes are malformed or were
-    /// taken under a different configuration or kernel.
-    pub fn resume_until(
-        &self,
-        kernel: &mut dyn Kernel,
-        ck: &Checkpoint,
-        pause_at: u64,
-    ) -> SnapResult<RunOutcome> {
-        self.drive(&mut SeqMut::One(kernel), Some(ck), Some(pause_at))
-    }
-
-    /// Resumes a paused multi-launch sequence to completion.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the checkpoint bytes are malformed or were
-    /// taken under a different configuration or kernel sequence.
+    /// [`Simulator::run_sequence_until`] whose dump also records every
+    /// field's `(path, value)` pair ([`Checkpoint::fields`]). Recording the
+    /// labels costs far more than the dump itself, so only a field diff
+    /// asks for it.
     ///
     /// # Panics
     ///
     /// Panics if `kernels` is empty.
-    pub fn resume_sequence(
+    pub fn run_sequence_until_labelled(
         &self,
         kernels: &mut [Box<dyn Kernel>],
-        ck: &Checkpoint,
-    ) -> SnapResult<RunResult> {
-        Ok(self
-            .drive(&mut SeqMut::Many(kernels), Some(ck), None)?
-            .expect_done("no pause target was set"))
-    }
-
-    /// Resumes a paused multi-launch sequence until completion or a (later)
-    /// pause target.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the checkpoint bytes are malformed or were
-    /// taken under a different configuration or kernel sequence.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `kernels` is empty.
-    pub fn resume_sequence_until(
-        &self,
-        kernels: &mut [Box<dyn Kernel>],
-        ck: &Checkpoint,
         pause_at: u64,
-    ) -> SnapResult<RunOutcome> {
-        self.drive(&mut SeqMut::Many(kernels), Some(ck), Some(pause_at))
+    ) -> RunOutcome {
+        self.drive(&mut SeqMut::Many(kernels), Some(pause_at), true)
     }
 
-    /// Re-serializes `ck` with field labels and returns every primitive as
-    /// a `(path, value)` pair (e.g. `("sm[2]/slot[5]/rr", "3")`) — the
-    /// input to `dbg_diverge`'s component-level field diff. `kernel` plays
-    /// the same role as in [`Simulator::resume`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the checkpoint cannot be restored under this
-    /// simulator and kernel.
-    pub fn checkpoint_fields(
-        &self,
-        kernel: &mut dyn Kernel,
-        ck: &Checkpoint,
-    ) -> SnapResult<Vec<(String, String)>> {
-        self.checkpoint_fields_inner(&mut SeqMut::One(kernel), ck)
-    }
-
-    /// [`Simulator::checkpoint_fields`] for a multi-launch sequence.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the checkpoint cannot be restored under this
-    /// simulator and kernel sequence.
-    pub fn checkpoint_fields_sequence(
-        &self,
-        kernels: &mut [Box<dyn Kernel>],
-        ck: &Checkpoint,
-    ) -> SnapResult<Vec<(String, String)>> {
-        self.checkpoint_fields_inner(&mut SeqMut::Many(kernels), ck)
-    }
-
-    fn checkpoint_fields_inner(
-        &self,
-        kernels: &mut SeqMut<'_>,
-        ck: &Checkpoint,
-    ) -> SnapResult<Vec<(String, String)>> {
-        let st = self.restore(kernels, ck)?;
-        let mut s = Saver::with_labels();
-        s.header();
-        self.write_checkpoint(
-            &mut s,
-            ck.launch_idx(),
-            &st.stats,
-            st.trace.as_ref(),
-            &st.image,
-            &st.machine,
-        );
-        let (bytes, labels) = s.finish_with_labels();
-        debug_assert_eq!(
-            bytes,
-            ck.as_bytes(),
-            "checkpoint load/save round trip must be byte-identical"
-        );
-        Ok(labels)
-    }
-
-    /// Fingerprint of everything that affects simulation results, folded
-    /// into the checkpoint so a resume under a different configuration is
-    /// rejected instead of silently diverging.
+    /// Fingerprint of everything that affects simulation results, written
+    /// into the dump's `meta` frame so two dumps show whether they came
+    /// from the same configuration.
     fn config_digest(&self) -> u64 {
         digest(
             format!(
@@ -859,20 +614,28 @@ impl Simulator {
         )
     }
 
-    /// Serializes a paused run's full state as checkpoint frames into `s`.
-    fn write_checkpoint(
+    /// Dumps a paused run's full state, recording the field labels as it
+    /// writes when `labelled`.
+    fn save_checkpoint(
         &self,
-        s: &mut Saver,
+        labelled: bool,
         launch_idx: usize,
         total: &SimStats,
         trace: Option<&Trace>,
         image: &MemoryImage,
         m: &LaunchMachine,
-    ) {
+    ) -> Checkpoint {
+        let cycle = total.core_cycles + m.core_cycle;
+        let mut s = if labelled {
+            Saver::with_labels()
+        } else {
+            Saver::new()
+        };
+        s.header();
         s.frame("meta", 0, |s| {
             s.usize("launch_idx", launch_idx);
             s.u64("cfg_digest", self.config_digest());
-            s.u64("cycle", total.core_cycles + m.core_cycle);
+            s.u64("cycle", cycle);
         });
         s.frame("stat", 1, |s| total.save_state(s));
         s.frame("trc", 0, |s| {
@@ -882,174 +645,46 @@ impl Simulator {
             }
         });
         s.frame("img", 0, |s| image.save_state(s));
-        m.save_frames(s);
-    }
-
-    fn save_checkpoint(
-        &self,
-        launch_idx: usize,
-        total: &SimStats,
-        trace: Option<&Trace>,
-        image: &MemoryImage,
-        m: &LaunchMachine,
-    ) -> Checkpoint {
-        let mut s = Saver::new();
-        s.header();
-        self.write_checkpoint(&mut s, launch_idx, total, trace, image, m);
+        m.save_frames(&mut s);
+        let (data, fields) = s.finish_with_labels();
         Checkpoint {
-            data: s.finish(),
-            launch_idx,
-            cycle: total.core_cycles + m.core_cycle,
+            data,
+            fields,
+            cycle,
         }
     }
 
-    /// Restores a checkpoint against the supplied kernel sequence: replays
-    /// the in-progress launch's `setup` on a scratch image (allocation is
-    /// deterministic, so region pointers match the original run), then
-    /// deserializes statistics, trace, memory image and machine.
-    fn restore(&self, kernels: &mut SeqMut<'_>, ck: &Checkpoint) -> SnapResult<Restored> {
-        let li = ck.launch_idx();
-        if li >= kernels.len() {
-            return Err(SnapError::Malformed {
-                label: "launch_idx".into(),
-                why: format!(
-                    "checkpoint is inside launch {li} but only {} launches were supplied",
-                    kernels.len()
-                ),
-            });
-        }
-        {
-            // Replay *every* setup up to and including the in-progress
-            // launch on one scratch image: later launches read region
-            // pointers earlier setups published (shared cells), and their
-            // own allocations start where the earlier ones ended, so the
-            // whole prefix must be rebuilt in order for the pointers to
-            // match the original run. Allocation is deterministic and the
-            // scratch image is discarded — the run uses the checkpointed
-            // image.
-            let mut scratch = MemoryImage::new();
-            for i in 0..=li {
-                kernels.get(i).setup(&mut scratch);
-            }
-        }
-        let kernel: &dyn Kernel = kernels.get(li);
-
-        let bytes = ck.as_bytes();
-        let mut l = Loader::new(bytes);
-        l.expect_header()?;
-        l.frame("meta", 0, |l| {
-            let _ = l.usize("launch_idx")?;
-            let cfg_digest = l.u64("cfg_digest")?;
-            if cfg_digest != self.config_digest() {
-                return Err(SnapError::Malformed {
-                    label: "cfg_digest".into(),
-                    why: "checkpoint was taken under a different GPU/scheduler \
-                          configuration (or limits/trace/skipping settings)"
-                        .into(),
-                });
-            }
-            let _ = l.u64("cycle")?;
-            Ok(())
-        })?;
-        let mut stats = SimStats::new();
-        l.frame("stat", 1, |l| stats.load_state(l))?;
-        let mut trace = None;
-        l.frame("trc", 0, |l| {
-            if l.bool("has")? {
-                let mut t = Trace::new();
-                t.load_state(l)?;
-                trace = Some(t);
-            }
-            Ok(())
-        })?;
-        let mut image = MemoryImage::new();
-        l.frame("img", 0, |l| image.load_state(l))?;
-        let mut machine = LaunchMachine::new(
-            &self.cfg,
-            &self.sched,
-            self.capture_trace,
-            self.dormancy,
-            kernel.total_warps(),
-        );
-        machine.load_frames(&mut l, kernel)?;
-        if l.pos() != bytes.len() {
-            return Err(SnapError::Malformed {
-                label: "checkpoint".into(),
-                why: format!(
-                    "{} trailing bytes after the last frame",
-                    bytes.len() - l.pos()
-                ),
-            });
-        }
-        Ok(Restored {
-            stats,
-            trace,
-            image,
-            machine,
-        })
-    }
-
-    /// The shared driver behind every `run*` / `resume*` entry point: walks
-    /// the launch sequence, building a fresh [`LaunchMachine`] per launch
-    /// (or restoring one from `resume`), and folds each finished launch
-    /// into the accumulated statistics. A reached `pause_at` target
-    /// serializes the current state and returns early.
-    fn drive(
-        &self,
-        kernels: &mut SeqMut<'_>,
-        resume: Option<&Checkpoint>,
-        pause_at: Option<u64>,
-    ) -> SnapResult<RunOutcome> {
+    /// The shared driver behind every `run*` entry point: walks the launch
+    /// sequence, building a fresh [`LaunchMachine`] per launch, and folds
+    /// each finished launch into the accumulated statistics. A reached
+    /// `pause_at` target dumps the current state (with field labels when
+    /// `labelled`) and returns early.
+    fn drive(&self, kernels: &mut SeqMut<'_>, pause_at: Option<u64>, labelled: bool) -> RunOutcome {
         let n = kernels.len();
         assert!(n > 0, "at least one kernel launch is required");
         let mut hit = false;
-        let (mut image, mut total, mut trace, start, mut restored) = match resume {
-            Some(ck) => {
-                let st = self.restore(kernels, ck)?;
-                // Discard profiler totals left over from earlier work on
-                // this thread, as a fresh launch would.
-                let _ = prof::take();
-                (
-                    st.image,
-                    st.stats,
-                    st.trace,
-                    ck.launch_idx(),
-                    Some(st.machine),
-                )
-            }
-            None => (
-                MemoryImage::new(),
-                SimStats::new(),
-                self.capture_trace.then(Trace::new),
-                0,
-                None,
-            ),
-        };
-        for li in start..n {
+        let mut image = MemoryImage::new();
+        let mut total = SimStats::new();
+        let mut trace = self.capture_trace.then(Trace::new);
+        for li in 0..n {
             let kernel = kernels.get(li);
-            let mut m = match restored.take() {
-                Some(m) => m,
-                None => {
-                    // Fresh launch: clear stale profiler totals, set up the
-                    // kernel's memory regions, dispatch the initial warps.
-                    let _ = prof::take();
-                    kernel.setup(&mut image);
-                    let mut m = LaunchMachine::new(
-                        &self.cfg,
-                        &self.sched,
-                        self.capture_trace,
-                        self.dormancy,
-                        kernel.total_warps(),
-                    );
-                    m.fill(kernel);
-                    m
-                }
-            };
+            // Fresh launch: clear stale profiler totals, set up the kernel's
+            // memory regions, dispatch the initial warps.
+            let _ = prof::take();
+            kernel.setup(&mut image);
+            let mut m = LaunchMachine::new(
+                &self.cfg,
+                &self.sched,
+                self.capture_trace,
+                self.dormancy,
+                kernel.total_warps(),
+            );
+            m.fill(kernel);
             let prior = total.core_cycles;
             match self.run_machine(kernel, &mut image, &mut m, prior, pause_at) {
                 StepOutcome::Paused => {
-                    let ck = self.save_checkpoint(li, &total, trace.as_ref(), &image, &m);
-                    return Ok(RunOutcome::Paused(ck));
+                    let ck = self.save_checkpoint(labelled, li, &total, trace.as_ref(), &image, &m);
+                    return RunOutcome::Paused(ck);
                 }
                 StepOutcome::Finished { hit_limit } => {
                     hit |= hit_limit;
@@ -1058,12 +693,12 @@ impl Simulator {
             }
         }
         let output = kernels.get(n - 1).output(&image);
-        Ok(RunOutcome::Done(RunResult {
+        RunOutcome::Done(RunResult {
             stats: total,
             output,
             hit_cycle_limit: hit,
             trace,
-        }))
+        })
     }
 
     /// Drives one launch's machine until the launch finishes, the cycle
@@ -1122,10 +757,8 @@ impl Simulator {
         loop {
             // 0. Fast-forward over provably idle — or busy but analytically
             //    predictable — cycles. Runs at the top of the iteration,
-            //    before the next cycle executes, so a resumed run re-derives
-            //    the remainder of a skip the pause cut short, keeping the
-            //    executed/skipped accounting bit-identical to the
-            //    uninterrupted run.
+            //    before the next cycle executes; a pause target inside a
+            //    skippable span clamps the skip at the pause cycle.
             if self.cycle_skipping && *core_cycle > 0 {
                 let _t_ff = prof::enter(Phase::FastForward);
                 let mut target = next_interesting_cycle(

@@ -16,7 +16,7 @@ use crate::memimg::MemoryImage;
 use crate::noc::DelayQueue;
 use crate::sm::{Reply, SliceReq};
 use crate::trace::{Trace, TraceEntry};
-use lazydram_common::snap::{Loader, Saver, SnapError, SnapResult};
+use lazydram_common::snap::Saver;
 use lazydram_common::FastMap;
 use lazydram_common::{
     AccessKind, AddressMap, GpuConfig, MemSpace, Request, RequestId, SchedConfig,
@@ -339,7 +339,7 @@ impl Slice {
     pub fn save_state(&self, s: &mut Saver) {
         debug_assert!(
             self.staged_replies.is_empty(),
-            "checkpoints are taken between cycles, after the phase-D flush"
+            "state dumps are taken between cycles, after the phase-D flush"
         );
         s.u64("next_id", self.next_id);
         s.u64("approx_replies", self.approx_replies);
@@ -385,86 +385,6 @@ impl Slice {
         if let Some(trace) = &self.trace {
             trace.save_state(s);
         }
-    }
-
-    /// Restores state written by [`Slice::save_state`] into a slice built
-    /// from the same configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the snapshot bytes are malformed.
-    pub fn load_state(&mut self, l: &mut Loader<'_>) -> SnapResult<()> {
-        self.next_id = l.u64("next_id")?;
-        self.staged_replies.clear();
-        self.approx_replies = l.u64("approx_replies")?;
-        l.frame("l2", 0, |l| self.l2.load_state(l))?;
-        let n_mshr = l.seq("mshr", 16)?;
-        self.mshr.clear();
-        self.mshr.reserve(n_mshr);
-        for _ in 0..n_mshr {
-            let line = l.u64("line")?;
-            let n_w = l.seq("waiters", 8)?;
-            let mut waiters = Vec::with_capacity(n_w);
-            for _ in 0..n_w {
-                waiters.push(l.usize("waiter")?);
-            }
-            if self.mshr.insert(line, waiters).is_some() {
-                return Err(SnapError::Malformed {
-                    label: "mshr".into(),
-                    why: format!("duplicate line {line:#x}"),
-                });
-            }
-        }
-        let n_resp = l.seq("responses", 17)?;
-        self.responses.clear();
-        for _ in 0..n_resp {
-            self.responses.push_back(Response {
-                id: RequestId(l.u64("id")?),
-                addr: l.u64("addr")?,
-                approximated: l.bool("approximated")?,
-            });
-        }
-        let n_wb = l.seq("wb_buffer", 8)?;
-        self.wb_buffer.clear();
-        for _ in 0..n_wb {
-            self.wb_buffer.push_back(l.u64("line")?);
-        }
-        let n_rr = l.seq("reply_retry", 17)?;
-        self.reply_retry.clear();
-        for _ in 0..n_rr {
-            let sm = l.usize("sm")?;
-            let line = l.u64("line")?;
-            let values = if l.bool("has_values")? {
-                let mut vals = [0.0f32; 32];
-                l.f32_array("values", &mut vals)?;
-                Some(vals)
-            } else {
-                None
-            };
-            self.reply_retry.push_back((sm, Reply { line, values }));
-        }
-        let n_as = l.seq("approx_store", 16)?;
-        self.approx_store.clear();
-        self.approx_store.reserve(n_as);
-        for _ in 0..n_as {
-            let line = l.u64("line")?;
-            let mut vals = [0.0f32; 32];
-            l.f32_array("vals", &mut vals)?;
-            if self.approx_store.insert(line, vals).is_some() {
-                return Err(SnapError::Malformed {
-                    label: "approx_store".into(),
-                    why: format!("duplicate line {line:#x}"),
-                });
-            }
-        }
-        if l.bool("has_trace")? {
-            let mut trace = Trace::new();
-            trace.load_state(l)?;
-            self.trace = Some(trace);
-        } else {
-            self.trace = None;
-        }
-        Ok(())
     }
 }
 

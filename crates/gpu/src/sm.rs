@@ -26,9 +26,9 @@
 
 use crate::cache::{AccessResult, Cache};
 use crate::kernel::{Kernel, OpBuf, OpKind, WarpProgram};
-use crate::memimg::{lane_count, push_lane, MemoryImage, OverlayView, Run, LINE_BYTES};
+use crate::memimg::{lane_count, MemoryImage, OverlayView, Run, LINE_BYTES};
 use crate::noc::DelayQueue;
-use lazydram_common::snap::{Loader, Saver, SnapError, SnapResult};
+use lazydram_common::snap::Saver;
 use lazydram_common::FastMap;
 use lazydram_common::{AddressMap, GpuConfig};
 
@@ -130,8 +130,7 @@ impl StorePlan {
 struct WarpSlot {
     program: Option<Box<dyn WarpProgram>>,
     /// Warp id the occupying program was built for ([`Kernel::program`]);
-    /// meaningless while the slot is empty. Checkpoint restore uses it to
-    /// reconstruct the program before loading its dynamic state.
+    /// meaningless while the slot is empty.
     warp_id: usize,
     state: WarpState,
     /// Blocked-load bookkeeping; valid only while `state` is `Waiting`.
@@ -148,7 +147,7 @@ struct WarpSlot {
     /// [`Sm::mem_epoch`] value as of this slot's last drain attempt. A
     /// retry with an unchanged epoch cannot probe-hit or merge any unsent
     /// line; combined with `unsent_channels` it makes futile retries O(1).
-    /// Derived state — not serialized; restore marks it stale.
+    /// Derived state — not serialized.
     drain_epoch: u64,
     /// Bitmask of request-NoC channels the slot's still-unsent miss lines
     /// target, as of the last drain attempt. Valid only when `drain_epoch`
@@ -387,8 +386,8 @@ pub(crate) struct Sm {
     /// issue scan mask out, in O(#channels), every parked retry that is
     /// guaranteed to fail because a needed channel has no free slot at all
     /// — the dominant scan traffic under store backpressure. Maintained on
-    /// the park/unpark transitions in [`Sm::commit_store`] (and rebuilt on
-    /// snapshot restore); purely an acceleration structure, never consulted
+    /// the park/unpark transitions in [`Sm::commit_store`]; purely an
+    /// acceleration structure, never consulted
     /// for anything a failed retry's own check would not conclude.
     parked_need: Vec<u128>,
 }
@@ -1288,155 +1287,12 @@ impl Sm {
             });
         }
     }
-
-    /// Restores state written by [`Sm::save_state`] into an SM built from the
-    /// same configuration. `kernel` must be the kernel of the checkpointed
-    /// launch: each resident warp's program is rebuilt via
-    /// [`Kernel::program`] and then fed its saved dynamic state. Scheduler
-    /// masks are recomputed from the restored slots.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the snapshot bytes are malformed or the slot
-    /// count disagrees with this SM's configuration.
-    pub fn load_state(&mut self, l: &mut Loader<'_>, kernel: &dyn Kernel) -> SnapResult<()> {
-        self.rr = l.usize("rr")?;
-        self.drain_rr = l.usize("drain_rr")?;
-        self.instructions = l.u64("instructions")?;
-        self.approximated_loads = l.u64("approximated_loads")?;
-        l.frame("l1", 0, |l| self.l1.load_state(l))?;
-        let n_mshr = l.seq("mshr", 16)?;
-        self.mshr.clear();
-        self.mshr.reserve(n_mshr);
-        for _ in 0..n_mshr {
-            let line = l.u64("line")?;
-            let n_w = l.seq("waiters", 8)?;
-            let mut waiters = self.waiter_pool.pop().unwrap_or_default();
-            waiters.clear();
-            waiters.reserve(n_w);
-            for _ in 0..n_w {
-                waiters.push(l.usize("waiter")?);
-            }
-            if self.mshr.insert(line, waiters).is_some() {
-                return Err(SnapError::Malformed {
-                    label: "mshr".into(),
-                    why: format!("duplicate line {line:#x}"),
-                });
-            }
-        }
-        let n_slots = l.seq("slots", 16)?;
-        if n_slots != self.slots.len() {
-            return Err(SnapError::Malformed {
-                label: "slots".into(),
-                why: format!("snapshot has {n_slots} slots, SM has {}", self.slots.len()),
-            });
-        }
-        let mut live = 0usize;
-        for (i, slot) in self.slots.iter_mut().enumerate() {
-            release_load_buf(&mut slot.last_loaded, &mut self.load_pool);
-            l.frame("slot", i as u32, |l| {
-                let occupied = l.bool("occupied")?;
-                if !occupied {
-                    slot.program = None;
-                    slot.warp_id = 0;
-                    slot.state = WarpState::Done;
-                    slot.store_parked = false;
-                    slot.wait.runs.clear();
-                    slot.wait.pending.clear();
-                    slot.wait.unsent.clear();
-                    slot.wait.approx.clear();
-                    slot.store.runs.clear();
-                    slot.store.values.clear();
-                    slot.store.lines.clear();
-                    slot.store.per_slice.clear();
-                    return Ok(());
-                }
-                slot.warp_id = l.usize("warp_id")?;
-                slot.state = match l.u8("state")? {
-                    0 => WarpState::Ready,
-                    1 => WarpState::Computing {
-                        left: l.u32("left")?,
-                    },
-                    2 => WarpState::Waiting,
-                    3 => WarpState::Done,
-                    x => {
-                        return Err(SnapError::Malformed {
-                            label: "state".into(),
-                            why: format!("unknown warp state {x}"),
-                        })
-                    }
-                };
-                slot.store_parked = l.bool("store_parked")?;
-                let mut lane_addrs = Vec::new();
-                l.u64s("lane_addrs", &mut lane_addrs)?;
-                slot.wait.runs.clear();
-                for a in lane_addrs {
-                    push_lane(&mut slot.wait.runs, a);
-                }
-                l.u64s("pending", &mut slot.wait.pending)?;
-                l.u64s("unsent", &mut slot.wait.unsent)?;
-                let n_a = l.seq("approx", 8)?;
-                slot.wait.approx.clear();
-                for _ in 0..n_a {
-                    let line = l.u64("line")?;
-                    let mut vals = [0.0f32; 32];
-                    l.f32_array("vals", &mut vals)?;
-                    slot.wait.approx.push((line, vals));
-                }
-                let n_w = l.seq("writes", 12)?;
-                slot.store.runs.clear();
-                slot.store.values.clear();
-                for _ in 0..n_w {
-                    push_lane(&mut slot.store.runs, l.u64("addr")?);
-                    slot.store.values.push(l.f32("val")?);
-                }
-                l.u64s("lines", &mut slot.store.lines)?;
-                let n_ps = l.seq("per_slice", 16)?;
-                slot.store.per_slice.clear();
-                for _ in 0..n_ps {
-                    let ch = l.usize("slice")?;
-                    let count = l.usize("count")?;
-                    slot.store.per_slice.push((ch, count));
-                }
-                // Reads into the buffer-free slot: an empty list allocates
-                // nothing, and a filled one joins the pool once consumed.
-                l.f32s("last_loaded", &mut slot.last_loaded)?;
-                let mut program = kernel.program(slot.warp_id);
-                l.frame("prog", 0, |l| program.load_state(l))?;
-                slot.program = Some(program);
-                live += 1;
-                Ok(())
-            })?;
-        }
-        self.live_warps = live;
-        self.scratch_arrived.clear();
-        self.scratch_lines.clear();
-        for idx in 0..self.slots.len() {
-            self.refresh_masks(idx);
-        }
-        // The drain-futility proofs are derived state: mark every slot
-        // stale so the first post-restore drain attempt runs in full.
-        self.mem_epoch = 0;
-        for slot in self.slots.iter_mut() {
-            slot.drain_epoch = u64::MAX;
-            slot.unsent_channels = 0;
-        }
-        // Rebuild the parked-store channel index from the restored plans.
-        self.parked_need.iter_mut().for_each(|m| *m = 0);
-        for (idx, slot) in self.slots.iter().enumerate() {
-            if slot.program.is_some() && slot.store_parked {
-                for &(slice, _) in &slot.store.per_slice {
-                    self.parked_need[slice] |= 1u128 << idx;
-                }
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memimg::push_lane;
     use lazydram_common::GpuConfig;
 
     /// A trivial kernel: each warp loads 32 consecutive floats and stores
@@ -1496,11 +1352,6 @@ mod tests {
 
         fn save_state(&self, s: &mut Saver) {
             s.u32("step", self.step);
-        }
-
-        fn load_state(&mut self, l: &mut Loader<'_>) -> SnapResult<()> {
-            self.step = l.u32("step")?;
-            Ok(())
         }
     }
 
@@ -2030,9 +1881,6 @@ mod tests {
                 }
             }
             fn save_state(&self, _s: &mut Saver) {}
-            fn load_state(&mut self, _l: &mut Loader<'_>) -> SnapResult<()> {
-                Ok(())
-            }
         }
         let (mut sm, mut image, map, kernel, mut noc) = setup();
         let mut buf = OpBuf::new();
@@ -2074,9 +1922,6 @@ mod tests {
                 }
             }
             fn save_state(&self, _s: &mut Saver) {}
-            fn load_state(&mut self, _l: &mut Loader<'_>) -> SnapResult<()> {
-                Ok(())
-            }
         }
         let (mut sm, mut image, map, kernel, _) = setup();
         let slots = sm.slots.len();
@@ -2180,9 +2025,6 @@ mod tests {
                 }
             }
             fn save_state(&self, _s: &mut Saver) {}
-            fn load_state(&mut self, _l: &mut Loader<'_>) -> SnapResult<()> {
-                Ok(())
-            }
         }
         let (mut sm, mut image, map, kernel, mut noc) = setup();
         let input = image.alloc(2 * ITEMS as usize);
@@ -2458,8 +2300,8 @@ mod tests {
             /// mix of computing bursts, parked stores, waiters and holes, at
             /// every issue width and cursor position, `advance_compute` over
             /// any valid span — including any two-chunk split of it, the
-            /// checkpoint-pause shape — leaves the SM bit-identical to the
-            /// naive per-cycle loop.
+            /// shape a pause inside a skip leaves — leaves the SM
+            /// bit-identical to the naive per-cycle loop.
             #[test]
             fn advance_compute_matches_naive_loop(
                 specs in prop::collection::vec(slot_spec(), 1..48),
@@ -2484,7 +2326,7 @@ mod tests {
                     let mut naive = build_sm(&specs, issue_width, rr);
                     naive_advance(&mut naive, span);
                     prop_assert_eq!(state_bytes(&analytic), state_bytes(&naive));
-                    // A split replay (pause + resume mid-span) composes.
+                    // A split replay (two chunks, as a pause mid-span leaves) composes.
                     let split = span * split_pct / 100;
                     let mut chunked = build_sm(&specs, issue_width, rr);
                     if split > 0 {

@@ -251,7 +251,8 @@ impl Trace {
         }
     }
 
-    /// Restores the trace from a snapshot, replacing current entries.
+    /// Reads entries written by [`Trace::save_state`] (the `trc` frame of a
+    /// trace file), replacing current entries.
     ///
     /// # Errors
     ///
@@ -744,6 +745,21 @@ mod tests {
         assert!(matches!(
             Trace::from_bytes(&bytes[..bytes.len() - 3], &cfg),
             Err(TraceError::Snap(_))
+        ));
+    }
+
+    #[test]
+    fn from_bytes_refuses_a_version_1_trace() {
+        let cfg = GpuConfig::default();
+        let map = AddressMap::new(&cfg);
+        let trace = Trace::from_entries(vec![entry(&map, 0, 0, 0)]);
+        let mut bytes = trace.to_bytes(&cfg);
+        assert_eq!(lazydram_common::snap::SNAP_VERSION, 2);
+        // The version follows the 4 magic bytes, little-endian.
+        bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+        assert!(matches!(
+            Trace::from_bytes(&bytes, &cfg),
+            Err(TraceError::Snap(SnapError::Version { found: 1 }))
         ));
     }
 

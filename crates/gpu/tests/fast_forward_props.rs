@@ -10,9 +10,7 @@
 //! tight cycle limits, pathological DMS delays.
 
 use lazydram_common::{AmsMode, DmsMode, GpuConfig, SchedConfig};
-use lazydram_gpu::{
-    Kernel, Loader, MemoryImage, OpBuf, Saver, SimLimits, Simulator, SnapResult, WarpProgram,
-};
+use lazydram_gpu::{Kernel, MemoryImage, OpBuf, Saver, SimLimits, Simulator, WarpProgram};
 use proptest::prelude::*;
 
 /// One warp of the synthetic kernel: `rounds` iterations of
@@ -72,13 +70,6 @@ impl WarpProgram for SynthProgram {
         s.u32("round", self.round);
         s.u8("phase", self.phase);
         s.f32("acc", self.acc);
-    }
-
-    fn load_state(&mut self, l: &mut Loader<'_>) -> SnapResult<()> {
-        self.round = l.u32("round")?;
-        self.phase = l.u8("phase")?;
-        self.acc = l.f32("acc")?;
-        Ok(())
     }
 }
 

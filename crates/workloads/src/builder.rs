@@ -14,14 +14,12 @@
 //! println!("IPC {:.2}", result.stats.ipc());
 //! ```
 //!
-//! The builder also exposes the in-memory checkpoint API
-//! ([`SimRun::run_until`], [`SimRun::resume`], [`SimRun::resume_until`],
-//! [`SimRun::checkpoint_fields`]): a run pauses at any cycle into a
-//! [`Checkpoint`] and resumes bit-identically (the guarantee of
-//! [`Simulator::resume`](lazydram_gpu::Simulator::resume)). `dbg_diverge`
-//! bisects on it, and a single long run can park one to disk. A sweep never
-//! checkpoints: a killed sweep recovers through the result store, which
-//! re-runs only the cells it never published.
+//! [`SimRun::run_until`] pauses a run at any cycle and returns the
+//! [`Checkpoint`](lazydram_gpu::Checkpoint) dump of its state there. The
+//! dump is write-only: `dbg_diverge` compares dumps of two configurations
+//! taken by fresh runs from cycle 0, and nothing resumes from one. A killed
+//! sweep recovers through the result store, which re-runs only the cells
+//! it never published.
 //!
 //! Trace capture is one more builder option: [`SimBuilder::trace`] records
 //! the coalesced request stream at the NoC→MC boundary into
@@ -32,7 +30,7 @@
 use crate::suite::AppSpec;
 use lazydram_common::snap::digest;
 use lazydram_common::{DramPreset, GpuConfig, SchedConfig, Scheme};
-use lazydram_gpu::{Checkpoint, Kernel, RunOutcome, RunResult, SimLimits, Simulator, SnapResult};
+use lazydram_gpu::{Kernel, RunOutcome, RunResult, SimLimits, Simulator};
 use std::path::PathBuf;
 
 /// Parses a `LAZYDRAM_BACKEND` value: a (case-insensitive) [`DramPreset`]
@@ -208,7 +206,7 @@ impl SimBuilder {
 
     /// Turns dormancy on or off (default: on): whether executed cycles skip
     /// SMs that are not due and controller passes that cannot issue (see
-    /// [`Simulator::with_dormancy`]). Results and checkpoints are identical
+    /// [`Simulator::with_dormancy`]). Results and state dumps are identical
     /// either way.
     pub fn dormancy(mut self, enabled: bool) -> Self {
         self.dormancy = enabled;
@@ -321,27 +319,17 @@ impl SimRun {
     }
 
     /// Runs until `pause_at` total core cycles, returning either the
-    /// finished result or a resumable [`Checkpoint`].
+    /// finished result or the [`Checkpoint`](lazydram_gpu::Checkpoint) dump
+    /// of the state there.
     pub fn run_until(&self, pause_at: u64) -> RunOutcome {
         self.sim.run_sequence_until(&mut self.launches(), pause_at)
     }
 
-    /// Resumes a checkpoint to completion.
-    pub fn resume(&self, ck: &Checkpoint) -> SnapResult<RunResult> {
-        self.sim.resume_sequence(&mut self.launches(), ck)
-    }
-
-    /// Resumes a checkpoint until `pause_at` total core cycles.
-    pub fn resume_until(&self, ck: &Checkpoint, pause_at: u64) -> SnapResult<RunOutcome> {
+    /// [`SimRun::run_until`] whose dump also carries every field's label
+    /// ([`Checkpoint::fields`](lazydram_gpu::Checkpoint::fields)).
+    pub fn run_until_labelled(&self, pause_at: u64) -> RunOutcome {
         self.sim
-            .resume_sequence_until(&mut self.launches(), ck, pause_at)
-    }
-
-    /// Labeled `(field path, value)` dump of a checkpoint's full state —
-    /// the component-level diff source for `dbg_diverge`.
-    pub fn checkpoint_fields(&self, ck: &Checkpoint) -> SnapResult<Vec<(String, String)>> {
-        self.sim
-            .checkpoint_fields_sequence(&mut self.launches(), ck)
+            .run_sequence_until_labelled(&mut self.launches(), pause_at)
     }
 }
 
@@ -440,7 +428,7 @@ mod tests {
     }
 
     #[test]
-    fn builder_runs_without_checkpoints() {
+    fn builder_runs_to_completion() {
         let app = crate::suite::by_name("SCP").expect("app");
         let run = SimBuilder::new(&app).scale(0.02).build();
         let r = run.run();

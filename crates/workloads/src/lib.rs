@@ -9,7 +9,7 @@
 //!
 //! * [`suite::suite`] — the 20-app registry with the paper's result groups,
 //! * [`builder::SimBuilder`] — the one front door for configuring and
-//!   running a timed simulation (scheme, scale, limits, checkpoint/resume),
+//!   running a timed simulation (scheme, scale, limits, pausing),
 //! * [`suite::exact_output`] — the functional (error-free) reference output,
 //! * [`programs`] — the reusable warp-program shapes.
 //!

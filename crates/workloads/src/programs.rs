@@ -17,7 +17,7 @@
 //! * [`ScanProgram`] — sequential block scan (SLA),
 //! * [`ScpProgram`] — per-thread dot products over long vectors (SCP).
 
-use lazydram_gpu::{LoadEmitter, Loader, OpBuf, Saver, SnapError, SnapResult, WarpProgram};
+use lazydram_gpu::{LoadEmitter, OpBuf, Saver, WarpProgram};
 
 /// Threads per warp; fixed across the suite.
 pub const LANES: usize = 32;
@@ -265,60 +265,6 @@ impl WarpProgram for MapProgram {
             }
         }
     }
-
-    fn load_state(&mut self, l: &mut Loader<'_>) -> SnapResult<()> {
-        self.iter = l.usize("iter")?;
-        self.phase = match l.u8("phase")? {
-            0 => MapPhase::Load,
-            1 => MapPhase::Compute,
-            2 => MapPhase::Store {
-                output: l.usize("output")?,
-                word: l.usize("word")?,
-            },
-            x => {
-                return Err(SnapError::Malformed {
-                    label: "phase".into(),
-                    why: format!("unknown map phase {x}"),
-                })
-            }
-        };
-        self.awaiting = l.bool("awaiting")?;
-        let slots = self.snapshot_slots();
-        let mut row = Vec::new();
-        for (label, vals, words) in [
-            ("in_vals", &mut self.in_vals, self.in_words),
-            ("out_vals", &mut self.out_vals, self.out_words),
-        ] {
-            let n = l.seq(label, 8)?;
-            if n != slots {
-                return Err(SnapError::Malformed {
-                    label: label.into(),
-                    why: format!("snapshot has {n} slots, program has {slots}"),
-                });
-            }
-            // Filled positions are a prefix of full rows.
-            vals.clear();
-            let mut filled = true;
-            for _ in 0..n {
-                l.f32s("vals", &mut row)?;
-                if row.is_empty() {
-                    filled = false;
-                } else if !filled || row.len() != words {
-                    return Err(SnapError::Malformed {
-                        label: label.into(),
-                        why: format!(
-                            "batch position holds {} words; filled positions must be a \
-                             prefix of {words}-word rows",
-                            row.len()
-                        ),
-                    });
-                } else {
-                    vals.extend_from_slice(&row);
-                }
-            }
-        }
-        Ok(())
-    }
 }
 
 /// Identity index map for [`MapConfig::index`].
@@ -496,25 +442,6 @@ impl WarpProgram for MatVecProgram {
             },
         );
     }
-
-    fn load_state(&mut self, l: &mut Loader<'_>) -> SnapResult<()> {
-        self.first = l.usize("first")?;
-        self.j = l.usize("j")?;
-        l.f32_array("acc", &mut self.acc)?;
-        self.pending_compute = l.u32("pending_compute")?;
-        self.state = match l.u8("state")? {
-            0 => MatVecState::Inner,
-            1 => MatVecState::LoadOld,
-            2 => MatVecState::Store,
-            x => {
-                return Err(SnapError::Malformed {
-                    label: "state".into(),
-                    why: format!("unknown matvec state {x}"),
-                })
-            }
-        };
-        Ok(())
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -622,14 +549,6 @@ impl WarpProgram for MatmulProgram {
         s.f32s("acc", &self.acc);
         s.u32("pending_compute", self.pending_compute);
         s.bool("done", self.done);
-    }
-
-    fn load_state(&mut self, l: &mut Loader<'_>) -> SnapResult<()> {
-        self.k = l.usize("k")?;
-        l.f32_array("acc", &mut self.acc)?;
-        self.pending_compute = l.u32("pending_compute")?;
-        self.done = l.bool("done")?;
-        Ok(())
     }
 }
 
@@ -776,13 +695,6 @@ impl WarpProgram for Stencil2DProgram {
         s.f32s("sums", &self.sums);
         s.f32s("centers", &self.centers);
     }
-
-    fn load_state(&mut self, l: &mut Loader<'_>) -> SnapResult<()> {
-        self.stage = l.u8("stage")?;
-        l.f32_array("sums", &mut self.sums)?;
-        l.f32_array("centers", &mut self.centers)?;
-        Ok(())
-    }
 }
 
 /// Configuration of a [`Stencil3DProgram`].
@@ -895,12 +807,6 @@ impl WarpProgram for Stencil3DProgram {
     fn save_state(&self, s: &mut Saver) {
         s.u8("stage", self.stage);
         s.f32s("sums", &self.sums);
-    }
-
-    fn load_state(&mut self, l: &mut Loader<'_>) -> SnapResult<()> {
-        self.stage = l.u8("stage")?;
-        l.f32_array("sums", &mut self.sums)?;
-        Ok(())
     }
 }
 
@@ -1027,21 +933,6 @@ impl WarpProgram for FwtProgram {
         }
         s.f32s("vals", &self.vals);
     }
-
-    fn load_state(&mut self, l: &mut Loader<'_>) -> SnapResult<()> {
-        self.stride = l.usize("stride")?;
-        self.chunk = l.usize("chunk")?;
-        self.pending = l.bool("pending")?;
-        self.computing = l.bool("computing")?;
-        let n = l.seq("idx", 8)?;
-        self.idx.clear();
-        self.idx.reserve(n);
-        for _ in 0..n {
-            self.idx.push(l.usize("i")?);
-        }
-        l.f32s("vals", &mut self.vals)?;
-        Ok(())
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1120,13 +1011,6 @@ impl WarpProgram for ScanProgram {
         s.usize("chunk", self.chunk);
         s.f32("carry", self.carry);
         s.bool("pending", self.pending);
-    }
-
-    fn load_state(&mut self, l: &mut Loader<'_>) -> SnapResult<()> {
-        self.chunk = l.usize("chunk")?;
-        self.carry = l.f32("carry")?;
-        self.pending = l.bool("pending")?;
-        Ok(())
     }
 }
 
@@ -1225,12 +1109,6 @@ impl WarpProgram for ScpProgram {
     fn save_state(&self, s: &mut Saver) {
         s.f32s("acc", &self.acc);
         s.u8("state", self.state);
-    }
-
-    fn load_state(&mut self, l: &mut Loader<'_>) -> SnapResult<()> {
-        l.f32_array("acc", &mut self.acc)?;
-        self.state = l.u8("state")?;
-        Ok(())
     }
 }
 
@@ -1338,76 +1216,6 @@ mod tests {
         for i in 0..40u64 {
             assert_eq!(img.read_f32(out + i * 4), -(1.0 + i as f32));
         }
-    }
-
-    /// A mid-store snapshot writes one row per batch position (the filled
-    /// prefix, then empty rows), restores byte for byte, and a row that
-    /// breaks the prefix-of-full-rows shape is rejected.
-    #[test]
-    fn map_program_snapshot_rows() {
-        let mut img = MemoryImage::new();
-        let a = img.alloc(80);
-        let out = img.alloc(80);
-        let make = || {
-            MapProgram::new(
-                0,
-                MapConfig {
-                    inputs: vec![(a, 2)],
-                    outputs: vec![(out, 2)],
-                    items: 40, // the batch's second iteration is partial
-                    iters_per_warp: 2,
-                    compute: 1,
-                    load_batch: 2,
-                    index: identity_index,
-                    func: |inp, o| o.extend([inp[1], inp[0]]),
-                },
-            )
-        };
-        let save = |p: &MapProgram| {
-            let mut s = Saver::new();
-            p.save_state(&mut s);
-            s.finish()
-        };
-        let mut p = make();
-        let (mut buf, mut loaded) = (OpBuf::new(), Vec::new());
-        while !matches!(p.phase, MapPhase::Store { .. }) {
-            p.next(&loaded, &mut buf);
-            assert!(lazydram_gpu::apply_functional(&buf, &mut img, &mut loaded));
-        }
-        assert_eq!(p.out_vals.len(), 40 * 2);
-        let bytes = save(&p);
-        let mut q = make();
-        q.load_state(&mut Loader::new(&bytes))
-            .expect("valid snapshot");
-        assert_eq!(save(&q), bytes);
-
-        let store_with_rows = |rows: &[&[f32]]| {
-            let mut s = Saver::new();
-            s.usize("iter", 0);
-            s.u8("phase", 2);
-            s.usize("output", 0);
-            s.usize("word", 0);
-            s.bool("awaiting", false);
-            s.seq("in_vals", 64);
-            for _ in 0..64 {
-                s.f32s("vals", &[]);
-            }
-            s.seq("out_vals", 64);
-            for i in 0..64 {
-                s.f32s("vals", rows.get(i).copied().unwrap_or_default());
-            }
-            s.finish()
-        };
-        let load = |bytes: &[u8]| make().load_state(&mut Loader::new(bytes));
-        assert!(load(&store_with_rows(&[&[1.0, 2.0], &[3.0, 4.0]])).is_ok());
-        assert!(
-            load(&store_with_rows(&[&[], &[3.0, 4.0]])).is_err(),
-            "gap before a row"
-        );
-        assert!(
-            load(&store_with_rows(&[&[1.0, 2.0, 3.0]])).is_err(),
-            "row of 3 words"
-        );
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::programs::{
     FwtConfig, FwtProgram, ScanConfig, ScanProgram, ScpConfig, ScpProgram, LANES,
 };
 use crate::util::{pow2_at_most, Region};
-use lazydram_gpu::{Kernel, Loader, MemoryImage, OpBuf, Saver, SnapError, SnapResult, WarpProgram};
+use lazydram_gpu::{Kernel, MemoryImage, OpBuf, Saver, WarpProgram};
 
 // ---------------------------------------------------------------------------
 // RAY
@@ -212,35 +212,6 @@ impl WarpProgram for RayProgram {
             s.usize("i", i);
         }
         s.f32s("base_shade", &self.base_shade);
-    }
-
-    fn load_state(&mut self, l: &mut Loader<'_>) -> SnapResult<()> {
-        self.stage = match l.u8("stage")? {
-            0 => RayStage::LoadSpheres,
-            1 => RayStage::Intersect,
-            2 => RayStage::LoadEnv,
-            3 => RayStage::Store,
-            4 => RayStage::Done,
-            x => {
-                return Err(SnapError::Malformed {
-                    label: "stage".into(),
-                    why: format!("unknown ray stage {x}"),
-                })
-            }
-        };
-        l.f32s("sphere_data", &mut self.sphere_data)?;
-        let n = l.seq("env_idx", 8)?;
-        if n != self.env_idx.len() {
-            return Err(SnapError::Malformed {
-                label: "env_idx".into(),
-                why: format!("expected {} elements, found {n}", self.env_idx.len()),
-            });
-        }
-        for slot in self.env_idx.iter_mut() {
-            *slot = l.usize("i")?;
-        }
-        l.f32_array("base_shade", &mut self.base_shade)?;
-        Ok(())
     }
 }
 

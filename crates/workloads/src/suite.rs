@@ -260,7 +260,7 @@ pub fn group(g: u8) -> Vec<AppSpec> {
 ///
 /// Convenience wrapper over [`SimBuilder`](crate::builder::SimBuilder) for
 /// tests and one-off probes; anything that wants non-default limits, trace
-/// capture or checkpointing should use the builder directly.
+/// capture or pausing should use the builder directly.
 pub fn run_app(app: &AppSpec, cfg: &GpuConfig, sched: &SchedConfig, scale: f64) -> RunResult {
     run_app_limited(app, cfg, sched, scale, SimLimits::default())
 }

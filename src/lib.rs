@@ -18,8 +18,9 @@
 //!   CLI.
 //!
 //! The crate root also re-exports the high-level entry points — the
-//! [`SimBuilder`] facade, the [`Scheme`] constructors, the
-//! checkpoint/resume types, and the trace types ([`Trace`], [`TraceSim`])
+//! [`SimBuilder`] facade, the [`Scheme`] constructors, the paused-run
+//! types ([`RunOutcome`], whose [`Checkpoint`] is a write-only state dump),
+//! and the trace types ([`Trace`], [`TraceSim`])
 //! — so most users never need to reach into the sub-crates. Sweeps are
 //! always execution-driven; [`TraceSim`] replays one captured trace at a
 //! time (`lazydram capture` / `lazydram replay`, Fig. 3's example).

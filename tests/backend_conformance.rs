@@ -2,28 +2,23 @@
 //!
 //! The execute-and-stall contract (DESIGN.md §15) lets the controller stay
 //! backend-agnostic only if every backend honors the same obligations.
-//! Four are checked here, each over every machine in `machines()`: all
+//! Three are checked here, each over every machine in `machines()`: all
 //! presets plus the GDDR5 machine with tFAW, tCCDL and refresh turned on
 //! (`DramTimings::gddr5_extended`, and a variant whose tFAW binds), since
 //! no preset enables those three. Dropping any one of them from its
 //! `*_ready_at` threshold fails this suite.
 //!
-//! 1. **Snapshot fidelity** — a backend save/load round-tripped mid-stream
-//!    must be observationally identical to the original for the rest of
-//!    the stream (guard answers, CAS completion cycles, statistics).
-//! 2. **Monotone wake-up** — `refresh_due_at` never overshoots: a refresh
+//! 1. **Monotone wake-up** — `refresh_due_at` never overshoots: a refresh
 //!    is never due strictly before the advertised cycle, and is due at it
 //!    (refresh-free backends advertise `u64::MAX`).
-//! 3. **Engine invariance** — end to end per machine, the fast-forward
+//! 2. **Engine invariance** — end to end per machine, the fast-forward
 //!    engine (`cycle_skipping`) must be bit-identical to the reference
-//!    interpreter, and a checkpoint/resume run must match an uninterrupted
-//!    one.
-//! 4. **Honest thresholds** — each `*_ready_at` is the first cycle its
+//!    interpreter.
+//! 3. **Honest thresholds** — each `*_ready_at` is the first cycle its
 //!    guard opens while no command intervenes (the controller sleeps until
 //!    the earliest one), and `cas_floor` never exceeds a bank's CAS
 //!    threshold.
 
-use lazydram::common::snap::{Loader, Saver};
 use lazydram::common::{AccessKind, DramPreset, DramTimings, GpuConfig, SimStats};
 use lazydram::dram::{DramBackend, MemoryBackend};
 use lazydram::workloads::by_name;
@@ -156,47 +151,8 @@ fn machines() -> Vec<(String, GpuConfig)> {
     m
 }
 
-fn roundtrip(b: &DramBackend, cfg: &GpuConfig) -> DramBackend {
-    let mut s = Saver::new();
-    b.save_state(&mut s);
-    let bytes = s.finish();
-    let mut fresh = DramBackend::new(cfg);
-    let mut l = Loader::new(&bytes);
-    fresh.load_state(&mut l).expect("snapshot round-trip");
-    fresh
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn snapshot_roundtrip_is_observationally_identical(
-        ops in prop::collection::vec(op_strategy(), 1..200),
-        split in 0usize..200,
-    ) {
-        for (preset, cfg) in machines() {
-            let nbanks = cfg.banks_per_channel;
-            let mut a = DramBackend::new(&cfg);
-            let mut now = 0u64;
-            let split = split.min(ops.len());
-            for &op in &ops[..split] {
-                step(&mut a, nbanks, op, &mut now);
-            }
-            let mut b = roundtrip(&a, &cfg);
-            let mut now_b = now;
-            for &op in &ops[split..] {
-                let oa = step(&mut a, nbanks, op, &mut now);
-                let ob = step(&mut b, nbanks, op, &mut now_b);
-                prop_assert_eq!(oa, ob, "{} diverged after round-trip", preset);
-            }
-            prop_assert_eq!(now, now_b);
-            prop_assert_eq!(a.open_banks(), b.open_banks(), "{}", preset);
-            a.drain();
-            b.drain();
-            prop_assert!(a.stats() == b.stats(), "{}: stats diverged", preset);
-            prop_assert_eq!(a.refreshes(), b.refreshes(), "{}", preset);
-        }
-    }
 
     #[test]
     fn refresh_due_at_never_overshoots(
@@ -410,33 +366,5 @@ fn engines_are_bit_identical_on_every_backend() {
             normalized(&reference.stats),
             "{preset}: statistics"
         );
-    }
-}
-
-#[test]
-fn checkpoint_resume_is_invisible_on_every_backend() {
-    let app = by_name("meanfilter").expect("app");
-    for (preset, cfg) in machines() {
-        let build = || {
-            SimBuilder::new(&app)
-                .gpu(cfg.clone())
-                .scheme(Scheme::DynCombo)
-                .scale(SCALE)
-        };
-        let reference = build().build().run();
-        let pause_at = reference.stats.core_cycles / 2;
-        let run = build().build();
-        let ck = match run.run_until(pause_at) {
-            lazydram::gpu::RunOutcome::Paused(ck) => ck,
-            lazydram::gpu::RunOutcome::Done(_) => {
-                panic!("{preset}: finished before the midpoint pause")
-            }
-        };
-        let bytes = ck.into_bytes();
-        let ck = lazydram::gpu::Checkpoint::from_bytes(bytes)
-            .unwrap_or_else(|e| panic!("{preset}: checkpoint decode: {e}"));
-        let resumed = build().build().resume(&ck).expect("resume");
-        assert_eq!(resumed.output, reference.output, "{preset}: outputs");
-        assert_eq!(resumed.stats, reference.stats, "{preset}: statistics");
     }
 }

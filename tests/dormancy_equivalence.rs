@@ -3,9 +3,7 @@
 //! (`SimBuilder::dormancy`, on by default) must match a run that visits
 //! every component every cycle — the same measurement JSON (loop counters
 //! and AMS decline histogram included), the same output, and the same
-//! checkpoint bytes at any pause point, on every memory backend. A
-//! checkpoint taken with dormancy must resume without it, and the other
-//! way round, to the same result.
+//! state-dump bytes at any pause point, on every memory backend.
 
 use lazydram::bench::measure;
 use lazydram::common::DramPreset;
@@ -70,30 +68,11 @@ fn check(
     };
     prop_assert!(
         ck_on.as_bytes() == ck_off.as_bytes(),
-        "{}/{}: checkpoint bytes differ at cycle {}",
+        "{}/{}: dump bytes differ at cycle {}",
         app.name,
         scheme.label(),
         pause_at
     );
-    // Checkpoints are interchangeable: each side resumes the other's.
-    for (resumer, ck) in [(&off, &ck_on), (&on, &ck_off)] {
-        let resumed = resumer
-            .resume(ck)
-            .map_err(|e| TestCaseError::fail(e.to_string()))?;
-        prop_assert_eq!(&resumed.output, &reference.output);
-        prop_assert!(
-            resumed.trace == reference.trace,
-            "{}/{}: traces differ",
-            app.name,
-            scheme.label()
-        );
-        prop_assert!(
-            resumed.stats == reference.stats,
-            "{}/{}: resumed statistics differ",
-            app.name,
-            scheme.label()
-        );
-    }
     Ok(())
 }
 

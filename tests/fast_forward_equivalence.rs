@@ -5,11 +5,14 @@
 //! bit-identical output, statistics, and DRAM trace. Only `cycles_skipped` /
 //! `compute_cycles_skipped` / `ticks_executed` (the instrumentation of the
 //! skipping itself) may differ, so those are normalized before comparison.
+//! A pause lands every loop mode on the same state: a skip that would
+//! cross the pause cycle is clamped there.
 
 use lazydram::common::{SchedConfig, SimStats};
-use lazydram::gpu::{RunResult, SimLimits};
-use lazydram::workloads::{all_apps, AppSpec};
+use lazydram::gpu::{RunOutcome, RunResult, SimLimits};
+use lazydram::workloads::{all_apps, by_name, AppSpec};
 use lazydram::SimBuilder;
+use std::collections::BTreeMap;
 
 /// The three loop modes under test, selected through the builder.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -163,4 +166,74 @@ fn cycle_limit_hit_is_equivalent() {
     let fast = run(&app, &SchedConfig::static_dms(), 0.3, limits, Mode::Full);
     assert!(fast.hit_cycle_limit, "limit chosen too high for this check");
     assert_equivalent(&app, &SchedConfig::static_dms(), 0.3, limits);
+}
+
+/// Fields that differ between loop modes by construction: the config
+/// digest (it covers the skipping switches), the skip counters, and a NoC
+/// queue's per-cycle pop budget (`current_cycle`, `popped_this_cycle`). The
+/// budget resets when the queue is next touched, which is after any pause,
+/// so at a pause it is dead; a skip merely leaves it untouched for longer.
+fn differs_by_mode(path: &str) -> bool {
+    let noc = path.starts_with("rnoc[") || path.starts_with("pnoc[");
+    path.ends_with("/cfg_digest")
+        || path.ends_with("/cycles_skipped")
+        || path.ends_with("/compute_cycles_skipped")
+        || path.ends_with("/ticks_executed")
+        || (noc && (path.ends_with("/current_cycle") || path.ends_with("/popped_this_cycle")))
+}
+
+/// The labelled dump of `app` paused at `at` under `mode`, without the
+/// fields [`differs_by_mode`] names.
+fn paused_fields(
+    app: &AppSpec,
+    sched: &SchedConfig,
+    mode: Mode,
+    at: u64,
+) -> BTreeMap<String, String> {
+    let run = SimBuilder::new(app)
+        .sched(sched.clone(), "equiv")
+        .scale(0.02)
+        .trace(true)
+        .cycle_skipping(mode != Mode::Naive)
+        .compute_skipping(mode == Mode::Full)
+        .build();
+    let RunOutcome::Paused(ck) = run.run_until_labelled(at) else {
+        panic!("{}: finished before cycle {at}", app.name);
+    };
+    ck.fields()
+        .iter()
+        .filter(|(path, _)| !differs_by_mode(path))
+        .cloned()
+        .collect()
+}
+
+#[test]
+fn pauses_land_on_the_naive_loop_state() {
+    // 2MM's later pause falls inside its second launch, so the completed
+    // launch's statistics are in the dump too.
+    for (name, sched) in [
+        ("SLA", SchedConfig::static_dms()),
+        ("GEMM", SchedConfig::static_dms()),
+        ("2MM", SchedConfig::dyn_combo()),
+    ] {
+        let app = by_name(name).expect("app");
+        let total = run(&app, &sched, 0.02, SimLimits::default(), Mode::Naive)
+            .stats
+            .core_cycles;
+        for at in [total / 3, total * 2 / 3] {
+            let naive = paused_fields(&app, &sched, Mode::Naive, at);
+            assert!(naive.len() > 1000, "{name}: the dump has fields");
+            for mode in [Mode::Full, Mode::IdleOnly] {
+                let fast = paused_fields(&app, &sched, mode, at);
+                let diff: Vec<&String> = naive
+                    .iter()
+                    .filter(|(k, v)| fast.get(*k) != Some(v))
+                    .map(|(k, _)| k)
+                    .chain(fast.keys().filter(|k| !naive.contains_key(*k)))
+                    .take(5)
+                    .collect();
+                assert!(diff.is_empty(), "{name} at {at} ({mode:?}): {diff:?}");
+            }
+        }
+    }
 }

@@ -113,10 +113,10 @@ cmp "$TIER1_TMP/pre10_fig12.jsonl" crates/bench/captures/pre_pr10/fig12.jsonl
 echo "all 4 backends green; GDDR5 default byte-identical to pre-trait captures"
 
 echo "== tier1: divergence-bisection smoke =="
-# The bisection tool must find a concrete first divergent cycle between two
-# Static-DMS delays on SLA (it exercises run_until/resume_until chaining).
+# The bisection tool must find the exact first divergent cycle between two
+# Static-DMS delays on SLA (every probe is a fresh run_until from cycle 0).
 cargo run -q --release -p lazydram-bench --bin dbg_diverge -- SLA 128 256 0.05 4096 \
-    | grep "first divergent cycle:"
+    | grep -Fx "first divergent cycle: 217 (last agreeing cycle: 216)"
 
 echo "== tier1: repository benchmark (host-independent checks) =="
 # The unmodified benchmark (BENCHMARK.json, crates/bench/examples/benchmark)
