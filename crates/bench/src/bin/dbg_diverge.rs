@@ -16,14 +16,42 @@
 //!
 //! `A` and `B` are each a scheme label (`baseline`, `Static-AMS`, …) or a
 //! bare number, which means Static-DMS with that delay. Defaults:
-//! `SLA 128 256 0.05 4096`.
+//! `SLA 128 256 0.05 4096`. An unknown app or scheme, a SCALE that is not a
+//! positive number, or a STRIDE that is not a whole number exits with
+//! status 2 and a message naming the argument, before any simulation.
 
 use lazydram_bench::SimBuilder;
 use lazydram_common::snap::{digest, fold, list_frames};
 use lazydram_common::{DmsMode, SchedConfig, Scheme};
 use lazydram_gpu::{Checkpoint, RunOutcome};
-use lazydram_workloads::{by_name, AppSpec, SimRun};
+use lazydram_workloads::{all_apps, by_name, AppSpec, SimRun};
 use std::collections::BTreeMap;
+use std::str::FromStr;
+
+/// Reports a malformed command line and exits with status 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("dbg_diverge: {msg}");
+    std::process::exit(2)
+}
+
+/// Parses the positional argument `name`, or returns `default` when it is
+/// absent; a value that does not parse, or fails `valid`, exits with
+/// status 2 naming the argument, its value and what it should be.
+fn parse_arg<T: FromStr>(
+    name: &str,
+    what: &str,
+    arg: Option<&String>,
+    default: T,
+    valid: fn(&T) -> bool,
+) -> T {
+    let Some(arg) = arg else {
+        return default;
+    };
+    match arg.parse() {
+        Ok(v) if valid(&v) => v,
+        _ => usage_error(&format!("{name} {arg:?} is not {what}")),
+    }
+}
 
 /// Digest over the architectural frames only: `meta` (holds the config
 /// digest, different by construction) is skipped entirely, and the
@@ -176,11 +204,10 @@ impl Side {
         }
         Scheme::by_label(arg).map(Side::Scheme).unwrap_or_else(|| {
             let labels: Vec<&str> = Scheme::ALL.iter().map(|s| s.label()).collect();
-            eprintln!(
-                "dbg_diverge: {arg:?} is neither a delay nor a scheme label ({})",
+            usage_error(&format!(
+                "{arg:?} is neither a delay nor a scheme label ({})",
                 labels.join(", ")
-            );
-            std::process::exit(2)
+            ))
         })
     }
 
@@ -209,15 +236,19 @@ impl Side {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let name = args.first().cloned().unwrap_or_else(|| "SLA".into());
+    let app = by_name(&name).unwrap_or_else(|| {
+        let names: Vec<&str> = all_apps().iter().map(|a| a.name).collect();
+        usage_error(&format!(
+            "APP {name:?} is not a suite app ({})",
+            names.join(", ")
+        ))
+    });
     let side_a = Side::parse(args.get(1), 128);
     let side_b = Side::parse(args.get(2), 256);
-    let scale: f64 = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(0.05);
-    let stride: u64 = args
-        .get(4)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4096)
-        .max(2);
-    let app = by_name(&name).expect("known app");
+    let scale: f64 = parse_arg("SCALE", "a positive number", args.get(3), 0.05, |s| {
+        s.is_finite() && *s > 0.0
+    });
+    let stride: u64 = parse_arg("STRIDE", "a whole number", args.get(4), 4096, |_| true).max(2);
 
     let (run_a, run_b) = (side_a.build(&app, scale), side_b.build(&app, scale));
     let (label_a, label_b) = (side_a.label(), side_b.label());

@@ -614,8 +614,8 @@ impl Drop for SweepRunner {
 }
 
 /// Renders the fast-forward annotation for a measurement's progress line
-/// (empty when the event-driven loop never skipped, e.g. with
-/// `SimBuilder::cycle_skipping(false)`); cache-served cells are flagged
+/// (empty when the loop never skipped: a run with no idle span, or one on
+/// `SimBuilder::reference_loop(true)`); cache-served cells are flagged
 /// instead, since they skip the simulation.
 fn skip_note(m: &Measurement) -> String {
     if m.cached {

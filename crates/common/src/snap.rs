@@ -23,6 +23,8 @@
 //! divergence search compare architectural components while ignoring frames
 //! that legitimately differ between configurations (e.g. policy-unit state).
 
+use std::fmt::Write as _;
+
 /// Magic bytes opening every snapshot produced by this crate family.
 pub const SNAP_MAGIC: [u8; 4] = *b"LZSN";
 
@@ -251,17 +253,15 @@ pub struct Saver {
 
 #[derive(Debug, Default)]
 struct LabelSink {
-    path: Vec<String>,
+    /// The enclosing frames as one running prefix, `tag[index]/` each.
+    path: String,
     fields: Vec<(String, String)>,
 }
 
 impl LabelSink {
     fn record(&mut self, label: &str, value: String) {
-        let mut path = String::new();
-        for p in &self.path {
-            path.push_str(p);
-            path.push('/');
-        }
+        let mut path = String::with_capacity(self.path.len() + label.len());
+        path.push_str(&self.path);
         path.push_str(label);
         self.fields.push((path, value));
     }
@@ -438,12 +438,14 @@ impl Saver {
         self.buf.extend_from_slice(&index.to_le_bytes());
         let len_at = self.buf.len();
         self.buf.extend_from_slice(&0u64.to_le_bytes());
-        if let Some(sink) = &mut self.labels {
-            sink.path.push(format!("{tag}[{index}]"));
-        }
+        let prefix_len = self.labels.as_mut().map(|sink| {
+            let len = sink.path.len();
+            let _ = write!(sink.path, "{tag}[{index}]/");
+            len
+        });
         let out = body(self);
-        if let Some(sink) = &mut self.labels {
-            sink.path.pop();
+        if let (Some(sink), Some(len)) = (&mut self.labels, prefix_len) {
+            sink.path.truncate(len);
         }
         let payload_len = (self.buf.len() - len_at - 8) as u64;
         self.buf[len_at..len_at + 8].copy_from_slice(&payload_len.to_le_bytes());
@@ -839,12 +841,23 @@ mod tests {
                 s.u64("rr", 7);
                 s.f32("acc", 1.25);
             });
+            s.bool("after", true);
         });
+        s.frame("mc", 11, |s| s.u8("x", 3));
+        s.u16("top", 4);
         let (_, labels) = s.finish_with_labels();
-        assert_eq!(labels.len(), 2);
-        assert_eq!(labels[0].0, "mach[0]/sm[2]/rr");
+        let paths: Vec<&str> = labels.iter().map(|(p, _)| p.as_str()).collect();
+        assert_eq!(
+            paths,
+            [
+                "mach[0]/sm[2]/rr",
+                "mach[0]/sm[2]/acc",
+                "mach[0]/after",
+                "mc[11]/x",
+                "top"
+            ]
+        );
         assert_eq!(labels[0].1, "7");
-        assert_eq!(labels[1].0, "mach[0]/sm[2]/acc");
         assert!(labels[1].1.starts_with("1.25"));
     }
 

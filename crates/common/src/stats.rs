@@ -310,15 +310,14 @@ pub struct SimStats {
     /// Loads whose value was approximated by the VP unit.
     pub approximated_loads: u64,
     /// Core cycles the event-driven loop fast-forwarded over without
-    /// executing any component (zero when skipping is disabled).
+    /// executing any component (zero under the reference loop).
     pub cycles_skipped: u64,
     /// The subset of `cycles_skipped` spanning *busy* cycles: spans where at
     /// least one SM's `Computing` warps were advanced analytically instead
-    /// of being provably idle. Zero when compute skipping is disabled
-    /// (`SimBuilder::compute_skipping(false)`) or skipping is off entirely.
+    /// of being provably idle. Zero under the reference loop.
     pub compute_cycles_skipped: u64,
-    /// Core cycles actually executed by the master loop. With skipping off
-    /// this equals `core_cycles`; with skipping on,
+    /// Core cycles actually executed by the master loop. Under the
+    /// reference loop this equals `core_cycles`; under the fast loop,
     /// `ticks_executed + cycles_skipped` covers the simulated span.
     pub ticks_executed: u64,
     /// Diagnostic: AMS decline-reason histogram summed over controllers

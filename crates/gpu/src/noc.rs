@@ -30,6 +30,9 @@ pub struct DelayQueue<T> {
     width: usize,
     popped_this_cycle: usize,
     current_cycle: u64,
+    /// The ready stamp of the item [`DelayQueue::pop_ready`] delivered
+    /// last, which [`DelayQueue::push_front`] restores.
+    last_popped_ready: u64,
 }
 
 impl<T> DelayQueue<T> {
@@ -48,6 +51,7 @@ impl<T> DelayQueue<T> {
             width,
             popped_this_cycle: 0,
             current_cycle: 0,
+            last_popped_ready: 0,
         }
     }
 
@@ -111,6 +115,7 @@ impl<T> DelayQueue<T> {
         match self.items.front() {
             Some(&(ready, _)) if ready <= now => {
                 self.popped_this_cycle += 1;
+                self.last_popped_ready = ready;
                 self.items.pop_front().map(|(_, t)| t)
             }
             _ => None,
@@ -118,22 +123,15 @@ impl<T> DelayQueue<T> {
     }
 
     /// Whether [`DelayQueue::pop_ready`] would deliver an item at `now`.
-    /// Records `now` as the current cycle exactly as a `pop_ready` call
-    /// does, so a consumer that polls instead of popping on an idle cycle
-    /// leaves the queue in the same state.
-    pub fn poll(&mut self, now: u64) -> bool {
-        if now != self.current_cycle {
-            self.current_cycle = now;
-            self.popped_this_cycle = 0;
-        }
-        self.popped_this_cycle < self.width
+    pub fn poll(&self, now: u64) -> bool {
+        (now != self.current_cycle || self.popped_this_cycle < self.width)
             && self.items.front().is_some_and(|&(ready, _)| ready <= now)
     }
 
     /// The cycle at which the next item becomes poppable, or `None` when
     /// the queue is empty. Pushes stamp monotonically increasing ready
-    /// times (constant latency) and `push_front` re-inserts at the current
-    /// cycle, so the front item is always the earliest.
+    /// times (constant latency) and `push_front` restores a popped item's
+    /// own stamp, so the front item is always the earliest.
     pub fn next_ready_cycle(&self) -> Option<u64> {
         self.items.front().map(|&(ready, _)| ready)
     }
@@ -144,20 +142,24 @@ impl<T> DelayQueue<T> {
         self.items.front().map(|(_, t)| t)
     }
 
-    /// Returns an item to the front of the queue, immediately poppable
-    /// (used when a consumer must retry, e.g. downstream backpressure).
-    pub fn push_front(&mut self, now: u64, item: T) {
-        self.items.push_front((now, item));
+    /// Returns the item the last [`DelayQueue::pop_ready`] delivered to
+    /// the front of the queue, still poppable (used when a consumer must
+    /// retry, e.g. downstream backpressure). The item keeps its own ready
+    /// stamp, so a pop and its `push_front` leave the queue's contents as
+    /// they found them: whether a cycle ran such a retry or was skipped
+    /// leaves no trace.
+    pub fn push_front(&mut self, item: T) {
+        self.items.push_front((self.last_popped_ready, item));
         // The retried item does not consume width again this cycle either
         // way; callers stop processing after a push_front.
     }
 
     /// Serializes the queue's dynamic state. `save_item` writes one queued
     /// item; the latency/capacity/width are configuration and are not
-    /// written.
+    /// written. Nor is the per-cycle pop budget: it resets on the first
+    /// pop of a later cycle, so at a pause it is dead, and its value only
+    /// records when the loop last touched the queue.
     pub fn save_state(&self, s: &mut Saver, mut save_item: impl FnMut(&mut Saver, &T)) {
-        s.u64("current_cycle", self.current_cycle);
-        s.usize("popped_this_cycle", self.popped_this_cycle);
         s.seq("items", self.items.len());
         for (ready, item) in &self.items {
             s.u64("ready", *ready);
@@ -213,19 +215,18 @@ mod tests {
     }
 
     #[test]
-    fn poll_matches_an_empty_pop() {
-        let mut polled = DelayQueue::new(2, 8, 1);
-        polled.push(0, 'a').unwrap();
-        let mut popped = polled.clone();
-        assert!(!polled.poll(1));
-        assert!(popped.pop_ready(1).is_none());
-        assert_eq!(
-            (polled.current_cycle, polled.popped_this_cycle),
-            (popped.current_cycle, popped.popped_this_cycle)
-        );
-        assert!(polled.poll(2));
-        assert_eq!(polled.pop_ready(2), Some('a'));
-        assert!(!polled.poll(2), "width spent");
+    fn poll_predicts_pop_ready() {
+        let mut q = DelayQueue::new(2, 8, 1);
+        q.push(0, 'a').unwrap();
+        q.push(0, 'b').unwrap();
+        assert!(!q.poll(1), "not ready yet");
+        assert!(q.poll(2));
+        assert_eq!(q.pop_ready(2), Some('a'));
+        assert!(!q.poll(2), "width spent");
+        assert!(q.pop_ready(2).is_none());
+        assert!(q.poll(3), "a new cycle has a fresh budget");
+        assert_eq!(q.pop_ready(3), Some('b'));
+        assert!(!q.poll(4), "empty");
     }
 
     #[test]
@@ -233,8 +234,11 @@ mod tests {
         let mut q = DelayQueue::new(10, 8, 8);
         q.push(0, 7).unwrap();
         let v = q.pop_ready(10).unwrap();
-        q.push_front(10, v);
+        q.push(10, 8).unwrap();
+        q.push_front(v);
+        assert_eq!(q.next_ready_cycle(), Some(10), "the retry keeps its stamp");
         assert_eq!(q.pop_ready(10), Some(7));
         assert_eq!(q.pop_ready(11), None);
+        assert_eq!(q.pop_ready(20), Some(8));
     }
 }

@@ -30,7 +30,10 @@
 //! Instead of executing those, the loop asks each component for its next
 //! event:
 //!
-//! * SMs: [`Sm::has_work`] — conservative "could issue this cycle";
+//! * SMs: [`Sm::next_external_event`] — the next cycle an SM can emit a
+//!   request, complete a drain or issue a non-compute op; a purely
+//!   computing SM reports the closed-form end of its round-robin burst,
+//!   which [`Sm::advance_compute`] replays over the skipped span;
 //! * [`DelayQueue`]s: head ready-time (the head is always the earliest item);
 //! * slices: [`Slice::has_work`] — buffered responses / writebacks / retries;
 //! * controllers: [`MemoryController::next_event_cycle`] — earliest in-flight
@@ -39,12 +42,9 @@
 //!
 //! When nothing has work *this* cycle, `core_cycle` jumps to the minimum next
 //! event and the clock accumulator advances analytically, so the memory clock
-//! lands on exactly the same cycles as the naive loop. Executed cycles run
-//! the identical phase code, and skips only cover cycles every component has
-//! proven to be no-ops — results are **bit-identical** with skipping on or
-//! off (enforced by the `fast_forward_equivalence` suite test and a
-//! proptest). [`Simulator::with_cycle_skipping`] forces the naive loop for
-//! debugging.
+//! lands on exactly the same cycles as a cycle-by-cycle loop. Executed cycles
+//! run the identical phase code, and skips only cover cycles every component
+//! has proven to be no-ops or replays in closed form.
 //!
 //! # Dormancy
 //!
@@ -54,9 +54,17 @@
 //! not due sleeps until a reply reaches its NoC head or a slice frees
 //! request-NoC space on a channel it waits on. The controllers sleep the
 //! same way between scheduling passes ([`MemoryController`]'s own
-//! dormancy). A skipped visit is an exact no-op, so results, state dumps
-//! and the loop counters are identical with dormancy off
-//! ([`Simulator::with_dormancy`]). See `DESIGN.md` §12.
+//! dormancy). A skipped visit is an exact no-op. See `DESIGN.md` §12.
+//!
+//! # Two loops
+//!
+//! The fast loop (the default) runs fast-forward and dormancy together.
+//! The reference loop ([`Simulator::with_reference_loop`]) executes every
+//! core cycle and visits every SM and every controller in each one. The two
+//! are **bit-identical** in results and state dumps, apart from the loop
+//! counters (`ticks_executed`, `cycles_skipped`, `compute_cycles_skipped`)
+//! and the dump's configuration digest; `tests/fast_forward_equivalence.rs`
+//! and a proptest over synthetic kernels hold them together.
 //!
 //! # Pausing a run
 //!
@@ -67,11 +75,13 @@
 //! the caller asks for one ([`Simulator::run_sequence_until_labelled`]).
 //! The dump is write-only; nothing loads it back. It exists to be
 //! compared: `dbg_diverge` digests it to find the first cycle at which two
-//! configurations disagree, and the dormancy and fast-forward suites
-//! compare its bytes or fields. Pausing clamps an in-flight fast-forward
-//! at the pause cycle, so every loop mode dumps the same state there
-//! (`tests/fast_forward_equivalence.rs` names the few fields that record
-//! the loop mode itself).
+//! configurations disagree, and the fast-forward suite compares the two
+//! loops' fields. Pausing clamps an in-flight fast-forward at the pause
+//! cycle, so both loops dump the same state there. The dump carries no
+//! loop-mode state: the launch's loop counters and the NoC queues'
+//! per-cycle pop budget are not written, and a request-NoC head that a
+//! slice retried under backpressure keeps its own ready stamp (see
+//! [`DelayQueue::push_front`]).
 //!
 //! A dump holds only *dynamic* state: configuration-derived geometry is
 //! not written, only a fingerprint of the configuration (`meta`'s
@@ -128,10 +138,10 @@ pub struct RunResult {
 /// compared, by digest, frame by frame or field by field.
 ///
 /// Layout after the 6-byte `snap` header: a flat sequence of frames —
-/// `meta[0]` (launch index, config fingerprint, pause cycle), `stat[0]`
-/// (statistics of completed launches), `trc[0]`, `img[0]`, `mach[0]`
-/// (loop scalars), then one `sm[i]` / `slc[i]` / `mc[i]` / `rnoc[i]` /
-/// `pnoc[i]` frame per component. The flat framing is what lets
+/// `meta[0]` (launch index, config fingerprint, pause cycle), `stat[1]`
+/// (statistics of completed launches), `trc[0]`, `img[0]`, `mach[1]`
+/// (warp dispatch and clock scalars), then one `sm[i]` / `slc[i]` /
+/// `mc[i]` / `rnoc[i]` / `pnoc[i]` frame per component. The flat framing is what lets
 /// `dbg_diverge` digest and diff dump regions component by component.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Checkpoint {
@@ -222,6 +232,9 @@ struct LaunchMachine {
     acc: u64,
     mem_time: u64,
     core_cycle: u64,
+    /// Loop counters: they record which loop ran, not the machine's
+    /// state, so the dump leaves them out (they reach [`SimStats`] when
+    /// the launch finishes).
     ticks_executed: u64,
     cycles_skipped: u64,
     /// The subset of `cycles_skipped` classified as compute-skip: spans
@@ -408,9 +421,6 @@ impl LaunchMachine {
             s.u64("acc", self.acc);
             s.u64("mem_time", self.mem_time);
             s.u64("core_cycle", self.core_cycle);
-            s.u64("ticks_executed", self.ticks_executed);
-            s.u64("cycles_skipped", self.cycles_skipped);
-            s.u64("compute_cycles_skipped", self.compute_cycles_skipped);
         });
         for (i, sm) in self.sms.iter().enumerate() {
             s.frame("sm", i as u32, |s| sm.save_state(s));
@@ -451,9 +461,7 @@ pub struct Simulator {
     sched: SchedConfig,
     limits: SimLimits,
     capture_trace: bool,
-    cycle_skipping: bool,
-    compute_skipping: bool,
-    dormancy: bool,
+    reference_loop: bool,
 }
 
 /// Outcome of driving one launch's machine.
@@ -492,17 +500,15 @@ impl SeqMut<'_> {
 
 impl Simulator {
     /// Creates a simulator for a GPU configuration and scheduling policy,
-    /// with event-driven cycle skipping, compute-burst skipping and
-    /// dormancy on.
+    /// running the fast loop: idle and compute-burst fast-forward plus
+    /// dormancy (see the module docs).
     pub fn new(cfg: GpuConfig, sched: SchedConfig) -> Self {
         Self {
             cfg,
             sched,
             limits: SimLimits::default(),
             capture_trace: false,
-            cycle_skipping: true,
-            compute_skipping: true,
-            dormancy: true,
+            reference_loop: false,
         }
     }
 
@@ -519,29 +525,15 @@ impl Simulator {
         self
     }
 
-    /// Turns event-driven cycle skipping on (the default) or off. Results
-    /// are bit-identical either way; only wall-clock changes.
-    pub fn with_cycle_skipping(mut self, enabled: bool) -> Self {
-        self.cycle_skipping = enabled;
-        self
-    }
-
-    /// Turns analytic compute-burst skipping on (the default) or off. Only
-    /// effective while cycle skipping itself is enabled; results are
-    /// bit-identical either way, only wall-clock changes.
-    pub fn with_compute_skipping(mut self, enabled: bool) -> Self {
-        self.compute_skipping = enabled;
-        self
-    }
-
-    /// Turns dormancy on (the default) or off: whether executed cycles
-    /// skip SMs that are not due and controller passes that cannot issue.
-    /// Results, dump bytes and loop counters are identical either way, so
-    /// unlike the skipping switches it is not part of the dump's
-    /// configuration fingerprint: a dump taken with dormancy equals the
-    /// one taken without it, byte for byte.
-    pub fn with_dormancy(mut self, enabled: bool) -> Self {
-        self.dormancy = enabled;
+    /// Selects the reference loop (`true`) or the fast loop (`false`, the
+    /// default). The reference loop executes every core cycle and visits
+    /// every SM and every controller in each one: no fast-forward, no
+    /// sleeping. Results and state dumps are identical either way, except
+    /// for the loop counters (`ticks_executed`, `cycles_skipped`,
+    /// `compute_cycles_skipped`) and the dump's configuration digest; the
+    /// reference loop is the one the fast loop is tested against.
+    pub fn with_reference_loop(mut self, enabled: bool) -> Self {
+        self.reference_loop = enabled;
         self
     }
 
@@ -602,13 +594,8 @@ impl Simulator {
     fn config_digest(&self) -> u64 {
         digest(
             format!(
-                "{:?}|{:?}|{:?}|{}|{}|{}",
-                self.cfg,
-                self.sched,
-                self.limits,
-                self.capture_trace,
-                self.cycle_skipping,
-                self.compute_skipping
+                "{:?}|{:?}|{:?}|{}|{}",
+                self.cfg, self.sched, self.limits, self.capture_trace, self.reference_loop
             )
             .as_bytes(),
         )
@@ -676,7 +663,7 @@ impl Simulator {
                 &self.cfg,
                 &self.sched,
                 self.capture_trace,
-                self.dormancy,
+                !self.reference_loop,
                 kernel.total_warps(),
             );
             m.fill(kernel);
@@ -742,7 +729,6 @@ impl Simulator {
             resp_buf,
             dormancy,
         } = m;
-        let compute_skipping = self.compute_skipping;
         let total_warps = *total_warps;
         let core_hz = u64::from(cfg.core_clock_mhz);
         let mem_hz = u64::from(cfg.mem_clock_mhz);
@@ -759,7 +745,7 @@ impl Simulator {
             //    predictable — cycles. Runs at the top of the iteration,
             //    before the next cycle executes; a pause target inside a
             //    skippable span clamps the skip at the pause cycle.
-            if self.cycle_skipping && *core_cycle > 0 {
+            if !self.reference_loop && *core_cycle > 0 {
                 let _t_ff = prof::enter(Phase::FastForward);
                 let mut target = next_interesting_cycle(
                     *core_cycle,
@@ -768,7 +754,6 @@ impl Simulator {
                     core_hz,
                     mem_hz,
                     *mem_time,
-                    compute_skipping,
                     sms,
                     slices,
                     req_noc,
@@ -786,19 +771,16 @@ impl Simulator {
                     let skipped = target - *core_cycle - 1;
                     // Replay each SM's round-robin compute schedule over the
                     // span in closed form — the exact grants, `rr` cursor
-                    // moves and `Computing -> Ready` transitions the naive
+                    // moves and `Computing -> Ready` transitions the reference
                     // loop would have produced. A span where any SM did so
-                    // is accounted as compute-skip; pure idle spans keep the
-                    // PR 2 idle-skip classification.
+                    // is accounted as compute-skip, any other as idle skip.
                     let mut advanced_compute = false;
-                    if compute_skipping {
-                        for sm in sms.iter_mut() {
-                            advanced_compute |= sm.advance_compute(skipped);
-                        }
+                    for sm in sms.iter_mut() {
+                        advanced_compute |= sm.advance_compute(skipped);
                     }
                     // Advance the memory clock analytically over the
                     // skipped span; the controllers see the exact same tick
-                    // count (all of them no-ops) as the naive loop would
+                    // count (all of them no-ops) as the reference loop would
                     // have executed.
                     let units = u128::from(*acc) + u128::from(skipped) * u128::from(mem_hz);
                     let mem_ticks = (units / u128::from(core_hz)) as u64;
@@ -845,8 +827,6 @@ impl Simulator {
                     .zip(stages.iter_mut())
                     .enumerate()
                 {
-                    // Polling stamps the queue's cycle exactly as the empty
-                    // `pop_ready` of a visit would.
                     if dormancy.enabled
                         && !dormancy.visit(i, sm, replies.poll(now), &free0, grown, avail)
                     {
@@ -1024,7 +1004,7 @@ impl LaunchMachine {
 /// *externally unpredictable* effect, given that the current cycle's phases
 /// just completed and the termination check failed. Every cycle strictly
 /// between `now` and the returned cycle is either a provable no-op for
-/// every component or (with `compute_skip`) a pure compute-issue cycle that
+/// every component or a pure compute-issue cycle that
 /// [`Sm::advance_compute`] replays in closed form. Clamped to `limit + 1`,
 /// where the loop exits without running phases; with no event at all (a
 /// stalled run headed for the cycle limit) the clamp is returned.
@@ -1036,7 +1016,6 @@ fn next_interesting_cycle(
     core_hz: u64,
     mem_hz: u64,
     mem_time: u64,
-    compute_skip: bool,
     sms: &[Sm],
     slices: &[Slice],
     req_noc: &[DelayQueue<SliceReq>],
@@ -1047,21 +1026,17 @@ fn next_interesting_cycle(
     if next <= now + 1 || slices.iter().any(Slice::has_work) {
         return now + 1;
     }
-    if compute_skip {
-        // An SM needs a real tick no later than its next external event:
-        // the earliest cycle it can emit a request, complete a drain, or
-        // issue a non-compute op. Purely computing SMs report the closed-
-        // form end of their round-robin burst instead of bailing, which is
-        // what extends fast-forward from idle spans to busy ones.
-        for sm in sms {
-            match sm.next_external_event(now) {
-                Some(event) if event <= now + 1 => return now + 1,
-                Some(event) => next = next.min(event),
-                None => {}
-            }
+    // An SM needs a real tick no later than its next external event: the
+    // earliest cycle it can emit a request, complete a drain, or issue a
+    // non-compute op. Purely computing SMs report the closed-form end of
+    // their round-robin burst instead of bailing, which is what extends
+    // fast-forward from idle spans to busy ones.
+    for sm in sms {
+        match sm.next_external_event(now) {
+            Some(event) if event <= now + 1 => return now + 1,
+            Some(event) => next = next.min(event),
+            None => {}
         }
-    } else if sms.iter().any(Sm::has_work) {
-        return now + 1;
     }
     for (i, q) in req_noc.iter().enumerate() {
         let Some(ready) = q.next_ready_cycle() else {

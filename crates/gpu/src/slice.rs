@@ -268,7 +268,7 @@ impl Slice {
                     // miss only when the request actually proceeds, so
                     // backpressure retries do not inflate the statistics.
                     if !self.forward_write(req.line, MemSpace::Global, map, mc) {
-                        incoming.push_front(now, req);
+                        incoming.push_front(req);
                         break;
                     }
                     let r = self.l2.commit(slot, true);
@@ -308,7 +308,7 @@ impl Slice {
                 waiters.push(req.sm);
                 self.mshr.insert(req.line, waiters);
             } else {
-                incoming.push_front(now, req);
+                incoming.push_front(req);
                 break;
             }
         }

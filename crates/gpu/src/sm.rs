@@ -333,7 +333,8 @@ fn coalesce_spans(lines: &mut Vec<u64>, spans: impl Iterator<Item = (u64, u64)>)
 /// (warps that could issue this cycle) and `unsent` (blocked loads with
 /// backpressured miss lines). On stall-heavy cycles — the common case under
 /// DMS — both masks are zero and [`Sm::tick`] returns without touching any
-/// slot state, which is also what lets [`Sm::has_work`] answer in O(1).
+/// slot state, which is also what lets [`Sm::next_external_event`] answer
+/// in O(1) when no warp computes.
 pub(crate) struct Sm {
     id: usize,
     issue_width: usize,
@@ -471,22 +472,6 @@ impl Sm {
     /// Number of resident, unfinished warps.
     pub fn live_warps(&self) -> usize {
         self.live_warps
-    }
-
-    /// `true` when ticking this SM unconditionally does something this
-    /// cycle: a warp can issue (Ready or Computing) or a blocked load still
-    /// has unsent miss lines *and* a free MSHR to send one through — with
-    /// every MSHR occupied, [`Sm::tick`] never even attempts a drain, so the
-    /// cycle is a provable no-op despite the backlog. Two kinds of blocked
-    /// warps are deliberately excluded: warps waiting purely on replies wake
-    /// via the reply NoC, which the event-driven loop tracks separately, and
-    /// warps holding a parked store retry are covered by
-    /// [`Sm::stalled_store_ready`] — their retry fails identically every
-    /// cycle until the request NoC frees up, which can only happen on a
-    /// tracked event. O(1): answered from the scheduler masks.
-    pub fn has_work(&self) -> bool {
-        (self.issueable & !self.stalled) != 0
-            || (self.unsent != 0 && self.mshr.len() < self.mshr_capacity)
     }
 
     /// `true` when some parked store's retry would succeed right now, i.e.
@@ -1672,14 +1657,9 @@ mod tests {
             None,
             "pure waiters/parked stores wake only via tracked events"
         );
-        assert!(!sm.has_work());
 
         let sm = build_sm(&[SlotSpec::Computing(3), SlotSpec::Empty], 2, 0);
         assert_eq!(sm.next_external_event(5), Some(5 + 3 + 1));
-        assert!(
-            sm.has_work(),
-            "a computing SM still has work for the naive loop"
-        );
 
         let mut sm = build_sm(&[SlotSpec::Computing(3)], 2, 0);
         sm.slots[0].state = WarpState::Ready;
@@ -2345,8 +2325,10 @@ mod tests {
                         );
                     }
                 } else {
-                    // No event: the naive loop must agree nothing happens.
-                    prop_assert!(!sm.has_work());
+                    // No event: there is no compute burst to replay either.
+                    let mut idle = build_sm(&specs, issue_width, rr);
+                    prop_assert!(!idle.advance_compute(1 + span_pct));
+                    prop_assert_eq!(state_bytes(&idle), state_bytes(&sm));
                 }
             }
         }

@@ -1,8 +1,8 @@
-//! Property test: event-driven fast-forward — both the idle skipper and the
-//! analytic compute-burst skipper — is result-invisible for randomly
-//! generated synthetic kernels under randomly drawn scheduler
-//! configurations and cycle limits. All three loop modes (full skip,
-//! idle-only skip, naive) are compared pairwise.
+//! Property test: the fast loop (idle and analytic compute-burst
+//! fast-forward plus dormancy) is result-invisible for randomly generated
+//! synthetic kernels under randomly drawn scheduler configurations and
+//! cycle limits: it must match the reference loop, which executes every
+//! cycle and visits every component.
 //!
 //! The suite-level test (`tests/fast_forward_equivalence.rs` at the
 //! workspace root) covers the 20 real applications; this one probes odd
@@ -74,7 +74,7 @@ impl WarpProgram for SynthProgram {
 }
 
 /// Random-but-deterministic kernel: parameters come from the proptest
-/// strategy, data from a fixed ramp, so both loop modes see identical work.
+/// strategy, data from a fixed ramp, so both loops see identical work.
 struct SynthKernel {
     warps: usize,
     rounds: u32,
@@ -143,7 +143,7 @@ fn scheme(pick: u8, dms_delay: u32, ams_th: u32) -> SchedConfig {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
     #[test]
-    fn fast_forward_matches_naive_loop(
+    fn fast_loop_matches_reference_loop(
         warps in 1usize..25,
         rounds in 1u32..6,
         stride in 1u64..97,
@@ -166,42 +166,36 @@ proptest! {
             approx: pick >= 3,
             base: 0,
         };
-        let run = |skip: bool, compute_skip: bool| {
+        let run = |reference: bool| {
             let mut kernel = build();
             Simulator::new(GpuConfig::default(), sched.clone())
                 .with_limits(limits)
                 .with_trace_capture(true)
-                .with_cycle_skipping(skip)
-                .with_compute_skipping(compute_skip)
+                .with_reference_loop(reference)
                 .run(&mut kernel)
         };
-        let full = run(true, true);
-        let idle = run(true, false);
-        let slow = run(false, false);
+        let fast = run(false);
+        let slow = run(true);
         prop_assert_eq!(slow.stats.cycles_skipped, 0u64);
-        prop_assert_eq!(idle.stats.compute_cycles_skipped, 0u64);
-        for fast in [&full, &idle] {
-            prop_assert_eq!(fast.hit_cycle_limit, slow.hit_cycle_limit);
-            prop_assert_eq!(&fast.output, &slow.output);
-            prop_assert!(fast.trace == slow.trace, "DRAM traces differ");
-            let mut fs = fast.stats.clone();
-            let mut ss = slow.stats.clone();
-            prop_assert!(
-                fs.compute_cycles_skipped <= fs.cycles_skipped,
-                "compute skips exceed total skips"
-            );
-            // A limit hit counts one final cycle the loop never executes.
-            prop_assert_eq!(
-                fs.ticks_executed + fs.cycles_skipped + u64::from(fast.hit_cycle_limit),
-                fs.core_cycles,
-                "skip accounting must partition core cycles"
-            );
-            fs.cycles_skipped = 0;
-            fs.compute_cycles_skipped = 0;
-            fs.ticks_executed = 0;
-            ss.cycles_skipped = 0;
-            ss.ticks_executed = 0;
-            prop_assert!(fs == ss, "stats differ:\nfast: {fs:?}\nslow: {ss:?}");
-        }
+        prop_assert_eq!(fast.hit_cycle_limit, slow.hit_cycle_limit);
+        prop_assert_eq!(&fast.output, &slow.output);
+        prop_assert!(fast.trace == slow.trace, "DRAM traces differ");
+        let mut fs = fast.stats.clone();
+        let mut ss = slow.stats.clone();
+        prop_assert!(
+            fs.compute_cycles_skipped <= fs.cycles_skipped,
+            "compute skips exceed total skips"
+        );
+        // A limit hit counts one final cycle the loop never executes.
+        prop_assert_eq!(
+            fs.ticks_executed + fs.cycles_skipped + u64::from(fast.hit_cycle_limit),
+            fs.core_cycles,
+            "skip accounting must partition core cycles"
+        );
+        fs.cycles_skipped = 0;
+        fs.compute_cycles_skipped = 0;
+        fs.ticks_executed = 0;
+        ss.ticks_executed = 0;
+        prop_assert!(fs == ss, "stats differ:\nfast: {fs:?}\nslow: {ss:?}");
     }
 }

@@ -120,15 +120,13 @@ pub struct SimBuilder {
     scale: f64,
     limits: SimLimits,
     trace: bool,
-    skip: Option<bool>,
-    compute_skip: Option<bool>,
-    dormancy: bool,
+    reference_loop: bool,
 }
 
 impl SimBuilder {
     /// Starts a builder for `app` with the defaults every harness shares:
     /// baseline scheme, default GPU, scale 1.0, default safety limits, no
-    /// trace capture, cycle skipping, compute skipping and dormancy on.
+    /// trace capture, the fast loop.
     pub fn new(app: &AppSpec) -> Self {
         Self {
             app: app.clone(),
@@ -138,9 +136,7 @@ impl SimBuilder {
             scale: 1.0,
             limits: SimLimits::default(),
             trace: false,
-            skip: None,
-            compute_skip: None,
-            dormancy: true,
+            reference_loop: false,
         }
     }
 
@@ -189,27 +185,12 @@ impl SimBuilder {
         self
     }
 
-    /// Turns the event-driven fast-forward on or off (default: on).
-    pub fn cycle_skipping(mut self, enabled: bool) -> Self {
-        self.skip = Some(enabled);
-        self
-    }
-
-    /// Turns the analytic compute-burst fast-forward on or off (default:
-    /// on). Only meaningful while cycle skipping itself is enabled: with
-    /// skipping off entirely, the master loop never consults the SM
-    /// schedule analytically.
-    pub fn compute_skipping(mut self, enabled: bool) -> Self {
-        self.compute_skip = Some(enabled);
-        self
-    }
-
-    /// Turns dormancy on or off (default: on): whether executed cycles skip
-    /// SMs that are not due and controller passes that cannot issue (see
-    /// [`Simulator::with_dormancy`]). Results and state dumps are identical
-    /// either way.
-    pub fn dormancy(mut self, enabled: bool) -> Self {
-        self.dormancy = enabled;
+    /// Runs the reference loop instead of the fast one (default: off): every
+    /// cycle executed, every SM and controller visited (see
+    /// [`Simulator::with_reference_loop`]). Results are identical either
+    /// way; only the loop counters and wall clock differ.
+    pub fn reference_loop(mut self, enabled: bool) -> Self {
+        self.reference_loop = enabled;
         self
     }
 
@@ -226,9 +207,9 @@ impl SimBuilder {
     /// Content digest of this *cell*: everything that determines the
     /// simulation's results — app, scheme label, scale bits, machine config,
     /// scheduling policy, safety limits. Deliberately **excludes** the knobs
-    /// proven result-invariant by the bit-identity suites (`cycle_skipping`,
-    /// `compute_skipping`, `dormancy`, trace capture), so the result store keyed on this digest
-    /// serves hits across them.
+    /// proven result-invariant by the bit-identity suites (`reference_loop`,
+    /// trace capture), so the result store keyed on this digest serves hits
+    /// across them.
     pub fn cell_digest(&self) -> u64 {
         digest(
             format!(
@@ -249,16 +230,10 @@ impl SimBuilder {
         let preset = DramPreset::ALL
             .into_iter()
             .find(|p| p.gpu_config() == self.cfg);
-        let mut sim = Simulator::new(self.cfg, self.sched)
+        let sim = Simulator::new(self.cfg, self.sched)
             .with_limits(self.limits)
             .with_trace_capture(self.trace)
-            .with_dormancy(self.dormancy);
-        if let Some(skip) = self.skip {
-            sim = sim.with_cycle_skipping(skip);
-        }
-        if let Some(compute_skip) = self.compute_skip {
-            sim = sim.with_compute_skipping(compute_skip);
-        }
+            .with_reference_loop(self.reference_loop);
         SimRun {
             app: self.app,
             scale: self.scale,
@@ -360,9 +335,7 @@ mod tests {
         let d = base.clone().cell_digest();
         // Result-invariant knobs (proven by the bit-identity suites) do not
         // split the cache namespace…
-        assert_eq!(d, base.clone().cycle_skipping(false).cell_digest());
-        assert_eq!(d, base.clone().compute_skipping(false).cell_digest());
-        assert_eq!(d, base.clone().dormancy(false).cell_digest());
+        assert_eq!(d, base.clone().reference_loop(true).cell_digest());
         assert_eq!(d, base.clone().trace(true).cell_digest());
         // …while anything that changes the measured results does.
         assert_ne!(d, base.clone().scale(0.5).cell_digest());

@@ -77,10 +77,11 @@ fn parked_store(fields: &Fields) -> bool {
 }
 
 /// `(app, pause cycle, what must hold at the pause, its name, pinned
-/// dump digest)`. Re-pinned for `SNAP_VERSION` 2, which writes the
-/// pending queue as one list per bank: every field outside the controllers'
-/// `pq` frames kept its value, and each queue holds the same requests under
-/// the same sequence numbers.
+/// dump digest)`. Re-pinned when the dump dropped its loop-mode state: the
+/// `mach` frame's loop counters and each NoC queue's per-cycle pop budget
+/// went, a request-NoC head retried under backpressure keeps its own ready
+/// stamp instead of the last retry's cycle, and the config digest covers
+/// one loop switch instead of two. Every other field kept its value.
 type Pin = (&'static str, u64, fn(&Fields) -> bool, &'static str, u64);
 
 const PINS: [Pin; 5] = [
@@ -89,29 +90,29 @@ const PINS: [Pin; 5] = [
         640,
         map_rows,
         "prog[0]/vals",
-        0x57d9d1e85009f20f,
+        0x4d9e1adf53837411,
     ),
-    ("jmeint", 500, map_rows, "prog[0]/vals", 0xccd6725fd19b60d7),
+    ("jmeint", 500, map_rows, "prog[0]/vals", 0xa51e3f0df947254f),
     (
         "3DCONV",
         358,
         unconsumed_load,
         "/last_loaded",
-        0xe47b6a4054e5e7fb,
+        0x8e4dc3ba99b08bd9,
     ),
     (
         "inversek2j",
         300,
         waiting_load,
         "a waiting slot's lane_addrs",
-        0x47c2443b72e6499f,
+        0x2b66a3d9628d9aa5,
     ),
     (
         "SLA",
         300,
         parked_store,
         "a parked store's writes",
-        0xb76594be26a61eb1,
+        0x461986bb7201d7a5,
     ),
 ];
 

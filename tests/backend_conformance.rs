@@ -11,9 +11,10 @@
 //! 1. **Monotone wake-up** — `refresh_due_at` never overshoots: a refresh
 //!    is never due strictly before the advertised cycle, and is due at it
 //!    (refresh-free backends advertise `u64::MAX`).
-//! 2. **Engine invariance** — end to end per machine, the fast-forward
-//!    engine (`cycle_skipping`) must be bit-identical to the reference
-//!    interpreter.
+//! 2. **Engine invariance** — end to end per machine, the fast loop must
+//!    be bit-identical to the reference loop (`SimBuilder::reference_loop`).
+//!    Every scheme at random pause points is checked in
+//!    `tests/dormancy_equivalence.rs`.
 //! 3. **Honest thresholds** — each `*_ready_at` is the first cycle its
 //!    guard opens while no command intervenes (the controller sleeps until
 //!    the earliest one), and `cas_floor` never exceeds a bank's CAS
@@ -337,8 +338,8 @@ fn extended_constraints_bind_and_stay_honest() {
     }
 }
 
-/// Strips the skip-engine instrumentation (`cycles_skipped` etc.) that is
-/// *supposed* to differ between loop modes — everything else must match.
+/// Strips the loop counters (`cycles_skipped` etc.), which record which
+/// loop ran and so are *supposed* to differ; everything else must match.
 fn normalized(stats: &SimStats) -> SimStats {
     let mut s = stats.clone();
     s.cycles_skipped = 0;
@@ -357,9 +358,13 @@ fn engines_are_bit_identical_on_every_backend() {
                 .scheme(Scheme::DynCombo)
                 .scale(SCALE)
         };
-        let reference = build().cycle_skipping(false).build().run();
+        let reference = build().reference_loop(true).build().run();
         assert!(!reference.hit_cycle_limit, "{preset}");
-        let run = build().cycle_skipping(true).build().run();
+        assert_eq!(
+            reference.stats.cycles_skipped, 0,
+            "{preset}: reference skipped"
+        );
+        let run = build().build().run();
         assert_eq!(run.output, reference.output, "{preset}: outputs");
         assert_eq!(
             normalized(&run.stats),

@@ -1,118 +1,48 @@
-//! Fast-forward must be invisible in results: for every application and
-//! scheme, a run with the full skipper (idle + analytic compute bursts), a
-//! run with only the idle skipper (`compute_skipping(false)`), and the
-//! naive cycle-by-cycle loop (`cycle_skipping(false)`) must produce
-//! bit-identical output, statistics, and DRAM trace. Only `cycles_skipped` /
-//! `compute_cycles_skipped` / `ticks_executed` (the instrumentation of the
-//! skipping itself) may differ, so those are normalized before comparison.
-//! A pause lands every loop mode on the same state: a skip that would
-//! cross the pause cycle is clamped there.
+//! The fast loop must be invisible in results. Every case runs a
+//! configuration twice: on the fast loop (idle and compute-burst
+//! fast-forward plus SM and controller dormancy, the default) and on the
+//! reference loop (`SimBuilder::reference_loop`: every cycle executed,
+//! every SM and controller visited). The two must produce bit-identical
+//! output, statistics, DRAM trace, measurement JSON and paused-state
+//! fields. Only the loop counters (`cycles_skipped`,
+//! `compute_cycles_skipped`, `ticks_executed`), which record which loop
+//! ran, and the dump's configuration digest may differ.
+//!
+//! A pause lands both loops on the same state: a skip that would cross the
+//! pause cycle is clamped there. Every machine and scheme at random pause
+//! points is checked in `tests/dormancy_equivalence.rs`.
 
-use lazydram::common::{SchedConfig, SimStats};
-use lazydram::gpu::{RunOutcome, RunResult, SimLimits};
+mod equiv;
+
+use equiv::{
+    assert_same_run, both, differs_by_mode, field_diff, paused_fields, strip_loop_counters,
+};
+use lazydram::bench::measure;
+use lazydram::common::{DmsMode, SchedConfig};
+use lazydram::gpu::SimLimits;
 use lazydram::workloads::{all_apps, by_name, AppSpec};
 use lazydram::SimBuilder;
-use std::collections::BTreeMap;
 
-/// The three loop modes under test, selected through the builder.
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum Mode {
-    /// Idle skip + analytic compute-burst skip (the default).
-    Full,
-    /// Idle skip only — `compute_skipping(false)`.
-    IdleOnly,
-    /// Naive cycle-by-cycle loop — `cycle_skipping(false)`.
-    Naive,
-}
-
-fn run(app: &AppSpec, sched: &SchedConfig, scale: f64, limits: SimLimits, mode: Mode) -> RunResult {
+fn equiv_builder(app: &AppSpec, sched: &SchedConfig, scale: f64, limits: SimLimits) -> SimBuilder {
     SimBuilder::new(app)
         .sched(sched.clone(), "equiv")
         .scale(scale)
         .limits(limits)
         .trace(true)
-        .cycle_skipping(mode != Mode::Naive)
-        .compute_skipping(mode == Mode::Full)
-        .build()
-        .run()
 }
 
-/// Strips the loop-instrumentation counters that legitimately differ
-/// between the loop modes.
-fn normalized(stats: &SimStats) -> SimStats {
-    let mut s = stats.clone();
-    s.cycles_skipped = 0;
-    s.compute_cycles_skipped = 0;
-    s.ticks_executed = 0;
-    s
-}
-
-/// Runs `app` in all three loop modes and asserts full equivalence; returns
-/// `(cycles_skipped, compute_cycles_skipped)` of the full-skip run.
+/// Runs `app` on both loops and asserts full equivalence; returns
+/// `(cycles_skipped, compute_cycles_skipped)` of the fast run.
 fn assert_equivalent(
     app: &AppSpec,
     sched: &SchedConfig,
     scale: f64,
     limits: SimLimits,
 ) -> (u64, u64) {
-    let full = run(app, sched, scale, limits, Mode::Full);
-    let idle = run(app, sched, scale, limits, Mode::IdleOnly);
-    let slow = run(app, sched, scale, limits, Mode::Naive);
-    let name = app.name;
-    assert_eq!(
-        slow.stats.cycles_skipped, 0,
-        "{name}: naive loop must not skip"
-    );
-    assert_eq!(
-        idle.stats.compute_cycles_skipped, 0,
-        "{name}: idle-only mode must not take compute skips"
-    );
-    if !slow.hit_cycle_limit {
-        // On a limit hit the final counted cycle is never executed, so the
-        // exact partition below only holds for completed runs.
-        assert_eq!(
-            slow.stats.ticks_executed, slow.stats.core_cycles,
-            "{name}: naive loop must execute every counted cycle"
-        );
-    }
-    for (label, fast) in [("full", &full), ("idle-only", &idle)] {
-        assert_eq!(
-            fast.hit_cycle_limit, slow.hit_cycle_limit,
-            "{name}/{label}: limit flag"
-        );
-        assert_eq!(fast.output, slow.output, "{name}/{label}: outputs differ");
-        assert!(
-            fast.trace == slow.trace,
-            "{name}/{label}: DRAM traces differ"
-        );
-        assert_eq!(
-            normalized(&fast.stats),
-            normalized(&slow.stats),
-            "{name}/{label}: statistics differ"
-        );
-        assert!(
-            fast.stats.compute_cycles_skipped <= fast.stats.cycles_skipped,
-            "{name}/{label}: compute skips must be a subset of all skips"
-        );
-        if !fast.hit_cycle_limit {
-            assert_eq!(
-                fast.stats.ticks_executed + fast.stats.cycles_skipped,
-                fast.stats.core_cycles,
-                "{name}/{label}: skip accounting must partition the core cycles"
-            );
-        }
-    }
-    assert_eq!(
-        idle.stats.compute_skip_fraction(),
-        0.0,
-        "{name}: idle-only fraction"
-    );
-    let f = full.stats.compute_skip_fraction();
-    assert!(
-        (0.0..=1.0).contains(&f),
-        "{name}: fraction {f} out of range"
-    );
-    (full.stats.cycles_skipped, full.stats.compute_cycles_skipped)
+    let (fast, reference) = both(equiv_builder(app, sched, scale, limits));
+    let fast = fast.run();
+    assert_same_run(app.name, &fast, &reference.run());
+    (fast.stats.cycles_skipped, fast.stats.compute_cycles_skipped)
 }
 
 #[test]
@@ -157,54 +87,37 @@ fn scheme_rotation_is_equivalent() {
 
 #[test]
 fn cycle_limit_hit_is_equivalent() {
-    // A tight limit exercises the skip-past-the-limit clamp: all loops must
-    // report the same truncated statistics and the limit flag.
-    let app = lazydram::workloads::by_name("GEMM").expect("app");
+    // A tight limit exercises the skip-past-the-limit clamp: both loops
+    // must report the same truncated statistics and the limit flag.
+    let app = by_name("GEMM").expect("app");
     let limits = SimLimits {
         max_core_cycles: 2_000,
     };
-    let fast = run(&app, &SchedConfig::static_dms(), 0.3, limits, Mode::Full);
+    let sched = SchedConfig::static_dms();
+    let fast = equiv_builder(&app, &sched, 0.3, limits).build().run();
     assert!(fast.hit_cycle_limit, "limit chosen too high for this check");
-    assert_equivalent(&app, &SchedConfig::static_dms(), 0.3, limits);
+    assert_equivalent(&app, &sched, 0.3, limits);
 }
 
-/// Fields that differ between loop modes by construction: the config
-/// digest (it covers the skipping switches), the skip counters, and a NoC
-/// queue's per-cycle pop budget (`current_cycle`, `popped_this_cycle`). The
-/// budget resets when the queue is next touched, which is after any pause,
-/// so at a pause it is dead; a skip merely leaves it untouched for longer.
-fn differs_by_mode(path: &str) -> bool {
-    let noc = path.starts_with("rnoc[") || path.starts_with("pnoc[");
-    path.ends_with("/cfg_digest")
-        || path.ends_with("/cycles_skipped")
-        || path.ends_with("/compute_cycles_skipped")
-        || path.ends_with("/ticks_executed")
-        || (noc && (path.ends_with("/current_cycle") || path.ends_with("/popped_this_cycle")))
-}
-
-/// The labelled dump of `app` paused at `at` under `mode`, without the
-/// fields [`differs_by_mode`] names.
-fn paused_fields(
-    app: &AppSpec,
-    sched: &SchedConfig,
-    mode: Mode,
-    at: u64,
-) -> BTreeMap<String, String> {
-    let run = SimBuilder::new(app)
-        .sched(sched.clone(), "equiv")
-        .scale(0.02)
-        .trace(true)
-        .cycle_skipping(mode != Mode::Naive)
-        .compute_skipping(mode == Mode::Full)
-        .build();
-    let RunOutcome::Paused(ck) = run.run_until_labelled(at) else {
-        panic!("{}: finished before cycle {at}", app.name);
-    };
-    ck.fields()
-        .iter()
-        .filter(|(path, _)| !differs_by_mode(path))
-        .cloned()
-        .collect()
+#[test]
+fn differs_by_mode_names_only_the_loop_fields() {
+    for path in [
+        "meta[0]/cfg_digest",
+        "stat[1]/cycles_skipped",
+        "stat[1]/compute_cycles_skipped",
+        "stat[1]/ticks_executed",
+    ] {
+        assert!(differs_by_mode(path), "{path}");
+    }
+    for path in [
+        "meta[0]/cycle",
+        "stat[1]/core_cycles",
+        "mach[1]/core_cycle",
+        "sm[0]/ticks_executed",
+        "stat[1]/xcycles_skipped",
+    ] {
+        assert!(!differs_by_mode(path), "{path}");
+    }
 }
 
 #[test]
@@ -217,23 +130,59 @@ fn pauses_land_on_the_naive_loop_state() {
         ("2MM", SchedConfig::dyn_combo()),
     ] {
         let app = by_name(name).expect("app");
-        let total = run(&app, &sched, 0.02, SimLimits::default(), Mode::Naive)
-            .stats
-            .core_cycles;
+        let (fast, reference) = both(equiv_builder(&app, &sched, 0.02, SimLimits::default()));
+        let total = reference.run().stats.core_cycles;
         for at in [total / 3, total * 2 / 3] {
-            let naive = paused_fields(&app, &sched, Mode::Naive, at);
-            assert!(naive.len() > 1000, "{name}: the dump has fields");
-            for mode in [Mode::Full, Mode::IdleOnly] {
-                let fast = paused_fields(&app, &sched, mode, at);
-                let diff: Vec<&String> = naive
-                    .iter()
-                    .filter(|(k, v)| fast.get(*k) != Some(v))
-                    .map(|(k, _)| k)
-                    .chain(fast.keys().filter(|k| !naive.contains_key(*k)))
-                    .take(5)
-                    .collect();
-                assert!(diff.is_empty(), "{name} at {at} ({mode:?}): {diff:?}");
-            }
+            let want = paused_fields(&reference, at).expect("paused");
+            assert!(want.len() > 1000, "{name}: the dump has fields");
+            let got = paused_fields(&fast, at).expect("paused");
+            let diff = field_diff(&want, &got);
+            assert!(diff.is_empty(), "{name} at {at}: {diff:?}");
         }
     }
+}
+
+#[test]
+fn strip_removes_only_the_loop_counters() {
+    let json = r#"{"a":1,"ticks_executed":42,"cycles_skipped":7,"compute_cycles_skipped":0,"b":2}"#;
+    assert_eq!(strip_loop_counters(json), r#"{"a":1,"b":2}"#);
+}
+
+/// The delays `benches/fig04_delay_sweep.rs` sweeps.
+const FIG04_DELAYS: [u32; 6] = [64, 128, 256, 512, 1024, 2048];
+
+/// SCP's fig04 cells at scale 0.05 (the baseline and the DMS delay sweep)
+/// as measurement JSON, loop counters stripped.
+fn fig04_scp_cells(reference_loop: bool) -> Vec<String> {
+    let app = by_name("SCP").expect("SCP is a suite app");
+    let mut scheds = vec![(SchedConfig::baseline(), "baseline".to_string())];
+    scheds.extend(FIG04_DELAYS.iter().map(|&x| {
+        (
+            SchedConfig {
+                dms: DmsMode::Static(x),
+                ..SchedConfig::baseline()
+            },
+            format!("DMS({x})"),
+        )
+    }));
+    let mut exact = None;
+    scheds
+        .into_iter()
+        .map(|(sched, label)| {
+            let run = SimBuilder::new(&app)
+                .sched(sched, label)
+                .scale(0.05)
+                .reference_loop(reference_loop)
+                .build();
+            let exact = exact.get_or_insert_with(|| run.exact_output());
+            let m = measure(&run, exact);
+            assert!(!m.truncated, "{} hit the cycle limit", m.scheme);
+            strip_loop_counters(&m.to_json())
+        })
+        .collect()
+}
+
+#[test]
+fn fig04_scp_cells_are_equivalent() {
+    assert_eq!(fig04_scp_cells(false), fig04_scp_cells(true));
 }

@@ -114,9 +114,20 @@ echo "all 4 backends green; GDDR5 default byte-identical to pre-trait captures"
 
 echo "== tier1: divergence-bisection smoke =="
 # The bisection tool must find the exact first divergent cycle between two
-# Static-DMS delays on SLA (every probe is a fresh run_until from cycle 0).
+# Static-DMS delays on SLA (every probe is a fresh run_until from cycle 0),
+# and the components it lists there must be architectural: a dump carries
+# no loop-mode state, so no NoC queue (rnoc, pnoc) or loop frame (mach)
+# may differ merely because the two runs skipped different spans.
 cargo run -q --release -p lazydram-bench --bin dbg_diverge -- SLA 128 256 0.05 4096 \
-    | grep -Fx "first divergent cycle: 217 (last agreeing cycle: 216)"
+    > "$TIER1_TMP/diverge.out"
+grep -Fx "first divergent cycle: 217 (last agreeing cycle: 216)" "$TIER1_TMP/diverge.out" || {
+    echo "dbg_diverge moved the first divergent cycle" >&2; cat "$TIER1_TMP/diverge.out" >&2; exit 1; }
+awk '/^divergent components at cycle/ { on = 1; next } on && /^$/ { exit } on { print }' \
+    "$TIER1_TMP/diverge.out" > "$TIER1_TMP/diverge.components"
+if grep -E '^ *(rnoc|pnoc|mach)\[' "$TIER1_TMP/diverge.components"; then
+    echo "dbg_diverge lists loop-mode state as divergent" >&2; exit 1
+fi
+echo "divergent components: $(xargs < "$TIER1_TMP/diverge.components")"
 
 echo "== tier1: repository benchmark (host-independent checks) =="
 # The unmodified benchmark (BENCHMARK.json, crates/bench/examples/benchmark)
