@@ -18,7 +18,9 @@
 //! bare number, which means Static-DMS with that delay. Defaults:
 //! `SLA 128 256 0.05 4096`. An unknown app or scheme, a SCALE that is not a
 //! positive number, or a STRIDE that is not a whole number exits with
-//! status 2 and a message naming the argument, before any simulation.
+//! status 2 and a message naming the argument, before any simulation. A
+//! reader that closes stdout early (`dbg_diverge | head`) ends the run
+//! quietly with status 0.
 
 use lazydram_bench::SimBuilder;
 use lazydram_common::snap::{digest, fold, list_frames};
@@ -26,6 +28,7 @@ use lazydram_common::{DmsMode, SchedConfig, Scheme};
 use lazydram_gpu::{Checkpoint, RunOutcome};
 use lazydram_workloads::{all_apps, by_name, AppSpec, SimRun};
 use std::collections::BTreeMap;
+use std::io::{self, ErrorKind, Write};
 use std::str::FromStr;
 
 /// Reports a malformed command line and exits with status 2.
@@ -144,7 +147,7 @@ fn expected_diff(path: &str) -> bool {
     path.starts_with("meta") || path.contains("/dms[") || path.contains("/ams[")
 }
 
-fn field_diff(ck_a: &Checkpoint, ck_b: &Checkpoint) {
+fn field_diff(out: &mut impl Write, ck_a: &Checkpoint, ck_b: &Checkpoint) -> io::Result<()> {
     let fields_a: BTreeMap<&str, &str> = ck_a
         .fields()
         .iter()
@@ -156,13 +159,19 @@ fn field_diff(ck_a: &Checkpoint, ck_b: &Checkpoint) {
         .map(|(p, v)| (p.as_str(), v.as_str()))
         .collect();
     let mut architectural = 0usize;
-    println!("\nfield-level diff (architectural state; policy/config fields marked *):");
+    writeln!(
+        out,
+        "\nfield-level diff (architectural state; policy/config fields marked *):"
+    )?;
     for (path, va) in &fields_a {
         let Some(vb) = fields_b.get(path) else {
             if expected_diff(path) {
-                println!("  * {path}: only in first run ({va})   (expected: policy config/state)");
+                writeln!(
+                    out,
+                    "  * {path}: only in first run ({va})   (expected: policy config/state)"
+                )?;
             } else {
-                println!("    {path}: only in first run ({va})");
+                writeln!(out, "    {path}: only in first run ({va})")?;
             }
             continue;
         };
@@ -170,21 +179,28 @@ fn field_diff(ck_a: &Checkpoint, ck_b: &Checkpoint) {
             continue;
         }
         if expected_diff(path) {
-            println!("  * {path}: {va} vs {vb}   (expected: policy config/state)");
+            writeln!(
+                out,
+                "  * {path}: {va} vs {vb}   (expected: policy config/state)"
+            )?;
         } else {
             architectural += 1;
             if architectural <= 40 {
-                println!("    {path}: {va} vs {vb}");
+                writeln!(out, "    {path}: {va} vs {vb}")?;
             }
         }
     }
     if architectural > 40 {
-        println!(
+        writeln!(
+            out,
             "    … and {} more architectural field diffs",
             architectural - 40
-        );
+        )?;
     }
-    println!("\n{architectural} architectural field(s) differ at the divergence cycle");
+    writeln!(
+        out,
+        "\n{architectural} architectural field(s) differ at the divergence cycle"
+    )
 }
 
 /// One side of the comparison: a scheme label, or a bare number meaning
@@ -235,6 +251,19 @@ impl Side {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    match run(&args, &mut io::stdout().lock()) {
+        Ok(()) => {}
+        // The reader went away (`| head`): nothing is left to report to.
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => {}
+        Err(e) => {
+            eprintln!("dbg_diverge: writing to stdout: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
+/// Parses the command line, bisects, and prints the report to `out`.
+fn run(args: &[String], out: &mut impl Write) -> io::Result<()> {
     let name = args.first().cloned().unwrap_or_else(|| "SLA".into());
     let app = by_name(&name).unwrap_or_else(|| {
         let names: Vec<&str> = all_apps().iter().map(|a| a.name).collect();
@@ -256,7 +285,10 @@ fn main() {
         (Side::StaticDms(x1), Side::StaticDms(x2)) => format!("Static-DMS X={x1} vs X={x2}"),
         _ => format!("{label_a} vs {label_b}"),
     };
-    println!("{name} @ scale {scale}: bisecting {what} (stride {stride})");
+    writeln!(
+        out,
+        "{name} @ scale {scale}: bisecting {what} (stride {stride})"
+    )?;
 
     // Phase 1: lockstep coarse scan. `lo` is the last cycle where the two
     // comparable digests agreed.
@@ -271,15 +303,18 @@ fn main() {
         if !(paused_a && paused_b) {
             // Both runs completed with identical completion shape and no
             // digest mismatch at any stride boundary.
-            println!(
+            return writeln!(
+                out,
                 "no divergence detected up to completion at stride {stride}; \
                  the runs agree at every probed cycle"
             );
-            return;
         }
         lo = target;
     };
-    println!("digests agree at cycle {lo}, differ by cycle {hi} — bisecting…");
+    writeln!(
+        out,
+        "digests agree at cycle {lo}, differ by cycle {hi} — bisecting…"
+    )?;
 
     // Phase 2: binary search in (lo, hi]. Invariant: digests agree at `lo`,
     // differ at `hi`.
@@ -292,38 +327,41 @@ fn main() {
             hi = mid;
         }
     }
-    println!("first divergent cycle: {hi} (last agreeing cycle: {lo})");
+    writeln!(
+        out,
+        "first divergent cycle: {hi} (last agreeing cycle: {lo})"
+    )?;
 
     // Phase 3: component- and field-level diff at the divergence cycle.
     match (run_a.run_until_labelled(hi), run_b.run_until_labelled(hi)) {
         (RunOutcome::Paused(a), RunOutcome::Paused(b)) => {
             let diff = frame_diff(&a, &b);
-            println!("\ndivergent components at cycle {hi}:");
+            writeln!(out, "\ndivergent components at cycle {hi}:")?;
             for d in &diff {
-                println!("  {d}");
+                writeln!(out, "  {d}")?;
             }
             if diff.is_empty() {
-                println!("  (none at frame granularity — divergence is in completion shape)");
+                writeln!(
+                    out,
+                    "  (none at frame granularity — divergence is in completion shape)"
+                )?;
             }
-            field_diff(&a, &b);
+            field_diff(out, &a, &b)
         }
-        (RunOutcome::Done(ra), RunOutcome::Done(rb)) => {
-            println!(
-                "both runs complete before cycle {hi}: {} vs {} total cycles",
-                ra.stats.core_cycles, rb.stats.core_cycles
-            );
-        }
-        (RunOutcome::Done(r), RunOutcome::Paused(_)) => {
-            println!(
-                "{label_a} completes at cycle {} while {label_b} is still running",
-                r.stats.core_cycles
-            );
-        }
-        (RunOutcome::Paused(_), RunOutcome::Done(r)) => {
-            println!(
-                "{label_b} completes at cycle {} while {label_a} is still running",
-                r.stats.core_cycles
-            );
-        }
+        (RunOutcome::Done(ra), RunOutcome::Done(rb)) => writeln!(
+            out,
+            "both runs complete before cycle {hi}: {} vs {} total cycles",
+            ra.stats.core_cycles, rb.stats.core_cycles
+        ),
+        (RunOutcome::Done(r), RunOutcome::Paused(_)) => writeln!(
+            out,
+            "{label_a} completes at cycle {} while {label_b} is still running",
+            r.stats.core_cycles
+        ),
+        (RunOutcome::Paused(_), RunOutcome::Done(r)) => writeln!(
+            out,
+            "{label_b} completes at cycle {} while {label_a} is still running",
+            r.stats.core_cycles
+        ),
     }
 }

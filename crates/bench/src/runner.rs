@@ -112,7 +112,7 @@ impl<'a, T> Job<'a, T> {
     }
 
     /// Adds an annotation rendered on the job's stderr progress line after a
-    /// successful run (e.g. the fraction of cycles fast-forwarded).
+    /// successful run (e.g. a cache hit).
     pub fn with_note(mut self, note: impl Fn(&T) -> String + Send + 'a) -> Self {
         self.note = Some(Box::new(note));
         self
@@ -439,7 +439,7 @@ impl SweepRunner {
                 Job::new(format!("{}/baseline", app.name), move || {
                     self.baseline(app, cfg, scale)
                 })
-                .with_note(|b: &Arc<Baseline>| skip_note(&b.measurement))
+                .with_note(|b: &Arc<Baseline>| cache_note(&b.measurement))
             })
             .collect();
         let results = self.run(jobs);
@@ -470,7 +470,7 @@ impl SweepRunner {
                 let MeasureSpec { builder, exact } = spec;
                 Job::new(label.clone(), move || self.measure_one(builder, &exact)).with_note(
                     |r: &Result<Measurement, String>| match r {
-                        Ok(m) => skip_note(m),
+                        Ok(m) => cache_note(m),
                         Err(_) => String::new(),
                     },
                 )
@@ -613,20 +613,12 @@ impl Drop for SweepRunner {
     }
 }
 
-/// Renders the fast-forward annotation for a measurement's progress line
-/// (empty when the loop never skipped: a run with no idle span, or one on
-/// `SimBuilder::reference_loop(true)`); cache-served cells are flagged
-/// instead, since they skip the simulation.
-fn skip_note(m: &Measurement) -> String {
+/// Flags a cache-served measurement on its progress line.
+fn cache_note(m: &Measurement) -> String {
     if m.cached {
         " [cache hit]".to_string()
-    } else if m.stats.cycles_skipped == 0 {
-        String::new()
     } else {
-        format!(
-            " [skipped {:.1}% of cycles]",
-            100.0 * m.stats.skip_fraction()
-        )
+        String::new()
     }
 }
 

@@ -61,7 +61,9 @@ use std::sync::{Arc, Mutex};
 /// keys started covering the memory-backend kind (PR 10 backend matrix) —
 /// the layout is unchanged, but v2 entries predate backend-keyed configs,
 /// so they are retired wholesale rather than trusted to collide correctly.
-pub const STORE_VERSION: u16 = 3;
+/// v4: the `SimStats` frame dropped the three loop counters
+/// (`cycles_skipped`, `compute_cycles_skipped`, `ticks_executed`).
+pub const STORE_VERSION: u16 = 4;
 
 /// Version in an entry's snap header. An entry holds a measurement, never
 /// simulator state, so a dump- or trace-layout bump of
@@ -631,9 +633,10 @@ mod tests {
         // Stores written by earlier versions stay valid only while the
         // execute key keeps this value. Re-pinned on purpose for
         // SEMANTICS_VERSION 2 (sweep row energy priced per preset), which
-        // re-keys every store.
+        // re-keys every store, and for STORE_VERSION 4 (the statistics
+        // frame dropped its loop counters), which does too.
         let d = 0x1234_5678_9ABC_DEF0u64;
-        assert_eq!(Store::cell_key(d, Fidelity::Execute), 0x2bda_69b4_9b9b_ffe1);
+        assert_eq!(Store::cell_key(d, Fidelity::Execute), 0xee31_dcb0_935d_1145);
         assert_ne!(Store::cell_key(d, Fidelity::Execute), d);
     }
 

@@ -1,9 +1,11 @@
 //! `dbg_diverge` refuses a malformed command line: a SCALE or STRIDE that
 //! does not parse, or an unknown APP, exits with status 2 and a message
 //! naming the argument, before any simulation starts (stdout stays empty:
-//! the bisection header is the first thing a simulating run prints).
+//! the bisection header is the first thing a simulating run prints). A
+//! reader that closes stdout early ends the run without a panic.
 
-use std::process::Command;
+use std::io::{BufRead, BufReader};
+use std::process::{Command, Stdio};
 
 /// Runs `dbg_diverge` with `args`; returns its stdout and stderr after
 /// asserting that it exited with status 2.
@@ -51,4 +53,26 @@ fn unknown_app_is_refused_with_the_app_list() {
             app.name
         );
     }
+}
+
+#[test]
+fn closed_stdout_ends_the_run_quietly() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_dbg_diverge"))
+        .args(["SLA", "128", "256", "0.05", "4096"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("dbg_diverge starts");
+    // The header line comes before any simulation; closing the pipe right
+    // after it makes the bisection's next line hit a closed pipe.
+    let mut reader = BufReader::new(child.stdout.take().expect("piped stdout"));
+    let mut header = String::new();
+    reader.read_line(&mut header).expect("header line");
+    assert!(header.starts_with("SLA @ scale 0.05"), "{header}");
+    drop(reader);
+    let out = child.wait_with_output().expect("dbg_diverge exits");
+    let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
 }

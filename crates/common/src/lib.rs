@@ -50,7 +50,7 @@ pub mod stats;
 /// (`tests/semantics_golden.rs`): **any PR that changes what a simulation
 /// computes — timing, scheduling, energy, workload inputs, statistics — must
 /// bump this constant** (the golden test fails until it does). PRs that only
-/// change *how fast* the same results are produced (fast-forward, parallel
+/// change *how fast* the same results are produced (dormancy, parallel
 /// tick, allocation work) leave it untouched; their bit-identity suites prove
 /// cached entries are still exact.
 ///

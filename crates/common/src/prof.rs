@@ -3,11 +3,11 @@
 //!
 //! The simulator's hot loop interleaves very different kinds of work —
 //! SM issue, L2 slice service, memory-controller scheduling, the DRAM
-//! timing model, the functional memory image, and the fast-forward event
-//! scan. When optimizing, "where did the seconds go" must be measured, not
-//! guessed. This module provides exactly that: scoped phase timers whose
-//! per-phase **exclusive** totals (time in a phase minus time in nested
-//! phases) are drained into a [`ProfReport`] per run.
+//! timing model and the functional memory image. When optimizing, "where
+//! did the seconds go" must be measured, not guessed. This module provides
+//! exactly that: scoped phase timers whose per-phase **exclusive** totals
+//! (time in a phase minus time in nested phases) are drained into a
+//! [`ProfReport`] per run.
 //!
 //! # Zero cost when disabled
 //!
@@ -51,7 +51,9 @@ pub enum Phase {
     Dram,
     /// The functional memory image: batch lane reads/writes and line copies.
     FuncMem,
-    /// The event-driven fast-forward scan (`next_interesting_cycle`).
+    /// Never entered: no loop skips cycles, so there is no event scan to
+    /// time. Kept, always zero, only because the benchmark's per-layer
+    /// schema reports it as `gpu.fast_forward_s`.
     FastForward,
     /// Never entered: the simulator runs on one thread and has no barrier
     /// to wait on. Kept, always zero, only because the benchmark's

@@ -309,16 +309,19 @@ pub struct SimStats {
     pub l2_misses: u64,
     /// Loads whose value was approximated by the VP unit.
     pub approximated_loads: u64,
-    /// Core cycles the event-driven loop fast-forwarded over without
-    /// executing any component (zero under the reference loop).
+    /// Never written: no loop skips cycles. Kept, always zero, only
+    /// because the benchmark's per-layer schema reports it as
+    /// `gpu.skip_frac`.
     pub cycles_skipped: u64,
-    /// The subset of `cycles_skipped` spanning *busy* cycles: spans where at
-    /// least one SM's `Computing` warps were advanced analytically instead
-    /// of being provably idle. Zero under the reference loop.
+    /// Never written, like `cycles_skipped`. Kept, always zero, only
+    /// because the benchmark's per-layer schema reports it as
+    /// `gpu.compute_skip_frac`.
     pub compute_cycles_skipped: u64,
-    /// Core cycles actually executed by the master loop. Under the
-    /// reference loop this equals `core_cycles`; under the fast loop,
-    /// `ticks_executed + cycles_skipped` covers the simulated span.
+    /// Core cycles the master loop executed (every simulated cycle, in
+    /// either loop); the benchmark reports it as `gpu.ticks_executed`. It
+    /// records how the run went rather than what it simulated, so like the
+    /// two fields above it stays out of `==`, the state dump and the JSON,
+    /// and a result-store hit reads it as zero.
     pub ticks_executed: u64,
     /// Diagnostic: AMS decline-reason histogram summed over controllers
     /// (indexed by the scheduler crate's `AmsDecline`); empty when AMS off.
@@ -336,7 +339,7 @@ impl PartialEq for SimStats {
     fn eq(&self, other: &Self) -> bool {
         // Exhaustive destructure: adding a field without deciding whether it
         // participates in equality fails to compile. `prof` is wall-clock
-        // and intentionally ignored.
+        // and the loop counters record how the loop ran; both are ignored.
         let Self {
             core_cycles,
             instructions,
@@ -345,9 +348,9 @@ impl PartialEq for SimStats {
             l2_hits,
             l2_misses,
             approximated_loads,
-            cycles_skipped,
-            compute_cycles_skipped,
-            ticks_executed,
+            cycles_skipped: _,
+            compute_cycles_skipped: _,
+            ticks_executed: _,
             ams_declines,
             ams_accepts,
             dram,
@@ -360,9 +363,6 @@ impl PartialEq for SimStats {
             && *l2_hits == other.l2_hits
             && *l2_misses == other.l2_misses
             && *approximated_loads == other.approximated_loads
-            && *cycles_skipped == other.cycles_skipped
-            && *compute_cycles_skipped == other.compute_cycles_skipped
-            && *ticks_executed == other.ticks_executed
             && *ams_declines == other.ams_declines
             && *ams_accepts == other.ams_accepts
             && *dram == other.dram
@@ -375,32 +375,6 @@ impl SimStats {
         Self::default()
     }
 
-    /// Fraction of simulated core cycles that were fast-forwarded.
-    pub fn skip_fraction(&self) -> f64 {
-        if self.core_cycles == 0 {
-            0.0
-        } else {
-            self.cycles_skipped as f64 / self.core_cycles as f64
-        }
-    }
-
-    /// The subset of `cycles_skipped` spanning provably *idle* cycles — the
-    /// PR 2 skipper's territory, as opposed to analytically replayed
-    /// compute bursts.
-    pub fn idle_cycles_skipped(&self) -> u64 {
-        self.cycles_skipped - self.compute_cycles_skipped
-    }
-
-    /// Fraction of simulated core cycles fast-forwarded through *busy*
-    /// compute bursts (analytic round-robin replay rather than idleness).
-    pub fn compute_skip_fraction(&self) -> f64 {
-        if self.core_cycles == 0 {
-            0.0
-        } else {
-            self.compute_cycles_skipped as f64 / self.core_cycles as f64
-        }
-    }
-
     /// Instructions per core cycle.
     pub fn ipc(&self) -> f64 {
         if self.core_cycles == 0 {
@@ -411,8 +385,7 @@ impl SimStats {
     }
 
     /// Serializes the statistics into a snapshot. The wall-clock `prof`
-    /// report is intentionally excluded (it is nondeterministic and already
-    /// excluded from `==`).
+    /// report and the loop counters are excluded, as they are from `==`.
     pub fn save_state(&self, s: &mut crate::snap::Saver) {
         let Self {
             core_cycles,
@@ -422,9 +395,9 @@ impl SimStats {
             l2_hits,
             l2_misses,
             approximated_loads,
-            cycles_skipped,
-            compute_cycles_skipped,
-            ticks_executed,
+            cycles_skipped: _,
+            compute_cycles_skipped: _,
+            ticks_executed: _,
             ams_declines,
             ams_accepts,
             dram,
@@ -437,16 +410,13 @@ impl SimStats {
         s.u64("l2_hits", *l2_hits);
         s.u64("l2_misses", *l2_misses);
         s.u64("approximated_loads", *approximated_loads);
-        s.u64("cycles_skipped", *cycles_skipped);
-        s.u64("compute_cycles_skipped", *compute_cycles_skipped);
-        s.u64("ticks_executed", *ticks_executed);
         s.u64s("ams_declines", ams_declines);
         s.u64("ams_accepts", *ams_accepts);
         dram.save_state(s);
     }
 
     /// Reads the statistics back from a snapshot (a result-store entry;
-    /// `prof` is left untouched).
+    /// `prof` and the loop counters are left untouched).
     ///
     /// # Errors
     ///
@@ -459,9 +429,6 @@ impl SimStats {
         self.l2_hits = l.u64("l2_hits")?;
         self.l2_misses = l.u64("l2_misses")?;
         self.approximated_loads = l.u64("approximated_loads")?;
-        self.cycles_skipped = l.u64("cycles_skipped")?;
-        self.compute_cycles_skipped = l.u64("compute_cycles_skipped")?;
-        self.ticks_executed = l.u64("ticks_executed")?;
         l.u64s("ams_declines", &mut self.ams_declines)?;
         self.ams_accepts = l.u64("ams_accepts")?;
         self.dram.load_state(l)
@@ -477,9 +444,6 @@ impl SimStats {
             .u64("l2_hits", self.l2_hits)
             .u64("l2_misses", self.l2_misses)
             .u64("approximated_loads", self.approximated_loads)
-            .u64("cycles_skipped", self.cycles_skipped)
-            .u64("compute_cycles_skipped", self.compute_cycles_skipped)
-            .u64("ticks_executed", self.ticks_executed)
             .u64("ams_accepts", self.ams_accepts)
             .u64_array("ams_declines", &self.ams_declines)
             .raw("dram", &self.dram.to_json());

@@ -192,8 +192,8 @@ impl AmsUnit {
 
     /// The absolute memory cycle of the next `Dyn-AMS` window boundary
     /// (where [`AmsUnit::tick`] stops being a no-op), or `None` for the
-    /// static/off modes whose `tick` never does anything. The event-driven
-    /// loop must not fast-forward past this cycle.
+    /// static/off modes whose `tick` never does anything. A sleeping
+    /// controller wakes no later than this cycle.
     pub fn next_window_boundary(&self) -> Option<u64> {
         match self.mode {
             AmsMode::Dynamic(cfg) => Some(self.window_start + u64::from(cfg.window)),

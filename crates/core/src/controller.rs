@@ -122,8 +122,7 @@ pub struct MemoryController {
     ams: AmsUnit,
     /// Read bursts in flight inside DRAM (ready_at, response). Data bursts
     /// serialize on the shared bus, so `ready_at` is strictly increasing in
-    /// insertion order: the front is always the earliest completion, which
-    /// doubles as this controller's next-event source.
+    /// insertion order: the front is always the earliest completion.
     inflight: VecDeque<Inflight>,
     /// Row currently being drop-sequenced by AMS: (flat bank, row,
     /// remaining requests). Bounded by the pending set at decision time so
@@ -351,88 +350,6 @@ impl MemoryController {
         self.sleep_decline = decline;
     }
 
-    /// The earliest future memory cycle at which ticking this controller
-    /// could have any effect, or `None` when no tick ever will (idle, no
-    /// refresh pending, no profiler windows). Between `now` and the returned
-    /// cycle (exclusive), every [`MemoryController::tick`] is a pure no-op,
-    /// so the event-driven loop may replace those ticks with one
-    /// [`MemoryController::advance_idle`] call.
-    ///
-    /// Conservative: returns `now + 1` ("busy") whenever the next effect
-    /// depends on short-horizon DRAM timing rather than a computable event.
-    pub fn next_event_cycle(&mut self) -> Option<u64> {
-        let now = self.now;
-        // A drop sequence emits one response per cycle; the refresh
-        // machinery may issue PRE/REF any cycle once the refresh is due.
-        if self.dropping.is_some() || self.backend.refresh_due(now) {
-            return Some(now + 1);
-        }
-        // Closed-page policy precharges open rows as soon as tRAS allows,
-        // even with an empty queue — tick until they are closed.
-        if self.row_policy == RowPolicy::Closed && self.backend.open_banks() != 0 {
-            return Some(now + 1);
-        }
-        if !self.queue.is_empty() {
-            // A pending row-buffer hit can legalize on bus/bank timing
-            // alone (never DMS-gated) — treat as imminent. Only banks that
-            // are both open and have pending requests can host one.
-            let mut scan = self.backend.open_banks() & self.queue.bank_mask();
-            while scan != 0 {
-                let bank = scan.trailing_zeros() as usize;
-                scan &= scan - 1;
-                let row = self.backend.open_row(bank).expect("bank in open mask");
-                if self.queue.any_for_row(bank, row) {
-                    return Some(now + 1);
-                }
-            }
-            // Row misses only: nothing can issue until the DMS delay
-            // criterion is met (the paper's deliberately created stall
-            // epochs — the dominant skippable span).
-            let arrival = self.queue.oldest().map(|r| r.arrival).expect("non-empty");
-            let gate = arrival + u64::from(self.dms.current_delay());
-            if gate <= now {
-                return Some(now + 1);
-            }
-            let mut next = gate;
-            if let Some(f) = self.inflight.front() {
-                next = next.min(f.ready_at);
-            }
-            next = next.min(self.backend.refresh_due_at());
-            if let Some(b) = self.dms.next_window_boundary() {
-                next = next.min(b);
-            }
-            if let Some(b) = self.ams.next_window_boundary() {
-                next = next.min(b);
-            }
-            return Some(next.max(now + 1));
-        }
-        // Empty queue: wake for in-flight completions, the next refresh,
-        // or a Dyn-DMS / Dyn-AMS window boundary.
-        let mut next = u64::MAX;
-        if let Some(f) = self.inflight.front() {
-            next = next.min(f.ready_at);
-        }
-        next = next.min(self.backend.refresh_due_at());
-        if let Some(b) = self.dms.next_window_boundary() {
-            next = next.min(b);
-        }
-        if let Some(b) = self.ams.next_window_boundary() {
-            next = next.min(b);
-        }
-        (next != u64::MAX).then(|| next.max(now + 1))
-    }
-
-    /// Jumps the controller's clock to `to`, standing in for `to - now`
-    /// consecutive no-op ticks. Only legal when
-    /// [`MemoryController::next_event_cycle`] proved every skipped tick a
-    /// no-op (i.e. `to` is at most the next event cycle).
-    pub fn advance_idle(&mut self, to: u64) {
-        debug_assert!(to >= self.now, "advance_idle must not move backwards");
-        self.now = to;
-        let _t = prof::enter(Phase::Dram);
-        self.backend.advance_to(to);
-    }
-
     /// Issues one DRAM command (ACT, PRE, CAS or REF) under the `dram`
     /// profiler phase. The guard wraps each issued command, never a whole
     /// tick, and compiles out without the `prof` feature.
@@ -539,8 +456,8 @@ impl MemoryController {
         let oldest_age_ok = self.dms.row_miss_allowed(now.saturating_sub(oldest));
         // The DMS gate holds back every new-row command (and, via criterion
         // 2, every AMS drop). Checked before the per-candidate work so a
-        // gated cycle is a pure no-op — the property the event-driven loop
-        // relies on to fast-forward stall epochs wholesale.
+        // gated cycle is a pure no-op — the property that lets the
+        // controller sleep through stall epochs until the gate opens.
         if !oldest_age_ok {
             let gate = oldest + u64::from(self.dms.current_delay());
             self.sleep(blocked, gate, None);

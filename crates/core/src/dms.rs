@@ -136,8 +136,8 @@ impl DmsUnit {
 
     /// The absolute memory cycle of the next `Dyn-DMS` window boundary
     /// (where [`DmsUnit::tick`] stops being a no-op), or `None` for the
-    /// static/off modes whose `tick` never does anything. The event-driven
-    /// loop must not fast-forward past this cycle.
+    /// static/off modes whose `tick` never does anything. A sleeping
+    /// controller wakes no later than this cycle.
     pub fn next_window_boundary(&self) -> Option<u64> {
         match self.mode {
             DmsMode::Dynamic(cfg) => Some(self.window_start + u64::from(cfg.window)),

@@ -9,7 +9,7 @@
 //! deliberately no side-effect-free "how long would this take?" query —
 //! against a stateful model (shared buses, tFAW windows, refresh FSMs) a
 //! latency oracle either duplicates the state machine or silently diverges
-//! from it; see DESIGN.md §15.
+//! from it; see DESIGN.md §14.
 //!
 //! Two models implement it (selected by [`BackendKind`] in the
 //! configuration), wrapped by the [`DramBackend`] dispatch enum:
@@ -37,9 +37,6 @@ use lazydram_common::{AccessKind, BackendKind, DramStats, GpuConfig};
 ///   statistics, and [`MemoryBackend::cas`] completion times.
 /// * **Monotone completions** — successive `cas` return values never
 ///   decrease (responses retire in issue order).
-/// * **Stall persistence** — once `can_*` is true at cycle `t` it stays
-///   true at `t+1` unless a command or refresh intervenes; the controller's
-///   `next_event_cycle` fast-forward depends on this.
 /// * **Honest thresholds** — each `*_ready_at` is never later than the
 ///   first cycle its `can_*` turns true while no command or refresh
 ///   intervenes, so a controller that sleeps until the earliest threshold
@@ -109,7 +106,7 @@ pub trait MemoryBackend {
     fn refresh_due(&self, now: u64) -> bool;
 
     /// The absolute cycle at which the next refresh falls due (`u64::MAX`
-    /// when the backend never refreshes). Event-loop wake-up point.
+    /// when the backend never refreshes).
     fn refresh_due_at(&self) -> u64;
 
     /// Is an all-bank `REF` legal at `now`?

@@ -342,8 +342,7 @@ impl Channel {
     }
 
     /// The absolute memory cycle at which the next refresh falls due
-    /// (`u64::MAX` when the refresh extension is disabled). Used by the
-    /// event-driven loop as a wake-up point.
+    /// (`u64::MAX` when the refresh extension is disabled).
     pub fn refresh_due_at(&self) -> u64 {
         self.refresh_due
     }

@@ -128,26 +128,11 @@ impl<T> DelayQueue<T> {
             && self.items.front().is_some_and(|&(ready, _)| ready <= now)
     }
 
-    /// The cycle at which the next item becomes poppable, or `None` when
-    /// the queue is empty. Pushes stamp monotonically increasing ready
-    /// times (constant latency) and `push_front` restores a popped item's
-    /// own stamp, so the front item is always the earliest.
-    pub fn next_ready_cycle(&self) -> Option<u64> {
-        self.items.front().map(|&(ready, _)| ready)
-    }
-
-    /// The front item, if any, without consuming it — the item
-    /// [`DelayQueue::pop_ready`] would deliver next once its time comes.
-    pub fn peek(&self) -> Option<&T> {
-        self.items.front().map(|(_, t)| t)
-    }
-
     /// Returns the item the last [`DelayQueue::pop_ready`] delivered to
     /// the front of the queue, still poppable (used when a consumer must
     /// retry, e.g. downstream backpressure). The item keeps its own ready
     /// stamp, so a pop and its `push_front` leave the queue's contents as
-    /// they found them: whether a cycle ran such a retry or was skipped
-    /// leaves no trace.
+    /// they found them.
     pub fn push_front(&mut self, item: T) {
         self.items.push_front((self.last_popped_ready, item));
         // The retried item does not consume width again this cycle either
@@ -236,7 +221,7 @@ mod tests {
         let v = q.pop_ready(10).unwrap();
         q.push(10, 8).unwrap();
         q.push_front(v);
-        assert_eq!(q.next_ready_cycle(), Some(10), "the retry keeps its stamp");
+        assert!(q.poll(10), "the retry keeps its stamp");
         assert_eq!(q.pop_ready(10), Some(7));
         assert_eq!(q.pop_ready(11), None);
         assert_eq!(q.pop_ready(20), Some(8));

@@ -12,7 +12,7 @@
 //!
 //! # Phased tick
 //!
-//! Each executed cycle runs as four phases on the calling thread: every SM
+//! Each core cycle runs as four phases on the calling thread: every SM
 //! ticks against a read-only memory image, staging its outbound requests
 //! and functional writes (phase A); the staged effects commit in ascending
 //! SM order (phase B); the six memory partitions — L2 slice, controller,
@@ -22,33 +22,9 @@
 //! another SM's writes or requests from the same cycle. See `DESIGN.md`
 //! §12 for why the staging stays even though nothing runs concurrently.
 //!
-//! # Event-driven fast-forward
-//!
-//! DMS deliberately *creates* long stall epochs (it delays row activations by
-//! up to 2048 memory cycles), so in the paper's most interesting
-//! configurations the majority of cycles tick every component for no effect.
-//! Instead of executing those, the loop asks each component for its next
-//! event:
-//!
-//! * SMs: [`Sm::next_external_event`] — the next cycle an SM can emit a
-//!   request, complete a drain or issue a non-compute op; a purely
-//!   computing SM reports the closed-form end of its round-robin burst,
-//!   which [`Sm::advance_compute`] replays over the skipped span;
-//! * [`DelayQueue`]s: head ready-time (the head is always the earliest item);
-//! * slices: [`Slice::has_work`] — buffered responses / writebacks / retries;
-//! * controllers: [`MemoryController::next_event_cycle`] — earliest in-flight
-//!   completion, DMS delay expiry, refresh, or Dyn-DMS/Dyn-AMS window
-//!   boundary, in memory cycles.
-//!
-//! When nothing has work *this* cycle, `core_cycle` jumps to the minimum next
-//! event and the clock accumulator advances analytically, so the memory clock
-//! lands on exactly the same cycles as a cycle-by-cycle loop. Executed cycles
-//! run the identical phase code, and skips only cover cycles every component
-//! has proven to be no-ops or replays in closed form.
-//!
 //! # Dormancy
 //!
-//! Inside an executed cycle, phases A and B visit only the SMs that are
+//! Inside each cycle, phases A and B visit only the SMs that are
 //! due ([`Sm::is_due`]): one with a ready reply, an issueable warp, a drain
 //! retry that could act, or a parked store that would fit. An SM that is
 //! not due sleeps until a reply reaches its NoC head or a slice frees
@@ -58,13 +34,13 @@
 //!
 //! # Two loops
 //!
-//! The fast loop (the default) runs fast-forward and dormancy together.
-//! The reference loop ([`Simulator::with_reference_loop`]) executes every
-//! core cycle and visits every SM and every controller in each one. The two
-//! are **bit-identical** in results and state dumps, apart from the loop
-//! counters (`ticks_executed`, `cycles_skipped`, `compute_cycles_skipped`)
-//! and the dump's configuration digest; `tests/fast_forward_equivalence.rs`
-//! and a proptest over synthetic kernels hold them together.
+//! Both loops execute every core cycle. The fast loop (the default) lets
+//! SMs and controllers sleep; the reference loop
+//! ([`Simulator::with_reference_loop`]) visits every SM and every
+//! controller in each cycle. The two are **bit-identical** in results and
+//! state dumps, apart from the dump's configuration digest;
+//! `tests/fast_forward_equivalence.rs` and a proptest over synthetic
+//! kernels hold them together.
 //!
 //! # Pausing a run
 //!
@@ -75,13 +51,10 @@
 //! the caller asks for one ([`Simulator::run_sequence_until_labelled`]).
 //! The dump is write-only; nothing loads it back. It exists to be
 //! compared: `dbg_diverge` digests it to find the first cycle at which two
-//! configurations disagree, and the fast-forward suite compares the two
-//! loops' fields. Pausing clamps an in-flight fast-forward at the pause
-//! cycle, so both loops dump the same state there. The dump carries no
-//! loop-mode state: the launch's loop counters and the NoC queues'
-//! per-cycle pop budget are not written, and a request-NoC head that a
-//! slice retried under backpressure keeps its own ready stamp (see
-//! [`DelayQueue::push_front`]).
+//! configurations disagree, and the equivalence suite compares the two
+//! loops' fields. The dump carries no loop-mode state: the launch's
+//! executed-cycle counter and the NoC queues' per-cycle pop budget (which
+//! records when a sleeping SM last popped its replies) are not written.
 //!
 //! A dump holds only *dynamic* state: configuration-derived geometry is
 //! not written, only a fingerprint of the configuration (`meta`'s
@@ -227,19 +200,14 @@ struct LaunchMachine {
     next_warp: usize,
     /// Clock-divider residue: each core cycle adds `mem_hz` units and one
     /// memory tick fires per `core_hz` units accumulated. Unlike a floating
-    /// accumulator this is drift-free and can be advanced analytically
-    /// across skipped spans.
+    /// accumulator this is drift-free.
     acc: u64,
     mem_time: u64,
     core_cycle: u64,
-    /// Loop counters: they record which loop ran, not the machine's
-    /// state, so the dump leaves them out (they reach [`SimStats`] when
-    /// the launch finishes).
+    /// Executed cycles: a record of the loop, not the machine's state, so
+    /// the dump leaves it out (it reaches [`SimStats`] when the launch
+    /// finishes).
     ticks_executed: u64,
-    cycles_skipped: u64,
-    /// The subset of `cycles_skipped` classified as compute-skip: spans
-    /// where at least one SM replayed `Computing` warps analytically.
-    compute_cycles_skipped: u64,
     /// Per-SM staging areas for phase A of the tick. Transient: drained in
     /// phase B every cycle, so they are always empty between cycles and
     /// are never serialized.
@@ -381,8 +349,6 @@ impl LaunchMachine {
             mem_time: 0,
             core_cycle: 0,
             ticks_executed: 0,
-            cycles_skipped: 0,
-            compute_cycles_skipped: 0,
             stages: (0..cfg.num_sms)
                 .map(|_| SmStage::new(cfg.num_channels))
                 .collect(),
@@ -500,8 +466,8 @@ impl SeqMut<'_> {
 
 impl Simulator {
     /// Creates a simulator for a GPU configuration and scheduling policy,
-    /// running the fast loop: idle and compute-burst fast-forward plus
-    /// dormancy (see the module docs).
+    /// running the fast loop: every cycle, with dormant SMs and
+    /// controllers asleep (see the module docs).
     pub fn new(cfg: GpuConfig, sched: SchedConfig) -> Self {
         Self {
             cfg,
@@ -526,12 +492,10 @@ impl Simulator {
     }
 
     /// Selects the reference loop (`true`) or the fast loop (`false`, the
-    /// default). The reference loop executes every core cycle and visits
-    /// every SM and every controller in each one: no fast-forward, no
-    /// sleeping. Results and state dumps are identical either way, except
-    /// for the loop counters (`ticks_executed`, `cycles_skipped`,
-    /// `compute_cycles_skipped`) and the dump's configuration digest; the
-    /// reference loop is the one the fast loop is tested against.
+    /// default). The reference loop visits every SM and every controller in
+    /// every core cycle: nothing sleeps. Results and state dumps are
+    /// identical either way, except for the dump's configuration digest;
+    /// the reference loop is the one the fast loop is tested against.
     pub fn with_reference_loop(mut self, enabled: bool) -> Self {
         self.reference_loop = enabled;
         self
@@ -691,7 +655,7 @@ impl Simulator {
     /// Drives one launch's machine until the launch finishes, the cycle
     /// limit trips, or the cumulative pause target is reached.
     ///
-    /// Each executed cycle is a *phased tick* (see `DESIGN.md` §12):
+    /// Each cycle is a *phased tick* (see `DESIGN.md` §12):
     ///
     /// * **A** — every due SM ticks against a read-only memory image and a
     ///   private staging area;
@@ -723,8 +687,6 @@ impl Simulator {
             mem_time,
             core_cycle,
             ticks_executed,
-            cycles_skipped,
-            compute_cycles_skipped,
             stages,
             resp_buf,
             dormancy,
@@ -741,64 +703,6 @@ impl Simulator {
         let mut free0: Vec<usize> = Vec::with_capacity(req_noc.len());
 
         loop {
-            // 0. Fast-forward over provably idle — or busy but analytically
-            //    predictable — cycles. Runs at the top of the iteration,
-            //    before the next cycle executes; a pause target inside a
-            //    skippable span clamps the skip at the pause cycle.
-            if !self.reference_loop && *core_cycle > 0 {
-                let _t_ff = prof::enter(Phase::FastForward);
-                let mut target = next_interesting_cycle(
-                    *core_cycle,
-                    limit,
-                    *acc,
-                    core_hz,
-                    mem_hz,
-                    *mem_time,
-                    sms,
-                    slices,
-                    req_noc,
-                    reply_noc,
-                    mcs,
-                );
-                if let Some(p) = pause {
-                    // Never skip past the pause point: any prefix of a
-                    // skippable span is itself skippable (idle cycles stay
-                    // idle; a compute replay is valid for every shorter
-                    // span), so clamping preserves equivalence.
-                    target = target.min(p.saturating_add(1));
-                }
-                if target > *core_cycle + 1 {
-                    let skipped = target - *core_cycle - 1;
-                    // Replay each SM's round-robin compute schedule over the
-                    // span in closed form — the exact grants, `rr` cursor
-                    // moves and `Computing -> Ready` transitions the reference
-                    // loop would have produced. A span where any SM did so
-                    // is accounted as compute-skip, any other as idle skip.
-                    let mut advanced_compute = false;
-                    for sm in sms.iter_mut() {
-                        advanced_compute |= sm.advance_compute(skipped);
-                    }
-                    // Advance the memory clock analytically over the
-                    // skipped span; the controllers see the exact same tick
-                    // count (all of them no-ops) as the reference loop would
-                    // have executed.
-                    let units = u128::from(*acc) + u128::from(skipped) * u128::from(mem_hz);
-                    let mem_ticks = (units / u128::from(core_hz)) as u64;
-                    *acc = (units % u128::from(core_hz)) as u64;
-                    if mem_ticks > 0 {
-                        *mem_time += mem_ticks;
-                        for mc in mcs.iter_mut() {
-                            mc.advance_idle(*mem_time);
-                        }
-                    }
-                    *cycles_skipped += skipped;
-                    if advanced_compute {
-                        *compute_cycles_skipped += skipped;
-                    }
-                    *core_cycle = target - 1;
-                }
-            }
-
             if let Some(p) = pause {
                 if *core_cycle >= p {
                     return StepOutcome::Paused;
@@ -944,8 +848,6 @@ impl LaunchMachine {
 
         total.core_cycles += self.core_cycle;
         total.ticks_executed += self.ticks_executed;
-        total.cycles_skipped += self.cycles_skipped;
-        total.compute_cycles_skipped += self.compute_cycles_skipped;
         for sm in &self.sms {
             total.instructions += sm.instructions;
             total.l1_hits += sm.l1().hits();
@@ -998,98 +900,6 @@ impl LaunchMachine {
         // (empty unless the `prof` feature is enabled).
         total.prof.merge(&prof::take());
     }
-}
-
-/// The next core cycle at which executing the loop body could have any
-/// *externally unpredictable* effect, given that the current cycle's phases
-/// just completed and the termination check failed. Every cycle strictly
-/// between `now` and the returned cycle is either a provable no-op for
-/// every component or a pure compute-issue cycle that
-/// [`Sm::advance_compute`] replays in closed form. Clamped to `limit + 1`,
-/// where the loop exits without running phases; with no event at all (a
-/// stalled run headed for the cycle limit) the clamp is returned.
-#[allow(clippy::too_many_arguments)]
-fn next_interesting_cycle(
-    now: u64,
-    limit: u64,
-    acc: u64,
-    core_hz: u64,
-    mem_hz: u64,
-    mem_time: u64,
-    sms: &[Sm],
-    slices: &[Slice],
-    req_noc: &[DelayQueue<SliceReq>],
-    reply_noc: &[DelayQueue<Reply>],
-    mcs: &mut [MemoryController],
-) -> u64 {
-    let mut next = limit.saturating_add(1);
-    if next <= now + 1 || slices.iter().any(Slice::has_work) {
-        return now + 1;
-    }
-    // An SM needs a real tick no later than its next external event: the
-    // earliest cycle it can emit a request, complete a drain, or issue a
-    // non-compute op. Purely computing SMs report the closed-form end of
-    // their round-robin burst instead of bailing, which is what extends
-    // fast-forward from idle spans to busy ones.
-    for sm in sms {
-        match sm.next_external_event(now) {
-            Some(event) if event <= now + 1 => return now + 1,
-            Some(event) => next = next.min(event),
-            None => {}
-        }
-    }
-    for (i, q) in req_noc.iter().enumerate() {
-        let Some(ready) = q.next_ready_cycle() else {
-            continue;
-        };
-        if ready > now + 1 {
-            next = next.min(ready);
-        } else if q
-            .peek()
-            .is_some_and(|req| slices[i].would_service(req, &mcs[i]))
-        {
-            return now + 1;
-        }
-        // A ready head the slice cannot service (controller backpressure)
-        // is not an event: the slice would pop it and park it right back.
-        // The unblocking condition changes only on a controller event,
-        // which the controller scan below contributes.
-    }
-    for q in reply_noc {
-        if let Some(ready) = q.next_ready_cycle() {
-            next = next.min(ready.max(now + 1));
-        }
-    }
-    if next == now + 1 {
-        return next;
-    }
-    // Parked store retries are events only when they would succeed; a
-    // failing retry leaves the warp exactly as it found it, and request-NoC
-    // occupancy cannot change during the span (no SM has drainable work, no
-    // slice services a head) so it keeps failing identically. This scan
-    // walks every SM, so it runs after the cheap NoC checks: every check
-    // here is read-only and the result is the minimum over all of them, so
-    // the order only decides how soon a `now + 1` answer returns.
-    if sms.iter().any(|s| s.stalled_store_ready(req_noc)) {
-        return now + 1;
-    }
-    // Memory-side events arrive in memory cycles (in-flight completions,
-    // DMS expiries, window boundaries). Map the j-th future memory tick
-    // back to the core cycle whose accumulator step fires it: the smallest
-    // k >= 1 with acc + k * mem_hz >= j * core_hz.
-    for mc in mcs.iter_mut() {
-        if let Some(me) = mc.next_event_cycle() {
-            debug_assert!(me > mem_time, "memory event must lie in the future");
-            let j = u128::from(me - mem_time);
-            let need = j * u128::from(core_hz) - u128::from(acc);
-            let k = need.div_ceil(u128::from(mem_hz));
-            let event = u128::from(now).saturating_add(k);
-            if event < u128::from(next) {
-                next = event as u64;
-            }
-        }
-    }
-    next.max(now + 1)
 }
 
 /// Convenience: runs `kernel` under `sched` on the default GPU and returns

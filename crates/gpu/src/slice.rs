@@ -97,36 +97,6 @@ impl Slice {
         &self.l2
     }
 
-    /// `true` when ticking this slice could do anything beyond serving its
-    /// incoming queue: buffered controller responses, pending writebacks, or
-    /// replies retrying against a full reply NoC. Unlike [`Slice::is_idle`]
-    /// this ignores the MSHRs — outstanding misses wake up via controller
-    /// responses, not by ticking the slice. The incoming request queue is
-    /// tracked separately (its head ready-time is an exact event).
-    pub fn has_work(&self) -> bool {
-        !self.responses.is_empty() || !self.wb_buffer.is_empty() || !self.reply_retry.is_empty()
-    }
-
-    /// Whether the service loop would make progress on `req` right now,
-    /// given controller `mc`. Mirrors the branch structure of
-    /// [`Slice::tick`] step 2 exactly: when this returns `false`, ticking
-    /// pops `req` and immediately parks it back (`push_front`) with no
-    /// observable effect, so a cycle whose only candidate work is a blocked
-    /// queue head can be fast-forwarded. Every unblocking condition —
-    /// controller acceptance, slice MSHR space (freed by absorbing
-    /// controller responses) — changes only on controller events, which the
-    /// event-driven loop tracks via
-    /// [`MemoryController::next_event_cycle`].
-    pub fn would_service(&self, req: &SliceReq, mc: &MemoryController) -> bool {
-        if req.write {
-            self.l2.probe(req.line) || mc.can_accept()
-        } else if self.l2.probe(req.line) || self.mshr.contains_key(&req.line) {
-            true
-        } else {
-            self.mshr.len() < self.mshr_capacity && mc.can_accept()
-        }
-    }
-
     /// `true` when the slice holds no outstanding work.
     pub fn is_idle(&self) -> bool {
         self.mshr.is_empty()

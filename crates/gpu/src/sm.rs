@@ -27,7 +27,6 @@
 use crate::cache::{AccessResult, Cache};
 use crate::kernel::{Kernel, OpBuf, OpKind, WarpProgram};
 use crate::memimg::{lane_count, MemoryImage, OverlayView, Run, LINE_BYTES};
-use crate::noc::DelayQueue;
 use lazydram_common::snap::Saver;
 use lazydram_common::FastMap;
 use lazydram_common::{AddressMap, GpuConfig};
@@ -333,8 +332,7 @@ fn coalesce_spans(lines: &mut Vec<u64>, spans: impl Iterator<Item = (u64, u64)>)
 /// (warps that could issue this cycle) and `unsent` (blocked loads with
 /// backpressured miss lines). On stall-heavy cycles — the common case under
 /// DMS — both masks are zero and [`Sm::tick`] returns without touching any
-/// slot state, which is also what lets [`Sm::next_external_event`] answer
-/// in O(1) when no warp computes.
+/// slot state.
 pub(crate) struct Sm {
     id: usize,
     issue_width: usize,
@@ -353,11 +351,6 @@ pub(crate) struct Sm {
     /// Bit `i` set ⇔ slot `i` holds a parked store plan — issueable, but
     /// only effectful once the request NoC has room for it.
     stalled: u128,
-    /// Bit `i` set ⇔ slot `i` is `Computing { .. }`: issueable, but with no
-    /// external effect until its burst ends. Disjoint from `stalled` (a
-    /// store only parks from `Ready`), so `issueable & !stalled & !computing`
-    /// is exactly the slots whose next issue is a real op.
-    computing: u128,
     /// Warp instructions retired.
     pub instructions: u64,
     /// Loads whose value was (partly) approximated.
@@ -412,7 +405,6 @@ impl Sm {
             issueable: 0,
             unsent: 0,
             stalled: 0,
-            computing: 0,
             instructions: 0,
             approximated_loads: 0,
             live_warps: 0,
@@ -432,15 +424,14 @@ impl Sm {
     fn refresh_masks(&mut self, idx: usize) {
         let bit = 1u128 << idx;
         let slot = &self.slots[idx];
-        let (issueable, unsent, stalled, computing) = if slot.program.is_none() {
-            (false, false, false, false)
+        let (issueable, unsent, stalled) = if slot.program.is_none() {
+            (false, false, false)
         } else {
             (
                 slot.store_parked
                     || matches!(slot.state, WarpState::Ready | WarpState::Computing { .. }),
                 matches!(slot.state, WarpState::Waiting) && !slot.wait.unsent.is_empty(),
                 slot.store_parked,
-                matches!(slot.state, WarpState::Computing { .. }),
             )
         };
         self.issueable = if issueable {
@@ -458,11 +449,6 @@ impl Sm {
         } else {
             self.stalled & !bit
         };
-        self.computing = if computing {
-            self.computing | bit
-        } else {
-            self.computing & !bit
-        };
     }
 
     pub fn l1(&self) -> &Cache {
@@ -472,29 +458,6 @@ impl Sm {
     /// Number of resident, unfinished warps.
     pub fn live_warps(&self) -> usize {
         self.live_warps
-    }
-
-    /// `true` when some parked store's retry would succeed right now, i.e.
-    /// every `(slice, count)` demand of its plan fits in the request NoC.
-    /// While no SM pushes and no slice pops, `free()` is constant, so a
-    /// retry that fails now fails the same way every cycle of a skipped
-    /// span — only a retry that would succeed constitutes an event.
-    pub fn stalled_store_ready(&self, req_noc: &[DelayQueue<SliceReq>]) -> bool {
-        let mut ready = false;
-        for_each_bit_rotated(self.stalled, 0, |idx| {
-            let slot = &self.slots[idx];
-            let fits = slot.store_parked
-                && slot
-                    .store
-                    .per_slice
-                    .iter()
-                    .all(|&(slice, count)| req_noc[slice].free() >= count);
-            if fits {
-                ready = true;
-            }
-            !fits
-        });
-        ready
     }
 
     /// `true` when [`Sm::tick`] could change anything this cycle, given the
@@ -602,115 +565,6 @@ impl Sm {
             false
         });
         first
-    }
-
-    /// The earliest core cycle at which this SM needs a real [`Sm::tick`] —
-    /// the first cycle its behavior stops being analytically predictable
-    /// from the current state. `now` is the last completed cycle.
-    ///
-    /// * `Some(now + 1)` — a `Ready` warp can issue a real op next cycle,
-    ///   or a blocked load has unsent miss lines and a free MSHR to drain
-    ///   one through.
-    /// * `Some(t)`, `t > now + 1` — every issueable warp is `Computing` (or
-    ///   holds a parked store whose retry is a scan no-op): the round-robin
-    ///   grant schedule is deterministic, so the earliest burst end — and
-    ///   with it the first externally visible issue — is computable in
-    ///   closed form. [`Sm::advance_compute`] replays any span ending
-    ///   strictly before `t`.
-    /// * `None` — nothing on this SM can act without an external stimulus:
-    ///   no live warps, or only warps waiting on replies / holding parked
-    ///   stores. Those wake via events the master loop already tracks
-    ///   (reply-NoC heads, [`Sm::stalled_store_ready`]).
-    ///
-    /// With `w` computing warps and `g = min(w, issue_width)` grants per
-    /// cycle, grants rotate through the computing slots purely cyclically
-    /// (parked-store retries fail without consuming an issue slot or moving
-    /// `rr`), so the warp at rotated position `o` with `left` grants to go
-    /// receives its last grant — global grant index `o + (left-1)*w` — on
-    /// cycle `now + (o + (left-1)*w) / g + 1` and can issue a real op the
-    /// cycle after.
-    pub fn next_external_event(&self, now: u64) -> Option<u64> {
-        if self.live_warps == 0 {
-            return None;
-        }
-        if (self.issueable & !self.stalled & !self.computing) != 0
-            || (self.unsent != 0 && self.mshr.len() < self.mshr_capacity)
-        {
-            return Some(now + 1);
-        }
-        if self.computing == 0 {
-            return None;
-        }
-        let n = self.slots.len();
-        let w = u64::from(self.computing.count_ones());
-        let g = w.min(self.issue_width as u64);
-        let mut pos = 0u64;
-        let mut first_end = u64::MAX;
-        for_each_bit_rotated(self.computing, self.rr % n, |idx| {
-            let WarpState::Computing { left } = self.slots[idx].state else {
-                unreachable!("computing mask desynced from slot state");
-            };
-            debug_assert!(left >= 1, "a Computing warp always has work left");
-            let last_grant = pos + (u64::from(left) - 1) * w;
-            first_end = first_end.min(last_grant / g + 1);
-            pos += 1;
-            true
-        });
-        Some(now + first_end + 1)
-    }
-
-    /// Replays `cycles` pure compute-issue cycles of the round-robin
-    /// schedule in closed form: decrements each `Computing` warp's `left`
-    /// by exactly the grants the naive per-cycle loop would have issued it,
-    /// transitions warps whose burst ends to `Ready`, and advances
-    /// `instructions` and the `rr` cursor to the loop's values. Returns
-    /// whether any compute state was advanced (false for idle spans).
-    ///
-    /// Callers must keep `cycles` strictly below the distance to
-    /// [`Sm::next_external_event`]; the total grant count `cycles * g`
-    /// splits as `per_warp = total / w` to everyone plus one extra to the
-    /// first `total % w` slots in rotated order, and the cursor resumes
-    /// after the slot holding the last grant — exactly where the naive scan
-    /// would have left it (debug-asserted against each warp's remaining
-    /// burst).
-    pub fn advance_compute(&mut self, cycles: u64) -> bool {
-        if cycles == 0 || self.computing == 0 {
-            return false;
-        }
-        let n = self.slots.len();
-        let w = u64::from(self.computing.count_ones());
-        let g = w.min(self.issue_width as u64);
-        let total = cycles * g;
-        let (per_warp, extra) = (total / w, total % w);
-        let last_pos = (total - 1) % w;
-        let mut pos = 0u64;
-        let mut last_slot = 0usize;
-        let snapshot = self.computing;
-        for_each_bit_rotated(snapshot, self.rr % n, |idx| {
-            if pos == last_pos {
-                last_slot = idx;
-            }
-            let grants = per_warp + u64::from(pos < extra);
-            if grants > 0 {
-                let WarpState::Computing { left } = &mut self.slots[idx].state else {
-                    unreachable!("computing mask desynced from slot state");
-                };
-                debug_assert!(
-                    u64::from(*left) >= grants,
-                    "advance_compute overran a warp's burst: {left} left, {grants} grants"
-                );
-                *left -= grants as u32;
-                if *left == 0 {
-                    self.slots[idx].state = WarpState::Ready;
-                    self.refresh_masks(idx);
-                }
-            }
-            pos += 1;
-            true
-        });
-        self.instructions += total;
-        self.rr = (last_slot + 1) % n;
-        true
     }
 
     /// `true` when a new warp can be placed. Slots empty out the instant a
@@ -1278,6 +1132,7 @@ impl Sm {
 mod tests {
     use super::*;
     use crate::memimg::push_lane;
+    use crate::noc::DelayQueue;
     use lazydram_common::GpuConfig;
 
     /// A trivial kernel: each warp loads 32 consecutive floats and stores
@@ -1534,152 +1389,6 @@ mod tests {
         run_cycle(&mut sm, 2, &mut image, &map, &kernel, &mut noc);
         assert_eq!(sm.mshr.len(), 1, "deferred miss sent once space freed");
         assert!(sm.mshr.contains_key(&base));
-    }
-
-    /// Serializes an SM's full dynamic state for bit-identity comparison.
-    fn state_bytes(sm: &Sm) -> Vec<u8> {
-        let mut s = Saver::new();
-        sm.save_state(&mut s);
-        s.finish()
-    }
-
-    /// How a scheduler slot is populated for the analytic-replay tests.
-    #[derive(Debug, Clone, Copy)]
-    enum SlotSpec {
-        Empty,
-        Computing(u32),
-        /// A parked store whose per-slice demand can never fit: its retry
-        /// is a scan no-op every cycle, exactly like in a skipped span.
-        Parked,
-        /// Waiting on a reply that never comes: inert for the scheduler.
-        Waiting,
-    }
-
-    /// Builds an SM whose slots match `specs`, with the round-robin cursor
-    /// at `rr`. Deterministic, so two calls produce bit-identical SMs.
-    fn build_sm(specs: &[SlotSpec], issue_width: usize, rr: usize) -> Sm {
-        let cfg = GpuConfig {
-            issue_width,
-            warps_per_sm: specs.len().max(1),
-            ..GpuConfig::default()
-        };
-        let mut sm = Sm::new(0, &cfg);
-        let kernel = MiniKernel { base: 0 };
-        for (i, _) in specs.iter().enumerate() {
-            sm.dispatch(i, kernel.program(i));
-        }
-        for (i, spec) in specs.iter().enumerate() {
-            match *spec {
-                SlotSpec::Empty => {
-                    // Retire the warp the way a Finished op would.
-                    sm.slots[i].program = None;
-                    sm.slots[i].state = WarpState::Done;
-                    sm.live_warps -= 1;
-                }
-                SlotSpec::Computing(left) => {
-                    sm.slots[i].state = WarpState::Computing { left: left.max(1) };
-                }
-                SlotSpec::Parked => {
-                    sm.slots[i].state = WarpState::Ready;
-                    sm.slots[i].store_parked = true;
-                    sm.slots[i].store.runs.push(Run::contiguous(0, 1));
-                    sm.slots[i].store.values.push(1.0);
-                    sm.slots[i].store.lines.push(0);
-                    sm.slots[i].store.per_slice.push((0, usize::MAX / 2));
-                }
-                SlotSpec::Waiting => {
-                    sm.slots[i].state = WarpState::Waiting;
-                    sm.slots[i].wait.pending.push(1 << 20);
-                }
-            }
-            sm.refresh_masks(i);
-        }
-        sm.rr = rr % specs.len().max(1);
-        sm
-    }
-
-    /// Naively ticks `sm` for `cycles` cycles and asserts no external effect
-    /// (no staged request or write) escaped — the precondition under which
-    /// `advance_compute` claims equivalence.
-    fn naive_advance(sm: &mut Sm, cycles: u64) {
-        let cfg = GpuConfig::default();
-        let mut image = MemoryImage::new();
-        let kernel = MiniKernel { base: 0 };
-        let map = AddressMap::new(&cfg);
-        let mut noc: Vec<DelayQueue<SliceReq>> =
-            (0..6).map(|_| DelayQueue::new(0, 64, 8)).collect();
-        for now in 1..=cycles {
-            run_cycle(sm, now, &mut image, &map, &kernel, &mut noc);
-        }
-        assert!(
-            noc.iter().all(|q| q.is_empty()),
-            "a compute-only span must not emit requests"
-        );
-    }
-
-    #[test]
-    fn next_external_event_closed_form_matches_hand_computation() {
-        // Slots: Computing(5), parked store, Computing(1), Computing(7);
-        // issue_width 2 => w = 3 computing warps, g = 2 grants/cycle.
-        let specs = [
-            SlotSpec::Computing(5),
-            SlotSpec::Parked,
-            SlotSpec::Computing(1),
-            SlotSpec::Computing(7),
-        ];
-        let sm = build_sm(&specs, 2, 0);
-        // Rotated positions o = 0, 1, 2 for slots 0, 2, 3. Burst ends:
-        // slot 0: (0 + 4*3)/2 + 1 = 7; slot 2: (1 + 0)/2 + 1 = 1;
-        // slot 3: (2 + 6*3)/2 + 1 = 11. Earliest Ready at now+1, so the
-        // first real op can issue at now+2.
-        assert_eq!(sm.next_external_event(100), Some(102));
-
-        let mut analytic = build_sm(&specs, 2, 0);
-        assert!(analytic.advance_compute(1));
-        let mut naive = build_sm(&specs, 2, 0);
-        naive_advance(&mut naive, 1);
-        assert_eq!(state_bytes(&analytic), state_bytes(&naive));
-        assert_eq!(analytic.rr, 3, "cursor resumes after the last granted slot");
-        assert_eq!(analytic.instructions, 2);
-        assert!(
-            matches!(analytic.slots[2].state, WarpState::Ready),
-            "slot 2's burst ended exactly at the span boundary"
-        );
-        // The freshly Ready warp is now the SM's next external event.
-        assert_eq!(analytic.next_external_event(101), Some(102));
-    }
-
-    #[test]
-    fn next_external_event_classifies_idle_and_busy_sms() {
-        let sm = build_sm(&[SlotSpec::Waiting, SlotSpec::Parked], 2, 0);
-        assert_eq!(
-            sm.next_external_event(5),
-            None,
-            "pure waiters/parked stores wake only via tracked events"
-        );
-
-        let sm = build_sm(&[SlotSpec::Computing(3), SlotSpec::Empty], 2, 0);
-        assert_eq!(sm.next_external_event(5), Some(5 + 3 + 1));
-
-        let mut sm = build_sm(&[SlotSpec::Computing(3)], 2, 0);
-        sm.slots[0].state = WarpState::Ready;
-        sm.refresh_masks(0);
-        assert_eq!(
-            sm.next_external_event(5),
-            Some(6),
-            "Ready warps need a real tick"
-        );
-    }
-
-    #[test]
-    fn advance_compute_is_a_noop_without_computing_warps() {
-        let mut sm = build_sm(&[SlotSpec::Waiting, SlotSpec::Parked], 2, 0);
-        let before = state_bytes(&sm);
-        assert!(
-            !sm.advance_compute(1000),
-            "idle spans are not compute-skips"
-        );
-        assert_eq!(state_bytes(&sm), before);
     }
 
     /// The PR 2 drain resume-point contract, pinned: when a drain blocks on
@@ -2254,82 +1963,6 @@ mod tests {
                     prop_assert_eq!(by_runs.read_f32(a), by_lanes.read_f32(a), "word {:#x}", a);
                 }
                 prop_assert_eq!(by_runs.resident_lines(), by_lanes.resident_lines());
-            }
-        }
-    }
-
-    mod analytic_props {
-        use super::*;
-        use proptest::prelude::*;
-
-        fn slot_spec() -> impl Strategy<Value = SlotSpec> {
-            // Computing appears twice to bias the mix toward busy slots.
-            prop_oneof![
-                Just(SlotSpec::Empty),
-                (1u32..24).prop_map(SlotSpec::Computing),
-                (24u32..400).prop_map(SlotSpec::Computing),
-                Just(SlotSpec::Parked),
-                Just(SlotSpec::Waiting),
-            ]
-        }
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(96))]
-
-            /// The tentpole equivalence, pinned at the SM level: for every
-            /// mix of computing bursts, parked stores, waiters and holes, at
-            /// every issue width and cursor position, `advance_compute` over
-            /// any valid span — including any two-chunk split of it, the
-            /// shape a pause inside a skip leaves — leaves the SM
-            /// bit-identical to the naive per-cycle loop.
-            #[test]
-            fn advance_compute_matches_naive_loop(
-                specs in prop::collection::vec(slot_spec(), 1..48),
-                issue_width in 1usize..5,
-                rr in 0usize..48,
-                span_pct in 0u64..=100,
-                split_pct in 0u64..=100,
-            ) {
-                let sm = build_sm(&specs, issue_width, rr);
-                let now = 0u64;
-                let event = sm.next_external_event(now);
-                if let Some(event) = event {
-                    // The event is where a real tick becomes necessary; every
-                    // strictly earlier cycle is analytically replayable.
-                    let max_span = event - now - 1;
-                    if max_span == 0 {
-                        return Ok(());
-                    }
-                    let span = 1 + (max_span - 1) * span_pct / 100;
-                    let mut analytic = build_sm(&specs, issue_width, rr);
-                    prop_assert!(analytic.advance_compute(span));
-                    let mut naive = build_sm(&specs, issue_width, rr);
-                    naive_advance(&mut naive, span);
-                    prop_assert_eq!(state_bytes(&analytic), state_bytes(&naive));
-                    // A split replay (two chunks, as a pause mid-span leaves) composes.
-                    let split = span * split_pct / 100;
-                    let mut chunked = build_sm(&specs, issue_width, rr);
-                    if split > 0 {
-                        prop_assert!(chunked.advance_compute(split));
-                    }
-                    if span - split > 0 {
-                        prop_assert!(chunked.advance_compute(span - split));
-                    }
-                    prop_assert_eq!(state_bytes(&chunked), state_bytes(&naive));
-                    if span == max_span {
-                        // At the span end some warp went Ready: the SM now
-                        // needs a real tick next cycle, in both worlds.
-                        prop_assert_eq!(
-                            analytic.next_external_event(now + span),
-                            Some(now + span + 1)
-                        );
-                    }
-                } else {
-                    // No event: there is no compute burst to replay either.
-                    let mut idle = build_sm(&specs, issue_width, rr);
-                    prop_assert!(!idle.advance_compute(1 + span_pct));
-                    prop_assert_eq!(state_bytes(&idle), state_bytes(&sm));
-                }
             }
         }
     }

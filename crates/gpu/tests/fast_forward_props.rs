@@ -1,8 +1,7 @@
-//! Property test: the fast loop (idle and analytic compute-burst
-//! fast-forward plus dormancy) is result-invisible for randomly generated
-//! synthetic kernels under randomly drawn scheduler configurations and
-//! cycle limits: it must match the reference loop, which executes every
-//! cycle and visits every component.
+//! Property test: the fast loop (SM and controller dormancy) is
+//! result-invisible for randomly generated synthetic kernels under randomly
+//! drawn scheduler configurations and cycle limits: it must match the
+//! reference loop, which visits every component every cycle.
 //!
 //! The suite-level test (`tests/fast_forward_equivalence.rs` at the
 //! workspace root) covers the 20 real applications; this one probes odd
@@ -176,26 +175,10 @@ proptest! {
         };
         let fast = run(false);
         let slow = run(true);
-        prop_assert_eq!(slow.stats.cycles_skipped, 0u64);
         prop_assert_eq!(fast.hit_cycle_limit, slow.hit_cycle_limit);
         prop_assert_eq!(&fast.output, &slow.output);
         prop_assert!(fast.trace == slow.trace, "DRAM traces differ");
-        let mut fs = fast.stats.clone();
-        let mut ss = slow.stats.clone();
-        prop_assert!(
-            fs.compute_cycles_skipped <= fs.cycles_skipped,
-            "compute skips exceed total skips"
-        );
-        // A limit hit counts one final cycle the loop never executes.
-        prop_assert_eq!(
-            fs.ticks_executed + fs.cycles_skipped + u64::from(fast.hit_cycle_limit),
-            fs.core_cycles,
-            "skip accounting must partition core cycles"
-        );
-        fs.cycles_skipped = 0;
-        fs.compute_cycles_skipped = 0;
-        fs.ticks_executed = 0;
-        ss.ticks_executed = 0;
+        let (fs, ss) = (&fast.stats, &slow.stats);
         prop_assert!(fs == ss, "stats differ:\nfast: {fs:?}\nslow: {ss:?}");
     }
 }

@@ -186,9 +186,9 @@ impl SimBuilder {
     }
 
     /// Runs the reference loop instead of the fast one (default: off): every
-    /// cycle executed, every SM and controller visited (see
+    /// SM and controller visited in every cycle (see
     /// [`Simulator::with_reference_loop`]). Results are identical either
-    /// way; only the loop counters and wall clock differ.
+    /// way; only wall clock differs.
     pub fn reference_loop(mut self, enabled: bool) -> Self {
         self.reference_loop = enabled;
         self

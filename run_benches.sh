@@ -5,7 +5,7 @@
 # workers, one per core unless set). Build failures and harness panics are
 # fatal and land in the log — nothing is discarded.
 set -euo pipefail
-cd /root/repo
+cd "$(dirname "$0")"
 export LAZYDRAM_SCALE=${LAZYDRAM_SCALE:-0.5}
 export LAZYDRAM_JOBS=${LAZYDRAM_JOBS:-$(nproc)}
 # Share one content-addressed result store across all 19 harnesses: the
@@ -34,4 +34,4 @@ cargo bench -q -p lazydram-bench --bench micro_structs | head -60
 echo; echo "##### result store"
 LAZYDRAM_CACHE_DIR="$LAZYDRAM_CACHE_DIR" ./target/release/lazydram cache stats
 echo "### sweep complete"
-} > /root/repo/bench_output.txt 2>&1
+} > bench_output.txt 2>&1

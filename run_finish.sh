@@ -1,7 +1,7 @@
 #!/bin/bash
 # Time-boxed completion of the reproduction sweep (parallel runner).
 set -euo pipefail
-cd /root/repo
+cd "$(dirname "$0")"
 export LAZYDRAM_JOBS=${LAZYDRAM_JOBS:-$(nproc)}
 REP_APPS="GEMM,SCP,MVT,CONS,meanfilter,LPS,RAY,blackscholes"
 
@@ -37,5 +37,5 @@ done
 echo; echo "##### bench: micro_structs"
 cargo bench -q -p lazydram-bench --bench micro_structs | head -40
 echo; echo "### sweep complete"
-} >> /root/repo/bench_output.txt 2>&1
+} >> bench_output.txt 2>&1
 echo finisher-done

@@ -1,16 +1,15 @@
-//! Dormancy must be invisible: the fast loop, whose executed cycles skip
-//! SMs that are not due and controller passes that cannot issue (and which
-//! also fast-forwards idle spans and compute bursts), must match the
+//! Dormancy must be invisible: the fast loop, which skips SMs that are
+//! not due and controller passes that cannot issue, must match the
 //! reference loop (`SimBuilder::reference_loop`), which visits every
 //! component every cycle. For a random app and pause point, every machine
 //! of the backend matrix runs under every scheme, and each cell must give
-//! the same measurement JSON (loop counters stripped; the AMS decline
-//! histogram included), the same output, statistics and DRAM trace, and
-//! the same labelled dump fields at the pause.
+//! the same measurement JSON (the AMS decline histogram included), the
+//! same output, statistics and DRAM trace, and the same labelled dump
+//! fields at the pause.
 
 mod equiv;
 
-use equiv::{assert_same_run, both, field_diff, paused_fields, strip_loop_counters};
+use equiv::{assert_same_run, both, field_diff, paused_fields};
 use lazydram::bench::measure;
 use lazydram::common::{DramPreset, DramTimings, GpuConfig};
 use lazydram::workloads::{all_apps, AppSpec};
@@ -37,9 +36,8 @@ fn machines() -> Vec<(String, GpuConfig)> {
     m
 }
 
-/// One machine × scheme cell: the measurement JSON (loop counters
-/// stripped), the outputs, and the labelled dump at `pause_frac` percent
-/// of the reference run.
+/// One machine × scheme cell: the measurement JSON, the outputs, and the
+/// labelled dump at `pause_frac` percent of the reference run.
 fn check_cell(
     app: &AppSpec,
     machine: &str,
@@ -57,8 +55,8 @@ fn check_cell(
     );
     let exact = fast.exact_output();
     prop_assert_eq!(
-        strip_loop_counters(&measure(&fast, &exact).to_json()),
-        strip_loop_counters(&measure(&reference, &exact).to_json()),
+        measure(&fast, &exact).to_json(),
+        measure(&reference, &exact).to_json(),
         "{}: measurements",
         what
     );

@@ -13,7 +13,7 @@
 //!   values.
 //! * **If you did not mean to change behavior**: this is a regression; the
 //!   digest caught results drifting. Fix the code, not the pin.
-//! * Speed-only changes (fast-forward, parallelism, allocation) must NOT
+//! * Speed-only changes (dormancy, parallelism, allocation) must NOT
 //!   trip this test — if one does, it changed results, not just speed.
 //! * **Wire-format changes** (a new serialized statistics field, a `snap`
 //!   frame version bump) change the stored *bytes* without changing the
@@ -37,8 +37,11 @@ use lazydram::{Scheme, SimBuilder};
 /// prices HBM sweep cells with their own energy profile. These GDDR5 cells
 /// measure the same as under version 1 (whose digest was
 /// `0xd2c685aaa0c7f114`); their stored bytes moved only because an entry
-/// embeds the semantics version.
-const PINNED: (u64, u64) = (2, 0x86a12183b8ff06a6);
+/// embeds the semantics version. Re-pinned for `STORE_VERSION` 4, which
+/// dropped the three loop counters from the stored statistics (version-2
+/// digest before it: `0x86a12183b8ff06a6`); the measurement JSON of every
+/// fig04 and fig12 capture cell lost only those three keys.
+const PINNED: (u64, u64) = (2, 0x2ba1acc5f89f3277);
 
 /// One golden cell per non-default backend model: SCP under the headline
 /// scheme on the naive model (the HBM presets run the banked model that
@@ -48,7 +51,9 @@ const PINNED: (u64, u64) = (2, 0x86a12183b8ff06a6);
 ///
 /// Re-pinned for version 2 like [`PINNED`]: the naive cell is priced with
 /// the GDDR5 profile as before (version 1 digest `0x9b3eea56c5980d17`).
-const PINNED_BACKENDS: [(DramPreset, u64); 1] = [(DramPreset::Naive, 0xab0f35c0f56693d7)];
+/// Re-pinned for `STORE_VERSION` 4 like [`PINNED`] (before it:
+/// `0xab0f35c0f56693d7`).
+const PINNED_BACKENDS: [(DramPreset, u64); 1] = [(DramPreset::Naive, 0x4344a5ced95d7be2)];
 
 fn cell(app: &str, scheme: Scheme) -> Measurement {
     preset_cell(app, scheme, DramPreset::Gddr5)

@@ -117,7 +117,7 @@ echo "== tier1: divergence-bisection smoke =="
 # Static-DMS delays on SLA (every probe is a fresh run_until from cycle 0),
 # and the components it lists there must be architectural: a dump carries
 # no loop-mode state, so no NoC queue (rnoc, pnoc) or loop frame (mach)
-# may differ merely because the two runs skipped different spans.
+# may differ merely because the two runs' SMs slept at different cycles.
 cargo run -q --release -p lazydram-bench --bin dbg_diverge -- SLA 128 256 0.05 4096 \
     > "$TIER1_TMP/diverge.out"
 grep -Fx "first divergent cycle: 217 (last agreeing cycle: 216)" "$TIER1_TMP/diverge.out" || {
