@@ -20,7 +20,7 @@ pub mod store;
 
 pub use lazydram_common::Scheme;
 pub use lazydram_energy::{EnergyModel, MemoryTech};
-pub use lazydram_gpu::{ReplayReport, TraceError, TraceSim};
+pub use lazydram_gpu::TraceSim;
 pub use lazydram_workloads::{
     parse_backend, parse_cache_mode, CacheMode, CachePolicy, SimBuilder, SimRun,
 };
@@ -33,18 +33,19 @@ pub use store::{CacheStats, EntryInfo, Fidelity, Store};
 /// 10⁴–10⁵ DRAM requests.
 pub const BENCH_SCALE: f64 = 1.0;
 
-/// Parses a `LAZYDRAM_SCALE` value: must be a finite, positive number.
+/// Parses a work scale (`LAZYDRAM_SCALE`, `lazydram --scale`): must be a
+/// finite, positive number. The error describes the value; the caller
+/// prefixes the variable or flag it came from.
 ///
 /// Kept separate from [`RunEnv::load`] so the validation is unit-testable.
 pub fn parse_scale(s: &str) -> Result<f64, String> {
     match s.trim().parse::<f64>() {
         Err(_) => Err(format!(
-            "LAZYDRAM_SCALE={s:?} is not a number; expected a positive work \
-             scale such as 0.5 or 1.0"
+            "{s:?} is not a number; expected a positive work scale such as 0.5 or 1.0"
         )),
         Ok(v) if !v.is_finite() || v <= 0.0 => Err(format!(
-            "LAZYDRAM_SCALE={s:?} must be a finite, positive work scale \
-             (e.g. 0.5 for a half-size run); got {v}"
+            "{s:?} must be a finite, positive work scale (e.g. 0.5 for a half-size \
+             run); got {v}"
         )),
         Ok(v) => Ok(v),
     }
@@ -261,11 +262,6 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// Formats a ratio as a percentage string.
-pub fn pct(x: f64) -> String {
-    format!("{:.1}%", 100.0 * x)
-}
-
 /// Formats an energy `reduction` (a fraction; negative when energy grew)
 /// as the signed change it causes: `−12.3%` for a saving, `+8.6%` for a
 /// growth, and `−0.0%` when the change rounds to zero.
@@ -310,11 +306,6 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn geomean_rejects_zero() {
         let _ = geomean(&[1.0, 0.0]);
-    }
-
-    #[test]
-    fn pct_formats() {
-        assert_eq!(pct(0.443), "44.3%");
     }
 
     #[test]

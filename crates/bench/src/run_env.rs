@@ -64,7 +64,9 @@ impl RunEnv {
     fn from_vars(var: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
         let set = |name: &str| var(name).filter(|s| !s.trim().is_empty());
         Ok(Self {
-            scale: var("LAZYDRAM_SCALE").map_or(Ok(BENCH_SCALE), |s| parse_scale(&s))?,
+            scale: var("LAZYDRAM_SCALE").map_or(Ok(BENCH_SCALE), |s| {
+                parse_scale(&s).map_err(|e| format!("LAZYDRAM_SCALE={e}"))
+            })?,
             apps: set("LAZYDRAM_APPS")
                 .map_or_else(|| Ok(lazydram_workloads::all_apps()), |s| parse_apps(&s))?,
             preset: var("LAZYDRAM_BACKEND").map_or(Ok(DramPreset::Gddr5), |s| parse_backend(&s))?,

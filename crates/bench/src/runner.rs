@@ -633,22 +633,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Renders a normalized-value cell, or `FAIL` for a panicked job.
-pub fn norm_cell(result: &JobResult<Measurement>, value: impl Fn(&Measurement) -> f64) -> String {
-    match result {
-        Ok(m) => format!("{:.3}", value(m)),
-        Err(_) => "FAIL".to_string(),
-    }
-}
-
-/// Renders a percentage cell, or `FAIL` for a panicked job.
-pub fn pct_cell(result: &JobResult<Measurement>, value: impl Fn(&Measurement) -> f64) -> String {
-    match result {
-        Ok(m) => format!("{:.1}%", 100.0 * value(m)),
-        Err(_) => "FAIL".to_string(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -213,11 +213,6 @@ impl GpuConfig {
     pub fn lines_per_row(&self) -> usize {
         self.row_bytes / self.line_bytes
     }
-
-    /// Memory-to-core clock ratio (< 1 for the baseline).
-    pub fn clock_ratio(&self) -> f64 {
-        f64::from(self.mem_clock_mhz) / f64::from(self.core_clock_mhz)
-    }
 }
 
 /// Delayed-memory-scheduling (DMS) operating mode (Section IV-B).
@@ -450,15 +445,6 @@ impl SchedConfig {
             ams: AmsMode::paper_dynamic(),
             ..Self::default()
         }
-    }
-
-    /// All six schemes evaluated in Figure 12, with their paper labels,
-    /// in presentation order.
-    pub fn paper_schemes() -> Vec<(&'static str, Self)> {
-        Scheme::PAPER
-            .iter()
-            .map(|s| (s.label(), s.sched()))
-            .collect()
     }
 }
 
@@ -693,7 +679,6 @@ mod tests {
         assert_eq!(g.bank_groups, 4);
         assert_eq!(g.pending_queue_size, 128);
         assert_eq!(g.lines_per_row(), 16);
-        assert!(g.clock_ratio() > 0.65 && g.clock_ratio() < 0.67);
     }
 
     #[test]
@@ -702,17 +687,14 @@ mod tests {
         assert_eq!(SchedConfig::static_ams().ams, AmsMode::Static(8));
         let combo = SchedConfig::dyn_combo();
         assert!(combo.dms.is_enabled() && combo.ams.is_enabled());
-        assert_eq!(SchedConfig::paper_schemes().len(), 6);
     }
 
     #[test]
     fn scheme_enum_matches_constructors() {
         assert_eq!(Scheme::Baseline.sched(), SchedConfig::baseline());
         assert_eq!(Scheme::DynCombo.sched(), SchedConfig::dyn_combo());
-        for (label, sched) in SchedConfig::paper_schemes() {
-            let s = Scheme::by_label(label).expect("label resolves");
-            assert_eq!(s.label(), label);
-            assert_eq!(s.sched(), sched);
+        for scheme in Scheme::PAPER {
+            assert_eq!(Scheme::by_label(scheme.label()), Some(scheme));
         }
         assert_eq!(Scheme::by_label("dyn-dms+dyn-ams"), Some(Scheme::DynCombo));
         assert_eq!(Scheme::by_label("BASELINE"), Some(Scheme::Baseline));

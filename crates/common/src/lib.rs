@@ -15,7 +15,7 @@
 //! * [`json`] — a minimal JSON emitter for machine-readable harness output
 //!   (offline replacement for `serde_json`),
 //! * [`snap`] — the hand-rolled, versioned, length-prefixed binary snapshot
-//!   format of state dumps, trace files and result-store entries.
+//!   format of state dumps and result-store entries.
 //!
 //! # Example
 //!

@@ -84,37 +84,6 @@ impl Request {
         s.bool("approximable", self.approximable);
         s.u64("arrival", self.arrival);
     }
-
-    /// Deserializes a request written by [`Request::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the snapshot bytes are malformed.
-    pub fn load_state(l: &mut crate::snap::Loader<'_>) -> crate::snap::SnapResult<Self> {
-        Ok(Request {
-            id: RequestId(l.u64("id")?),
-            addr: l.u64("addr")?,
-            loc: Location {
-                channel: l.u16("channel")?,
-                bank_group: l.u16("bank_group")?,
-                bank_in_group: l.u16("bank_in_group")?,
-                row: l.u32("row")?,
-                col: l.u16("col")?,
-            },
-            kind: if l.bool("is_read")? {
-                AccessKind::Read
-            } else {
-                AccessKind::Write
-            },
-            space: if l.bool("is_global")? {
-                MemSpace::Global
-            } else {
-                MemSpace::Other
-            },
-            approximable: l.bool("approximable")?,
-            arrival: l.u64("arrival")?,
-        })
-    }
 }
 
 #[cfg(test)]

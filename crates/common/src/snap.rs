@@ -1,9 +1,8 @@
-//! Hand-rolled snapshot wire format: state dumps, trace files and
-//! result-store entries.
+//! Hand-rolled snapshot wire format: state dumps and result-store entries.
 //!
 //! A paused simulation dumps every stateful component into a versioned,
 //! length-prefixed little-endian binary stream (DESIGN §10). The dump is
-//! write-only; only trace files and result-store entries are read back.
+//! write-only; only result-store entries are read back.
 //! The build has no serialization dependency, so this module is a
 //! deliberately small pair of types:
 //!
@@ -12,10 +11,11 @@
 //!   with [`Saver::with_labels`] records a `(path, value)` dump alongside
 //!   the bytes, which is how `dbg_diverge` turns two snapshots into a
 //!   component-level field diff without a second serialization code path.
-//! * [`Loader`] — the reader for what trace files and store entries hold.
-//!   Every read returns a [`SnapError`] on malformed input (truncation, tag
-//!   mismatch, version skew) instead of panicking, so a caller reading a
-//!   trace or a store entry from disk can reject a corrupt one loudly.
+//! * [`Loader`] — the reader for store entries (and for a dump's header
+//!   and frame boundaries). Every read returns a [`SnapError`] on malformed
+//!   input (truncation, tag mismatch, version skew) instead of panicking,
+//!   so a caller reading a store entry from disk can reject a corrupt one
+//!   loudly.
 //!
 //! Component state is framed: a frame is `tag (4 bytes) · index (u32) ·
 //! payload length (u64) · payload`. Frames nest; the top-level frames of a
@@ -29,13 +29,10 @@ use std::fmt::Write as _;
 pub const SNAP_MAGIC: [u8; 4] = *b"LZSN";
 
 /// Current snapshot wire-format version. State dumps carry it in their
-/// header, but nothing reads a dump back, so it guards trace files only:
-/// bump it on a change to the trace layout (or to [`Request`]'s), and
-/// [`Loader::expect_header`] rejects a file of another version. Version 2
-/// (a pending-queue change to the dump) retired the trace files of older
-/// builds.
-///
-/// [`Request`]: crate::Request
+/// header; nothing reads a dump back, so it only labels what a dump's bytes
+/// mean: bump it on a change to the dump layout. Version 2 is the
+/// per-bank pending-queue layout. Result-store entries carry their own
+/// header version.
 pub const SNAP_VERSION: u16 = 2;
 
 /// Error produced when decoding a snapshot fails.
@@ -331,7 +328,7 @@ impl Saver {
     }
 
     /// Writes a snapshot header carrying `version`: for a format that is
-    /// versioned apart from trace files, such as result-store entries.
+    /// versioned apart from state dumps, such as result-store entries.
     pub fn header_version(&mut self, version: u16) {
         self.buf.extend_from_slice(&SNAP_MAGIC);
         self.buf.extend_from_slice(&version.to_le_bytes());
@@ -463,8 +460,8 @@ macro_rules! loader_prim {
     };
 }
 
-/// Deserializer over a snapshot byte slice, for the primitives trace files
-/// and store entries hold; every read validates bounds and returns
+/// Deserializer over a snapshot byte slice, for the primitives store
+/// entries hold; every read validates bounds and returns
 /// [`SnapError`] on malformed input.
 #[derive(Debug)]
 pub struct Loader<'a> {

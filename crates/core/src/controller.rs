@@ -191,16 +191,6 @@ impl MemoryController {
         self.queue.is_empty() && self.inflight.is_empty() && self.dropping.is_none()
     }
 
-    /// The DMS delay currently in force (memory cycles).
-    pub fn current_delay(&self) -> u32 {
-        self.dms.current_delay()
-    }
-
-    /// The AMS RBL threshold currently in force.
-    pub fn current_th_rbl(&self) -> u32 {
-        self.ams.th_rbl()
-    }
-
     /// The AMS unit (diagnostics).
     pub fn ams(&self) -> &AmsUnit {
         &self.ams

@@ -105,10 +105,6 @@ pub trait MemoryBackend {
     /// `true` when an all-bank refresh is due at `now`.
     fn refresh_due(&self, now: u64) -> bool;
 
-    /// The absolute cycle at which the next refresh falls due (`u64::MAX`
-    /// when the backend never refreshes).
-    fn refresh_due_at(&self) -> u64;
-
     /// Is an all-bank `REF` legal at `now`?
     fn can_refresh(&self, now: u64) -> bool;
 
@@ -265,9 +261,6 @@ impl MemoryBackend for NaiveBackend {
     fn refresh_due(&self, _now: u64) -> bool {
         false
     }
-    fn refresh_due_at(&self) -> u64 {
-        u64::MAX
-    }
     fn can_refresh(&self, _now: u64) -> bool {
         false
     }
@@ -389,9 +382,6 @@ impl MemoryBackend for DramBackend {
     fn refresh_due(&self, now: u64) -> bool {
         dispatch!(self, b => b.refresh_due(now))
     }
-    fn refresh_due_at(&self) -> u64 {
-        dispatch!(self, b => b.refresh_due_at())
-    }
     fn can_refresh(&self, now: u64) -> bool {
         dispatch!(self, b => b.can_refresh(now))
     }
@@ -431,7 +421,6 @@ mod tests {
         assert_eq!(b.stats().rbl.count(1), 1);
         assert_eq!(b.stats().row_misses, 1);
         assert!(!b.refresh_due(u64::MAX - 1));
-        assert_eq!(b.refresh_due_at(), u64::MAX);
     }
 
     #[test]

@@ -341,12 +341,6 @@ impl Channel {
         now >= self.refresh_due
     }
 
-    /// The absolute memory cycle at which the next refresh falls due
-    /// (`u64::MAX` when the refresh extension is disabled).
-    pub fn refresh_due_at(&self) -> u64 {
-        self.refresh_due
-    }
-
     /// Is an all-bank `REF` legal at `now`? All banks must be precharged.
     pub fn can_refresh(&self, now: u64) -> bool {
         now >= self.refresh_until

@@ -485,7 +485,7 @@ impl Simulator {
     }
 
     /// Enables DRAM request-trace capture; the trace lands in
-    /// [`RunResult::trace`] and can be replayed with [`Trace::replay`].
+    /// [`RunResult::trace`] and can be replayed with [`crate::TraceSim`].
     pub fn with_trace_capture(mut self, capture: bool) -> Self {
         self.capture_trace = capture;
         self

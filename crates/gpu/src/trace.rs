@@ -1,40 +1,32 @@
 //! DRAM request-trace capture and replay.
 //!
 //! The execution-driven simulator can record every request handed to the
-//! memory controllers, producing a **memory trace** that can be replayed
-//! through the scheduler alone — orders of magnitude faster than re-running
-//! the GPU, and exactly the methodology of trace-driven DRAM studies. Replay
-//! is *open-loop* (arrival times are fixed by the recording), so it drops
-//! the feedback DMS and AMS rely on: a held row-miss no longer lets warps
-//! issue more requests to the same row. `dbg_trace envelope` measures the
-//! resulting activation error per scheme (tens of percent on SCP), which is
-//! why sweeps never replay: a trace is a single-run tool (Fig. 3's example,
-//! `lazydram capture` / `replay`).
+//! memory controllers ([`Simulator::with_trace_capture`], which
+//! `SimBuilder::trace` sets). The recording is an in-memory **memory
+//! trace** that can be replayed through the scheduler alone, with no GPU
+//! substrate. Replay is *open-loop* (arrival times are fixed by the
+//! recording), so it drops the feedback DMS and AMS rely on: a held row-miss
+//! no longer lets warps issue more requests to the same row, and replayed
+//! activations differ from the execution-driven run by tens of percent
+//! under the static schemes. That is why no result is ever replayed: a
+//! trace drives Fig. 3's example, the tests and the benchmark's replay
+//! probe, and it has no file format of its own.
 //!
 //! The pieces:
 //!
-//! * [`Trace`] — the recorded `(cycle, channel, request)` stream, with
-//!   `snap`-based file persistence ([`Trace::save_file`] /
-//!   [`Trace::load_file`]). Files carry a **stream-geometry digest**
-//!   ([`Trace::stream_digest`]) covering exactly the [`GpuConfig`] fields
-//!   that shape the request stream (channel count, banks, row/line/chunk
-//!   geometry, memory clock); loading against an incompatible machine is a
-//!   [`TraceError::ConfigMismatch`], while queue sizes, DRAM timings, and
-//!   scheduler policy — the things sweeps vary — are free to differ.
+//! * [`Trace`] — the recorded `(cycle, channel, request)` stream. A state
+//!   dump carries it in its `trc` frame ([`Trace::save_state`]).
 //! * [`TraceSim`] — the open-loop replayer: fresh [`MemoryController`]s
 //!   (with their full AMS/DMS policy state and refresh behavior), recorded
 //!   arrivals restamped onto the replay clock, and a [`ReplayReport`] that
 //!   accounts for every recorded request as served or unserved — nothing is
 //!   dropped silently.
-//! * [`Trace::replay`] — the strict harness wrapper over [`TraceSim`]:
-//!   panics on a malformed trace or on any unserved request, returning bare
-//!   [`SimStats`] for contexts (tests, examples) where an incomplete replay
-//!   is a bug, not a result.
+//!
+//! [`Simulator::with_trace_capture`]: crate::Simulator::with_trace_capture
 
-use lazydram_common::snap::{digest, Loader, Saver, SnapError, SnapResult};
+use lazydram_common::snap::Saver;
 use lazydram_common::{GpuConfig, Request, SchedConfig, SimStats};
 use lazydram_core::MemoryController;
-use std::path::Path;
 
 /// Default post-arrival drain budget for [`TraceSim`], in memory cycles:
 /// the replay clock keeps running this long past the point of last forward
@@ -55,12 +47,12 @@ pub struct TraceEntry {
     pub request: Request,
 }
 
-/// Everything that can go wrong capturing, persisting, or replaying a
-/// [`Trace`].
+/// A malformed [`Trace`]: what [`Trace::validate`] rejects before a
+/// replay starts.
 #[derive(Debug)]
 pub enum TraceError {
     /// Entry `index` is stamped earlier than its predecessor — the trace is
-    /// not time-ordered (a corrupted or hand-edited file, or a tooling bug).
+    /// not time-ordered (a hand-built stream or a tooling bug).
     OutOfOrder {
         /// Index of the offending entry.
         index: usize,
@@ -78,25 +70,6 @@ pub enum TraceError {
         /// Channels of the replay machine.
         channels: usize,
     },
-    /// The trace was captured on a machine whose request-stream geometry
-    /// (see [`Trace::stream_digest`]) differs from the replay machine's.
-    ConfigMismatch {
-        /// Geometry digest recorded in the trace file.
-        trace: u64,
-        /// Geometry digest of the replay machine.
-        machine: u64,
-    },
-    /// Replay ran out of drain budget with requests still unserved.
-    Unserved {
-        /// Requests fully processed by the controllers.
-        served: u64,
-        /// Requests left in the backlog, pending queues, or never offered.
-        unserved: u64,
-    },
-    /// The trace file bytes are malformed.
-    Snap(SnapError),
-    /// Reading or writing the trace file failed.
-    Io(String),
 }
 
 impl std::fmt::Display for TraceError {
@@ -120,30 +93,11 @@ impl std::fmt::Display for TraceError {
                 "trace entry {index} targets channel {channel} but the replay machine has \
                  only {channels} channels"
             ),
-            Self::ConfigMismatch { trace, machine } => write!(
-                f,
-                "trace geometry digest {trace:016x} does not match the replay machine's \
-                 {machine:016x}; capture and replay configs must agree on channel/bank/row \
-                 geometry"
-            ),
-            Self::Unserved { served, unserved } => write!(
-                f,
-                "replay served {served} requests but left {unserved} unserved after the \
-                 drain budget expired"
-            ),
-            Self::Snap(e) => write!(f, "malformed trace snapshot: {e}"),
-            Self::Io(e) => write!(f, "trace file IO failed: {e}"),
         }
     }
 }
 
 impl std::error::Error for TraceError {}
-
-impl From<SnapError> for TraceError {
-    fn from(e: SnapError) -> Self {
-        Self::Snap(e)
-    }
-}
 
 /// A captured DRAM request trace.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -165,7 +119,7 @@ impl Trace {
     }
 
     /// Appends an entry (must be fed in non-decreasing cycle order; the
-    /// capture path guarantees this, and load/replay re-validate).
+    /// capture path guarantees this, and replay re-validates).
     pub fn push(&mut self, entry: TraceEntry) {
         debug_assert!(
             self.entries.last().is_none_or(|e| e.cycle <= entry.cycle),
@@ -218,30 +172,8 @@ impl Trace {
         Ok(())
     }
 
-    /// Digest over exactly the [`GpuConfig`] fields that shape the captured
-    /// request stream: channel count and interleaving, bank/row/line
-    /// geometry, and the memory clock the cycle stamps are denominated in.
-    ///
-    /// Deliberately *excludes* queue sizes, DRAM timings, caches, SM counts,
-    /// and scheduler policy — a trace captured once replays under any
-    /// queue size, timing package or scheduling policy of that geometry.
-    pub fn stream_digest(cfg: &GpuConfig) -> u64 {
-        digest(
-            format!(
-                "trace-geometry|{}|{}|{}|{}|{}|{}|{}",
-                cfg.num_channels,
-                cfg.banks_per_channel,
-                cfg.bank_groups,
-                cfg.row_bytes,
-                cfg.line_bytes,
-                cfg.chunk_bytes,
-                cfg.mem_clock_mhz,
-            )
-            .as_bytes(),
-        )
-    }
-
-    /// Serializes the trace (every entry, in order).
+    /// Serializes the trace (every entry, in order): the `trc` frame of a
+    /// state dump.
     pub fn save_state(&self, s: &mut Saver) {
         s.seq("entries", self.entries.len());
         for e in &self.entries {
@@ -249,118 +181,6 @@ impl Trace {
             s.u16("channel", e.channel);
             e.request.save_state(s);
         }
-    }
-
-    /// Reads entries written by [`Trace::save_state`] (the `trc` frame of a
-    /// trace file), replacing current entries.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the snapshot bytes are malformed.
-    pub fn load_state(&mut self, l: &mut Loader<'_>) -> SnapResult<()> {
-        let n = l.seq("entries", 10)?;
-        self.entries.clear();
-        self.entries.reserve(n);
-        for _ in 0..n {
-            self.entries.push(TraceEntry {
-                cycle: l.u64("cycle")?,
-                channel: l.u16("channel")?,
-                request: Request::load_state(l)?,
-            });
-        }
-        Ok(())
-    }
-
-    /// Serializes the trace as a standalone versioned snapshot: the snap
-    /// header, a `tmta` frame carrying the stream-geometry digest of the
-    /// capture machine, then the entries in a `trc` frame (the wire format
-    /// is documented in DESIGN.md §11).
-    pub fn to_bytes(&self, cfg: &GpuConfig) -> Vec<u8> {
-        let mut s = Saver::new();
-        s.header();
-        s.frame("tmta", 0, |s| {
-            s.u64("geometry", Self::stream_digest(cfg));
-            s.u64("entries", self.entries.len() as u64);
-        });
-        s.frame("trc", 0, |s| self.save_state(s));
-        s.finish()
-    }
-
-    /// Deserializes a trace written by [`Trace::to_bytes`], rejecting
-    /// snapshots captured under an incompatible stream geometry and
-    /// re-validating the entry invariants (time order, channel range).
-    ///
-    /// # Errors
-    ///
-    /// [`TraceError::ConfigMismatch`] on a geometry digest mismatch,
-    /// [`TraceError::Snap`] on malformed bytes, and the
-    /// [`Trace::validate`] errors on a decoded-but-inconsistent stream.
-    pub fn from_bytes(bytes: &[u8], cfg: &GpuConfig) -> Result<Self, TraceError> {
-        let mut l = Loader::new(bytes);
-        l.expect_header()?;
-        let (geometry, declared) =
-            l.frame("tmta", 0, |l| Ok((l.u64("geometry")?, l.u64("entries")?)))?;
-        let machine = Self::stream_digest(cfg);
-        if geometry != machine {
-            return Err(TraceError::ConfigMismatch {
-                trace: geometry,
-                machine,
-            });
-        }
-        let mut trace = Self::new();
-        l.frame("trc", 0, |l| trace.load_state(l))?;
-        if trace.entries.len() as u64 != declared {
-            return Err(TraceError::Snap(SnapError::Malformed {
-                label: "entries".into(),
-                why: format!(
-                    "trace declares {declared} entries but carries {}",
-                    trace.entries.len()
-                ),
-            }));
-        }
-        trace.validate(cfg.num_channels)?;
-        Ok(trace)
-    }
-
-    /// Writes the trace to `path` atomically (write-then-rename: a crash
-    /// mid-write never leaves a torn file).
-    ///
-    /// # Errors
-    ///
-    /// [`TraceError::Io`] when the file cannot be written.
-    pub fn save_file(&self, path: &Path, cfg: &GpuConfig) -> Result<(), TraceError> {
-        let tmp = path.with_extension("trace.tmp");
-        std::fs::write(&tmp, self.to_bytes(cfg))
-            .and_then(|()| std::fs::rename(&tmp, path))
-            .map_err(|e| TraceError::Io(format!("cannot write {}: {e}", path.display())))
-    }
-
-    /// Reads and decodes a trace file written by [`Trace::save_file`].
-    ///
-    /// # Errors
-    ///
-    /// [`TraceError::Io`] when the file cannot be read, plus every
-    /// [`Trace::from_bytes`] error.
-    pub fn load_file(path: &Path, cfg: &GpuConfig) -> Result<Self, TraceError> {
-        let bytes = std::fs::read(path)
-            .map_err(|e| TraceError::Io(format!("cannot read {}: {e}", path.display())))?;
-        Self::from_bytes(&bytes, cfg)
-    }
-
-    /// Replays the trace through fresh memory controllers under `sched`,
-    /// returning aggregate DRAM statistics — the strict harness entry point.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a malformed trace or when any recorded request goes
-    /// unserved; contexts that want to handle those outcomes use
-    /// [`TraceSim`] directly.
-    pub fn replay(&self, cfg: &GpuConfig, sched: &SchedConfig) -> SimStats {
-        TraceSim::new(cfg, sched)
-            .replay(self)
-            .and_then(ReplayReport::complete)
-            .map(|r| r.stats)
-            .unwrap_or_else(|e| panic!("trace replay failed: {e}"))
     }
 }
 
@@ -380,24 +200,6 @@ pub struct ReplayReport {
     pub unserved: u64,
     /// Memory cycles the replay clock ran.
     pub replay_cycles: u64,
-}
-
-impl ReplayReport {
-    /// Requires a complete replay.
-    ///
-    /// # Errors
-    ///
-    /// [`TraceError::Unserved`] when any recorded request was left behind.
-    pub fn complete(self) -> Result<Self, TraceError> {
-        if self.unserved > 0 {
-            Err(TraceError::Unserved {
-                served: self.served,
-                unserved: self.unserved,
-            })
-        } else {
-            Ok(self)
-        }
-    }
 }
 
 /// Open-loop trace replayer: MC + DRAM only, no GPU substrate.
@@ -463,7 +265,7 @@ impl TraceSim {
                 let e = trace.entries[cursor];
                 let mut req = e.request;
                 // Replay runs on a fresh clock: whatever arrival stamp the
-                // recording (or a hand-edited file) carries is meaningless
+                // recording (or a hand-built trace) carries is meaningless
                 // here. The controller restamps on enqueue; zeroing first
                 // keeps replay independent of the recorded value.
                 req.arrival = 0;
@@ -535,6 +337,15 @@ mod tests {
         }
     }
 
+    /// Replays `trace` and requires every request served.
+    fn replay(trace: &Trace, cfg: &GpuConfig, sched: &SchedConfig) -> SimStats {
+        let report = TraceSim::new(cfg, sched)
+            .replay(trace)
+            .expect("valid trace");
+        assert_eq!(report.unserved, 0, "replay left requests unserved");
+        report.stats
+    }
+
     #[test]
     fn replay_serves_every_request() {
         let cfg = GpuConfig::default();
@@ -544,7 +355,7 @@ mod tests {
             trace.push(entry(&map, i, i * 3, i * 512 + (i % 7) * 65_536));
         }
         assert_eq!(trace.len(), 200);
-        let stats = trace.replay(&cfg, &SchedConfig::baseline());
+        let stats = replay(&trace, &cfg, &SchedConfig::baseline());
         assert_eq!(stats.dram.reads, 200);
         assert_eq!(stats.dram.requests_received, 200);
         assert!(stats.dram.activations > 0);
@@ -558,8 +369,8 @@ mod tests {
         for i in 0..100u64 {
             trace.push(entry(&map, i, i * 2, i * 128 * 13));
         }
-        let a = trace.replay(&cfg, &SchedConfig::baseline());
-        let b = trace.replay(&cfg, &SchedConfig::baseline());
+        let a = replay(&trace, &cfg, &SchedConfig::baseline());
+        let b = replay(&trace, &cfg, &SchedConfig::baseline());
         assert_eq!(a.dram, b.dram);
     }
 
@@ -581,8 +392,9 @@ mod tests {
                 ));
             }
         }
-        let base = trace.replay(&cfg, &SchedConfig::baseline());
-        let dms = trace.replay(
+        let base = replay(&trace, &cfg, &SchedConfig::baseline());
+        let dms = replay(
+            &trace,
             &cfg,
             &SchedConfig {
                 dms: DmsMode::Static(256),
@@ -600,7 +412,7 @@ mod tests {
     #[test]
     fn empty_trace_replays_to_zero() {
         let cfg = GpuConfig::default();
-        let stats = Trace::new().replay(&cfg, &SchedConfig::baseline());
+        let stats = replay(&Trace::new(), &cfg, &SchedConfig::baseline());
         assert_eq!(stats.dram.requests_received, 0);
         assert!(Trace::new().is_empty());
     }
@@ -618,20 +430,11 @@ mod tests {
             }) => {}
             other => panic!("expected OutOfOrder, got {other:?}"),
         }
-        // The Result-returning replayer surfaces the same error...
+        // ... and the replayer refuses it before simulating.
         assert!(matches!(
             TraceSim::new(&cfg, &SchedConfig::baseline()).replay(&trace),
             Err(TraceError::OutOfOrder { .. })
         ));
-    }
-
-    #[test]
-    #[should_panic(expected = "not time-ordered")]
-    fn strict_replay_panics_on_out_of_order_entries() {
-        let cfg = GpuConfig::default();
-        let map = AddressMap::new(&cfg);
-        let trace = Trace::from_entries(vec![entry(&map, 0, 100, 0), entry(&map, 1, 50, 512)]);
-        let _ = trace.replay(&cfg, &SchedConfig::baseline());
     }
 
     #[test]
@@ -663,16 +466,12 @@ mod tests {
             .expect("valid trace");
         assert!(report.unserved > 0, "zero grace must leave requests behind");
         assert_eq!(report.served + report.unserved, trace.len() as u64);
-        assert!(matches!(
-            report.complete(),
-            Err(TraceError::Unserved { .. })
-        ));
     }
 
     #[test]
     fn replay_ignores_recorded_arrival_stamps() {
-        // A trace whose arrival stamps are garbage (e.g. a hand-edited
-        // file) must replay byte-identically to the clean version: replay
+        // A trace whose arrival stamps are garbage (e.g. a hand-built
+        // stream) must replay byte-identically to the clean version: replay
         // restamps arrivals on its own clock. DMS makes arrival semantics
         // observable (the delay gate compares against oldest arrival).
         let cfg = GpuConfig::default();
@@ -690,96 +489,11 @@ mod tests {
             dms: DmsMode::Static(256),
             ..SchedConfig::baseline()
         };
-        let a = Trace::from_entries(clean).replay(&cfg, &sched);
-        let b = Trace::from_entries(poisoned).replay(&cfg, &sched);
+        let a = replay(&Trace::from_entries(clean), &cfg, &sched);
+        let b = replay(&Trace::from_entries(poisoned), &cfg, &sched);
         assert_eq!(
             a.dram, b.dram,
             "recorded arrivals must not leak into replay"
         );
-    }
-
-    #[test]
-    fn bytes_round_trip_preserves_entries_and_stats() {
-        let cfg = GpuConfig::default();
-        let map = AddressMap::new(&cfg);
-        let mut trace = Trace::new();
-        for i in 0..80u64 {
-            trace.push(entry(&map, i, i * 4, i * 640));
-        }
-        let bytes = trace.to_bytes(&cfg);
-        let loaded = Trace::from_bytes(&bytes, &cfg).expect("round trip");
-        assert_eq!(loaded, trace);
-        let a = trace.replay(&cfg, &SchedConfig::baseline());
-        let b = loaded.replay(&cfg, &SchedConfig::baseline());
-        assert_eq!(a.dram, b.dram);
-    }
-
-    #[test]
-    fn from_bytes_rejects_incompatible_geometry() {
-        let cfg = GpuConfig::default();
-        let map = AddressMap::new(&cfg);
-        let trace = Trace::from_entries(vec![entry(&map, 0, 0, 0)]);
-        let bytes = trace.to_bytes(&cfg);
-        let other = GpuConfig {
-            num_channels: 4,
-            ..GpuConfig::default()
-        };
-        assert!(matches!(
-            Trace::from_bytes(&bytes, &other),
-            Err(TraceError::ConfigMismatch { .. })
-        ));
-        // ... but sweep-varied knobs (queue size, timings) stay compatible.
-        let swept = GpuConfig {
-            pending_queue_size: 16,
-            ..GpuConfig::default()
-        };
-        assert!(Trace::from_bytes(&bytes, &swept).is_ok());
-    }
-
-    #[test]
-    fn from_bytes_rejects_truncated_snapshots() {
-        let cfg = GpuConfig::default();
-        let map = AddressMap::new(&cfg);
-        let trace = Trace::from_entries(vec![entry(&map, 0, 0, 0)]);
-        let bytes = trace.to_bytes(&cfg);
-        assert!(matches!(
-            Trace::from_bytes(&bytes[..bytes.len() - 3], &cfg),
-            Err(TraceError::Snap(_))
-        ));
-    }
-
-    #[test]
-    fn from_bytes_refuses_a_version_1_trace() {
-        let cfg = GpuConfig::default();
-        let map = AddressMap::new(&cfg);
-        let trace = Trace::from_entries(vec![entry(&map, 0, 0, 0)]);
-        let mut bytes = trace.to_bytes(&cfg);
-        assert_eq!(lazydram_common::snap::SNAP_VERSION, 2);
-        // The version follows the 4 magic bytes, little-endian.
-        bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
-        assert!(matches!(
-            Trace::from_bytes(&bytes, &cfg),
-            Err(TraceError::Snap(SnapError::Version { found: 1 }))
-        ));
-    }
-
-    #[test]
-    fn stream_digest_tracks_geometry_not_sweep_knobs() {
-        let base = GpuConfig::default();
-        let queue = GpuConfig {
-            pending_queue_size: 16,
-            ..GpuConfig::default()
-        };
-        let sms = GpuConfig {
-            num_sms: 4,
-            ..GpuConfig::default()
-        };
-        let chans = GpuConfig {
-            num_channels: 4,
-            ..GpuConfig::default()
-        };
-        assert_eq!(Trace::stream_digest(&base), Trace::stream_digest(&queue));
-        assert_eq!(Trace::stream_digest(&base), Trace::stream_digest(&sms));
-        assert_ne!(Trace::stream_digest(&base), Trace::stream_digest(&chans));
     }
 }

@@ -1,8 +1,8 @@
 //! Property tests for the open-loop trace replayer: for randomly generated
 //! (but time-ordered) request streams under assorted scheduling policies,
-//! every recorded request is accounted for, replay is deterministic, and a
-//! file round-trip is result-invisible — even when the recorded `arrival`
-//! stamps are garbage (replay restamps on its own clock).
+//! every recorded request is accounted for and replay is deterministic —
+//! even when the recorded `arrival` stamps are garbage (replay restamps on
+//! its own clock).
 
 use lazydram_common::{
     AccessKind, AddressMap, AmsMode, DmsMode, GpuConfig, MemSpace, Request, RequestId, SchedConfig,
@@ -68,7 +68,7 @@ fn scheme(pick: u8) -> SchedConfig {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
     #[test]
-    fn replay_accounts_for_every_request_and_round_trips(
+    fn replay_accounts_for_every_request_and_is_deterministic(
         n in 1usize..250,
         seed in proptest::arbitrary::any::<u64>(),
         gap in 0u64..40,
@@ -86,11 +86,8 @@ proptest! {
             a.served,
             a.stats.dram.reads + a.stats.dram.writes + a.stats.dram.dropped
         );
-        // A file round-trip is result-invisible.
-        let bytes = trace.to_bytes(&cfg);
-        let loaded = Trace::from_bytes(&bytes, &cfg).expect("round trip");
-        prop_assert_eq!(&loaded, &trace);
-        let b = TraceSim::new(&cfg, &sched).replay(&loaded).expect("valid trace");
+        // A second replay of the same trace is identical.
+        let b = TraceSim::new(&cfg, &sched).replay(&trace).expect("valid trace");
         prop_assert_eq!(a.stats.dram, b.stats.dram);
         prop_assert_eq!(a.replay_cycles, b.replay_cycles);
     }

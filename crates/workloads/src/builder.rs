@@ -23,9 +23,9 @@
 //!
 //! Trace capture is one more builder option: [`SimBuilder::trace`] records
 //! the coalesced request stream at the NoC→MC boundary into
-//! [`RunResult::trace`], the input of the single-trace
-//! [`TraceSim`](lazydram_gpu::TraceSim) tools. Sweeps never replay traces;
-//! every sweep cell runs execution-driven.
+//! [`RunResult::trace`], an in-memory stream that the open-loop
+//! [`TraceSim`](lazydram_gpu::TraceSim) can replay. Nothing reports a
+//! replayed result: every sweep cell and CLI result runs execution-driven.
 
 use crate::suite::AppSpec;
 use lazydram_common::snap::digest;

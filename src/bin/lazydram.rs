@@ -5,28 +5,42 @@
 //! lazydram run <APP> [--scheme S] [--scale F] [--backend B]
 //! lazydram sweep <APP> [--scale F] [--backend B]      DMS delay sweep for one app
 //! lazydram schemes <APP> [--scale F] [--backend B]    all six paper schemes side by side
-//! lazydram capture <APP> <FILE> [--scale F]   record the baseline request trace
-//! lazydram replay <FILE> [--scheme S] [--backend B]   open-loop MC+DRAM replay of a trace
-//!
-//! `--backend` picks a memory model from the backend matrix (`lazydram
-//! backends` lists the labels); the default is the paper's GDDR5 machine.
 //! lazydram cache <stats | ls | gc --max-bytes N | clear>
 //!                                       administer the result store (LAZYDRAM_CACHE_DIR)
 //! ```
+//!
+//! `--backend` picks a memory model from the backend matrix (`lazydram
+//! backends` lists the labels); the default is the paper's GDDR5 machine.
+//! `--scale` is a finite, positive work scale (default 0.5). A malformed
+//! value, or a flag given without one, exits with status 2 before anything
+//! is simulated.
 
-use lazydram::bench::{CacheMode, EntryInfo, RunEnv, Store};
-use lazydram::common::{DmsMode, DramPreset, GpuConfig, SchedConfig};
+use lazydram::bench::{parse_scale, CacheMode, EntryInfo, RunEnv, Store};
+use lazydram::common::{DmsMode, DramPreset, SchedConfig};
 use lazydram::energy::{EnergyModel, MemoryTech};
-use lazydram::gpu::{application_error, Trace, TraceSim};
+use lazydram::gpu::application_error;
 use lazydram::workloads::{all_apps, by_name, AppSpec};
 use lazydram::{Scheme, SimBuilder};
-use std::path::Path;
 
+/// The value after `flag`, or `None` when the flag is absent. A flag given
+/// as the last argument, with no value, exits with status 2.
 fn parse_flag(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+    let i = args.iter().position(|a| a == flag)?;
+    let Some(value) = args.get(i + 1) else {
+        eprintln!("{flag} needs a value");
+        std::process::exit(2);
+    };
+    Some(value.clone())
+}
+
+fn scale_or_exit(args: &[String]) -> f64 {
+    let Some(s) = parse_flag(args, "--scale") else {
+        return 0.5;
+    };
+    parse_scale(&s).unwrap_or_else(|e| {
+        eprintln!("--scale {e}");
+        std::process::exit(2);
+    })
 }
 
 fn app_or_exit(name: &str) -> AppSpec {
@@ -193,64 +207,6 @@ fn cmd_schemes(app: &AppSpec, scale: f64, preset: DramPreset) {
     }
 }
 
-fn cmd_capture(app: &AppSpec, path: &Path, scale: f64) {
-    let run = SimBuilder::new(app)
-        .scheme(Scheme::Baseline)
-        .scale(scale)
-        .trace(true)
-        .build()
-        .run();
-    let trace = run.trace.expect("capture enabled");
-    trace
-        .save_file(path, &GpuConfig::default())
-        .unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(1);
-        });
-    println!(
-        "captured {} requests from {} (scale {scale}) -> {}",
-        trace.len(),
-        app.name,
-        path.display()
-    );
-}
-
-fn cmd_replay(path: &Path, scheme: &str, preset: DramPreset) {
-    let scheme = Scheme::by_label(scheme).unwrap_or_else(|| {
-        eprintln!("unknown scheme {scheme:?}");
-        std::process::exit(2);
-    });
-    let cfg = preset.gpu_config();
-    let trace = Trace::load_file(path, &cfg).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(1);
-    });
-    let report = TraceSim::new(&cfg, &scheme.sched())
-        .replay(&trace)
-        .unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(1);
-        });
-    let e = EnergyModel::new(MemoryTech::for_preset(preset)).breakdown(&report.stats.dram);
-    println!(
-        "{} under {} (open-loop replay, MC+DRAM only, backend {preset})",
-        path.display(),
-        scheme.label()
-    );
-    println!("  served           {:>12} / {}", report.served, trace.len());
-    println!("  DRAM activations {:>12}", report.stats.dram.activations);
-    println!("  Avg-RBL          {:>12.2}", report.stats.dram.avg_rbl());
-    println!("  row energy       {:>12.1} µJ", e.row_energy_pj / 1e6);
-    println!(
-        "  coverage         {:>11.1}%",
-        100.0 * report.stats.dram.coverage()
-    );
-    if report.unserved > 0 {
-        eprintln!("REPLAY INCOMPLETE: {} requests unserved", report.unserved);
-        std::process::exit(1);
-    }
-}
-
 /// Opens the result store named by `LAZYDRAM_CACHE_DIR` for administration
 /// (the mode knob only affects sweeps, not `cache` subcommands).
 fn cache_store() -> Store {
@@ -343,9 +299,7 @@ fn cmd_cache(args: &[String]) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale: f64 = parse_flag(&args, "--scale")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.5);
+    let scale = scale_or_exit(&args);
     let preset = backend_or_exit(&args);
     match args.first().map(String::as_str) {
         Some("apps") => cmd_apps(),
@@ -356,19 +310,11 @@ fn main() {
         }
         Some("sweep") if args.len() >= 2 => cmd_sweep(&app_or_exit(&args[1]), scale, preset),
         Some("schemes") if args.len() >= 2 => cmd_schemes(&app_or_exit(&args[1]), scale, preset),
-        Some("capture") if args.len() >= 3 => {
-            cmd_capture(&app_or_exit(&args[1]), Path::new(&args[2]), scale);
-        }
-        Some("replay") if args.len() >= 2 => {
-            let scheme = parse_flag(&args, "--scheme").unwrap_or_else(|| "baseline".into());
-            cmd_replay(Path::new(&args[1]), &scheme, preset);
-        }
         Some("cache") => cmd_cache(&args),
         _ => {
             eprintln!(
                 "usage: lazydram <apps | backends | run APP [--scheme S] | sweep APP | \
-                 schemes APP | capture APP FILE | replay FILE [--scheme S] | \
-                 cache <stats|ls|gc --max-bytes N|clear>> [--scale F] [--backend B]"
+                 schemes APP | cache <stats|ls|gc --max-bytes N|clear>> [--scale F] [--backend B]"
             );
             std::process::exit(2);
         }

@@ -9,8 +9,8 @@
 //! * [`core`] — the lazy memory scheduler (FR-FCFS + DMS + AMS), the paper's
 //!   contribution;
 //! * [`gpu`] — the execution-driven GPU substrate (SMs, caches, interconnect,
-//!   value prediction), plus request-trace capture and the open-loop
-//!   single-trace replayer;
+//!   value prediction), plus in-memory request-trace capture and the
+//!   open-loop replayer;
 //! * [`workloads`] — the 20-application evaluation suite of Table II;
 //! * [`energy`] — the GPUWattch-style DRAM energy model;
 //! * [`bench`](mod@bench) — the parallel sweep runner and the
@@ -21,9 +21,9 @@
 //! [`SimBuilder`] facade, the [`Scheme`] constructors, the paused-run
 //! types ([`RunOutcome`], whose [`Checkpoint`] is a write-only state dump),
 //! and the trace types ([`Trace`], [`TraceSim`])
-//! — so most users never need to reach into the sub-crates. Sweeps are
-//! always execution-driven; [`TraceSim`] replays one captured trace at a
-//! time (`lazydram capture` / `lazydram replay`, Fig. 3's example).
+//! — so most users never need to reach into the sub-crates. Every reported
+//! result is execution-driven; [`TraceSim`] replays an in-memory trace
+//! open-loop (Fig. 3's example), and a trace has no file format.
 //!
 //! # Example
 //!
@@ -48,5 +48,5 @@ pub use lazydram_gpu as gpu;
 pub use lazydram_workloads as workloads;
 
 pub use lazydram_common::Scheme;
-pub use lazydram_gpu::{Checkpoint, ReplayReport, RunOutcome, Trace, TraceError, TraceSim};
+pub use lazydram_gpu::{Checkpoint, RunOutcome, Trace, TraceSim};
 pub use lazydram_workloads::{SimBuilder, SimRun};

@@ -2,20 +2,17 @@
 //!
 //! The execute-and-stall contract (DESIGN.md §14) lets the controller stay
 //! backend-agnostic only if every backend honors the same obligations.
-//! Three are checked here, each over every machine in `machines()`: all
+//! Two are checked here, each over every machine in `machines()`: all
 //! presets plus the GDDR5 machine with tFAW, tCCDL and refresh turned on
 //! (`DramTimings::gddr5_extended`, and a variant whose tFAW binds), since
 //! no preset enables those three. Dropping any one of them from its
 //! `*_ready_at` threshold fails this suite.
 //!
-//! 1. **Monotone wake-up** — `refresh_due_at` never overshoots: a refresh
-//!    is never due strictly before the advertised cycle, and is due at it
-//!    (refresh-free backends advertise `u64::MAX`).
-//! 2. **Engine invariance** — end to end per machine, the fast loop must
+//! 1. **Engine invariance** — end to end per machine, the fast loop must
 //!    be bit-identical to the reference loop (`SimBuilder::reference_loop`).
 //!    Every scheme at random pause points is checked in
 //!    `tests/dormancy_equivalence.rs`.
-//! 3. **Honest thresholds** — each `*_ready_at` is the first cycle its
+//! 2. **Honest thresholds** — each `*_ready_at` is the first cycle its
 //!    guard opens while no command intervenes (the controller sleeps until
 //!    the earliest one), and `cas_floor` never exceeds a bank's CAS
 //!    threshold.
@@ -45,8 +42,8 @@ enum Op {
     Wait {
         cycles: u8,
     },
-    /// Sleeps until the advertised refresh wake-up, as the controller's
-    /// event loop does; without it no stream would reach tREFI.
+    /// Sleeps until a refresh falls due, as the controller's dormancy does;
+    /// without it no stream would reach tREFI.
     SleepToRefresh,
 }
 
@@ -63,7 +60,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 
 /// Applies one guarded op to `b` at `now`, returning an observation trace
 /// entry (guard outcome + any CAS completion cycle) for equality checks.
-fn step(b: &mut DramBackend, nbanks: usize, op: Op, now: &mut u64) -> (bool, u64) {
+fn step(b: &mut DramBackend, cfg: &GpuConfig, op: Op, now: &mut u64) -> (bool, u64) {
+    let nbanks = cfg.banks_per_channel;
     b.advance_to(*now);
     match op {
         Op::Act { bank, row } => {
@@ -109,9 +107,11 @@ fn step(b: &mut DramBackend, nbanks: usize, op: Op, now: &mut u64) -> (bool, u64
             (true, 0)
         }
         Op::SleepToRefresh => {
-            let due = b.refresh_due_at();
-            if due != u64::MAX {
-                *now = (*now).max(due);
+            // A refresh falls due at most tREFI after the previous one; a
+            // refresh-free backend (tREFI 0 or the naive model) stays put.
+            let t_refi = u64::from(cfg.timings.t_refi);
+            if let Some(due) = (*now..=*now + t_refi).find(|&t| b.refresh_due(t)) {
+                *now = due;
             }
             (true, 0)
         }
@@ -150,52 +150,6 @@ fn machines() -> Vec<(String, GpuConfig)> {
     ));
     m.push(("gddr5-extended-faw32".to_string(), extended_faw32()));
     m
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn refresh_due_at_never_overshoots(
-        ops in prop::collection::vec(op_strategy(), 1..150),
-    ) {
-        for (preset, cfg) in machines() {
-            let nbanks = cfg.banks_per_channel;
-            let mut b = DramBackend::new(&cfg);
-            let mut now = 0u64;
-            for &op in &ops {
-                check_wake_up(&b, now, &preset)?;
-                step(&mut b, nbanks, op, &mut now);
-            }
-        }
-    }
-}
-
-/// The monotone wake-up obligation at `now`: a refresh is never due
-/// strictly before `refresh_due_at` and is due at it; a refresh-free
-/// backend advertises `u64::MAX` and never reports one due. Returns `true`
-/// when the refresh branch (a finite wake-up) was checked.
-fn check_wake_up(b: &DramBackend, now: u64, preset: &str) -> Result<bool, TestCaseError> {
-    let due_at = b.refresh_due_at();
-    if due_at == u64::MAX {
-        prop_assert!(
-            !b.refresh_due(now.saturating_add(1 << 20)),
-            "{}: refresh-free backend reported a due refresh",
-            preset
-        );
-        return Ok(false);
-    }
-    prop_assert!(
-        due_at == 0 || !b.refresh_due(due_at - 1),
-        "{}: refresh due before advertised wake-up {due_at}",
-        preset
-    );
-    prop_assert!(
-        b.refresh_due(due_at),
-        "{}: refresh not due at advertised wake-up {due_at}",
-        preset
-    );
-    Ok(true)
 }
 
 /// Checks one guard against its advertised threshold `ready` at `now`:
@@ -252,7 +206,7 @@ proptest! {
             let mut b = DramBackend::new(&cfg);
             let mut now = 0u64;
             for &op in &ops {
-                step(&mut b, nbanks, op, &mut now);
+                step(&mut b, &cfg, op, &mut now);
                 check_thresholds(&b, nbanks, now, &preset)?;
             }
         }
@@ -263,16 +217,15 @@ proptest! {
 fn extended_constraints_bind_and_stay_honest() {
     // Random streams rarely pack five ACTs into one tFAW window, so a fixed
     // stream makes tFAW, tCCDL and refresh each bind at a known cycle,
-    // checking both obligations after every op.
+    // checking the thresholds after every op.
     let cfg = extended_faw32();
     let t = cfg.timings;
     let nbanks = cfg.banks_per_channel;
     let mut b = DramBackend::new(&cfg);
     let mut now = 0u64;
     let run = |b: &mut DramBackend, op: Op, now: &mut u64| {
-        let (legal, _) = step(b, nbanks, op, now);
+        let (legal, _) = step(b, &cfg, op, now);
         check_thresholds(b, nbanks, *now, "gddr5-extended-faw32").expect("honest thresholds");
-        assert!(check_wake_up(b, *now, "gddr5-extended-faw32").expect("wake-up"));
         legal
     };
     let wait_rrd = Op::Wait {
@@ -313,7 +266,7 @@ fn extended_constraints_bind_and_stay_honest() {
         now + u64::from(t.t_ccdl)
     );
     assert!(b.cas_ready_at(4, AccessKind::Read) < now + u64::from(t.t_ccdl));
-    // Refresh: sleep to the wake-up, close every row, refresh; twice.
+    // Refresh: sleep until it is due, close every row, refresh; twice.
     for round in 1..=2u64 {
         run(&mut b, Op::SleepToRefresh, &mut now);
         for bank in [0, 1, 4, 8, 12] {
@@ -325,7 +278,11 @@ fn extended_constraints_bind_and_stay_honest() {
             "refresh {round} at {now}"
         );
         assert_eq!(b.refreshes(), round);
-        assert_eq!(b.refresh_due_at(), now + u64::from(t.t_refi));
+        let next = now + u64::from(t.t_refi);
+        assert!(
+            !b.refresh_due(next - 1) && b.refresh_due(next),
+            "the next refresh falls due exactly tREFI later"
+        );
         assert!(
             !b.can_activate(0, now + u64::from(t.t_rfc) - 1),
             "tRFC stalls every ACT"

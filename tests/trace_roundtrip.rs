@@ -1,8 +1,17 @@
 //! Trace capture + replay at the application level.
 
-use lazydram::common::{AccessKind, GpuConfig, SchedConfig};
+use lazydram::common::{AccessKind, GpuConfig, SchedConfig, SimStats};
 use lazydram::workloads::by_name;
 use lazydram::{Scheme, SimBuilder, Trace, TraceSim};
+
+/// Replays `trace` under `sched` and requires every request served.
+fn replay(trace: &Trace, cfg: &GpuConfig, sched: &SchedConfig) -> SimStats {
+    let report = TraceSim::new(cfg, sched)
+        .replay(trace)
+        .expect("valid trace");
+    assert_eq!(report.unserved, 0, "replay left requests unserved");
+    report.stats
+}
 
 #[test]
 fn captured_trace_replays_with_matching_request_counts() {
@@ -21,7 +30,7 @@ fn captured_trace_replays_with_matching_request_counts() {
         "trace records every controller request"
     );
     // Replay through a fresh scheduler: same requests served.
-    let stats = trace.replay(&cfg, &SchedConfig::baseline());
+    let stats = replay(&trace, &cfg, &SchedConfig::baseline());
     assert_eq!(
         stats.dram.requests_received,
         run.stats.dram.requests_received
@@ -62,8 +71,9 @@ fn trace_replay_responds_to_dms() {
         .build()
         .run();
     let trace = run.trace.expect("capture enabled");
-    let base = trace.replay(&cfg, &SchedConfig::baseline());
-    let dms = trace.replay(
+    let base = replay(&trace, &cfg, &SchedConfig::baseline());
+    let dms = replay(
+        &trace,
         &cfg,
         &SchedConfig {
             dms: lazydram::common::DmsMode::Static(512),
@@ -96,39 +106,6 @@ fn capture(app_name: &str, scale: f64) -> Trace {
         .expect("capture enabled")
 }
 
-/// The full persistence path: save to an actual file, load it back, and
-/// check the replay is byte-identical in its DRAM statistics.
-#[test]
-fn trace_survives_a_file_round_trip_with_identical_replay_stats() {
-    let cfg = GpuConfig::default();
-    let trace = capture("SCP", 0.05);
-    let path = std::env::temp_dir().join(format!(
-        "lazydram-roundtrip-{}-{}.trace",
-        std::process::id(),
-        trace.len()
-    ));
-    trace.save_file(&path, &cfg).expect("save");
-    let loaded = Trace::load_file(&path, &cfg).expect("load");
-    std::fs::remove_file(&path).ok();
-    assert_eq!(loaded, trace, "file round-trip preserves every entry");
-    let sched = SchedConfig {
-        dms: lazydram::common::DmsMode::Static(256),
-        ..SchedConfig::baseline()
-    };
-    let a = TraceSim::new(&cfg, &sched)
-        .replay(&trace)
-        .expect("replay original");
-    let b = TraceSim::new(&cfg, &sched)
-        .replay(&loaded)
-        .expect("replay loaded");
-    assert_eq!(
-        a.stats.dram, b.stats.dram,
-        "replayed stats are byte-identical"
-    );
-    assert_eq!((a.served, a.unserved), (b.served, b.unserved));
-    assert_eq!(a.unserved, 0);
-}
-
 /// Write requests must survive capture and replay — the original replayer
 /// was only ever exercised on read-dominated streams.
 #[test]
@@ -157,8 +134,8 @@ fn write_requests_replay_fully() {
     );
 }
 
-/// Approximable lines must keep their annotation through the persistence
-/// path so an AMS replay can drop them — and dropped-by-AMS still counts
+/// Approximable lines must keep their annotation through capture so an
+/// AMS replay can drop them — and dropped-by-AMS still counts
 /// as served, not lost.
 #[test]
 fn approximable_lines_replay_under_ams() {

@@ -129,6 +129,19 @@ if grep -E '^ *(rnoc|pnoc|mach)\[' "$TIER1_TMP/diverge.components"; then
 fi
 echo "divergent components: $(xargs < "$TIER1_TMP/diverge.components")"
 
+echo "== tier1: Fig. 3 trace replay example =="
+# examples/scheduler_traces.rs replays a hand-built Fig. 3 micro-trace
+# through TraceSim under FR-FCFS and DMS(256); delaying must coalesce the
+# two bursts from 7 activations into 4.
+cargo run -q --release --example scheduler_traces > "$TIER1_TMP/fig3.out"
+for line in \
+    "baseline FR-FCFS:  activations 7 (8 requests served in 269 memory cycles)" \
+    "DMS(256):          activations 4 (8 requests served in 404 memory cycles)"; do
+    grep -Fq "$line" "$TIER1_TMP/fig3.out" || {
+        echo "scheduler_traces no longer prints: $line" >&2; cat "$TIER1_TMP/fig3.out" >&2; exit 1; }
+done
+echo "Fig. 3 replay: 7 activations under FR-FCFS, 4 under DMS(256)"
+
 echo "== tier1: repository benchmark (host-independent checks) =="
 # The unmodified benchmark (BENCHMARK.json, crates/bench/examples/benchmark)
 # runs each workload briefly, plus one traced sla-long run that adds the
