@@ -1,13 +1,13 @@
 //! Profile one sweep cell: run a single app/scheme/scale combination
 //! (min-of-3 wall clock) and print its host throughput, the simulator's
-//! per-phase split and the work dormancy skipped. The workhorse for
+//! per-phase split and the SM visits dormancy skipped. The workhorse for
 //! localizing hot-path regressions without running a whole benchmark.
 //! Usage:
 //!   cargo run --release -p lazydram-bench --features prof --example prof_one -- SLA baseline 0.2
 //! The scheme is any `Scheme` label, e.g. `baseline` or `Dyn-DMS+Dyn-AMS`.
 //! `Minst/s` is simulated warp instructions per wall-clock second of the
 //! best run; the exact-output reference is not computed. Without
-//! `--features prof` the phase and dormancy lines read zero.
+//! `--features prof` the phase and skipped-visit lines read zero.
 use lazydram_bench::{Scheme, SimBuilder};
 use lazydram_common::prof::Counter;
 use lazydram_workloads::by_name;

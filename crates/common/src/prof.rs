@@ -101,23 +101,19 @@ impl Phase {
 pub enum Counter {
     /// SM visits the phased tick skipped because the SM was not due.
     SmVisitsSkipped,
-    /// Memory-controller scheduling passes skipped while the controller
-    /// slept until its wake cycle.
-    SchedulesSkipped,
 }
 
 /// Number of [`Counter`] variants ([`Counter::ALL`]'s length).
-pub const NUM_COUNTERS: usize = 2;
+pub const NUM_COUNTERS: usize = 1;
 
 impl Counter {
     /// Every counter, in display order.
-    pub const ALL: [Counter; NUM_COUNTERS] = [Counter::SmVisitsSkipped, Counter::SchedulesSkipped];
+    pub const ALL: [Counter; NUM_COUNTERS] = [Counter::SmVisitsSkipped];
 
     /// Stable snake_case name (used as the JSON key).
     pub fn name(self) -> &'static str {
         match self {
             Counter::SmVisitsSkipped => "sm_visits_skipped",
-            Counter::SchedulesSkipped => "schedules_skipped",
         }
     }
 }
@@ -389,10 +385,9 @@ mod tests {
         assert!((a.total_secs() - 4.0).abs() < 1e-12);
         assert!((a.get(Phase::SmIssue) - 3.0).abs() < 1e-12);
         assert!((a.get(Phase::Dram) - 1.0).abs() < 1e-12);
-        b.counts[Counter::SchedulesSkipped as usize] = 3;
+        b.counts[Counter::SmVisitsSkipped as usize] = 3;
         a.merge(&b);
-        assert_eq!(a.count(Counter::SchedulesSkipped), 3);
-        assert_eq!(a.count(Counter::SmVisitsSkipped), 0);
+        assert_eq!(a.count(Counter::SmVisitsSkipped), 3);
     }
 
     #[test]

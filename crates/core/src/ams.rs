@@ -124,17 +124,10 @@ impl AmsUnit {
                 Ok(())
             }
             Err(why) => {
-                self.count_decline(why);
+                self.declines[why as usize] += 1;
                 Err(why)
             }
         }
-    }
-
-    /// Counts one decline for `why`. A sleeping controller calls this once
-    /// per skipped scheduling pass, replaying the reason its last pass
-    /// recorded, so the histogram matches a controller that never sleeps.
-    pub fn count_decline(&mut self, why: AmsDecline) {
-        self.declines[why as usize] += 1;
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -188,17 +181,6 @@ impl AmsUnit {
         s.u64("window_start", self.window_start);
         s.u64s("declines", &self.declines);
         s.u64("accepts", self.accepts);
-    }
-
-    /// The absolute memory cycle of the next `Dyn-AMS` window boundary
-    /// (where [`AmsUnit::tick`] stops being a no-op), or `None` for the
-    /// static/off modes whose `tick` never does anything. A sleeping
-    /// controller wakes no later than this cycle.
-    pub fn next_window_boundary(&self) -> Option<u64> {
-        match self.mode {
-            AmsMode::Dynamic(cfg) => Some(self.window_start + u64::from(cfg.window)),
-            _ => None,
-        }
     }
 
     /// Advances the `Dyn-AMS` window controller; call once per memory cycle

@@ -14,25 +14,11 @@
 //! Rows are managed open-page: an open row is only precharged when a pending
 //! request needs a different row in the same bank *and* no pending request
 //! still targets the open row.
-//!
-//! # Dormancy
-//!
-//! A scheduling pass that issues nothing leaves the controller exactly as
-//! it found it, apart from one AMS decline count. So such a pass also works
-//! out when the next pass could first do something: the earliest timing
-//! threshold among the commands it just failed, the DMS gate opening, or
-//! the next Dyn-DMS/Dyn-AMS window boundary. Until then the controller
-//! sleeps: [`MemoryController::tick`] still runs the window profilers,
-//! completions, drop sequences and refresh, but replaces the pass by
-//! replaying its decline count. An enqueue, a drop-sequence step or a
-//! command issued outside the pass wakes it early. Passes that do run ask
-//! the pending queue afresh; each answer scans one bank's short list. See
-//! `DESIGN.md` §12.
 
-use crate::ams::{AmsDecline, AmsUnit};
+use crate::ams::AmsUnit;
 use crate::dms::DmsUnit;
 use crate::queue::{PendingQueue, QueueFull};
-use lazydram_common::prof::{self, Counter, Phase};
+use lazydram_common::prof::{self, Phase};
 use lazydram_common::snap::Saver;
 use lazydram_common::{AccessKind, Arbiter, GpuConfig, Request, RequestId, RowPolicy, SchedConfig};
 use lazydram_dram::{DramBackend, MemoryBackend};
@@ -48,60 +34,6 @@ pub struct Response {
     /// `true` when the request was dropped by AMS and its value must be
     /// supplied by the value-prediction unit.
     pub approximated: bool,
-}
-
-/// The DRAM guards a scheduling pass found closed, as bank masks. Noting
-/// a closed guard is a bit set; only a pass that issues nothing turns the
-/// masks into timing thresholds, so passes that issue pay nothing extra.
-#[derive(Debug, Clone, Copy)]
-struct Blocked {
-    /// A cycle before which no CAS can issue, when the pass skipped its
-    /// row-hit scan for that reason (`u64::MAX` otherwise).
-    cas_floor: u64,
-    cas_read: u64,
-    cas_write: u64,
-    pre: u64,
-    act: u64,
-}
-
-impl Blocked {
-    fn new() -> Self {
-        Self {
-            cas_floor: u64::MAX,
-            cas_read: 0,
-            cas_write: 0,
-            pre: 0,
-            act: 0,
-        }
-    }
-
-    fn cas(&mut self, bank: usize, kind: AccessKind) {
-        match kind {
-            AccessKind::Read => self.cas_read |= 1 << bank,
-            AccessKind::Write => self.cas_write |= 1 << bank,
-        }
-    }
-
-    /// The first cycle at which any noted guard can open, or any cycle up
-    /// to `soon` if one opens by then (no earlier wake is possible).
-    fn earliest(&self, backend: &DramBackend, soon: u64) -> u64 {
-        let mut wake = self.cas_floor;
-        let mut each = |mut mask: u64, ready: &dyn Fn(usize) -> u64| {
-            while mask != 0 && wake > soon {
-                wake = wake.min(ready(mask.trailing_zeros() as usize));
-                mask &= mask - 1;
-            }
-        };
-        each(self.cas_read, &|b| {
-            backend.cas_ready_at(b, AccessKind::Read)
-        });
-        each(self.cas_write, &|b| {
-            backend.cas_ready_at(b, AccessKind::Write)
-        });
-        each(self.pre, &|b| backend.precharge_ready_at(b));
-        each(self.act, &|b| backend.activate_ready_at(b));
-        wake
-    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -129,15 +61,6 @@ pub struct MemoryController {
     /// newly arriving same-row requests are not swept past the coverage cap.
     dropping: Option<(usize, u32, u32)>,
     now: u64,
-    /// Whether no-op scheduling passes put the controller to sleep.
-    dormancy: bool,
-    /// The first memory cycle at which [`MemoryController::schedule`] must
-    /// run again; before it, every pass is a proven no-op. Derived state:
-    /// never serialized.
-    wake_at: u64,
-    /// The AMS decline the last (no-op) pass counted, replayed once per
-    /// pass skipped while asleep.
-    sleep_decline: Option<AmsDecline>,
 }
 
 impl MemoryController {
@@ -158,17 +81,7 @@ impl MemoryController {
             inflight: VecDeque::new(),
             dropping: None,
             now: 0,
-            dormancy: true,
-            wake_at: 0,
-            sleep_decline: None,
         }
-    }
-
-    /// Turns dormancy on (the default) or off. Off, every memory cycle runs
-    /// a full scheduling pass; results are identical either way.
-    pub fn set_dormancy(&mut self, enabled: bool) {
-        self.dormancy = enabled;
-        self.wake_at = 0;
     }
 
     /// Current memory-cycle time of this controller.
@@ -217,7 +130,6 @@ impl MemoryController {
             return Err(QueueFull);
         }
         req.arrival = self.now;
-        self.wake_at = 0;
         let stats = self.backend.stats_mut();
         stats.requests_received += 1;
         if req.is_global_read() {
@@ -261,7 +173,6 @@ impl MemoryController {
         // The count is checked before anything is removed: an exhausted
         // sequence must end without taking (and losing) a request.
         if let Some((bank, row, remaining)) = self.dropping {
-            self.wake_at = 0;
             let victim = self
                 .queue
                 .oldest_for_row(bank, row)
@@ -291,7 +202,6 @@ impl MemoryController {
         if self.backend.refresh_due(now) {
             if self.backend.can_refresh(now) {
                 self.dram(|b| b.refresh(now));
-                self.wake_at = 0;
                 return;
             }
             let mut open = self.backend.open_banks();
@@ -300,44 +210,13 @@ impl MemoryController {
                 open &= open - 1;
                 if self.backend.can_precharge(bank, now) {
                     self.dram(|b| b.precharge(bank, now));
-                    self.wake_at = 0;
                     return;
                 }
             }
             // Banks still within tRAS: fall through and keep serving.
         }
 
-        if now < self.wake_at {
-            // Asleep: this pass would issue nothing and count the same
-            // decline as the last one.
-            if let Some(why) = self.sleep_decline {
-                self.ams.count_decline(why);
-            }
-            prof::count(Counter::SchedulesSkipped, 1);
-            return;
-        }
         self.schedule(out);
-    }
-
-    /// Ends a pass that issued nothing: with dormancy on, the controller
-    /// sleeps until the earliest of `gate` (the DMS gate opening), the
-    /// first cycle a `blocked` guard can open, and the next profiler window
-    /// boundary, and replays `decline` for each pass it skips. Only the
-    /// inputs an enqueue, a drop or a command would change are left
-    /// unchecked; those events reset `wake_at` themselves.
-    fn sleep(&mut self, blocked: Blocked, gate: u64, decline: Option<AmsDecline>) {
-        if !self.dormancy {
-            return;
-        }
-        let mut wake = gate.min(blocked.earliest(&self.backend, self.now + 1));
-        if let Some(b) = self.dms.next_window_boundary() {
-            wake = wake.min(b);
-        }
-        if let Some(b) = self.ams.next_window_boundary() {
-            wake = wake.min(b);
-        }
-        self.wake_at = wake.max(self.now + 1);
-        self.sleep_decline = decline;
     }
 
     /// Issues one DRAM command (ACT, PRE, CAS or REF) under the `dram`
@@ -351,23 +230,16 @@ impl MemoryController {
     /// FR-FCFS + DMS + AMS scheduling: issues at most one DRAM command.
     ///
     /// Each selection query scans one bank's pending list, or the bank
-    /// fronts for the oldest request. A pass that issues nothing notes the
-    /// guards it found closed and ends in [`MemoryController::sleep`].
+    /// fronts for the oldest request. [`MemoryController::tick`] runs one
+    /// pass per memory cycle; a pass that issues nothing just returns.
     fn schedule(&mut self, out: &mut Vec<Response>) {
         let now = self.now;
-        let mut blocked = Blocked::new();
 
         // Pass 1: a CAS for an open row. FR-FCFS picks the oldest hit across
         // all banks; strict FCFS only serves the globally oldest request
         // (no reordering past it).
         let mut best: Option<(u64, RequestId, usize)> = None;
-        let cas_floor = self.backend.cas_floor();
         match self.arbiter {
-            Arbiter::FrFcfs if cas_floor > now => {
-                // The data or command bus rules out every CAS this cycle:
-                // the scan would only fail bank by bank.
-                blocked.cas_floor = cas_floor;
-            }
             Arbiter::FrFcfs => {
                 // A hit needs an open row and pending work in that bank:
                 // scan only the intersection of the two occupancy masks.
@@ -384,20 +256,16 @@ impl MemoryController {
                     }
                     if self.backend.can_cas(bank, req.kind, now) {
                         best = Some((seq, req.id, bank));
-                    } else {
-                        blocked.cas(bank, req.kind);
                     }
                 }
             }
             Arbiter::Fcfs => {
                 if let Some(req) = self.queue.oldest().copied() {
                     let bank = req.loc.flat_bank(self.banks_per_group);
-                    if self.backend.open_row(bank) == Some(req.loc.row) {
-                        if self.backend.can_cas(bank, req.kind, now) {
-                            best = Some((0, req.id, bank));
-                        } else {
-                            blocked.cas(bank, req.kind);
-                        }
+                    if self.backend.open_row(bank) == Some(req.loc.row)
+                        && self.backend.can_cas(bank, req.kind, now)
+                    {
+                        best = Some((0, req.id, bank));
                     }
                 }
             }
@@ -434,23 +302,17 @@ impl MemoryController {
                     self.dram(|b| b.precharge(bank, now));
                     return;
                 }
-                blocked.pre |= 1 << bank;
             }
         }
 
         // Pass 2: row management for requests that need a new row.
         let Some(oldest) = self.queue.oldest().map(|r| r.arrival) else {
-            self.sleep(blocked, u64::MAX, None);
             return;
         };
         let oldest_age_ok = self.dms.row_miss_allowed(now.saturating_sub(oldest));
         // The DMS gate holds back every new-row command (and, via criterion
-        // 2, every AMS drop). Checked before the per-candidate work so a
-        // gated cycle is a pure no-op — the property that lets the
-        // controller sleep through stall epochs until the gate opens.
+        // 2, every AMS drop), so a gated cycle skips the per-candidate work.
         if !oldest_age_ok {
-            let gate = oldest + u64::from(self.dms.current_delay());
-            self.sleep(blocked, gate, None);
             return;
         }
         let halted = self.dms.sampling_baseline();
@@ -500,7 +362,6 @@ impl MemoryController {
 
         // Walk the candidates oldest first, selecting the oldest remaining
         // one at each step: a pass that issues early orders no more.
-        let mut decline = None;
         for i in 0..ncands {
             let next = (i..ncands).min_by_key(|&j| cands[j].0).expect("i < ncands");
             cands.swap(i, next);
@@ -526,9 +387,7 @@ impl MemoryController {
                     oldest_age_ok,
                     halted,
                 );
-                if let Err(why) = verdict {
-                    decline = Some(why);
-                } else {
+                if verdict.is_ok() {
                     let pending_now = self.queue.visible_rbl(bank, req.loc.row);
                     if let Some(victim) = self
                         .queue
@@ -556,7 +415,6 @@ impl MemoryController {
                     self.dram(|b| b.precharge(bank, now));
                     return;
                 }
-                blocked.pre |= 1 << bank;
             } else {
                 let row = self
                     .queue
@@ -569,10 +427,8 @@ impl MemoryController {
                     self.dram(|b| b.activate(bank, row, now));
                     return;
                 }
-                blocked.act |= 1 << bank;
             }
         }
-        self.sleep(blocked, u64::MAX, decline);
     }
 
     /// `bank`'s row-management candidacy under FR-FCFS: the sequence number
@@ -1138,129 +994,45 @@ mod tests {
         assert_eq!(mc.stats().dropped, 0);
     }
 
-    /// Drives a controller that sleeps and a twin that schedules every
-    /// cycle with one random request stream (a few banks and rows, so row
-    /// conflicts keep ACT and PRE timing-blocked) and checks them cycle by
-    /// cycle: responses, DRAM commands (through the statistics) and the
-    /// AMS histogram. Returns how many cycles the sleeper spent asleep.
-    fn lockstep(sched: SchedConfig, cycles: u64, seed: u64) -> u64 {
+    #[test]
+    fn a_row_hit_is_served_while_a_row_miss_waits_on_the_dms_gate() {
         let map = AddressMap::new(&cfg());
-        let mut sleepy = MemoryController::new(&cfg(), &sched);
-        let mut eager = MemoryController::new(&cfg(), &sched);
-        eager.set_dormancy(false);
-        let mut rng = lazydram_common::SplitMix64::new(seed);
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        let (mut id, mut asleep) = (0, 0);
-        for t in 0..cycles {
-            if rng.below(3) == 0 && sleepy.can_accept() {
-                id += 1;
-                let kind = if rng.below(4) == 0 {
-                    AccessKind::Write
-                } else {
-                    AccessKind::Read
-                };
-                let (region, row, col) = (rng.below(3), rng.below(6) as u32, rng.below(8) as u16);
-                let req = mkreq(&map, id, region, row, col, kind);
-                sleepy.enqueue(req).unwrap();
-                eager.enqueue(req).unwrap();
-            }
-            if sleepy.wake_at > sleepy.now + 1 {
-                asleep += 1;
-            }
-            a.clear();
-            b.clear();
-            sleepy.tick(&mut a);
-            eager.tick(&mut b);
-            assert_eq!(a, b, "responses differ at cycle {t}");
-            assert_eq!(
-                sleepy.stats(),
-                eager.stats(),
-                "commands differ at cycle {t}"
-            );
-            assert_eq!(
-                sleepy.ams().declines,
-                eager.ams().declines,
-                "declines differ at cycle {t}"
-            );
-            assert_eq!(
-                sleepy.ams().accepts,
-                eager.ams().accepts,
-                "accepts differ at cycle {t}"
-            );
-        }
-        assert!(eager.wake_at == 0, "the eager twin never sleeps");
-        asleep
-    }
-
-    #[test]
-    fn sleeping_controller_matches_an_eager_one_under_static_ams() {
-        let sched = SchedConfig {
-            ams_warmup_requests: 16,
-            ..SchedConfig::static_ams()
+        let mut mc = MemoryController::new(&cfg(), &SchedConfig::static_dms());
+        let delay = match SchedConfig::static_dms().dms {
+            DmsMode::Static(d) => u64::from(d),
+            other => panic!("Static-DMS has a fixed delay, got {other:?}"),
         };
-        for seed in 1..4 {
-            assert!(
-                lockstep(sched.clone(), 6_000, seed) > 0,
-                "seed {seed} never slept"
-            );
-        }
-    }
-
-    #[test]
-    fn sleeping_controller_matches_an_eager_one_under_dyn_ams() {
-        // Long enough to cross several 4096-cycle profiler windows.
-        for sched in [SchedConfig::dyn_ams(), SchedConfig::dyn_combo()] {
-            let sched = SchedConfig {
-                ams_warmup_requests: 16,
-                ..sched
-            };
-            assert!(lockstep(sched, 20_000, 7) > 0, "never slept");
-        }
-    }
-
-    #[test]
-    fn sleeping_controller_matches_an_eager_one_under_static_dms() {
-        assert!(
-            lockstep(SchedConfig::static_dms(), 6_000, 11) > 0,
-            "never slept"
-        );
-    }
-
-    #[test]
-    fn enqueue_wakes_a_sleeping_controller() {
-        let map = AddressMap::new(&cfg());
-        let sched = SchedConfig::static_dms();
-        let mut sleepy = MemoryController::new(&cfg(), &sched);
-        let mut eager = MemoryController::new(&cfg(), &sched);
-        eager.set_dormancy(false);
-        let mut both = |req: Option<Request>, ticks: u64| {
-            let (mut a, mut b) = (Vec::new(), Vec::new());
-            if let Some(req) = req {
-                sleepy.enqueue(req).unwrap();
-                eager.enqueue(req).unwrap();
-                assert_eq!(sleepy.wake_at, 0, "an enqueue wakes the controller");
+        let ticks = |mc: &mut MemoryController, n: u64| {
+            let mut out = Vec::new();
+            for _ in 0..n {
+                mc.tick(&mut out);
             }
-            for _ in 0..ticks {
-                sleepy.tick(&mut a);
-                eager.tick(&mut b);
-            }
-            assert_eq!(a, b);
-            assert_eq!(sleepy.stats(), eager.stats());
-            (a, sleepy.wake_at > sleepy.now + 1)
+            out
         };
-        // Open row 0, then park a row miss behind the 128-cycle DMS gate:
-        // the controller sleeps until the gate opens.
-        let (served, _) = both(Some(mkreq(&map, 1, 0, 0, 0, AccessKind::Read)), 400);
-        assert_eq!(served.len(), 1);
-        let (_, asleep) = both(Some(mkreq(&map, 2, 0, 1, 0, AccessKind::Read)), 10);
-        assert!(asleep, "a gated row miss puts the controller to sleep");
-        // A row hit arrives mid-sleep: it must be served at once (hits are
-        // never gated), not when the gate opens.
-        let (served, _) = both(Some(mkreq(&map, 3, 0, 0, 1, AccessKind::Read)), 60);
+        // Open row 0, then park a row miss behind the DMS gate.
+        mc.enqueue(mkreq(&map, 1, 0, 0, 0, AccessKind::Read))
+            .unwrap();
+        assert_eq!(ticks(&mut mc, 400).len(), 1);
+        mc.enqueue(mkreq(&map, 2, 0, 1, 0, AccessKind::Read))
+            .unwrap();
+        let arrival = mc.now();
+        let acts = mc.stats().activations;
+        assert!(ticks(&mut mc, 10).is_empty());
+        // A row hit arrives while the miss waits: it is served at once
+        // (hits are never gated), not when the gate opens.
+        mc.enqueue(mkreq(&map, 3, 0, 0, 1, AccessKind::Read))
+            .unwrap();
+        let served = ticks(&mut mc, 60);
         assert_eq!(served.len(), 1, "the hit is served before the gate opens");
         assert_eq!(served[0].id, RequestId(3));
-        let (served, _) = both(None, 400);
+        // The miss makes no ACT before arrival + the DMS delay.
+        while mc.now() < arrival + delay - 1 {
+            assert!(ticks(&mut mc, 1).is_empty());
+        }
+        assert_eq!(mc.stats().activations, acts, "no ACT before the gate opens");
+        let served = ticks(&mut mc, 400);
         assert_eq!(served.len(), 1);
         assert_eq!(served[0].id, RequestId(2), "the gated miss follows");
+        assert_eq!(mc.stats().activations, acts + 1);
     }
 }

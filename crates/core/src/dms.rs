@@ -134,17 +134,6 @@ impl DmsUnit {
         }
     }
 
-    /// The absolute memory cycle of the next `Dyn-DMS` window boundary
-    /// (where [`DmsUnit::tick`] stops being a no-op), or `None` for the
-    /// static/off modes whose `tick` never does anything. A sleeping
-    /// controller wakes no later than this cycle.
-    pub fn next_window_boundary(&self) -> Option<u64> {
-        match self.mode {
-            DmsMode::Dynamic(cfg) => Some(self.window_start + u64::from(cfg.window)),
-            _ => None,
-        }
-    }
-
     /// Serializes the unit's dynamic state (the mode is configuration and
     /// is not written).
     pub fn save_state(&self, s: &mut Saver) {

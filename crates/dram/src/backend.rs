@@ -37,11 +37,6 @@ use lazydram_common::{AccessKind, BackendKind, DramStats, GpuConfig};
 ///   statistics, and [`MemoryBackend::cas`] completion times.
 /// * **Monotone completions** — successive `cas` return values never
 ///   decrease (responses retire in issue order).
-/// * **Honest thresholds** — each `*_ready_at` is never later than the
-///   first cycle its `can_*` turns true while no command or refresh
-///   intervenes, so a controller that sleeps until the earliest threshold
-///   it failed never misses a legal command. The controller's dormancy
-///   (DESIGN.md §12) depends on this.
 pub trait MemoryBackend {
     /// Which model this is; tags state-dump frames and cache cells.
     fn kind(&self) -> BackendKind;
@@ -77,25 +72,6 @@ pub trait MemoryBackend {
 
     /// Is a CAS (`RD`/`WR`) to the open row of `bank` legal at `now`?
     fn can_cas(&self, bank: usize, kind: AccessKind, now: u64) -> bool;
-
-    /// The timing threshold behind [`MemoryBackend::can_activate`]: the
-    /// first cycle an `ACT` of `bank` can be legal if no command or refresh
-    /// is issued before then (`u64::MAX` when time alone never makes it
-    /// legal). Not a latency oracle: it reports the guard's own stall.
-    fn activate_ready_at(&self, bank: usize) -> u64;
-
-    /// The timing threshold behind [`MemoryBackend::can_precharge`]; see
-    /// [`MemoryBackend::activate_ready_at`].
-    fn precharge_ready_at(&self, bank: usize) -> u64;
-
-    /// The timing threshold behind [`MemoryBackend::can_cas`]; see
-    /// [`MemoryBackend::activate_ready_at`].
-    fn cas_ready_at(&self, bank: usize, kind: AccessKind) -> u64;
-
-    /// A cycle before which no CAS to any bank is legal: never later than
-    /// any bank's [`MemoryBackend::cas_ready_at`]. Lets the scheduler skip
-    /// its row-hit scan while the data bus is busy.
-    fn cas_floor(&self) -> u64;
 
     /// Issues a CAS at `now`; returns the cycle at which the data burst
     /// completes. `global_read` marks requests that keep an activation in
@@ -220,26 +196,6 @@ impl MemoryBackend for NaiveBackend {
     fn can_cas(&self, bank: usize, _kind: AccessKind, _now: u64) -> bool {
         self.open[bank].is_some()
     }
-    fn activate_ready_at(&self, bank: usize) -> u64 {
-        if self.open[bank].is_none() {
-            0
-        } else {
-            u64::MAX
-        }
-    }
-    fn precharge_ready_at(&self, bank: usize) -> u64 {
-        if self.open[bank].is_some() {
-            0
-        } else {
-            u64::MAX
-        }
-    }
-    fn cas_ready_at(&self, bank: usize, _kind: AccessKind) -> u64 {
-        self.precharge_ready_at(bank)
-    }
-    fn cas_floor(&self) -> u64 {
-        0
-    }
     fn cas(&mut self, bank: usize, kind: AccessKind, global_read: bool, now: u64) -> u64 {
         let rec = self.open[bank].as_mut().expect("CAS on closed bank");
         if rec.served == 0 {
@@ -363,18 +319,6 @@ impl MemoryBackend for DramBackend {
     }
     fn can_cas(&self, bank: usize, kind: AccessKind, now: u64) -> bool {
         dispatch!(self, b => b.can_cas(bank, kind, now))
-    }
-    fn activate_ready_at(&self, bank: usize) -> u64 {
-        dispatch!(self, b => b.activate_ready_at(bank))
-    }
-    fn precharge_ready_at(&self, bank: usize) -> u64 {
-        dispatch!(self, b => b.precharge_ready_at(bank))
-    }
-    fn cas_ready_at(&self, bank: usize, kind: AccessKind) -> u64 {
-        dispatch!(self, b => b.cas_ready_at(bank, kind))
-    }
-    fn cas_floor(&self) -> u64 {
-        dispatch!(self, b => b.cas_floor())
     }
     fn cas(&mut self, bank: usize, kind: AccessKind, global_read: bool, now: u64) -> u64 {
         dispatch!(self, b => b.cas(bank, kind, global_read, now))

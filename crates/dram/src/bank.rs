@@ -104,33 +104,6 @@ impl Bank {
         matches!(self.state, BankState::Open { .. }) && now >= self.pre_ready
     }
 
-    /// The cycle from which [`Bank::can_activate`] holds (`u64::MAX` while
-    /// the bank is open: only a `PRE` can make an `ACT` legal).
-    pub fn act_ready_at(&self) -> u64 {
-        match self.state {
-            BankState::Closed => self.act_ready,
-            BankState::Open { .. } => u64::MAX,
-        }
-    }
-
-    /// The cycle from which [`Bank::can_cas`] holds (`u64::MAX` while the
-    /// bank is closed).
-    pub fn cas_ready_at(&self) -> u64 {
-        match self.state {
-            BankState::Open { .. } => self.cas_ready,
-            BankState::Closed => u64::MAX,
-        }
-    }
-
-    /// The cycle from which [`Bank::can_precharge`] holds (`u64::MAX` while
-    /// the bank is closed).
-    pub fn pre_ready_at(&self) -> u64 {
-        match self.state {
-            BankState::Open { .. } => self.pre_ready,
-            BankState::Closed => u64::MAX,
-        }
-    }
-
     /// Applies an `ACT` for `row` at `now`.
     ///
     /// # Panics

@@ -120,72 +120,6 @@ impl Channel {
         self.last_cmd_cycle.is_none_or(|c| c < now)
     }
 
-    /// The first cycle the command bus is free again.
-    fn cmd_bus_ready_at(&self) -> u64 {
-        self.last_cmd_cycle.map_or(0, |c| c + 1)
-    }
-
-    /// The first cycle from which [`Channel::can_activate`] holds for
-    /// `bank` if no command is issued before then: the latest of the
-    /// refresh stall, tFAW, the command bus, tRRD and the bank's own
-    /// tRP/tRC (`u64::MAX` while the bank is open).
-    pub fn activate_ready_at(&self, bank: usize) -> u64 {
-        let mut t = self
-            .refresh_until
-            .max(self.cmd_bus_ready_at())
-            .max(self.next_act_ok)
-            .max(self.banks[bank].act_ready_at());
-        if self.timings.t_faw > 0 && self.acts_seen >= 4 {
-            t = t.max(self.act_ring[self.act_ring_idx] + u64::from(self.timings.t_faw));
-        }
-        t
-    }
-
-    /// The first cycle from which [`Channel::can_precharge`] holds for
-    /// `bank` if no command is issued before then (`u64::MAX` while the
-    /// bank is closed).
-    pub fn precharge_ready_at(&self, bank: usize) -> u64 {
-        self.cmd_bus_ready_at().max(self.banks[bank].pre_ready_at())
-    }
-
-    /// A cycle before which no CAS to any bank is legal: the channel-wide
-    /// part of [`Channel::cas_ready_at`] (refresh stall, command bus, data
-    /// bus under the longest CAS latency).
-    pub fn cas_floor(&self) -> u64 {
-        self.refresh_until
-            .max(self.cmd_bus_ready_at())
-            .max(self.bus_free.saturating_sub(self.max_cas_latency()))
-    }
-
-    /// The first cycle from which [`Channel::can_cas`] holds for a `kind`
-    /// access to `bank` if no command is issued before then: the latest of
-    /// the refresh stall, the command bus, tRCD, the tCCD/tCCDL gap, the
-    /// data bus and (for reads) the tCDLR turnaround (`u64::MAX` while the
-    /// bank is closed).
-    pub fn cas_ready_at(&self, bank: usize, kind: AccessKind) -> u64 {
-        let mut t = self
-            .refresh_until
-            .max(self.cmd_bus_ready_at())
-            .max(self.banks[bank].cas_ready_at())
-            .max(self.bus_free.saturating_sub(self.cas_latency(kind)));
-        if self.timings.t_ccdl > 0 {
-            if let Some((c, group)) = self.last_cas {
-                let gap = if group == bank / self.banks_per_group {
-                    self.timings.t_ccdl
-                } else {
-                    self.timings.t_ccd
-                };
-                t = t.max(c + u64::from(gap));
-            }
-        }
-        if kind == AccessKind::Read {
-            if let Some(wend) = self.last_write_data_end {
-                t = t.max(wend + u64::from(self.timings.t_cdlr));
-            }
-        }
-        t
-    }
-
     /// Is an `ACT` of any row of `bank` legal at `now`?
     pub fn can_activate(&self, bank: usize, now: u64) -> bool {
         if now < self.refresh_until {
@@ -284,11 +218,6 @@ impl Channel {
             }
         }
         true
-    }
-
-    /// The longer of the two CAS latencies, tCL and tWL.
-    fn max_cas_latency(&self) -> u64 {
-        u64::from(self.timings.t_cl.max(self.timings.t_wl))
     }
 
     fn cas_latency(&self, kind: AccessKind) -> u64 {

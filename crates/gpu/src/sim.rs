@@ -28,16 +28,15 @@
 //! due ([`Sm::is_due`]): one with a ready reply, an issueable warp, a drain
 //! retry that could act, or a parked store that would fit. An SM that is
 //! not due sleeps until a reply reaches its NoC head or a slice frees
-//! request-NoC space on a channel it waits on. The controllers sleep the
-//! same way between scheduling passes ([`MemoryController`]'s own
-//! dormancy). A skipped visit is an exact no-op. See `DESIGN.md` §12.
+//! request-NoC space on a channel it waits on. A skipped visit is an exact
+//! no-op. The controllers never sleep: each runs a full scheduling pass
+//! in every memory cycle. See `DESIGN.md` §12.
 //!
 //! # Two loops
 //!
 //! Both loops execute every core cycle. The fast loop (the default) lets
-//! SMs and controllers sleep; the reference loop
-//! ([`Simulator::with_reference_loop`]) visits every SM and every
-//! controller in each cycle. The two are **bit-identical** in results and
+//! SMs sleep; the reference loop ([`Simulator::with_reference_loop`])
+//! visits every SM in each cycle. The two are **bit-identical** in results and
 //! state dumps, apart from the dump's configuration digest;
 //! `tests/fast_forward_equivalence.rs` and a proptest over synthetic
 //! kernels hold them together.
@@ -325,11 +324,7 @@ impl LaunchMachine {
                 })
                 .collect(),
             mcs: (0..cfg.num_channels)
-                .map(|_| {
-                    let mut mc = MemoryController::new(cfg, sched);
-                    mc.set_dormancy(dormancy);
-                    mc
-                })
+                .map(|_| MemoryController::new(cfg, sched))
                 .collect(),
             req_noc: (0..cfg.num_channels)
                 .map(|_| {
@@ -466,8 +461,8 @@ impl SeqMut<'_> {
 
 impl Simulator {
     /// Creates a simulator for a GPU configuration and scheduling policy,
-    /// running the fast loop: every cycle, with dormant SMs and
-    /// controllers asleep (see the module docs).
+    /// running the fast loop: every cycle, with dormant SMs asleep (see
+    /// the module docs).
     pub fn new(cfg: GpuConfig, sched: SchedConfig) -> Self {
         Self {
             cfg,
@@ -492,8 +487,8 @@ impl Simulator {
     }
 
     /// Selects the reference loop (`true`) or the fast loop (`false`, the
-    /// default). The reference loop visits every SM and every controller in
-    /// every core cycle: nothing sleeps. Results and state dumps are
+    /// default). The reference loop visits every SM in every core cycle:
+    /// nothing sleeps. Results and state dumps are
     /// identical either way, except for the dump's configuration digest;
     /// the reference loop is the one the fast loop is tested against.
     pub fn with_reference_loop(mut self, enabled: bool) -> Self {

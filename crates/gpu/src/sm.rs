@@ -54,7 +54,7 @@ pub(crate) struct Reply {
     pub values: Option<[f32; 32]>,
 }
 
-/// Blocked-load bookkeeping. Lives permanently in the slot (meaningful only
+/// Pending-load bookkeeping. Lives permanently in the slot (meaningful only
 /// while the warp is `Waiting`) so its buffers are refilled in place instead
 /// of reallocated per load.
 #[derive(Debug)]
@@ -88,7 +88,7 @@ enum WarpState {
     Ready,
     /// Burning through a `Compute(n)` op.
     Computing { left: u32 },
-    /// Blocked on an outstanding load (details in the slot's `wait`).
+    /// Stalled on an outstanding load (details in the slot's `wait`).
     Waiting,
     /// Retired.
     Done,
@@ -132,7 +132,7 @@ struct WarpSlot {
     /// meaningless while the slot is empty.
     warp_id: usize,
     state: WarpState,
-    /// Blocked-load bookkeeping; valid only while `state` is `Waiting`.
+    /// Pending-load bookkeeping; valid only while `state` is `Waiting`.
     wait: LoadWait,
     /// The current store's coalescing plan; valid while a store is being
     /// issued or is parked on backpressure.

@@ -186,7 +186,7 @@ impl SimBuilder {
     }
 
     /// Runs the reference loop instead of the fast one (default: off): every
-    /// SM and controller visited in every cycle (see
+    /// SM visited in every cycle (see
     /// [`Simulator::with_reference_loop`]). Results are identical either
     /// way; only wall clock differs.
     pub fn reference_loop(mut self, enabled: bool) -> Self {

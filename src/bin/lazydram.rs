@@ -2,6 +2,7 @@
 //!
 //! ```text
 //! lazydram apps                         list the 20 workloads and groups
+//! lazydram backends                     list the memory-backend presets
 //! lazydram run <APP> [--scheme S] [--scale F] [--backend B]
 //! lazydram sweep <APP> [--scale F] [--backend B]      DMS delay sweep for one app
 //! lazydram schemes <APP> [--scale F] [--backend B]    all six paper schemes side by side
@@ -11,9 +12,11 @@
 //!
 //! `--backend` picks a memory model from the backend matrix (`lazydram
 //! backends` lists the labels); the default is the paper's GDDR5 machine.
-//! `--scale` is a finite, positive work scale (default 0.5). A malformed
-//! value, or a flag given without one, exits with status 2 before anything
-//! is simulated.
+//! `--scale` is a finite, positive work scale (default 0.5). Each
+//! subcommand accepts only the flags and arguments listed above: an
+//! unknown, repeated or stray argument, a malformed value, or a flag given
+//! without one exits with status 2 before anything is simulated. A reader
+//! that closes stdout early (`| head`) ends the run quietly.
 
 use lazydram::bench::{parse_scale, CacheMode, EntryInfo, RunEnv, Store};
 use lazydram::common::{DmsMode, DramPreset, SchedConfig};
@@ -21,56 +24,119 @@ use lazydram::energy::{EnergyModel, MemoryTech};
 use lazydram::gpu::application_error;
 use lazydram::workloads::{all_apps, by_name, AppSpec};
 use lazydram::{Scheme, SimBuilder};
+use std::io::{self, ErrorKind, Write};
 
-/// The value after `flag`, or `None` when the flag is absent. A flag given
-/// as the last argument, with no value, exits with status 2.
-fn parse_flag(args: &[String], flag: &str) -> Option<String> {
-    let i = args.iter().position(|a| a == flag)?;
-    let Some(value) = args.get(i + 1) else {
-        eprintln!("{flag} needs a value");
-        std::process::exit(2);
-    };
-    Some(value.clone())
+const USAGE: &str = "usage: lazydram <apps | backends | run APP [--scheme S] | sweep APP | \
+                     schemes APP | cache <stats|ls|gc --max-bytes N|clear>> [--scale F] [--backend B]";
+
+const CACHE_USAGE: &str = "usage: lazydram cache <stats | ls | gc --max-bytes N | clear>";
+
+/// Reports a command-line error and exits with status 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
 }
 
-fn scale_or_exit(args: &[String]) -> f64 {
-    let Some(s) = parse_flag(args, "--scale") else {
-        return 0.5;
-    };
-    parse_scale(&s).unwrap_or_else(|e| {
-        eprintln!("--scale {e}");
-        std::process::exit(2);
-    })
+/// One subcommand's command line: its positional arguments and the values
+/// of the `--flag value` pairs it accepts.
+struct Args {
+    positional: Vec<String>,
+    flags: Vec<(&'static str, String)>,
 }
 
-fn app_or_exit(name: &str) -> AppSpec {
-    by_name(name).unwrap_or_else(|| {
-        eprintln!("unknown app {name:?}; run `lazydram apps` for the list");
-        std::process::exit(2);
-    })
+impl Args {
+    /// Splits the arguments after subcommand `cmd` into at most
+    /// `positionals` positional arguments and the `flags` it accepts. An
+    /// unknown or repeated flag, a flag without a value, or a stray
+    /// positional exits with status 2, naming the argument.
+    fn parse(cmd: &str, args: &[String], positionals: usize, flags: &[&'static str]) -> Self {
+        let mut parsed = Args {
+            positional: Vec::new(),
+            flags: Vec::new(),
+        };
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            if let Some(&flag) = flags.iter().find(|&&f| f == arg) {
+                let Some(value) = it.next() else {
+                    usage_error(&format!("{flag} needs a value"));
+                };
+                if parsed.flag(flag).is_some() {
+                    usage_error(&format!("{flag} given twice"));
+                }
+                parsed.flags.push((flag, value.clone()));
+            } else if arg.starts_with('-') {
+                let accepted = if flags.is_empty() {
+                    "no flags".to_string()
+                } else {
+                    flags.join(", ")
+                };
+                usage_error(&format!(
+                    "unknown flag {arg:?} for `lazydram {cmd}` (it accepts {accepted})"
+                ));
+            } else if parsed.positional.len() < positionals {
+                parsed.positional.push(arg.clone());
+            } else {
+                usage_error(&format!("unexpected argument {arg:?} to `lazydram {cmd}`"));
+            }
+        }
+        parsed
+    }
+
+    fn flag(&self, name: &str) -> Option<&str> {
+        self.flags
+            .iter()
+            .find(|(f, _)| *f == name)
+            .map(|(_, v)| v.as_str())
+    }
+
+    /// The APP argument, which must be a suite app.
+    fn app(&self) -> AppSpec {
+        let Some(name) = self.positional.first() else {
+            usage_error(USAGE);
+        };
+        by_name(name).unwrap_or_else(|| {
+            usage_error(&format!(
+                "unknown app {name:?}; run `lazydram apps` for the list"
+            ))
+        })
+    }
+
+    fn scale(&self) -> f64 {
+        self.flag("--scale").map_or(0.5, |s| {
+            parse_scale(s).unwrap_or_else(|e| usage_error(&format!("--scale {e}")))
+        })
+    }
+
+    fn backend(&self) -> DramPreset {
+        self.flag("--backend").map_or(DramPreset::Gddr5, |label| {
+            DramPreset::by_label(label).unwrap_or_else(|| {
+                usage_error(&format!(
+                    "unknown backend {label:?}; valid labels: {}",
+                    DramPreset::labels().join(", ")
+                ))
+            })
+        })
+    }
+
+    fn scheme(&self) -> Scheme {
+        let label = self.flag("--scheme").unwrap_or("Dyn-DMS+Dyn-AMS");
+        Scheme::by_label(label).unwrap_or_else(|| {
+            let labels = Scheme::ALL.map(Scheme::label);
+            usage_error(&format!("unknown scheme {label:?} ({})", labels.join(", ")))
+        })
+    }
 }
 
-fn backend_or_exit(args: &[String]) -> DramPreset {
-    let Some(label) = parse_flag(args, "--backend") else {
-        return DramPreset::Gddr5;
-    };
-    DramPreset::by_label(&label).unwrap_or_else(|| {
-        eprintln!(
-            "unknown backend {label:?}; valid labels: {}",
-            DramPreset::labels().join(", ")
-        );
-        std::process::exit(2);
-    })
-}
-
-fn cmd_backends() {
-    println!(
+fn cmd_backends(out: &mut impl Write) -> io::Result<()> {
+    writeln!(
+        out,
         "{:<8} {:>4}  {:>6}  {:>5}  {:>6}  model",
         "label", "ch", "MHz", "banks", "rowB"
-    );
+    )?;
     for p in DramPreset::ALL {
         let c = p.gpu_config();
-        println!(
+        writeln!(
+            out,
             "{:<8} {:>4}  {:>6}  {:>5}  {:>6}  {:?}",
             p.label(),
             c.num_channels,
@@ -78,23 +144,25 @@ fn cmd_backends() {
             c.banks_per_channel,
             c.row_bytes,
             c.backend,
-        );
+        )?;
     }
+    Ok(())
 }
 
-fn cmd_apps() {
-    println!("{:<14} {:>5}  description", "app", "group");
+fn cmd_apps(out: &mut impl Write) -> io::Result<()> {
+    writeln!(out, "{:<14} {:>5}  description", "app", "group")?;
     for a in all_apps() {
-        println!("{:<14} {:>5}  {}", a.name, a.group, a.description);
+        writeln!(out, "{:<14} {:>5}  {}", a.name, a.group, a.description)?;
     }
-    println!("\ngroups 1-3 are error tolerant (AMS applies); group 4 is delay-only");
+    writeln!(
+        out,
+        "\ngroups 1-3 are error tolerant (AMS applies); group 4 is delay-only"
+    )
 }
 
-fn cmd_run(app: &AppSpec, scheme: &str, scale: f64, preset: DramPreset) {
-    let scheme = Scheme::by_label(scheme).unwrap_or_else(|| {
-        eprintln!("unknown scheme {scheme:?} (baseline, Static-DMS, Dyn-DMS, Static-AMS, Dyn-AMS, Static-DMS+Static-AMS, Dyn-DMS+Dyn-AMS)");
-        std::process::exit(2);
-    });
+fn cmd_run(out: &mut impl Write, args: &Args) -> io::Result<()> {
+    let (app, scheme) = (&args.app(), args.scheme());
+    let (scale, preset) = (args.scale(), args.backend());
     let run = SimBuilder::new(app)
         .preset(preset)
         .scheme(scheme)
@@ -103,45 +171,52 @@ fn cmd_run(app: &AppSpec, scheme: &str, scale: f64, preset: DramPreset) {
     let exact = run.exact_output();
     let r = run.run();
     let e = EnergyModel::new(MemoryTech::for_preset(preset)).breakdown(&r.stats.dram);
-    println!(
+    writeln!(
+        out,
         "{} under {} (scale {scale}, backend {preset})",
         app.name,
         scheme.label()
-    );
-    println!("  core cycles      {:>12}", r.stats.core_cycles);
-    println!("  IPC              {:>12.3}", r.stats.ipc());
-    println!("  DRAM activations {:>12}", r.stats.dram.activations);
-    println!("  Avg-RBL          {:>12.2}", r.stats.dram.avg_rbl());
-    println!("  row energy       {:>12.1} µJ", e.row_energy_pj / 1e6);
-    println!(
+    )?;
+    writeln!(out, "  core cycles      {:>12}", r.stats.core_cycles)?;
+    writeln!(out, "  IPC              {:>12.3}", r.stats.ipc())?;
+    writeln!(out, "  DRAM activations {:>12}", r.stats.dram.activations)?;
+    writeln!(out, "  Avg-RBL          {:>12.2}", r.stats.dram.avg_rbl())?;
+    writeln!(out, "  row energy       {:>12.1} µJ", e.row_energy_pj / 1e6)?;
+    writeln!(
+        out,
         "  coverage         {:>11.1}%",
         100.0 * r.stats.dram.coverage()
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  app error        {:>11.2}%",
         100.0 * application_error(&exact, &r.output)
-    );
+    )?;
     if scheme.sched().ams.is_enabled() {
         // Declines are indexed by `lazydram::core::AmsDecline`.
-        println!(
+        writeln!(
+            out,
             "  ams_accepts {}  ams_declines {:?}",
             r.stats.ams_accepts, r.stats.ams_declines
-        );
+        )?;
     }
+    Ok(())
 }
 
-fn cmd_sweep(app: &AppSpec, scale: f64, preset: DramPreset) {
+fn cmd_sweep(out: &mut impl Write, args: &Args) -> io::Result<()> {
+    let (app, scale, preset) = (&args.app(), args.scale(), args.backend());
     let base = SimBuilder::new(app)
         .preset(preset)
         .scheme(Scheme::Baseline)
         .scale(scale)
         .build()
         .run();
-    println!(
+    writeln!(
+        out,
         "{}: DMS delay sweep (scale {scale}, backend {preset})",
         app.name
-    );
-    println!("{:>7} {:>10} {:>9}", "delay", "norm acts", "norm IPC");
+    )?;
+    writeln!(out, "{:>7} {:>10} {:>9}", "delay", "norm acts", "norm IPC")?;
     for d in [0u32, 64, 128, 256, 512, 1024, 2048] {
         let sched = SchedConfig {
             dms: if d == 0 {
@@ -157,15 +232,18 @@ fn cmd_sweep(app: &AppSpec, scale: f64, preset: DramPreset) {
             .scale(scale)
             .build()
             .run();
-        println!(
+        writeln!(
+            out,
             "{d:>7} {:>10.3} {:>9.3}",
             r.stats.dram.activations as f64 / base.stats.dram.activations.max(1) as f64,
             r.stats.ipc() / base.stats.ipc().max(1e-9),
-        );
+        )?;
     }
+    Ok(())
 }
 
-fn cmd_schemes(app: &AppSpec, scale: f64, preset: DramPreset) {
+fn cmd_schemes(out: &mut impl Write, args: &Args) -> io::Result<()> {
+    let (app, scale, preset) = (&args.app(), args.scale(), args.backend());
     let base_run = SimBuilder::new(app)
         .preset(preset)
         .scheme(Scheme::Baseline)
@@ -173,20 +251,23 @@ fn cmd_schemes(app: &AppSpec, scale: f64, preset: DramPreset) {
         .build();
     let exact = base_run.exact_output();
     let base = base_run.run();
-    println!(
+    writeln!(
+        out,
         "{}: all schemes (scale {scale}, backend {preset})",
         app.name
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "baseline: {} activations, IPC {:.3}, Avg-RBL {:.2}",
         base.stats.dram.activations,
         base.stats.ipc(),
         base.stats.dram.avg_rbl()
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "{:>24} {:>10} {:>10} {:>9} {:>9} {:>9} {:>8}",
         "scheme", "acts", "norm acts", "norm IPC", "coverage", "error", "Avg-RBL"
-    );
+    )?;
     for scheme in Scheme::PAPER {
         let r = SimBuilder::new(app)
             .preset(preset)
@@ -194,7 +275,8 @@ fn cmd_schemes(app: &AppSpec, scale: f64, preset: DramPreset) {
             .scale(scale)
             .build()
             .run();
-        println!(
+        writeln!(
+            out,
             "{:>24} {:>10} {:>10.3} {:>9.3} {:>8.1}% {:>8.2}% {:>8.2}",
             scheme.label(),
             r.stats.dram.activations,
@@ -203,8 +285,9 @@ fn cmd_schemes(app: &AppSpec, scale: f64, preset: DramPreset) {
             100.0 * r.stats.dram.coverage(),
             100.0 * application_error(&exact, &r.output),
             r.stats.dram.avg_rbl(),
-        );
+        )?;
     }
+    Ok(())
 }
 
 /// Opens the result store named by `LAZYDRAM_CACHE_DIR` for administration
@@ -227,7 +310,20 @@ fn entry_age(e: &EntryInfo) -> String {
     }
 }
 
-fn cmd_cache(args: &[String]) {
+/// `lazydram cache ACTION`: `args` are the arguments after `cache`.
+fn cmd_cache(out: &mut impl Write, args: &[String]) -> io::Result<()> {
+    let (action, rest) = match args.split_first() {
+        Some((a, rest)) if matches!(a.as_str(), "stats" | "ls" | "gc" | "clear") => {
+            (a.as_str(), rest)
+        }
+        _ => usage_error(CACHE_USAGE),
+    };
+    let flags: &[&str] = if action == "gc" {
+        &["--max-bytes"]
+    } else {
+        &[]
+    };
+    let parsed = Args::parse(&format!("cache {action}"), rest, 0, flags);
     let store = cache_store();
     let entries = |msg: &str| -> Vec<EntryInfo> {
         store.entries().unwrap_or_else(|e| {
@@ -235,17 +331,17 @@ fn cmd_cache(args: &[String]) {
             std::process::exit(1);
         })
     };
-    match args.get(1).map(String::as_str) {
-        Some("stats") => {
+    match action {
+        "stats" => {
             let es = entries("cannot stat store");
             let bytes: u64 = es.iter().map(|e| e.bytes).sum();
             let invalid = es.iter().filter(|e| e.identity.is_err()).count();
-            println!("store {}", store.dir().display());
-            println!("  entries {:>12}", es.len());
-            println!("  invalid {:>12}", invalid);
-            println!("  bytes   {:>12}", bytes);
+            writeln!(out, "store {}", store.dir().display())?;
+            writeln!(out, "  entries {:>12}", es.len())?;
+            writeln!(out, "  invalid {:>12}", invalid)?;
+            writeln!(out, "  bytes   {:>12}", bytes)?;
         }
-        Some("ls") => {
+        "ls" => {
             for e in entries("cannot list store") {
                 let what = match &e.identity {
                     Ok((app, scheme)) => format!("{app}/{scheme}"),
@@ -255,23 +351,24 @@ fn cmd_cache(args: &[String]) {
                     || e.path.display().to_string(),
                     |n| n.to_string_lossy().into_owned(),
                 );
-                println!(
+                writeln!(
+                    out,
                     "{:>10}  {:>12}  {:<28} {}",
                     e.bytes,
                     entry_age(&e),
                     what,
                     name
-                );
+                )?;
             }
         }
-        Some("gc") => {
-            let max_bytes: u64 = parse_flag(args, "--max-bytes")
+        "gc" => {
+            let max_bytes: u64 = parsed
+                .flag("--max-bytes")
                 .and_then(|s| s.parse().ok())
                 .unwrap_or_else(|| {
-                    eprintln!(
-                        "usage: lazydram cache gc --max-bytes N (a byte budget, e.g. 104857600)"
-                    );
-                    std::process::exit(2);
+                    usage_error(
+                        "usage: lazydram cache gc --max-bytes N (a byte budget, e.g. 104857600)",
+                    )
                 });
             let evicted = store.gc(max_bytes).unwrap_or_else(|e| {
                 eprintln!("{e}");
@@ -279,44 +376,60 @@ fn cmd_cache(args: &[String]) {
             });
             let freed: u64 = evicted.iter().map(|e| e.bytes).sum();
             for e in &evicted {
-                println!("evicted {}", e.path.display());
+                writeln!(out, "evicted {}", e.path.display())?;
             }
-            println!("gc: evicted {} entries, freed {freed} bytes", evicted.len());
+            writeln!(
+                out,
+                "gc: evicted {} entries, freed {freed} bytes",
+                evicted.len()
+            )?;
         }
-        Some("clear") => {
+        "clear" => {
             let n = store.clear().unwrap_or_else(|e| {
                 eprintln!("{e}");
                 std::process::exit(1);
             });
-            println!("cleared {n} files from {}", store.dir().display());
+            writeln!(out, "cleared {n} files from {}", store.dir().display())?;
         }
-        _ => {
-            eprintln!("usage: lazydram cache <stats | ls | gc --max-bytes N | clear>");
-            std::process::exit(2);
+        _ => unreachable!("actions are checked above"),
+    }
+    Ok(())
+}
+
+/// Parses the command line and runs one subcommand, writing its report to
+/// `out`. Each subcommand reads its arguments before it simulates.
+fn dispatch(args: &[String], out: &mut impl Write) -> io::Result<()> {
+    let Some((cmd, rest)) = args.split_first() else {
+        usage_error(USAGE);
+    };
+    let parse = |positionals, flags| Args::parse(cmd, rest, positionals, flags);
+    let sweep_flags = &["--scale", "--backend"];
+    match cmd.as_str() {
+        "apps" => {
+            parse(0, &[]);
+            cmd_apps(out)
         }
+        "backends" => {
+            parse(0, &[]);
+            cmd_backends(out)
+        }
+        "run" => cmd_run(out, &parse(1, &["--scheme", "--scale", "--backend"])),
+        "sweep" => cmd_sweep(out, &parse(1, sweep_flags)),
+        "schemes" => cmd_schemes(out, &parse(1, sweep_flags)),
+        "cache" => cmd_cache(out, rest),
+        _ => usage_error(USAGE),
     }
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = scale_or_exit(&args);
-    let preset = backend_or_exit(&args);
-    match args.first().map(String::as_str) {
-        Some("apps") => cmd_apps(),
-        Some("backends") => cmd_backends(),
-        Some("run") if args.len() >= 2 => {
-            let scheme = parse_flag(&args, "--scheme").unwrap_or_else(|| "Dyn-DMS+Dyn-AMS".into());
-            cmd_run(&app_or_exit(&args[1]), &scheme, scale, preset);
-        }
-        Some("sweep") if args.len() >= 2 => cmd_sweep(&app_or_exit(&args[1]), scale, preset),
-        Some("schemes") if args.len() >= 2 => cmd_schemes(&app_or_exit(&args[1]), scale, preset),
-        Some("cache") => cmd_cache(&args),
-        _ => {
-            eprintln!(
-                "usage: lazydram <apps | backends | run APP [--scheme S] | sweep APP | \
-                 schemes APP | cache <stats|ls|gc --max-bytes N|clear>> [--scale F] [--backend B]"
-            );
-            std::process::exit(2);
+    match dispatch(&args, &mut io::stdout().lock()) {
+        Ok(()) => {}
+        // The reader went away (`| head`): nothing is left to report to.
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => {}
+        Err(e) => {
+            eprintln!("lazydram: writing to stdout: {e}");
+            std::process::exit(1);
         }
     }
 }

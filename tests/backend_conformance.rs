@@ -2,20 +2,21 @@
 //!
 //! The execute-and-stall contract (DESIGN.md §14) lets the controller stay
 //! backend-agnostic only if every backend honors the same obligations.
-//! Two are checked here, each over every machine in `machines()`: all
-//! presets plus the GDDR5 machine with tFAW, tCCDL and refresh turned on
+//! Each is checked here over every machine in `machines()`: all presets
+//! plus the GDDR5 machine with tFAW, tCCDL and refresh turned on
 //! (`DramTimings::gddr5_extended`, and a variant whose tFAW binds), since
-//! no preset enables those three. Dropping any one of them from its
-//! `*_ready_at` threshold fails this suite.
+//! no preset enables those three.
 //!
-//! 1. **Engine invariance** — end to end per machine, the fast loop must
-//!    be bit-identical to the reference loop (`SimBuilder::reference_loop`).
-//!    Every scheme at random pause points is checked in
-//!    `tests/dormancy_equivalence.rs`.
-//! 2. **Honest thresholds** — each `*_ready_at` is the first cycle its
-//!    guard opens while no command intervenes (the controller sleeps until
-//!    the earliest one), and `cas_floor` never exceeds a bank's CAS
-//!    threshold.
+//! 1. **Determinism** — one guarded random command stream, applied twice,
+//!    gives the same guard outcomes, CAS completion cycles and statistics.
+//! 2. **Monotone completions** — successive CAS completion cycles never
+//!    decrease, so responses retire in issue order.
+//!
+//! On top of the two obligations, **engine invariance**: end to end per
+//! machine, the fast loop must be bit-identical to the reference loop
+//! (`SimBuilder::reference_loop`). Every scheme at random pause points is
+//! checked in `tests/dormancy_equivalence.rs`. `extended_constraints_bind`
+//! pins the edges of the three extended constraints with the guards alone.
 
 use lazydram::common::{AccessKind, DramPreset, DramTimings, GpuConfig};
 use lazydram::dram::{DramBackend, MemoryBackend};
@@ -42,8 +43,8 @@ enum Op {
     Wait {
         cycles: u8,
     },
-    /// Sleeps until a refresh falls due, as the controller's dormancy does;
-    /// without it no stream would reach tREFI.
+    /// Jumps to the cycle a refresh falls due; without it no stream would
+    /// reach tREFI.
     SleepToRefresh,
 }
 
@@ -152,82 +153,43 @@ fn machines() -> Vec<(String, GpuConfig)> {
     m
 }
 
-/// Checks one guard against its advertised threshold `ready` at `now`:
-/// closed before `ready`, open from it on.
-fn honest(guard: impl Fn(u64) -> bool, ready: u64, now: u64) -> bool {
-    if ready == u64::MAX {
-        return !guard(now) && !guard(now + 1000);
-    }
-    guard(now) == (now >= ready) && guard(ready.max(now)) && (ready <= now || !guard(ready - 1))
-}
-
-/// The honest-threshold obligation for every bank's guards at `now`.
-fn check_thresholds(
-    b: &DramBackend,
-    nbanks: usize,
-    now: u64,
-    preset: &str,
-) -> Result<(), TestCaseError> {
-    for bank in 0..nbanks {
-        let act = b.activate_ready_at(bank);
-        prop_assert!(
-            honest(|t| b.can_activate(bank, t), act, now),
-            "{preset}: ACT bank {bank} at {now}"
-        );
-        let pre = b.precharge_ready_at(bank);
-        prop_assert!(
-            honest(|t| b.can_precharge(bank, t), pre, now),
-            "{preset}: PRE bank {bank} at {now}"
-        );
-        for kind in [AccessKind::Read, AccessKind::Write] {
-            let cas = b.cas_ready_at(bank, kind);
-            prop_assert!(
-                honest(|t| b.can_cas(bank, kind, t), cas, now),
-                "{preset}: CAS bank {bank} at {now}"
-            );
-            prop_assert!(
-                b.cas_floor() <= cas,
-                "{preset}: CAS floor above bank {bank}"
-            );
-        }
-    }
-    Ok(())
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn ready_at_thresholds_are_honest(
+    fn random_streams_are_deterministic_with_monotone_completions(
         ops in prop::collection::vec(op_strategy(), 1..120),
     ) {
         for (preset, cfg) in machines() {
-            let nbanks = cfg.banks_per_channel;
-            let mut b = DramBackend::new(&cfg);
-            let mut now = 0u64;
-            for &op in &ops {
-                step(&mut b, &cfg, op, &mut now);
-                check_thresholds(&b, nbanks, now, &preset)?;
-            }
+            let replay = || {
+                let mut b = DramBackend::new(&cfg);
+                let mut now = 0u64;
+                let seen: Vec<_> = ops.iter().map(|&op| step(&mut b, &cfg, op, &mut now)).collect();
+                (seen, b)
+            };
+            let (seen, b) = replay();
+            let (again, twin) = replay();
+            prop_assert_eq!(&seen, &again, "{}: guard outcomes or completions", &preset);
+            prop_assert_eq!(b.stats(), twin.stats(), "{}: statistics", &preset);
+            let done: Vec<u64> = seen.iter().map(|&(_, d)| d).filter(|&d| d > 0).collect();
+            prop_assert!(
+                done.windows(2).all(|w| w[0] <= w[1]),
+                "{}: completions {:?} decrease", &preset, done
+            );
         }
     }
 }
 
 #[test]
-fn extended_constraints_bind_and_stay_honest() {
+fn extended_constraints_bind() {
     // Random streams rarely pack five ACTs into one tFAW window, so a fixed
-    // stream makes tFAW, tCCDL and refresh each bind at a known cycle,
-    // checking the thresholds after every op.
+    // stream makes tFAW, tCCDL and refresh each bind at a known cycle, and
+    // the guards are checked on both sides of each edge.
     let cfg = extended_faw32();
     let t = cfg.timings;
-    let nbanks = cfg.banks_per_channel;
     let mut b = DramBackend::new(&cfg);
     let mut now = 0u64;
-    let run = |b: &mut DramBackend, op: Op, now: &mut u64| {
-        let (legal, _) = step(b, &cfg, op, now);
-        check_thresholds(b, nbanks, *now, "gddr5-extended-faw32").expect("honest thresholds");
-        legal
-    };
+    let run = |b: &mut DramBackend, op: Op, now: &mut u64| step(b, &cfg, op, now).0;
     let wait_rrd = Op::Wait {
         cycles: t.t_rrd as u8,
     };
@@ -242,8 +204,12 @@ fn extended_constraints_bind_and_stay_honest() {
         !run(&mut b, Op::Act { bank: 1, row: 1 }, &mut now),
         "tFAW must stall the fifth ACT"
     );
-    assert_eq!(b.activate_ready_at(1), u64::from(t.t_faw));
-    now = u64::from(t.t_faw);
+    let t_faw = u64::from(t.t_faw);
+    assert!(
+        !b.can_activate(1, t_faw - 1) && b.can_activate(1, t_faw),
+        "the fifth ACT is legal from tFAW past the first, not before"
+    );
+    now = t_faw;
     assert!(run(&mut b, Op::Act { bank: 1, row: 1 }, &mut now));
     // Two reads to one bank group: the second waits tCCDL, not tCCD.
     run(
@@ -261,12 +227,17 @@ fn extended_constraints_bind_and_stay_honest() {
         },
         &mut now
     ));
-    assert_eq!(
-        b.cas_ready_at(1, AccessKind::Read),
-        now + u64::from(t.t_ccdl)
+    let t_ccdl = u64::from(t.t_ccdl);
+    assert!(
+        !b.can_cas(1, AccessKind::Read, now + t_ccdl - 1)
+            && b.can_cas(1, AccessKind::Read, now + t_ccdl),
+        "a same-group read waits tCCDL"
     );
-    assert!(b.cas_ready_at(4, AccessKind::Read) < now + u64::from(t.t_ccdl));
-    // Refresh: sleep until it is due, close every row, refresh; twice.
+    assert!(
+        b.can_cas(4, AccessKind::Read, now + t_ccdl - 1),
+        "another group's read does not wait tCCDL"
+    );
+    // Refresh: jump to when it is due, close every row, refresh; twice.
     for round in 1..=2u64 {
         run(&mut b, Op::SleepToRefresh, &mut now);
         for bank in [0, 1, 4, 8, 12] {
@@ -289,7 +260,11 @@ fn extended_constraints_bind_and_stay_honest() {
         );
         run(&mut b, Op::Wait { cycles: 1 }, &mut now);
         for bank in [0u8, 1, 4, 8, 12] {
-            now = now.max(b.activate_ready_at(usize::from(bank)));
+            let limit = now + u64::from(t.t_rfc) + u64::from(t.t_rp);
+            while !b.can_activate(usize::from(bank), now) {
+                now += 1;
+                assert!(now <= limit, "ACT bank {bank} still stalled at {now}");
+            }
             assert!(run(&mut b, Op::Act { bank, row: 2 }, &mut now));
         }
     }
