@@ -4,9 +4,7 @@
 //! apps. The gddr5/hbm1/hbm2 rows share one banked model under three
 //! organizations and timing packages: Section V's claim that the saving
 //! is independent of the memory technology holds if their normalized
-//! activation savings agree. The bank-state-free naive backend is the
-//! control (no banks, so no row locality to harvest — its "norm acts"
-//! column reads 1.000 by design).
+//! activation savings agree.
 
 use lazydram_bench::{print_table, MeasureSpec, MemoryTech, RunEnv, Scheme, SimBuilder};
 use lazydram_common::DramPreset;
@@ -20,8 +18,8 @@ fn main() {
         .map(|n| by_name(n).expect("app"))
         .collect();
     let runner = env.runner();
-    // One baseline per (app, preset): the cache keys on the full config
-    // (backend kind included), so each backend is its own cached cell.
+    // One baseline per (app, preset): the cache keys on the full config,
+    // so each preset is its own cached cell.
     let mut bases = Vec::new();
     for preset in DramPreset::ALL {
         bases.push(runner.baselines(&apps, &preset.gpu_config(), scale));

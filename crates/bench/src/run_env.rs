@@ -162,13 +162,14 @@ mod tests {
 
     #[test]
     fn backend_env_helpers_expand_presets() {
-        let e = env(&[("LAZYDRAM_BACKEND", "naive")]).unwrap();
-        assert_eq!(
-            e.preset.gpu_config().backend,
-            lazydram_common::BackendKind::Naive
-        );
-        let err = env(&[("LAZYDRAM_BACKEND", "gddr6")]).err().unwrap();
-        assert!(err.contains("not a DRAM backend preset"), "{err}");
+        let e = env(&[("LAZYDRAM_BACKEND", "hbm2")]).unwrap();
+        assert_eq!(e.preset, DramPreset::Hbm2);
+        assert_eq!(e.preset.gpu_config().mem_clock_mhz, 1000);
+        for bad in ["gddr6", "naive"] {
+            let err = env(&[("LAZYDRAM_BACKEND", bad)]).err().unwrap();
+            assert!(err.contains("LAZYDRAM_BACKEND"), "{err}");
+            assert!(err.contains("not a DRAM backend preset"), "{err}");
+        }
     }
 
     #[test]

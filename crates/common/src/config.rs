@@ -80,33 +80,6 @@ impl DramTimings {
     }
 }
 
-/// Which memory-backend model services a controller's DRAM commands.
-///
-/// This selects the *model* behind the `MemoryBackend` trait in
-/// `lazydram_dram`, not the machine geometry: geometry and the timing
-/// package still come from the rest of [`GpuConfig`]. The discriminant
-/// values are stable — they tag the backend's frame in a state dump, so
-/// dumps taken under two backends never compare equal frame by frame.
-/// Tags 2–4 are retired (they named DDR4, LPDDR4 and Flexible-Latency
-/// models) and are never reused.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(u32)]
-pub enum BackendKind {
-    /// The cycle-level banked channel model (GDDR5/HBM-style), the paper's
-    /// baseline. Byte-identical to the pre-trait hard-wired model.
-    Gddr5 = 0,
-    /// Fixed-latency, bank-state-free tier for fast functional runs: every
-    /// command is always legal and a CAS completes after tRCD+tCL+tCCD.
-    Naive = 1,
-}
-
-impl BackendKind {
-    /// Stable wire tag: the index of the backend's state-dump frame.
-    pub fn tag(self) -> u32 {
-        self as u32
-    }
-}
-
 /// Static configuration of the simulated GPU (Table I of the paper).
 ///
 /// The default value reproduces the paper's baseline: 30 SMs at 1400 MHz,
@@ -162,8 +135,6 @@ pub struct GpuConfig {
     pub l2_latency: u32,
     /// DRAM timing parameters.
     pub timings: DramTimings,
-    /// Memory-backend model servicing the controllers' DRAM commands.
-    pub backend: BackendKind,
 }
 
 impl Default for GpuConfig {
@@ -193,7 +164,6 @@ impl Default for GpuConfig {
             l2_throughput: 2,
             l2_latency: 16,
             timings: DramTimings::default(),
-            backend: BackendKind::Gddr5,
         }
     }
 }
@@ -539,11 +509,12 @@ impl std::fmt::Display for Scheme {
 /// The named memory-technology presets of the backend matrix, unified into
 /// one constructor enum (mirroring [`Scheme`] for scheduling policies).
 ///
-/// A preset bundles a machine geometry, a [`DramTimings`] package, and a
-/// [`BackendKind`] into one [`GpuConfig`]. Every consumer-facing entry point
-/// (`SimBuilder::preset`, the CLI `--backend` flag, the `LAZYDRAM_BACKEND`
-/// env var) selects a memory technology through this enum; sweeps that need
-/// off-menu machines still build a raw [`GpuConfig`] by hand.
+/// A preset bundles a machine geometry and a [`DramTimings`] package into
+/// one [`GpuConfig`]; every preset runs the same banked channel model.
+/// Every consumer-facing entry point (`SimBuilder::preset`, the CLI
+/// `--backend` flag, the `LAZYDRAM_BACKEND` env var) selects a memory
+/// technology through this enum; sweeps that need off-menu machines still
+/// build a raw [`GpuConfig`] by hand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DramPreset {
     /// The paper's baseline: 6-channel Hynix GDDR5 at 924 MHz (Table I).
@@ -556,19 +527,11 @@ pub enum DramPreset {
     /// A representative HBM2 machine (faster clock, pseudo-channel-like
     /// organization approximated as 8 channels).
     Hbm2,
-    /// The paper-baseline geometry serviced by the fixed-latency
-    /// [`BackendKind::Naive`] model (fast functional tier).
-    Naive,
 }
 
 impl DramPreset {
     /// Every preset, the paper baseline first.
-    pub const ALL: [DramPreset; 4] = [
-        DramPreset::Gddr5,
-        DramPreset::Hbm1,
-        DramPreset::Hbm2,
-        DramPreset::Naive,
-    ];
+    pub const ALL: [DramPreset; 3] = [DramPreset::Gddr5, DramPreset::Hbm1, DramPreset::Hbm2];
 
     /// The machine configuration this preset names.
     pub fn gpu_config(self) -> GpuConfig {
@@ -616,10 +579,6 @@ impl DramPreset {
                 },
                 ..GpuConfig::default()
             },
-            DramPreset::Naive => GpuConfig {
-                backend: BackendKind::Naive,
-                ..GpuConfig::default()
-            },
         }
     }
 
@@ -629,7 +588,6 @@ impl DramPreset {
             DramPreset::Gddr5 => "gddr5",
             DramPreset::Hbm1 => "hbm1",
             DramPreset::Hbm2 => "hbm2",
-            DramPreset::Naive => "naive",
         }
     }
 
@@ -738,14 +696,6 @@ mod tests {
             assert_eq!(g.banks_per_channel % g.bank_groups, 0, "{p}");
             assert!(g.lines_per_row() >= 8, "{p}");
         }
-        assert_eq!(DramPreset::Naive.gpu_config().backend, BackendKind::Naive);
-    }
-
-    #[test]
-    fn backend_tags_are_stable() {
-        // Wire tags for state-dump frames: frozen, never renumber.
-        assert_eq!(BackendKind::Gddr5.tag(), 0);
-        assert_eq!(BackendKind::Naive.tag(), 1);
     }
 
     #[test]

@@ -60,8 +60,7 @@ pub const SEMANTICS_VERSION: u64 = 2;
 
 pub use addr::{AddressMap, Location};
 pub use config::{
-    AmsMode, Arbiter, BackendKind, DmsMode, DramPreset, DramTimings, GpuConfig, RowPolicy,
-    SchedConfig, Scheme,
+    AmsMode, Arbiter, DmsMode, DramPreset, DramTimings, GpuConfig, RowPolicy, SchedConfig, Scheme,
 };
 pub use fasthash::{FastMap, FastSet};
 pub use prof::ProfReport;

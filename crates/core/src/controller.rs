@@ -21,7 +21,7 @@ use crate::queue::{PendingQueue, QueueFull};
 use lazydram_common::prof::{self, Phase};
 use lazydram_common::snap::Saver;
 use lazydram_common::{AccessKind, Arbiter, GpuConfig, Request, RequestId, RowPolicy, SchedConfig};
-use lazydram_dram::{DramBackend, MemoryBackend};
+use lazydram_dram::Channel;
 use std::collections::VecDeque;
 
 /// A completed memory request returned to the reply network.
@@ -46,7 +46,7 @@ struct Inflight {
 #[derive(Debug, Clone)]
 pub struct MemoryController {
     queue: PendingQueue,
-    backend: DramBackend,
+    chan: Channel,
     banks_per_group: usize,
     arbiter: Arbiter,
     row_policy: RowPolicy,
@@ -72,7 +72,7 @@ impl MemoryController {
                 cfg.banks_per_channel,
                 cfg.banks_per_channel / cfg.bank_groups,
             ),
-            backend: DramBackend::new(cfg),
+            chan: Channel::new(cfg),
             banks_per_group: cfg.banks_per_channel / cfg.bank_groups,
             arbiter: sched.arbiter,
             row_policy: sched.row_policy,
@@ -109,14 +109,14 @@ impl MemoryController {
         &self.ams
     }
 
-    /// Accumulated DRAM statistics of this controller's backend.
+    /// Accumulated DRAM statistics of this controller's channel.
     pub fn stats(&self) -> &lazydram_common::DramStats {
-        self.backend.stats()
+        self.chan.stats()
     }
 
-    /// All-bank refreshes performed by the backend so far.
+    /// All-bank refreshes performed by the channel so far.
     pub fn refreshes(&self) -> u64 {
-        self.backend.refreshes()
+        self.chan.refreshes()
     }
 
     /// Enqueues a request; its arrival stamp is set to the current cycle.
@@ -130,7 +130,7 @@ impl MemoryController {
             return Err(QueueFull);
         }
         req.arrival = self.now;
-        let stats = self.backend.stats_mut();
+        let stats = self.chan.stats_mut();
         stats.requests_received += 1;
         if req.is_global_read() {
             stats.global_reads_received += 1;
@@ -148,13 +148,13 @@ impl MemoryController {
         let now = self.now;
         // Not worth a profiler tag: `advance_to` is a single max(), and a
         // per-tick prof guard would cost more than the work it measures.
-        self.backend.advance_to(now);
+        self.chan.advance_to(now);
 
         // Window profilers.
-        let busy = self.backend.stats().bus_busy_cycles;
+        let busy = self.chan.stats().bus_busy_cycles;
         self.dms.tick(now, busy);
         let (dropped, reads) = {
-            let s = self.backend.stats();
+            let s = self.chan.stats();
             (s.dropped, s.global_reads_received)
         };
         self.ams.tick(now, dropped, reads);
@@ -181,7 +181,7 @@ impl MemoryController {
                 .and_then(|id| self.queue.remove(bank, id));
             match victim {
                 Some(req) => {
-                    self.backend.stats_mut().dropped += 1;
+                    self.chan.stats_mut().dropped += 1;
                     out.push(Response {
                         id: req.id,
                         addr: req.addr,
@@ -199,16 +199,16 @@ impl MemoryController {
 
         // Refresh extension: when an all-bank refresh falls due, close open
         // rows (one per cycle) and issue the refresh before normal work.
-        if self.backend.refresh_due(now) {
-            if self.backend.can_refresh(now) {
+        if self.chan.refresh_due(now) {
+            if self.chan.can_refresh(now) {
                 self.dram(|b| b.refresh(now));
                 return;
             }
-            let mut open = self.backend.open_banks();
+            let mut open = self.chan.open_banks();
             while open != 0 {
                 let bank = open.trailing_zeros() as usize;
                 open &= open - 1;
-                if self.backend.can_precharge(bank, now) {
+                if self.chan.can_precharge(bank, now) {
                     self.dram(|b| b.precharge(bank, now));
                     return;
                 }
@@ -222,9 +222,9 @@ impl MemoryController {
     /// Issues one DRAM command (ACT, PRE, CAS or REF) under the `dram`
     /// profiler phase. The guard wraps each issued command, never a whole
     /// tick, and compiles out without the `prof` feature.
-    fn dram<R>(&mut self, cmd: impl FnOnce(&mut DramBackend) -> R) -> R {
+    fn dram<R>(&mut self, cmd: impl FnOnce(&mut Channel) -> R) -> R {
         let _t = prof::enter(Phase::Dram);
-        cmd(&mut self.backend)
+        cmd(&mut self.chan)
     }
 
     /// FR-FCFS + DMS + AMS scheduling: issues at most one DRAM command.
@@ -243,18 +243,18 @@ impl MemoryController {
             Arbiter::FrFcfs => {
                 // A hit needs an open row and pending work in that bank:
                 // scan only the intersection of the two occupancy masks.
-                let mut scan = self.backend.open_banks() & self.queue.bank_mask();
+                let mut scan = self.chan.open_banks() & self.queue.bank_mask();
                 while scan != 0 {
                     let bank = scan.trailing_zeros() as usize;
                     scan &= scan - 1;
-                    let row = self.backend.open_row(bank).expect("bank in open mask");
+                    let row = self.chan.open_row(bank).expect("bank in open mask");
                     let Some((seq, req)) = self.queue.oldest_for_row(bank, row) else {
                         continue;
                     };
                     if best.is_some_and(|(s, _, _)| s <= seq) {
                         continue;
                     }
-                    if self.backend.can_cas(bank, req.kind, now) {
+                    if self.chan.can_cas(bank, req.kind, now) {
                         best = Some((seq, req.id, bank));
                     }
                 }
@@ -262,8 +262,8 @@ impl MemoryController {
             Arbiter::Fcfs => {
                 if let Some(req) = self.queue.oldest().copied() {
                     let bank = req.loc.flat_bank(self.banks_per_group);
-                    if self.backend.open_row(bank) == Some(req.loc.row)
-                        && self.backend.can_cas(bank, req.kind, now)
+                    if self.chan.open_row(bank) == Some(req.loc.row)
+                        && self.chan.can_cas(bank, req.kind, now)
                     {
                         best = Some((0, req.id, bank));
                     }
@@ -290,15 +290,15 @@ impl MemoryController {
         // requests left, immediately (not gated by DMS — closing is not a
         // new row opening), even when the queue is empty.
         if self.row_policy == RowPolicy::Closed {
-            let mut scan = self.backend.open_banks();
+            let mut scan = self.chan.open_banks();
             while scan != 0 {
                 let bank = scan.trailing_zeros() as usize;
                 scan &= scan - 1;
-                let open = self.backend.open_row(bank).expect("bank in open mask");
+                let open = self.chan.open_row(bank).expect("bank in open mask");
                 if self.queue.any_for_row(bank, open) {
                     continue;
                 }
-                if self.backend.can_precharge(bank, now) {
+                if self.chan.can_precharge(bank, now) {
                     self.dram(|b| b.precharge(bank, now));
                     return;
                 }
@@ -345,7 +345,7 @@ impl MemoryController {
                 // still want it (that is exactly why FCFS wastes row energy).
                 if let Some(req) = self.queue.oldest().copied() {
                     let bank = req.loc.flat_bank(self.banks_per_group);
-                    match self.backend.open_row(bank) {
+                    match self.chan.open_row(bank) {
                         Some(open) if open == req.loc.row => {} // hit pending timing
                         Some(_) => {
                             cands[0] = (0, bank, true);
@@ -375,7 +375,7 @@ impl MemoryController {
                     .expect("candidate exists")
                     .1;
                 let (dropped, reads) = {
-                    let s = self.backend.stats();
+                    let s = self.chan.stats();
                     (s.dropped, s.global_reads_received)
                 };
                 let verdict = self.ams.decide(
@@ -395,7 +395,7 @@ impl MemoryController {
                         .map(|(_, r)| r.id)
                         .and_then(|id| self.queue.remove(bank, id))
                     {
-                        self.backend.stats_mut().dropped += 1;
+                        self.chan.stats_mut().dropped += 1;
                         out.push(Response {
                             id: victim.id,
                             addr: victim.addr,
@@ -411,7 +411,7 @@ impl MemoryController {
                 }
             }
             if needs_pre {
-                if self.backend.can_precharge(bank, now) {
+                if self.chan.can_precharge(bank, now) {
                     self.dram(|b| b.precharge(bank, now));
                     return;
                 }
@@ -423,7 +423,7 @@ impl MemoryController {
                     .1
                     .loc
                     .row;
-                if self.backend.can_activate(bank, now) {
+                if self.chan.can_activate(bank, now) {
                     self.dram(|b| b.activate(bank, row, now));
                     return;
                 }
@@ -436,7 +436,7 @@ impl MemoryController {
     /// first; or `None` while requests for the open row are pending (maybe
     /// timing-blocked).
     fn row_candidate(&self, bank: usize) -> Option<(u64, usize, bool)> {
-        let needs_pre = match self.backend.open_row(bank) {
+        let needs_pre = match self.chan.open_row(bank) {
             Some(open) => {
                 if self.queue.any_for_row(bank, open) {
                     return None;
@@ -453,7 +453,7 @@ impl MemoryController {
     /// Finishes the simulation: closes all open rows so their RBL is
     /// recorded. Returns any still-inflight responses (flushed immediately).
     pub fn drain(&mut self) -> Vec<Response> {
-        self.backend.drain();
+        self.chan.drain();
         let out: Vec<Response> = self.inflight.drain(..).map(|f| f.resp).collect();
         out
     }
@@ -464,11 +464,7 @@ impl MemoryController {
     /// policy, modes) are not serialized.
     pub fn save_state(&self, s: &mut Saver) {
         s.frame("pq", 0, |s| self.queue.save_state(s));
-        // The frame index carries the backend's stable wire tag, so dumps
-        // taken under two backends differ in this frame's header.
-        s.frame("chan", self.backend.kind().tag(), |s| {
-            self.backend.save_state(s)
-        });
+        s.frame("chan", 0, |s| self.chan.save_state(s));
         s.frame("dms", 0, |s| self.dms.save_state(s));
         s.frame("ams", 0, |s| self.ams.save_state(s));
         // The remaining scalars live in their own frame so the whole payload

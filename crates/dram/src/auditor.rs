@@ -47,22 +47,12 @@ pub enum Command {
 
 impl Command {
     /// Issue cycle of the command.
-    pub fn at(&self) -> u64 {
+    fn at(&self) -> u64 {
         match *self {
             Command::Act { at, .. }
             | Command::Pre { at, .. }
             | Command::Read { at, .. }
             | Command::Write { at, .. } => at,
-        }
-    }
-
-    /// Target bank of the command.
-    pub fn bank(&self) -> usize {
-        match *self {
-            Command::Act { bank, .. }
-            | Command::Pre { bank, .. }
-            | Command::Read { bank, .. }
-            | Command::Write { bank, .. } => bank,
         }
     }
 }

@@ -1,4 +1,14 @@
 //! One DRAM channel: banks + shared command/data buses + statistics.
+//!
+//! The controller drives a [`Channel`] under the **execute-and-stall**
+//! contract: it *asks* whether a command is legal right now (`can_*`),
+//! then *applies* it (`activate`/`precharge`/`cas`/`refresh`), and the
+//! channel owns every piece of timing state behind those answers. There is
+//! deliberately no side-effect-free "when would this be legal?" or "how
+//! long would this take?" query: against a stateful model (shared buses,
+//! tFAW windows, the refresh FSM) such a latency oracle either duplicates
+//! the state machine or silently drifts from it, so each timing rule lives
+//! only in its `can_*` guard (DESIGN.md §14).
 
 use crate::bank::{Bank, BankState};
 use lazydram_common::snap::Saver;
@@ -8,7 +18,15 @@ use lazydram_common::{AccessKind, DramStats, DramTimings, GpuConfig};
 /// `banks_per_channel` banks in `bank_groups` groups.
 ///
 /// The channel enforces the *inter*-bank and bus-level constraints; per-bank
-/// constraints live in [`Bank`]. All times are memory cycles.
+/// constraints live in [`Bank`]. All times are memory cycles. A command may
+/// only be applied when its `can_*` guard returned `true` at the same cycle
+/// (debug builds assert this), and the channel upholds two obligations
+/// (`tests/backend_conformance.rs` checks both on every machine):
+///
+/// * **Determinism**: identical command sequences produce identical state,
+///   statistics and [`Channel::cas`] completion cycles.
+/// * **Monotone completions**: successive `cas` return values never
+///   decrease, so responses retire in issue order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Channel {
     timings: DramTimings,
@@ -79,11 +97,6 @@ impl Channel {
         self.banks.len()
     }
 
-    /// Banks per bank group.
-    pub fn banks_per_group(&self) -> usize {
-        self.banks_per_group
-    }
-
     /// The row currently open in `bank`, if any.
     pub fn open_row(&self, bank: usize) -> Option<u32> {
         self.banks[bank].open_row()
@@ -92,11 +105,6 @@ impl Channel {
     /// Bitmask of banks with an open row (bit `b` ⇔ `open_row(b).is_some()`).
     pub fn open_banks(&self) -> u64 {
         self.open_banks
-    }
-
-    /// Read-only view of a bank.
-    pub fn bank(&self, bank: usize) -> &Bank {
-        &self.banks[bank]
     }
 
     /// Accumulated channel statistics.

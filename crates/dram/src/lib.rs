@@ -1,7 +1,6 @@
-//! Cycle-level DRAM channel models behind the [`MemoryBackend`] trait.
+//! The cycle-level DRAM channel model.
 //!
-//! The banked model: one [`Channel`] owns a set of banks organized in bank
-//! groups, a shared
+//! One [`Channel`] owns a set of banks organized in bank groups, a shared
 //! command bus (one command per memory cycle) and a shared data bus (one burst
 //! per [`t_ccd`](lazydram_common::DramTimings::t_ccd) cycles). The memory
 //! controller (in `lazydram-core`) decides *which* request to serve; this
@@ -15,7 +14,10 @@
 //! * data-bus busy cycles (the BWUTIL signal used by `Dyn-DMS`).
 //!
 //! The model follows the open-row policy: rows stay open until a conflicting
-//! access (or [`Channel::drain`]) closes them.
+//! access (or [`Channel::drain`]) closes them. Every memory-technology
+//! preset (GDDR5, HBM1, HBM2) runs this one model under its own geometry
+//! and timing package; [`Channel`]'s docs state the execute-and-stall
+//! contract the controller relies on.
 //!
 //! # Example
 //!
@@ -38,11 +40,9 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod auditor;
-mod backend;
 mod bank;
 mod channel;
 
 pub use auditor::{Auditor, Command, ProtocolViolation};
-pub use backend::{DramBackend, MemoryBackend, NaiveBackend};
 pub use bank::{ActivationRecord, Bank, BankState};
 pub use channel::Channel;

@@ -43,11 +43,9 @@ pub enum MemoryTech {
 
 impl MemoryTech {
     /// The energy profile matching a machine preset of the backend matrix.
-    /// The naive preset models the GDDR5 machine, so it accounts energy
-    /// with the GDDR5 profile.
     pub fn for_preset(preset: DramPreset) -> Self {
         match preset {
-            DramPreset::Gddr5 | DramPreset::Naive => MemoryTech::Gddr5,
+            DramPreset::Gddr5 => MemoryTech::Gddr5,
             DramPreset::Hbm1 => MemoryTech::Hbm1,
             DramPreset::Hbm2 => MemoryTech::Hbm2,
         }
@@ -296,7 +294,6 @@ mod tests {
     #[test]
     fn backend_matrix_maps_to_profiles() {
         assert_eq!(MemoryTech::for_preset(DramPreset::Gddr5), MemoryTech::Gddr5);
-        assert_eq!(MemoryTech::for_preset(DramPreset::Naive), MemoryTech::Gddr5);
         assert_eq!(MemoryTech::for_preset(DramPreset::Hbm1), MemoryTech::Hbm1);
         assert_eq!(MemoryTech::for_preset(DramPreset::Hbm2), MemoryTech::Hbm2);
     }

@@ -1,7 +1,7 @@
-//! Property test: the fast loop (SM and controller dormancy) is
-//! result-invisible for randomly generated synthetic kernels under randomly
-//! drawn scheduler configurations and cycle limits: it must match the
-//! reference loop, which visits every component every cycle.
+//! Property test: the fast loop (SM dormancy) is result-invisible for
+//! randomly generated synthetic kernels under randomly drawn scheduler
+//! configurations and cycle limits: it must match the reference loop, which
+//! visits every SM every cycle.
 //!
 //! The suite-level test (`tests/fast_forward_equivalence.rs` at the
 //! workspace root) covers the 20 real applications; this one probes odd

@@ -162,7 +162,7 @@ impl SimBuilder {
     }
 
     /// Selects a named memory-technology preset from the backend matrix
-    /// (geometry + timing package + backend model together).
+    /// (geometry and timing package together).
     pub fn preset(self, preset: DramPreset) -> Self {
         self.gpu(preset.gpu_config())
     }
@@ -362,14 +362,23 @@ mod tests {
     fn parse_backend_is_strict() {
         assert_eq!(parse_backend("gddr5"), Ok(DramPreset::Gddr5));
         assert_eq!(parse_backend(" HBM2 "), Ok(DramPreset::Hbm2));
-        assert_eq!(parse_backend("Naive"), Ok(DramPreset::Naive));
-        // The retired ddr4/lpddr4/flex presets must fail, not fall back.
-        for bad in ["", "gddr6", "naive,hbm1", "1", "ddr4", "lpddr4", "flex"] {
+        assert_eq!(parse_backend("Hbm1"), Ok(DramPreset::Hbm1));
+        // The retired ddr4/lpddr4/flex/naive presets must fail, not fall back.
+        for bad in [
+            "",
+            "gddr6",
+            "hbm2,hbm1",
+            "1",
+            "ddr4",
+            "lpddr4",
+            "flex",
+            "naive",
+        ] {
             let err = parse_backend(bad).unwrap_err();
             assert!(err.contains("not a DRAM backend preset"), "{err}");
             assert!(
-                err.ends_with("expected one of: gddr5, hbm1, hbm2, naive"),
-                "must list the four labels: {err}"
+                err.ends_with("expected one of: gddr5, hbm1, hbm2"),
+                "must list the three labels: {err}"
             );
         }
     }
@@ -390,8 +399,8 @@ mod tests {
         }
         // A run knows its preset; a hand-built machine matches none.
         assert_eq!(
-            base.clone().preset(DramPreset::Naive).build().preset(),
-            Some(DramPreset::Naive)
+            base.clone().preset(DramPreset::Hbm1).build().preset(),
+            Some(DramPreset::Hbm1)
         );
         let odd = GpuConfig {
             pending_queue_size: 16,

@@ -10,8 +10,8 @@
 //!                                       administer the result store (LAZYDRAM_CACHE_DIR)
 //! ```
 //!
-//! `--backend` picks a memory model from the backend matrix (`lazydram
-//! backends` lists the labels); the default is the paper's GDDR5 machine.
+//! `--backend` picks a memory-technology preset (`lazydram backends` lists
+//! the labels); the default is the paper's GDDR5 machine.
 //! `--scale` is a finite, positive work scale (default 0.5). Each
 //! subcommand accepts only the flags and arguments listed above: an
 //! unknown, repeated or stray argument, a malformed value, or a flag given
@@ -130,20 +130,19 @@ impl Args {
 fn cmd_backends(out: &mut impl Write) -> io::Result<()> {
     writeln!(
         out,
-        "{:<8} {:>4}  {:>6}  {:>5}  {:>6}  model",
+        "{:<8} {:>4}  {:>6}  {:>5}  {:>6}",
         "label", "ch", "MHz", "banks", "rowB"
     )?;
     for p in DramPreset::ALL {
         let c = p.gpu_config();
         writeln!(
             out,
-            "{:<8} {:>4}  {:>6}  {:>5}  {:>6}  {:?}",
+            "{:<8} {:>4}  {:>6}  {:>5}  {:>6}",
             p.label(),
             c.num_channels,
             c.mem_clock_mhz,
             c.banks_per_channel,
             c.row_bytes,
-            c.backend,
         )?;
     }
     Ok(())

@@ -1,9 +1,9 @@
-//! Shared conformance suite for every [`MemoryBackend`] in the matrix.
+//! Conformance suite for the [`Channel`] model under every machine.
 //!
-//! The execute-and-stall contract (DESIGN.md §14) lets the controller stay
-//! backend-agnostic only if every backend honors the same obligations.
-//! Each is checked here over every machine in `machines()`: all presets
-//! plus the GDDR5 machine with tFAW, tCCDL and refresh turned on
+//! The execute-and-stall contract (DESIGN.md §14) holds only if the
+//! channel honors the same obligations under every timing package. Each is
+//! checked here over every machine in `machines()`: all presets plus the
+//! GDDR5 machine with tFAW, tCCDL and refresh turned on
 //! (`DramTimings::gddr5_extended`, and a variant whose tFAW binds), since
 //! no preset enables those three.
 //!
@@ -18,10 +18,13 @@
 //! checked in `tests/dormancy_equivalence.rs`. `extended_constraints_bind`
 //! pins the edges of the three extended constraints with the guards alone.
 
-use lazydram::common::{AccessKind, DramPreset, DramTimings, GpuConfig};
-use lazydram::dram::{DramBackend, MemoryBackend};
+mod machines;
+
+use lazydram::common::{AccessKind, GpuConfig};
+use lazydram::dram::Channel;
 use lazydram::workloads::by_name;
 use lazydram::{Scheme, SimBuilder};
+use machines::{extended_faw32, machines};
 use proptest::prelude::*;
 
 const SCALE: f64 = 0.02;
@@ -61,7 +64,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 
 /// Applies one guarded op to `b` at `now`, returning an observation trace
 /// entry (guard outcome + any CAS completion cycle) for equality checks.
-fn step(b: &mut DramBackend, cfg: &GpuConfig, op: Op, now: &mut u64) -> (bool, u64) {
+fn step(b: &mut Channel, cfg: &GpuConfig, op: Op, now: &mut u64) -> (bool, u64) {
     let nbanks = cfg.banks_per_channel;
     b.advance_to(*now);
     match op {
@@ -109,7 +112,7 @@ fn step(b: &mut DramBackend, cfg: &GpuConfig, op: Op, now: &mut u64) -> (bool, u
         }
         Op::SleepToRefresh => {
             // A refresh falls due at most tREFI after the previous one; a
-            // refresh-free backend (tREFI 0 or the naive model) stays put.
+            // refresh-free machine (tREFI 0) stays put.
             let t_refi = u64::from(cfg.timings.t_refi);
             if let Some(due) = (*now..=*now + t_refi).find(|&t| b.refresh_due(t)) {
                 *now = due;
@@ -117,40 +120,6 @@ fn step(b: &mut DramBackend, cfg: &GpuConfig, op: Op, now: &mut u64) -> (bool, u
             (true, 0)
         }
     }
-}
-
-/// The GDDR5 machine with tFAW, tCCDL and refresh turned on: a test
-/// input, not a preset.
-fn extended(timings: DramTimings) -> GpuConfig {
-    GpuConfig {
-        timings,
-        ..GpuConfig::default()
-    }
-}
-
-/// `gddr5_extended` with tFAW stretched to 32. At 23, tFAW never binds:
-/// four ACTs span at least 3 x tRRD = 18 cycles and the fifth waits another
-/// tRRD (24 > 23), so only a longer window checks the four-ACT rule.
-fn extended_faw32() -> GpuConfig {
-    extended(DramTimings {
-        t_faw: 32,
-        ..DramTimings::gddr5_extended()
-    })
-}
-
-/// Every machine the obligations iterate over, labelled: each preset, then
-/// the two extended GDDR5 machines.
-fn machines() -> Vec<(String, GpuConfig)> {
-    let mut m: Vec<_> = DramPreset::ALL
-        .iter()
-        .map(|p| (p.label().to_string(), p.gpu_config()))
-        .collect();
-    m.push((
-        "gddr5-extended".to_string(),
-        extended(DramTimings::gddr5_extended()),
-    ));
-    m.push(("gddr5-extended-faw32".to_string(), extended_faw32()));
-    m
 }
 
 proptest! {
@@ -162,7 +131,7 @@ proptest! {
     ) {
         for (preset, cfg) in machines() {
             let replay = || {
-                let mut b = DramBackend::new(&cfg);
+                let mut b = Channel::new(&cfg);
                 let mut now = 0u64;
                 let seen: Vec<_> = ops.iter().map(|&op| step(&mut b, &cfg, op, &mut now)).collect();
                 (seen, b)
@@ -187,9 +156,9 @@ fn extended_constraints_bind() {
     // the guards are checked on both sides of each edge.
     let cfg = extended_faw32();
     let t = cfg.timings;
-    let mut b = DramBackend::new(&cfg);
+    let mut b = Channel::new(&cfg);
     let mut now = 0u64;
-    let run = |b: &mut DramBackend, op: Op, now: &mut u64| step(b, &cfg, op, now).0;
+    let run = |b: &mut Channel, op: Op, now: &mut u64| step(b, &cfg, op, now).0;
     let wait_rrd = Op::Wait {
         cycles: t.t_rrd as u8,
     };

@@ -1,11 +1,11 @@
-//! The default (GDDR5) backend must be **byte-identical** to the pre-trait
-//! hard-wired channel model.
+//! The default (GDDR5) machine must stay **byte-identical** to the channel
+//! model as it stood before the memory-backend matrix was introduced.
 //!
 //! `crates/bench/captures/pre_pr10/` holds `LAZYDRAM_RESULTS` JSONL from
-//! the fig04/fig12 harnesses captured at the commit *before* the
-//! [`MemoryBackend`] extraction (`LAZYDRAM_SCALE=0.05`). This test re-runs
-//! a cross-section of those cells through today's trait-dispatched
-//! `DramBackend::Gddr5` channel and compares [`Measurement::to_json`] byte-for-byte
+//! the fig04/fig12 harnesses captured at that commit
+//! (`LAZYDRAM_SCALE=0.05`). This test re-runs a cross-section of those
+//! cells through today's controller and [`Channel`](lazydram::dram::Channel)
+//! and compares [`Measurement::to_json`] byte-for-byte
 //! against the captured lines — any drift in timing, statistics, energy or
 //! float formatting fails here before it reaches the tier-1 figure diff
 //! (which compares the *full* 140/77-record files).

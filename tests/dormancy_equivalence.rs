@@ -1,40 +1,22 @@
 //! Dormancy must be invisible: the fast loop, which skips SMs that are
-//! not due and controller passes that cannot issue, must match the
-//! reference loop (`SimBuilder::reference_loop`), which visits every
-//! component every cycle. For a random app and pause point, every machine
-//! of the backend matrix runs under every scheme, and each cell must give
-//! the same measurement JSON (the AMS decline histogram included), the
-//! same output, statistics and DRAM trace, and the same labelled dump
-//! fields at the pause.
+//! not due, must match the reference loop (`SimBuilder::reference_loop`),
+//! which visits every SM every cycle; in both loops every controller runs
+//! one scheduling pass per memory cycle. For a random app and pause point,
+//! every machine of the backend matrix runs under every scheme, and each
+//! cell must give the same measurement JSON (the AMS decline histogram
+//! included), the same output, statistics and DRAM trace, and the same
+//! labelled dump fields at the pause.
 
 mod equiv;
+mod machines;
 
 use equiv::{assert_same_run, both, field_diff, paused_fields};
 use lazydram::bench::measure;
-use lazydram::common::{DramPreset, DramTimings, GpuConfig};
+use lazydram::common::GpuConfig;
 use lazydram::workloads::{all_apps, AppSpec};
 use lazydram::{Scheme, SimBuilder};
+use machines::machines;
 use proptest::prelude::*;
-
-/// Every machine of the backend matrix, plus the GDDR5 machine with tFAW,
-/// tCCDL and refresh on (no preset enables those) and its variant whose
-/// tFAW binds.
-fn machines() -> Vec<(String, GpuConfig)> {
-    let extended = |t_faw: Option<u32>| GpuConfig {
-        timings: DramTimings {
-            t_faw: t_faw.unwrap_or(DramTimings::gddr5_extended().t_faw),
-            ..DramTimings::gddr5_extended()
-        },
-        ..GpuConfig::default()
-    };
-    let mut m: Vec<_> = DramPreset::ALL
-        .iter()
-        .map(|p| (p.label().to_string(), p.gpu_config()))
-        .collect();
-    m.push(("gddr5-extended".to_string(), extended(None)));
-    m.push(("gddr5-extended-faw32".to_string(), extended(Some(32))));
-    m
-}
 
 /// One machine × scheme cell: the measurement JSON, the outputs, and the
 /// labelled dump at `pause_frac` percent of the reference run.

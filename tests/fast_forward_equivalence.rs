@@ -1,10 +1,10 @@
 //! The fast loop must be invisible in results. Every case runs a
-//! configuration twice: on the fast loop (SM and controller dormancy, the
-//! default) and on the reference loop (`SimBuilder::reference_loop`: every
-//! SM and controller visited every cycle). Both loops execute every cycle,
-//! and they must produce bit-identical output, statistics, DRAM trace,
-//! measurement JSON and paused-state fields. Only the dump's configuration
-//! digest may differ.
+//! configuration twice: on the fast loop (SM dormancy, the default) and on
+//! the reference loop (`SimBuilder::reference_loop`: every SM visited every
+//! cycle). In both loops every controller runs one scheduling pass per
+//! memory cycle. Both loops execute every cycle, and they must produce
+//! bit-identical output, statistics, DRAM trace, measurement JSON and
+//! paused-state fields. Only the dump's configuration digest may differ.
 //!
 //! Every machine and scheme at random pause points is checked in
 //! `tests/dormancy_equivalence.rs`.
@@ -34,8 +34,8 @@ fn assert_equivalent(app: &AppSpec, sched: &SchedConfig, scale: f64, limits: Sim
 
 #[test]
 fn whole_suite_static_dms_is_equivalent() {
-    // Static-DMS creates the longest stall epochs, where the most SMs and
-    // controllers sleep.
+    // Static-DMS creates the longest stall epochs, where the most SMs
+    // sleep.
     for app in all_apps() {
         assert_equivalent(&app, &SchedConfig::static_dms(), 0.02, SimLimits::default());
     }

@@ -43,26 +43,10 @@ use lazydram::{Scheme, SimBuilder};
 /// fig04 and fig12 capture cell lost only those three keys.
 const PINNED: (u64, u64) = (2, 0x2ba1acc5f89f3277);
 
-/// One golden cell per non-default backend model: SCP under the headline
-/// scheme on the naive model (the HBM presets run the banked model that
-/// [`PINNED`] covers). A drifting digest here with a clean [`PINNED`]
-/// means only the naive model changed behavior — same re-pin protocol,
-/// scoped to the named backend.
-///
-/// Re-pinned for version 2 like [`PINNED`]: the naive cell is priced with
-/// the GDDR5 profile as before (version 1 digest `0x9b3eea56c5980d17`).
-/// Re-pinned for `STORE_VERSION` 4 like [`PINNED`] (before it:
-/// `0xab0f35c0f56693d7`).
-const PINNED_BACKENDS: [(DramPreset, u64); 1] = [(DramPreset::Naive, 0x4344a5ced95d7be2)];
-
 fn cell(app: &str, scheme: Scheme) -> Measurement {
-    preset_cell(app, scheme, DramPreset::Gddr5)
-}
-
-fn preset_cell(app: &str, scheme: Scheme, preset: DramPreset) -> Measurement {
     let app = by_name(app).expect("known app");
     let run = SimBuilder::new(&app)
-        .preset(preset)
+        .preset(DramPreset::Gddr5)
         .scheme(scheme)
         .scale(0.05)
         .build();
@@ -93,16 +77,4 @@ fn semantics_version_pins_golden_outputs() {
          invalidates all cached results) and re-pin PINNED in this test; \
          otherwise find and fix the regression."
     );
-}
-
-#[test]
-fn backend_semantics_pin_golden_outputs() {
-    for (preset, pinned) in PINNED_BACKENDS {
-        let m = preset_cell("SCP", Scheme::DynCombo, preset);
-        let h = digest(&encode_entry(0, &m));
-        assert_eq!(
-            h, pinned,
-            "backend {preset} drifted from its pinned golden cell              (got digest {h:#018x}); follow the re-pin protocol in the              module docs"
-        );
-    }
 }

@@ -76,13 +76,16 @@ cmp "$TIER1_TMP/cc.jsonl" "$TIER1_TMP/cr.jsonl"
 echo "cold + warm + require-mode sweeps byte-identical; warm run hit the store, computed no reference"
 
 echo "== tier1: memory-backend matrix smoke =="
-# The MemoryBackend trait (PR 10) must be (a) sweepable: the fig04/SCP
-# sweep runs green under every LAZYDRAM_BACKEND label; (b) invisible by
-# default: an explicit LAZYDRAM_BACKEND=gddr5 run is byte-identical to an
-# unset-env run; (c) byte-identical to the pre-trait model: the full fig04
-# and fig12 harnesses reproduce the stdout + JSONL captured at the revision
-# before the trait extraction (crates/bench/captures/pre_pr10/).
-for backend in gddr5 hbm1 hbm2 naive; do
+# The backend presets must be (a) sweepable: the fig04/SCP sweep runs
+# green under every label `lazydram backends` prints (the list lives only
+# in DramPreset::ALL); (b) invisible by default: an explicit
+# LAZYDRAM_BACKEND=gddr5 run is byte-identical to an unset-env run;
+# (c) byte-identical to the model before the backend matrix: the full
+# fig04 and fig12 harnesses reproduce the stdout + JSONL captured at that
+# revision (crates/bench/captures/pre_pr10/).
+backends=$(./target/release/lazydram backends | tail -n +2 | awk '{print $1}')
+[[ -n $backends ]] || { echo "lazydram backends listed no preset" >&2; exit 1; }
+for backend in $backends; do
     LAZYDRAM_APPS=SCP LAZYDRAM_SCALE=0.05 LAZYDRAM_QUIET=1 \
     LAZYDRAM_BACKEND="$backend" \
     LAZYDRAM_RESULTS="$TIER1_TMP/be_$backend.jsonl" \
